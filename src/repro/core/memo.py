@@ -180,6 +180,12 @@ class MemoStore:
     ``misses`` / ``stores`` / ``evictions``) are cumulative;
     :meth:`counters` snapshots the first three so callers can compute
     per-run deltas.
+
+    The store also logs which keys were *learned* (:meth:`put`) since
+    the last :meth:`take_learned`, in learning order; seeded entries
+    never enter the log.  The log is kept a subset of the live entries
+    (evictions, :meth:`trim` and :meth:`clear` drop from it too), so a
+    store nobody takes from never holds more than its capacity.
     """
 
     def __init__(self, capacity: Optional[int] = DEFAULT_MEMO_CAPACITY,
@@ -190,6 +196,8 @@ class MemoStore:
                              "None (unbounded)")
         self.capacity = capacity
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        #: Keys put since the last take, oldest first (values unused).
+        self._learned: Dict[Any, None] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -210,8 +218,14 @@ class MemoStore:
         return value
 
     def put(self, key: Any, value: Any) -> None:
-        """Insert (or refresh) an entry, evicting LRU past capacity."""
+        """Insert (or refresh) an entry, evicting LRU past capacity.
+
+        Either way the key becomes the newest entry of the learned log.
+        """
         entries = self._entries
+        learned = self._learned
+        learned.pop(key, None)
+        learned[key] = None
         if key in entries:
             entries[key] = value
             entries.move_to_end(key)
@@ -219,8 +233,12 @@ class MemoStore:
         entries[key] = value
         self.stores += 1
         if self.capacity is not None and len(entries) > self.capacity:
-            entries.popitem(last=False)
+            self._evict_oldest()
             self.evictions += 1
+
+    def _evict_oldest(self) -> None:
+        key, _ = self._entries.popitem(last=False)
+        self._learned.pop(key, None)
 
     def put_if_mappable(self, key: Any, build) -> None:
         """Store ``build()``, treating a ``KeyError`` as "unmemoisable".
@@ -244,6 +262,7 @@ class MemoStore:
     def clear(self) -> None:
         """Drop every entry (counters are kept — they are cumulative)."""
         self._entries.clear()
+        self._learned.clear()
 
     def trim(self, target: Optional[int] = None) -> int:
         """Evict least-recently-used entries down to ``target``.
@@ -259,7 +278,7 @@ class MemoStore:
         evicted = 0
         entries = self._entries
         while len(entries) > target:
-            entries.popitem(last=False)
+            self._evict_oldest()
             evicted += 1
         self.evictions += evicted
         return evicted
@@ -303,12 +322,30 @@ class MemoStore:
             items = items[-limit:]
         return items
 
+    def take_learned(self, limit: Optional[int] = None
+                     ) -> List[Tuple[Any, Any]]:
+        """The entries learned since the last take, oldest first.
+
+        Empties the learned log.  ``limit`` keeps only the *most*
+        recently learned entries (the rest are dropped from the log
+        all the same).  This is what a worker persists: what it
+        learned itself, never what it was seeded with.
+        """
+        keys = list(self._learned)
+        self._learned.clear()
+        if limit is not None:
+            keys = keys[max(0, len(keys) - limit):]
+        entries = self._entries
+        return [(key, entries[key]) for key in keys]
+
     def seed(self, entries: Iterable[Tuple[Any, Any]]) -> None:
         """Bulk-load exported entries (not counted as stores).
 
-        Entries past capacity are evicted LRU-first and *are* counted
-        as evictions — the counter is the diagnostic for a store too
-        small for its traffic, seeded or not.
+        Seeded entries are not *learned*: they stay out of the log
+        :meth:`take_learned` drains.  Entries past capacity are evicted
+        LRU-first and *are* counted as evictions — the counter is the
+        diagnostic for a store too small for its traffic, seeded or
+        not.
         """
         store = self._entries
         for key, value in entries:
@@ -316,7 +353,7 @@ class MemoStore:
             store.move_to_end(key)
         if self.capacity is not None:
             while len(store) > self.capacity:
-                store.popitem(last=False)
+                self._evict_oldest()
                 self.evictions += 1
 
 
@@ -330,26 +367,20 @@ def _tuplify(value: Any) -> Any:
     return value
 
 
-def _listify(value: Any) -> Any:
-    """Recursively turn tuples into JSON arrays (explicit inverse)."""
-    if isinstance(value, (list, tuple)):
-        return [_listify(item) for item in value]
-    return value
-
-
 def entries_to_jsonable(entries: Iterable[Tuple[Any, Any]]
                         ) -> List[List[Any]]:
-    """Render exported store entries as pure-JSON ``[key, value]`` rows.
+    """Render exported store entries as JSON-encodable ``[key, value]`` rows.
 
     Keys and values are nested tuples of ints, bools, strings and
-    ``None`` (signature keys, rank-cover templates), which map onto
-    JSON arrays losslessly; :func:`entries_from_jsonable` inverts the
-    mapping exactly, so a store round-tripped through JSON — the disk
-    cache tier, a prewarming corpus, a network hop — behaves
-    identically to the original (same keys, same instantiated
-    functions).
+    ``None`` (signature keys, rank-cover templates).  The :mod:`json`
+    encoder writes tuples as arrays, so they are passed through
+    as they are rather than copied into lists;
+    :func:`entries_from_jsonable` inverts the mapping exactly, so a
+    store round-tripped through JSON — the disk cache tier, a
+    prewarming corpus, a network hop — behaves identically to the
+    original (same keys, same instantiated functions).
     """
-    return [[_listify(key), _listify(value)] for key, value in entries]
+    return [[key, value] for key, value in entries]
 
 
 def entries_from_jsonable(data: Iterable[Any]) -> List[Tuple[Any, Any]]:

@@ -9,7 +9,8 @@ The package splits cleanly into four pieces:
 :mod:`~repro.service.diskcache`
     :class:`DiskCache` — the process-spanning tier: atomic JSON report
     files keyed by canonical request fingerprints, plus the shared
-    ``memo.json`` template pool workers seed from at boot.
+    memo template pool (a ``memo.json`` snapshot and append-only
+    segments) workers seed from at boot.
 :mod:`~repro.service.http`
     The stdlib ``ThreadingHTTPServer`` transport (no dependencies) —
     ``create_server``/``serve`` and the SSE encoder.

@@ -13,8 +13,9 @@ test driving it directly) exposes:
                    network+options fingerprint;
 ``healthz``        liveness;
 ``stats``          engine, memo, report-cache, disk-tier and per-tier
-                   request counters, plus a ring of recent requests
-                   with their per-request memo deltas.
+                   request counters, per-tier ``solve`` latency
+                   percentiles, plus a ring of recent requests with
+                   their per-request memo deltas.
 
 Tiered serving
 --------------
@@ -30,10 +31,12 @@ Every ``solve`` walks the tiers in order:
    disk tier for every other worker (and every future worker) to find.
 
 Multi-worker story: each worker process builds its own service over the
-same cache directory.  At boot the session memo store is seeded from
-the disk tier, so a cold worker starts with the fleet's accumulated
-subproblem templates; after every ``flush_every`` engine solves (and at
-shutdown) the worker merges its newly learned templates back.
+same cache directory.  At boot the worker compacts the disk tier's memo
+pool (when other workers left segments) and seeds its session memo
+store from it, so a cold worker starts with the fleet's accumulated
+subproblem templates.  After every ``flush_every`` engine solves (and
+at shutdown) the worker appends the templates it learned since its
+last flush as one new pool segment.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ DEFAULT_FLUSH_EVERY = 8
 #: Recent requests kept for the ``/stats`` attribution ring.
 RECENT_REQUESTS = 50
 
+#: ``solve`` latencies kept per tier for the ``/stats`` percentiles.
+LATENCY_SAMPLES = 1024
+
 
 class ServiceError(Exception):
     """A client-attributable failure (maps to an HTTP 4xx)."""
@@ -73,6 +79,19 @@ class ServiceError(Exception):
 
 #: Exceptions that mean "your request was bad", not "the service broke".
 _CLIENT_ERRORS = (ValueError, KeyError, TypeError, OSError)
+
+
+def _percentiles(samples: Deque[float]) -> Dict[str, Any]:
+    """Sample count plus nearest-rank p50/p99 in milliseconds."""
+    ordered = sorted(samples)
+    count = len(ordered)
+
+    def rank(share: float) -> Optional[float]:
+        if not count:
+            return None
+        return 1e3 * ordered[min(count - 1, int(share * count))]
+
+    return {"count": count, "p50": rank(0.5), "p99": rank(0.99)}
 
 
 class SolveService:
@@ -116,6 +135,8 @@ class SolveService:
         self._lock = threading.RLock()
         self._solves_since_flush = 0
         self.tier_hits = {"ram": 0, "disk": 0, "engine": 0}
+        self._latencies: Dict[str, Deque[float]] = {
+            tier: deque(maxlen=LATENCY_SAMPLES) for tier in self.tier_hits}
         self.request_counts = {"solve": 0, "stream": 0, "batch": 0,
                                "resynth": 0, "errors": 0,
                                "stream_cancelled": 0}
@@ -139,6 +160,7 @@ class SolveService:
                                "route_conversions": 0,
                                "route_hits": 0}
         if self.disk is not None:
+            self.disk.compact_memo()
             entries = self.disk.load_memo_entries()
             if entries:
                 self.session.memo.seed(entries)
@@ -210,7 +232,15 @@ class SolveService:
                 "uptime_seconds": time.time() - self.started}
 
     def stats(self) -> Dict[str, Any]:
-        """Counter snapshot across every layer the service owns."""
+        """Counter snapshot across every layer the service owns.
+
+        ``solve_latency_ms`` gives, per tier, the p50 and p99 of the
+        last :data:`LATENCY_SAMPLES` ``solve`` calls that tier served
+        (milliseconds, measured once the request holds the engine
+        lock; ``None`` before the first sample).  Nothing here reads
+        the memo pool, so a dashboard poll holds the lock only for
+        counter copies and directory listings.
+        """
         with self._lock:
             session = self.session
             return {
@@ -218,6 +248,9 @@ class SolveService:
                 "max_time_limit": self.max_time_limit,
                 "requests": dict(self.request_counts),
                 "tiers": dict(self.tier_hits),
+                "solve_latency_ms": {
+                    tier: _percentiles(samples)
+                    for tier, samples in self._latencies.items()},
                 "session": {
                     "report_cache_entries": len(session._cache),
                     "resynth_cache_entries": len(self._resynth_cache),
@@ -248,6 +281,7 @@ class SolveService:
         genuine server error.
         """
         with self._lock:
+            start = time.perf_counter()
             self.request_counts["solve"] += 1
             try:
                 request = self._admit(self.parse_request(data))
@@ -258,6 +292,7 @@ class SolveService:
             except _CLIENT_ERRORS as exc:
                 self.request_counts["errors"] += 1
                 raise ServiceError("solve failed: %s" % exc) from exc
+            self._latencies[tier].append(time.perf_counter() - start)
             self.tier_hits[tier] += 1
             self._record(request, report, tier)
             return report.to_dict(), tier
@@ -605,16 +640,20 @@ class SolveService:
             self.flush()
 
     def flush(self) -> int:
-        """Merge this worker's memo templates into the disk tier now.
+        """Append what this worker's memo learned to the disk tier now.
 
-        Returns the number of entries the disk tier holds afterwards
-        (0 when there is no disk tier).  Called automatically every
-        ``flush_every`` engine solves and by transports at shutdown.
+        Writes the templates the session store learned since the last
+        flush as one new pool segment: never the entries it was seeded
+        with, and at most the ``memo_export_limit`` most recently
+        learned.  Returns the number of entries appended (0 when there
+        is no disk tier or nothing new was learned).  Called
+        automatically every ``flush_every`` engine solves and by
+        transports at shutdown.
         """
         self._solves_since_flush = 0
         if self.disk is None:
             return 0
-        entries = self.session.memo.export_entries(
+        entries = self.session.memo.take_learned(
             limit=self.memo_export_limit)
         self.flushes += 1
         return self.disk.merge_memo_entries(entries)

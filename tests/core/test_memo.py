@@ -101,6 +101,41 @@ class TestMemoStore:
         assert len(store) == 0
         assert store.hits == 1 and store.stores == 1
 
+    def test_take_learned_returns_puts_not_seeds(self):
+        store = MemoStore(entries=[("seeded", 0)])
+        store.put("a", 1)
+        store.put("b", 2)
+        store.get("seeded")  # a hit is not learning
+        store.put("a", 3)    # re-learning makes "a" the newest
+        assert store.take_learned() == [("b", 2), ("a", 3)]
+        assert store.take_learned() == []  # the take drained the log
+        assert len(store) == 3
+
+    def test_take_learned_limit_keeps_newest(self):
+        store = MemoStore()
+        for index in range(5):
+            store.put(index, index)
+        assert store.take_learned(limit=2) == [(3, 3), (4, 4)]
+        assert store.take_learned(limit=2) == []
+
+    def test_learned_log_follows_evictions_trim_and_clear(self):
+        store = MemoStore(capacity=2)
+        for key in "abc":
+            store.put(key, key)  # "a" is evicted
+        assert store.take_learned() == [("b", "b"), ("c", "c")]
+        store = MemoStore(capacity=10)
+        for index in range(6):
+            store.put(index, index)
+        store.trim(target=2)
+        assert store.take_learned() == [(4, 4), (5, 5)]
+        store.put("x", 1)
+        store.clear()
+        assert store.take_learned() == []
+        store = MemoStore(capacity=2)
+        store.put("mine", 1)
+        store.seed([("s1", 1), ("s2", 2)])  # seeding evicts "mine"
+        assert store.take_learned() == []
+
 
 class TestSignatures:
     def test_relation_signature_shift_invariant(self):

@@ -1,6 +1,7 @@
 """Tests for corpus prewarming and the multi-worker seeding story."""
 
 import json
+import os
 
 import pytest
 
@@ -31,10 +32,19 @@ class TestPrewarm:
         assert DiskCache(cache_dir).report_count() == 2
 
     def test_rerun_is_all_cache_hits(self, corpus, cache_dir):
-        prewarm(corpus, cache_dir)
+        first = prewarm(corpus, cache_dir)
         summary = prewarm(corpus, cache_dir)
         assert summary["ok"]
         assert summary["tiers"] == {"disk": 2}
+        assert summary["memo_entries"] == first["memo_entries"]
+
+    def test_run_ends_with_a_compacted_pool(self, corpus, cache_dir):
+        summary = prewarm(corpus, cache_dir)
+        assert summary["disk"]["memo_compactions"] == 1
+        assert summary["disk"]["memo_segments"] == 0
+        assert os.path.isfile(os.path.join(cache_dir, "memo.json"))
+        assert len(DiskCache(cache_dir).load_memo_entries()) \
+            == summary["memo_entries"] > 0
 
     def test_prewarmed_worker_serves_corpus_without_engine(
             self, corpus, cache_dir):

@@ -206,6 +206,30 @@ class TestMemoFlushing:
         assert cold.seeded_entries == flushed
         assert cold.session.memo_stats()["entries"] == flushed
 
+    def test_boot_compacts_leftover_segments(self, fig1_request, cache_dir):
+        warm = SolveService(disk=DiskCache(cache_dir))
+        warm.solve(dict(fig1_request))
+        warm.flush()
+        assert warm.disk.stats()["memo_segments"] == 1
+        cold = SolveService(disk=DiskCache(cache_dir))
+        stats = cold.disk.stats()
+        assert stats["memo_compactions"] == 1
+        assert stats["memo_segments"] == 0
+        assert stats["memo_entries"] == cold.seeded_entries
+
+    def test_flush_appends_only_what_was_learned(self, cache_dir):
+        vtx = {"relation": {"kind": "bench", "name": "vtx"},
+               "max_explored": 40}
+        warm = SolveService(disk=DiskCache(cache_dir))
+        warm.solve(dict(vtx))
+        seeded = warm.flush()
+        cold = SolveService(disk=DiskCache(cache_dir))
+        assert cold.flush() == 0  # seeded entries are never re-written
+        cold.solve(dict(vtx, strategy="best-first"))
+        learned = cold.flush()
+        assert 0 < learned <= cold.session.memo_stats()["entries"] - seeded
+        assert cold.flush() == 0  # nothing new since the last flush
+
     def test_flush_cadence(self, fig1_request, cache_dir):
         service = SolveService(disk=DiskCache(cache_dir), flush_every=2)
         service.solve(dict(fig1_request))
@@ -253,6 +277,18 @@ class TestStatsAndHealth:
         assert fresh["memo_misses"] > 0
         assert cached["memo_hits"] == 0
         assert cached["memo_misses"] == 0
+
+    def test_stats_latency_percentiles_per_tier(self, fig1_request,
+                                                cache_dir):
+        service = SolveService(disk=DiskCache(cache_dir))
+        service.solve(dict(fig1_request))
+        for _ in range(3):
+            service.solve(dict(fig1_request))
+        latency = service.stats()["solve_latency_ms"]
+        assert latency["engine"]["count"] == 1
+        assert latency["ram"]["count"] == 3
+        assert 0 < latency["ram"]["p50"] <= latency["ram"]["p99"]
+        assert latency["disk"] == {"count": 0, "p50": None, "p99": None}
 
     def test_stats_without_disk(self, fig1_request):
         service = SolveService()
