@@ -10,6 +10,12 @@ captured error.  Being pure data it pickles across process boundaries
 When the solve ran in the calling process the live
 :class:`~repro.core.Solution` (BDD nodes and manager) is attached as
 ``report.solution``; it is excluded from comparison and serialisation.
+A report that crossed a manager, thread or process boundary instead
+keeps the solved vector as a manager-independent memo template
+(:meth:`SolveReport.solution_template`), from which
+:class:`~repro.api.Session` re-instantiates a live solution in the
+caller's manager and :meth:`SolveReport.solution_pla` renders the PLA
+export.
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..bdd.manager import BddManager
 from ..core.brel import BrelResult
+from ..core.memo import SolutionTemplate, instantiate_solution
+from ..core.memo import solution_template as template_of
 from ..core.relation import BooleanRelation
 from ..core.relio import write_relation
 from ..core.solution import Solution
@@ -86,6 +95,11 @@ class SolveReport:
                                      repr=False)
     _outputs: Optional[tuple] = field(default=None, compare=False,
                                       repr=False)
+    #: The solved vector as per-output rank covers over the inputs in
+    #: positional order; never serialised.
+    _template: Optional[SolutionTemplate] = field(default=None,
+                                                  compare=False,
+                                                  repr=False)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -139,19 +153,45 @@ class SolveReport:
                    request=dict(request) if request is not None else None)
 
     # -- solution export -----------------------------------------------
+    def solution_template(self) -> Optional[SolutionTemplate]:
+        """The solved vector as a manager-independent template (memoised).
+
+        Rank ``i`` of the template is input position ``i``, so
+        :func:`~repro.core.memo.instantiate_solution` over any
+        relation's inputs rebuilds the same functions there.
+        """
+        if self._template is None and self.solution is not None \
+                and self._inputs is not None:
+            self._template = template_of(self.solution.mgr,
+                                         self.solution.functions,
+                                         self._inputs)
+        return self._template
+
     def solution_pla(self) -> Optional[str]:
         """PLA rendering of the solved function vector (memoised).
 
-        Built from the live solution on first use — the enumeration of
-        every input vertex is paid only by callers who want it.  Data-only
-        reports (from workers) carry the pre-materialised text instead.
+        Built on first use — the enumeration of every input vertex is
+        paid only by callers who want it — from the live solution, or
+        from the template when the report crossed a manager boundary.
         """
-        if self.pla is None and self.solution is not None \
-                and self._inputs is not None:
-            functional = BooleanRelation.from_functions(
-                self.solution.mgr, self._inputs, self._outputs,
-                list(self.solution.functions))
-            self.pla = write_relation(functional)
+        if self.pla is not None or self._inputs is None:
+            return self.pla
+        if self.solution is not None:
+            mgr, inputs, outputs = (self.solution.mgr, self._inputs,
+                                    self._outputs)
+            functions = list(self.solution.functions)
+        elif self._template is not None:
+            num_inputs, num_outputs = len(self._inputs), len(self._outputs)
+            mgr = BddManager(["x%d" % i for i in range(num_inputs)]
+                             + ["y%d" % j for j in range(num_outputs)])
+            inputs = tuple(range(num_inputs))
+            outputs = tuple(range(num_inputs, num_inputs + num_outputs))
+            functions = list(instantiate_solution(mgr, self._template,
+                                                  inputs))
+        else:
+            return None
+        self.pla = write_relation(BooleanRelation.from_functions(
+            mgr, inputs, outputs, functions))
         return self.pla
 
     # -- serialisation -------------------------------------------------
@@ -160,7 +200,7 @@ class SolveReport:
         self.solution_pla()
         out = {}
         for f in dataclasses.fields(self):
-            if f.name in ("solution", "_inputs", "_outputs"):
+            if f.name in ("solution", "_inputs", "_outputs", "_template"):
                 continue
             out[f.name] = getattr(self, f.name)
         return out

@@ -28,7 +28,13 @@ ingestion paths:
     one truth-table bitmask per (completely specified) output;
 ``{"kind": "equations", "equations": [..], "independents": [..],
 "dependents": [..]}``
-    a Boolean equation system (paper Section 8) solved through its BR.
+    a Boolean equation system (paper Section 8) solved through its BR;
+``{"kind": "nodes", "inputs": [..], "outputs": [..], "nodes": [[rank,
+lo, hi], ..], "root": r}``
+    the structural node list of :mod:`repro.core.relio` — how the
+    program itself ships relations to worker pools, linear in BDD size
+    where PLA text is exponential in the inputs.  It is validated on
+    ingest (:func:`repro.core.relio.check_nodes`).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.brel import BrelOptions
 from ..core.relation import BooleanRelation
+from ..core.relio import RelationNodes, check_nodes, relation_from_nodes
 from .registry import cost_registry, minimizer_registry
 
 #: What callers may pass as a relation source.
@@ -55,6 +62,7 @@ _SPEC_KEYS = {
     "output_sets": ("rows", "num_inputs", "num_outputs"),
     "truth_tables": ("tables", "num_inputs"),
     "equations": ("equations", "independents", "dependents"),
+    "nodes": ("inputs", "outputs", "nodes", "root"),
 }
 
 
@@ -82,6 +90,8 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
                          "unexpected: %s)"
                          % (kind, sorted(missing) or "-",
                             sorted(extra) or "-"))
+    if kind == "nodes":
+        return check_nodes(spec).spec()
     out: Dict[str, Any] = {"kind": kind}
     for key in expected:
         value = spec[key]
@@ -98,12 +108,18 @@ def relation_spec_to_jsonable(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """The inverse container mapping: tuples back to JSON lists."""
     out: Dict[str, Any] = {}
     for key, value in spec.items():
-        if key == "rows":
+        if key in ("rows", "nodes"):
             value = [list(row) for row in value]
         elif isinstance(value, tuple):
             value = list(value)
         out[key] = value
     return out
+
+
+def nodes_of_spec(spec: Mapping[str, Any]) -> RelationNodes:
+    """The node data of a *normalised* ``nodes`` spec (no re-check)."""
+    return RelationNodes(spec["inputs"], spec["outputs"], spec["nodes"],
+                         spec["root"])
 
 
 def truth_tables_to_output_sets(tables: Sequence[int],
@@ -143,6 +159,8 @@ def build_relation(spec: RelationSpec) -> BooleanRelation:
     if kind == "pla":
         from ..core.relio import parse_relation
         return parse_relation(spec["text"])
+    if kind == "nodes":
+        return relation_from_nodes(nodes_of_spec(spec))
     if kind == "bench":
         from ..benchdata import instance_by_name
         return instance_by_name(spec["name"]).build()
@@ -385,8 +403,14 @@ class SolveRequest:
 
     # -- serialisation -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON-ready dict; ``from_dict`` inverts it exactly."""
-        out: Dict[str, Any] = dataclasses.asdict(self)
+        """Plain JSON-ready dict; ``from_dict`` inverts it exactly.
+
+        A shallow field copy: every field but the two rebuilt below is
+        immutable, and ``dataclasses.asdict`` would deep-copy a node
+        spec's triples one by one.
+        """
+        out: Dict[str, Any] = {f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(self)}
         if self.relation is not None:
             out["relation"] = relation_spec_to_jsonable(self.relation)
         if self.portfolio_racers is not None:

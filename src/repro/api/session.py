@@ -15,12 +15,14 @@ A :class:`Session` is the stateful front door of the package.  It
   per-job failures captured as failed :class:`SolveReport`\\ s rather
   than raised.
 
-Batch jobs are made *self-contained* before dispatch: the relation is
-snapshotted to PLA text and the request travels as its dict form, so a
-job needs nothing from the parent process beyond importable code.
-(Custom registry entries reach workers through the default ``fork``
-start method on POSIX; under ``spawn`` they must be registered at import
-time of a module the workers import.)
+Pool jobs are made *self-contained* before dispatch: the relation
+travels as its node list (:func:`repro.core.relio.relation_to_nodes`,
+linear in BDD size) and the request as its dict form, so a job needs
+nothing from the parent process beyond importable code; the solution
+comes back as a memo template that the session re-instantiates in the
+caller's manager.  (Custom registry entries reach workers through the
+default ``fork`` start method on POSIX; under ``spawn`` they must be
+registered at import time of a module the workers import.)
 """
 
 from __future__ import annotations
@@ -36,24 +38,22 @@ from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
 from ..bdd.manager import BddManager
 from ..core.brel import BrelResult, BrelSolver
 from ..core.explore import CancelToken, Improvement, Observer
-from ..core.memo import DEFAULT_MEMO_CAPACITY, MemoStore
-from ..core.partition import (block_functions_from_pla, merge_block_stats,
-                              partition_relation, worst_stopped)
+from ..core.memo import (DEFAULT_MEMO_CAPACITY, MemoStore,
+                         instantiate_solution)
+from ..core.partition import (merge_block_stats, partition_relation,
+                              worst_stopped)
 from ..core.relation import BooleanRelation
-from ..core.relio import parse_relation, peek_shape, write_relation
+from ..core.relio import (RelationNodes, parse_relation, peek_shape,
+                          relation_from_nodes, relation_to_nodes)
 from ..core.solution import Solution, SolverStats
 from .report import SolveReport
 from .request import (RelationSpec, SolveRequest, build_relation,
-                      normalize_relation_spec, relation_spec_to_jsonable,
+                      nodes_of_spec, normalize_relation_spec,
+                      relation_spec_to_jsonable,
                       truth_tables_to_output_sets)
 
 #: What solve()/solve_many() accept as the thing to solve.
 RelationLike = Union[BooleanRelation, RelationSpec]
-
-#: Widest relation (in inputs) solve_many will snapshot to PLA text for
-#: pool executors.  The snapshot enumerates all 2^inputs input vertices,
-#: so past this point the "parallel" path would silently hang.
-DEFAULT_MAX_SNAPSHOT_INPUTS = 16
 
 #: Node count past which a session garbage-collects a manager between
 #: solves (None disables auto-trimming).
@@ -102,7 +102,7 @@ def _solve_payload(payload: Dict[str, Any],
     request_dict = payload.get("request")
     try:
         request = SolveRequest.from_dict(request_dict)
-        relation = parse_relation(payload["pla"])
+        relation = relation_from_nodes(payload["nodes"])
         if payload.get("memo_shared"):
             memo = _worker_memo
         else:
@@ -116,9 +116,8 @@ def _solve_payload(payload: Dict[str, Any],
         report = SolveReport.from_result(relation, result,
                                          request=request_dict, label=label)
         # BDD handles must not cross back over the process boundary:
-        # materialise the PLA text while the solution is still live,
-        # then ship the data-only report.
-        report.solution_pla()
+        # keep the solved vector as a template, then ship the report.
+        report.solution_template()
         report.solution = None
         return report
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
@@ -141,7 +140,6 @@ class Session:
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 max_snapshot_inputs: int = DEFAULT_MAX_SNAPSHOT_INPUTS,
                  auto_trim_nodes: Optional[int] = DEFAULT_AUTO_TRIM_NODES,
                  memo_enabled: bool = True,
                  memo_capacity: Optional[int] = DEFAULT_MEMO_CAPACITY
@@ -151,7 +149,6 @@ class Session:
         self._cache: Dict[Tuple[Any, ...], SolveReport] = {}
         self.cache_hits = 0
         self.default_max_workers = max_workers
-        self.max_snapshot_inputs = max_snapshot_inputs
         self.auto_trim_nodes = auto_trim_nodes
         self.trims = 0
         #: The session-wide subproblem memo, shared by every solve and
@@ -270,18 +267,15 @@ class Session:
         self.memo.trim()
         return self.engine_stats()
 
-    def _strip_solution(self, report: SolveReport) -> None:
-        """Drop a report's live solution, keeping its data useful.
+    @staticmethod
+    def _strip_solution(report: SolveReport) -> None:
+        """Drop a report's live solution, keeping it as a template.
 
-        The PLA rendering is materialised first — but only for narrow
-        relations: ``write_relation`` enumerates all ``2^inputs`` input
-        vertices, the exact blow-up ``max_snapshot_inputs`` exists to
-        avoid.  Wide reports keep their SOP/cost data and re-solve
-        lazily when a rendering or live handle is needed again.
+        The template is linear in the cover size at any width, so the
+        report can still hand out a live solution
+        (:meth:`_portable_solution`) and render its PLA export later.
         """
-        if (report.num_inputs is not None
-                and report.num_inputs <= self.max_snapshot_inputs):
-            report.solution_pla()
+        report.solution_template()
         report.solution = None
 
     def _trim_manager(self, mgr: BddManager,
@@ -294,7 +288,7 @@ class Session:
         ``keep`` is an extra relation to protect (the one about to be
         solved); the remapped copy is returned.  Cached reports (and any
         ``extra_reports``, e.g. a batch's finished jobs) lose their live
-        solutions (data is materialised first), identity-keyed cache
+        solutions (kept as templates), identity-keyed cache
         entries of this manager are dropped — their key objects would
         hold stale node ids — and relations referenced by
         ``extra_payloads`` (a batch's pending jobs) are kept live and
@@ -303,7 +297,7 @@ class Session:
         stale_keys = []
         for key, report in self._cache.items():
             if isinstance(key[0], BooleanRelation) and key[0].mgr is mgr:
-                # Doomed entry: no point materialising its renderings.
+                # Doomed entry: no point keeping its template.
                 stale_keys.append(key)
             elif (report.solution is not None
                     and report.solution.mgr is mgr):
@@ -513,20 +507,25 @@ class Session:
                 request.route_subproblems, request.table_kernel,
                 racers)
 
-    def _cache_key(self, pla: str, request: SolveRequest
+    def _cache_key(self, nodes: RelationNodes, request: SolveRequest
                    ) -> Tuple[Any, ...]:
-        """Snapshot-based key for batch jobs (shareable across managers)."""
-        return (pla,) + self._options_key(request)
+        """Content key for pool jobs and node specs (any manager).
+
+        The node list is exact: by ROBDD canonicity equal relations
+        over the same frame give equal tuples, and unequal ones never
+        collide, so no hash can serve a wrong answer.
+        """
+        return (nodes,) + self._options_key(request)
 
     def _live_key(self, relation: BooleanRelation,
                   request: SolveRequest) -> Tuple[Any, ...]:
         """Identity-based key for interactive solves.
 
-        Keying on the relation object (manager identity + node) avoids
-        the exponential ``write_relation`` enumeration on every call and
-        guarantees a cached live ``Solution`` belongs to the caller's
-        manager.  The relation in the key keeps its manager alive, so
-        ids cannot be recycled while the entry exists.
+        Keying on the relation object (manager identity + node) costs
+        nothing per call and guarantees a cached live ``Solution``
+        belongs to the caller's manager.  The relation in the key keeps
+        its manager alive, so ids cannot be recycled while the entry
+        exists.
         """
         return (relation,) + self._options_key(request)
 
@@ -534,35 +533,65 @@ class Session:
                   request: SolveRequest) -> Tuple[Any, ...]:
         """Content-based key for self-contained relation specs.
 
-        The canonical spec JSON identifies the relation without building
-        it, so repeated spec solves hit the cache instead of minting a
-        fresh manager per call.
+        The spec identifies the relation without building it, so
+        repeated spec solves hit the cache instead of minting a fresh
+        manager per call.  Node specs key on their node list, the key a
+        pool job on the same relation uses; the rest key on their
+        canonical JSON (file specs are inlined first, see
+        :meth:`_inline_file`).
         """
+        if spec["kind"] == "nodes":
+            return self._cache_key(nodes_of_spec(spec), request)
         return ("spec", json.dumps(relation_spec_to_jsonable(dict(spec)),
                                    sort_keys=True)) \
             + self._options_key(request)
 
     @staticmethod
-    def _portable_solution(report: SolveReport,
-                           relation: Optional[BooleanRelation]):
-        """A cached live solution is only valid in its own manager.
+    def _inline_file(spec: Mapping[str, Any]) -> Mapping[str, Any]:
+        """A ``file`` spec as inline PLA text, so on-disk edits
+        invalidate its cache key; other specs pass through."""
+        if spec["kind"] != "file":
+            return spec
+        with open(spec["path"], "r", encoding="ascii") as handle:
+            return {"kind": "pla", "text": handle.read()}
 
-        Snapshot-keyed cache entries can be shared between same-content
-        relations living in *different* managers; handing such a caller
-        the foreign solution's node ids would crash or silently lie, so
-        the live handle travels only when the managers match (the data
-        fields — sop, pla, cost — are manager-independent).  When the
-        handle cannot travel, the PLA text is materialised (once, onto
-        the cached entry) so the served copy still carries a
-        realisable function vector for consumers like the resynthesis
-        pipeline that re-instantiate the solution from text.
+    @staticmethod
+    def _portable_solution(report: SolveReport,
+                           relation: Optional[BooleanRelation]
+                           ) -> Optional[Solution]:
+        """``report``'s solution, live in ``relation``'s manager.
+
+        Content-keyed cache entries are shared between same-content
+        relations living in *different* managers, and pool reports come
+        back with no live handle at all.  The live handle travels as is
+        only to the relation it was solved on; anywhere else the report's
+        template is instantiated over ``relation``'s inputs, with the
+        cost carried over unchanged.  ``None`` without a relation or a
+        solution to hand over.
         """
-        if (report.solution is not None and relation is not None
-                and report.solution.mgr is relation.mgr):
-            return report.solution
-        if report.solution is not None and report.pla is None:
-            report.solution_pla()
-        return None
+        if relation is None or not report.ok:
+            return None
+        solution = report.solution
+        if (solution is not None and solution.mgr is relation.mgr
+                and report._inputs == relation.inputs
+                and report._outputs == relation.outputs):
+            return solution
+        template = report.solution_template()
+        if template is None:
+            return None
+        return Solution(relation.mgr,
+                        instantiate_solution(relation.mgr, template,
+                                             relation.inputs),
+                        report.cost)
+
+    def _hand_over(self, report: SolveReport,
+                   relation: Optional[BooleanRelation]) -> Dict[str, Any]:
+        """Copy changes giving a batch caller ``report`` on ``relation``."""
+        solution = self._portable_solution(report, relation)
+        if solution is None:
+            return {"solution": None}
+        return {"solution": solution, "_inputs": relation.inputs,
+                "_outputs": relation.outputs}
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -649,9 +678,9 @@ class Session:
 
         The cache key is picked *before* materialising anything: session
         names and caller objects key by identity; self-contained specs
-        key by content (file specs become inline PLA text so on-disk
-        edits invalidate), which lets repeated spec solves hit the
-        cache instead of minting a fresh manager per call.
+        key by content (:meth:`_spec_key`), which lets repeated spec
+        solves hit the cache instead of minting a fresh manager per
+        call.
         """
         if relation is None:
             if request.relation is None:
@@ -671,10 +700,7 @@ class Session:
                 from_registry = True
                 key = self._live_key(resolved, request)
             else:
-                if spec["kind"] == "file":
-                    with open(spec["path"], "r",
-                              encoding="ascii") as handle:
-                        spec = {"kind": "pla", "text": handle.read()}
+                spec = self._inline_file(spec)
                 key = self._spec_key(spec, request)
         return resolved, spec, key, from_registry
 
@@ -724,21 +750,19 @@ class Session:
         (:mod:`repro.core.partition`): ``"serial"`` (default) solves
         them in the fixed partition order inside the solver loop;
         ``"thread"`` / ``"process"`` ship each block to the same pool
-        machinery :meth:`solve_many` uses (PLA snapshot out, data-only
-        report back) and recombine the per-block solutions in the
+        machinery :meth:`solve_many` uses (node list out, solution
+        template back) and recombine the per-block solutions in the
         caller's manager — byte-identical to the serial result, since
-        every block still runs the same deterministic strategy loop.
-        Pool dispatch needs every block snapshotable
-        (``max_snapshot_inputs``); relations that do not shard, calls
+        every block still runs the same deterministic strategy loop on
+        the same ordered BDD.  Relations that do not shard, calls
         that need the live event stream (an ``observer`` or
         ``record_trace`` — workers cannot stream events back), and
         environments without a working pool layer all fall back to the
         in-process solve, which still shards serially in-solver.
         ``block_workers`` caps the pool (default: one worker per
-        block, capped at the CPU count).  Parallel-block reports are
-        data-first like :meth:`solve_many` reports (no live
-        ``solution`` handle on the recombined report's blocks; the
-        recombined solution itself is live).
+        block, capped at the CPU count).  The recombined report carries
+        a live solution in the caller's manager, rebuilt from the
+        blocks' templates.
         """
         request = request or SolveRequest()
         if block_executor not in ("serial", "thread", "process"):
@@ -800,9 +824,9 @@ class Session:
         """Shard one solve across the pool; ``None`` = run in-process.
 
         Ships each block of the (non-trivial) ``partition`` as a
-        self-contained job (PLA snapshot + block request) through the
+        self-contained job (node list + block request) through the
         same worker entry point batches use, and recombines the
-        per-block solution PLAs into a live full solution in the
+        per-block solution templates into a live full solution in the
         caller's manager.  Returns ``None`` when the pool layer is
         unavailable or the solve was cancelled before the pool
         finished — the caller then runs the in-process solve, which
@@ -815,17 +839,6 @@ class Session:
         # rather than shipping doomed blocks and wrapping the worker's
         # failure in RuntimeError.
         resolved.require_well_defined()
-        for block in partition.blocks:
-            if len(block.relation.inputs) > self.max_snapshot_inputs:
-                raise ValueError(
-                    "block %s of this relation has %d inputs; "
-                    "block_executor=%r snapshots each block to PLA "
-                    "text, which enumerates 2^inputs input vertices "
-                    "and is capped at max_snapshot_inputs=%d — use "
-                    "block_executor='serial' (or raise "
-                    "Session(max_snapshot_inputs=...)) for wide blocks"
-                    % (list(block.positions), len(block.relation.inputs),
-                       executor, self.max_snapshot_inputs))
         start = time.perf_counter()
         memo_store = self._memo_for(request)
         memo_entries = (self.memo.export_entries(
@@ -838,7 +851,7 @@ class Session:
         base_request["decompose"] = False
         payloads = []
         for block in partition.blocks:
-            payload = {"pla": write_relation(block.relation),
+            payload = {"nodes": relation_to_nodes(block.relation),
                        "request": dict(base_request),
                        "label": "block-%d" % block.index,
                        "memo": memo_entries,
@@ -858,17 +871,12 @@ class Session:
             if memo_store is not None:
                 self._absorb_memo_stats(block_report)
 
-        options = request.to_options()
-        block_solutions = []
-        for block, block_report in zip(partition.blocks, reports):
-            functions = block_functions_from_pla(
-                resolved.mgr, block_report.pla,
-                block.relation.inputs, block.relation.outputs)
-            block_solutions.append(Solution(
-                resolved.mgr, functions,
-                options.cost_function(resolved.mgr, functions)))
-        full = partition.recombine_solutions(block_solutions,
-                                             options.cost_function)
+        block_solutions = [self._portable_solution(block_report,
+                                                   block.relation)
+                           for block, block_report
+                           in zip(partition.blocks, reports)]
+        full = partition.recombine_solutions(
+            block_solutions, request.to_options().cost_function)
         stats = merge_block_stats(
             [SolverStats(**block_report.stats)
              for block_report in reports])
@@ -1088,26 +1096,26 @@ class Session:
           token, so cancellation stops dispatch — queued jobs are
           cancelled and come back as failed ``cancelled before start``
           reports while already-running workers finish their job.
-        * Identical jobs — same relation (snapshot content for pool
-          executors; object identity for serial jobs naming a session
-          relation, spec content for self-contained serial specs), same
-          options — are solved once *per batch* and the shared report
-          fanned back out, with per-job memo attribution kept honest
-          (only the job that ran carries the memo deltas).  The session
-          cache additionally persists across calls.
+        * Identical jobs — same relation (node-list content for pool
+          executors and node specs; object identity for serial jobs
+          naming a session relation, spec content for other
+          self-contained serial specs), same options — are solved once
+          *per batch* and the shared report fanned back out, with
+          per-job memo attribution kept honest (only the job that ran
+          carries the memo deltas).  The session cache additionally
+          persists across calls.
         * ``executor`` selects ``"process"`` (default; true parallelism
-          across cores), ``"thread"`` (one PLA snapshot per job — the
-          shared managers are not thread-safe — so reports are data-only
-          like process reports), or ``"serial"`` (in-process).
-        * Pool executors snapshot each relation to PLA text, an
-          enumeration of all ``2^inputs`` input vertices; relations wider
-          than ``max_snapshot_inputs`` raise ``ValueError`` up front
-          (use ``executor="serial"`` for those).
+          across cores), ``"thread"`` (each job solves its own copy of
+          the relation in a private manager, since the shared managers
+          are not thread-safe), or ``"serial"`` (in-process, on the live
+          relation).  Pool jobs ship the relation as its node list
+          (:func:`~repro.core.relio.relation_to_nodes`), linear in BDD
+          size at any input width.
 
-        Batch reports are data-first: ``report.solution`` is attached
-        only opportunistically (fresh serial runs whose manager matches)
-        and may be ``None`` on cache hits.  Use :meth:`solve` when a
-        live ``Solution`` is required.
+        Every successful report carries a live ``report.solution`` in
+        the manager of the job's relation: pool and cached results come
+        back as templates and are re-instantiated there
+        (:meth:`_portable_solution`).
 
         Memoisation: serial jobs share the session's live
         :class:`~repro.core.memo.MemoStore` directly; pool jobs are
@@ -1128,94 +1136,57 @@ class Session:
 
         for index, request in enumerate(requests):
             label = request.label or "job-%d" % index
+            source = request.relation
+            nodes: Optional[RelationNodes] = None
             try:
-                if request.relation is None:
+                if source is None:
                     raise ValueError("request has no relation source")
-                resolved = self.resolve_relation(request.relation)
-            except Exception as exc:  # noqa: BLE001 — capture per job
-                reports[index] = SolveReport.from_error(
-                    exc, request=request.to_dict(), label=label)
-                continue
-            if (executor != "serial"
-                    and len(resolved.inputs) > self.max_snapshot_inputs):
-                # Not a per-job data failure but an API misuse: the pool
-                # transport would enumerate 2^inputs PLA rows and appear
-                # to hang, so refuse the whole batch loudly.
-                raise ValueError(
-                    "relation for job %r has %d inputs; executor=%r "
-                    "snapshots each relation to PLA text, which "
-                    "enumerates 2^inputs input vertices and is capped at "
-                    "max_snapshot_inputs=%d — pass executor='serial' "
-                    "(or raise Session(max_snapshot_inputs=...)) for "
-                    "wide relations"
-                    % (label, len(resolved.inputs), executor,
-                       self.max_snapshot_inputs))
-            try:
-                # The PLA snapshot (an exponential enumeration) is the
-                # transport to worker pools; serial jobs solve the live
-                # object and key by identity, skipping it entirely.
-                pla = (write_relation(resolved) if executor != "serial"
-                       else None)
+                resolved = self.resolve_relation(source)
+                if executor != "serial":
+                    # The pool transport, linear in BDD size; serial
+                    # jobs solve the live object and skip it entirely.
+                    nodes = relation_to_nodes(resolved)
+                    key = self._cache_key(nodes, request)
+                elif source["kind"] != "name":
+                    # Serial jobs with self-contained specs key by spec
+                    # *content*, mirroring _prepare_solve.  Keying these
+                    # on the resolved object would dispatch duplicate
+                    # jobs: each materialisation mints a fresh manager,
+                    # so identical specs never collide by identity.
+                    key = self._spec_key(self._inline_file(source),
+                                         request)
+                else:
+                    key = self._live_key(resolved, request)
             except Exception as exc:  # noqa: BLE001 — capture per job
                 reports[index] = SolveReport.from_error(
                     exc, request=request.to_dict(), label=label)
                 continue
             resolved_by_index[index] = resolved
-            source_spec = request.relation
-            if pla is not None:
-                key = self._cache_key(pla, request)
-            elif (isinstance(source_spec, Mapping)
-                    and source_spec.get("kind") != "name"):
-                # Serial jobs with self-contained specs key by spec
-                # *content*, mirroring _prepare_solve (file specs become
-                # inline PLA text so on-disk edits invalidate).  Keying
-                # these on the resolved object would dispatch duplicate
-                # jobs: each materialisation mints a fresh manager, so
-                # identical specs never collide by identity.
-                try:
-                    content_spec = dict(source_spec)
-                    if content_spec["kind"] == "file":
-                        with open(content_spec["path"], "r",
-                                  encoding="ascii") as handle:
-                            content_spec = {"kind": "pla",
-                                            "text": handle.read()}
-                    key = self._spec_key(content_spec, request)
-                except Exception as exc:  # noqa: BLE001 — per job
-                    reports[index] = SolveReport.from_error(
-                        exc, request=request.to_dict(), label=label)
-                    continue
-            else:
-                key = self._live_key(resolved, request)
             cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
                 reports[index] = self._cached_copy(
                     cached, label=label, request=request.to_dict(),
-                    solution=self._portable_solution(cached, resolved))
+                    **self._hand_over(cached, resolved))
                 continue
             if key not in pending:
                 # "relation" is the live object for in-process execution;
-                # workers get only the picklable PLA snapshot.  The
+                # workers get only the picklable node list.  The
                 # registry name (when the job referenced one) lets the
                 # serial path re-resolve and auto-trim safely.
-                source = request.relation
-                registry_name = None
-                if isinstance(source, str):
-                    registry_name = source
-                elif (isinstance(source, Mapping)
-                        and source.get("kind") == "name"):
-                    registry_name = source.get("name")
+                registry_name = (source["name"]
+                                 if source["kind"] == "name" else None)
                 # Serial jobs use the live store; pool jobs get a seed
                 # export (computed once per batch, shared read-only by
                 # every payload) to rebuild a private store from.
                 memo_store = self._memo_for(request)
                 memo_entries = None
-                if memo_store is not None and pla is not None:
+                if memo_store is not None and nodes is not None:
                     if memo_export is None:
                         memo_export = self.memo.export_entries(
                             limit=DEFAULT_MEMO_EXPORT_LIMIT)
                     memo_entries = memo_export
-                payloads[key] = {"pla": pla,
+                payloads[key] = {"nodes": nodes,
                                  "request": request.to_dict(),
                                  "label": label,
                                  "relation": resolved,
@@ -1237,27 +1208,23 @@ class Session:
                 first, *rest = pending[key]
                 reports[first] = report.copy(
                     label=requests[first].label or "job-%d" % first,
-                    request=requests[first].to_dict())
+                    request=requests[first].to_dict(),
+                    **self._hand_over(report, resolved_by_index[first]))
                 for index in rest:
                     # Failures are never cached, so only successful
                     # shared results count (and read) as cache hits —
                     # and only those are _cached_copy'd, zeroing the
                     # memo deltas the job did not itself cause.
-                    shared_label = requests[index].label or \
-                        "job-%d" % index
-                    shared_solution = self._portable_solution(
-                        report, resolved_by_index[index])
+                    shared = dict(
+                        label=requests[index].label or "job-%d" % index,
+                        request=requests[index].to_dict(),
+                        **self._hand_over(report, resolved_by_index[index]))
                     if report.ok:
                         self.cache_hits += 1
-                        reports[index] = self._cached_copy(
-                            report, label=shared_label,
-                            request=requests[index].to_dict(),
-                            solution=shared_solution)
+                        reports[index] = self._cached_copy(report, **shared)
                     else:
-                        reports[index] = report.copy(
-                            label=shared_label,
-                            request=requests[index].to_dict(),
-                            cached=False, solution=shared_solution)
+                        reports[index] = report.copy(cached=False,
+                                                     **shared)
         # Every index was filled above: failure, cache hit, or fresh run.
         return [report for report in reports if report is not None]
 
@@ -1299,8 +1266,8 @@ class Session:
 
         results: Dict[Tuple[Any, ...], SolveReport] = {}
         # Only an explicit "serial" runs in this process: process/thread
-        # keep their isolation and data-only contracts even for a single
-        # job or max_workers=1.
+        # keep their isolation contract (a private manager per job) even
+        # for a single job or max_workers=1.
         if executor == "serial":
             limit = self.auto_trim_nodes
             for key in keys:
@@ -1328,8 +1295,8 @@ class Session:
 
         if executor == "thread":
             # BddManager is not thread-safe and session relations of the
-            # same shape share one, so each thread job solves its own
-            # PLA snapshot in a fresh manager (like a process worker) —
+            # same shape share one, so each thread job rebuilds its node
+            # list in a fresh manager (like a process worker) —
             # and, for the same reason, a private seeded memo store
             # whose counters merge back below.  Threads share the cancel
             # token: in-flight searches stop cooperatively and report
@@ -1420,9 +1387,7 @@ class Session:
         request_dict = payload.get("request")
         try:
             request = SolveRequest.from_dict(request_dict)
-            relation = payload.get("relation")
-            if relation is None:
-                relation = parse_relation(payload["pla"])
+            relation = payload["relation"]
             result = BrelSolver(request.to_options(),
                                 memo=payload.get("memo_store")).solve(
                 relation, cancel=cancel)

@@ -548,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["serial", "thread", "process"],
                          default="serial",
                          help="how the relation stream is solved "
-                              "(default serial; pools snapshot each "
-                              "relation to PLA text)")
+                              "(default serial; pools ship each "
+                              "relation as its BDD node list)")
     resynth.add_argument("--workers", type=int, default=None)
     resynth.add_argument("--verify",
                          choices=["auto", "exhaustive", "signature",

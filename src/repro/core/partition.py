@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.manager import TRUE
-from .memo import cover_template, instantiate_cover
 from .relation import BooleanRelation
 from .solution import Solution, SolverStats
 
@@ -338,35 +337,3 @@ def merge_block_stats(block_stats: Sequence[SolverStats]) -> SolverStats:
         total.route_conversions += stats.route_conversions
         total.route_hits += stats.route_hits
     return total
-
-
-def block_functions_from_pla(mgr, pla_text: str,
-                             inputs: Sequence[int],
-                             outputs: Sequence[int]) -> Tuple[int, ...]:
-    """Rebuild a worker's solved block functions into ``mgr``.
-
-    Parallel block dispatch ships each block to a worker as PLA text
-    and gets the solution back as the PLA of its functional relation
-    (BDD handles cannot cross the process boundary).  This parses that
-    text into a scratch manager, extracts the per-output functions, and
-    re-instantiates them over the block's variables in the parent
-    manager via canonical ISOP covers — byte-identical to solving the
-    block in-process, by the same ROBDD-canonicity argument the memo
-    templates rely on.
-    """
-    from .relio import parse_relation
-    functional = parse_relation(pla_text)
-    if (len(functional.inputs) != len(inputs)
-            or len(functional.outputs) != len(outputs)):
-        raise ValueError("solution PLA frame %dx%d does not match the "
-                         "block frame %dx%d"
-                         % (len(functional.inputs),
-                            len(functional.outputs),
-                            len(inputs), len(outputs)))
-    rank_of_var = {var: rank
-                   for rank, var in enumerate(functional.inputs)}
-    return tuple(
-        instantiate_cover(
-            mgr, cover_template(functional.mgr, func, rank_of_var),
-            inputs)
-        for func in functional.function_vector())

@@ -24,14 +24,14 @@ Executors (``portfolio_executor``):
 
 ``"serial"``
     round-robin interleave of the racer generators on the caller's
-    thread and manager — deterministic, no snapshots, works at any
-    relation width;
+    thread and manager — deterministic, and nothing is copied;
 ``"thread"`` (default)
     one thread per racer.  ``BddManager`` is not thread-safe, so each
-    racer re-parses a PLA snapshot of the relation into a private
-    manager (capped at :data:`MAX_RACE_SNAPSHOT_INPUTS` inputs — wider
-    relations fall back to serial) and improvements travel back as
-    solution PLA text, re-instantiated in the caller's manager;
+    racer rebuilds the relation's node list
+    (:func:`~repro.core.relio.relation_to_nodes`) in a private manager
+    — the same ordered BDD, at any input width — and improvements
+    travel back as memo templates, re-instantiated in the caller's
+    manager;
 ``"process"``
     one OS process per racer; the bound channel is a shared-memory
     value and results come back over a queue.  Requires the cost
@@ -55,11 +55,11 @@ from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Mapping,
 
 from .explore import CancelToken, Improvement, SolveEvent, \
     get_strategy_factory
-from .memo import MemoStore
-from .partition import block_functions_from_pla, merge_block_stats
+from .memo import MemoStore, instantiate_solution, solution_template
+from .partition import merge_block_stats
 from .quick import quick_solve
 from .relation import BooleanRelation
-from .relio import parse_relation, write_relation
+from .relio import RelationNodes, relation_from_nodes, relation_to_nodes
 from .solution import Solution, SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,11 +73,6 @@ RACE_EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
 
 #: Executor used when ``portfolio_executor`` is ``None``.
 DEFAULT_RACE_EXECUTOR = "thread"
-
-#: Widest relation (in inputs) the thread/process executors snapshot to
-#: PLA text for racer-private managers; the snapshot enumerates all
-#: 2^inputs input vertices, so wider races fall back to serial.
-MAX_RACE_SNAPSHOT_INPUTS = 16
 
 #: Most-recent memo entries shipped to each thread/process racer's
 #: private store (mirrors the session batch export bound).
@@ -349,16 +344,6 @@ class _RacerOutcome:
         }
 
 
-def _solution_pla_text(relation: BooleanRelation,
-                       solution: Solution) -> str:
-    """Render a solution as functional-relation PLA text (the portable
-    form improvements take across racer manager boundaries)."""
-    functional = BooleanRelation.from_functions(
-        solution.mgr, relation.inputs, relation.outputs,
-        list(solution.functions))
-    return write_relation(functional)
-
-
 # ----------------------------------------------------------------------
 # The race driver
 # ----------------------------------------------------------------------
@@ -378,13 +363,6 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     requested = options.portfolio_executor or DEFAULT_RACE_EXECUTOR
     executor = requested
     note: Optional[str] = None
-
-    if executor != "serial" \
-            and len(relation.inputs) > MAX_RACE_SNAPSHOT_INPUTS:
-        note = ("serial fallback: %d inputs exceed the %d-input PLA "
-                "snapshot guard" % (len(relation.inputs),
-                                    MAX_RACE_SNAPSHOT_INPUTS))
-        executor = "serial"
     cost_name = minimizer_name = None
     if executor == "process":
         try:
@@ -633,21 +611,41 @@ def _drive_serial(solver: "BrelSolver", relation: BooleanRelation,
 # ----------------------------------------------------------------------
 # Thread executor: one racer per thread, private managers
 # ----------------------------------------------------------------------
+def _improvement(relation: BooleanRelation, solution: Solution
+                 ) -> Tuple[Any, float]:
+    """A racer's improvement as data: its template and its cost."""
+    return (solution_template(solution.mgr, solution.functions,
+                              relation.inputs), solution.cost)
+
+
+def _adopt(relation: BooleanRelation, improvement: Tuple[Any, float]
+           ) -> Solution:
+    """Re-instantiate a racer's improvement in the caller's manager.
+
+    The racer solved the same ordered BDD, so the cost it measured
+    carries over unchanged.
+    """
+    template, cost = improvement
+    return Solution(relation.mgr,
+                    instantiate_solution(relation.mgr, template,
+                                         relation.inputs), cost)
+
+
 def _thread_racer(index: int, spec: Dict[str, Any],
-                  base_options: "BrelOptions", pla: str,
+                  base_options: "BrelOptions", nodes: RelationNodes,
                   memo_entries: Optional[List[Tuple[Any, Any]]],
                   memo_capacity: Optional[int],
                   channel: BoundChannel, token: CancelToken,
                   msgq: "queue_mod.SimpleQueue") -> None:
     """One racer's thread body: private manager, shared bound channel.
 
-    Improvements that win the publish race are rendered to solution PLA
-    text *in this thread's manager* and shipped to the driver, which
-    re-instantiates them in the caller's manager.
+    Improvements that win the publish race are rendered to memo
+    templates *in this thread's manager* and shipped to the driver,
+    which re-instantiates them in the caller's manager.
     """
     from .brel import BrelSolver
     try:
-        racer_relation = parse_relation(pla)
+        racer_relation = relation_from_nodes(nodes)
         store = (MemoStore(capacity=memo_capacity, entries=memo_entries)
                  if memo_entries is not None else None)
         sub = BrelSolver(
@@ -663,8 +661,7 @@ def _thread_racer(index: int, spec: Dict[str, Any],
             if ev.kind == "new-best" and ev.solution is not None:
                 if channel.publish(ev.solution.cost):
                     msgq.put(("improve", index,
-                              _solution_pla_text(racer_relation,
-                                                 ev.solution),
+                              _improvement(racer_relation, ev.solution),
                               ev.depth))
 
         result = sub.solve(racer_relation, cancel=token,
@@ -688,8 +685,7 @@ def _drive_threads(solver: "BrelSolver", relation: BooleanRelation,
                    deadline: Optional[float],
                    stop_reason: List[Optional[str]]):
     """Drive one thread per racer; merge their message stream."""
-    options = solver.options
-    pla = write_relation(relation)
+    nodes = relation_to_nodes(relation)
     memo = solver.memo
     memo_entries = (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
                     if memo is not None else None)
@@ -701,7 +697,7 @@ def _drive_threads(solver: "BrelSolver", relation: BooleanRelation,
     for index, spec in enumerate(specs):
         thread = threading.Thread(
             target=_thread_racer,
-            args=(index, spec, options, pla, memo_entries,
+            args=(index, spec, solver.options, nodes, memo_entries,
                   memo_capacity, channel, tokens[index], msgq),
             name="portfolio-racer-%s" % spec["name"], daemon=True)
         threads.append(thread)
@@ -734,11 +730,10 @@ def _drive_threads(solver: "BrelSolver", relation: BooleanRelation,
             index = message[1]
             outcome = outcomes[index]
             if kind == "improve":
-                _, _, solution_pla, depth = message
+                _, _, improvement, depth = message
                 outcome.contributed += 1
-                solution = _instantiate_solution(
-                    relation, solution_pla, options)
-                yield ("new-best", (solution, index, depth))
+                yield ("new-best", (_adopt(relation, improvement), index,
+                                    depth))
             elif kind == "done":
                 data = message[2]
                 stats: SolverStats = data["stats"]
@@ -776,20 +771,6 @@ def _drive_threads(solver: "BrelSolver", relation: BooleanRelation,
                 thread.join(timeout=5.0)
 
 
-def _instantiate_solution(relation: BooleanRelation, solution_pla: str,
-                          options: "BrelOptions") -> Solution:
-    """Re-instantiate a racer's solution PLA in the caller's manager.
-
-    Costs are recomputed in the destination manager; the built-in cost
-    functions are manager-invariant (same reduced structure, same
-    numbers), so this matches the racer's published cost.
-    """
-    functions = block_functions_from_pla(
-        relation.mgr, solution_pla, relation.inputs, relation.outputs)
-    return Solution(relation.mgr, functions,
-                    options.cost_function(relation.mgr, functions))
-
-
 # ----------------------------------------------------------------------
 # Process executor: one racer per OS process
 # ----------------------------------------------------------------------
@@ -800,13 +781,13 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
 
     Rebuilds the racer options from registry names, solves against the
     shared-memory bound, and ships improvements/results back over the
-    queue as data (PLA text + stat dicts) — BDD handles never cross the
-    process boundary.
+    queue as data (templates + stat dicts) — BDD handles never cross
+    the process boundary.
     """
     try:
         from .brel import BrelOptions, BrelSolver
         from ..api.registry import cost_registry, minimizer_registry
-        racer_relation = parse_relation(payload["pla"])
+        racer_relation = relation_from_nodes(payload["nodes"])
         options = BrelOptions(
             cost_function=cost_registry.get(payload["cost"]),
             minimizer=minimizer_registry.get(payload["minimizer"]),
@@ -836,8 +817,7 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
                 if channel.publish(ev.solution.cost):
                     contributed[0] += 1
                     msgq.put(("improve", index,
-                              _solution_pla_text(racer_relation,
-                                                 ev.solution),
+                              _improvement(racer_relation, ev.solution),
                               ev.depth))
 
         result = sub.solve(racer_relation, cancel=token,
@@ -889,9 +869,8 @@ def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
     memo = solver.memo
     memo_entries = (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
                     if memo is not None else None)
-    pla = write_relation(relation)
     base_payload = {
-        "pla": pla,
+        "nodes": relation_to_nodes(relation),
         "cost": cost_name,
         "minimizer": minimizer_name,
         "quick_on_subrelations": options.quick_on_subrelations,
@@ -983,12 +962,11 @@ def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
                 continue  # late message from a racer already written off
             outcome = outcomes[index]
             if kind == "improve":
-                _, _, solution_pla, depth = message
+                _, _, improvement, depth = message
                 outcome.contributed += 1
                 # Mirror the shared value into the in-process channel
                 # so the summary and any serial co-racers stay in sync.
-                solution = _instantiate_solution(
-                    relation, solution_pla, options)
+                solution = _adopt(relation, improvement)
                 channel.publish(solution.cost)
                 yield ("new-best", (solution, index, depth))
             elif kind == "done":

@@ -1,4 +1,23 @@
-"""Text serialisation of Boolean relations (gyocro-style PLA dialect).
+"""Serialisation of Boolean relations: PLA text and the node list.
+
+Two formats live here, with separate jobs:
+
+* **PLA text** is the user-facing import/export format (relation files,
+  ``{"kind": "pla"}`` specs, :attr:`repro.api.SolveReport.pla`).  It
+  enumerates every input vertex, so its size is exponential in the
+  number of inputs.
+* **The node list** (:class:`RelationNodes`) is the internal transport:
+  whenever the program moves a relation between managers, threads or
+  processes it ships the post-order ``(rank, lo, hi)`` triples of the
+  characteristic function (:func:`relation_to_nodes`,
+  :func:`relation_from_nodes`).  Both directions are linear in the size
+  of the BDD.  Ranks index the relation's variable frame compacted in
+  the source manager's level order; refs ``0``/``1`` are the terminals
+  and ref ``k + 2`` is triple ``k``.  By ROBDD canonicity equal
+  relations over the same frame give equal tuples, so the data doubles
+  as an exact cache key.  It is also a relation spec kind
+  (``{"kind": "nodes", ...}`` in :mod:`repro.api.request`), validated
+  by :func:`check_nodes` on ingest.
 
 The gyocro suite distributed BRs as espresso PLA files with one row per
 (input cube, permitted output pattern).  This module reads and writes that
@@ -25,17 +44,251 @@ dialect:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
-from ..bdd.manager import BddManager
+from ..bdd.backend import FunctionBackend
+from ..bdd.manager import FALSE, TRUE, BddManager
 from ..sop.cube import Cube
 from .relation import BooleanRelation
+
+#: One node of the structural format: ``(rank, lo ref, hi ref)``.
+NodeTriple = Tuple[int, int, int]
 
 
 class RelationFormatError(ValueError):
     """Raised on malformed relation files."""
 
 
+# ----------------------------------------------------------------------
+# The node list (internal transport)
+# ----------------------------------------------------------------------
+class RelationNodes(NamedTuple):
+    """A relation as data: its frame and its characteristic function.
+
+    ``inputs`` and ``outputs`` are the frame ranks of the relation's
+    input and output variables in positional order; ``nodes`` is the
+    post-order triple list and ``root`` the ref of the characteristic
+    function.  Instances come from :func:`relation_to_nodes` or
+    :func:`check_nodes`, so they are valid by construction; being a
+    tuple, one is its own exact, hashable cache key.
+    """
+
+    inputs: Tuple[int, ...]
+    outputs: Tuple[int, ...]
+    nodes: Tuple[NodeTriple, ...]
+    root: int
+
+    def spec(self) -> Dict[str, Any]:
+        """The ``{"kind": "nodes", ...}`` relation spec of this data."""
+        return {"kind": "nodes", "inputs": self.inputs,
+                "outputs": self.outputs, "nodes": self.nodes,
+                "root": self.root}
+
+
+def function_nodes(mgr: FunctionBackend, roots: Sequence[int],
+                   rank_of_var: Mapping[int, int]
+                   ) -> Tuple[Tuple[NodeTriple, ...], Tuple[int, ...]]:
+    """Post-order ``(rank, lo, hi)`` triples of the DAG under ``roots``.
+
+    Returns ``(nodes, refs)`` with one ref per root.  Low children are
+    emitted before high children, so the list depends only on the
+    reduced-BDD structure, never on node ids.  Raises ``ValueError``
+    when a node's variable is missing from ``rank_of_var``.
+    """
+    level, low, high = mgr.level, mgr.low, mgr.high
+    refs: Dict[int, int] = {FALSE: 0, TRUE: 1}
+    nodes: List[NodeTriple] = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            current = stack[-1]
+            if current in refs:
+                stack.pop()
+                continue
+            lo, hi = low(current), high(current)
+            lo_ref, hi_ref = refs.get(lo), refs.get(hi)
+            if lo_ref is None or hi_ref is None:
+                if hi_ref is None:
+                    stack.append(hi)
+                if lo_ref is None:
+                    stack.append(lo)
+                continue
+            stack.pop()
+            try:
+                rank = rank_of_var[level(current)]
+            except KeyError:
+                raise ValueError(
+                    "function depends on variable %d outside the frame"
+                    % level(current)) from None
+            refs[current] = len(nodes) + 2
+            nodes.append((rank, lo_ref, hi_ref))
+    return tuple(nodes), tuple(refs[root] for root in roots)
+
+
+def build_nodes(mgr: FunctionBackend, nodes: Sequence[NodeTriple],
+                variables: Sequence[int]) -> List[int]:
+    """Rebuild triples in ``mgr``; rank ``r`` becomes ``variables[r]``.
+
+    Returns the handle of every ref (index = ref).  Each node is one
+    ``ite(var, hi, lo)``, O(1) on ``BddManager`` when ``variables`` is
+    increasing (the variable-guard path).
+    """
+    var, ite = mgr.var, mgr.ite
+    literals: Dict[int, int] = {}
+    built = [FALSE, TRUE]
+    append = built.append
+    for rank, lo, hi in nodes:
+        literal = literals.get(rank)
+        if literal is None:
+            literal = literals[rank] = var(variables[rank])
+        append(ite(literal, built[hi], built[lo]))
+    return built
+
+
+def relation_to_nodes(relation: BooleanRelation) -> RelationNodes:
+    """The node list of ``relation`` over its compacted frame.
+
+    The frame is the relation's inputs and outputs sorted by level and
+    renumbered ``0..k-1``, so the source manager's variable order (and
+    with it the reduced-BDD structure) is preserved.  Raises
+    ``ValueError`` when the characteristic function depends on a
+    variable outside the frame.
+    """
+    frame = sorted(set(relation.inputs) | set(relation.outputs))
+    rank = {var: index for index, var in enumerate(frame)}
+    try:
+        nodes, (root,) = function_nodes(relation.mgr, (relation.node,),
+                                        rank)
+    except ValueError:
+        raise ValueError("relation depends on variables outside its "
+                         "declared inputs/outputs") from None
+    return RelationNodes(tuple(rank[var] for var in relation.inputs),
+                         tuple(rank[var] for var in relation.outputs),
+                         nodes, root)
+
+
+def _int_tuple(values: Any, what: str) -> Tuple[int, ...]:
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise ValueError("%s must be a list of ints" % what) from None
+    for value in out:
+        if type(value) is not int:
+            raise ValueError("%s must be a list of ints, got %r"
+                             % (what, value))
+    return out
+
+
+def check_nodes(data: Any) -> RelationNodes:
+    """Validate node-list data (a mapping or a 4-tuple) into tuples.
+
+    Raises ``ValueError`` naming the problem for: frame ranks that
+    overlap or fall outside ``0..k-1``; a triple that is not three
+    ints, names a rank outside the frame, refers to a missing or later
+    triple, has ``lo == hi``, has a child whose rank is not below its
+    own, or repeats an earlier triple; and a root ref that does not
+    exist.  Every check is local, so validation is linear and a bad
+    list can neither hang the rebuild nor yield a wrong relation.
+    """
+    if isinstance(data, Mapping):
+        try:
+            data = (data["inputs"], data["outputs"], data["nodes"],
+                    data["root"])
+        except KeyError as exc:
+            raise ValueError("node data lacks %s" % exc) from None
+    try:
+        inputs, outputs, nodes, root = data
+    except (TypeError, ValueError):
+        raise ValueError("node data must be (inputs, outputs, nodes, "
+                         "root)") from None
+    inputs = _int_tuple(inputs, "inputs")
+    outputs = _int_tuple(outputs, "outputs")
+    width = len(inputs) + len(outputs)
+    for rank in inputs + outputs:
+        if not 0 <= rank < width:
+            raise ValueError("frame rank %d is out of range 0..%d"
+                             % (rank, width - 1))
+    if len(set(inputs + outputs)) != width:
+        raise ValueError("frame ranks overlap (inputs %r, outputs %r)"
+                         % (inputs, outputs))
+    try:
+        rows = list(nodes)
+    except TypeError:
+        raise ValueError("nodes must be a list of [rank, lo, hi] "
+                         "triples") from None
+    ranks: List[int] = []
+    seen: Set[NodeTriple] = set()
+    checked: List[NodeTriple] = []
+    for index, row in enumerate(rows):
+        try:
+            rank, lo, hi = row
+        except (TypeError, ValueError):
+            raise ValueError("node %d is not a [rank, lo, hi] triple"
+                             % index) from None
+        if type(rank) is not int or type(lo) is not int \
+                or type(hi) is not int:
+            raise ValueError("node %d has non-int fields %r"
+                             % (index, row))
+        if not 0 <= rank < width:
+            raise ValueError("node %d has rank %d outside the frame "
+                             "0..%d" % (index, rank, width - 1))
+        for child in (lo, hi):
+            if not 0 <= child < index + 2:
+                raise ValueError("node %d refers to ref %d, which is "
+                                 "missing or not an earlier node"
+                                 % (index, child))
+            if child >= 2 and ranks[child - 2] <= rank:
+                raise ValueError("node %d (rank %d) has a child of rank "
+                                 "%d; children must lie below their "
+                                 "parent" % (index, rank, ranks[child - 2]))
+        if lo == hi:
+            raise ValueError("node %d is redundant (lo == hi == %d)"
+                             % (index, lo))
+        triple = (rank, lo, hi)
+        if triple in seen:
+            raise ValueError("node %d duplicates an earlier triple %r"
+                             % (index, triple))
+        seen.add(triple)
+        ranks.append(rank)
+        checked.append(triple)
+    if type(root) is not int or not 0 <= root < len(checked) + 2:
+        raise ValueError("root ref %r does not exist" % (root,))
+    return RelationNodes(inputs, outputs, tuple(checked), root)
+
+
+def relation_from_nodes(data: Any,
+                        mgr: Optional[FunctionBackend] = None
+                        ) -> BooleanRelation:
+    """Rebuild a relation from node-list data, linear in its size.
+
+    ``data`` is a :class:`RelationNodes` (trusted) or anything
+    :func:`check_nodes` accepts (validated first).  Without ``mgr`` a
+    fresh :class:`BddManager` holds frame rank ``r`` as variable ``r``,
+    named ``x<i>``/``y<j>`` by position exactly as :func:`parse_relation`
+    names them.  A given ``mgr`` must already hold the frame: rank
+    ``r`` is its variable ``r``.
+    """
+    if not isinstance(data, RelationNodes):
+        data = check_nodes(data)
+    width = len(data.inputs) + len(data.outputs)
+    if mgr is None:
+        names = [""] * width
+        for position, rank in enumerate(data.inputs):
+            names[rank] = "x%d" % position
+        for position, rank in enumerate(data.outputs):
+            names[rank] = "y%d" % position
+        mgr = BddManager(names)
+    elif mgr.num_vars < width:
+        raise ValueError("manager lacks variables for this relation")
+    built = build_nodes(mgr, data.nodes, range(width))
+    return BooleanRelation(mgr, data.inputs, data.outputs,
+                           built[data.root])
+
+
+# ----------------------------------------------------------------------
+# PLA text (import/export)
+# ----------------------------------------------------------------------
 def peek_shape(text: str) -> Tuple[int, int]:
     """Scan just the ``.i`` / ``.o`` header of PLA-dialect text.
 

@@ -8,8 +8,8 @@ width.  This module holds the policy and the boundary conversions:
   ``table_width``, whether a relation should move to the table engine;
 * :func:`relation_to_table` — rebuild a relation on a fresh
   :class:`~repro.table.TableManager` over a compacted (order-
-  preserving) variable frame, converting the BDD by structural
-  cofactor enumeration;
+  preserving) variable frame, through the node list of
+  :mod:`repro.core.relio`;
 * :class:`RoutedRelation` — the conversion context, able to translate
   solved functions back to the parent manager via minterm enumeration
   + :meth:`~repro.bdd.BddManager.from_minterms`;
@@ -34,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from ..bdd.manager import FALSE, TRUE
 from ..table import DEFAULT_TABLE_WIDTH, MAX_TABLE_WIDTH, TableManager
 from .memo import (template_from_var_cover, var_cover_from_template,
                    instantiate_var_cover)
 from .relation import BooleanRelation
+from .relio import (build_nodes, function_nodes, relation_from_nodes,
+                    relation_to_nodes)
 from .solution import Solution
 
 __all__ = ["BACKEND_CHOICES", "DEFAULT_ROUTE_CONVERSION_BUDGET",
@@ -142,53 +143,14 @@ def relation_to_table(relation: BooleanRelation,
             "relation frame has %d variables, beyond the table backend "
             "width %d; raise table_width (<= %d) or use backend='auto'"
             % (len(frame), width, MAX_TABLE_WIDTH))
+    data = relation_to_nodes(relation)
     parent = relation.mgr
-    rank = {var: index for index, var in enumerate(frame)}
-    if any(var not in rank for var in parent.support(relation.node)):
-        raise ValueError("relation depends on variables outside its "
-                         "declared inputs/outputs; cannot route")
     tm = TableManager([parent.var_name(var) for var in frame],
                       max_width=max(len(frame), 1), kernel=kernel)
-    node = _node_to_table(parent, tm, relation.node, rank)
-    routed = BooleanRelation(
-        tm,
-        tuple(rank[var] for var in relation.inputs),
-        tuple(rank[var] for var in relation.outputs),
-        node)
-    return RoutedRelation(relation=routed, parent=relation, var_map=rank)
-
-
-def _node_to_table(parent, tm: TableManager, node: int,
-                   rank: Dict[int, int],
-                   memo: Optional[Dict[int, int]] = None) -> int:
-    """Convert a BDD node to a table handle by cofactor enumeration.
-
-    Post-order over the (bounded-depth) DAG: each internal node becomes
-    ``ite(var, high, low)`` on the table manager, sharing converted
-    subgraphs through the memo.  Pass a shared ``memo`` (seeded with
-    the terminals) to share subgraphs across several conversions onto
-    the same table manager.
-    """
-    if memo is None:
-        memo = {FALSE: FALSE, TRUE: TRUE}
-    stack = [node]
-    while stack:
-        current = stack[-1]
-        if current in memo:
-            stack.pop()
-            continue
-        lo, hi = parent.low(current), parent.high(current)
-        lo_t = memo.get(lo)
-        hi_t = memo.get(hi)
-        if lo_t is None:
-            stack.append(lo)
-        if hi_t is None:
-            stack.append(hi)
-        if lo_t is not None and hi_t is not None:
-            stack.pop()
-            var = rank[parent.level(current)]
-            memo[current] = tm.ite(tm.var(var), hi_t, lo_t)
-    return memo[node]
+    return RoutedRelation(relation=relation_from_nodes(data, mgr=tm),
+                          parent=relation,
+                          var_map={var: index
+                                   for index, var in enumerate(frame)})
 
 
 def route_relation(relation: BooleanRelation, backend: Optional[str],
@@ -358,10 +320,11 @@ class SubproblemRouter:
         rank = {var: index for index, var in enumerate(support)}
         tm = TableManager([parent.var_name(var) for var in support],
                           max_width=len(support), kernel=self.kernel)
-        memo: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-        on_t = _node_to_table(parent, tm, isf.on, rank, memo)
-        dc_t = _node_to_table(parent, tm, isf.dc, rank, memo)
-        table_isf = Isf(tm, on_t, dc_t, tuple(range(len(support))))
+        nodes, (on_ref, dc_ref) = function_nodes(parent, (isf.on, isf.dc),
+                                                 rank)
+        built = build_nodes(tm, nodes, range(len(support)))
+        table_isf = Isf(tm, built[on_ref], built[dc_ref],
+                        tuple(range(len(support))))
         _, cover = _run_with_cover(table_isf, minimizer, minimizer_name)
         identity = {index: index for index in range(len(support))}
         return template_from_var_cover(cover, identity)

@@ -156,10 +156,11 @@ class LogicNetwork:
         """Node names sorted leaves-to-roots; raises on cycles."""
         state: Dict[str, int] = {}
         order: List[str] = []
+        leaves = set(self.combinational_inputs())
 
         def visit(name: str) -> None:
             if name not in self.nodes:
-                if not self.is_leaf(name):
+                if name not in leaves:
                     raise ValueError("undefined signal %r" % name)
                 return
             mark = state.get(name, 0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from ..sop.cube import ONE, ZERO
 from .netlist import LogicNetwork
 
 
@@ -49,25 +50,70 @@ def initial_state(network: LogicNetwork) -> Dict[str, bool]:
     return {latch.output: bool(latch.init) for latch in network.latches}
 
 
+def _signature_from_masks(network: LogicNetwork, leaf_masks: List[int],
+                          count: int) -> List[Tuple[bool, ...]]:
+    """Simulate ``count`` vectors at once, one int bit per vector.
+
+    ``leaf_masks[i]`` carries leaf ``i``'s value in every vector.  A
+    cube is the AND of its fanin masks or their complements and a cover
+    the OR of its cubes, so one pass in topological order evaluates the
+    whole batch; the result has :func:`combinational_signature`'s shape.
+    """
+    full = (1 << count) - 1
+    values = dict(zip(network.combinational_inputs(), leaf_masks))
+    nodes = network.nodes
+    for name in network.topological_order():
+        node = nodes[name]
+        fanins = [values[fanin] for fanin in node.fanins]
+        total = 0
+        for cube in node.cover.cubes:
+            term = full
+            for mask, value in zip(fanins, cube.values):
+                if value == ONE:
+                    term &= mask
+                elif value == ZERO:
+                    term &= ~mask
+            total |= term
+        values[name] = total
+    columns = [format(values[name], "0%db" % count)[::-1]
+               for name in network.combinational_outputs()]
+    return [tuple(bit == "1" for bit in row) for row in zip(*columns)]
+
+
 def combinational_signature(network: LogicNetwork,
                             vectors: Sequence[Dict[str, bool]]
                             ) -> List[Tuple[bool, ...]]:
-    """Frame outputs for a list of leaf assignments (equivalence checks)."""
-    result = []
-    roots = network.combinational_outputs()
-    for vector in vectors:
-        values = evaluate(network, vector)
-        result.append(tuple(values[name] for name in roots))
-    return result
+    """Frame outputs for a list of leaf assignments (equivalence checks).
+
+    Bit-parallel: equal to calling :func:`evaluate` on every vector,
+    including the ``ValueError`` for a vector missing a leaf.
+    """
+    if not vectors:
+        return []
+    leaves = network.combinational_inputs()
+    masks = [0] * len(leaves)
+    for index, vector in enumerate(vectors):
+        bit = 1 << index
+        for position, leaf in enumerate(leaves):
+            if leaf not in vector:
+                raise ValueError("missing value for leaf %r" % leaf)
+            if vector[leaf]:
+                masks[position] |= bit
+    return _signature_from_masks(network, masks, len(vectors))
 
 
 def exhaustive_signature(network: LogicNetwork) -> List[Tuple[bool, ...]]:
-    """Frame outputs over all leaf assignments (small frames only)."""
+    """Frame outputs over all leaf assignments (small frames only).
+
+    Vector ``v`` assigns leaf ``i`` bit ``i`` of ``v``.
+    """
     leaves = network.combinational_inputs()
     if len(leaves) > 16:
         raise ValueError("exhaustive simulation limited to 16 leaves")
-    vectors = []
-    for value in range(1 << len(leaves)):
-        vectors.append({leaf: bool((value >> i) & 1)
-                        for i, leaf in enumerate(leaves)})
-    return combinational_signature(network, vectors)
+    count = 1 << len(leaves)
+    full = (1 << count) - 1
+    # Leaf i is set in every vector whose bit i is set: blocks of 2^i
+    # zeros then 2^i ones, the classic truth-table variable pattern.
+    masks = [full // ((1 << (1 << i)) + 1) << (1 << i)
+             for i in range(len(leaves))]
+    return _signature_from_masks(network, masks, count)

@@ -21,7 +21,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.session import Session
-from ..core.relio import parse_relation, write_relation
+from ..core.relio import RelationNodes, relation_to_nodes
 from ..decompose.cutflex import cut_flexibility_relation, realize_functions
 from ..network.blif import write_blif
 from ..network.netlist import LogicNetwork
@@ -34,13 +34,13 @@ from .window import Window, enumerate_cuts, extract_window
 class _Candidate:
     """One windowed cut awaiting its solved relation."""
 
-    __slots__ = ("cut", "window", "pla", "old_literals")
+    __slots__ = ("cut", "window", "nodes", "old_literals")
 
-    def __init__(self, cut: Tuple[str, ...], window: Window, pla: str,
-                 old_literals: int) -> None:
+    def __init__(self, cut: Tuple[str, ...], window: Window,
+                 nodes: RelationNodes, old_literals: int) -> None:
         self.cut = cut
         self.window = window
-        self.pla = pla
+        self.nodes = nodes
         self.old_literals = old_literals
 
 
@@ -60,7 +60,7 @@ def _mine_candidates(network: LogicNetwork, request: ResynthRequest,
             continue
         relation, _ = cut_flexibility_relation(window.network, cut)
         candidates.append(_Candidate(
-            cut=cut, window=window, pla=write_relation(relation),
+            cut=cut, window=window, nodes=relation_to_nodes(relation),
             old_literals=sum(
                 network.nodes[name].cover.literal_count()
                 for name in cut)))
@@ -72,22 +72,15 @@ def _solved_functions(report: Any) -> Optional[Tuple[Any, List[int],
                                                      List[int]]]:
     """``(mgr, functions, input_vars)`` from a solve report, or None.
 
-    Serial solves carry a live :class:`Solution`; pool and cached
-    reports carry the PLA text instead, which re-parses into a private
-    manager.  Either way the functions come back with the variable
-    indices of the relation's input frame.
+    :meth:`Session.solve_many` hands every successful report a live
+    :class:`Solution` in the manager of the job's relation, whichever
+    executor or cache tier produced it; the functions come back with
+    the variable indices of that relation's input frame.
     """
-    if report.solution is not None and report._inputs is not None:
-        solution = report.solution
-        return solution.mgr, list(solution.functions), \
-            list(report._inputs)
-    pla = report.solution_pla()
-    if pla is None:
+    if report.solution is None or report._inputs is None:
         return None
-    parsed = parse_relation(pla)
-    if not parsed.is_function():
-        return None
-    return parsed.mgr, parsed.function_vector(), list(parsed.inputs)
+    solution = report.solution
+    return solution.mgr, list(solution.functions), list(report._inputs)
 
 
 def _verify_window(window: Window, new_covers: Dict[str, Tuple[List[str],
@@ -104,7 +97,7 @@ def _verify_window(window: Window, new_covers: Dict[str, Tuple[List[str],
 
 
 def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
-                reports_by_pla: Dict[str, Any],
+                reports_by_nodes: Dict[RelationNodes, Any],
                 counters: Dict[str, int]) -> int:
     """Realize solved relations and install the improving rewrites.
 
@@ -115,7 +108,7 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
     accepted = 0
     dirty: set = set()
     for candidate in candidates:
-        report = reports_by_pla[candidate.pla]
+        report = reports_by_nodes[candidate.nodes]
         if not report.ok:
             counters["solver_failures"] += 1
             continue
@@ -230,26 +223,23 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
             "rejected_cycle": 0, "rejected_verify": 0, "accepted": 0,
         }
         candidates = _mine_candidates(net, request, counters)
-        unique_plas: List[str] = []
-        seen = set()
-        for candidate in candidates:
-            if candidate.pla not in seen:
-                seen.add(candidate.pla)
-                unique_plas.append(candidate.pla)
-        counters["unique_relations"] = len(unique_plas)
+        # The node list is an exact key: equal tuples, equal relations.
+        unique = list(dict.fromkeys(candidate.nodes
+                                    for candidate in candidates))
+        counters["unique_relations"] = len(unique)
         requests = [request.solver_request(
-            {"kind": "pla", "text": pla},
-            label="resynth-p%d-%d" % (index, position))
-            for position, pla in enumerate(unique_plas)]
+            nodes.spec(), label="resynth-p%d-%d" % (index, position))
+            for position, nodes in enumerate(unique)]
         reports = session.solve_many(requests,
                                      max_workers=request.workers,
                                      executor=request.executor)
-        reports_by_pla = dict(zip(unique_plas, reports))
+        reports_by_nodes = dict(zip(unique, reports))
         for report in reports:
             if report.ok:
                 memo_hits += int(report.stats.get("memo_hits", 0))
                 memo_misses += int(report.stats.get("memo_misses", 0))
-        accepted = _apply_pass(net, candidates, reports_by_pla, counters)
+        accepted = _apply_pass(net, candidates, reports_by_nodes,
+                               counters)
         swept = net.sweep_dangling()
         record = dict(counters)
         record["pass"] = index

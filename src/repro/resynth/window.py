@@ -1,10 +1,9 @@
 """Windowed cut extraction for network resynthesis.
 
 The full-network flexibility relation of :mod:`repro.decompose.cutflex`
-collapses the whole combinational frame — exact, but exponential in the
-number of primary inputs and useless as a batch workload (the pool
-transport snapshots relations to PLA text, an enumeration of all
-``2^inputs`` vertices).  This module builds the *windowed* variant used
+collapses the whole combinational frame — exact, but its BDDs grow with
+the whole network and every cut pays for collapsing all of it.  This
+module builds the *windowed* variant used
 by SIS-style don't-care optimisation: around each candidate cut, carve
 out a small sub-network whose boundary inputs become free variables and
 whose boundary outputs must be preserved.
@@ -29,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..network.netlist import LogicNetwork
 
 #: Widest window the pipeline will build: the per-rewrite verification
-#: simulates the window exhaustively, and the pool transport enumerates
-#: 2^leaves PLA rows, so both need a hard ceiling.
+#: simulates the window exhaustively (``2^leaves`` vectors), so it
+#: needs a hard ceiling.
 MAX_WINDOW_LEAVES = 16
 
 CUT_POLICIES = ("nodes", "reconvergent")

@@ -184,20 +184,31 @@ class TestSolveMany:
         assert [r.label for r in reports] == ["size", "size2", "cubes",
                                               "bad"]
         assert [r.ok for r in reports] == [True, True, True, False]
-        # Worker reports are data-only; solutions stay in-process.
-        assert all(r.solution is None for r in reports if r.ok)
-        assert all(r.sop for r in reports if r.ok)
+        # Worker solutions come back as templates, re-instantiated live
+        # in the caller's manager.
+        relation = session.relation("fig1")
+        for report in reports[:3]:
+            assert report.sop
+            assert report.solution.mgr is relation.mgr
+            assert relation.is_compatible(report.solution.functions)
 
-    def test_thread_executor_is_data_only(self, session):
+    def test_thread_executor_solves_private_copies(self, session):
         # Session managers are not thread-safe, so thread jobs solve a
-        # private PLA snapshot: reports are data-only like process ones.
+        # private copy of the relation; the answer is handed back in
+        # the caller's manager, and the PLA export renders on demand.
         requests = [SolveRequest(relation="fig1", cost=c, label=c)
                     for c in ("size", "size2")]
         reports = session.solve_many(requests, max_workers=2,
                                      executor="thread")
+        serial = session.solve_many(
+            [request.replace(memo=False) for request in requests],
+            executor="serial")
         assert [r.ok for r in reports] == [True, True]
-        assert all(r.solution is None for r in reports)
-        assert all(r.sop and r.pla for r in reports)
+        relation = session.relation("fig1")
+        for report, expected in zip(reports, serial):
+            assert report.solution.mgr is relation.mgr
+            assert report.solution.functions == expected.solution.functions
+            assert report.sop and report.solution_pla()
 
     def test_serial_executor_keeps_solutions(self, session):
         reports = session.solve_many(

@@ -7,6 +7,8 @@ import pytest
 from repro.api import Session, SolveRequest, SolveReport
 from repro.benchdata.brgen import block_structured_relation
 
+from ..conftest import wide_relation
+
 
 @pytest.fixture
 def session():
@@ -106,16 +108,19 @@ class TestSessionSolveSharded:
         with pytest.raises(ValueError, match="block_executor"):
             session.solve(BLOCK_REQUEST, block_executor="gpu")
 
-    def test_wide_block_refuses_pool_snapshot(self):
-        session = Session(max_snapshot_inputs=3)
-        session.add_relation(
-            "wide", block_structured_relation([(4, 2), (2, 1)], seed=1))
-        with pytest.raises(ValueError, match="max_snapshot_inputs"):
-            session.solve(SolveRequest(relation="wide"),
-                          block_executor="process")
-        # Serial solving of the same relation is unaffected.
-        report = session.solve(SolveRequest(relation="wide"))
-        assert report.partition is not None
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_wide_block_pools_to_the_serial_answer(self, executor):
+        session = Session()
+        session.add_relation("wide", wide_relation(extra_block=True))
+        serial = session.solve(SolveRequest(relation="wide"))
+        assert [block["num_inputs"]
+                for block in serial.partition["blocks"]] == [18, 2]
+        session.clear_cache()
+        pooled = session.solve(SolveRequest(relation="wide"),
+                               block_executor=executor)
+        assert pooled.cost == serial.cost
+        assert pooled.sop == serial.sop
+        assert pooled.solution.functions == serial.solution.functions
 
     def test_record_trace_falls_back_to_in_process_sharding(self,
                                                             session):

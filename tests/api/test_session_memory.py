@@ -10,8 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session, SolveRequest
+from repro.bdd.manager import BddManager
 from repro.benchdata.brgen import random_relation
 from repro.core.relation import BooleanRelation
+
+from ..conftest import wide_relation
 
 FIG1_ROWS = [{0b01}, {0b01}, {0b00, 0b11}, {0b10, 0b11}]
 
@@ -131,23 +134,30 @@ class TestBoundedEngineAcrossSolves:
         final = session.solve(SolveRequest(relation="fig1"))
         assert final.ok and final.compatible
 
-    def test_strip_solution_skips_exponential_pla_for_wide_reports(self):
-        """Regression: trimming must not enumerate 2^inputs PLA rows."""
-        session = Session(max_snapshot_inputs=2)
-        session.add_relation("wide4", random_relation(4, 2, seed=11))
-        report = session.solve(SolveRequest(relation="wide4"))
+    def test_strip_solution_keeps_a_template_at_any_width(self):
+        """Trimming never enumerates 2^inputs PLA rows: the stripped
+        report keeps its solution as a template instead."""
+        session = Session()
+        session.add_relation("wide", wide_relation())
+        report = session.solve(SolveRequest(relation="wide"))
         assert report.ok and report.solution is not None
         session._strip_solution(report)
-        # Wider than max_snapshot_inputs: the PLA stays unmaterialised.
         assert report.solution is None and report.pla is None
+        assert report.solution_template() is not None
+        # The template still hands a live solution to the relation.
+        relation = session.relation("wide")
+        solution = session._portable_solution(report, relation)
+        assert solution.cost == report.cost
+        assert relation.is_compatible(solution.functions)
 
-    def test_strip_solution_materialises_narrow_pla(self):
-        session = Session()  # default threshold: 4 inputs is narrow
+    def test_stripped_report_still_exports_pla(self):
+        session = Session()
         session.add_relation("narrow", random_relation(4, 2, seed=11))
         report = session.solve(SolveRequest(relation="narrow"))
-        assert report.solution is not None
+        expected = report.copy().solution_pla()
         session._strip_solution(report)
-        assert report.solution is None and report.pla is not None
+        assert report.solution is None
+        assert report.solution_pla() == expected
 
     def test_engine_stats_exposes_managers(self):
         session = make_session()
@@ -156,36 +166,58 @@ class TestBoundedEngineAcrossSolves:
         assert stats["shape:2x2"]["num_vars"] == 4
 
 
-class TestSnapshotGuard:
-    def test_wide_relation_rejected_for_pool_executors(self):
-        session = Session(max_snapshot_inputs=3)
-        relation = random_relation(4, 2, seed=9)
-        session.add_relation("wide", relation)
-        requests = [SolveRequest(relation="wide")]
-        for executor in ("process", "thread"):
-            with pytest.raises(ValueError) as excinfo:
-                session.solve_many(requests, executor=executor)
-            message = str(excinfo.value)
-            assert "serial" in message
-            assert "max_snapshot_inputs" in message
+class TestPoolTransport:
+    """Pools ship node lists: no input-width cap, and workers solve the
+    same ordered BDD as a serial job."""
 
-    def test_wide_relation_allowed_serially(self):
-        session = Session(max_snapshot_inputs=3)
-        session.add_relation("wide", random_relation(4, 2, seed=9))
-        reports = session.solve_many([SolveRequest(relation="wide")],
-                                     executor="serial")
-        assert len(reports) == 1 and reports[0].ok
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_wide_relation_pools_to_the_serial_answer(self, executor):
+        session = Session()
+        session.add_relation("wide", wide_relation())
+        relation = session.relation("wide")
+        assert len(relation.inputs) == 18
+        request = SolveRequest(relation="wide", label="wide")
+        serial = session.solve_many([request], executor="serial")[0]
+        session.clear_cache()
+        pooled = session.solve_many([request], executor=executor)[0]
+        assert pooled.ok and not pooled.cached
+        assert pooled.cost == serial.cost
+        assert pooled.sop == serial.sop
+        assert pooled.stats["relations_explored"] \
+            == serial.stats["relations_explored"]
+        # The solution comes back live in the caller's manager.
+        assert pooled.solution.mgr is relation.mgr
+        assert pooled.solution.functions == serial.solution.functions
 
-    def test_default_threshold_guards_functional_wide_relation(self):
+    def test_functional_wide_relation_pools(self):
         session = Session()
         mgr = session.manager_for(17, 1)
-        inputs = list(range(17))
         relation = BooleanRelation.from_functions(
-            mgr, inputs, [17], [mgr.var(0)])
+            mgr, list(range(17)), [17], [mgr.var(0)])
         session.add_relation("huge", relation)
-        with pytest.raises(ValueError):
-            session.solve_many([SolveRequest(relation="huge")],
-                               executor="process")
+        report = session.solve_many([SolveRequest(relation="huge")],
+                                    executor="process")[0]
+        assert report.ok and report.cost == session.solve(
+            SolveRequest(relation="huge")).cost
+
+    def test_interleaved_relation_pools_to_the_serial_answer(self):
+        # The node list keeps the source's variable order, outputs
+        # interleaved among the inputs included.
+        base = random_relation(4, 2, seed=5)
+        mgr = BddManager(["x0", "y0", "x1", "x2", "y1", "x3"])
+        slot = [0, 2, 3, 5, 1, 4]
+        node = mgr.from_minterms(
+            slot, list(base.mgr.minterms(base.node, list(range(6)))))
+        session = Session()
+        session.add_relation(
+            "mixed", BooleanRelation(mgr, [0, 2, 3, 5], [1, 4], node))
+        request = SolveRequest(relation="mixed", max_explored=20)
+        serial = session.solve_many([request], executor="serial")[0]
+        for executor in ("thread", "process"):
+            session.clear_cache()
+            pooled = session.solve_many([request], executor=executor)[0]
+            assert pooled.sop == serial.sop
+            assert pooled.solution.functions == serial.solution.functions
 
     def test_narrow_relations_still_parallelise(self):
         session = make_session()

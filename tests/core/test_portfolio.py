@@ -12,6 +12,8 @@ from repro.core import BrelOptions, BrelSolver, CancelToken
 from repro.core.portfolio import (BoundChannel, DEFAULT_RACERS,
                                   normalize_racers, racers_cache_key)
 
+from ..conftest import wide_relation
+
 EXECUTORS = ("serial", "thread", "process")
 
 #: Keys every racer summary row must carry (the report consumers'
@@ -392,16 +394,24 @@ class TestExecutorFallbacks:
         assert summary["executor"] == "thread"
         assert "registered by name" in summary["note"]
 
-    def test_wide_relation_falls_back_to_serial(self, monkeypatch):
-        from repro.core import portfolio as portfolio_mod
-        monkeypatch.setattr(portfolio_mod,
-                            "MAX_RACE_SNAPSHOT_INPUTS", 2)
-        result = BrelSolver(BrelOptions(
-            strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor="thread")).solve(racing_relation())
-        summary = result.portfolio
-        assert summary["executor"] == "serial"
-        assert "snapshot guard" in summary["note"]
+    def test_wide_relation_races_on_threads(self):
+        # Racers rebuild the relation from its node list, so width no
+        # longer forces a serial race; a lone racer is deterministic,
+        # so the thread race must reproduce the serial one exactly.
+        relation = wide_relation()
+        assert len(relation.inputs) == 18
+
+        def race(executor):
+            return BrelSolver(BrelOptions(
+                strategy="portfolio", portfolio_racers="dfs",
+                portfolio_executor=executor)).solve(relation)
+
+        serial, threaded = race("serial"), race("thread")
+        assert threaded.portfolio["executor"] == "thread"
+        assert threaded.portfolio["note"] is None
+        assert threaded.solution.cost == serial.solution.cost
+        assert threaded.solution.functions == serial.solution.functions
+        assert relation.is_compatible(threaded.solution.functions)
 
 
 # ----------------------------------------------------------------------

@@ -60,6 +60,20 @@ class TestTieredSolve:
         _, tier = service.solve(dict(fig1_request, cost="cubes"))
         assert tier == "engine"
 
+    def test_node_spec_solves_like_its_pla(self, fig1_pla):
+        from repro.api.request import relation_spec_to_jsonable
+        from repro.core import parse_relation, relation_to_nodes
+        spec = relation_to_nodes(parse_relation(fig1_pla)).spec()
+        nodes_request = {"relation": relation_spec_to_jsonable(spec)}
+        service = SolveService()
+        by_nodes, tier = service.solve(dict(nodes_request))
+        by_text, _ = service.solve({"relation": {"kind": "pla",
+                                                 "text": fig1_pla}})
+        assert tier == "engine" and by_nodes["ok"]
+        assert by_nodes["sop"] == by_text["sop"]
+        assert by_nodes["pla"] == by_text["pla"]
+        assert service.solve(dict(nodes_request))[1] == "ram"
+
     def test_fingerprint_stable_across_services(self, fig1_request,
                                                 cache_dir):
         a = SolveService(disk=DiskCache(cache_dir))
@@ -92,6 +106,12 @@ class TestValidation:
     def test_missing_relation(self):
         with pytest.raises(ServiceError):
             SolveService().solve({"cost": "size"})
+
+    def test_malformed_node_spec_is_a_client_error(self):
+        spec = {"kind": "nodes", "inputs": [0], "outputs": [1],
+                "nodes": [[1, 0, 1], [0, 2, 2]], "root": 3}
+        with pytest.raises(ServiceError, match="redundant"):
+            SolveService().solve({"relation": spec})
 
     def test_error_counted(self, fig1_request):
         service = SolveService()
