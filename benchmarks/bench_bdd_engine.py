@@ -11,6 +11,11 @@ CI smoke checks::
 which executes every workload once (no pytest-benchmark needed), prints
 wall-clock timings plus an engine-stats snapshot, and fails loudly if a
 workload returns wrong results or the computed table exceeds its bound.
+Quick mode also runs one deep-recursion solve (brgen 7x7, seed 1,
+``max_explored=200``, memo off) and gates on its cost and on the share
+of ISOP sub-interval expansions the solve-wide ISOP table serves — a
+deterministic count, so a drop means the table stopped being shared
+across the solve's minimisations.
 """
 
 import json
@@ -22,6 +27,17 @@ import pytest
 
 from repro.bdd import BddManager, isop, shortest_path_cube
 from repro.benchdata import build_suite
+from repro.benchdata.brgen import random_relation
+from repro.core import BrelOptions, BrelSolver
+
+#: Deep-recursion solve: brgen (inputs, outputs, seed), exploration
+#: budget, the cost it must reach, and the floor on the share of ISOP
+#: sub-intervals the solve-wide table serves (measured: 4594 of 6321,
+#: 0.7268).
+DEEP_CASE = (7, 7, 1)
+DEEP_MAX_EXPLORED = 200
+DEEP_COST = 288.0
+DEEP_ISOP_SHARE_FLOOR = 0.72
 
 
 def build_queens(n: int = 5):
@@ -228,6 +244,34 @@ def test_bdd_quantification_throughput(benchmark):
     _quant_sanity(mgr, pool)
 
 
+def run_deep_recursion():
+    """One memo-off deep-recursion solve; cost and ISOP-table counters."""
+    num_inputs, num_outputs, seed = DEEP_CASE
+    relation = random_relation(num_inputs, num_outputs, seed=seed)
+    before = relation.mgr.stats()
+    start = time.perf_counter()
+    result = BrelSolver(BrelOptions(max_explored=DEEP_MAX_EXPLORED,
+                                    memo=False)).solve(relation)
+    seconds = time.perf_counter() - start
+    after = relation.mgr.stats()
+    hits = after["isop_hits"] - before["isop_hits"]
+    misses = after["isop_misses"] - before["isop_misses"]
+    return {"inputs": num_inputs, "outputs": num_outputs, "seed": seed,
+            "max_explored": DEEP_MAX_EXPLORED,
+            "cost": result.solution.cost, "expected_cost": DEEP_COST,
+            "seconds": seconds, "isop_hits": hits, "isop_misses": misses,
+            "isop_table_share": hits / (hits + misses)
+            if hits + misses else 0.0,
+            "isop_table_share_floor": DEEP_ISOP_SHARE_FLOOR}
+
+
+@pytest.mark.benchmark(group="bdd")
+def test_bdd_deep_recursion_solve(benchmark):
+    row = benchmark.pedantic(run_deep_recursion, rounds=1, iterations=1)
+    assert row["cost"] == DEEP_COST
+    assert row["isop_table_share"] >= DEEP_ISOP_SHARE_FLOOR
+
+
 # ----------------------------------------------------------------------
 # Quick mode: dependency-free smoke run for CI
 # ----------------------------------------------------------------------
@@ -273,18 +317,37 @@ def run_quick() -> int:
     timings["quantification"] = time.perf_counter() - start
     _quant_sanity(qmgr, qpool)
 
+    deep = run_deep_recursion()
+    timings["deep_recursion"] = deep["seconds"]
+
     print("bench_bdd_engine quick mode")
     for name, seconds in timings.items():
         print("  %-16s %8.3fs" % (name, seconds))
+    print("  deep recursion %d+%d/s%d: cost=%.0f isop table served "
+          "%d of %d sub-intervals (%.4f, floor %.2f)"
+          % (deep["inputs"], deep["outputs"], deep["seed"], deep["cost"],
+             deep["isop_hits"], deep["isop_hits"] + deep["isop_misses"],
+             deep["isop_table_share"], deep["isop_table_share_floor"]))
     # Persist the same numbers as JSON so benchmarks/snapshot.py can
     # fold the engine micro-benchmarks into the BENCH_N trajectory.
     from _util import RESULTS_DIR
     RESULTS_DIR.mkdir(exist_ok=True)
     artefact = {"timings": timings,
                 "engine": {"ite": mgr.stats(),
-                           "quant": qmgr.stats()}}
+                           "quant": qmgr.stats()},
+                "deep_recursion": deep}
     (RESULTS_DIR / "bench_bdd_engine.json").write_text(
         json.dumps(artefact, indent=2, sort_keys=True) + "\n")
+    if deep["cost"] != deep["expected_cost"]:
+        print("FAIL: deep-recursion solve cost %.0f, expected %.0f"
+              % (deep["cost"], deep["expected_cost"]), file=sys.stderr)
+        return 1
+    if deep["isop_table_share"] < deep["isop_table_share_floor"]:
+        print("FAIL: the ISOP table served %.4f of the deep-recursion "
+              "solve's sub-intervals, below the %.2f floor"
+              % (deep["isop_table_share"],
+                 deep["isop_table_share_floor"]), file=sys.stderr)
+        return 1
     for label, engine in (("ite", mgr), ("quant", qmgr)):
         stats = engine.stats()
         print("  engine[%s]: nodes=%d cache_entries=%d (limit %s) "

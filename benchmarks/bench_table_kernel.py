@@ -10,7 +10,7 @@ below the split point (and the ones the kernel turns into whole-table
 word operations; shared-recursion passes like ISOP show up in the
 routed-solve sweep instead).
 
-Four sweeps land in ``benchmarks/results/bench_table_kernel.{txt,json}``:
+Three sweeps land in ``benchmarks/results/bench_table_kernel.{txt,json}``:
 
 * **kernel sweep** — the same scripted op mix run on matched random
   functions (identical minterm sets) in a :class:`BddManager` and a
@@ -27,10 +27,6 @@ Four sweeps land in ``benchmarks/results/bench_table_kernel.{txt,json}``:
   relations with ``backend=None`` vs ``backend="table"``, verifying
   cost parity (solver overhead shared by both backends dilutes the
   kernel win; the row shows what survives end to end).
-* **routed-recursion gate** — a deep-recursion brgen solve with
-  in-recursion subproblem routing (``route_subproblems``) off vs on:
-  same final cost, the routed run serves narrow ISF minimisations
-  from throwaway rank-framed tables.
 
 Besides the pytest-benchmark entry point, the module runs standalone
 for CI smoke checks::
@@ -38,10 +34,12 @@ for CI smoke checks::
     python benchmarks/bench_table_kernel.py --quick
 
 which runs a reduced sweep and fails loudly unless the table kernel
-is >=2x faster than the BDD engine on the 10-variable leaf workload,
-the numpy kernel >=2x faster than the int kernel at width 16 (skipped
-without numpy), and subproblem routing >=1.5x on the deep-recursion
-solve (the acceptance floors; observed ratios are higher).
+is >=2x faster than the BDD engine on the 10-variable leaf workload
+and the numpy kernel >=2x faster than the int kernel at width 16
+(skipped without numpy) — the acceptance floors; observed ratios are
+higher.  (The deep-recursion solve that used to gate in-recursion
+routing now gates the solve-wide ISOP table, in
+``bench_bdd_engine.py --quick``.)
 """
 
 import json
@@ -83,13 +81,6 @@ KERNEL_VS_GATE_VARS = 16
 KERNEL_VS_FLOOR = 2.0
 KERNEL_VS_ROUNDS = 120
 KERNEL_VS_POOL = 10
-
-#: Deep-recursion brgen case for the routed-recursion gate (inputs,
-#: outputs, seed): wide enough that every narrowed ISF fits the table
-#: width, deep enough that template reuse dominates conversions.
-ROUTED_CASE = (7, 7, 1)
-ROUTED_MAX_EXPLORED = 200
-ROUTED_FLOOR = 1.5
 
 
 def build_pools(num_vars, seed):
@@ -271,62 +262,14 @@ def run_kernel_vs_row(num_vars, rounds):
             if int_dt and numpy_dt else None}
 
 
-def run_routed_recursion_row():
-    """Deep-recursion solve with subproblem routing off vs on.
-
-    ``table_kernel="auto"`` is explicit so the row is immune to
-    ``REPRO_TABLE_KERNEL`` (the CI numpy job pins the env to numpy,
-    which is the wrong kernel for the narrow throwaway tables routing
-    mints — auto picks int below the crossover on every machine).
-    """
-    num_inputs, num_outputs, seed = ROUTED_CASE
-    timings = {}
-    costs = {}
-    counters = None
-    for route in (False, True):
-        best = None
-        for _ in range(2):
-            relation = random_relation(num_inputs, num_outputs,
-                                       seed=seed)
-            options = BrelOptions(max_explored=ROUTED_MAX_EXPLORED,
-                                  decompose=False,
-                                  route_subproblems=route,
-                                  table_kernel="auto")
-            start = time.perf_counter()
-            result = BrelSolver(options).solve(relation)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        timings[route] = best
-        costs[route] = result.solution.cost
-        if route:
-            stats = result.stats
-            counters = {
-                "subproblems_routed": stats.subproblems_routed,
-                "route_conversions": stats.route_conversions,
-                "route_hits": stats.route_hits,
-            }
-    assert costs[False] == costs[True], \
-        "subproblem routing changed the final cost (%d+%d seed=%d)" \
-        % ROUTED_CASE
-    return {"inputs": num_inputs, "outputs": num_outputs, "seed": seed,
-            "max_explored": ROUTED_MAX_EXPLORED,
-            "cost": costs[True],
-            "unrouted_seconds": timings[False],
-            "routed_seconds": timings[True],
-            "speedup": (timings[False] / timings[True])
-            if timings[True] > 0 else float("inf"),
-            **counters}
-
-
 def run_sweeps(rounds):
-    """All four sweeps; returns the artefact dict."""
+    """All three sweeps; returns the artefact dict."""
     return {"kernel_rows": [run_kernel_row(v, rounds)
                             for v in VAR_COUNTS],
             "kernel_vs_rows": [run_kernel_vs_row(v, KERNEL_VS_ROUNDS)
                                for v in KERNEL_VS_VAR_COUNTS],
             "solve_rows": [run_solve_row(*case)
                            for case in SOLVE_CASES],
-            "routed_recursion": run_routed_recursion_row(),
             "flagship_vars": FLAGSHIP_VARS,
             "kernel_vs_gate_vars": KERNEL_VS_GATE_VARS,
             "numpy_available": npkernel.available(),
@@ -379,20 +322,7 @@ def summarize(results):
          for row in results["solve_rows"]],
         title="Full routed solves: backend=None vs backend='table' "
               "(equal final cost)")
-    routed = results["routed_recursion"]
-    routed_table = format_table(
-        ["relation", "off s", "on s", "speedup", "routed", "conv",
-         "hits", "cost"],
-        [["%d+%d/s%d" % (routed["inputs"], routed["outputs"],
-                         routed["seed"]),
-          "%.4f" % routed["unrouted_seconds"],
-          "%.4f" % routed["routed_seconds"],
-          "%.2fx" % routed["speedup"],
-          routed["subproblems_routed"], routed["route_conversions"],
-          routed["route_hits"], routed["cost"]]],
-        title="In-recursion subproblem routing: route_subproblems off "
-              "vs on (equal final cost)")
-    return "\n\n".join((kernel, kernel_vs, solves, routed_table))
+    return "\n\n".join((kernel, kernel_vs, solves))
 
 
 def _write_artefact(results):
@@ -408,7 +338,6 @@ def test_table_kernel_sweeps(benchmark):
     publish("bench_table_kernel.txt", summarize(results))
     _write_artefact(results)
     assert flagship_row(results)["speedup"] >= 2.0
-    assert results["routed_recursion"]["speedup"] >= ROUTED_FLOOR
     gate = kernel_vs_gate_row(results)
     if gate is not None:
         assert gate["speedup"] >= KERNEL_VS_FLOOR
@@ -441,21 +370,15 @@ def run_quick() -> int:
             "numpy kernel %.2fx over the int kernel at width %d, "
             "below the %.1fx floor"
             % (gate["speedup"], gate["vars"], KERNEL_VS_FLOOR))
-    routed = results["routed_recursion"]
-    if routed["speedup"] < ROUTED_FLOOR:
-        failures.append(
-            "subproblem routing %.2fx on the deep-recursion solve, "
-            "below the %.1fx floor" % (routed["speedup"], ROUTED_FLOOR))
     if failures:
         for failure in failures:
             print("FAIL: " + failure, file=sys.stderr)
         return 1
     print("quick mode ok: %d widths + %d solves in %.2fs "
-          "(flagship %d vars: %.1fx, numpy@16: %s, routing: %.2fx)"
+          "(flagship %d vars: %.1fx, numpy@16: %s)"
           % (len(VAR_COUNTS), len(SOLVE_CASES), elapsed,
              flagship["vars"], flagship["speedup"],
-             "%.1fx" % gate["speedup"] if gate is not None else "n/a",
-             routed["speedup"]))
+             "%.1fx" % gate["speedup"] if gate is not None else "n/a"))
     return 0
 
 

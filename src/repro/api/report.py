@@ -44,7 +44,9 @@ from ..core.solution import Solution
 #: attribution; ``None`` unless ``strategy="portfolio"``).
 #: 5: ``stats`` gained the subproblem-routing counters
 #: (``subproblems_routed``, ``route_conversions``, ``route_hits``).
-REPORT_SCHEMA_VERSION = 5
+#: 6: ``stats`` dropped those three counters (in-recursion routing was
+#: retired).
+REPORT_SCHEMA_VERSION = 6
 
 
 @dataclass

@@ -275,12 +275,6 @@ class SolveRequest:
     #: Width threshold for ``backend="auto"``/``"table"``; ``None``
     #: uses :data:`repro.table.DEFAULT_TABLE_WIDTH`.
     table_width: Optional[int] = None
-    #: In-recursion routing tri-state (mirrors
-    #: :attr:`repro.core.BrelOptions.route_subproblems`): ``True``
-    #: serves narrow ISF minimisations inside the recursive loop from
-    #: the table kernel (byte-identical results), ``False`` never does,
-    #: ``None`` (auto) follows ``backend="auto"``.
-    route_subproblems: Optional[bool] = None
     #: Raw-table kernel (mirrors
     #: :attr:`repro.core.BrelOptions.table_kernel`): ``"int"``,
     #: ``"numpy"``, ``"auto"``, or ``None`` to honour
@@ -353,7 +347,6 @@ class SolveRequest:
             decompose=self.decompose,
             backend=self.backend,
             table_width=self.table_width,
-            route_subproblems=self.route_subproblems,
             table_kernel=self.table_kernel,
             portfolio_racers=self.portfolio_racers,
             portfolio_executor=self.portfolio_executor)
@@ -395,7 +388,6 @@ class SolveRequest:
                    decompose=options.decompose,
                    backend=options.backend,
                    table_width=options.table_width,
-                   route_subproblems=options.route_subproblems,
                    table_kernel=options.table_kernel,
                    portfolio_racers=options.portfolio_racers,
                    portfolio_executor=options.portfolio_executor,

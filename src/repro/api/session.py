@@ -481,11 +481,10 @@ class Session:
         # routed solves are logically identical but their reports'
         # engine stats (node/cache counters) describe a different
         # kernel, so backends get separate slots rather than serving
-        # one backend's counters as the other's.  route_subproblems and
-        # table_kernel are keyed raw (not resolved) for the same
-        # reason: answers are byte-identical either way, but the
-        # routing counters in the cached report's stats describe the
-        # requested configuration.
+        # one backend's counters as the other's.  table_kernel is keyed
+        # raw (not resolved) for the same reason: answers are
+        # byte-identical either way, but the cached report's engine
+        # stats describe the requested configuration.
         # The portfolio racer line-up keys by its *resolved* canonical
         # JSON — None and an explicitly spelled-out default line-up
         # share a slot — while portfolio_executor, like the block
@@ -504,8 +503,7 @@ class Session:
                 request.record_trace, self._memo_for(request) is not None,
                 request.decompose is not False,
                 request.backend or "bdd", request.table_width,
-                request.route_subproblems, request.table_kernel,
-                racers)
+                request.table_kernel, racers)
 
     def _cache_key(self, nodes: RelationNodes, request: SolveRequest
                    ) -> Tuple[Any, ...]:
@@ -778,6 +776,7 @@ class Session:
             self.cache_hits += 1
             return self._cached_copy(cached, label=request.label,
                                      request=request.to_dict())
+        spec_built = resolved is None
         resolved, key = self._materialize(resolved, spec, key,
                                           from_registry, request)
         report = None
@@ -812,6 +811,13 @@ class Session:
         # the truncated answer to future uncancelled calls.
         if report.stopped != "cancelled":
             self._cache[key] = report.copy()
+        if spec_built:
+            # A manager built from a spec is private to this solve, but
+            # the cached report's live solution keeps it alive: drop its
+            # derived tables (computed and ISOP tables, per-node
+            # signatures) now that the report exists.  Registry and
+            # caller-owned relations keep theirs.
+            resolved.mgr.release_caches()
         return report
 
     def _solve_blocks_pooled(self, request: SolveRequest,
@@ -1066,6 +1072,7 @@ class Session:
                                        request=request.to_dict())
             yield Improvement(report.solution, report.cost, 0.0, 0)
             return report
+        spec_built = resolved is None
         resolved, key = self._materialize(resolved, spec, key,
                                           from_registry, request)
         solver = BrelSolver(request.to_options(),
@@ -1078,6 +1085,8 @@ class Session:
         # Same rule as solve(): never cache a cancelled partial result.
         if result.stopped != "cancelled":
             self._cache[key] = report.copy()
+        if spec_built:
+            resolved.mgr.release_caches()  # as in solve()
         return report
 
     def solve_many(self, requests: Sequence[SolveRequest],
@@ -1132,6 +1141,7 @@ class Session:
         payloads: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
         resolved_by_index: List[Optional[BooleanRelation]] = \
             [None] * len(requests)
+        spec_built: List[BooleanRelation] = []
         memo_export: Optional[List[Tuple[Any, Any]]] = None
 
         for index, request in enumerate(requests):
@@ -1142,6 +1152,8 @@ class Session:
                 if source is None:
                     raise ValueError("request has no relation source")
                 resolved = self.resolve_relation(source)
+                if source["kind"] != "name":
+                    spec_built.append(resolved)
                 if executor != "serial":
                     # The pool transport, linear in BDD size; serial
                     # jobs solve the live object and skip it entirely.
@@ -1225,6 +1237,8 @@ class Session:
                     else:
                         reports[index] = report.copy(cached=False,
                                                      **shared)
+        for relation in spec_built:
+            relation.mgr.release_caches()  # as in solve()
         # Every index was filled above: failure, cache hit, or fresh run.
         return [report for report in reports if report is not None]
 

@@ -28,11 +28,16 @@ The contract every backend must honour
   cube iteration) only use this view, so they behave identically on
   every backend.
 * **Fingerprints.** ``fingerprint``/``fingerprints``/
-  ``support_fingerprint`` must reproduce the canonical 64-bit hashes of
-  :mod:`repro.bdd.manager` bit-for-bit: the memo store keys templates
-  on them, and cross-backend template sharing (a subproblem solved on
-  one backend re-instantiated under the other) only works when equal
-  functions hash equally everywhere.
+  ``support_fingerprint``/``node_signature`` must reproduce the
+  canonical 64-bit hashes of :mod:`repro.bdd.manager` bit-for-bit: the
+  memo store keys templates on them, and cross-backend template
+  sharing (a subproblem solved on one backend re-instantiated under
+  the other) only works when equal functions hash equally everywhere.
+* **Solve scope.** ``enter_solve``/``exit_solve`` bracket a solve;
+  ``isop`` keeps its sub-interval table from the outermost
+  ``enter_solve`` to the matching ``exit_solve``.  ``clear_caches``
+  drops the computed and ISOP tables, ``release_caches`` every derived
+  table.
 * **Cost parity.** ``size(f)`` counts the internal nodes of the
   *reduced BDD* of ``f`` (constants are 0) regardless of
   representation, so the paper's BDD-size cost prices a candidate the
@@ -73,11 +78,12 @@ BACKEND_METHODS = (
     # cube / minterm construction
     "cube", "minterm", "from_minterms", "minterms",
     # canonical content hashes
-    "fingerprint", "fingerprints", "support_fingerprint",
+    "fingerprint", "fingerprints", "support_fingerprint", "node_signature",
     # two-level synthesis
     "isop",
     # lifecycle
-    "pin", "unpin", "collect", "stats",
+    "pin", "unpin", "collect", "stats", "enter_solve", "exit_solve",
+    "clear_caches", "release_caches",
 )
 
 
@@ -142,6 +148,7 @@ class FunctionBackend(Protocol):
                      var_map: Optional[Dict[int, int]] = None
                      ) -> Tuple[int, ...]: ...
     def support_fingerprint(self, f: int) -> int: ...
+    def node_signature(self, f: int) -> Tuple[Tuple[int, ...], int]: ...
 
     # -- two-level synthesis --------------------------------------------
     def isop(self, lower: int,
@@ -153,6 +160,10 @@ class FunctionBackend(Protocol):
     def collect(self, extra_roots: Iterable[int] = ()
                 ) -> Dict[int, int]: ...
     def stats(self) -> Dict[str, Any]: ...
+    def enter_solve(self) -> None: ...
+    def exit_solve(self) -> None: ...
+    def clear_caches(self) -> None: ...
+    def release_caches(self) -> None: ...
 
 
 def conforms(backend: Any) -> List[str]:

@@ -9,7 +9,11 @@ Section 7.5 after comparing it with constrain/restrict and LICompact
 
 The expansion runs on an explicit frame stack (a three-phase state machine
 per interval) so cover extraction works on BDDs of any depth under the
-default interpreter recursion limit.
+default interpreter recursion limit.  Every expanded sub-interval lands
+in a ``(lower, upper) -> (cubes, node)`` table (the CUDD computed-table
+treatment of the recursion): :func:`isop` keeps it for one call,
+:meth:`BddManager.isop <repro.bdd.BddManager.isop>` for the whole
+enclosing solve.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ def isop(mgr: BddManager, lower: int, upper: int) -> Tuple[List[Cube], int]:
     Parameters
     ----------
     mgr:
-        The owning BDD manager.
+        The owning manager (any :class:`~repro.bdd.FunctionBackend`;
+        the expansion only uses protocol operations).
     lower, upper:
-        BDD nodes with ``lower <= upper`` (raises ``ValueError`` otherwise).
+        Nodes with ``lower <= upper`` (raises ``ValueError`` otherwise).
 
     Returns
     -------
@@ -43,17 +48,38 @@ def isop(mgr: BddManager, lower: int, upper: int) -> Tuple[List[Cube], int]:
         ``cover`` is a list of cubes; ``node`` is the BDD of their
         disjunction, satisfying ``lower <= node <= upper``.  The cover is
         irredundant: removing any cube uncovers part of ``lower``.
+
+    The sub-interval table lives for this call only;
+    :meth:`BddManager.isop <repro.bdd.BddManager.isop>` runs the same
+    expansion against the table of the enclosing solve.
     """
     if not mgr.implies(lower, upper):
         raise ValueError("isop requires lower <= upper")
-    cache: Dict[Tuple[int, int],
-                Tuple[Tuple[Tuple[Tuple[int, bool], ...], ...], int]] = {}
+    (cubes, node), _, _ = expand(mgr, lower, upper, {}, float("inf"))
+    return [dict(cube) for cube in cubes], node
+
+
+def expand(mgr: BddManager, lower: int, upper: int,
+           table: Dict[Tuple[int, int], Tuple], limit: float
+           ) -> Tuple[Tuple[Tuple, int], int, int]:
+    """The Minato-Morreale expansion of ``[lower, upper]`` (``lower <=
+    upper`` already checked) against a sub-interval table.
+
+    ``table`` maps ``(lower, upper)`` node pairs to ``(cubes, node)``,
+    cubes as tuples of ``(var, polarity)`` pairs sorted by var; entries
+    are read and added, and the table is flushed wholesale when it
+    reaches ``limit`` entries.  Returns ``((cubes, node), hits,
+    misses)``: the interval's result and how many sub-intervals the
+    table served and how many were expanded.
+    """
+    hits = misses = 0
     # results holds (cubes, node) pairs, one per completed sub-interval;
     # tasks is a flat mixed stack (operands pushed, phase tag popped first).
     results: List[Tuple[Tuple[Tuple[Tuple[int, bool], ...], ...], int]] = []
     tasks: list = [upper, lower, _EXPAND]
     push = tasks.append
     pop = tasks.pop
+    lookup = table.get
     while tasks:
         phase = pop()
         if phase == _EXPAND:
@@ -66,10 +92,12 @@ def isop(mgr: BddManager, lower: int, upper: int) -> Tuple[List[Cube], int]:
                 results.append((((),), TRUE))
                 continue
             key = (low, upp)
-            hit = cache.get(key)
+            hit = lookup(key)
             if hit is not None:
+                hits += 1
                 results.append(hit)
                 continue
+            misses += 1
             var = min(mgr.level(low), mgr.level(upp))
             low0 = mgr.cofactor(low, var, False)
             low1 = mgr.cofactor(low, var, True)
@@ -117,11 +145,12 @@ def isop(mgr: BddManager, lower: int, upper: int) -> Tuple[List[Cube], int]:
                 + list(cubes_dc)
             )
             result = (cubes, node)
-            cache[key] = result
+            if len(table) >= limit:
+                table.clear()
+            table[key] = result
             results.append(result)
 
-    raw_cubes, node = results[0]
-    return [dict(cube) for cube in raw_cubes], node
+    return results[0], hits, misses
 
 
 def isop_node(mgr: BddManager, lower: int, upper: int) -> int:

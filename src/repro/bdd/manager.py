@@ -29,6 +29,10 @@ Design notes
   entries it is flushed wholesale (the CUDD-style lossy-cache policy —
   results are always recomputable from the unique table).  Hit, miss,
   eviction and flush counters are exposed through :meth:`stats`.
+* Subproblem identity and ISOP reuse live here too: every node caches
+  its renaming-invariant signature (:meth:`node_signature`) for the
+  manager's lifetime, and :meth:`isop` keeps its sub-interval table
+  for the whole enclosing solve (:meth:`enter_solve`).
 * Memory is reclaimable: roots survive :meth:`collect` (a mark-and-sweep
   pass that compacts the node arrays) only when reachable from a
   :meth:`pin`\\ ned node, a variable, or an explicit extra root.  ``collect``
@@ -122,6 +126,89 @@ def _fp_mix(level: int, lo: int, hi: int) -> int:
     return h ^ (h >> 32)
 
 
+# Per-node signatures: the renaming-invariant twin of the fingerprint.
+# nfp(n) hashes n with its own support renumbered 0..k-1.  The top
+# variable is always rank 0 of that support, so nfp(n) is determined by
+# k, where each child's support sits inside n's (a rank bit mask), and
+# the children's own nfp -- composable bottom-up and cacheable per node,
+# unlike a fingerprint under a caller-chosen renaming.
+def _fold64(value: int) -> int:
+    """Hash an int wider than 64 bits down to 64 (supports past 64
+    variables give masks that wide)."""
+    h = 0
+    while value:
+        h = ((h ^ (value & _FP_MASK)) * 0xBF58476D1CE4E5B9) & _FP_MASK
+        h ^= h >> 31
+        value >>= 64
+    return h
+
+
+def _nfp_mix(size: int, lo_mask: int, lo_fp: int, hi_mask: int,
+             hi_fp: int) -> int:
+    """Combine a support size, two rank masks and two child nfps."""
+    if lo_mask > _FP_MASK:
+        lo_mask = _fold64(lo_mask)
+    if hi_mask > _FP_MASK:
+        hi_mask = _fold64(hi_mask)
+    h = (size * 0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D) & _FP_MASK
+    h ^= (lo_mask * 0xD6E8FEB86659FD93) & _FP_MASK
+    h = (h ^ (h >> 31)) * 0xBF58476D1CE4E5B9 & _FP_MASK
+    h ^= lo_fp
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _FP_MASK
+    h ^= (hi_mask * 0xFF51AFD7ED558CCD) & _FP_MASK
+    h = (h ^ (h >> 29)) * 0xC4CEB9FE1A85EC53 & _FP_MASK
+    h ^= hi_fp
+    h = (h ^ (h >> 31)) * 0x9E3779B97F4A7C15 & _FP_MASK
+    return h ^ (h >> 32)
+
+
+def support_mask(sub: Tuple[int, ...], sup: Tuple[int, ...]) -> int:
+    """Bit ``r`` set when ``sup[r]`` is in ``sub`` (sorted, ``sub <= sup``)."""
+    if len(sub) == len(sup):
+        return (1 << len(sup)) - 1
+    mask = 0
+    index = 0
+    count = len(sub)
+    for rank, var in enumerate(sup):
+        if index < count and sub[index] == var:
+            mask |= 1 << rank
+            index += 1
+    return mask
+
+
+def union_support(a: Tuple[int, ...], b: Tuple[int, ...]
+                  ) -> Tuple[int, ...]:
+    """Sorted union of two sorted supports."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    return tuple(sorted(set(a).union(b)))
+
+
+def node_signature_of(level: int, lo_sig: Tuple, hi_sig: Tuple,
+                      intern: Dict[Tuple[int, ...], Tuple[int, ...]]
+                      ) -> Tuple[Tuple[int, ...], int]:
+    """``(S(n), nfp(n))`` of a node from its level and child signatures.
+
+    The one copy of the composition both engines use, so equal
+    functions get equal signatures on either.  ``intern`` shares equal
+    support tuples between nodes.
+    """
+    lo_sup, lo_fp = lo_sig
+    hi_sup, hi_fp = hi_sig
+    rest = union_support(lo_sup, hi_sup)
+    support = (level,) + rest
+    support = intern.setdefault(support, support)
+    # Rank 0 is the node's own variable, never in a child's support.
+    return support, _nfp_mix(len(support), support_mask(lo_sup, rest) << 1,
+                             lo_fp, support_mask(hi_sup, rest) << 1, hi_fp)
+
+
+#: Signatures of the terminal nodes: empty support, the fingerprint seeds.
+_TERMINAL_SIGNATURES = {FALSE: ((), _FP_FALSE), TRUE: ((), _FP_TRUE)}
+
+
 class BddManager:
     """A reduced ordered BDD manager with hash-consing.
 
@@ -171,6 +258,19 @@ class BddManager:
         # Structural-fingerprint memo (node id -> 64-bit content hash);
         # values are id-independent, keys are remapped by collect().
         self._fp_memo: Dict[int, int] = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
+        # Per-node signature memo (node id -> (support, nfp)); values
+        # are id-independent, keys are remapped by collect().  Equal
+        # support tuples are shared through _supports.
+        self._sig_memo: Dict[int, Tuple[Tuple[int, ...], int]] = \
+            dict(_TERMINAL_SIGNATURES)
+        self._supports: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        # Solve-wide ISOP sub-interval table ((lower, upper) ->
+        # (cubes, node)); exists only while a solve is open (see
+        # enter_solve), bounded like the computed table.
+        self._isop_table: Optional[Dict[Tuple[int, int], Tuple]] = None
+        self._solve_depth = 0
+        self._isop_hits = 0
+        self._isop_misses = 0
         self._var_nodes: List[int] = []
         self._names: List[str] = []
         # Levels >= this may recurse (bounded depth); levels below it have
@@ -266,8 +366,41 @@ class BddManager:
     # Computed-table management
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        """Drop the computed table (unique table is preserved)."""
+        """Drop the computed table and the ISOP table (unique table is
+        preserved)."""
         self._cache.clear()
+        if self._isop_table is not None:
+            self._isop_table.clear()
+
+    def release_caches(self) -> None:
+        """Drop every derived table: :meth:`clear_caches` plus the
+        per-node signatures and fingerprints.
+
+        For a manager whose solve is over but whose nodes stay
+        referenced (a cached report's live solution): everything
+        dropped here is recomputable on demand.
+        """
+        self.clear_caches()
+        self._sig_memo = dict(_TERMINAL_SIGNATURES)
+        self._supports = {}
+        self._fp_memo = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
+
+    def enter_solve(self) -> None:
+        """Open (or join) a solve: ISOP keeps one sub-interval table
+        until the matching outermost :meth:`exit_solve`.
+
+        Nested solves on this manager (sharded blocks, serial portfolio
+        racers) join the table of the solve that encloses them.
+        """
+        self._solve_depth += 1
+        if self._isop_table is None:
+            self._isop_table = {}
+
+    def exit_solve(self) -> None:
+        """Close one :meth:`enter_solve`; the outermost drops the table."""
+        self._solve_depth -= 1
+        if not self._solve_depth:
+            self._isop_table = None
 
     def set_cache_limit(self, cache_limit: Optional[int]) -> None:
         """Re-bound the computed table (``None`` removes the bound).
@@ -313,7 +446,10 @@ class BddManager:
         Keys: ``nodes`` / ``peak_nodes`` / ``num_vars`` / ``unique_entries``
         (node store), ``cache_entries`` / ``cache_limit`` / ``cache_hits`` /
         ``cache_misses`` / ``cache_evictions`` / ``cache_flushes``
-        (computed table), ``pinned_nodes`` / ``gc_runs`` /
+        (computed table), ``isop_entries`` / ``isop_hits`` /
+        ``isop_misses`` (the solve-wide ISOP table: its size, 0 outside
+        a solve, and the sub-intervals it served / expanded,
+        cumulative), ``pinned_nodes`` / ``gc_runs`` /
         ``gc_reclaimed_nodes`` (garbage collection).
         """
         nodes = len(self._level)
@@ -330,6 +466,9 @@ class BddManager:
             "cache_misses": self._cache_misses,
             "cache_evictions": self._cache_evictions,
             "cache_flushes": self._cache_flushes,
+            "isop_entries": len(self._isop_table or ()),
+            "isop_hits": self._isop_hits,
+            "isop_misses": self._isop_misses,
             "pinned_nodes": len(self._pins),
             "gc_runs": self._gc_runs,
             "gc_reclaimed_nodes": self._gc_reclaimed,
@@ -369,8 +508,9 @@ class BddManager:
         Live roots are the pinned nodes, the declared variables, and any
         ``extra_roots``.  Surviving nodes are compacted to the low end of
         the node arrays (creation order, hence topological order, is
-        preserved) and the unique table is rebuilt.  The computed table is
-        dropped wholesale — its keys mention dead ids.
+        preserved) and the unique table is rebuilt.  The computed table
+        and the ISOP table are dropped wholesale — their keys mention
+        dead ids.
 
         Returns the ``old id -> new id`` mapping for every surviving node;
         callers holding surviving roots **must** remap through it.  Ids of
@@ -418,15 +558,19 @@ class BddManager:
         for node in range(2, len(new_level)):
             unique[(new_level[node], new_low[node], new_high[node])] = node
         self._unique = unique
-        self._cache.clear()
+        self.clear_caches()
         self._var_nodes = [mapping[node] for node in self._var_nodes]
         self._pins = {mapping[node]: pins
                       for node, pins in self._pins.items()}
-        # Fingerprints are content hashes (id-independent values), so
-        # surviving entries stay valid under their remapped ids.
+        # Fingerprints and signatures are content hashes (id-independent
+        # values), so surviving entries stay valid under their remapped
+        # ids.
         self._fp_memo = {mapping[node]: fp
                          for node, fp in self._fp_memo.items()
                          if node in mapping}
+        self._sig_memo = {mapping[node]: sig
+                          for node, sig in self._sig_memo.items()
+                          if node in mapping}
         self._gc_runs += 1
         self._gc_reclaimed += count - len(new_level)
         return mapping
@@ -1440,11 +1584,50 @@ class BddManager:
         ranks = {var: rank for rank, var in enumerate(self.support(f))}
         return self.fingerprints((f,), ranks)[0]
 
+    def node_signature(self, f: int) -> Tuple[Tuple[int, ...], int]:
+        """``(support, nfp)``: the sorted support of ``f`` and its
+        fingerprint with that support renumbered ``0..k-1``.
+
+        Equal ``nfp`` means equal up to an order-preserving renaming of
+        the support (the memo signatures' identity).  Memoised per node
+        for the manager's lifetime (remapped by :meth:`collect`), so a
+        node costs O(|support|) once and a lookup after that; values
+        match :class:`~repro.table.TableManager` for equal functions.
+        """
+        memo = self._sig_memo
+        hit = memo.get(f)
+        if hit is not None:
+            return hit
+        level, low, high = self._level, self._low, self._high
+        intern = self._supports
+        stack = [f]
+        push = stack.append
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            lo, hi = low[node], high[node]
+            lo_sig = memo.get(lo)
+            hi_sig = memo.get(hi)
+            if lo_sig is None:
+                push(lo)
+            if hi_sig is None:
+                push(hi)
+            if lo_sig is not None and hi_sig is not None:
+                stack.pop()
+                memo[node] = node_signature_of(level[node], lo_sig, hi_sig,
+                                               intern)
+        return memo[f]
+
     # ------------------------------------------------------------------
     # Structural queries
     # ------------------------------------------------------------------
     def support(self, f: int) -> Tuple[int, ...]:
         """Return the sorted tuple of variables ``f`` depends on."""
+        hit = self._sig_memo.get(f)
+        if hit is not None:
+            return hit[0]
         seen = set()
         variables = set()
         stack = [f]
@@ -1604,8 +1787,20 @@ class BddManager:
         """Irredundant SOP cover of a function in ``[lower, upper]``.
 
         Part of the :class:`~repro.bdd.backend.FunctionBackend`
-        protocol; delegates to the Minato-Morreale implementation in
-        :mod:`repro.bdd.isop`.
+        protocol; runs the Minato-Morreale expansion of
+        :mod:`repro.bdd.isop` against this manager's ISOP table, which
+        lives for the whole enclosing solve (:meth:`enter_solve`) — a
+        sub-interval any earlier call of the solve expanded costs a
+        lookup.  Outside a solve the table lives for this call only.
         """
-        from .isop import isop as _isop
-        return _isop(self, lower, upper)
+        from .isop import expand
+        if not self.implies(lower, upper):
+            raise ValueError("isop requires lower <= upper")
+        table = self._isop_table
+        if table is None:
+            table = {}
+        (cubes, node), hits, misses = expand(self, lower, upper, table,
+                                             self._cache_limit)
+        self._isop_hits += hits
+        self._isop_misses += misses
+        return [dict(cube) for cube in cubes], node

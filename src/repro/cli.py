@@ -74,10 +74,9 @@ def _request_from_args(args: argparse.Namespace,
         decompose=args.decompose,
         backend=args.backend,
         table_width=args.table_width,
-        # Routing knobs, like the portfolio ones below, exist only on
-        # the solve verb; getattr keeps the shared builder usable from
-        # parsers without them.
-        route_subproblems=getattr(args, "route_subproblems", None),
+        # The kernel knob, like the portfolio ones below, exists only
+        # on the solve verb; getattr keeps the shared builder usable
+        # from parsers without it.
         table_kernel=getattr(args, "table_kernel", None),
         # Portfolio knobs exist only on the solve verb; getattr keeps
         # the shared builder usable from parsers without them.
@@ -126,12 +125,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           % (request.exploration_strategy(), report.cost,
              report.stats["relations_explored"],
              report.stats["splits"], report.stats["runtime_seconds"]))
-    if report.stats.get("subproblems_routed"):
-        print("# routing: %d subproblems served by the table kernel "
-              "(%d conversions, %d template hits)"
-              % (report.stats["subproblems_routed"],
-                 report.stats["route_conversions"],
-                 report.stats["route_hits"]))
     if report.partition:
         print("# partition: %d independent blocks" %
               report.partition["num_blocks"])
@@ -441,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--backend", choices=["bdd", "table", "auto"],
                        default=None,
                        help="function engine: bdd (default), auto "
-                            "(route narrow subproblems to the "
+                            "(route relations, or decomposed blocks, "
+                            "whose frame fits --table-width to the "
                             "bit-parallel truth-table kernel), or "
                             "table (force it; errors on wide "
                             "relations); results are identical")
@@ -456,19 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "accel extra), or auto (numpy above the "
                             "crossover width when available); default "
                             "honours REPRO_TABLE_KERNEL, then auto")
-    route_group = solve.add_mutually_exclusive_group()
-    route_group.add_argument("--route-subproblems",
-                             dest="route_subproblems",
-                             action="store_true", default=None,
-                             help="serve narrow sub-ISF minimisations "
-                                  "from the table kernel inside the "
-                                  "recursion (results are byte-"
-                                  "identical; default: on when "
-                                  "--backend auto)")
-    route_group.add_argument("--no-route-subproblems",
-                             dest="route_subproblems",
-                             action="store_false",
-                             help="never route subproblems in-recursion")
     solve.add_argument("--json", action="store_true",
                        help="emit the structured SolveReport as JSON")
     solve.set_defaults(func=_cmd_solve)

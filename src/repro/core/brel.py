@@ -53,10 +53,9 @@ from ..table import (DEFAULT_TABLE_WIDTH, KERNEL_CHOICES,
 from .cost import CostFunction, bdd_size_cost
 from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
-from .memo import (MemoStore, instantiate_solution,
-                   template_from_var_cover)
-from .minimize import (IsfMinimizer, minimize_isop, minimize_with_cover,
-                       minimizer_memo_key, solve_misf)
+from .memo import MemoStore, template_from_var_cover
+from .minimize import (IsfMinimizer, minimize_isop, minimizer_memo_key,
+                       solve_misf)
 from .partition import (Partition, merge_block_stats, partition_relation,
                         worst_stopped)
 from .quick import quick_solve
@@ -159,21 +158,9 @@ class BrelOptions:
         lifted to :data:`repro.table.MAX_NUMPY_TABLE_WIDTH` (20) when
         ``table_kernel`` explicitly allows numpy (``"numpy"``/
         ``"auto"``).
-    route_subproblems:
-        In-recursion routing tri-state (:class:`~repro.core.route.
-        SubproblemRouter`).  ``True`` serves ISF minimisations whose
-        support has narrowed to ``table_width`` variables or fewer
-        from a table-kernel conversion (memoised by subproblem
-        signature, bounded by a per-solve conversion budget) inside
-        the recursive evaluation/quick-solve pipeline — byte-identical
-        results, table-kernel speed on the narrow tail of the
-        recursion.  ``False`` never routes subproblems.  ``None`` (the
-        default, *auto*) enables it exactly when ``backend="auto"`` —
-        the configuration that already asked for opportunistic table
-        acceleration.
     table_kernel:
         Raw-table kernel for every :class:`~repro.table.TableManager`
-        this solve creates (entry routing and subproblem routing):
+        this solve creates (whole-relation and per-block routing):
         ``"int"``, ``"numpy"``, ``"auto"``, or ``None`` to honour
         ``REPRO_TABLE_KERNEL`` and default to auto.  numpy is optional;
         only an explicit ``"numpy"`` fails without it.
@@ -207,7 +194,6 @@ class BrelOptions:
     decompose: Optional[bool] = None
     backend: Optional[str] = None
     table_width: Optional[int] = None
-    route_subproblems: Optional[bool] = None
     table_kernel: Optional[str] = None
     portfolio_racers: Any = None
     portfolio_executor: Optional[str] = None
@@ -261,13 +247,6 @@ class BrelOptions:
             raise ValueError(
                 "backend must be one of %r (None = BDD engine only)"
                 % (BACKEND_CHOICES,))
-        if not (self.route_subproblems is None
-                or isinstance(self.route_subproblems, bool)):
-            # Same identity discipline as memo/decompose: the solver
-            # tests `options.route_subproblems is not None`.
-            raise ValueError("route_subproblems must be True, False or "
-                             "None (None = auto: route subproblems "
-                             "when backend='auto')")
         if self.table_kernel not in KERNEL_CHOICES:
             raise ValueError(
                 "table_kernel must be one of %r (None = honour "
@@ -455,7 +434,26 @@ class BrelSolver:
         (the :class:`~repro.api.Session` pooled-dispatch path) can pass
         its ``partition`` to skip the re-analysis; it must describe
         exactly this relation object.
+
+        The solve holds its manager's solve scope
+        (:meth:`~repro.bdd.BddManager.enter_solve`) until the stream
+        ends, so every ISOP call of the solve — sharded blocks and
+        serial portfolio racers included — shares one sub-interval
+        table, dropped when the outermost solve returns.
         """
+        mgr = relation.mgr
+        mgr.enter_solve()
+        try:
+            return (yield from self._iter_events_scoped(relation, cancel,
+                                                        partition))
+        finally:
+            mgr.exit_solve()
+
+    def _iter_events_scoped(self, relation: BooleanRelation,
+                            cancel: Optional[CancelToken],
+                            partition: Optional[Partition]
+                            ) -> Generator[SolveEvent, None, BrelResult]:
+        """:meth:`iter_events` inside the manager's solve scope."""
         relation.require_well_defined()
         options = self.options
         if partition is not None and partition.relation is not relation:
@@ -558,7 +556,6 @@ class BrelSolver:
             decompose=False,
             backend=options.backend,
             table_width=options.table_width,
-            route_subproblems=options.route_subproblems,
             table_kernel=options.table_kernel,
             portfolio_racers=options.portfolio_racers,
             portfolio_executor=options.portfolio_executor)
@@ -733,22 +730,14 @@ class BrelSolver:
             [] if options.record_trace else None
         improvements: List[Improvement] = []
 
-        # In-recursion routing (repro.core.route.SubproblemRouter):
-        # narrow ISF minimisations inside this loop are served from the
-        # table kernel.  Auto (None) switches it on exactly when
-        # backend="auto" asked for opportunistic table acceleration.
-        route_on = (options.route_subproblems
-                    if options.route_subproblems is not None
-                    else options.backend == "auto")
-        router = (SubproblemRouter(stats, options.table_width,
-                                   options.table_kernel)
-                  if route_on else None)
-        route = router.minimize if router is not None else None
+        # The subproblem layer of this solve: memoised minimisations
+        # whose memo hits reuse the nodes this loop already built.
+        router = SubproblemRouter(memo) if memo is not None else None
 
         # Initial solution: QuickSolver guarantees one compatible function
         # exists before any pruning can truncate the search (§7.2).
         best = quick_solve(relation, options.minimizer,
-                           options.cost_function, memo=memo, route=route)
+                           options.cost_function, memo=memo, router=router)
         stats.quick_solutions += 1
 
         def event(kind: str, **kw: object) -> SolveEvent:
@@ -780,13 +769,6 @@ class BrelSolver:
                                  if options.quick_on_subrelations
                                  is not None
                                  else strategy.quick_by_default)
-
-        if router is not None:
-            yield event("route", detail=(
-                "subproblem routing on: width=%d kernel=%s budget=%s"
-                % (router.width, router.kernel or "auto",
-                   router.conversion_budget)))
-        route_exhaustion_reported = False
 
         yield event("quick-solution", cost=best.cost, depth=0)
         improvements.append(Improvement(best, best.cost,
@@ -847,7 +829,7 @@ class BrelSolver:
             if quick_on_subrelations and depth > 0:
                 quick = quick_solve(current, options.minimizer,
                                     options.cost_function, memo=memo,
-                                    route=route)
+                                    router=router)
                 stats.quick_solutions += 1
                 yield event("quick-solution", cost=quick.cost, depth=depth)
                 if quick.cost < best.cost:
@@ -855,14 +837,7 @@ class BrelSolver:
                     stats.compatible_found += 1
                     yield from improved_events(best, depth)
 
-            candidate, conflicts = self._evaluate(current, stats, route)
-            if (router is not None and router.exhausted
-                    and not route_exhaustion_reported):
-                route_exhaustion_reported = True
-                yield event("route", depth=depth, detail=(
-                    "conversion budget exhausted after %d conversions; "
-                    "remaining subproblems stay on the BDD engine"
-                    % stats.route_conversions))
+            candidate, conflicts = self._evaluate(current, stats, router)
             if candidate.cost >= min(best.cost, external_bound):
                 stats.cost_prunes += 1
                 yield event("prune",
@@ -912,59 +887,58 @@ class BrelSolver:
 
     # ------------------------------------------------------------------
     def _evaluate(self, relation: BooleanRelation, stats: SolverStats,
-                  route=None) -> Tuple[Solution, int]:
+                  router: Optional[SubproblemRouter] = None
+                  ) -> Tuple[Solution, int]:
         """Minimise the covering MISF; return the candidate and conflicts.
 
         The whole evaluation — projection of every output, per-output
         minimisation, conflict computation — is a pure function of the
         relation's structure and the minimiser, so it memoises under the
         relation's canonical signature: a hit re-instantiates the stored
-        per-output covers (byte-identical to the fresh computation) and
-        only recomputes the conflict set when the recorded evaluation
-        was not an exactly-solved leaf.
+        per-output covers (byte-identical to the fresh computation; the
+        solve's ``router`` reuses the nodes when it built them already)
+        and only recomputes the conflict set when the recorded
+        evaluation was not an exactly-solved leaf.
         """
-        memo = self.memo
         options = self.options
         key = None
         sig = None
-        name = None
-        if memo is not None:
-            name = minimizer_memo_key(options.minimizer)
-            if name is not None:
-                sig = relation.signature()
+        name = (minimizer_memo_key(options.minimizer)
+                if router is not None else None)
+        if name is not None:
+            sig = relation.signature()
             if sig is not None:
                 key = ("eval", sig.key, name)
-                hit = memo.get(key)
+                hit = router.memo.get(key)
                 if hit is not None:
                     covers, conflict_free = hit
-                    functions = instantiate_solution(relation.mgr, covers,
-                                                     sig.support)
+                    functions = router.instantiate(relation.mgr, key,
+                                                   covers, sig.support)
                     cost = options.cost_function(relation.mgr, functions)
                     conflicts = (FALSE if conflict_free
                                  else relation.conflict_inputs(functions))
                     return Solution(relation.mgr, functions, cost), \
                         conflicts
-        if memo is not None and name is not None:
-            minimized = [minimize_with_cover(component, options.minimizer,
-                                             memo, name, route=route)
+        if name is not None:
+            minimized = [router.minimize(component, options.minimizer, name)
                          for component in relation.misf()]
             functions = tuple(node for node, _ in minimized)
         else:
             minimized = None
             functions = tuple(solve_misf(relation.misf(),
-                                         options.minimizer,
-                                         route=route))
+                                         options.minimizer))
         stats.misf_minimizations += 1
         cost = options.cost_function(relation.mgr, functions)
         conflicts = relation.conflict_inputs(functions)
         if key is not None and minimized is not None:
             rank_of_var = sig.rank_map()
             conflict_free = conflicts == FALSE
-            memo.put_if_mappable(
+            router.memo.put_if_mappable(
                 key,
                 lambda: (tuple(template_from_var_cover(cover, rank_of_var)
                                for _, cover in minimized),
                          conflict_free))
+            router.remember(key, sig.support, functions)
         return Solution(relation.mgr, functions, cost), conflicts
 
     def _children(self, relation: BooleanRelation, conflicts: int,

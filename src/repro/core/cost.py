@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.isop import isop
 
 #: The cost-function signature used throughout the solver.  Costs are
 #: measured through the backend protocol, so a candidate prices the
@@ -54,7 +53,7 @@ def cube_count_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
     """
     total = 0
     for func in functions:
-        cover, _ = isop(mgr, func, func)
+        cover, _ = mgr.isop(func, func)
         total += len(cover)
     return float(total)
 
@@ -63,7 +62,7 @@ def literal_count_cost(mgr: FunctionBackend, functions: Sequence[int]) -> float:
     """Number of ISOP literals summed over the outputs (gyocro tie-break)."""
     total = 0
     for func in functions:
-        cover, _ = isop(mgr, func, func)
+        cover, _ = mgr.isop(func, func)
         total += sum(len(cube) for cube in cover)
     return float(total)
 

@@ -39,10 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Event kinds a solve can emit, in the order they typically appear.
 #: ``route`` reports a backend-routing decision (``detail`` names the
 #: engine chosen, the width that drove it, and the fallback reason when
-#: "auto" stayed on the BDD engine — also emitted when in-recursion
-#: subproblem routing activates or spends its conversion budget; see
-#: :mod:`repro.core.route`); ``partition`` opens a sharded solve (the
-#: relation decomposed into ``detail``-described output blocks; see
+#: "auto" stayed on the BDD engine; see :mod:`repro.core.route`);
+#: ``partition`` opens a sharded solve (the relation decomposed into
+#: ``detail``-described output blocks; see
 #: :mod:`repro.core.partition`); ``portfolio`` opens a racing solve
 #: (``detail`` names the racers and the executor; see
 #: :mod:`repro.core.portfolio`) and ``racer-done`` closes each racer's

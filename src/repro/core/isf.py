@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE, TRUE
+from ..bdd.manager import FALSE, support_mask, union_support
 from .memo import Signature
 
 
@@ -66,22 +66,28 @@ class Isf:
     def signature(self) -> Signature:
         """Canonical subproblem identity of this ISF.
 
-        The combined support of ``on`` and ``dc`` is renumbered to
+        The combined support ``J`` of ``on`` and ``dc`` is renumbered to
         ``0..k-1`` (order-preserving), so ISFs identical up to such a
         renaming — the same interval shifted to a different support —
         share a signature and hence a
-        :class:`~repro.core.memo.MemoStore` slot.  ``inputs`` is
-        deliberately *not* part of the identity: no minimiser's result
-        depends on variables outside the interval's support.
+        :class:`~repro.core.memo.MemoStore` slot.  The key is built
+        from the manager's per-node signatures: ``|J|``, then for each
+        of ``on`` and ``dc`` the rank mask of its own support inside
+        ``J`` and its renaming-invariant fingerprint — a lookup per
+        node once the manager has seen it.  ``inputs`` is deliberately
+        *not* part of the identity: no minimiser's result depends on
+        variables outside the interval's support.
         """
         sig = self._sig
         if sig is None:
             mgr = self.mgr
-            support = tuple(sorted(set(mgr.support(self.on))
-                                   | set(mgr.support(self.dc))))
-            ranks = {var: rank for rank, var in enumerate(support)}
-            fp_on, fp_dc = mgr.fingerprints((self.on, self.dc), ranks)
-            sig = Signature(("isf", len(support), fp_on, fp_dc), support)
+            on_support, on_fp = mgr.node_signature(self.on)
+            dc_support, dc_fp = mgr.node_signature(self.dc)
+            support = union_support(on_support, dc_support)
+            sig = Signature(("isf2", len(support),
+                             support_mask(on_support, support), on_fp,
+                             support_mask(dc_support, support), dc_fp),
+                            support)
             object.__setattr__(self, "_sig", sig)
         return sig
 

@@ -8,10 +8,14 @@ again through one :class:`~repro.api.Session`.  This module supplies the
 shared vocabulary every layer uses to recognise and reuse them:
 
 * :class:`Signature` — the canonical identity of a subproblem, built on
-  :meth:`repro.bdd.BddManager.fingerprints` with the support renumbered
-  to ``0..k-1`` (order-preserving, so BDD structure is preserved).
-  :meth:`repro.core.Isf.signature` and
-  :meth:`repro.core.BooleanRelation.signature` produce them.
+  the manager's per-node signatures
+  (:meth:`repro.bdd.BddManager.node_signature`: each node's support and
+  its fingerprint with that support renumbered to ``0..k-1``,
+  order-preserving, so BDD structure is preserved), cached per node
+  for the manager's lifetime.  :meth:`repro.core.Isf.signature` and
+  :meth:`repro.core.BooleanRelation.signature` produce them; their
+  keys carry the tags ``"isf2"``/``"rel2"``, so entries written under
+  the earlier fingerprint keys never match and age out of a store.
 * **Solution templates** — manager-independent renderings of solved
   functions as ISOP covers over support *ranks*
   (:func:`solution_template`), re-instantiated into any manager by
@@ -39,7 +43,6 @@ from collections import OrderedDict
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from ..bdd.isop import isop
 from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE
 
@@ -52,9 +55,10 @@ RankCube = Tuple[Tuple[int, bool], ...]
 CoverTemplate = Tuple[RankCube, ...]
 #: One cover per output: a solved multiple-output function.
 SolutionTemplate = Tuple[CoverTemplate, ...]
-#: A cube/cover at concrete variable level (pre-renumbering), the form
-#: minimisers hand over so template extraction reuses the ISOP cover
-#: they computed anyway instead of re-deriving one.
+#: A cube/cover at concrete variable level (pre-renumbering, variables
+#: by increasing level), the form minimisers hand over so template
+#: extraction reuses the ISOP cover they computed anyway instead of
+#: re-deriving one.
 VarCube = Tuple[Tuple[int, bool], ...]
 VarCover = Tuple[VarCube, ...]
 
@@ -90,7 +94,7 @@ def cover_template(mgr: FunctionBackend, node: int,
     store (it cannot happen for functions produced by projecting the
     signed subproblem itself).
     """
-    cover, _ = isop(mgr, node, node)
+    cover, _ = mgr.isop(node, node)
     return tuple(tuple(sorted((rank_of_var[var], polarity)
                               for var, polarity in cube.items()))
                  for cube in cover)
@@ -100,12 +104,13 @@ def template_from_var_cover(cover: VarCover,
                             rank_of_var: Dict[int, int]) -> CoverTemplate:
     """Renumber a variable-level cover into a rank template.
 
+    Cubes list their variables by increasing level and ``rank_of_var``
+    is order-preserving, so the rank cubes come out sorted as they are.
     Raises ``KeyError`` for out-of-support variables (see
     :func:`cover_template`).
     """
-    return tuple(tuple(sorted((rank_of_var[var], polarity)
-                              for var, polarity in cube))
-                 for cube in cover)
+    return tuple([tuple([(rank_of_var[var], polarity)
+                         for var, polarity in cube]) for cube in cover])
 
 
 def var_cover_from_template(cover: CoverTemplate,

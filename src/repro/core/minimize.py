@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bdd.gencof import constrain, restrict
-from ..bdd.isop import isop
 from ..bdd.manager import FALSE, TRUE
 from ..bdd.safemin import squeeze
 from .isf import Isf
@@ -119,7 +118,7 @@ def minimize_exact_cubes(isf: Isf) -> int:
         for bit, value in enumerate(dc_minterms):
             if (mask >> bit) & 1:
                 node = mgr.or_(node, mgr.minterm(support, value))
-        cover, cover_node = isop(mgr, node, node)
+        cover, cover_node = mgr.isop(node, node)
         key = (len(cover), sum(len(c) for c in cover))
         if best_key is None or key < best_key:
             best_key, best_node = key, cover_node
@@ -188,51 +187,52 @@ def _run_with_cover(isf: Isf, minimizer: IsfMinimizer,
         cover, node = _isop_pipeline(isf, eliminate=False)
     else:
         node = minimizer(isf)
-        cover, _ = isop(isf.mgr, node, node)
-    return node, tuple(tuple(sorted(cube.items())) for cube in cover)
+        cover, _ = isf.mgr.isop(node, node)
+    # ISOP cubes list their variables by increasing level already.
+    return node, tuple(tuple(cube.items()) for cube in cover)
 
 
 def minimize_with_cover(isf: Isf, minimizer: IsfMinimizer,
                         memo: Optional[MemoStore],
                         minimizer_name: str,
-                        route=None) -> Tuple[int, VarCover]:
+                        reuse: Optional[Dict[Tuple, Tuple[int, VarCover]]]
+                        = None) -> Tuple[int, VarCover]:
     """Memoised minimisation returning ``(node, variable-level cover)``.
 
     The cover lets callers assemble whole-solution templates (one cover
     per output, renumbered to the *relation's* support) without
-    re-extracting anything.  ``route`` is an optional in-recursion
-    router hook (``SubproblemRouter.minimize``-shaped): consulted on
-    memo misses, it may serve the minimisation from the table kernel —
-    byte-identical by the same transparency argument as a memo hit —
-    and its result is stored in the memo exactly like a fresh run, so
-    templates minted on the table kernel replay in BDD-only solves.
-    ``memo=None`` skips memoisation (routing still applies).
+    re-extracting anything.  ``memo=None`` skips memoisation.
+    ``reuse`` is a solve's ``(memo key, support) -> (node, cover)`` map
+    (:class:`~repro.core.route.SubproblemRouter` holds it): every
+    memoised result lands in it, and a memo hit it already holds skips
+    the cover rebuild.  The store sees the same ``get``/``put`` calls
+    either way.
     """
     sig = isf.signature()
     key = ("isf", sig.key, minimizer_name)
+    reuse_key = (key, sig.support)
     template = memo.get(key) if memo is not None else None
     if template is not None:
+        served = reuse.get(reuse_key) if reuse is not None else None
+        if served is not None:
+            return served
         cover = var_cover_from_template(template, sig.support)
-        return instantiate_var_cover(isf.mgr, cover), cover
-    if route is not None:
-        served = route(isf, minimizer, minimizer_name)
+        served = (instantiate_var_cover(isf.mgr, cover), cover)
     else:
-        served = None
-    if served is None:
-        node, cover = _run_with_cover(isf, minimizer, minimizer_name)
-    else:
-        node, cover = served
-    if memo is not None:
-        rank_of_var = sig.rank_map()
-        memo.put_if_mappable(
-            key, lambda: template_from_var_cover(cover, rank_of_var))
-    return node, cover
+        served = _run_with_cover(isf, minimizer, minimizer_name)
+        if memo is not None:
+            rank_of_var = sig.rank_map()
+            cover = served[1]
+            memo.put_if_mappable(
+                key, lambda: template_from_var_cover(cover, rank_of_var))
+    if reuse is not None:
+        reuse[reuse_key] = served
+    return served
 
 
 def minimize_memoised(isf: Isf, minimizer: IsfMinimizer,
                       memo: Optional[MemoStore],
-                      minimizer_name: Optional[str] = None,
-                      route=None) -> int:
+                      minimizer_name: Optional[str] = None) -> int:
     """Minimise one ISF through the shared memo store.
 
     A hit re-instantiates the stored rank cover over the ISF's own
@@ -240,34 +240,29 @@ def minimize_memoised(isf: Isf, minimizer: IsfMinimizer,
     minimiser; a miss runs the minimiser and stores its result.
     ``minimizer_name`` lets hot loops pre-resolve
     :func:`minimizer_memo_key`; unnamed (custom) minimisers bypass the
-    store entirely.  ``route`` is the in-recursion router hook of
-    :func:`minimize_with_cover` (only structural minimisers reach it).
+    store entirely.
     """
-    if memo is None and route is None:
+    if memo is None:
         return minimizer(isf)
     if minimizer_name is None:
         minimizer_name = minimizer_memo_key(minimizer)
         if minimizer_name is None:
             return minimizer(isf)
-    return minimize_with_cover(isf, minimizer, memo, minimizer_name,
-                               route=route)[0]
+    return minimize_with_cover(isf, minimizer, memo, minimizer_name)[0]
 
 
 def solve_misf(misf, minimizer: IsfMinimizer = minimize_isop, *,
-               memo: Optional[MemoStore] = None, route=None) -> List[int]:
+               memo: Optional[MemoStore] = None) -> List[int]:
     """Minimise every component of an MISF independently (paper §5.3).
 
     ``memo`` threads each component minimisation through a shared
     :class:`~repro.core.memo.MemoStore` so identical (up to renaming)
-    ISFs across subrelations, solves and sessions are minimised once;
-    ``route`` additionally lets narrow components be computed on the
-    table kernel (see :func:`minimize_with_cover`).
+    ISFs across subrelations, solves and sessions are minimised once.
     """
-    if memo is None and route is None:
+    if memo is None:
         return [minimizer(component) for component in misf]
     name = minimizer_memo_key(minimizer)
     if name is None:
         return [minimizer(component) for component in misf]
-    return [minimize_with_cover(component, minimizer, memo, name,
-                                route=route)[0]
+    return [minimize_with_cover(component, minimizer, memo, name)[0]
             for component in misf]

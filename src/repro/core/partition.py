@@ -333,7 +333,4 @@ def merge_block_stats(block_stats: Sequence[SolverStats]) -> SolverStats:
         total.memo_hits += stats.memo_hits
         total.memo_misses += stats.memo_misses
         total.memo_stores += stats.memo_stores
-        total.subproblems_routed += stats.subproblems_routed
-        total.route_conversions += stats.route_conversions
-        total.route_hits += stats.route_hits
     return total

@@ -236,7 +236,6 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
 def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any],
                         backend: Optional[str] = None,
                         table_width: Optional[int] = None,
-                        route_subproblems: Optional[bool] = None,
                         table_kernel: Optional[str] = None
                         ) -> "BrelOptions":
     """One racer's :class:`BrelOptions`: the base knobs plus its deltas.
@@ -265,7 +264,6 @@ def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any],
         decompose=False,
         backend=backend,
         table_width=table_width,
-        route_subproblems=route_subproblems,
         table_kernel=table_kernel)
 
 
@@ -541,18 +539,11 @@ def _drive_serial(solver: "BrelSolver", relation: BooleanRelation,
     tokens = [CancelToken() for _ in specs]
     racers = []
     for spec, token in zip(specs, tokens):
-        # Serial racers don't forward the backend knob (the relation is
-        # already routed in the shared manager), so the routing
-        # tri-state is resolved against the *base* backend here to keep
-        # the effective decision identical across executors.
-        route_on = (options.route_subproblems
-                    if options.route_subproblems is not None
-                    else options.backend == "auto")
+        # Serial racers don't forward the backend knob: the relation is
+        # already routed in the shared manager.
         sub = BrelSolver(
-            build_racer_options(
-                options, spec,
-                route_subproblems=route_on,
-                table_kernel=options.table_kernel),
+            build_racer_options(options, spec,
+                                table_kernel=options.table_kernel),
             memo=solver.memo, bound=channel)
         racers.append(sub.iter_events(relation, cancel=token))
     active = list(range(len(specs)))
@@ -653,7 +644,6 @@ def _thread_racer(index: int, spec: Dict[str, Any],
                 base_options, spec,
                 backend=base_options.backend,
                 table_width=base_options.table_width,
-                route_subproblems=base_options.route_subproblems,
                 table_kernel=base_options.table_kernel),
             memo=store, bound=channel)
 
@@ -801,7 +791,6 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
             record_trace=False, memo=None, decompose=False,
             backend=payload["backend"],
             table_width=payload["table_width"],
-            route_subproblems=payload.get("route_subproblems"),
             table_kernel=payload.get("table_kernel"))
         memo_entries = payload.get("memo")
         store = (MemoStore(capacity=payload.get("memo_capacity"),
@@ -877,7 +866,6 @@ def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
         "time_limit_seconds": options.time_limit_seconds,
         "backend": options.backend,
         "table_width": options.table_width,
-        "route_subproblems": options.route_subproblems,
         "table_kernel": options.table_kernel,
         "memo": memo_entries,
         "memo_capacity": memo.capacity if memo is not None else None,
@@ -889,7 +877,6 @@ def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
             racer_options = build_racer_options(
                 options, spec, backend=options.backend,
                 table_width=options.table_width,
-                route_subproblems=options.route_subproblems,
                 table_kernel=options.table_kernel)
             payload = dict(base_payload)
             payload.update({

@@ -20,11 +20,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .cost import CostFunction, bdd_size_cost
-from .memo import (MemoStore, VarCover, instantiate_solution,
-                   template_from_var_cover)
-from .minimize import (IsfMinimizer, minimize_isop, minimize_with_cover,
-                       minimizer_memo_key)
+from .memo import MemoStore, VarCover, template_from_var_cover
+from .minimize import IsfMinimizer, minimize_isop, minimizer_memo_key
 from .relation import BooleanRelation
+from .route import SubproblemRouter
 from .solution import Solution
 
 
@@ -33,7 +32,7 @@ def quick_solve(relation: BooleanRelation,
                 cost_function: CostFunction = bdd_size_cost,
                 output_order: Optional[Sequence[int]] = None,
                 memo: Optional[MemoStore] = None,
-                route=None) -> Solution:
+                router: Optional[SubproblemRouter] = None) -> Solution:
     """Solve a well-defined BR with the sequential heuristic of Fig. 4.
 
     Parameters
@@ -49,11 +48,11 @@ def quick_solve(relation: BooleanRelation,
         entirely — are answered from the stored solution template
         instead of re-projecting and re-minimising every output; the
         reconstruction is byte-identical to a fresh run.
-    route:
-        Optional in-recursion router hook
-        (:meth:`~repro.core.route.SubproblemRouter.minimize`); narrow
-        per-output minimisations are then served from the table kernel
-        with byte-identical results.
+    router:
+        The enclosing solve's
+        :class:`~repro.core.route.SubproblemRouter` over ``memo``: memo
+        hits then reuse the nodes the solve already built.  A call
+        with a store but no router gets a router of its own.
 
     Returns a :class:`Solution` that is always compatible with the
     relation (the projection of a well-defined relation is a valid ISF
@@ -66,14 +65,15 @@ def quick_solve(relation: BooleanRelation,
     if sorted(positions) != list(range(len(relation.outputs))):
         raise ValueError("output_order must permute the output positions")
 
-    minimizer_name = None
+    minimizer_name = minimizer_memo_key(minimizer)
+    if minimizer_name is None:
+        router = None
+    elif router is None and memo is not None:
+        router = SubproblemRouter(memo)
     sig = None
     key = None
-    if memo is not None or route is not None:
-        minimizer_name = minimizer_memo_key(minimizer)
-    if memo is not None:
-        if minimizer_name is not None:
-            sig = relation.signature()
+    if router is not None:
+        sig = relation.signature()
         if sig is not None:
             # Output *positions* are renaming-invariant, so a custom
             # order keys cleanly; any spelling of the default order
@@ -82,24 +82,21 @@ def quick_solve(relation: BooleanRelation,
             if order_key == tuple(range(len(relation.outputs))):
                 order_key = None
             key = ("quick", sig.key, minimizer_name, order_key)
-            covers = memo.get(key)
+            covers = router.memo.get(key)
             if covers is not None:
-                functions = instantiate_solution(relation.mgr, covers,
-                                                 sig.support)
+                functions = router.instantiate(relation.mgr, key, covers,
+                                               sig.support)
                 return Solution(relation.mgr, functions,
                                 cost_function(relation.mgr, functions))
 
-    memoising = minimizer_name is not None
     current = relation
     chosen: List[Optional[int]] = [None] * len(relation.outputs)
     covers: List[Optional[VarCover]] = [None] * len(relation.outputs)
     for position in positions:
         isf = current.project(position)
-        if memoising:
-            function, cover = minimize_with_cover(isf, minimizer, memo,
-                                                  minimizer_name,
-                                                  route=route)
-            covers[position] = cover
+        if router is not None:
+            function, covers[position] = router.minimize(isf, minimizer,
+                                                         minimizer_name)
         else:
             function = minimizer(isf)
         chosen[position] = function
@@ -107,8 +104,9 @@ def quick_solve(relation: BooleanRelation,
     functions = tuple(func for func in chosen if func is not None)
     if key is not None:
         rank_of_var = sig.rank_map()
-        memo.put_if_mappable(
+        router.memo.put_if_mappable(
             key, lambda: tuple(template_from_var_cover(cover, rank_of_var)
                                for cover in covers))
+        router.remember(key, sig.support, functions)
     cost = cost_function(relation.mgr, functions)
     return Solution(relation.mgr, functions, cost)

@@ -13,7 +13,8 @@ vector (Definition 5.3), and the Split operation (Definition 5.4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE, BddManager
@@ -159,19 +160,18 @@ class BooleanRelation:
 
         Returns ``None`` (unmemoisable) when the node mentions a
         variable outside the relation's frame.  The result is cached on
-        the instance (relations are immutable).
+        the instance (relations are immutable); the support and the
+        renaming-invariant fingerprint come from the manager's per-node
+        signature.
         """
         sig = self._sig
         if sig is None:
-            mgr = self.mgr
-            support = mgr.support(self.node)
+            support, fingerprint = self.mgr.node_signature(self.node)
             input_set = set(self.inputs)
             output_position = {var: position
                                for position, var in enumerate(self.outputs)}
             roles: List[int] = []
-            ranks: Dict[int, int] = {}
-            for rank, var in enumerate(support):
-                ranks[var] = rank
+            for var in support:
                 if var in input_set:
                     roles.append(-1)
                 elif var in output_position:
@@ -179,8 +179,7 @@ class BooleanRelation:
                 else:
                     self._sig = _NO_SIGNATURE
                     return None
-            fingerprint = mgr.fingerprints((self.node,), ranks)[0]
-            sig = Signature(("rel", len(self.outputs), tuple(roles),
+            sig = Signature(("rel2", len(self.outputs), tuple(roles),
                              fingerprint), support)
             self._sig = sig
         return None if sig is _NO_SIGNATURE else sig

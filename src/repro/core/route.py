@@ -1,4 +1,4 @@
-"""Backend routing: send narrow subproblems to the truth-table kernel.
+"""Backend routing and the per-solve subproblem layer.
 
 The solver is written against the :class:`repro.bdd.FunctionBackend`
 protocol, so a relation can be solved on whichever engine suits its
@@ -11,15 +11,8 @@ width.  This module holds the policy and the boundary conversions:
   preserving) variable frame, through the node list of
   :mod:`repro.core.relio`;
 * :class:`RoutedRelation` — the conversion context, able to translate
-  solved functions back to the parent manager via minterm enumeration
-  + :meth:`~repro.bdd.BddManager.from_minterms`;
-* :class:`SubproblemRouter` — the *in-recursion* routing path: inside
-  one BDD-backed solve, ISF minimisations whose support has narrowed
-  to the table width are computed on a throwaway table manager whose
-  variables are the ISF's support ranks, producing exactly the rank
-  template the memo layer would store; the template is instantiated
-  back over the parent support, so results are byte-identical to an
-  unrouted solve while the inner minimisation runs on the fast kernel.
+  solved functions back to the parent manager through the same node
+  list.
 
 Because the compaction preserves relative variable order and both
 backends expose the same reduced-BDD structural view, a routed solve
@@ -27,24 +20,31 @@ makes the same split decisions, the same ISOP covers, and the same
 cost measurements as the BDD solve — only the kernel underneath each
 operation changes.  Memo signatures are renaming-invariant, so
 templates minted on one backend instantiate under the other.
+
+Routing moves whole relations (or whole decomposed blocks) only:
+inside a BDD solve, narrowed subproblems stay on the BDD engine, whose
+per-node signatures and solve-wide ISOP table make them cheaper than a
+table conversion.  :class:`SubproblemRouter` is the per-solve
+subproblem layer: every memoised minimisation of a solve goes through
+it, and a memo hit reuses the node the solve already built for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..table import DEFAULT_TABLE_WIDTH, MAX_TABLE_WIDTH, TableManager
-from .memo import (template_from_var_cover, var_cover_from_template,
-                   instantiate_var_cover)
+from .memo import MemoStore, SolutionTemplate, VarCover, instantiate_solution
+from .minimize import IsfMinimizer, minimize_with_cover
 from .relation import BooleanRelation
 from .relio import (build_nodes, function_nodes, relation_from_nodes,
                     relation_to_nodes)
 from .solution import Solution
 
-__all__ = ["BACKEND_CHOICES", "DEFAULT_ROUTE_CONVERSION_BUDGET",
-           "RoutedRelation", "SubproblemRouter", "relation_to_table",
-           "route_decision", "route_relation", "routing_width"]
+__all__ = ["BACKEND_CHOICES", "RoutedRelation", "SubproblemRouter",
+           "relation_to_table", "route_decision", "route_relation",
+           "routing_width"]
 
 #: Valid ``BrelOptions.backend`` values.  ``None`` and ``"bdd"`` keep
 #: every subproblem on the BDD engine (the byte-identical default),
@@ -77,15 +77,16 @@ class RoutedRelation:
     def function_to_parent(self, func: int) -> int:
         """Translate a solved table function back to the parent manager.
 
-        ``func`` must depend only on the routed relation's inputs (true
-        of every solver output); the translation enumerates its
-        minterms over them and rebuilds the function with
-        ``from_minterms`` on the parent manager.
+        Walks the function's reduced-BDD node list on the table manager
+        and rebuilds it over the parent frame (table variable ``i`` is
+        the ``i``-th frame variable), one ``ite`` per node; by
+        canonicity the result is the parent node of the same function.
         """
-        table_inputs = self.relation.inputs
-        parent_inputs = self.parent.inputs
-        minterms = self.relation.mgr.minterms(func, table_inputs)
-        return self.parent.mgr.from_minterms(parent_inputs, minterms)
+        tm = self.relation.mgr
+        frame = sorted(self.var_map, key=self.var_map.__getitem__)
+        nodes, (ref,) = function_nodes(
+            tm, (func,), {index: index for index in range(tm.num_vars)})
+        return build_nodes(self.parent.mgr, nodes, frame)[ref]
 
     def solution_converter(self) -> Callable[[Solution], Solution]:
         """A memoised ``Solution`` translator (table -> parent manager).
@@ -206,125 +207,43 @@ def route_decision(relation: BooleanRelation, backend: Optional[str],
                     % (mgr.num_vars, width, mgr.kernel))
 
 
-#: Default per-solve cap on fresh ISF-to-table conversions.  Each
-#: conversion walks the subproblem's interval BDDs once; the cap
-#: bounds that overhead on adversarial runs where no signature ever
-#: repeats, while normal runs (heavy signature reuse) rarely reach it.
-DEFAULT_ROUTE_CONVERSION_BUDGET = 512
-
-
 class SubproblemRouter:
-    """In-recursion routing of narrow ISF minimisations onto the table kernel.
+    """One solve's subproblem layer over one manager and memo store.
 
-    One router serves one solve.  When the solver's evaluation /
-    quick-solve pipeline is about to run a *structural* minimiser on an
-    ISF whose support has narrowed to ``table_width`` variables or
-    fewer, :meth:`minimize` rebuilds the ISF once on a throwaway
-    :class:`TableManager` whose variables are the support ranks
-    ``0..k-1`` (order preserving), runs the minimiser there, and keeps
-    the resulting *rank template* — exactly the object the memo layer
-    stores for that signature.  Instantiating the template back over
-    the parent support reproduces the unrouted result byte-for-byte
-    (the memo transparency invariant), so routing changes wall-clock,
-    never answers.
-
-    Templates are memoised by the PR 4 signature key, so a subproblem
-    is never converted twice; fresh conversions are bounded by
-    ``conversion_budget`` (``None`` = unlimited).  Counters land in the
-    shared :class:`~repro.core.solution.SolverStats`:
-    ``subproblems_routed`` (minimisations served), ``route_conversions``
-    (fresh table builds), ``route_hits`` (template reuse).
+    Every memoised ISF minimisation of the solve goes through
+    :meth:`minimize`, and the relation-level ``"quick"``/``"eval"``
+    hits through :meth:`instantiate`.  The memo store itself is used
+    exactly as without the router (same ``get``/``put`` calls, so the
+    counters and LRU order do not change); what the router adds is the
+    map ``(memo key, support) -> what the solve built for it``.  A memo
+    hit whose key and support the solve already built is served from
+    that map instead of rebuilding the cover with ``and_``/``or_``: by
+    ROBDD canonicity the rebuild would land on the same node, and the
+    manager never collects mid-solve.
     """
 
-    def __init__(self, stats, table_width: Optional[int] = None,
-                 kernel: Optional[str] = None,
-                 conversion_budget: Optional[int] =
-                 DEFAULT_ROUTE_CONVERSION_BUDGET):
-        self.stats = stats
-        self.width = routing_width(table_width)
-        self.kernel = kernel
-        self.conversion_budget = conversion_budget
-        #: True once the conversion budget is spent (solver emits one
-        #: ``route`` event when it sees this flip).
-        self.exhausted = False
-        #: True when table construction itself failed (e.g. a width
-        #: past the int-kernel ceiling without numpy); the router then
-        #: stands down for the rest of the solve.
-        self.disabled = False
-        # (sig.key, minimizer_name) -> rank template.
-        self._templates: Dict[Tuple, Tuple] = {}
-        # (sig.key, minimizer_name, support) -> (node, var cover).
-        # Same template over the same support instantiates to the same
-        # node (ROBDD canonicity), and the parent manager never
-        # collects mid-solve, so serving repeats from here skips the
-        # cover rebuild without changing any answer.
-        self._instantiated: Dict[Tuple, Tuple[int, Tuple]] = {}
+    def __init__(self, memo: MemoStore) -> None:
+        self.memo = memo
+        self._instantiated: Dict[Tuple, Any] = {}
 
-    def minimize(self, isf, minimizer, minimizer_name: str):
-        """Serve one minimisation from the table kernel, or ``None``.
+    def minimize(self, isf, minimizer: IsfMinimizer,
+                 minimizer_name: str) -> Tuple[int, VarCover]:
+        """Memoised minimisation ``(node, variable-level cover)``."""
+        return minimize_with_cover(isf, minimizer, self.memo,
+                                   minimizer_name, self._instantiated)
 
-        ``None`` means "not routed — run the minimiser normally": the
-        ISF is already table-backed, its support is empty or wider
-        than the table width, the budget is exhausted, or conversion
-        failed.  Otherwise returns ``(node, var_cover)`` exactly as
-        :func:`~repro.core.minimize._run_with_cover` would.
-        """
-        mgr = isf.mgr
-        if self.disabled or isinstance(mgr, TableManager):
-            return None
-        sig = isf.signature()
-        support = sig.support
-        if not support or len(support) > self.width:
-            return None
-        key = (sig.key, minimizer_name)
-        template = self._templates.get(key)
-        if template is None:
-            if self.exhausted:
-                return None
-            if (self.conversion_budget is not None and
-                    self.stats.route_conversions >= self.conversion_budget):
-                self.exhausted = True
-                return None
-            try:
-                template = self._mint(isf, support, minimizer,
-                                      minimizer_name)
-            except ValueError:
-                self.disabled = True
-                return None
-            self._templates[key] = template
-            self.stats.route_conversions += 1
-        else:
-            self.stats.route_hits += 1
-        self.stats.subproblems_routed += 1
-        inst_key = (sig.key, minimizer_name, support)
-        served = self._instantiated.get(inst_key)
-        if served is None:
-            cover = var_cover_from_template(template, support)
-            served = (instantiate_var_cover(mgr, cover), cover)
-            self._instantiated[inst_key] = served
-        return served
+    def instantiate(self, mgr, key: Tuple, covers: SolutionTemplate,
+                    support: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The functions of a relation-level memo hit, built once per
+        ``(key, support)`` in this solve."""
+        inst_key = (key, support)
+        functions = self._instantiated.get(inst_key)
+        if functions is None:
+            functions = instantiate_solution(mgr, covers, support)
+            self._instantiated[inst_key] = functions
+        return functions
 
-    def _mint(self, isf, support: Tuple[int, ...], minimizer,
-              minimizer_name: str) -> Tuple:
-        """Convert the ISF to a rank-framed table and minimise there.
-
-        The table's variable ``i`` *is* support rank ``i``, so the
-        cover the structural minimiser extracts is already at rank
-        level and ``template_from_var_cover`` maps it with the
-        identity — producing what a memo-on unrouted run would have
-        stored for this signature.
-        """
-        from .isf import Isf
-        from .minimize import _run_with_cover
-        parent = isf.mgr
-        rank = {var: index for index, var in enumerate(support)}
-        tm = TableManager([parent.var_name(var) for var in support],
-                          max_width=len(support), kernel=self.kernel)
-        nodes, (on_ref, dc_ref) = function_nodes(parent, (isf.on, isf.dc),
-                                                 rank)
-        built = build_nodes(tm, nodes, range(len(support)))
-        table_isf = Isf(tm, built[on_ref], built[dc_ref],
-                        tuple(range(len(support))))
-        _, cover = _run_with_cover(table_isf, minimizer, minimizer_name)
-        identity = {index: index for index in range(len(support))}
-        return template_from_var_cover(cover, identity)
+    def remember(self, key: Tuple, support: Tuple[int, ...],
+                 functions: Tuple[int, ...]) -> None:
+        """Record what a relation-level memo miss built."""
+        self._instantiated[(key, support)] = functions

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bdd.isop import isop
 from ..bdd.manager import BddManager
 
 
@@ -26,6 +25,9 @@ class Solution:
     mgr: BddManager
     functions: Tuple[int, ...]
     cost: float
+    #: The per-output ISOP covers, extracted once (see :meth:`_covers`).
+    _cover_cache: Optional[List[List[Dict[int, bool]]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_outputs(self) -> int:
@@ -35,23 +37,32 @@ class Solution:
         """Per-output BDD sizes."""
         return [self.mgr.size(func) for func in self.functions]
 
+    def _covers(self) -> List[List[Dict[int, bool]]]:
+        """The ISOP covers, shared by the read-only renderings below (a
+        report asks for cubes, literals and the SOP text of one
+        solution)."""
+        if self._cover_cache is None:
+            self._cover_cache = [self.mgr.isop(func, func)[0]
+                                 for func in self.functions]
+        return self._cover_cache
+
     def sop_covers(self) -> List[List[Dict[int, bool]]]:
         """Per-output irredundant SOP covers of the exact functions."""
-        return [isop(self.mgr, func, func)[0] for func in self.functions]
+        return [[dict(cube) for cube in cover] for cover in self._covers()]
 
     def cube_count(self) -> int:
         """Total ISOP cubes across outputs (paper Table 2 column CB)."""
-        return sum(len(cover) for cover in self.sop_covers())
+        return sum(len(cover) for cover in self._covers())
 
     def literal_count(self) -> int:
         """Total ISOP literals across outputs (paper Table 2 column LIT)."""
         return sum(sum(len(cube) for cube in cover)
-                   for cover in self.sop_covers())
+                   for cover in self._covers())
 
     def describe(self, output_names: Optional[Sequence[str]] = None) -> str:
         """Human-readable SOP rendering of each output function."""
         lines = []
-        for position, cover in enumerate(self.sop_covers()):
+        for position, cover in enumerate(self._covers()):
             name = (output_names[position] if output_names
                     else "f%d" % position)
             if not cover:
@@ -98,13 +109,6 @@ class SolverStats:
     memo_hits: int = 0
     memo_misses: int = 0
     memo_stores: int = 0
-    # In-recursion routing counters (all zero when subproblem routing
-    # was off): minimisations served by the table kernel, fresh
-    # ISF-to-table conversions, and conversions avoided because the
-    # router had already minted the template for that signature.
-    subproblems_routed: int = 0
-    route_conversions: int = 0
-    route_hits: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view for table printing."""
@@ -125,7 +129,4 @@ class SolverStats:
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_stores": self.memo_stores,
-            "subproblems_routed": self.subproblems_routed,
-            "route_conversions": self.route_conversions,
-            "route_hits": self.route_hits,
         }

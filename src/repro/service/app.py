@@ -152,13 +152,6 @@ class SolveService:
         #: still names its winner).
         self.portfolio_races = 0
         self.portfolio_wins: Dict[str, int] = {}
-        #: Subproblem-routing attribution across served requests
-        #: (cache-served reports count — their stats still describe
-        #: the solve that produced them).
-        self.routing_totals = {"solves_with_routing": 0,
-                               "subproblems_routed": 0,
-                               "route_conversions": 0,
-                               "route_hits": 0}
         if self.disk is not None:
             self.disk.compact_memo()
             entries = self.disk.load_memo_entries()
@@ -267,7 +260,6 @@ class SolveService:
                     "races": self.portfolio_races,
                     "wins": dict(self.portfolio_wins),
                 },
-                "routing": dict(self.routing_totals),
                 "recent": list(self._recent),
             }
 
@@ -670,18 +662,8 @@ class SolveService:
             "cost": report.cost,
             "memo_hits": int(report.stats.get("memo_hits", 0)),
             "memo_misses": int(report.stats.get("memo_misses", 0)),
-            "subproblems_routed": int(
-                report.stats.get("subproblems_routed", 0)),
             "runtime_seconds": report.stats.get("runtime_seconds", 0.0),
         }
-        if row["subproblems_routed"]:
-            totals = self.routing_totals
-            totals["solves_with_routing"] += 1
-            totals["subproblems_routed"] += row["subproblems_routed"]
-            totals["route_conversions"] += int(
-                report.stats.get("route_conversions", 0))
-            totals["route_hits"] += int(
-                report.stats.get("route_hits", 0))
         if report.portfolio is not None:
             winner = report.portfolio.get("winner")
             row["portfolio_winner"] = winner

@@ -36,10 +36,10 @@ code relies on:
   structural walks (shortest-path cubes, minterm enumeration, the
   shared Minato-Morreale ISOP) make byte-identical decisions on either
   backend.
-* **Hash/cost parity.** ``fingerprint*`` reproduce the canonical BDD
-  fingerprints bit-for-bit (same splitmix64 mixer, same terminal
-  seeds) and ``size`` counts reduced-BDD nodes, so memo signatures and
-  the paper's BDD-size cost agree across backends.
+* **Hash/cost parity.** ``fingerprint*`` and ``node_signature``
+  reproduce the canonical BDD values bit-for-bit (same mixers, same
+  terminal seeds) and ``size`` counts reduced-BDD nodes, so memo
+  signatures and the paper's BDD-size cost agree across backends.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..bdd.manager import (FALSE, TRUE, TERMINAL_LEVEL, _FP_FALSE,
-                           _FP_TRUE, _fp_mix)
+                           _FP_TRUE, _TERMINAL_SIGNATURES, _fp_mix,
+                           node_signature_of)
 from .npkernel import (KERNEL_CHOICES, MAX_NUMPY_TABLE_WIDTH,
                        NumpyKernel, resolve_kernel)
 
@@ -252,9 +253,18 @@ class TableManager:
         self._op_cache: Dict[Tuple, int] = {}
         self._fp_memo: Dict[int, int] = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
         self._support_memo: Dict[int, Tuple[int, ...]] = {}
+        self._size_memo: Dict[int, int] = {}
+        self._sig_memo: Dict[int, Tuple[Tuple[int, ...], int]] = \
+            dict(_TERMINAL_SIGNATURES)
+        self._supports: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_flushes = 0
+        # Solve-wide raw-table ISOP table (see enter_solve).
+        self._isop_table: Optional[Dict[Tuple, Tuple]] = None
+        self._solve_depth = 0
+        self._isop_hits = 0
+        self._isop_misses = 0
         if var_names is not None:
             for name in var_names:
                 self.add_var(name)
@@ -278,11 +288,15 @@ class TableManager:
         # Widen every interned table: the new variable is irrelevant to
         # existing functions, so their tables duplicate into the new
         # upper half.  Widening commutes with all bitwise kernels, so
-        # handle-keyed caches (ops, fingerprints, supports) stay valid.
+        # handle-keyed caches (ops, fingerprints, supports, sizes,
+        # signatures) stay valid.  The ISOP table is keyed by raw
+        # tables, whose meaning widening changes, so it is flushed.
         k = self._k
         k.grow()
         self._tables = [k.widen(t) for t in self._tables]
         self._index = {k.key(t): h for h, t in enumerate(self._tables)}
+        if self._isop_table is not None:
+            self._isop_table.clear()
         return index
 
     def add_vars(self, count: int, prefix: str = "v") -> List[int]:
@@ -508,9 +522,13 @@ class TableManager:
         Canonicity makes this exact without building any BDD: the nodes
         of the reduced BDD of ``f`` are one-to-one with the distinct
         non-constant subfunctions reachable by top-variable cofactoring,
-        which the table enumerates directly.
+        which the table enumerates directly.  Memoised per handle (the
+        solver prices the same candidates repeatedly).
         """
-        return self.shared_size((f,))
+        size = self._size_memo.get(f)
+        if size is None:
+            size = self._size_memo[f] = self.shared_size((f,))
+        return size
 
     def shared_size(self, functions: Sequence[int]) -> int:
         """Reduced-BDD node count of a set of functions with sharing."""
@@ -667,6 +685,37 @@ class TableManager:
         ranks = {var: rank for rank, var in enumerate(self.support(f))}
         return self.fingerprints((f,), ranks)[0]
 
+    def node_signature(self, f: int) -> Tuple[Tuple[int, ...], int]:
+        """``(support, nfp)`` of handle ``f``; equals the BDD value.
+
+        Composed bottom-up over the virtual reduced BDD with the same
+        helper as ``BddManager.node_signature`` and memoised per handle
+        (handles never move, and widening keeps supports).
+        """
+        memo = self._sig_memo
+        hit = memo.get(f)
+        if hit is not None:
+            return hit
+        intern = self._supports
+        stack = [f]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            lo, hi = self.low(node), self.high(node)
+            lo_sig = memo.get(lo)
+            hi_sig = memo.get(hi)
+            if lo_sig is None:
+                stack.append(lo)
+            if hi_sig is None:
+                stack.append(hi)
+            if lo_sig is not None and hi_sig is not None:
+                stack.pop()
+                memo[node] = node_signature_of(self.level(node), lo_sig,
+                                               hi_sig, intern)
+        return memo[f]
+
     # ------------------------------------------------------------------
     # Two-level synthesis
     # ------------------------------------------------------------------
@@ -683,9 +732,10 @@ class TableManager:
         interning and the op cache for the thousands of intermediate
         results the expansion discards — yields the identical cube
         list in the identical order, at a fraction of the cost.  Only
-        the final cover function is interned.  This raw fast path is
-        what makes in-recursion subproblem routing
-        (:class:`repro.core.route.SubproblemRouter`) a wall-clock win.
+        the final cover function is interned.  Like
+        ``BddManager.isop``, the sub-interval table (keyed by raw-table
+        keys) lives for the whole enclosing solve (:meth:`enter_solve`),
+        or for this call outside a solve.
         """
         if not self.implies(lower, upper):
             raise ValueError("isop requires lower <= upper")
@@ -700,7 +750,11 @@ class TableManager:
 
         # Same three-phase explicit stack as repro.bdd.isop, with raw
         # tables as operands and interning keys as cache keys.
-        cache: Dict[Tuple, Tuple] = {}
+        cache = self._isop_table
+        if cache is None:
+            cache = {}
+        lookup = cache.get
+        hits = misses = 0
         results: List[Tuple] = []
         tasks: list = [self._tables[upper], self._tables[lower], _EXPAND]
         push = tasks.append
@@ -719,10 +773,12 @@ class TableManager:
                     results.append((((),), full_table))
                     continue
                 key = (k.key(low), k.key(upp))
-                hit = cache.get(key)
+                hit = lookup(key)
                 if hit is not None:
+                    hits += 1
                     results.append(hit)
                     continue
+                misses += 1
                 var = min(top_var(low), top_var(upp))
                 low0 = k.cofactor(low, var, False)
                 low1 = k.cofactor(low, var, True)
@@ -764,9 +820,13 @@ class TableManager:
                     + list(cubes_dc)
                 )
                 result = (cubes, node)
+                if len(cache) >= _OP_CACHE_LIMIT:
+                    cache.clear()
                 cache[key] = result
                 results.append(result)
 
+        self._isop_hits += hits
+        self._isop_misses += misses
         raw_cubes, node = results[0]
         return [dict(cube) for cube in raw_cubes], self._intern(node)
 
@@ -781,13 +841,40 @@ class TableManager:
         """No-op companion of :meth:`pin`."""
 
     def collect(self, extra_roots: Iterable[int] = ()) -> Dict[int, int]:
-        """No-op garbage collection; handles never move."""
+        """Handles never move (empty mapping); like the BDD engine's
+        collection, this drops the ISOP table."""
+        if self._isop_table is not None:
+            self._isop_table.clear()
         return {}
 
     def clear_caches(self) -> None:
-        """Drop the operation cache (interned tables are kept)."""
+        """Drop the operation cache and the ISOP table (interned tables
+        are kept)."""
         self._op_cache.clear()
         self._cache_flushes += 1
+        if self._isop_table is not None:
+            self._isop_table.clear()
+
+    def release_caches(self) -> None:
+        """Drop every derived table (see ``BddManager.release_caches``)."""
+        self.clear_caches()
+        self._fp_memo = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
+        self._support_memo = {}
+        self._size_memo = {}
+        self._sig_memo = dict(_TERMINAL_SIGNATURES)
+        self._supports = {}
+
+    def enter_solve(self) -> None:
+        """Open (or join) a solve-wide ISOP table (as the BDD engine)."""
+        self._solve_depth += 1
+        if self._isop_table is None:
+            self._isop_table = {}
+
+    def exit_solve(self) -> None:
+        """Close one :meth:`enter_solve`; the outermost drops the table."""
+        self._solve_depth -= 1
+        if not self._solve_depth:
+            self._isop_table = None
 
     def stats(self) -> Dict[str, Optional[int]]:
         """Engine counters, same key set as ``BddManager.stats``."""
@@ -802,6 +889,9 @@ class TableManager:
             "cache_misses": self._cache_misses,
             "cache_evictions": 0,
             "cache_flushes": self._cache_flushes,
+            "isop_entries": len(self._isop_table or ()),
+            "isop_hits": self._isop_hits,
+            "isop_misses": self._isop_misses,
             "pinned_nodes": 0,
             "gc_runs": 0,
             "gc_reclaimed_nodes": 0,

@@ -139,9 +139,8 @@ class TestCacheKeySchemaGuard:
         # no-routing slot.
         "backend": (None, "auto"),
         "table_width": (None, 8),
-        # Routing changes wall-clock only, but the report's routing
-        # counters describe the requested configuration; keyed raw.
-        "route_subproblems": (None, True),
+        # The kernel changes wall-clock only, but the report's engine
+        # stats describe the requested configuration; keyed raw.
         "table_kernel": (None, "int"),
         # Keyed by the *resolved* racer line-up (None and the explicit
         # default line-up share a slot); legal only under

@@ -268,38 +268,6 @@ def check_solution_allowed(relation, solution):
 
 
 @pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)
-def test_subproblem_routing_solver_parity(num_inputs, num_outputs, seed):
-    """In-recursion routing on vs off is byte-identical, per kernel.
-
-    Unlike the whole-relation router above, ``route_subproblems``
-    leaves the solve on the BDD engine and serves only narrowed ISF
-    minimisations from the table kernel — the acceptance bar is the
-    same: identical solutions, costs, trajectories and stop reasons.
-    """
-    from repro.table import npkernel
-    relation = random_relation(num_inputs, num_outputs, seed=seed)
-    baseline = BrelSolver(BrelOptions(
-        max_explored=40, route_subproblems=False)).solve(relation)
-    check_solution_allowed(relation, baseline.solution)
-    base_tables = solution_tables(relation, baseline.solution)
-    kernels = ["int"] + (["numpy"] if npkernel.available() else [])
-    for kernel in kernels:
-        result = BrelSolver(BrelOptions(
-            max_explored=40, route_subproblems=True,
-            table_kernel=kernel)).solve(relation)
-        assert result.solution.cost == baseline.solution.cost, kernel
-        assert result.stopped == baseline.stopped, kernel
-        assert solution_tables(relation, result.solution) \
-            == base_tables, kernel
-        assert [imp.cost for imp in result.improvements] \
-            == [imp.cost for imp in baseline.improvements], kernel
-        assert result.stats.relations_explored \
-            == baseline.stats.relations_explored, kernel
-        assert result.stats.subproblems_routed > 0, kernel
-        check_solution_allowed(relation, result.solution)
-
-
-@pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)
 @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
 def test_router_three_way_solver_parity(num_inputs, num_outputs, seed,
                                         strategy):

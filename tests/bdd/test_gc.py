@@ -155,8 +155,9 @@ class TestStats:
         assert set(stats) == {
             "nodes", "peak_nodes", "num_vars", "unique_entries",
             "cache_entries", "cache_limit", "cache_hits", "cache_misses",
-            "cache_evictions", "cache_flushes", "pinned_nodes",
-            "gc_runs", "gc_reclaimed_nodes"}
+            "cache_evictions", "cache_flushes", "isop_entries",
+            "isop_hits", "isop_misses", "pinned_nodes", "gc_runs",
+            "gc_reclaimed_nodes"}
 
     def test_peak_nodes_survives_collect(self):
         mgr = build_manager()

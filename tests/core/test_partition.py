@@ -373,11 +373,9 @@ class TestBlockOptionsSchemaGuard:
         "memo": None,
         "decompose": False,
         # Backend routing propagates: narrow blocks of a wide relation
-        # route to the table engine individually via their sub-solvers,
-        # and each block's monolithic loop routes its own subproblems.
+        # route to the table engine individually via their sub-solvers.
         "backend": "inherit",
         "table_width": "inherit",
-        "route_subproblems": "inherit",
         "table_kernel": "inherit",
         # Portfolio knobs propagate so each block races its own
         # portfolio under strategy="portfolio".

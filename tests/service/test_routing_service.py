@@ -1,62 +1,12 @@
-"""Subproblem-routing visibility through the service layer.
-
-The routing counters ride the normal stats dict, so the service must
-surface them in three places: the per-request attribution ring, the
-``routing`` aggregate block in ``/stats``, and — because cached
-reports keep their stats — identically from every cache tier.
-"""
+"""Routing knobs through the service layer: the table-kernel knob of
+whole-relation routing rides the wire."""
 
 from repro.service import SolveService
 
-ROUTED_FIG1 = {"route_subproblems": True}
-
 
 class TestRoutingStats:
-    def test_report_and_stats_carry_the_counters(self, fig1_request):
-        service = SolveService()
-        report, tier = service.solve(dict(fig1_request, **ROUTED_FIG1))
-        assert tier == "engine"
-        assert report["ok"]
-        routed = report["stats"]["subproblems_routed"]
-        assert routed > 0
-        stats = service.stats()
-        assert stats["routing"]["solves_with_routing"] == 1
-        assert stats["routing"]["subproblems_routed"] == routed
-        assert stats["routing"]["route_conversions"] \
-            + stats["routing"]["route_hits"] == routed
-        assert stats["recent"][-1]["subproblems_routed"] == routed
-
-    def test_unrouted_requests_not_counted(self, fig1_request):
-        service = SolveService()
-        report, _ = service.solve(dict(fig1_request))
-        assert report["stats"]["subproblems_routed"] == 0
-        stats = service.stats()
-        assert stats["routing"]["solves_with_routing"] == 0
-        assert stats["recent"][-1]["subproblems_routed"] == 0
-
-    def test_routing_flag_splits_the_cache(self, fig1_request):
-        service = SolveService()
-        baseline, _ = service.solve(dict(fig1_request))
-        routed, tier = service.solve(dict(fig1_request, **ROUTED_FIG1))
-        assert tier == "engine"  # not served from the unrouted slot
-        assert routed["cost"] == baseline["cost"]
-        assert routed["sop"] == baseline["sop"]
-
-    def test_ram_tier_preserves_the_counters(self, fig1_request):
-        service = SolveService()
-        first, _ = service.solve(dict(fig1_request, **ROUTED_FIG1))
-        second, tier = service.solve(dict(fig1_request, **ROUTED_FIG1))
-        assert tier == "ram"
-        assert second["stats"]["subproblems_routed"] \
-            == first["stats"]["subproblems_routed"]
-        # Cache-served reports still count toward the aggregate: their
-        # stats describe the solve that produced them.
-        assert service.stats()["routing"]["solves_with_routing"] == 2
-
     def test_table_kernel_knob_accepted_on_the_wire(self, fig1_request):
         service = SolveService()
-        report, _ = service.solve(dict(fig1_request,
-                                       route_subproblems=True,
-                                       table_kernel="int"))
+        report, _ = service.solve(dict(fig1_request, table_kernel="int"))
         assert report["ok"]
         assert report["request"]["table_kernel"] == "int"

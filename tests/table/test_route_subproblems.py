@@ -1,182 +1,15 @@
-"""In-recursion subproblem routing: parity, counters, edge cases.
+"""Route events of a solve.
 
-``SubproblemRouter`` serves narrow ISF minimisations from a throwaway
-table manager whose variables are the support ranks, so the lifted
-result is byte-identical to the unrouted one (the memo transparency
-invariant).  These tests pin that bar — identical solutions, costs and
-improvement trajectories with routing on and off, on both kernels —
-plus the router's edge behaviour: the exactly-at-threshold boundary,
-re-widened supports, budget exhaustion mid-solve, and cross-backend
-replay of templates minted by routed subproblems.
+``route`` events report the whole-relation decisions of
+``backend="auto"``/``"table"`` (:func:`repro.core.route.route_decision`);
+a default BDD solve emits none.
 """
 
-import pytest
-
-from repro.bdd import BddManager
 from repro.benchdata.brgen import random_relation
-from repro.core import BrelOptions, BrelSolver, MemoStore
-from repro.core.isf import Isf
-from repro.core.minimize import minimize_isop
-from repro.core.route import (DEFAULT_ROUTE_CONVERSION_BUDGET,
-                              SubproblemRouter)
-from repro.core.solution import SolverStats
-from repro.table import npkernel
-
-KERNELS = ["int"] + (["numpy"] if npkernel.available() else [])
-
-
-def solve_fingerprint(result, relation):
-    inputs = list(relation.inputs)
-    return (result.solution.cost,
-            [list(result.solution.mgr.minterms(f, inputs))
-             for f in result.solution.functions],
-            [improvement.cost for improvement in result.improvements],
-            result.stats.relations_explored,
-            result.stats.splits)
-
-
-def wide_isf(num_vars, width):
-    """A BDD-backed ISF whose support is exactly ``width`` variables."""
-    mgr = BddManager()
-    vars_ = mgr.add_vars(num_vars)
-    on = mgr.var(vars_[0])
-    for var in vars_[1:width]:
-        on = mgr.xor_(on, mgr.var(var))
-    from repro.bdd.manager import FALSE
-    return Isf(mgr, on, FALSE, tuple(vars_))
-
-
-class TestSolveParity:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("seed", [3, 9])
-    def test_routing_on_off_byte_identical(self, kernel, seed):
-        relation = random_relation(4, 4, seed=seed)
-        base = BrelSolver(BrelOptions(
-            max_explored=40, route_subproblems=False)).solve(relation)
-        routed = BrelSolver(BrelOptions(
-            max_explored=40, route_subproblems=True,
-            table_kernel=kernel)).solve(relation)
-        assert solve_fingerprint(routed, relation) \
-            == solve_fingerprint(base, relation)
-        assert routed.stats.subproblems_routed > 0
-        assert routed.stats.route_conversions > 0
-        assert routed.stats.subproblems_routed \
-            == routed.stats.route_conversions + routed.stats.route_hits
-        assert base.stats.subproblems_routed == 0
-        assert base.stats.route_conversions == 0
-        assert base.stats.route_hits == 0
-
-    def test_auto_tri_state_follows_backend(self):
-        relation = random_relation(3, 3, seed=7)
-        default = BrelSolver(BrelOptions(max_explored=20)).solve(relation)
-        assert default.stats.subproblems_routed == 0
-        auto = BrelSolver(BrelOptions(
-            max_explored=20, backend="auto",
-            table_width=4)).solve(relation)
-        # Frame of 6 stays on the BDD engine, but narrowed subproblems
-        # still route under backend="auto".
-        assert auto.stats.subproblems_routed > 0
-        assert auto.solution.cost == default.solution.cost
-
-    def test_memo_contents_identical_on_off(self):
-        relation = random_relation(4, 4, seed=5)
-        store_off = MemoStore()
-        store_on = MemoStore()
-        off = BrelSolver(BrelOptions(route_subproblems=False),
-                         memo=store_off).solve(relation)
-        on = BrelSolver(BrelOptions(route_subproblems=True),
-                        memo=store_on).solve(relation)
-        assert on.solution.cost == off.solution.cost
-        assert store_on.export_entries() == store_off.export_entries()
-
-
-class TestRouterEdges:
-    def make_router(self, width, budget=DEFAULT_ROUTE_CONVERSION_BUDGET):
-        return SubproblemRouter(SolverStats(), table_width=width,
-                                conversion_budget=budget)
-
-    def test_exactly_at_threshold_routes(self):
-        router = self.make_router(width=5)
-        isf = wide_isf(8, width=5)
-        served = router.minimize(isf, minimize_isop, "isop")
-        assert served is not None
-        node, cover = served
-        reference = minimize_isop(isf)
-        assert node == reference
-        assert router.stats.subproblems_routed == 1
-        assert router.stats.route_conversions == 1
-
-    def test_rewidened_support_does_not_route(self):
-        """A support one past the threshold (e.g. re-widened by
-        quantification after a narrow parent routed) stays on the BDD
-        engine untouched."""
-        router = self.make_router(width=5)
-        isf = wide_isf(8, width=6)
-        assert router.minimize(isf, minimize_isop, "isop") is None
-        assert router.stats.subproblems_routed == 0
-        assert router.stats.route_conversions == 0
-
-    def test_empty_support_does_not_route(self):
-        router = self.make_router(width=5)
-        mgr = BddManager()
-        vars_ = tuple(mgr.add_vars(3))
-        from repro.bdd.manager import FALSE, TRUE
-        isf = Isf(mgr, TRUE, FALSE, vars_)
-        assert router.minimize(isf, minimize_isop, "isop") is None
-
-    def test_budget_exhaustion_keeps_templates_serving(self):
-        router = self.make_router(width=5, budget=1)
-        first = wide_isf(8, width=3)
-        second = wide_isf(8, width=4)
-        assert router.minimize(first, minimize_isop, "isop") is not None
-        assert router.exhausted is False
-        # Budget spent: a fresh signature is refused...
-        assert router.minimize(second, minimize_isop, "isop") is None
-        assert router.exhausted is True
-        # ...but the minted template keeps serving.
-        again = wide_isf(8, width=3)
-        assert router.minimize(again, minimize_isop, "isop") is not None
-        assert router.stats.route_hits == 1
-        assert router.stats.route_conversions == 1
-
-    def test_budget_exhaustion_mid_solve_is_parity_safe(self, monkeypatch):
-        """A solve that exhausts its budget mid-run must finish with
-        the same answer and surface one exhaustion event."""
-        import repro.core.brel as brel_mod
-        relation = random_relation(4, 4, seed=9)
-        base = BrelSolver(BrelOptions(
-            max_explored=40, route_subproblems=False)).solve(relation)
-        real_router = SubproblemRouter
-        monkeypatch.setattr(
-            brel_mod, "SubproblemRouter",
-            lambda stats, width, kernel: real_router(
-                stats, width, kernel, conversion_budget=1))
-        events = []
-        solver = BrelSolver(BrelOptions(
-            max_explored=40, route_subproblems=True))
-        for event in solver.iter_events(relation):
-            events.append(event)
-            if event.kind == "done":
-                break
-        result = solver.solve(relation)
-        assert solve_fingerprint(result, relation) \
-            == solve_fingerprint(base, relation)
-        assert result.stats.route_conversions <= 1
-        exhausted = [e for e in events if e.kind == "route"
-                     and "exhausted" in (e.detail or "")]
-        assert len(exhausted) == 1
+from repro.core import BrelOptions, BrelSolver
 
 
 class TestRouteEvents:
-    def test_routing_banner_event_emitted(self):
-        relation = random_relation(3, 3, seed=2)
-        solver = BrelSolver(BrelOptions(route_subproblems=True))
-        kinds = {}
-        for event in solver.iter_events(relation):
-            kinds.setdefault(event.kind, event)
-        assert "route" in kinds
-        assert "subproblem routing on" in kinds["route"].detail
-
     def test_whole_relation_route_event_has_backend_detail(self):
         relation = random_relation(3, 3, seed=2)
         solver = BrelSolver(BrelOptions(backend="auto"))
@@ -186,29 +19,6 @@ class TestRouteEvents:
 
     def test_no_route_events_when_off(self):
         relation = random_relation(3, 3, seed=2)
-        solver = BrelSolver(BrelOptions(route_subproblems=False))
+        solver = BrelSolver(BrelOptions())
         assert all(event.kind != "route"
                    for event in solver.iter_events(relation))
-
-
-class TestCrossBackendTemplates:
-    def test_routed_templates_replay_in_bdd_only_solve(self):
-        """Templates minted by routed subproblems are ordinary memo
-        entries: a later BDD-only solve replays them as hits and lands
-        on the identical answer."""
-        relation = random_relation(4, 4, seed=3)
-        store = MemoStore()
-        routed = BrelSolver(BrelOptions(route_subproblems=True),
-                            memo=store).solve(relation)
-        assert routed.stats.subproblems_routed > 0
-        assert store.stats()["entries"] > 0
-        replay = BrelSolver(BrelOptions(route_subproblems=False),
-                            memo=store).solve(relation)
-        assert replay.stats.memo_hits > 0
-        assert replay.stats.subproblems_routed == 0
-        assert replay.solution.cost == routed.solution.cost
-        inputs = list(relation.inputs)
-        assert [list(replay.solution.mgr.minterms(f, inputs))
-                for f in replay.solution.functions] \
-            == [list(routed.solution.mgr.minterms(f, inputs))
-                for f in routed.solution.functions]

@@ -419,46 +419,12 @@ class TestBackendFlags:
         with pytest.raises(SystemExit):
             main(["solve", relation_file, "--backend", "cudd"])
 
-    def test_routing_flags_reach_the_request(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--route-subproblems",
-                     "--table-kernel", "int", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["request"]["route_subproblems"] is True
-        assert report["request"]["table_kernel"] == "int"
-        assert "subproblems_routed" in report["stats"]
-
-    def test_no_route_subproblems_flag(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--no-route-subproblems",
-                     "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["request"]["route_subproblems"] is False
-        assert report["stats"]["subproblems_routed"] == 0
-
-    def test_routing_counters_line_in_text_report(self, block_relation_file,
-                                                  capsys):
-        assert main(["solve", block_relation_file,
-                     "--route-subproblems"]) == 0
-        out = capsys.readouterr().out
-        assert "# routing:" in out
-        assert "table kernel" in out
-
     def test_progress_renders_route_events(self, relation_file, capsys):
         assert main(["solve", relation_file, "--backend", "auto",
                      "--progress"]) == 0
         err = capsys.readouterr().err
         assert "route" in err
         assert "backend=" in err
-
-    def test_routing_parity_with_flag_off_and_on(self, block_relation_file,
-                                                 capsys):
-        outputs = {}
-        for flag in ("--route-subproblems", "--no-route-subproblems"):
-            assert main(["solve", block_relation_file, flag,
-                         "--json"]) == 0
-            report = json.loads(capsys.readouterr().out)
-            outputs[flag] = (report["cost"], report["sop"])
-        assert outputs["--route-subproblems"] \
-            == outputs["--no-route-subproblems"]
 
     def test_serve_admission_flags_reach_the_service(self, tmp_path):
         from repro.cli import _service_from_args, build_parser
