@@ -15,7 +15,11 @@ Quick mode also runs one deep-recursion solve (brgen 7x7, seed 1,
 ``max_explored=200``, memo off) and gates on its cost and on the share
 of ISOP sub-interval expansions the solve-wide ISOP table serves — a
 deterministic count, so a drop means the table stopped being shared
-across the solve's minimisations.
+across the solve's minimisations.  Its narrow-interval row times
+elimination plus ISOP on brgen ISFs of 6 to 16 inputs through the packed
+truth-table kernel (:mod:`repro.bdd.packed`) against the node-level
+expansion, checks that both give the same covers and nodes, and gates
+on the packed speed-up at 8 inputs.
 """
 
 import json
@@ -26,6 +30,8 @@ import time
 import pytest
 
 from repro.bdd import BddManager, isop, shortest_path_cube
+from repro.bdd.isop import eliminate_nonessential, expand
+from repro.bdd.packed import interval_isop
 from repro.benchdata import build_suite
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver
@@ -38,6 +44,14 @@ DEEP_CASE = (7, 7, 1)
 DEEP_MAX_EXPLORED = 200
 DEEP_COST = 288.0
 DEEP_ISOP_SHARE_FLOOR = 0.72
+
+#: Narrow-interval row: brgen input counts, relations (of 2 outputs)
+#: per count — more at small widths so each timing is well above the
+#: clock's noise — and the gate on the packed kernel's speed-up over
+#: the node-level expansion at ``NARROW_GATE_INPUTS`` inputs.
+NARROW_RELATIONS = ((6, 40), (8, 20), (10, 6), (12, 2), (14, 1), (16, 1))
+NARROW_GATE_INPUTS = 8
+NARROW_SPEEDUP_FLOOR = 2.0
 
 
 def build_queens(n: int = 5):
@@ -265,6 +279,72 @@ def run_deep_recursion():
             "isop_table_share_floor": DEEP_ISOP_SHARE_FLOOR}
 
 
+def run_narrow_intervals():
+    """Elimination plus ISOP of every brgen ISF, packed and node-level.
+
+    Each path starts from a cleared computed table on the same manager
+    (the packed path does not use it), and each ISF gets a call-scoped
+    sub-interval table, as outside a solve.  Returns one row per input
+    count with both timings and whether every cover and node matched.
+    """
+    rows = []
+    for num_inputs, count in NARROW_RELATIONS:
+        packed_s = expand_s = 0.0
+        identical = True
+        isfs = 0
+        for seed in range(count):
+            relation = random_relation(num_inputs, 2, seed=seed)
+            mgr = relation.mgr
+            bounds = [(isf.on, isf.upper) for isf in
+                      (relation.project(p) for p in range(2))]
+            isfs += len(bounds)
+            mgr.clear_caches()
+            start = time.perf_counter()
+            packed = [interval_isop(mgr, lower, upper, None, True)
+                      for lower, upper in bounds]
+            packed_s += time.perf_counter() - start
+            mgr.clear_caches()
+            start = time.perf_counter()
+            reference = []
+            for lower, upper in bounds:
+                lower, upper = eliminate_nonessential(mgr, lower, upper)
+                (cubes, node), _, _ = expand(mgr, lower, upper, {},
+                                             float("inf"))
+                reference.append(([dict(cube) for cube in cubes], node))
+            expand_s += time.perf_counter() - start
+            identical = identical and all(
+                [list(cube.items()) for cube in got[0]]
+                == [list(cube.items()) for cube in ref[0]]
+                and got[1] == ref[1]
+                for got, ref in zip(packed, reference))
+        rows.append({"inputs": num_inputs, "isfs": isfs,
+                     "packed_s": packed_s, "expand_s": expand_s,
+                     "speedup": expand_s / packed_s if packed_s else 0.0,
+                     "identical": identical})
+    return rows
+
+
+def narrow_gate(rows):
+    """``None`` when the narrow row passes, else the failure message."""
+    for row in rows:
+        if not row["identical"]:
+            return ("packed and node-level ISOP differ at %d inputs"
+                    % row["inputs"])
+    gated = [row for row in rows if row["inputs"] == NARROW_GATE_INPUTS]
+    if gated[0]["speedup"] < NARROW_SPEEDUP_FLOOR:
+        return ("packed ISOP is %.2fx the node-level expansion at %d "
+                "inputs, below the %.1fx floor"
+                % (gated[0]["speedup"], NARROW_GATE_INPUTS,
+                   NARROW_SPEEDUP_FLOOR))
+    return None
+
+
+@pytest.mark.benchmark(group="bdd")
+def test_packed_narrow_intervals(benchmark):
+    rows = benchmark.pedantic(run_narrow_intervals, rounds=1, iterations=1)
+    assert narrow_gate(rows) is None
+
+
 @pytest.mark.benchmark(group="bdd")
 def test_bdd_deep_recursion_solve(benchmark):
     row = benchmark.pedantic(run_deep_recursion, rounds=1, iterations=1)
@@ -320,6 +400,8 @@ def run_quick() -> int:
     deep = run_deep_recursion()
     timings["deep_recursion"] = deep["seconds"]
 
+    narrow = run_narrow_intervals()
+
     print("bench_bdd_engine quick mode")
     for name, seconds in timings.items():
         print("  %-16s %8.3fs" % (name, seconds))
@@ -328,6 +410,12 @@ def run_quick() -> int:
           % (deep["inputs"], deep["outputs"], deep["seed"], deep["cost"],
              deep["isop_hits"], deep["isop_hits"] + deep["isop_misses"],
              deep["isop_table_share"], deep["isop_table_share_floor"]))
+    for row in narrow:
+        print("  narrow %2d inputs (%2d ISFs): packed %.4fs, expand %.4fs, "
+              "%.2fx, %s" % (row["inputs"], row["isfs"], row["packed_s"],
+                             row["expand_s"], row["speedup"],
+                             "identical" if row["identical"]
+                             else "MISMATCH"))
     # Persist the same numbers as JSON so benchmarks/snapshot.py can
     # fold the engine micro-benchmarks into the BENCH_N trajectory.
     from _util import RESULTS_DIR
@@ -335,7 +423,10 @@ def run_quick() -> int:
     artefact = {"timings": timings,
                 "engine": {"ite": mgr.stats(),
                            "quant": qmgr.stats()},
-                "deep_recursion": deep}
+                "deep_recursion": deep,
+                "narrow_intervals": {
+                    "rows": narrow, "gate_inputs": NARROW_GATE_INPUTS,
+                    "speedup_floor": NARROW_SPEEDUP_FLOOR}}
     (RESULTS_DIR / "bench_bdd_engine.json").write_text(
         json.dumps(artefact, indent=2, sort_keys=True) + "\n")
     if deep["cost"] != deep["expected_cost"]:
@@ -347,6 +438,10 @@ def run_quick() -> int:
               "solve's sub-intervals, below the %.2f floor"
               % (deep["isop_table_share"],
                  deep["isop_table_share_floor"]), file=sys.stderr)
+        return 1
+    failure = narrow_gate(narrow)
+    if failure is not None:
+        print("FAIL: %s" % failure, file=sys.stderr)
         return 1
     for label, engine in (("ite", mgr), ("quant", qmgr)):
         stats = engine.stats()

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.brel import BrelOptions
-from ..core.relation import BooleanRelation
+from ..core.relation import (BooleanRelation, check_output_sets,
+                             check_truth_tables)
 from ..core.relio import RelationNodes, check_nodes, relation_from_nodes
 from .registry import cost_registry, minimizer_registry
 
@@ -71,7 +72,9 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
 
     Sequences become tuples (``output_sets`` rows additionally sorted and
     deduplicated) so that two specs describing the same source compare
-    equal regardless of JSON/Python container types.
+    equal regardless of JSON/Python container types.  ``output_sets``
+    and ``truth_tables`` values are range-checked here, so a bad one is
+    rejected (``ValueError``) before anything is looked up or built.
     """
     if isinstance(spec, str):
         spec = {"kind": "name", "name": spec}
@@ -101,6 +104,11 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
         elif key in ("tables", "equations", "independents", "dependents"):
             value = tuple(value)
         out[key] = value
+    if kind == "output_sets":
+        check_output_sets(out["rows"], out["num_inputs"],
+                          out["num_outputs"])
+    elif kind == "truth_tables":
+        check_truth_tables(out["tables"], out["num_inputs"])
     return out
 
 
@@ -129,7 +137,9 @@ def truth_tables_to_output_sets(tables: Sequence[int],
     Bit ``i`` of ``tables[j]`` is output ``j``'s value on the input
     vertex encoded by ``i`` — the encoding used throughout the test
     suite.  The result is functional (one output vertex per row).
+    Raises ``ValueError`` on a table outside ``0..2**(2**num_inputs)-1``.
     """
+    check_truth_tables(tables, num_inputs)
     rows: List[set] = []
     for vertex in range(1 << num_inputs):
         value = 0

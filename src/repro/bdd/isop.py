@@ -11,16 +11,22 @@ The expansion runs on an explicit frame stack (a three-phase state machine
 per interval) so cover extraction works on BDDs of any depth under the
 default interpreter recursion limit.  Every expanded sub-interval lands
 in a ``(lower, upper) -> (cubes, node)`` table (the CUDD computed-table
-treatment of the recursion): :func:`isop` keeps it for one call,
-:meth:`BddManager.isop <repro.bdd.BddManager.isop>` for the whole
-enclosing solve.
+treatment of the recursion): :func:`isop` keeps it for one call, the
+engines' ``isop`` for the whole enclosing solve.
+
+:func:`expand` and :func:`eliminate_nonessential` are the node-level
+path: the engines' ``isop`` and the minimiser pipeline run intervals of
+at most 16 variables through the packed truth-table kernel of
+:mod:`repro.bdd.packed` instead (same covers, same nodes), and only
+wider ones through these.  :func:`isop` always runs node by node; it is
+the reference the packed kernel is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .manager import FALSE, TRUE, BddManager
+from .manager import FALSE, TRUE, BddManager, union_support
 
 #: A cube is a variable -> polarity mapping; missing variables are don't care.
 Cube = Dict[int, bool]
@@ -151,6 +157,22 @@ def expand(mgr: BddManager, lower: int, upper: int,
             results.append(result)
 
     return results[0], hits, misses
+
+
+def eliminate_nonessential(mgr: BddManager, lower: int, upper: int
+                           ) -> Tuple[int, int]:
+    """Brown's greedy non-essential-variable elimination on nodes.
+
+    Variable ``z`` is dropped when ``[exists z. lower, forall z. upper]``
+    is still a valid interval; variables are tried top to bottom in the
+    order.  Returns the narrowed ``(lower, upper)``.
+    """
+    for var in union_support(mgr.support(lower), mgr.support(upper)):
+        new_lower = mgr.exists(lower, [var])
+        new_upper = mgr.forall(upper, [var])
+        if mgr.implies(new_lower, new_upper):
+            lower, upper = new_lower, new_upper
+    return lower, upper
 
 
 def isop_node(mgr: BddManager, lower: int, upper: int) -> int:

@@ -30,9 +30,10 @@ Design notes
   results are always recomputable from the unique table).  Hit, miss,
   eviction and flush counters are exposed through :meth:`stats`.
 * Subproblem identity and ISOP reuse live here too: every node caches
-  its renaming-invariant signature (:meth:`node_signature`) for the
-  manager's lifetime, and :meth:`isop` keeps its sub-interval table
-  for the whole enclosing solve (:meth:`enter_solve`).
+  its renaming-invariant signature (:meth:`node_signature`) and its
+  size for the manager's lifetime, and :meth:`isop` keeps its
+  sub-interval table for the whole enclosing solve
+  (:meth:`enter_solve`).
 * Memory is reclaimable: roots survive :meth:`collect` (a mark-and-sweep
   pass that compacts the node arrays) only when reachable from a
   :meth:`pin`\\ ned node, a variable, or an explicit extra root.  ``collect``
@@ -209,6 +210,22 @@ def node_signature_of(level: int, lo_sig: Tuple, hi_sig: Tuple,
 _TERMINAL_SIGNATURES = {FALSE: ((), _FP_FALSE), TRUE: ((), _FP_TRUE)}
 
 
+class IsopTable(dict):
+    """An ISOP sub-interval table that also counts the packed-table bits
+    of its entries (``bits``, see :mod:`repro.bdd.packed`); :meth:`clear`
+    resets both."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bits = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.bits = 0
+
+
 class BddManager:
     """A reduced ordered BDD manager with hash-consing.
 
@@ -264,10 +281,13 @@ class BddManager:
         self._sig_memo: Dict[int, Tuple[Tuple[int, ...], int]] = \
             dict(_TERMINAL_SIGNATURES)
         self._supports: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # Solve-wide ISOP sub-interval table ((lower, upper) ->
-        # (cubes, node)); exists only while a solve is open (see
+        # Per-node size memo (node id -> internal node count); remapped
+        # by collect() like the signatures.
+        self._size_memo: Dict[int, int] = {}
+        # Solve-wide ISOP sub-interval table (see repro.bdd.packed for
+        # its keys); exists only while a solve is open (see
         # enter_solve), bounded like the computed table.
-        self._isop_table: Optional[Dict[Tuple[int, int], Tuple]] = None
+        self._isop_table: Optional[IsopTable] = None
         self._solve_depth = 0
         self._isop_hits = 0
         self._isop_misses = 0
@@ -374,7 +394,7 @@ class BddManager:
 
     def release_caches(self) -> None:
         """Drop every derived table: :meth:`clear_caches` plus the
-        per-node signatures and fingerprints.
+        per-node signatures, sizes and fingerprints.
 
         For a manager whose solve is over but whose nodes stay
         referenced (a cached report's live solution): everything
@@ -383,6 +403,7 @@ class BddManager:
         self.clear_caches()
         self._sig_memo = dict(_TERMINAL_SIGNATURES)
         self._supports = {}
+        self._size_memo = {}
         self._fp_memo = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
 
     def enter_solve(self) -> None:
@@ -394,13 +415,20 @@ class BddManager:
         """
         self._solve_depth += 1
         if self._isop_table is None:
-            self._isop_table = {}
+            self._isop_table = IsopTable()
 
     def exit_solve(self) -> None:
         """Close one :meth:`enter_solve`; the outermost drops the table."""
         self._solve_depth -= 1
         if not self._solve_depth:
             self._isop_table = None
+
+    def _isop_scope(self) -> Tuple[IsopTable, float]:
+        """The ISOP table an ``isop`` call runs against — the open
+        solve's, or a fresh one for this call — and its entry limit."""
+        table = self._isop_table
+        return (IsopTable() if table is None else table,
+                self._cache_limit)
 
     def set_cache_limit(self, cache_limit: Optional[int]) -> None:
         """Re-bound the computed table (``None`` removes the bound).
@@ -562,15 +590,17 @@ class BddManager:
         self._var_nodes = [mapping[node] for node in self._var_nodes]
         self._pins = {mapping[node]: pins
                       for node, pins in self._pins.items()}
-        # Fingerprints and signatures are content hashes (id-independent
-        # values), so surviving entries stay valid under their remapped
-        # ids.
+        # Fingerprints, signatures and sizes do not depend on node ids,
+        # so surviving entries stay valid under their remapped ids.
         self._fp_memo = {mapping[node]: fp
                          for node, fp in self._fp_memo.items()
                          if node in mapping}
         self._sig_memo = {mapping[node]: sig
                           for node, sig in self._sig_memo.items()
                           if node in mapping}
+        self._size_memo = {mapping[node]: size
+                           for node, size in self._size_memo.items()
+                           if node in mapping}
         self._gc_runs += 1
         self._gc_reclaimed += count - len(new_level)
         return mapping
@@ -1645,20 +1675,13 @@ class BddManager:
         """Number of internal (non-terminal) DAG nodes of ``f``.
 
         This is the paper's BDD-size cost metric (Section 7.3); the constant
-        functions have size 0.
+        functions have size 0.  Memoised per node (the solver prices the
+        same candidates repeatedly).
         """
-        seen = set()
-        stack = [f]
-        count = 0
-        while stack:
-            node = stack.pop()
-            if node <= TRUE or node in seen:
-                continue
-            seen.add(node)
-            count += 1
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return count
+        size = self._size_memo.get(f)
+        if size is None:
+            size = self._size_memo[f] = self.shared_size((f,))
+        return size
 
     def shared_size(self, functions: Sequence[int]) -> int:
         """DAG node count of a set of functions with sharing."""
@@ -1787,20 +1810,14 @@ class BddManager:
         """Irredundant SOP cover of a function in ``[lower, upper]``.
 
         Part of the :class:`~repro.bdd.backend.FunctionBackend`
-        protocol; runs the Minato-Morreale expansion of
-        :mod:`repro.bdd.isop` against this manager's ISOP table, which
-        lives for the whole enclosing solve (:meth:`enter_solve`) — a
-        sub-interval any earlier call of the solve expanded costs a
-        lookup.  Outside a solve the table lives for this call only.
+        protocol; runs the Minato-Morreale expansion through
+        :func:`repro.bdd.packed.interval_isop` — packed truth tables over
+        the joint support of at most 16 variables, node by node
+        (:mod:`repro.bdd.isop`) beyond — against this manager's ISOP
+        table, which lives for the whole enclosing solve
+        (:meth:`enter_solve`): a sub-interval any earlier call of the
+        solve expanded costs a lookup.  Outside a solve the table lives
+        for this call only.
         """
-        from .isop import expand
-        if not self.implies(lower, upper):
-            raise ValueError("isop requires lower <= upper")
-        table = self._isop_table
-        if table is None:
-            table = {}
-        (cubes, node), hits, misses = expand(self, lower, upper, table,
-                                             self._cache_limit)
-        self._isop_hits += hits
-        self._isop_misses += misses
-        return [dict(cube) for cube in cubes], node
+        from .packed import interval_isop
+        return interval_isop(self, lower, upper)

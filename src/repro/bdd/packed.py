@@ -1,0 +1,351 @@
+"""Packed truth-table kernel for narrow ISOP intervals.
+
+The paper's ISF minimiser (Section 7.5) is Brown's non-essential-variable
+elimination followed by the Minato-Morreale expansion of
+:mod:`repro.bdd.isop`.  Every decision in both is semantic (is a bound
+empty or full, which variable is on top, what are its cofactors), so on a
+frame of at most :data:`MAX_TABLE_WIDTH` variables both run on packed
+truth tables: one Python int per function, nothing interned until the
+cover is done.
+
+Layout: the frame's variables take *positions* counted from the bottom
+(the last variable of the frame is position 0, the top one position
+``k-1``), and bit ``i`` of a table is the function's value where the
+variable at position ``p`` takes ``(i >> p) & 1``.  The top variable is
+thus the most significant index bit: its cofactors are the two halves
+of the table, and a sub-interval below it is a table half the size.
+
+The engine's ISOP table holds three kinds of key: a packed sub-interval,
+stripped of the top positions neither bound depends on, is keyed
+``(width, lower, upper)`` — the same key wherever, and in whichever
+frame, it recurs; a packed call's interval is also keyed by its handles
+and elimination flag, ``((lower, upper), eliminate)``; and the
+node-level expansion keys its sub-intervals by handle pair.
+
+:func:`interval_isop` is the one entry point, shared by
+``BddManager.isop``, ``TableManager.isop`` and the minimiser pipeline.
+It picks the frame — the sorted joint support on the BDD engine, the
+manager's own frame on the table engine, whose tables carry the same
+bits with the index order reversed (:func:`reverse_index`) — and runs
+intervals wider than :data:`MAX_TABLE_WIDTH` through the node-level
+:func:`~repro.bdd.isop.expand` instead.  Covers (cube order included)
+and nodes equal the node-level expansion's.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .isop import Cube, eliminate_nonessential, expand
+from .manager import FALSE, TRUE, BddManager, IsopTable, union_support
+
+#: Widest frame the kernel packs: a 2**16-bit table is 8 KiB per
+#: function, where whole-table int operations still beat node-level
+#: work (and the int kernel's ceiling on the table engine).
+MAX_TABLE_WIDTH = 16
+
+#: Table bits one ISOP-table entry slot may hold on average: the table
+#: is flushed at ``limit * _BITS_PER_ENTRY`` packed bits as well as at
+#: ``limit`` entries (a 9-variable entry costs one slot).
+_BITS_PER_ENTRY = 1 << 9
+
+# Phases of the explicit-stack expansion (as in repro.bdd.isop).
+_EXPAND, _MERGE, _COMBINE = 0, 1, 2
+
+#: ``_FULLS[w]``: the table of TRUE over ``w`` positions.
+_FULLS = [(1 << (1 << w)) - 1 for w in range(MAX_TABLE_WIDTH + 1)]
+
+_EMPTY = ((), 0)
+_TAUTOLOGY = ((),)
+
+#: k -> (zeros, ones): ``zeros[p]`` marks the table positions where
+#: position ``p`` is 0, ``ones[p]`` its complement.
+_MASKS: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+#: n -> the (shift, mask) delta swaps that reverse an n-bit index.
+_REVERSALS: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+
+
+def frame_masks(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(zeros, ones)`` of a ``k``-position frame (cached)."""
+    masks = _MASKS.get(k)
+    if masks is None:
+        full = _FULLS[k]
+        zeros = tuple(full // ((1 << (2 << p)) - 1) * ((1 << (1 << p)) - 1)
+                      for p in range(k))
+        masks = _MASKS[k] = (zeros, tuple(full ^ zero for zero in zeros))
+    return masks
+
+
+def reverse_index(n: int, table: int) -> int:
+    """Reorder an ``n``-variable table so index bit ``i`` becomes bit
+    ``n-1-i`` (the table engine's layout to the kernel's and back)."""
+    swaps = _REVERSALS.get(n)
+    if swaps is None:
+        zeros, ones = frame_masks(n)
+        swaps = _REVERSALS[n] = tuple(
+            ((1 << (n - 1 - i)) - (1 << i), ones[i] & zeros[n - 1 - i])
+            for i in range(n // 2))
+    for shift, mask in swaps:
+        delta = (table ^ (table >> shift)) & mask
+        table ^= delta | (delta << shift)
+    return table
+
+
+def pack(mgr: BddManager, nodes: Sequence[int],
+         frame: Sequence[int]) -> List[int]:
+    """Packed tables of BDD ``nodes`` over ``frame`` (sorted variables
+    containing their supports), built bottom-up in one shared walk."""
+    k = len(frame)
+    zeros, ones = frame_masks(k)
+    position = {var: k - 1 - r for r, var in enumerate(frame)}
+    level, low, high = mgr._level, mgr._low, mgr._high
+    memo = {FALSE: 0, TRUE: _FULLS[k]}
+    get = memo.get
+    for root in nodes:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in memo:
+                stack.pop()
+                continue
+            lo, hi = low[node], high[node]
+            t0, t1 = get(lo), get(hi)
+            if t0 is None:
+                stack.append(lo)
+            if t1 is None:
+                stack.append(hi)
+            if t0 is not None and t1 is not None:
+                stack.pop()
+                p = position[level[node]]
+                memo[node] = (t0 & zeros[p]) | (t1 & ones[p])
+    return [memo[root] for root in nodes]
+
+
+def unpack(mgr: BddManager, table: int, frame: Sequence[int]) -> int:
+    """The BDD node of a packed table over ``frame``: a Shannon build,
+    one node per distinct cofactor."""
+    return _shannon(mgr._mk, table, len(frame), frame, {})
+
+
+def _shannon(mk, table: int, width: int, frame: Sequence[int],
+             memo: Dict[Tuple[int, int], int]) -> int:
+    if not table:
+        return FALSE
+    if table == _FULLS[width]:
+        return TRUE
+    while True:
+        mask = _FULLS[width - 1]
+        t0 = table & mask
+        t1 = table >> (1 << (width - 1))
+        if t0 != t1:
+            break
+        table = t0
+        width -= 1
+    key = (width, table)
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = mk(frame[len(frame) - width],
+                              _shannon(mk, t0, width - 1, frame, memo),
+                              _shannon(mk, t1, width - 1, frame, memo))
+    return node
+
+
+def eliminate(k: int, lower: int, upper: int) -> Tuple[int, int]:
+    """Brown's greedy elimination from the top variable down: drop the
+    variable at position ``p`` when ``[exists p. lower, forall p.
+    upper]`` is still an interval."""
+    zeros, _ = frame_masks(k)
+    for p in range(k - 1, -1, -1):
+        zero, shift = zeros[p], 1 << p
+        some = (lower | (lower >> shift)) & zero
+        every = upper & (upper >> shift) & zero
+        if not some & (zero ^ every):
+            lower = some | (some << shift)
+            upper = every | (every << shift)
+    return lower, upper
+
+
+def _widen(result: Tuple[Tuple, int], width: int, target: int
+           ) -> Tuple[Tuple, int]:
+    """A result over ``width`` positions restated over ``target``."""
+    cubes, cover = result
+    while width < target:
+        cover |= cover << (1 << width)
+        width += 1
+    return cubes, cover
+
+
+def expand_packed(k: int, lower: int, upper: int, table: IsopTable,
+                  limit: float) -> Tuple[Tuple[Tuple, int], int, int]:
+    """The Minato-Morreale expansion of packed ``[lower, upper]`` over
+    ``k`` positions, step for step as :func:`repro.bdd.isop.expand`.
+
+    The top variable is the highest position either bound depends on;
+    higher positions neither depends on are stripped first, so a
+    sub-interval is its two tables over ``width`` positions, its
+    cofactors are the two halves, and it is keyed ``(width, lower,
+    upper)`` — the same key wherever (and in whichever frame) the
+    interval recurs.  Returns ``((cubes, cover), hits, misses)`` with
+    cubes as tuples of ``(position, polarity)`` pairs, highest position
+    first, and ``cover`` their packed disjunction.  ``table`` is read
+    and extended, and flushed wholesale at ``limit`` entries or
+    ``limit * 512`` table bits.
+    """
+    fulls = _FULLS
+    budget = limit * _BITS_PER_ENTRY
+    hits = misses = 0
+    results: list = []
+    append = results.append
+    tasks: list = [upper, lower, k, _EXPAND]
+    pop = tasks.pop
+    extend = tasks.extend
+    lookup = table.get
+    while tasks:
+        phase = pop()
+        if phase == _EXPAND:
+            target = pop()
+            low = pop()
+            upp = pop()
+            if not low:
+                append(_EMPTY)
+                continue
+            if upp == fulls[target]:
+                append((_TAUTOLOGY, upp))
+                continue
+            width = target
+            while True:
+                mask = fulls[width - 1]
+                half = 1 << (width - 1)
+                low0 = low & mask
+                low1 = low >> half
+                upp0 = upp & mask
+                upp1 = upp >> half
+                if low0 != low1 or upp0 != upp1:
+                    break
+                low, upp, width = low0, upp0, width - 1
+            key = (width, low, upp)
+            hit = lookup(key)
+            if hit is not None:
+                hits += 1
+                append(hit if width == target
+                       else _widen(hit, width, target))
+                continue
+            misses += 1
+            # Vertices of the 0-half that the 1-half cannot absorb must
+            # be covered by cubes carrying the negative literal (and
+            # dually).
+            extend((upp1, upp0, low1, low0, target, width, key, _MERGE,
+                    upp1, low1 & (mask ^ upp0), width - 1, _EXPAND,
+                    upp0, low0 & (mask ^ upp1), width - 1, _EXPAND))
+        elif phase == _MERGE:
+            key = pop()
+            width = pop()
+            target = pop()
+            low0 = pop()
+            low1 = pop()
+            upp0 = pop()
+            upp1 = pop()
+            cubes1, f1 = results.pop()
+            cubes0, f0 = results.pop()
+            mask = fulls[width - 1]
+            # What is still uncovered may be captured by cubes without
+            # the top variable.
+            extend((target, width, key, _COMBINE, upp0 & upp1,
+                    (low0 & (mask ^ f0)) | (low1 & (mask ^ f1)),
+                    width - 1, _EXPAND))
+            append((cubes0, f0, cubes1, f1))
+        else:
+            key = pop()
+            width = pop()
+            target = pop()
+            cubes_dc, f_dc = results.pop()
+            cubes0, f0, cubes1, f1 = results.pop()
+            top = width - 1
+            neg, pos = ((top, False),), ((top, True),)
+            result = (tuple([neg + cube for cube in cubes0]
+                            + [pos + cube for cube in cubes1]
+                            + list(cubes_dc)),
+                      (f0 | f_dc) | ((f1 | f_dc) << (1 << top)))
+            if len(table) >= limit or table.bits >= budget:
+                table.clear()
+            table[key] = result
+            table.bits += 1 << width
+            append(result if width == target
+                   else _widen(result, width, target))
+    return results[0], hits, misses
+
+
+def interval_isop(mgr, lower: int, upper: int,
+                  support: Optional[Tuple[int, ...]] = None,
+                  eliminate_first: bool = False
+                  ) -> Tuple[List[Cube], int]:
+    """Irredundant SOP cover ``(cubes, node)`` of ``[lower, upper]``,
+    optionally after Brown's elimination — the engines' ``isop`` and
+    the minimiser pipeline both land here.
+
+    ``support`` (BDD engine only) is a sorted frame containing the
+    joint support of the bounds, e.g. the ISF signature's support; by
+    default it is the union of the bounds' supports.  Frames up to
+    :data:`MAX_TABLE_WIDTH` run packed, wider ones node by node; either
+    way the sub-intervals go through the engine's ISOP table and
+    counters.  Raises ``ValueError`` unless ``lower <= upper``.
+    """
+    if isinstance(mgr, BddManager):
+        frame = support
+        if frame is None:
+            frame = union_support(mgr.support(lower), mgr.support(upper))
+        k = len(frame)
+    else:
+        # A table engine: handles are packed tables over its own frame.
+        frame = None
+        k = mgr.num_vars
+    table, limit = mgr._isop_scope()
+    if k > MAX_TABLE_WIDTH:
+        if not mgr.implies(lower, upper):
+            raise ValueError("isop requires lower <= upper")
+        if eliminate_first:
+            lower, upper = eliminate_nonessential(mgr, lower, upper)
+        (cubes, node), hits, misses = expand(mgr, lower, upper, table,
+                                             limit)
+        mgr._isop_hits += hits
+        mgr._isop_misses += misses
+        return [dict(cube) for cube in cubes], node
+    # The interval itself is also keyed by its handles, so a repeat
+    # costs one lookup, as on the node-level path.  The nested pair
+    # keeps the key apart from (width, lower, upper) and node-pair keys.
+    key = ((lower, upper), eliminate_first)
+    hit = table.get(key)
+    if hit is not None:
+        mgr._isop_hits += 1
+        return [dict(cube) for cube in hit[0]], hit[1]
+    if frame is None:
+        low = reverse_index(k, mgr.table(lower))
+        upp = reverse_index(k, mgr.table(upper))
+    else:
+        low, upp = pack(mgr, (lower, upper), frame)
+    if low & ~upp:
+        raise ValueError("isop requires lower <= upper")
+    if eliminate_first:
+        low, upp = eliminate(k, low, upp)
+    if not low:
+        cubes, node = (), FALSE
+    elif upp == _FULLS[k]:
+        cubes, node = ((),), TRUE
+    else:
+        (cubes, cover), hits, misses = expand_packed(k, low, upp, table,
+                                                     limit)
+        mgr._isop_hits += hits
+        mgr._isop_misses += misses
+        top = k - 1
+        if frame is None:
+            cubes = tuple([tuple([(top - p, value) for p, value in cube])
+                           for cube in cubes])
+            node = mgr.from_table(reverse_index(k, cover))
+        else:
+            cubes = tuple([tuple([(frame[top - p], value)
+                                  for p, value in cube]) for cube in cubes])
+            node = unpack(mgr, cover, frame)
+    if len(table) >= limit:
+        table.clear()
+    table[key] = (cubes, node)
+    return [dict(cube) for cube in cubes], node

@@ -21,7 +21,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bdd.gencof import constrain, restrict
+from ..bdd.isop import eliminate_nonessential
 from ..bdd.manager import FALSE, TRUE
+from ..bdd.packed import interval_isop
 from ..bdd.safemin import squeeze
 from .isf import Isf
 from .memo import (MemoStore, VarCover, instantiate_var_cover,
@@ -37,20 +39,16 @@ def eliminate_nonessential_variables(isf: Isf) -> Isf:
     A variable ``z`` is non-essential when ``[∃z.Min, ∀z.Max]`` is a valid
     interval (Brown [9]); eliminating it yields an ISF none of whose
     implementations depend on ``z``.  Variables are tried top-to-bottom in
-    the BDD order, matching the paper's description.
+    the BDD order, matching the paper's description.  This is the
+    node-level reference for the packed elimination that
+    :func:`_isop_pipeline` runs.
     """
-    mgr = isf.mgr
-    lower, upper = isf.on, isf.upper
-    support = sorted(set(mgr.support(lower)) | set(mgr.support(upper)))
-    for var in support:
-        new_lower = mgr.exists(lower, [var])
-        new_upper = mgr.forall(upper, [var])
-        if mgr.implies(new_lower, new_upper):
-            lower, upper = new_lower, new_upper
-    return Isf.from_interval(mgr, lower, upper, isf.inputs)
+    lower, upper = eliminate_nonessential(isf.mgr, isf.on, isf.upper)
+    return Isf.from_interval(isf.mgr, lower, upper, isf.inputs)
 
 
-def _isop_pipeline(isf: Isf, eliminate: bool):
+def _isop_pipeline(isf: Isf, eliminate: bool,
+                   support: Optional[Tuple[int, ...]] = None):
     """The single implementation behind both ``isop`` minimisers.
 
     Returns the full ``(cover, node)`` pair so the memo layer can store
@@ -58,13 +56,16 @@ def _isop_pipeline(isf: Isf, eliminate: bool):
     keeps only the node.  Being the one copy is load-bearing: the memo
     transparency invariant requires the memo-on miss path and the plain
     path to run literally the same computation.
+
+    Elimination and ISOP both run in the engines' shared entry point
+    (:func:`repro.bdd.packed.interval_isop`): packed truth tables for
+    intervals of at most 16 variables, with no node built until the
+    cover's, and the node-level path (the same as
+    :func:`eliminate_nonessential_variables` then ``isop``) for wider
+    ones.  ``support`` is the ISF's signature support when the caller
+    holds it.
     """
-    if eliminate:
-        isf = eliminate_nonessential_variables(isf)
-    # Dispatch through the backend protocol: BddManager.isop runs the
-    # shared expansion, TableManager.isop replays it on raw tables
-    # (identical covers, no per-node interning).
-    return isf.mgr.isop(isf.on, isf.upper)
+    return interval_isop(isf.mgr, isf.on, isf.upper, support, eliminate)
 
 
 def minimize_isop(isf: Isf, eliminate: bool = True) -> int:
@@ -170,7 +171,8 @@ def minimizer_memo_key(minimizer: IsfMinimizer) -> Optional[str]:
 
 
 def _run_with_cover(isf: Isf, minimizer: IsfMinimizer,
-                    minimizer_name: str) -> Tuple[int, VarCover]:
+                    minimizer_name: str, support: Tuple[int, ...]
+                    ) -> Tuple[int, VarCover]:
     """Run a structural minimiser, also returning an ISOP cover.
 
     The cover (at variable level) disjoins exactly to the returned node
@@ -179,12 +181,13 @@ def _run_with_cover(isf: Isf, minimizer: IsfMinimizer,
     :func:`_isop_pipeline`, which computes a cover anyway
     (:func:`minimize_isop` normally discards it); the
     generalized-cofactor/interval minimisers pay one ``isop`` over the
-    exact result, but only on memo misses.
+    exact result, but only on memo misses.  ``support`` is the ISF's
+    signature support.
     """
     if minimizer_name == "isop":
-        cover, node = _isop_pipeline(isf, eliminate=True)
+        cover, node = _isop_pipeline(isf, True, support)
     elif minimizer_name == "isop-noelim":
-        cover, node = _isop_pipeline(isf, eliminate=False)
+        cover, node = _isop_pipeline(isf, False, support)
     else:
         node = minimizer(isf)
         cover, _ = isf.mgr.isop(node, node)
@@ -219,7 +222,8 @@ def minimize_with_cover(isf: Isf, minimizer: IsfMinimizer,
         cover = var_cover_from_template(template, sig.support)
         served = (instantiate_var_cover(isf.mgr, cover), cover)
     else:
-        served = _run_with_cover(isf, minimizer, minimizer_name)
+        served = _run_with_cover(isf, minimizer, minimizer_name,
+                                 sig.support)
         if memo is not None:
             rank_of_var = sig.rank_map()
             cover = served[1]

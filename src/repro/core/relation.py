@@ -31,6 +31,31 @@ class NotWellDefinedError(ValueError):
 _NO_SIGNATURE = Signature((), ())
 
 
+def check_output_sets(rows: Sequence[Iterable[int]], num_inputs: int,
+                      num_outputs: int) -> None:
+    """Raise ``ValueError`` unless ``rows`` has one row per input vertex
+    and every output vertex lies in ``0..2**num_outputs-1``."""
+    if len(rows) != (1 << num_inputs):
+        raise ValueError("expected %d rows, got %d"
+                         % (1 << num_inputs, len(rows)))
+    top = 1 << num_outputs
+    for index, row in enumerate(rows):
+        for value in row:
+            if not 0 <= value < top:
+                raise ValueError("row %d: output vertex %r is outside "
+                                 "0..%d" % (index, value, top - 1))
+
+
+def check_truth_tables(tables: Sequence[int], num_inputs: int) -> None:
+    """Raise ``ValueError`` unless every table lies in
+    ``0..2**(2**num_inputs)-1``."""
+    top = 1 << (1 << num_inputs)
+    for index, table in enumerate(tables):
+        if not 0 <= table < top:
+            raise ValueError("table %d: %r is outside 0..%d"
+                             % (index, table, top - 1))
+
+
 class BooleanRelation:
     """A Boolean relation over named input and output BDD variables.
 
@@ -64,11 +89,15 @@ class BooleanRelation:
         ``rows[i]`` is the set of permitted output vertices (integer
         encoded, bit ``j`` = output ``j``) for the input vertex encoded by
         integer ``i``.  This follows the tabular notation used throughout
-        the paper (e.g. Example 4.2).
+        the paper (e.g. Example 4.2).  Raises ``ValueError`` on a wrong
+        row count or an output vertex outside ``0..2**num_outputs-1``.
+
+        Each distinct output set's function is built once; the rows are
+        then paired level by level from the bottom input up, one
+        ``ite(x_i, hi, lo)`` per input-tree node — by canonicity the
+        node of the OR of input-minterm times output-set terms.
         """
-        if len(rows) != (1 << num_inputs):
-            raise ValueError("expected %d rows, got %d"
-                             % (1 << num_inputs, len(rows)))
+        check_output_sets(rows, num_inputs, num_outputs)
         if mgr is None:
             mgr = BddManager(["x%d" % i for i in range(num_inputs)]
                              + ["y%d" % j for j in range(num_outputs)])
@@ -79,15 +108,23 @@ class BooleanRelation:
             output_vars = list(range(num_inputs, num_inputs + num_outputs))
             if mgr.num_vars < num_inputs + num_outputs:
                 raise ValueError("manager lacks variables for this relation")
-        node = FALSE
-        for value, outputs in enumerate(rows):
-            in_cube = mgr.minterm(input_vars, value)
-            out_node = FALSE
-            for out_value in outputs:
-                out_node = mgr.or_(out_node,
-                                   mgr.minterm(output_vars, out_value))
-            node = mgr.or_(node, mgr.and_(in_cube, out_node))
-        return BooleanRelation(mgr, input_vars, output_vars, node)
+        by_set = {}
+        level = []
+        for outputs in rows:
+            key = frozenset(outputs)
+            node = by_set.get(key)
+            if node is None:
+                node = by_set[key] = mgr.from_minterms(output_vars,
+                                                       sorted(key))
+            level.append(node)
+        # Row i's bit j is input j, so the last input pairs rows i and
+        # i + half.
+        for var in reversed(input_vars):
+            half = len(level) >> 1
+            guard = mgr.var(var)
+            level = [mgr.ite(guard, level[i + half], level[i])
+                     for i in range(half)]
+        return BooleanRelation(mgr, input_vars, output_vars, level[0])
 
     @staticmethod
     def from_functions(mgr: FunctionBackend, inputs: Sequence[int],

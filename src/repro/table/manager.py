@@ -33,9 +33,15 @@ code relies on:
   ``TRUE == 1`` exactly as in :class:`repro.bdd.BddManager`.
 * **Reduced-BDD view.** ``level``/``low``/``high`` present the table as
   its (virtual) reduced BDD — top variable and cofactors — so
-  structural walks (shortest-path cubes, minterm enumeration, the
-  shared Minato-Morreale ISOP) make byte-identical decisions on either
-  backend.
+  structural walks (shortest-path cubes, minterm enumeration) make
+  byte-identical decisions on either backend.
+* **One ISOP.** :meth:`TableManager.isop` enters the packed-interval
+  kernel of :mod:`repro.bdd.packed` that the BDD engine uses too: the
+  manager's tables already are packed ints over its frame and go in
+  with their index order reversed (the numpy kernel's through
+  ``to_int``/``from_int``).  Only frames wider than 16 variables
+  (numpy kernel) take the shared node-level expansion of
+  :mod:`repro.bdd.isop`.
 * **Hash/cost parity.** ``fingerprint*`` and ``node_signature``
   reproduce the canonical BDD values bit-for-bit (same mixers, same
   terminal seeds) and ``size`` counts reduced-BDD nodes, so memo
@@ -48,8 +54,9 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..bdd.manager import (FALSE, TRUE, TERMINAL_LEVEL, _FP_FALSE,
-                           _FP_TRUE, _TERMINAL_SIGNATURES, _fp_mix,
-                           node_signature_of)
+                           _FP_TRUE, _TERMINAL_SIGNATURES, IsopTable,
+                           _fp_mix, node_signature_of)
+from ..bdd.packed import MAX_TABLE_WIDTH, interval_isop
 from .npkernel import (KERNEL_CHOICES, MAX_NUMPY_TABLE_WIDTH,
                        NumpyKernel, resolve_kernel)
 
@@ -60,23 +67,14 @@ __all__ = ["DEFAULT_TABLE_WIDTH", "KERNEL_CHOICES",
 #: the table backend (see :mod:`repro.core.route`).
 DEFAULT_TABLE_WIDTH = 12
 
-#: Hard ceiling on the variable frame under the int kernel — a
-#: 2**16-bit table is 8 KiB per function, the largest size at which
-#: whole-table bigint operations still beat node-level BDD work
-#: comfortably.  The numpy kernel lifts this to
-#: :data:`~repro.table.npkernel.MAX_NUMPY_TABLE_WIDTH`.
-MAX_TABLE_WIDTH = 16
-
-#: Flush threshold of the per-operation result cache.
+#: Flush threshold of the per-operation result cache, and the entry
+#: limit of the ISOP table.
 _OP_CACHE_LIMIT = 1 << 16
 
 # Operation tags for the result cache.
 _OP_AND, _OP_OR, _OP_XOR, _OP_ANDNOT = 0, 1, 2, 3
 _APPLY_NAMES = {"and": _OP_AND, "or": _OP_OR, "xor": _OP_XOR,
                 "andnot": _OP_ANDNOT}
-
-# Phases of the raw-table ISOP expansion (mirrors repro.bdd.isop).
-_EXPAND, _MERGE, _COMBINE = 0, 1, 2
 
 
 class _IntKernel:
@@ -260,8 +258,8 @@ class TableManager:
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_flushes = 0
-        # Solve-wide raw-table ISOP table (see enter_solve).
-        self._isop_table: Optional[Dict[Tuple, Tuple]] = None
+        # Solve-wide ISOP table (see enter_solve).
+        self._isop_table: Optional[IsopTable] = None
         self._solve_depth = 0
         self._isop_hits = 0
         self._isop_misses = 0
@@ -289,8 +287,8 @@ class TableManager:
         # existing functions, so their tables duplicate into the new
         # upper half.  Widening commutes with all bitwise kernels, so
         # handle-keyed caches (ops, fingerprints, supports, sizes,
-        # signatures) stay valid.  The ISOP table is keyed by raw
-        # tables, whose meaning widening changes, so it is flushed.
+        # signatures) stay valid.  The ISOP table is keyed by tables
+        # over the old frame, so it is flushed.
         k = self._k
         k.grow()
         self._tables = [k.widen(t) for t in self._tables]
@@ -343,6 +341,11 @@ class TableManager:
     def table(self, f: int) -> int:
         """The packed truth table behind handle ``f``, as an int."""
         return self._k.to_int(self._tables[f])
+
+    def from_table(self, table: int) -> int:
+        """The handle of a packed truth table given as an int (the
+        inverse of :meth:`table`)."""
+        return self._intern(self._k.from_int(table))
 
     def _cache_get(self, key: Tuple) -> Optional[int]:
         hit = self._op_cache.get(key)
@@ -723,112 +726,13 @@ class TableManager:
              upper: int) -> Tuple[List[Dict[int, bool]], int]:
         """Irredundant SOP cover of a function in ``[lower, upper]``.
 
-        Mirrors the Minato-Morreale expansion of :mod:`repro.bdd.isop`
-        step for step, but runs it on **raw tables**: every branch
-        decision in that recursion is semantic (is the lower bound
-        empty, is the upper bound full, which is the top support
-        variable, what are the cofactor/difference tables), so
-        replaying it with kernel primitives — skipping handle
-        interning and the op cache for the thousands of intermediate
-        results the expansion discards — yields the identical cube
-        list in the identical order, at a fraction of the cost.  Only
-        the final cover function is interned.  Like
-        ``BddManager.isop``, the sub-interval table (keyed by raw-table
-        keys) lives for the whole enclosing solve (:meth:`enter_solve`),
-        or for this call outside a solve.
+        Runs the packed-interval kernel
+        (:func:`repro.bdd.packed.interval_isop`) on this manager's own
+        tables — the covers and functions ``BddManager.isop`` gives —
+        against the ISOP table, which lives for the whole enclosing
+        solve (:meth:`enter_solve`), or for this call outside a solve.
         """
-        if not self.implies(lower, upper):
-            raise ValueError("isop requires lower <= upper")
-        k = self._k
-        num_vars = len(self._names)
-
-        def top_var(table) -> int:
-            for var in range(num_vars):
-                if k.depends(table, var):
-                    return var
-            return num_vars  # constant
-
-        # Same three-phase explicit stack as repro.bdd.isop, with raw
-        # tables as operands and interning keys as cache keys.
-        cache = self._isop_table
-        if cache is None:
-            cache = {}
-        lookup = cache.get
-        hits = misses = 0
-        results: List[Tuple] = []
-        tasks: list = [self._tables[upper], self._tables[lower], _EXPAND]
-        push = tasks.append
-        pop = tasks.pop
-        empty_table = self._tables[FALSE]
-        full_table = self._tables[TRUE]
-        while tasks:
-            phase = pop()
-            if phase == _EXPAND:
-                low = pop()
-                upp = pop()
-                if k.is_zero(low):
-                    results.append(((), empty_table))
-                    continue
-                if k.is_full(upp):
-                    results.append((((),), full_table))
-                    continue
-                key = (k.key(low), k.key(upp))
-                hit = lookup(key)
-                if hit is not None:
-                    hits += 1
-                    results.append(hit)
-                    continue
-                misses += 1
-                var = min(top_var(low), top_var(upp))
-                low0 = k.cofactor(low, var, False)
-                low1 = k.cofactor(low, var, True)
-                upp0 = k.cofactor(upp, var, False)
-                upp1 = k.cofactor(upp, var, True)
-                need0 = k.bandnot(low0, upp1)
-                need1 = k.bandnot(low1, upp0)
-                tasks.extend((upp1, upp0, low1, low0, var, key, _MERGE,
-                              upp1, need1, _EXPAND,
-                              upp0, need0, _EXPAND))
-            elif phase == _MERGE:
-                key = pop()
-                var = pop()
-                low0 = pop()
-                low1 = pop()
-                upp0 = pop()
-                upp1 = pop()
-                cubes1, f1 = results.pop()
-                cubes0, f0 = results.pop()
-                rest = k.bor(k.bandnot(low0, f0), k.bandnot(low1, f1))
-                upp_dc = k.band(upp0, upp1)
-                push(var)
-                push(key)
-                push(_COMBINE)
-                push(upp_dc)
-                push(rest)
-                push(_EXPAND)
-                results.append((cubes0, f0, cubes1, f1))
-            else:  # _COMBINE
-                key = pop()
-                var = pop()
-                cubes_dc, f_dc = results.pop()
-                cubes0, f0, cubes1, f1 = results.pop()
-                node = k.bor(
-                    k.ite_raw(k.literal(var, True), f1, f0), f_dc)
-                cubes = tuple(
-                    [((var, False),) + cube for cube in cubes0]
-                    + [((var, True),) + cube for cube in cubes1]
-                    + list(cubes_dc)
-                )
-                result = (cubes, node)
-                if len(cache) >= _OP_CACHE_LIMIT:
-                    cache.clear()
-                cache[key] = result
-                results.append(result)
-
-        self._isop_hits += hits
-        self._isop_misses += misses
-        raw_cubes, node = results[0]
-        return [dict(cube) for cube in raw_cubes], self._intern(node)
+        return interval_isop(self, lower, upper)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -868,13 +772,20 @@ class TableManager:
         """Open (or join) a solve-wide ISOP table (as the BDD engine)."""
         self._solve_depth += 1
         if self._isop_table is None:
-            self._isop_table = {}
+            self._isop_table = IsopTable()
 
     def exit_solve(self) -> None:
         """Close one :meth:`enter_solve`; the outermost drops the table."""
         self._solve_depth -= 1
         if not self._solve_depth:
             self._isop_table = None
+
+    def _isop_scope(self) -> Tuple[IsopTable, int]:
+        """The ISOP table an ``isop`` call runs against (the open
+        solve's, or a fresh one) and its entry limit."""
+        table = self._isop_table
+        return (IsopTable() if table is None else table,
+                _OP_CACHE_LIMIT)
 
     def stats(self) -> Dict[str, Optional[int]]:
         """Engine counters, same key set as ``BddManager.stats``."""

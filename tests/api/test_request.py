@@ -8,6 +8,7 @@ import pytest
 from repro.api import (SolveRequest, build_relation, cost_registry,
                        minimizer_registry, normalize_relation_spec,
                        register_cost, register_minimizer)
+from repro.api.request import truth_tables_to_output_sets
 from repro.core import BooleanRelation, BrelOptions, bdd_size_squared_cost
 from repro.core.minimize import minimize_restrict
 from repro.core.relio import write_relation
@@ -152,6 +153,24 @@ class TestValidation:
     def test_unknown_dict_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown SolveRequest"):
             SolveRequest.from_dict({"relation": "r", "costt": "size"})
+
+    def test_out_of_range_output_vertex_rejected(self):
+        spec = {"kind": "output_sets", "rows": [[5], [9], [-1], [2]],
+                "num_inputs": 2, "num_outputs": 2}
+        with pytest.raises(ValueError, match="row 0: output vertex 5"):
+            SolveRequest.from_dict({"relation": spec})
+        with pytest.raises(ValueError, match="expected 4 rows"):
+            SolveRequest(relation=dict(spec, rows=[[0]]))
+
+    def test_out_of_range_truth_table_rejected(self):
+        spec = {"kind": "truth_tables", "tables": [6, 99],
+                "num_inputs": 2}
+        with pytest.raises(ValueError, match="table 1: 99"):
+            SolveRequest.from_dict({"relation": spec})
+        with pytest.raises(ValueError, match="table 0: -1"):
+            truth_tables_to_output_sets([-1], 2)
+        # The largest table in range is accepted.
+        assert build_relation(dict(spec, tables=[15])).is_well_defined()
 
 
 class TestOptionsBridge:

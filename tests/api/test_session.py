@@ -67,6 +67,17 @@ class TestIngestion:
         assert session.relation("other").mgr \
             is session.relation("fig1").mgr
 
+    def test_out_of_range_specs_rejected(self, session):
+        spec = {"kind": "output_sets", "rows": [[5], [9], [-1], [2]],
+                "num_inputs": 2, "num_outputs": 2}
+        with pytest.raises(ValueError, match="row 0: output vertex 5"):
+            session.solve(SolveRequest(max_explored=5), relation=spec)
+        with pytest.raises(ValueError, match="row 1: output vertex 9"):
+            session.add_output_sets("bad", [{1}, {9}, {0}, {2}], 2, 2)
+        with pytest.raises(ValueError, match="table 0: 99"):
+            session.add_truth_tables("bad", [99], 2)
+        assert "bad" not in session.relation_names()
+
     def test_duplicate_name_rejected(self, session):
         with pytest.raises(ValueError, match="already registered"):
             session.add_output_sets("fig1", FIG1_ROWS, 2, 2)

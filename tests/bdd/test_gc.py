@@ -91,6 +91,23 @@ class TestCollect:
         mapping = mgr.collect()
         assert f not in mapping
 
+    def test_size_memo_follows_collect(self):
+        """Memoised sizes move with their nodes; reused ids start cold."""
+        mgr = build_manager()
+        variables = [0, 1, 2, 3]
+        kept = bdd_from_tt(mgr, variables, 0x6996)
+        dead = [bdd_from_tt(mgr, variables, tt) for tt in (0x1234, 0x8001)]
+        sizes = {f: mgr.size(f) for f in [kept] + dead}
+        mapping = mgr.collect(extra_roots=[kept])
+        assert mgr.size(mapping[kept]) == sizes[kept]
+        # New nodes take the collected ids over; none inherits a size.
+        fresh = [bdd_from_tt(mgr, variables, tt)
+                 for tt in (0x0F0F, 0x3C3C, 0x7777, 0x1248)]
+        for f in fresh:
+            assert mgr.size(f) == mgr.shared_size([f])
+        mgr.release_caches()
+        assert mgr.size(mapping[kept]) == sizes[kept]
+
 
 class TestComputedTable:
     def test_cache_limit_bounds_entries(self):

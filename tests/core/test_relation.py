@@ -20,6 +20,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BooleanRelation.from_output_sets([{0}], 2, 1)
 
+    @pytest.mark.parametrize("rows, row, value", [
+        ([{1}, {4}, {0}, {2}], 1, 4),
+        ([{1}, {0}, {-1}, {2}], 2, -1),
+        ([{0, 1}, {2}, {3}, {3, 9}], 3, 9),
+    ])
+    def test_out_of_range_output_vertex_rejected(self, rows, row, value):
+        # Vertices outside 0..2**m-1 used to be truncated silently into
+        # a different relation.
+        with pytest.raises(ValueError, match="row %d: output vertex %d "
+                           % (row, value)):
+            BooleanRelation.from_output_sets(rows, 2, 2)
+
     def test_universe_contains_everything(self):
         rows = [{0, 1}, {0}, {1}, {0, 1}]
         relation = BooleanRelation.from_output_sets(rows, 2, 1)

@@ -98,6 +98,15 @@ class TestRoutes:
         status, _, body = run_http(app, "POST", "/solve", b"")
         assert status == 400
 
+    def test_out_of_range_output_vertex_is_400(self):
+        app = create_app(SolveService())
+        raw = json.dumps({"relation": {
+            "kind": "output_sets", "rows": [[5], [9], [-1], [2]],
+            "num_inputs": 2, "num_outputs": 2}}).encode()
+        status, _, body = run_http(app, "POST", "/solve", raw)
+        assert status == 400
+        assert "row 0: output vertex 5" in json.loads(body)["error"]
+
     def test_validation_error_is_400(self):
         app = create_app(SolveService())
         raw = json.dumps({"relation": "missing"}).encode()

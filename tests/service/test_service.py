@@ -113,6 +113,19 @@ class TestValidation:
         with pytest.raises(ServiceError, match="redundant"):
             SolveService().solve({"relation": spec})
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "output_sets", "rows": [[5], [9], [-1], [2]],
+         "num_inputs": 2, "num_outputs": 2},
+        {"kind": "truth_tables", "tables": [99], "num_inputs": 2},
+    ])
+    def test_out_of_range_spec_is_a_client_error(self, spec):
+        service = SolveService()
+        with pytest.raises(ServiceError, match="outside") as raised:
+            service.solve({"relation": spec})
+        assert raised.value.status == 400
+        # Rejected before any tier was consulted.
+        assert sum(service.stats()["tiers"].values()) == 0
+
     def test_error_counted(self, fig1_request):
         service = SolveService()
         with pytest.raises(ServiceError):
