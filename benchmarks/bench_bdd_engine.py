@@ -19,7 +19,13 @@ across the solve's minimisations.  Its narrow-interval row times
 elimination plus ISOP on brgen ISFs of 6 to 16 inputs through the packed
 truth-table kernel (:mod:`repro.bdd.packed`) against the node-level
 expansion, checks that both give the same covers and nodes, and gates
-on the packed speed-up at 8 inputs.
+on the packed speed-up at 8 inputs.  Its MISF-layer row times one cold
+MISF evaluation (project every output, ``isop``-minimise, conflict set)
+of brgen relations at 2x14, 6x3, 8x6, 10x6 and 13x3 on the packed MISF
+layer (:mod:`repro.core.packedrel`) against the node-level
+:class:`~repro.core.BooleanRelation` operations, checks that functions
+and conflict nodes are identical, and gates on the packed speed-up at
+8x6 (at least 2x) and at 2x14 (no slower).
 """
 
 import json
@@ -35,6 +41,8 @@ from repro.bdd.packed import interval_isop
 from repro.benchdata import build_suite
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver
+from repro.core.minimize import minimize_isop
+from repro.core.packedrel import pack_relation
 
 #: Deep-recursion solve: brgen (inputs, outputs, seed), exploration
 #: budget, the cost it must reach, and the floor on the share of ISOP
@@ -52,6 +60,13 @@ DEEP_ISOP_SHARE_FLOOR = 0.72
 NARROW_RELATIONS = ((6, 40), (8, 20), (10, 6), (12, 2), (14, 1), (16, 1))
 NARROW_GATE_INPUTS = 8
 NARROW_SPEEDUP_FLOOR = 2.0
+
+#: MISF-layer row: brgen (inputs, outputs, relations) per shape, and the
+#: floor on the packed layer's speed-up over the node-level evaluation
+#: at the gated shapes.
+MISF_SHAPES = ((2, 14, 20), (6, 3, 20), (8, 6, 10), (10, 6, 4),
+               (13, 3, 2))
+MISF_SPEEDUP_FLOORS = {(8, 6): 2.0, (2, 14): 1.0}
 
 
 def build_queens(n: int = 5):
@@ -324,6 +339,67 @@ def run_narrow_intervals():
     return rows
 
 
+def node_misf_evaluation(relation):
+    """One MISF evaluation on nodes: the functions and conflict node."""
+    functions = [minimize_isop(isf) for isf in relation.misf()]
+    return functions, relation.conflict_inputs(functions)
+
+
+def packed_misf_evaluation(relation):
+    """The same evaluation on the relation's packed truth table."""
+    view = pack_relation(relation)
+    minimized = [view.minimize(position, minimize_isop, "isop")
+                 for position in range(len(relation.outputs))]
+    return ([node for node, _, _ in minimized],
+            view.node(view.conflict_table(
+                [table for _, _, table in minimized])))
+
+
+def run_misf_layer():
+    """Cold MISF evaluations of brgen relations, packed and on nodes.
+
+    Each timed evaluation runs on a freshly built relation (its own
+    manager, empty computed and ISOP tables); identity is then checked
+    on one manager, where equal functions are equal nodes.
+    """
+    rows = []
+    for num_inputs, num_outputs, count in MISF_SHAPES:
+        node_s = packed_s = 0.0
+        identical = True
+        for seed in range(count):
+            relation = random_relation(num_inputs, num_outputs, seed=seed)
+            start = time.perf_counter()
+            expected = node_misf_evaluation(relation)
+            node_s += time.perf_counter() - start
+            fresh = random_relation(num_inputs, num_outputs, seed=seed)
+            start = time.perf_counter()
+            packed_misf_evaluation(fresh)
+            packed_s += time.perf_counter() - start
+            identical = identical \
+                and packed_misf_evaluation(relation) == expected
+        rows.append({"inputs": num_inputs, "outputs": num_outputs,
+                     "relations": count, "node_s": node_s,
+                     "packed_s": packed_s,
+                     "speedup": node_s / packed_s if packed_s else 0.0,
+                     "identical": identical})
+    return rows
+
+
+def misf_gate(rows):
+    """``None`` when the MISF-layer row passes, else the failure."""
+    for row in rows:
+        shape = (row["inputs"], row["outputs"])
+        if not row["identical"]:
+            return ("packed and node-level MISF evaluations differ at "
+                    "%dx%d" % shape)
+        floor = MISF_SPEEDUP_FLOORS.get(shape)
+        if floor is not None and row["speedup"] < floor:
+            return ("the packed MISF evaluation is %.2fx the node-level "
+                    "one at %dx%d, below the %.1fx floor"
+                    % ((row["speedup"],) + shape + (floor,)))
+    return None
+
+
 def narrow_gate(rows):
     """``None`` when the narrow row passes, else the failure message."""
     for row in rows:
@@ -343,6 +419,12 @@ def narrow_gate(rows):
 def test_packed_narrow_intervals(benchmark):
     rows = benchmark.pedantic(run_narrow_intervals, rounds=1, iterations=1)
     assert narrow_gate(rows) is None
+
+
+@pytest.mark.benchmark(group="bdd")
+def test_packed_misf_layer(benchmark):
+    rows = benchmark.pedantic(run_misf_layer, rounds=1, iterations=1)
+    assert misf_gate(rows) is None
 
 
 @pytest.mark.benchmark(group="bdd")
@@ -401,6 +483,7 @@ def run_quick() -> int:
     timings["deep_recursion"] = deep["seconds"]
 
     narrow = run_narrow_intervals()
+    misf = run_misf_layer()
 
     print("bench_bdd_engine quick mode")
     for name, seconds in timings.items():
@@ -416,6 +499,13 @@ def run_quick() -> int:
                              row["expand_s"], row["speedup"],
                              "identical" if row["identical"]
                              else "MISMATCH"))
+    for row in misf:
+        print("  misf %2dx%-2d (%2d relations): packed %.4fs, node %.4fs, "
+              "%.2fx, %s" % (row["inputs"], row["outputs"],
+                             row["relations"], row["packed_s"],
+                             row["node_s"], row["speedup"],
+                             "identical" if row["identical"]
+                             else "MISMATCH"))
     # Persist the same numbers as JSON so benchmarks/snapshot.py can
     # fold the engine micro-benchmarks into the BENCH_N trajectory.
     from _util import RESULTS_DIR
@@ -426,7 +516,12 @@ def run_quick() -> int:
                 "deep_recursion": deep,
                 "narrow_intervals": {
                     "rows": narrow, "gate_inputs": NARROW_GATE_INPUTS,
-                    "speedup_floor": NARROW_SPEEDUP_FLOOR}}
+                    "speedup_floor": NARROW_SPEEDUP_FLOOR},
+                "misf_layer": {
+                    "rows": misf,
+                    "speedup_floors": {"%dx%d" % shape: floor
+                                       for shape, floor
+                                       in MISF_SPEEDUP_FLOORS.items()}}}
     (RESULTS_DIR / "bench_bdd_engine.json").write_text(
         json.dumps(artefact, indent=2, sort_keys=True) + "\n")
     if deep["cost"] != deep["expected_cost"]:
@@ -439,10 +534,10 @@ def run_quick() -> int:
               % (deep["isop_table_share"],
                  deep["isop_table_share_floor"]), file=sys.stderr)
         return 1
-    failure = narrow_gate(narrow)
-    if failure is not None:
-        print("FAIL: %s" % failure, file=sys.stderr)
-        return 1
+    for failure in (narrow_gate(narrow), misf_gate(misf)):
+        if failure is not None:
+            print("FAIL: %s" % failure, file=sys.stderr)
+            return 1
     for label, engine in (("ite", mgr), ("quant", qmgr)):
         stats = engine.stats()
         print("  engine[%s]: nodes=%d cache_entries=%d (limit %s) "

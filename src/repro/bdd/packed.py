@@ -15,19 +15,28 @@ variable at position ``p`` takes ``(i >> p) & 1``.  The top variable is
 thus the most significant index bit: its cofactors are the two halves
 of the table, and a sub-interval below it is a table half the size.
 
-The engine's ISOP table holds three kinds of key: a packed sub-interval,
+The engine's ISOP table holds four kinds of key: a packed sub-interval,
 stripped of the top positions neither bound depends on, is keyed
 ``(width, lower, upper)`` — the same key wherever, and in whichever
-frame, it recurs; a packed call's interval is also keyed by its handles
-and elimination flag, ``((lower, upper), eliminate)``; and the
-node-level expansion keys its sub-intervals by handle pair.
+frame, it recurs; a call's interval is also keyed by its handles and
+elimination flag, ``((lower, upper), eliminate)``, or, when the caller
+hands over tables, by its frame and tables,
+``((frame, lower, upper), eliminate)``; and the node-level expansion
+keys its sub-intervals by handle pair.
 
-:func:`interval_isop` is the one entry point, shared by
-``BddManager.isop``, ``TableManager.isop`` and the minimiser pipeline.
-It picks the frame — the sorted joint support on the BDD engine, the
-manager's own frame on the table engine, whose tables carry the same
-bits with the index order reversed (:func:`reverse_index`) — and runs
-intervals wider than :data:`MAX_TABLE_WIDTH` through the node-level
+Tables cross the engine boundary in one place each way:
+:func:`tables_of` packs nodes over a frame and :func:`node_of` builds
+the node of a table.  On the BDD engine these are :func:`pack` and
+:func:`unpack`; the table engine's tables already are packed ints over
+its own frame, carrying the same bits with the index order reversed
+(:func:`reverse_index`), so there a frame is cut out with
+:func:`squeeze` and put back with :func:`spread`.
+
+:func:`interval_isop` is the node-level entry point, shared by
+``BddManager.isop``, ``TableManager.isop`` and the minimiser pipeline;
+:func:`packed_isop` is its twin for callers that already hold the
+tables (the packed MISF layer, :mod:`repro.core.packedrel`).  Intervals
+wider than :data:`MAX_TABLE_WIDTH` run through the node-level
 :func:`~repro.bdd.isop.expand` instead.  Covers (cube order included)
 and nodes equal the node-level expansion's.
 """
@@ -61,8 +70,9 @@ _TAUTOLOGY = ((),)
 #: k -> (zeros, ones): ``zeros[p]`` marks the table positions where
 #: position ``p`` is 0, ``ones[p]`` its complement.
 _MASKS: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-#: n -> the (shift, mask) delta swaps that reverse an n-bit index.
-_REVERSALS: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+#: (n, width) -> the (shift, mask) delta swaps that reverse the low
+#: n bits of a width-bit index.
+_REVERSALS: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
 
 
 def frame_masks(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -76,13 +86,16 @@ def frame_masks(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return masks
 
 
-def reverse_index(n: int, table: int) -> int:
-    """Reorder an ``n``-variable table so index bit ``i`` becomes bit
-    ``n-1-i`` (the table engine's layout to the kernel's and back)."""
-    swaps = _REVERSALS.get(n)
+def reverse_index(n: int, table: int, width: Optional[int] = None) -> int:
+    """Reorder a table so index bit ``i < n`` becomes bit ``n-1-i`` (the
+    table engine's layout to the kernel's and back); the table has
+    ``width`` positions (default ``n``), the ones from ``n`` up stay."""
+    if width is None:
+        width = n
+    swaps = _REVERSALS.get((n, width))
     if swaps is None:
-        zeros, ones = frame_masks(n)
-        swaps = _REVERSALS[n] = tuple(
+        zeros, ones = frame_masks(width)
+        swaps = _REVERSALS[n, width] = tuple(
             ((1 << (n - 1 - i)) - (1 << i), ones[i] & zeros[n - 1 - i])
             for i in range(n // 2))
     for shift, mask in swaps:
@@ -91,15 +104,61 @@ def reverse_index(n: int, table: int) -> int:
     return table
 
 
+def squeeze(table: int, width: int, keep: int) -> int:
+    """Cut the positions outside the bit mask ``keep`` out of a table
+    over ``width`` positions, which must not depend on them: position
+    ``p`` in ``keep`` becomes its rank among ``keep``'s bits."""
+    for p in range(width - 1, -1, -1):
+        if keep >> p & 1:
+            continue
+        zeros, ones = frame_masks(width)
+        table &= zeros[p]
+        # Move every entry above p down one position, lowest first:
+        # the slots each step fills were emptied by the step before.
+        for q in range(p + 1, width):
+            moved = table & ones[q]
+            table ^= moved ^ (moved >> (1 << (q - 1)))
+        width -= 1
+    return table
+
+
+def spread(table: int, width: int, keep: int) -> int:
+    """The inverse of :func:`squeeze`: a table over the positions of
+    ``keep`` restated over ``width`` positions, independent of the
+    others."""
+    current = bin(keep).count("1")
+    for p in range(width):
+        if keep >> p & 1:
+            continue
+        current += 1
+        zeros, ones = frame_masks(current)
+        for q in range(current - 1, p, -1):
+            moved = table & ones[q - 1]
+            table ^= moved ^ (moved << (1 << (q - 1)))
+        table |= table << (1 << p)
+    return table
+
+
 def pack(mgr: BddManager, nodes: Sequence[int],
          frame: Sequence[int]) -> List[int]:
     """Packed tables of BDD ``nodes`` over ``frame`` (sorted variables
-    containing their supports), built bottom-up in one shared walk."""
+    containing their supports), built bottom-up in one shared walk.
+    Raises ``KeyError`` when a node mentions a variable outside the
+    frame."""
     k = len(frame)
-    zeros, ones = frame_masks(k)
-    position = {var: k - 1 - r for r, var in enumerate(frame)}
+    return pack_positions(mgr, nodes,
+                          {var: k - 1 - r for r, var in enumerate(frame)},
+                          k)
+
+
+def pack_positions(mgr: BddManager, nodes: Sequence[int],
+                   position: Dict[int, int], width: int) -> List[int]:
+    """:func:`pack` with the table position of each variable given
+    (any assignment of distinct positions below ``width``, not only
+    the order-preserving one)."""
+    zeros, ones = frame_masks(width)
     level, low, high = mgr._level, mgr._low, mgr._high
-    memo = {FALSE: 0, TRUE: _FULLS[k]}
+    memo = {FALSE: 0, TRUE: _FULLS[width]}
     get = memo.get
     for root in nodes:
         stack = [root]
@@ -124,30 +183,94 @@ def pack(mgr: BddManager, nodes: Sequence[int],
 def unpack(mgr: BddManager, table: int, frame: Sequence[int]) -> int:
     """The BDD node of a packed table over ``frame``: a Shannon build,
     one node per distinct cofactor."""
-    return _shannon(mgr._mk, table, len(frame), frame, {})
+    k = len(frame)
+    if not table:
+        return FALSE
+    if table == _FULLS[k]:
+        return TRUE
+    return _shannon(mgr._mk, table, k, frame, {})
 
 
 def _shannon(mk, table: int, width: int, frame: Sequence[int],
              memo: Dict[Tuple[int, int], int]) -> int:
-    if not table:
-        return FALSE
-    if table == _FULLS[width]:
-        return TRUE
-    while True:
-        mask = _FULLS[width - 1]
-        t0 = table & mask
-        t1 = table >> (1 << (width - 1))
-        if t0 != t1:
-            break
-        table = t0
-        width -= 1
+    """The node of a table over ``width`` positions that is neither
+    empty nor full; constant cofactors never recurse."""
     key = (width, table)
     node = memo.get(key)
-    if node is None:
-        node = memo[key] = mk(frame[len(frame) - width],
-                              _shannon(mk, t0, width - 1, frame, memo),
-                              _shannon(mk, t1, width - 1, frame, memo))
+    if node is not None:
+        return node
+    half = 1 << (width - 1)
+    mask = _FULLS[width - 1]
+    t0 = table & mask
+    t1 = table >> half
+    # Positions the table does not depend on have equal halves.
+    while t0 == t1:
+        width -= 1
+        half >>= 1
+        mask = _FULLS[width - 1]
+        t1 = t0 >> half
+        t0 &= mask
+    low = (FALSE if not t0 else TRUE if t0 == mask
+           else _shannon(mk, t0, width - 1, frame, memo))
+    high = (FALSE if not t1 else TRUE if t1 == mask
+            else _shannon(mk, t1, width - 1, frame, memo))
+    node = memo[key] = mk(frame[len(frame) - width], low, high)
     return node
+
+
+def tables_of(mgr, nodes: Sequence[int],
+              frame: Sequence[int]) -> List[int]:
+    """Packed tables of ``nodes`` over ``frame`` on either engine (the
+    engine-to-kernel hand-over).  Raises ``KeyError`` when a node
+    mentions a variable outside the frame."""
+    if isinstance(mgr, BddManager):
+        return pack(mgr, nodes, frame)
+    width = mgr.num_vars
+    keep = _frame_mask(frame)
+    tables = []
+    for node in nodes:
+        if keep != (1 << width) - 1 \
+                and _frame_mask(mgr.support(node)) & ~keep:
+            raise KeyError("node depends on a variable outside the frame")
+        tables.append(reverse_index(len(frame),
+                                    squeeze(mgr.table(node), width, keep)))
+    return tables
+
+
+def node_of(mgr, table: int, frame: Sequence[int]) -> int:
+    """The node of a packed table over ``frame`` on either engine (the
+    kernel-to-engine hand-over): a Shannon build on the BDD engine, an
+    interned table on the table engine."""
+    if isinstance(mgr, BddManager):
+        return unpack(mgr, table, frame)
+    return mgr.from_table(spread(reverse_index(len(frame), table),
+                                 mgr.num_vars, _frame_mask(frame)))
+
+
+def cover_table(k: int, cubes: Sequence[Sequence[Tuple[int, bool]]],
+                position: Optional[Sequence[int]] = None) -> int:
+    """The packed table over a ``k``-variable frame of a cover whose
+    cubes list ``(rank, polarity)`` pairs: rank ``r`` is the frame's
+    ``r``-th variable (position ``k-1-r``), or sits on position
+    ``position[r]``."""
+    zeros, ones = frame_masks(k)
+    full = _FULLS[k]
+    top = k - 1
+    table = 0
+    for cube in cubes:
+        term = full
+        for rank, value in cube:
+            p = top - rank if position is None else position[rank]
+            term &= ones[p] if value else zeros[p]
+        table |= term
+    return table
+
+
+def _frame_mask(frame: Sequence[int]) -> int:
+    mask = 0
+    for var in frame:
+        mask |= 1 << var
+    return mask
 
 
 def eliminate(k: int, lower: int, upper: int) -> Tuple[int, int]:
@@ -285,7 +408,8 @@ def interval_isop(mgr, lower: int, upper: int,
 
     ``support`` (BDD engine only) is a sorted frame containing the
     joint support of the bounds, e.g. the ISF signature's support; by
-    default it is the union of the bounds' supports.  Frames up to
+    default it is the union of the bounds' supports.  On the table
+    engine the frame is the manager's own.  Frames up to
     :data:`MAX_TABLE_WIDTH` run packed, wider ones node by node; either
     way the sub-intervals go through the engine's ISOP table and
     counters.  Raises ``ValueError`` unless ``lower <= upper``.
@@ -294,13 +418,10 @@ def interval_isop(mgr, lower: int, upper: int,
         frame = support
         if frame is None:
             frame = union_support(mgr.support(lower), mgr.support(upper))
-        k = len(frame)
     else:
-        # A table engine: handles are packed tables over its own frame.
-        frame = None
-        k = mgr.num_vars
+        frame = tuple(range(mgr.num_vars))
     table, limit = mgr._isop_scope()
-    if k > MAX_TABLE_WIDTH:
+    if len(frame) > MAX_TABLE_WIDTH:
         if not mgr.implies(lower, upper):
             raise ValueError("isop requires lower <= upper")
         if eliminate_first:
@@ -315,37 +436,63 @@ def interval_isop(mgr, lower: int, upper: int,
     # keeps the key apart from (width, lower, upper) and node-pair keys.
     key = ((lower, upper), eliminate_first)
     hit = table.get(key)
-    if hit is not None:
-        mgr._isop_hits += 1
-        return [dict(cube) for cube in hit[0]], hit[1]
-    if frame is None:
-        low = reverse_index(k, mgr.table(lower))
-        upp = reverse_index(k, mgr.table(upper))
+    if hit is None:
+        low, upp = tables_of(mgr, (lower, upper), frame)
+        if low & ~upp:
+            raise ValueError("isop requires lower <= upper")
+        hit = _cover(mgr, table, limit, low, upp, frame, eliminate_first)
+        _store(table, limit, key, hit, 0)
     else:
-        low, upp = pack(mgr, (lower, upper), frame)
-    if low & ~upp:
-        raise ValueError("isop requires lower <= upper")
+        mgr._isop_hits += 1
+    return [dict(cube) for cube in hit[0]], hit[1]
+
+
+def packed_isop(mgr, lower: int, upper: int, frame: Tuple[int, ...],
+                eliminate_first: bool = False
+                ) -> Tuple[Tuple[Tuple[Tuple[int, bool], ...], ...], int,
+                           int]:
+    """:func:`interval_isop` for a caller holding the packed bounds
+    over ``frame`` (sorted, at most :data:`MAX_TABLE_WIDTH` variables,
+    ``lower <= upper``): returns ``(cubes, node, cover)`` with each
+    cube a tuple of ``(variable, polarity)`` pairs by increasing level
+    and ``cover`` the cover's packed table over ``frame``.
+
+    The call is keyed by its frame, tables and elimination flag, so a
+    repeat costs one lookup, as a repeat of :func:`interval_isop` does.
+    """
+    table, limit = mgr._isop_scope()
+    key = ((frame, lower, upper), eliminate_first)
+    hit = table.get(key)
+    if hit is None:
+        hit = _cover(mgr, table, limit, lower, upper, frame,
+                     eliminate_first)
+        _store(table, limit, key, hit, 2 << len(frame))
+    else:
+        mgr._isop_hits += 1
+    return hit
+
+
+def _cover(mgr, table: IsopTable, limit: float, low: int, upp: int,
+           frame: Sequence[int], eliminate_first: bool):
+    """``(cubes, node, cover)`` of packed ``[low, upp]`` over ``frame``."""
+    k = len(frame)
     if eliminate_first:
         low, upp = eliminate(k, low, upp)
     if not low:
-        cubes, node = (), FALSE
-    elif upp == _FULLS[k]:
-        cubes, node = ((),), TRUE
-    else:
-        (cubes, cover), hits, misses = expand_packed(k, low, upp, table,
-                                                     limit)
-        mgr._isop_hits += hits
-        mgr._isop_misses += misses
-        top = k - 1
-        if frame is None:
-            cubes = tuple([tuple([(top - p, value) for p, value in cube])
-                           for cube in cubes])
-            node = mgr.from_table(reverse_index(k, cover))
-        else:
-            cubes = tuple([tuple([(frame[top - p], value)
-                                  for p, value in cube]) for cube in cubes])
-            node = unpack(mgr, cover, frame)
-    if len(table) >= limit:
+        return (), FALSE, 0
+    if upp == _FULLS[k]:
+        return ((),), TRUE, upp
+    (cubes, cover), hits, misses = expand_packed(k, low, upp, table, limit)
+    mgr._isop_hits += hits
+    mgr._isop_misses += misses
+    top = k - 1
+    cubes = tuple([tuple([(frame[top - p], value) for p, value in cube])
+                   for cube in cubes])
+    return cubes, node_of(mgr, cover, frame), cover
+
+
+def _store(table: IsopTable, limit: float, key, value, bits: int) -> None:
+    if len(table) >= limit or table.bits >= limit * _BITS_PER_ENTRY:
         table.clear()
-    table[key] = (cubes, node)
-    return [dict(cube) for cube in cubes], node
+    table[key] = value
+    table.bits += bits

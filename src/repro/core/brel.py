@@ -58,6 +58,7 @@ from .minimize import (IsfMinimizer, minimize_isop, minimizer_memo_key,
                        solve_misf)
 from .partition import (Partition, merge_block_stats, partition_relation,
                         worst_stopped)
+from .packedrel import PackedRelation, pack_relation
 from .quick import quick_solve
 from .relation import BooleanRelation
 from .route import BACKEND_CHOICES, SubproblemRouter, route_decision
@@ -812,9 +813,14 @@ class BrelSolver:
             node = strategy.pop()
             current, depth = node.relation, node.depth
             stats.relations_explored += 1
+            # The packed MISF layer: one truth table per explored
+            # relation, shared by the functional test, QuickSolver, the
+            # evaluation and the split choice (None: stay on nodes).
+            view = pack_relation(current)
+            misf = current if view is None else view
 
-            if current.is_function():
-                functions = tuple(current.function_vector())
+            if misf.is_function():
+                functions = tuple(misf.function_vector())
                 cost = options.cost_function(current.mgr, functions)
                 if cost < best.cost:
                     best = Solution(current.mgr, functions, cost)
@@ -829,7 +835,7 @@ class BrelSolver:
             if quick_on_subrelations and depth > 0:
                 quick = quick_solve(current, options.minimizer,
                                     options.cost_function, memo=memo,
-                                    router=router)
+                                    router=router, view=view)
                 stats.quick_solutions += 1
                 yield event("quick-solution", cost=quick.cost, depth=depth)
                 if quick.cost < best.cost:
@@ -837,7 +843,8 @@ class BrelSolver:
                     stats.compatible_found += 1
                     yield from improved_events(best, depth)
 
-            candidate, conflicts = self._evaluate(current, stats, router)
+            candidate, conflicts = self._evaluate(current, stats, router,
+                                                  view)
             if candidate.cost >= min(best.cost, external_bound):
                 stats.cost_prunes += 1
                 yield event("prune",
@@ -850,7 +857,7 @@ class BrelSolver:
                 stats.compatible_found += 1
                 yield from improved_events(best, depth)
                 continue
-            left, right = self._children(current, conflicts, stats)
+            left, right = self._children(current, conflicts, stats, view)
             yield event("branch", cost=candidate.cost, depth=depth)
             children: List[SearchNode] = []
             for child in (left, right):
@@ -887,7 +894,8 @@ class BrelSolver:
 
     # ------------------------------------------------------------------
     def _evaluate(self, relation: BooleanRelation, stats: SolverStats,
-                  router: Optional[SubproblemRouter] = None
+                  router: Optional[SubproblemRouter] = None,
+                  view: Optional[PackedRelation] = None
                   ) -> Tuple[Solution, int]:
         """Minimise the covering MISF; return the candidate and conflicts.
 
@@ -898,14 +906,17 @@ class BrelSolver:
         per-output covers (byte-identical to the fresh computation; the
         solve's ``router`` reuses the nodes when it built them already)
         and only recomputes the conflict set when the recorded
-        evaluation was not an exactly-solved leaf.
+        evaluation was not an exactly-solved leaf.  With the relation's
+        packed ``view`` every step but the cover and conflict-set
+        builds runs on its truth table.
         """
         options = self.options
         key = None
         sig = None
-        name = (minimizer_memo_key(options.minimizer)
-                if router is not None else None)
-        if name is not None:
+        name = minimizer_memo_key(options.minimizer)
+        if name is None:
+            router = None
+        if router is not None:
             sig = relation.signature()
             if sig is not None:
                 key = ("eval", sig.key, name)
@@ -915,36 +926,50 @@ class BrelSolver:
                     functions = router.instantiate(relation.mgr, key,
                                                    covers, sig.support)
                     cost = options.cost_function(relation.mgr, functions)
-                    conflicts = (FALSE if conflict_free
-                                 else relation.conflict_inputs(functions))
+                    if conflict_free:
+                        conflicts = FALSE
+                    elif view is not None:
+                        conflicts = view.node(view.conflict_table(
+                            view.template_tables(covers, sig.support)))
+                    else:
+                        conflicts = relation.conflict_inputs(functions)
                     return Solution(relation.mgr, functions, cost), \
                         conflicts
-        if name is not None:
-            minimized = [router.minimize(component, options.minimizer, name)
+        if view is not None:
+            minimized = [view.minimize(position, options.minimizer, name,
+                                       router)
+                         for position in range(len(relation.outputs))]
+        elif router is not None:
+            minimized = [router.minimize(component, options.minimizer,
+                                         name)
                          for component in relation.misf()]
-            functions = tuple(node for node, _ in minimized)
         else:
-            minimized = None
-            functions = tuple(solve_misf(relation.misf(),
-                                         options.minimizer))
+            minimized = [(node, None, None) for node in
+                         solve_misf(relation.misf(), options.minimizer)]
+        functions = tuple(node for node, _, _ in minimized)
         stats.misf_minimizations += 1
         cost = options.cost_function(relation.mgr, functions)
-        conflicts = relation.conflict_inputs(functions)
-        if key is not None and minimized is not None:
+        if view is not None:
+            conflicts = view.node(view.conflict_table(
+                [table for _, _, table in minimized]))
+        else:
+            conflicts = relation.conflict_inputs(functions)
+        if key is not None:
             rank_of_var = sig.rank_map()
             conflict_free = conflicts == FALSE
             router.memo.put_if_mappable(
                 key,
                 lambda: (tuple(template_from_var_cover(cover, rank_of_var)
-                               for _, cover in minimized),
+                               for _, cover, _ in minimized),
                          conflict_free))
             router.remember(key, sig.support, functions)
         return Solution(relation.mgr, functions, cost), conflicts
 
     def _children(self, relation: BooleanRelation, conflicts: int,
-                  stats: SolverStats
+                  stats: SolverStats,
+                  view: Optional[PackedRelation] = None
                   ) -> Tuple[BooleanRelation, BooleanRelation]:
-        choice = select_split_from_conflicts(relation, conflicts)
+        choice = select_split_from_conflicts(relation, conflicts, view)
         stats.splits += 1
         return relation.split(choice.vertex_dict(), choice.position)
 

@@ -3,7 +3,10 @@
 Paper Definitions 4.4 and 4.5: an ISF is a function ``B^n -> {0, 1, *}``
 characterised by its ON / OFF / DC sets, equivalently by the interval of
 Boolean functions ``[ON, ON + DC]``.  An MISF is a vector of ISFs sharing
-the input space.
+the input space.  :class:`Isf` holds the sets as function-engine nodes;
+:class:`PackedIsf` holds them as packed truth tables over the ISF's own
+support, the form the packed MISF layer (:mod:`repro.core.packedrel`)
+projects relations into.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE, support_mask, union_support
+from ..bdd.manager import FALSE, _fold64, support_mask, union_support
+from ..bdd.packed import node_of, tables_of
 from .memo import Signature
 
 
@@ -154,3 +158,45 @@ class Misf:
             raise ValueError("function vector arity mismatch")
         return all(isf.admits(func)
                    for isf, func in zip(self.components, functions))
+
+
+class PackedIsf:
+    """An ISF as packed truth tables over its own support.
+
+    ``on`` and ``dc`` are disjoint tables in the kernel layout of
+    :mod:`repro.bdd.packed` over ``support`` — the sorted variables
+    either set depends on, at most
+    :data:`~repro.bdd.packed.MAX_TABLE_WIDTH` of them — so they are
+    exactly what the packed ISOP kernel takes.  ``inputs`` is the
+    input frame the ISF ranges over, as :attr:`Isf.inputs`.
+    """
+
+    __slots__ = ("mgr", "on", "dc", "support", "inputs")
+
+    def __init__(self, mgr: FunctionBackend, on: int, dc: int,
+                 support: Tuple[int, ...], inputs: Tuple[int, ...]) -> None:
+        self.mgr = mgr
+        self.on = on
+        self.dc = dc
+        self.support = support
+        self.inputs = inputs
+
+    @staticmethod
+    def from_isf(isf: Isf, support: Tuple[int, ...]) -> "PackedIsf":
+        """Pack ``isf`` over its joint ``support``."""
+        on, dc = tables_of(isf.mgr, (isf.on, isf.dc), support)
+        return PackedIsf(isf.mgr, on, dc, support, isf.inputs)
+
+    def key(self) -> Tuple:
+        """Canonical memo identity: equal exactly when the intervals
+        are equal up to an order-preserving renaming of their supports
+        (the classes of :meth:`Isf.signature`), with each table folded
+        to 64 bits so the key stays small and JSON-safe."""
+        return ("isf3", len(self.support), _fold64(self.on),
+                _fold64(self.dc))
+
+    def unpack(self) -> Isf:
+        """The same ISF as nodes, for minimisers that work on them."""
+        mgr, support = self.mgr, self.support
+        return Isf(mgr, node_of(mgr, self.on, support),
+                   node_of(mgr, self.dc, support), self.inputs)

@@ -14,8 +14,11 @@ shared vocabulary every layer uses to recognise and reuse them:
   order-preserving, so BDD structure is preserved), cached per node
   for the manager's lifetime.  :meth:`repro.core.Isf.signature` and
   :meth:`repro.core.BooleanRelation.signature` produce them; their
-  keys carry the tags ``"isf2"``/``"rel2"``, so entries written under
-  the earlier fingerprint keys never match and age out of a store.
+  keys carry the tags ``"isf2"``/``"rel2"``.  ISFs with at most 16
+  support variables are keyed from their packed tables instead
+  (:meth:`repro.core.isf.PackedIsf.key`, tag ``"isf3"``, the same
+  classes); entries written under earlier keys never match and age
+  out of a store.
 * **Solution templates** — manager-independent renderings of solved
   functions as ISOP covers over support *ranks*
   (:func:`solution_template`), re-instantiated into any manager by
@@ -45,6 +48,7 @@ from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
 
 from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE
+from ..bdd.packed import MAX_TABLE_WIDTH, cover_table, node_of
 
 #: Default entry bound of a :class:`MemoStore`.
 DEFAULT_MEMO_CAPACITY = 4096
@@ -136,9 +140,18 @@ def instantiate_cover(mgr: FunctionBackend, cover: CoverTemplate,
     By ROBDD canonicity the disjunction of the cover's cubes lands on
     exactly the node the original function would have (renamed through
     the rank -> ``support[rank]`` map), regardless of build order.
+    A cover over at most :data:`~repro.bdd.packed.MAX_TABLE_WIDTH`
+    variables is disjoined as a packed table over them and enters the
+    engine in one Shannon build.
     """
-    return instantiate_var_cover(mgr,
-                                 var_cover_from_template(cover, support))
+    ranks = sorted({rank for cube in cover for rank, _ in cube})
+    if len(ranks) > MAX_TABLE_WIDTH:
+        return instantiate_var_cover(mgr,
+                                     var_cover_from_template(cover, support))
+    k = len(ranks)
+    position = {rank: k - 1 - index for index, rank in enumerate(ranks)}
+    return node_of(mgr, cover_table(k, cover, position),
+                   [support[rank] for rank in ranks])
 
 
 def instantiate_var_cover(mgr: FunctionBackend, cover: VarCover) -> int:

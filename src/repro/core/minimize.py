@@ -23,9 +23,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..bdd.gencof import constrain, restrict
 from ..bdd.isop import eliminate_nonessential
 from ..bdd.manager import FALSE, TRUE
-from ..bdd.packed import interval_isop
+from ..bdd.packed import (MAX_TABLE_WIDTH, cover_table, interval_isop,
+                          node_of, packed_isop, tables_of)
 from ..bdd.safemin import squeeze
-from .isf import Isf
+from .isf import Isf, PackedIsf
 from .memo import (MemoStore, VarCover, instantiate_var_cover,
                    template_from_var_cover, var_cover_from_template)
 
@@ -182,7 +183,9 @@ def _run_with_cover(isf: Isf, minimizer: IsfMinimizer,
     (:func:`minimize_isop` normally discards it); the
     generalized-cofactor/interval minimisers pay one ``isop`` over the
     exact result, but only on memo misses.  ``support`` is the ISF's
-    signature support.
+    signature support.  This is the node-level path, for ISFs wider
+    than :data:`~repro.bdd.packed.MAX_TABLE_WIDTH`; narrower ones run
+    :func:`minimize_packed`.
     """
     if minimizer_name == "isop":
         cover, node = _isop_pipeline(isf, True, support)
@@ -195,40 +198,95 @@ def _run_with_cover(isf: Isf, minimizer: IsfMinimizer,
     return node, tuple(tuple(cube.items()) for cube in cover)
 
 
-def minimize_with_cover(isf: Isf, minimizer: IsfMinimizer,
+def minimize_packed(isf: PackedIsf, minimizer: IsfMinimizer,
+                    minimizer_name: str, with_cover: bool = True
+                    ) -> Tuple[int, Optional[VarCover], int]:
+    """Run a structural minimiser on a packed ISF.
+
+    Returns ``(node, cover, table)``: the implementation's node, its
+    variable-level ISOP cover (``None`` when ``with_cover`` is off and
+    the minimiser does not compute one anyway) and its packed table
+    over ``isf.support``.  The ``isop`` minimisers run the packed
+    kernel on the ISF's tables directly (the same intervals
+    :func:`_isop_pipeline` packs, so the same covers and nodes); the
+    others get the ISF unpacked to nodes, and their result is packed
+    back.
+    """
+    if minimizer_name == "isop" or minimizer_name == "isop-noelim":
+        cover, node, table = packed_isop(isf.mgr, isf.on, isf.on | isf.dc,
+                                         isf.support,
+                                         minimizer_name == "isop")
+        return node, cover, table
+    node = minimizer(isf.unpack())
+    (table,) = tables_of(isf.mgr, (node,), isf.support)
+    cover = None
+    if with_cover:
+        cover = packed_isop(isf.mgr, table, table, isf.support)[0]
+    return node, cover, table
+
+
+#: A minimisation result: ``(node, variable-level cover, packed table
+#: over the ISF's support or None for ISFs too wide to pack)``.
+Minimized = Tuple[int, VarCover, Optional[int]]
+
+
+def minimize_with_cover(isf, minimizer: IsfMinimizer,
                         memo: Optional[MemoStore],
                         minimizer_name: str,
-                        reuse: Optional[Dict[Tuple, Tuple[int, VarCover]]]
-                        = None) -> Tuple[int, VarCover]:
-    """Memoised minimisation returning ``(node, variable-level cover)``.
+                        reuse: Optional[Dict[Tuple, Minimized]] = None
+                        ) -> Minimized:
+    """Memoised minimisation returning ``(node, cover, table)``.
 
-    The cover lets callers assemble whole-solution templates (one cover
-    per output, renumbered to the *relation's* support) without
-    re-extracting anything.  ``memo=None`` skips memoisation.
-    ``reuse`` is a solve's ``(memo key, support) -> (node, cover)`` map
+    ``isf`` is an :class:`Isf` or a :class:`PackedIsf`; an ``Isf``
+    whose support fits :data:`~repro.bdd.packed.MAX_TABLE_WIDTH` is
+    packed first, so both forms share one memo key (:meth:`PackedIsf.key`)
+    and the packed kernel.  The variable-level cover lets callers
+    assemble whole-solution templates (one cover per output,
+    renumbered to the *relation's* support) without re-extracting
+    anything; the table (``None`` past the width) is the node's packed
+    table over the ISF's support.  ``memo=None`` skips memoisation.
+    ``reuse`` is a solve's ``(memo key, support) -> result`` map
     (:class:`~repro.core.route.SubproblemRouter` holds it): every
     memoised result lands in it, and a memo hit it already holds skips
     the cover rebuild.  The store sees the same ``get``/``put`` calls
     either way.
     """
-    sig = isf.signature()
-    key = ("isf", sig.key, minimizer_name)
-    reuse_key = (key, sig.support)
+    if isinstance(isf, Isf):
+        sig = isf.signature()
+        support = sig.support
+        if len(support) <= MAX_TABLE_WIDTH:
+            isf = PackedIsf.from_isf(isf, support)
+            identity = isf.key()
+        else:
+            identity = sig.key
+    else:
+        support = isf.support
+        identity = isf.key()
+    packed = isinstance(isf, PackedIsf)
+    key = ("isf", identity, minimizer_name)
+    reuse_key = (key, support)
     template = memo.get(key) if memo is not None else None
     if template is not None:
         served = reuse.get(reuse_key) if reuse is not None else None
         if served is not None:
             return served
-        cover = var_cover_from_template(template, sig.support)
-        served = (instantiate_var_cover(isf.mgr, cover), cover)
+        cover = var_cover_from_template(template, support)
+        if packed:
+            table = cover_table(len(support), template)
+            served = (node_of(isf.mgr, table, support), cover, table)
+        else:
+            served = (instantiate_var_cover(isf.mgr, cover), cover, None)
     else:
-        served = _run_with_cover(isf, minimizer, minimizer_name,
-                                 sig.support)
+        if packed:
+            served = minimize_packed(isf, minimizer, minimizer_name)
+        else:
+            served = _run_with_cover(isf, minimizer, minimizer_name,
+                                     support) + (None,)
         if memo is not None:
-            rank_of_var = sig.rank_map()
+            rank = {var: index for index, var in enumerate(support)}
             cover = served[1]
             memo.put_if_mappable(
-                key, lambda: template_from_var_cover(cover, rank_of_var))
+                key, lambda: template_from_var_cover(cover, rank))
     if reuse is not None:
         reuse[reuse_key] = served
     return served

@@ -12,7 +12,10 @@ bounded BFS frontier.  Both call sites run hot on repeated traffic, so
 the solver threads an optional :class:`~repro.core.memo.MemoStore`
 through here: a whole-relation hit skips the projection/minimisation
 sequence entirely, and on a miss each per-output minimisation still goes
-through the ISF-level memo before the full result is recorded.
+through the ISF-level memo before the full result is recorded.  A
+relation narrow enough for the packed MISF layer
+(:mod:`repro.core.packedrel`) is projected and restricted on its truth
+table; no intermediate relation node is built.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import List, Optional, Sequence
 from .cost import CostFunction, bdd_size_cost
 from .memo import MemoStore, VarCover, template_from_var_cover
 from .minimize import IsfMinimizer, minimize_isop, minimizer_memo_key
+from .packedrel import PackedRelation, pack_relation
 from .relation import BooleanRelation
 from .route import SubproblemRouter
 from .solution import Solution
@@ -32,7 +36,8 @@ def quick_solve(relation: BooleanRelation,
                 cost_function: CostFunction = bdd_size_cost,
                 output_order: Optional[Sequence[int]] = None,
                 memo: Optional[MemoStore] = None,
-                router: Optional[SubproblemRouter] = None) -> Solution:
+                router: Optional[SubproblemRouter] = None,
+                view: Optional[PackedRelation] = None) -> Solution:
     """Solve a well-defined BR with the sequential heuristic of Fig. 4.
 
     Parameters
@@ -53,13 +58,21 @@ def quick_solve(relation: BooleanRelation,
         :class:`~repro.core.route.SubproblemRouter` over ``memo``: memo
         hits then reuse the nodes the solve already built.  A call
         with a store but no router gets a router of its own.
+    view:
+        The relation's :class:`~repro.core.packedrel.PackedRelation`
+        when the caller packed it already (the solver loop packs each
+        dequeued relation once); otherwise the call packs its own, and
+        a relation :func:`~repro.core.packedrel.pack_relation` turns
+        down is solved on nodes.  Either way the solution is the same.
 
     Returns a :class:`Solution` that is always compatible with the
     relation (the projection of a well-defined relation is a valid ISF
     and constraining by an implementation keeps the relation well
     defined).
     """
-    relation.require_well_defined()
+    if view is None:
+        view = pack_relation(relation)
+    (relation if view is None else view).require_well_defined()
     positions = list(output_order) if output_order is not None else list(
         range(len(relation.outputs)))
     if sorted(positions) != list(range(len(relation.outputs))):
@@ -89,18 +102,26 @@ def quick_solve(relation: BooleanRelation,
                 return Solution(relation.mgr, functions,
                                 cost_function(relation.mgr, functions))
 
-    current = relation
     chosen: List[Optional[int]] = [None] * len(relation.outputs)
     covers: List[Optional[VarCover]] = [None] * len(relation.outputs)
-    for position in positions:
-        isf = current.project(position)
-        if router is not None:
-            function, covers[position] = router.minimize(isf, minimizer,
-                                                         minimizer_name)
-        else:
-            function = minimizer(isf)
-        chosen[position] = function
-        current = current.restrict_output(position, function)
+    if view is not None:
+        table = view.table
+        for position in positions:
+            function, covers[position], ftable = view.minimize(
+                position, minimizer, minimizer_name, router, table)
+            chosen[position] = function
+            table = view.restrict(table, position, ftable)
+    else:
+        current = relation
+        for position in positions:
+            isf = current.project(position)
+            if router is not None:
+                function, covers[position], _ = router.minimize(
+                    isf, minimizer, minimizer_name)
+            else:
+                function = minimizer(isf)
+            chosen[position] = function
+            current = current.restrict_output(position, function)
     functions = tuple(func for func in chosen if func is not None)
     if key is not None:
         rank_of_var = sig.rank_map()

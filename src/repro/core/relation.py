@@ -9,6 +9,16 @@ All the structural operations the solver needs live here: well-definedness
 (left-totality), functionality, projection to ISFs (Definition 5.1), the
 covering MISF (Definition 5.2), compatibility of a candidate function
 vector (Definition 5.3), and the Split operation (Definition 5.4).
+
+For a relation whose frame has at most 16 variables the solver loop
+runs the MISF work on the relation's packed truth table instead
+(:mod:`repro.core.packedrel`): it no longer calls :meth:`project`,
+:meth:`misf`, :meth:`restrict_output`, :meth:`conflict_inputs`,
+:meth:`is_function`, :meth:`function_vector` or
+:meth:`require_well_defined` on such a relation while exploring it,
+only :meth:`split` and :meth:`signature`.  They all stay public API,
+the path for wider relations, and the reference the packed layer is
+tested against.
 """
 
 from __future__ import annotations
@@ -31,10 +41,36 @@ class NotWellDefinedError(ValueError):
 _NO_SIGNATURE = Signature((), ())
 
 
+#: Most inputs a tabular relation (``output_sets``/``truth_tables``)
+#: may declare: 2**18 rows, which build in 0.7 s as output sets and in
+#: 2.5 s as two random truth tables (2-core VM, Python 3.11).
+MAX_SPEC_INPUTS = 18
+
+#: Most outputs a tabular relation may declare: 200 outputs over two
+#: rows solve in 0.35 s, 400 take 4.4 s (same machine).
+MAX_SPEC_OUTPUTS = 200
+
+
+def _check_count(field: str, value: object, bound: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (not a bool) in
+    ``0..bound``; runs before anything shifts by it."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not 0 <= value <= bound:
+        shown = ("an int of %d bits" % value.bit_length()
+                 if isinstance(value, int) and value.bit_length() > 64
+                 else repr(value))
+        raise ValueError("%s must be an int in 0..%d, got %s"
+                         % (field, bound, shown))
+
+
 def check_output_sets(rows: Sequence[Iterable[int]], num_inputs: int,
                       num_outputs: int) -> None:
-    """Raise ``ValueError`` unless ``rows`` has one row per input vertex
-    and every output vertex lies in ``0..2**num_outputs-1``."""
+    """Raise ``ValueError`` unless ``num_inputs``/``num_outputs`` are
+    ints within :data:`MAX_SPEC_INPUTS`/:data:`MAX_SPEC_OUTPUTS`,
+    ``rows`` has one row per input vertex and every output vertex lies
+    in ``0..2**num_outputs-1``."""
+    _check_count("num_inputs", num_inputs, MAX_SPEC_INPUTS)
+    _check_count("num_outputs", num_outputs, MAX_SPEC_OUTPUTS)
     if len(rows) != (1 << num_inputs):
         raise ValueError("expected %d rows, got %d"
                          % (1 << num_inputs, len(rows)))
@@ -47,8 +83,12 @@ def check_output_sets(rows: Sequence[Iterable[int]], num_inputs: int,
 
 
 def check_truth_tables(tables: Sequence[int], num_inputs: int) -> None:
-    """Raise ``ValueError`` unless every table lies in
+    """Raise ``ValueError`` unless ``num_inputs`` is an int within
+    :data:`MAX_SPEC_INPUTS`, there are at most :data:`MAX_SPEC_OUTPUTS`
+    tables (one per output) and every table lies in
     ``0..2**(2**num_inputs)-1``."""
+    _check_count("num_inputs", num_inputs, MAX_SPEC_INPUTS)
+    _check_count("number of tables", len(tables), MAX_SPEC_OUTPUTS)
     top = 1 << (1 << num_inputs)
     for index, table in enumerate(tables):
         if not 0 <= table < top:

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..table import DEFAULT_TABLE_WIDTH, MAX_TABLE_WIDTH, TableManager
-from .memo import MemoStore, SolutionTemplate, VarCover, instantiate_solution
-from .minimize import IsfMinimizer, minimize_with_cover
+from .memo import MemoStore, SolutionTemplate, instantiate_cover
+from .minimize import IsfMinimizer, Minimized, minimize_with_cover
 from .relation import BooleanRelation
 from .relio import (build_nodes, function_nodes, relation_from_nodes,
                     relation_to_nodes)
@@ -211,24 +211,32 @@ class SubproblemRouter:
     """One solve's subproblem layer over one manager and memo store.
 
     Every memoised ISF minimisation of the solve goes through
-    :meth:`minimize`, and the relation-level ``"quick"``/``"eval"``
+    :meth:`minimize` — packed ISFs from the packed MISF layer
+    (:mod:`repro.core.packedrel`) and node-level ISFs of wider
+    relations alike — and the relation-level ``"quick"``/``"eval"``
     hits through :meth:`instantiate`.  The memo store itself is used
     exactly as without the router (same ``get``/``put`` calls, so the
     counters and LRU order do not change); what the router adds is the
     map ``(memo key, support) -> what the solve built for it``.  A memo
     hit whose key and support the solve already built is served from
-    that map instead of rebuilding the cover with ``and_``/``or_``: by
-    ROBDD canonicity the rebuild would land on the same node, and the
-    manager never collects mid-solve.
+    that map — node, cover and packed table — instead of rebuilding
+    the cover: by ROBDD canonicity the rebuild would land on the same
+    node, and the manager never collects mid-solve.
     """
 
     def __init__(self, memo: MemoStore) -> None:
         self.memo = memo
         self._instantiated: Dict[Tuple, Any] = {}
+        #: ``(rank cover, support) -> node`` of the covers relation-level
+        #: hits rebuilt: sibling relations' templates share most covers.
+        self._covers: Dict[Tuple, int] = {}
 
     def minimize(self, isf, minimizer: IsfMinimizer,
-                 minimizer_name: str) -> Tuple[int, VarCover]:
-        """Memoised minimisation ``(node, variable-level cover)``."""
+                 minimizer_name: str) -> Minimized:
+        """Memoised minimisation ``(node, variable-level cover, table)``
+        of an :class:`~repro.core.isf.Isf` or a packed
+        :class:`~repro.core.isf.PackedIsf`
+        (:func:`~repro.core.minimize.minimize_with_cover`)."""
         return minimize_with_cover(isf, minimizer, self.memo,
                                    minimizer_name, self._instantiated)
 
@@ -239,9 +247,18 @@ class SubproblemRouter:
         inst_key = (key, support)
         functions = self._instantiated.get(inst_key)
         if functions is None:
-            functions = instantiate_solution(mgr, covers, support)
+            functions = tuple(self._cover_node(mgr, cover, support)
+                              for cover in covers)
             self._instantiated[inst_key] = functions
         return functions
+
+    def _cover_node(self, mgr, cover, support: Tuple[int, ...]) -> int:
+        cover_key = (cover, support)
+        node = self._covers.get(cover_key)
+        if node is None:
+            node = self._covers[cover_key] = instantiate_cover(mgr, cover,
+                                                               support)
+        return node
 
     def remember(self, key: Tuple, support: Tuple[int, ...],
                  functions: Tuple[int, ...]) -> None:

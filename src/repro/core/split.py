@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..bdd.manager import FALSE
 from ..bdd.traversal import shortest_path_cube
+from .packedrel import PackedRelation
 from .relation import BooleanRelation
 
 
@@ -48,8 +49,18 @@ def select_split(relation: BooleanRelation,
 
 
 def select_split_from_conflicts(relation: BooleanRelation,
-                                conflicts: int) -> SplitChoice:
-    """Split selection given the conflict input set ``C = ∃Y.Incomp``."""
+                                conflicts: int,
+                                view: Optional[PackedRelation] = None
+                                ) -> SplitChoice:
+    """Split selection given the conflict input set ``C = ∃Y.Incomp``.
+
+    The vertex comes from the shortest path of the conflict set's node
+    on either path.  With the relation's packed ``view``
+    (:mod:`repro.core.packedrel`) the output test reads the don't-care
+    tables the evaluation already projected; without one each output
+    is projected on nodes.  Raises ``ValueError`` when no output has a
+    don't care at the vertex.
+    """
     mgr = relation.mgr
     cube = shortest_path_cube(mgr, conflicts)
     if cube is None:
@@ -58,10 +69,15 @@ def select_split_from_conflicts(relation: BooleanRelation,
     #  assigning the value 1 to the variables with a don't care value."
     vertex = {var: cube.get(var, True) for var in relation.inputs}
 
-    for position in range(len(relation.outputs)):
-        isf = relation.project(position)
-        if mgr.eval(isf.dc, vertex):
-            return SplitChoice(tuple(sorted(vertex.items())), position)
-    raise ValueError(
-        "no output admits both values at the conflict vertex; "
-        "was the relation well defined?")
+    if view is not None:
+        position = view.split_position(vertex)
+    else:
+        position = next((position
+                         for position in range(len(relation.outputs))
+                         if mgr.eval(relation.project(position).dc,
+                                     vertex)), None)
+    if position is None:
+        raise ValueError(
+            "no output admits both values at the conflict vertex; "
+            "was the relation well defined?")
+    return SplitChoice(tuple(sorted(vertex.items())), position)

@@ -57,10 +57,15 @@ from ..resynth.report import ResynthReport
 from ..resynth.request import ResynthRequest
 from .diskcache import DiskCache, fingerprint_payload
 
-__all__ = ["ServiceError", "SolveService", "DEFAULT_FLUSH_EVERY"]
+__all__ = ["ServiceError", "SolveService", "DEFAULT_FLUSH_EVERY",
+           "MAX_BODY_BYTES"]
 
 #: Engine solves between automatic memo flushes to the disk tier.
 DEFAULT_FLUSH_EVERY = 8
+
+#: Largest request body either transport reads; past it they answer 413
+#: (``repro.service.http`` and ``repro.service.asgi`` both import this).
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Recent requests kept for the ``/stats`` attribution ring.
 RECENT_REQUESTS = 50

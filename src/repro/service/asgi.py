@@ -32,7 +32,7 @@ import os
 import threading
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
-from .app import ServiceError, SolveService
+from .app import MAX_BODY_BYTES, ServiceError, SolveService
 from .diskcache import DiskCache
 from .http import encode_sse
 
@@ -99,21 +99,21 @@ async def _dispatch(service: SolveService, scope: Scope,
             await _send_json(send, 200,
                              await asyncio.to_thread(service.stats))
         elif method == "POST" and path == "/solve":
-            data = await _read_json(receive)
+            data = await _read_json(scope, receive)
             report, tier = await asyncio.to_thread(service.solve, data)
             await _send_json(send, 200, report,
                              [(b"x-cache-tier", tier.encode("ascii"))])
         elif method == "POST" and path == "/batch":
-            data = await _read_json(receive)
+            data = await _read_json(scope, receive)
             await _send_json(send, 200,
                              await asyncio.to_thread(service.batch, data))
         elif method == "POST" and path == "/resynth":
-            data = await _read_json(receive)
+            data = await _read_json(scope, receive)
             report, tier = await asyncio.to_thread(service.resynth, data)
             await _send_json(send, 200, report,
                              [(b"x-cache-tier", tier.encode("ascii"))])
         elif method == "POST" and path == "/solve/stream":
-            data = await _read_json(receive)
+            data = await _read_json(scope, receive)
             await _stream(service, data, receive, send)
         else:
             await _send_json(send, 404,
@@ -124,13 +124,26 @@ async def _dispatch(service: SolveService, scope: Scope,
         await _send_json(send, 500, {"error": "internal error: %s" % exc})
 
 
-async def _read_json(receive: Receive) -> Any:
+async def _read_json(scope: Scope, receive: Receive) -> Any:
+    """The request body as JSON; 413 as soon as a ``content-length``
+    header or the bytes received so far pass :data:`MAX_BODY_BYTES`
+    (the rest of the body is never read)."""
+    for name, value in scope.get("headers", ()):
+        digits = value.strip()
+        if name.lower() == b"content-length" and digits.isdigit() and (
+                len(digits) > 18 or int(digits) > MAX_BODY_BYTES):
+            raise ServiceError("request body too large", status=413)
     chunks = []
+    total = 0
     while True:
         message = await receive()
         if message["type"] == "http.disconnect":
             raise ServiceError("client disconnected before body arrived")
-        chunks.append(message.get("body", b""))
+        chunk = message.get("body", b"")
+        total += len(chunk)
+        if total > MAX_BODY_BYTES:
+            raise ServiceError("request body too large", status=413)
+        chunks.append(chunk)
         if not message.get("more_body", False):
             break
     raw = b"".join(chunks)

@@ -43,15 +43,13 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from .app import ServiceError, SolveService
+from .app import MAX_BODY_BYTES, ServiceError, SolveService
 
 __all__ = ["ServiceHandler", "create_server", "serve"]
 
 #: Socket errors that mean "the client hung up" — on an SSE stream they
 #: trigger cooperative cancellation rather than a traceback.
 _DISCONNECTS = (BrokenPipeError, ConnectionResetError)
-
-_MAX_BODY = 32 * 1024 * 1024
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -93,7 +91,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise ServiceError("request body required")
-        if length > _MAX_BODY:
+        if length > MAX_BODY_BYTES:
             raise ServiceError("request body too large", status=413)
         raw = self.rfile.read(length)
         try:

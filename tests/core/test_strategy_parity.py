@@ -20,6 +20,7 @@ from repro.benchdata.brgen import random_relation
 from repro.benchdata.brsuite import SUITE, instance_by_name
 from repro.core import (BrelOptions, BrelSolver, Solution, SolverStats,
                         quick_solve, solve_misf, strategy_names)
+from repro.core.relio import function_nodes
 from repro.core.split import select_split_from_conflicts
 from repro.core.symmetry import SymmetryCache
 
@@ -176,12 +177,9 @@ PARITY_COUNTERS = ("relations_explored", "misf_minimizations", "splits",
 
 
 def assert_identical(name, options):
-    # The reference implementation is monolithic by definition, and the
-    # node-id-level comparison below needs both managers to execute the
-    # exact same engine op sequence — the sharding router's support
-    # analysis would create extra nodes first, shifting ids even on
-    # relations that end up not decomposing.  (Logical parity of the
-    # auto default is covered by TestDecomposeAutoLogicalParity.)
+    # The reference implementation is monolithic by definition.
+    # (Logical parity of the auto default is covered by
+    # TestDecomposeAutoLogicalParity.)
     options.decompose = False
     # Separate builds: the two solvers must not share manager state
     # (node ids and caches), or the comparison would not be independent.
@@ -191,9 +189,15 @@ def assert_identical(name, options):
     relation = instance_by_name(name).build()
     result = BrelSolver(options).solve(relation)
     assert result.solution.cost == ref_best.cost, name
-    # Same functions, node for node: both managers built identical
-    # relations, so equal node ids mean equal functions.
-    assert result.solution.functions == ref_best.functions, name
+    # Same functions, node for node: the reduced-BDD DAGs of the two
+    # function vectors are identical.  (Node ids are not compared: the
+    # reference evaluates on nodes, the solver on packed tables, so the
+    # two managers build different intermediate nodes.)
+    frame = {var: var for var in range(relation.mgr.num_vars)}
+    assert function_nodes(relation.mgr, result.solution.functions,
+                          frame) \
+        == function_nodes(reference_relation.mgr, ref_best.functions,
+                          frame), name
     for counter in PARITY_COUNTERS:
         assert getattr(result.stats, counter) == \
             getattr(ref_stats, counter), (name, counter)
