@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE, _fold64, support_mask, union_support
+from ..bdd.manager import (FALSE, TABLE_FOLD_SEED, _fold64, support_mask,
+                           union_support)
 from ..bdd.packed import node_of, tables_of
 from .memo import Signature
 
@@ -191,9 +192,13 @@ class PackedIsf:
         """Canonical memo identity: equal exactly when the intervals
         are equal up to an order-preserving renaming of their supports
         (the classes of :meth:`Isf.signature`), with each table folded
-        to 64 bits so the key stays small and JSON-safe."""
-        return ("isf3", len(self.support), _fold64(self.on),
-                _fold64(self.dc))
+        to 64 bits so the key stays small and JSON-safe.  The fold
+        starts from a non-zero seed, so a table shifted up by whole
+        64-bit chunks -- ``a & g`` against ``~a & g`` for a lowest
+        support variable ``a`` -- folds differently."""
+        return ("isf3", len(self.support),
+                _fold64(self.on, TABLE_FOLD_SEED),
+                _fold64(self.dc, TABLE_FOLD_SEED))
 
     def unpack(self) -> Isf:
         """The same ISF as nodes, for minimisers that work on them."""

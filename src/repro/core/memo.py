@@ -48,7 +48,6 @@ from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
 
 from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE
-from ..bdd.packed import MAX_TABLE_WIDTH, cover_table, node_of
 
 #: Default entry bound of a :class:`MemoStore`.
 DEFAULT_MEMO_CAPACITY = 4096
@@ -140,18 +139,9 @@ def instantiate_cover(mgr: FunctionBackend, cover: CoverTemplate,
     By ROBDD canonicity the disjunction of the cover's cubes lands on
     exactly the node the original function would have (renamed through
     the rank -> ``support[rank]`` map), regardless of build order.
-    A cover over at most :data:`~repro.bdd.packed.MAX_TABLE_WIDTH`
-    variables is disjoined as a packed table over them and enters the
-    engine in one Shannon build.
     """
-    ranks = sorted({rank for cube in cover for rank, _ in cube})
-    if len(ranks) > MAX_TABLE_WIDTH:
-        return instantiate_var_cover(mgr,
-                                     var_cover_from_template(cover, support))
-    k = len(ranks)
-    position = {rank: k - 1 - index for index, rank in enumerate(ranks)}
-    return node_of(mgr, cover_table(k, cover, position),
-                   [support[rank] for rank in ranks])
+    return instantiate_var_cover(mgr,
+                                 var_cover_from_template(cover, support))
 
 
 def instantiate_var_cover(mgr: FunctionBackend, cover: VarCover) -> int:

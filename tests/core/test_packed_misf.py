@@ -104,6 +104,68 @@ def shaped_relation(n, m, seed):
     return cube_relation(mgr, inputs, outputs, rng), rng
 
 
+def wide_engines():
+    """One fresh manager per engine/kernel, as wide as a table gets."""
+    names = ["v%d" % i for i in range(MAX_TABLE_WIDTH)]
+    return [BddManager(names)] + [
+        TableManager(names, max_width=MAX_TABLE_WIDTH, kernel=kernel)
+        for kernel in KERNELS]
+
+
+def cover_function(mgr, cover, variables):
+    """Disjoin a cover over ranks with rank ``r`` on ``variables[r]``."""
+    node = FALSE
+    for cube in cover:
+        node = mgr.or_(node, mgr.cube({variables[rank]: polarity
+                                       for rank, polarity in cube}))
+    return node
+
+
+def full_support_cover(mgr, k, rng):
+    """A seeded cover over ranks ``0..k-1`` that depends on every rank."""
+    while True:
+        cover = [[(rank, rng.random() < 0.5)
+                  for rank in rng.sample(range(k), min(k, 4))]
+                 for _ in range(k)]
+        node = cover_function(mgr, cover, list(range(k)))
+        if len(mgr.support(node)) == k:
+            return cover
+
+
+def full_support_function(mgr, variables, rng):
+    """A seeded function of ``variables`` that depends on every one."""
+    return cover_function(mgr, full_support_cover(mgr, len(variables), rng),
+                          variables)
+
+
+def wide_isfs(mgr, seed):
+    """Seeded ISFs over supports of 7 to 16 variables.
+
+    Each base interval sits at several order-preserving placements, and
+    under ``a`` and ``~a`` for its lowest variable ``a`` -- with both
+    the ON and the DC set shifted by whole 64-bit chunks of the table.
+    """
+    rng = random.Random(seed)
+    width = MAX_TABLE_WIDTH
+    frame = tuple(range(width))
+    isfs = []
+    for k in range(7, width + 1):
+        on_cover = full_support_cover(mgr, k - 1, rng)
+        dc_cover = full_support_cover(mgr, k - 1, rng)
+        starts = sorted({0, width - k, rng.randint(0, width - k)})
+        for start in starts:
+            rest = list(range(start + 1, start + k))
+            on = cover_function(mgr, on_cover, rest)
+            dc = mgr.diff(cover_function(mgr, dc_cover, rest), on)
+            a = mgr.var(start)
+            for literal in (a, mgr.not_(a)):
+                isfs.append(Isf(mgr, mgr.and_(literal, on),
+                                mgr.and_(literal, dc), frame))
+            isfs.append(Isf(mgr, mgr.and_(a, on), FALSE, frame))
+            isfs.append(Isf(mgr, mgr.and_(mgr.not_(a), on), FALSE, frame))
+    return isfs
+
+
 def isf_tables(relation, isf, frame):
     return tuple(tables_of(relation.mgr, (isf.on, isf.dc), frame))
 
@@ -282,6 +344,43 @@ class TestIsfKeys:
         assert_same_classes(isfs, key, renamed_isf_key)
         keys = {key(isf) for isf in isfs}
         assert 1 < len(keys) < len(isfs)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("index", range(1 + len(KERNELS)),
+                             ids=engine_ids())
+    def test_wide_supports_match_renamed_fingerprints(self, seed, index):
+        # Tables of 7 or more variables span several 64-bit chunks;
+        # the placements under ``a`` / ``~a`` shift one table by whole
+        # chunks.
+        mgr = wide_engines()[index]
+        isfs = wide_isfs(mgr, seed)
+
+        def key(isf):
+            return PackedIsf.from_isf(isf, isf.signature().support).key()
+
+        assert_same_classes(isfs, key, renamed_isf_key)
+        assert len({key(isf) for isf in isfs}) < len(isfs)
+
+    @pytest.mark.parametrize("k", range(7, MAX_TABLE_WIDTH + 1))
+    def test_chunk_shifted_tables_get_different_keys(self, k):
+        mgr = BddManager(["v%d" % i for i in range(MAX_TABLE_WIDTH)])
+        rng = random.Random(k)
+        a = mgr.var(0)
+        g = full_support_function(mgr, list(range(1, k)), rng)
+        h = full_support_function(mgr, list(range(2, k)), rng)
+        frame = tuple(range(MAX_TABLE_WIDTH))
+
+        def key(on, dc=FALSE):
+            isf = Isf(mgr, on, dc, frame)
+            assert len(isf.signature().support) == k
+            return PackedIsf.from_isf(isf, isf.signature().support).key()
+
+        assert key(mgr.and_(a, g)) != key(mgr.and_(mgr.not_(a), g))
+        assert key(mgr.and_(a, g), FALSE) \
+            != key(FALSE, mgr.and_(mgr.not_(a), g))
+        quadrants = [key(mgr.and_(mgr.cube({0: pa, 1: pb}), h))
+                     for pa in (False, True) for pb in (False, True)]
+        assert len(set(quadrants)) == 4
 
     def test_view_and_isf_keys_agree(self):
         relation = random_relation(6, 4, seed=9)
