@@ -2,13 +2,13 @@
 narrow leaf workloads.
 
 Not a paper table: the 2004 tool ran everything on CUDD.  This bench
-measures what the :class:`repro.table.TableManager` backend buys on
-the narrow subproblems the width router sends its way — the leaf
-workload of a BREL solve: the apply family, cofactors, quantifiers
-and implication checks, exactly the operations the recursion performs
-below the split point (and the ones the kernel turns into whole-table
-word operations; shared-recursion passes like ISOP show up in the
-routed-solve sweep instead).
+measures what the standalone :class:`repro.table.TableManager` engine
+buys on narrow functions — the leaf workload of a BREL solve: the
+apply family, cofactors, quantifiers and implication checks, exactly
+the operations the recursion performs below the split point (and the
+ones the kernel turns into whole-table word operations;
+shared-recursion passes like ISOP show up in the engine-solve sweep
+instead).
 
 Three sweeps land in ``benchmarks/results/bench_table_kernel.{txt,json}``:
 
@@ -23,10 +23,11 @@ Three sweeps land in ``benchmarks/results/bench_table_kernel.{txt,json}``:
   10/14/16/18.  Width 18 is numpy-only — the int kernel's ceiling is
   16, which is the point of the numpy kernel.  Checksums and
   fingerprints are compared wherever both kernels run.
-* **routed-solve sweep** — full ``BrelSolver`` runs on narrow seeded
-  relations with ``backend=None`` vs ``backend="table"``, verifying
-  cost parity (solver overhead shared by both backends dilutes the
-  kernel win; the row shows what survives end to end).
+* **engine-solve sweep** — full ``BrelSolver`` runs on narrow seeded
+  relations built on a ``BddManager`` vs the same relations built on
+  a ``TableManager``, verifying cost parity (solver overhead shared by
+  both engines dilutes the kernel win; the row shows what survives end
+  to end).
 
 Besides the pytest-benchmark entry point, the module runs standalone
 for CI smoke checks::
@@ -51,13 +52,13 @@ import pytest
 
 from repro.bdd import BddManager
 from repro.benchdata.brgen import random_relation
-from repro.core import BrelOptions, BrelSolver
+from repro.core import (BrelOptions, BrelSolver, relation_from_nodes,
+                        relation_to_nodes)
 from repro.table import MAX_TABLE_WIDTH, TableManager, npkernel
 
 from _util import RESULTS_DIR, format_table, publish
 
-#: Leaf widths swept by the kernel comparison (<= 10 vars: the
-#: subproblem sizes the router targets by default).
+#: Leaf widths swept by the kernel comparison.
 VAR_COUNTS = (6, 8, 10)
 
 #: The width the acceptance gate runs on.
@@ -68,7 +69,7 @@ POOL_SIZE = 12
 ROUNDS = 60
 QUICK_ROUNDS = 25
 
-#: Seeded relations for the routed-solve sweep (inputs, outputs, seed).
+#: Seeded relations for the engine-solve sweep (inputs, outputs, seed).
 SOLVE_CASES = ((4, 4, 3), (5, 4, 7), (5, 5, 11))
 MAX_EXPLORED = 120
 
@@ -147,27 +148,36 @@ def run_kernel_row(num_vars, rounds):
             else float("inf")}
 
 
+def on_table_engine(relation):
+    """``relation`` rebuilt on a fresh ``TableManager`` over its
+    compacted frame (same variable order and names)."""
+    frame = sorted(set(relation.inputs) | set(relation.outputs))
+    tm = TableManager([relation.mgr.var_name(var) for var in frame],
+                      max_width=len(frame))
+    return relation_from_nodes(relation_to_nodes(relation), mgr=tm)
+
+
 def run_solve_row(num_inputs, num_outputs, seed):
-    """Routed vs unrouted full solves; verify cost parity."""
+    """Full solves on each engine; verify cost parity."""
     timings = {}
     costs = {}
-    for backend in (None, "table"):
+    for engine in ("bdd", "table"):
         relation = random_relation(num_inputs, num_outputs, seed=seed)
-        options = BrelOptions(max_explored=MAX_EXPLORED,
-                              backend=backend,
-                              table_width=num_inputs + num_outputs)
+        if engine == "table":
+            relation = on_table_engine(relation)
+        options = BrelOptions(max_explored=MAX_EXPLORED)
         start = time.perf_counter()
         result = BrelSolver(options).solve(relation)
-        timings[backend] = time.perf_counter() - start
-        costs[backend] = result.solution.cost
-    assert costs[None] == costs["table"], \
-        "routing changed the final cost (%d+%d seed=%d)" \
+        timings[engine] = time.perf_counter() - start
+        costs[engine] = result.solution.cost
+    assert costs["bdd"] == costs["table"], \
+        "the engines disagree on the final cost (%d+%d seed=%d)" \
         % (num_inputs, num_outputs, seed)
     return {"inputs": num_inputs, "outputs": num_outputs, "seed": seed,
-            "cost": costs[None],
-            "bdd_seconds": timings[None],
+            "cost": costs["bdd"],
+            "bdd_seconds": timings["bdd"],
             "table_seconds": timings["table"],
-            "speedup": (timings[None] / timings["table"])
+            "speedup": (timings["bdd"] / timings["table"])
             if timings["table"] > 0 else float("inf")}
 
 
@@ -320,8 +330,8 @@ def summarize(results):
           "%.4f" % row["bdd_seconds"], "%.4f" % row["table_seconds"],
           "%.2fx" % row["speedup"], row["cost"]]
          for row in results["solve_rows"]],
-        title="Full routed solves: backend=None vs backend='table' "
-              "(equal final cost)")
+        title="Full solves: relation built on the BDD engine vs on the "
+              "table engine (equal final cost)")
     return "\n\n".join((kernel, kernel_vs, solves))
 
 

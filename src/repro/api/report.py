@@ -46,7 +46,9 @@ from ..core.solution import Solution
 #: (``subproblems_routed``, ``route_conversions``, ``route_hits``).
 #: 6: ``stats`` dropped those three counters (in-recursion routing was
 #: retired).
-REPORT_SCHEMA_VERSION = 6
+#: 7: the echoed ``request`` dropped the table engine's width and
+#: kernel fields (whole-relation routing was retired).
+REPORT_SCHEMA_VERSION = 7
 
 
 @dataclass

@@ -55,6 +55,9 @@ from .registry import cost_registry, minimizer_registry
 #: What callers may pass as a relation source.
 RelationSpec = Union[str, Mapping[str, Any]]
 
+#: Accepted values of the no-op :attr:`SolveRequest.backend` field.
+_BACKEND_CHOICES = (None, "bdd", "table", "auto")
+
 _SPEC_KEYS = {
     "name": ("name",),
     "file": ("path",),
@@ -275,21 +278,11 @@ class SolveRequest:
     #: solves monolithically.  Sharded reports carry the block
     #: breakdown in :attr:`SolveReport.partition`.
     decompose: Optional[bool] = None
-    #: Function-engine selection (mirrors
-    #: :attr:`repro.core.BrelOptions.backend`): ``None``/``"bdd"`` stay
-    #: on the ROBDD engine, ``"auto"`` routes narrow (sub)relations to
-    #: the bit-parallel truth-table kernel, ``"table"`` forces it
-    #: (rejecting relations too wide to tabulate).  Logical results and
-    #: costs are identical either way.
+    #: Accepted for wire compatibility and ignored: every solve runs on
+    #: the manager its relation lives on.  Still validated against
+    #: ``_BACKEND_CHOICES``; not part of any cache key, because
+    #: requests that differ only here get identical answers.
     backend: Optional[str] = None
-    #: Width threshold for ``backend="auto"``/``"table"``; ``None``
-    #: uses :data:`repro.table.DEFAULT_TABLE_WIDTH`.
-    table_width: Optional[int] = None
-    #: Raw-table kernel (mirrors
-    #: :attr:`repro.core.BrelOptions.table_kernel`): ``"int"``,
-    #: ``"numpy"``, ``"auto"``, or ``None`` to honour
-    #: ``REPRO_TABLE_KERNEL`` then default to auto.
-    table_kernel: Optional[str] = None
     #: Racer line-up for ``strategy="portfolio"`` (mirrors
     #: :attr:`repro.core.BrelOptions.portfolio_racers`): ``None`` races
     #: the default line-up; otherwise a comma-separated string or a
@@ -321,6 +314,9 @@ class SolveRequest:
             cost_registry.get(self.cost)  # raises with the valid names
         if self.minimizer not in minimizer_registry:
             minimizer_registry.get(self.minimizer)
+        if self.backend not in _BACKEND_CHOICES:
+            raise ValueError("backend must be one of %r (accepted and "
+                             "ignored)" % (_BACKEND_CHOICES,))
         # Budget validation is shared with BrelOptions.__post_init__; build
         # the options eagerly so a bad request never reaches a worker.
         self.to_options()
@@ -355,9 +351,6 @@ class SolveRequest:
             record_trace=self.record_trace,
             memo=self.memo,
             decompose=self.decompose,
-            backend=self.backend,
-            table_width=self.table_width,
-            table_kernel=self.table_kernel,
             portfolio_racers=self.portfolio_racers,
             portfolio_executor=self.portfolio_executor)
         options.strategy = self.strategy
@@ -396,9 +389,6 @@ class SolveRequest:
                    record_trace=options.record_trace,
                    memo=options.memo,
                    decompose=options.decompose,
-                   backend=options.backend,
-                   table_width=options.table_width,
-                   table_kernel=options.table_kernel,
                    portfolio_racers=options.portfolio_racers,
                    portfolio_executor=options.portfolio_executor,
                    label=label)

@@ -477,14 +477,8 @@ class Session:
         # not be served to sharded requests (or vice versa).  The
         # block executor is deliberately NOT keyed: sharded results
         # are byte-identical across serial/thread/process dispatch.
-        # The backend IS keyed (conservatively, by resolved value):
-        # routed solves are logically identical but their reports'
-        # engine stats (node/cache counters) describe a different
-        # kernel, so backends get separate slots rather than serving
-        # one backend's counters as the other's.  table_kernel is keyed
-        # raw (not resolved) for the same reason: answers are
-        # byte-identical either way, but the cached report's engine
-        # stats describe the requested configuration.
+        # The backend field is NOT keyed either: it is accepted and
+        # ignored, so its values share one slot.
         # The portfolio racer line-up keys by its *resolved* canonical
         # JSON — None and an explicitly spelled-out default line-up
         # share a slot — while portfolio_executor, like the block
@@ -501,9 +495,7 @@ class Session:
                 request.quick_on_subrelations, request.symmetry_pruning,
                 request.symmetry_max_depth, request.time_limit_seconds,
                 request.record_trace, self._memo_for(request) is not None,
-                request.decompose is not False,
-                request.backend or "bdd", request.table_width,
-                request.table_kernel, racers)
+                request.decompose is not False, racers)
 
     def _cache_key(self, nodes: RelationNodes, request: SolveRequest
                    ) -> Tuple[Any, ...]:

@@ -115,7 +115,7 @@ _FP_MASK = (1 << 64) - 1
 #: Fingerprints of the terminal nodes (arbitrary fixed odd constants).
 _FP_FALSE = 0x9AE16A3B2F90404F
 _FP_TRUE = 0xC2B2AE3D27D4EB4F
-#: Start of :func:`_fold64` for truth tables (any non-zero constant).
+#: Start of :func:`_fold64` (any non-zero constant).
 TABLE_FOLD_SEED = 0xD1B54A32D192ED03
 
 
@@ -135,16 +135,14 @@ def _fp_mix(level: int, lo: int, hi: int) -> int:
 # k, where each child's support sits inside n's (a rank bit mask), and
 # the children's own nfp -- composable bottom-up and cacheable per node,
 # unlike a fingerprint under a caller-chosen renaming.
-def _fold64(value: int, seed: int = 0) -> int:
+def _fold64(value: int) -> int:
     """Hash an int wider than 64 bits down to 64 (supports past 64
-    variables give masks that wide).
+    variables give rank masks that wide; packed ISFs give tables).
 
-    From ``seed`` 0 a zero chunk leaves the hash at 0, so zero low
-    chunks drop out: ``_fold64(v << 64) == _fold64(v)``.  Values whose
-    low chunks may be zero -- truth tables -- are folded from the
-    non-zero :data:`TABLE_FOLD_SEED` instead.
+    The fold starts from the non-zero :data:`TABLE_FOLD_SEED`, so a
+    zero chunk still moves the hash: ``_fold64(v << 64) != _fold64(v)``.
     """
-    h = seed
+    h = TABLE_FOLD_SEED
     while value:
         h = ((h ^ (value & _FP_MASK)) * 0xBF58476D1CE4E5B9) & _FP_MASK
         h ^= h >> 31

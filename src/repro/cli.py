@@ -72,12 +72,6 @@ def _request_from_args(args: argparse.Namespace,
         record_trace=args.trace,
         memo=args.memo,
         decompose=args.decompose,
-        backend=args.backend,
-        table_width=args.table_width,
-        # The kernel knob, like the portfolio ones below, exists only
-        # on the solve verb; getattr keeps the shared builder usable
-        # from parsers without it.
-        table_kernel=getattr(args, "table_kernel", None),
         # Portfolio knobs exist only on the solve verb; getattr keeps
         # the shared builder usable from parsers without them.
         portfolio_racers=getattr(args, "racers", None),
@@ -302,8 +296,6 @@ def _cmd_resynth(args: argparse.Namespace) -> int:
             max_explored=args.max_explored,
             memo=args.memo,
             decompose=args.decompose,
-            backend=args.backend,
-            table_width=args.table_width,
             executor=args.executor,
             workers=args.workers,
             verify=args.verify,
@@ -431,25 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where decomposed blocks run: in-solver "
                             "(serial) or on a worker pool (results "
                             "are byte-identical either way)")
-    solve.add_argument("--backend", choices=["bdd", "table", "auto"],
-                       default=None,
-                       help="function engine: bdd (default), auto "
-                            "(route relations, or decomposed blocks, "
-                            "whose frame fits --table-width to the "
-                            "bit-parallel truth-table kernel), or "
-                            "table (force it; errors on wide "
-                            "relations); results are identical")
-    solve.add_argument("--table-width", type=int, default=None,
-                       help="variable-frame width threshold for the "
-                            "table backend (default 12; max 16, or 20 "
-                            "with --table-kernel numpy/auto)")
-    solve.add_argument("--table-kernel", choices=["int", "numpy", "auto"],
-                       default=None,
-                       help="raw-table kernel: int (stdlib bignums), "
-                            "numpy (uint64 word arrays; needs the "
-                            "accel extra), or auto (numpy above the "
-                            "crossover width when available); default "
-                            "honours REPRO_TABLE_KERNEL, then auto")
     solve.add_argument("--json", action="store_true",
                        help="emit the structured SolveReport as JSON")
     solve.set_defaults(func=_cmd_solve)
@@ -522,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                          action="store_true", default=None)
     resynth.add_argument("--no-decompose", dest="decompose",
                          action="store_false")
-    resynth.add_argument("--backend", choices=["bdd", "table", "auto"],
-                         default=None)
-    resynth.add_argument("--table-width", type=int, default=None)
     resynth.add_argument("--executor",
                          choices=["serial", "thread", "process"],
                          default="serial",

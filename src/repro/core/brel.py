@@ -43,13 +43,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Any, Dict, Generator, Iterable, List, Optional,
                     Tuple)
 
 from ..bdd.manager import FALSE
-from ..table import (DEFAULT_TABLE_WIDTH, KERNEL_CHOICES,
-                     MAX_NUMPY_TABLE_WIDTH, MAX_TABLE_WIDTH)
 from .cost import CostFunction, bdd_size_cost
 from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
@@ -61,7 +59,7 @@ from .partition import (Partition, merge_block_stats, partition_relation,
 from .packedrel import PackedRelation, pack_relation
 from .quick import quick_solve
 from .relation import BooleanRelation
-from .route import BACKEND_CHOICES, SubproblemRouter, route_decision
+from .route import SubproblemRouter
 from .solution import Solution, SolverStats
 from .split import select_split_from_conflicts
 from .symmetry import SymmetryCache
@@ -140,31 +138,6 @@ class BrelOptions:
         decompose (a single support component, or outputs coupled
         through the relation) route to the monolithic loop unchanged,
         whatever the tri-state.
-    backend:
-        Function-engine selection (:mod:`repro.core.route`).  ``None``
-        (the default) and ``"bdd"`` keep everything on the ROBDD engine
-        — byte-identical to the pre-backend solver.  ``"auto"`` routes
-        each (sub)relation whose variable frame fits within
-        ``table_width`` variables to the bit-parallel
-        :class:`~repro.table.TableManager`; with block decomposition
-        on, narrow blocks of a wide relation route individually.
-        ``"table"`` forces the table engine and raises ``ValueError``
-        on relations too wide for it.  Routing is transparent: logical
-        results, covers and costs match the BDD engine.
-    table_width:
-        Width threshold (total frame variables) for ``backend="auto"``
-        and hard ceiling for ``backend="table"``; ``None`` uses the
-        default of :data:`repro.table.DEFAULT_TABLE_WIDTH` (12).  The
-        hard maximum is :data:`repro.table.MAX_TABLE_WIDTH` (16),
-        lifted to :data:`repro.table.MAX_NUMPY_TABLE_WIDTH` (20) when
-        ``table_kernel`` explicitly allows numpy (``"numpy"``/
-        ``"auto"``).
-    table_kernel:
-        Raw-table kernel for every :class:`~repro.table.TableManager`
-        this solve creates (whole-relation and per-block routing):
-        ``"int"``, ``"numpy"``, ``"auto"``, or ``None`` to honour
-        ``REPRO_TABLE_KERNEL`` and default to auto.  numpy is optional;
-        only an explicit ``"numpy"`` fails without it.
     portfolio_racers:
         Racer line-up for ``strategy="portfolio"``
         (:mod:`repro.core.portfolio`): ``None`` races one of each
@@ -193,9 +166,6 @@ class BrelOptions:
     record_trace: bool = False
     memo: Optional[bool] = None
     decompose: Optional[bool] = None
-    backend: Optional[str] = None
-    table_width: Optional[int] = None
-    table_kernel: Optional[str] = None
     portfolio_racers: Any = None
     portfolio_executor: Optional[str] = None
 
@@ -244,28 +214,6 @@ class BrelOptions:
         if self.symmetry_max_depth < 0:
             raise ValueError("symmetry_max_depth must be non-negative "
                              "(0 disables the symmetry cache entirely)")
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                "backend must be one of %r (None = BDD engine only)"
-                % (BACKEND_CHOICES,))
-        if self.table_kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                "table_kernel must be one of %r (None = honour "
-                "REPRO_TABLE_KERNEL, then auto)" % (KERNEL_CHOICES,))
-        # The width ceiling follows the *declared* kernel, never the
-        # environment: table_width=17 must fail identically on every
-        # machine unless the options explicitly allow the numpy kernel.
-        width_cap = (MAX_NUMPY_TABLE_WIDTH
-                     if self.table_kernel in ("numpy", "auto")
-                     else MAX_TABLE_WIDTH)
-        if self.table_width is not None and not (
-                isinstance(self.table_width, int)
-                and 1 <= self.table_width <= width_cap):
-            raise ValueError(
-                "table_width must be an int in 1..%d or None "
-                "(None = the default width of %d; widths beyond %d "
-                "need table_kernel='numpy' or 'auto')"
-                % (width_cap, DEFAULT_TABLE_WIDTH, MAX_TABLE_WIDTH))
         # Option combinations a shipped strategy cannot honour must
         # fail here, where batch manifests are loaded, not mid-solve.
         # Checked directly rather than by constructing the strategy:
@@ -460,24 +408,6 @@ class BrelSolver:
         if partition is not None and partition.relation is not relation:
             raise ValueError("the supplied partition describes a "
                              "different relation")
-        if partition is None:
-            # Backend routing (repro.core.route): a narrow relation
-            # moves to the table engine wholesale; a wide one stays
-            # here, and with decomposition on, each narrow *block*
-            # re-enters this method through its own sub-solver and
-            # routes individually.  A caller-supplied partition pins
-            # this exact relation object, so routing is skipped.
-            routed, route_detail = route_decision(
-                relation, options.backend, options.table_width,
-                options.table_kernel)
-            if route_detail is not None:
-                # Make the (previously silent) decision visible — in
-                # particular "auto" falling back to the BDD engine.
-                yield SolveEvent("route", detail=route_detail)
-            if routed is not None:
-                result = yield from self._iter_events_routed(routed,
-                                                             cancel)
-                return result
         if options.decompose is not False and len(relation.outputs) >= 2:
             if partition is None:
                 partition = partition_relation(relation)
@@ -495,41 +425,6 @@ class BrelSolver:
             return result
         result = yield from self._iter_events_monolithic(relation,
                                                          cancel)
-        return result
-
-    # ------------------------------------------------------------------
-    def _iter_events_routed(self, routed, cancel: Optional[CancelToken]
-                            ) -> Generator[SolveEvent, None, BrelResult]:
-        """Drive a solve on the routed (table-backed) relation.
-
-        Re-enters :meth:`iter_events` with the converted relation —
-        decomposition, memoisation and the strategy loop all run on the
-        table engine — then translates every live ``Solution`` (events,
-        improvements, final result) back to the parent manager.  Costs
-        are carried over verbatim: they were measured through the same
-        protocol operations the BDD engine implements.
-        """
-        convert = routed.solution_converter()
-        events = self.iter_events(routed.relation, cancel=cancel)
-        while True:
-            try:
-                event = next(events)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            if event.solution is not None:
-                event = replace(event, solution=convert(event.solution))
-            yield event
-        result.solution = convert(result.solution)
-        result.improvements = [
-            Improvement(convert(improvement.solution), improvement.cost,
-                        improvement.elapsed_seconds, improvement.explored)
-            for improvement in result.improvements]
-        if result.events is not None:
-            result.events = [
-                replace(event, solution=convert(event.solution))
-                if event.solution is not None else event
-                for event in result.events]
         return result
 
     # ------------------------------------------------------------------
@@ -555,9 +450,6 @@ class BrelSolver:
             record_trace=False,
             memo=None,
             decompose=False,
-            backend=options.backend,
-            table_width=options.table_width,
-            table_kernel=options.table_kernel,
             portfolio_racers=options.portfolio_racers,
             portfolio_executor=options.portfolio_executor)
 

@@ -37,9 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .solution import Solution
 
 #: Event kinds a solve can emit, in the order they typically appear.
-#: ``route`` reports a backend-routing decision (``detail`` names the
-#: engine chosen, the width that drove it, and the fallback reason when
-#: "auto" stayed on the BDD engine; see :mod:`repro.core.route`);
 #: ``partition`` opens a sharded solve (the relation decomposed into
 #: ``detail``-described output blocks; see
 #: :mod:`repro.core.partition`); ``portfolio`` opens a racing solve
@@ -48,9 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: leg of the race; ``timeout`` / ``cancelled`` / ``budget`` flag an
 #: early stop (matching ``BrelResult.stopped``); ``done`` always closes
 #: the stream.
-EVENT_KINDS = ("route", "partition", "portfolio", "quick-solution",
-               "new-best", "branch", "prune", "racer-done", "timeout",
-               "cancelled", "budget", "done")
+EVENT_KINDS = ("partition", "portfolio", "quick-solution", "new-best",
+               "branch", "prune", "racer-done", "timeout", "cancelled",
+               "budget", "done")
 
 #: ``SolveEvent.detail`` values used by ``prune`` events.
 #: ``shared-bound`` marks frontier nodes dropped because *another*

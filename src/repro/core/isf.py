@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.manager import (FALSE, TABLE_FOLD_SEED, _fold64, support_mask,
-                           union_support)
+from ..bdd.manager import FALSE, _fold64, support_mask, union_support
 from ..bdd.packed import node_of, tables_of
 from .memo import Signature
 
@@ -197,8 +196,7 @@ class PackedIsf:
         64-bit chunks -- ``a & g`` against ``~a & g`` for a lowest
         support variable ``a`` -- folds differently."""
         return ("isf3", len(self.support),
-                _fold64(self.on, TABLE_FOLD_SEED),
-                _fold64(self.dc, TABLE_FOLD_SEED))
+                _fold64(self.on), _fold64(self.dc))
 
     def unpack(self) -> Isf:
         """The same ISF as nodes, for minimisers that work on them."""

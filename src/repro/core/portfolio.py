@@ -233,10 +233,7 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
     return tuple(specs)
 
 
-def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any],
-                        backend: Optional[str] = None,
-                        table_width: Optional[int] = None,
-                        table_kernel: Optional[str] = None
+def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any]
                         ) -> "BrelOptions":
     """One racer's :class:`BrelOptions`: the base knobs plus its deltas.
 
@@ -261,10 +258,7 @@ def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any],
         time_limit_seconds=base.time_limit_seconds,
         record_trace=False,
         memo=None,
-        decompose=False,
-        backend=backend,
-        table_width=table_width,
-        table_kernel=table_kernel)
+        decompose=False)
 
 
 def validate_portfolio_options(options: "BrelOptions"
@@ -539,12 +533,8 @@ def _drive_serial(solver: "BrelSolver", relation: BooleanRelation,
     tokens = [CancelToken() for _ in specs]
     racers = []
     for spec, token in zip(specs, tokens):
-        # Serial racers don't forward the backend knob: the relation is
-        # already routed in the shared manager.
-        sub = BrelSolver(
-            build_racer_options(options, spec,
-                                table_kernel=options.table_kernel),
-            memo=solver.memo, bound=channel)
+        sub = BrelSolver(build_racer_options(options, spec),
+                         memo=solver.memo, bound=channel)
         racers.append(sub.iter_events(relation, cancel=token))
     active = list(range(len(specs)))
     racer_start = time.perf_counter()
@@ -639,13 +629,8 @@ def _thread_racer(index: int, spec: Dict[str, Any],
         racer_relation = relation_from_nodes(nodes)
         store = (MemoStore(capacity=memo_capacity, entries=memo_entries)
                  if memo_entries is not None else None)
-        sub = BrelSolver(
-            build_racer_options(
-                base_options, spec,
-                backend=base_options.backend,
-                table_width=base_options.table_width,
-                table_kernel=base_options.table_kernel),
-            memo=store, bound=channel)
+        sub = BrelSolver(build_racer_options(base_options, spec),
+                         memo=store, bound=channel)
 
         def observe(ev: SolveEvent) -> None:
             if ev.kind == "new-best" and ev.solution is not None:
@@ -788,10 +773,7 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
             symmetry_pruning=payload["symmetry_pruning"],
             symmetry_max_depth=payload["symmetry_max_depth"],
             time_limit_seconds=payload["time_limit_seconds"],
-            record_trace=False, memo=None, decompose=False,
-            backend=payload["backend"],
-            table_width=payload["table_width"],
-            table_kernel=payload.get("table_kernel"))
+            record_trace=False, memo=None, decompose=False)
         memo_entries = payload.get("memo")
         store = (MemoStore(capacity=payload.get("memo_capacity"),
                            entries=memo_entries)
@@ -864,9 +846,6 @@ def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
         "minimizer": minimizer_name,
         "quick_on_subrelations": options.quick_on_subrelations,
         "time_limit_seconds": options.time_limit_seconds,
-        "backend": options.backend,
-        "table_width": options.table_width,
-        "table_kernel": options.table_kernel,
         "memo": memo_entries,
         "memo_capacity": memo.capacity if memo is not None else None,
     }
@@ -874,10 +853,7 @@ def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
     racer_start = time.perf_counter()
     try:
         for index, spec in enumerate(specs):
-            racer_options = build_racer_options(
-                options, spec, backend=options.backend,
-                table_width=options.table_width,
-                table_kernel=options.table_kernel)
+            racer_options = build_racer_options(options, spec)
             payload = dict(base_payload)
             payload.update({
                 "strategy": racer_options.exploration_strategy(),

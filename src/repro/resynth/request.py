@@ -87,8 +87,6 @@ class ResynthRequest:
     max_explored: Optional[int] = 10
     memo: Optional[bool] = None
     decompose: Optional[bool] = None
-    backend: Optional[str] = None
-    table_width: Optional[int] = None
     # -- batch execution -----------------------------------------------
     executor: str = "serial"
     workers: Optional[int] = None
@@ -149,8 +147,6 @@ class ResynthRequest:
             max_explored=self.max_explored,
             memo=self.memo,
             decompose=self.decompose,
-            backend=self.backend,
-            table_width=self.table_width,
             label=label)
 
     def options_key(self) -> Tuple[Any, ...]:
@@ -174,8 +170,6 @@ class ResynthRequest:
             self.max_explored,
             self.memo,
             self.decompose,
-            self.backend,
-            self.table_width,
             self.verify,
             self.verify_exhaustive_limit,
             self.verify_vectors,

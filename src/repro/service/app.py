@@ -45,7 +45,8 @@ import math
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Generator, Iterator, List,
+                    Optional, Tuple)
 
 from ..api.events import event_to_jsonable
 from ..api.request import (SolveRequest, merge_manifest_jobs,
@@ -151,6 +152,8 @@ class SolveService:
         self._resynth_cache: Dict[str, ResynthReport] = {}
         self.seeded_entries = 0
         self.flushes = 0
+        #: Disk-tier writes that raised ``OSError`` (see _disk_write).
+        self.disk_write_errors = 0
         self._recent: Deque[Dict[str, Any]] = deque(maxlen=RECENT_REQUESTS)
         #: Portfolio attribution across served requests: races run and
         #: wins per racer name (cache-served races count — the report
@@ -259,8 +262,9 @@ class SolveService:
                 "memo_seeded_entries": self.seeded_entries,
                 "memo_flushes": self.flushes,
                 "engine": session.engine_stats(),
-                "disk": self.disk.stats() if self.disk is not None
-                else None,
+                "disk": dict(self.disk.stats(),
+                             write_errors=self.disk_write_errors)
+                if self.disk is not None else None,
                 "portfolio": {
                     "races": self.portfolio_races,
                     "wins": dict(self.portfolio_wins),
@@ -311,7 +315,7 @@ class SolveService:
         report = session.solve(request)
         if (self.disk is not None and report.ok
                 and report.stopped != "cancelled"):
-            self.disk.put_report(key, report.to_dict())
+            self._disk_write(self.disk.put_report, key, report.to_dict())
         self._after_engine_solve()
         return report, "engine"
 
@@ -391,7 +395,8 @@ class SolveService:
                                            % report.error)
                     self._resynth_cache[key] = report.copy()
                     if self.disk is not None:
-                        self.disk.put_report(key, report.to_dict())
+                        self._disk_write(self.disk.put_report, key,
+                                         report.to_dict())
                     self._after_engine_solve()
             self.tier_hits[tier] += 1
             return report.to_dict(), tier
@@ -486,8 +491,9 @@ class SolveService:
                 if (self.disk is not None and report.ok
                         and report.stopped != "cancelled"
                         and not report.cached):
-                    self.disk.put_report(self.request_fingerprint(request),
-                                         report.to_dict())
+                    self._disk_write(self.disk.put_report,
+                                     self.request_fingerprint(request),
+                                     report.to_dict())
                 if not report.cached:
                     self._after_engine_solve()
                 tier = "ram" if report.cached else "engine"
@@ -582,7 +588,8 @@ class SolveService:
                             key = self.request_fingerprint(request)
                         except (ServiceError, OSError):
                             continue
-                        self.disk.put_report(key, report.to_dict())
+                        self._disk_write(self.disk.put_report, key,
+                                         report.to_dict())
                 if any(not report.cached for report in fresh):
                     self._after_engine_solve()
             for index, request, source_index in duplicates:
@@ -628,8 +635,21 @@ class SolveService:
         return None, "engine"
 
     # ------------------------------------------------------------------
-    # Memo flushing
+    # Disk-tier writes and memo flushing
     # ------------------------------------------------------------------
+    def _disk_write(self, write: Callable[..., Any], *args: Any) -> Any:
+        """Run one disk-tier write; a failing disk never fails a request.
+
+        The caller already holds the engine's answer, so an ``OSError``
+        (a full disk, a read-only mount) is counted in
+        ``stats()["disk"]["write_errors"]`` and the write is dropped.
+        """
+        try:
+            return write(*args)
+        except OSError:
+            self.disk_write_errors += 1
+            return 0
+
     def _after_engine_solve(self) -> None:
         self._solves_since_flush += 1
         if (self.disk is not None
@@ -643,8 +663,8 @@ class SolveService:
         flush as one new pool segment: never the entries it was seeded
         with, and at most the ``memo_export_limit`` most recently
         learned.  Returns the number of entries appended (0 when there
-        is no disk tier or nothing new was learned).  Called
-        automatically every ``flush_every`` engine solves and by
+        is no disk tier, nothing new was learned or the write failed).
+        Called automatically every ``flush_every`` engine solves and by
         transports at shutdown.
         """
         self._solves_since_flush = 0
@@ -653,7 +673,7 @@ class SolveService:
         entries = self.session.memo.take_learned(
             limit=self.memo_export_limit)
         self.flushes += 1
-        return self.disk.merge_memo_entries(entries)
+        return self._disk_write(self.disk.merge_memo_entries, entries)
 
     # ------------------------------------------------------------------
     def _record(self, request: SolveRequest, report: SolveReport,

@@ -1,4 +1,4 @@
-"""Bit-parallel truth-table backend for narrow subproblems.
+"""Bit-parallel truth-table function engine for narrow relations.
 
 :class:`TableManager` implements the :class:`repro.bdd.FunctionBackend`
 protocol with packed truth tables instead of BDD nodes: a function over
@@ -7,17 +7,14 @@ connective/quantifier/cofactor is a handful of word-wise bitwise
 operations on it.  Two kernels hold the raw bits — one Python bigint
 per table (``n <= 16``), or a ``numpy.uint64`` word array
 (``n <= 20``, optional dependency, selected via the ``kernel`` knob or
-``REPRO_TABLE_KERNEL``).  The router (:mod:`repro.core.route`) sends
-sufficiently narrow relations — and, with subproblem routing on,
-sufficiently narrow ISFs inside one solve — here; everything else
-stays on the ROBDD engine.
+``REPRO_TABLE_KERNEL``).  It is a standalone engine: a relation built
+on a :class:`TableManager` solves there, and nothing moves a relation
+between engines.
 """
 
-from .manager import (DEFAULT_TABLE_WIDTH, KERNEL_CHOICES,
-                      MAX_NUMPY_TABLE_WIDTH, MAX_TABLE_WIDTH,
-                      TableManager)
+from .manager import (KERNEL_CHOICES, MAX_NUMPY_TABLE_WIDTH,
+                      MAX_TABLE_WIDTH, TableManager)
 from .npkernel import NUMPY_CROSSOVER_WIDTH
 
-__all__ = ["DEFAULT_TABLE_WIDTH", "KERNEL_CHOICES",
-           "MAX_NUMPY_TABLE_WIDTH", "MAX_TABLE_WIDTH",
+__all__ = ["KERNEL_CHOICES", "MAX_NUMPY_TABLE_WIDTH", "MAX_TABLE_WIDTH",
            "NUMPY_CROSSOVER_WIDTH", "TableManager"]

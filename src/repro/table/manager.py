@@ -60,12 +60,8 @@ from ..bdd.packed import MAX_TABLE_WIDTH, interval_isop
 from .npkernel import (KERNEL_CHOICES, MAX_NUMPY_TABLE_WIDTH,
                        NumpyKernel, resolve_kernel)
 
-__all__ = ["DEFAULT_TABLE_WIDTH", "KERNEL_CHOICES",
-           "MAX_NUMPY_TABLE_WIDTH", "MAX_TABLE_WIDTH", "TableManager"]
-
-#: Router default: subproblems up to this many total variables go to
-#: the table backend (see :mod:`repro.core.route`).
-DEFAULT_TABLE_WIDTH = 12
+__all__ = ["KERNEL_CHOICES", "MAX_NUMPY_TABLE_WIDTH", "MAX_TABLE_WIDTH",
+           "TableManager"]
 
 #: Flush threshold of the per-operation result cache, and the entry
 #: limit of the ISOP table.
@@ -201,8 +197,7 @@ class TableManager:
         Optional initial variable names, as in ``BddManager``.
     max_width:
         Maximum number of variables this manager will accept (default
-        :data:`DEFAULT_TABLE_WIDTH`); :meth:`add_var` raises beyond
-        it.  The hard cap is :data:`MAX_TABLE_WIDTH` unless ``kernel``
+        12); :meth:`add_var` raises beyond it.  The hard cap is :data:`MAX_TABLE_WIDTH` unless ``kernel``
         explicitly allows numpy (``"numpy"``/``"auto"``), which lifts
         it to :data:`~repro.table.npkernel.MAX_NUMPY_TABLE_WIDTH` —
         the cap never depends on the environment, so a given
@@ -223,7 +218,7 @@ class TableManager:
     """
 
     def __init__(self, var_names: Optional[Iterable[str]] = None,
-                 max_width: int = DEFAULT_TABLE_WIDTH,
+                 max_width: int = 12,
                  kernel: Optional[str] = None):
         if kernel not in KERNEL_CHOICES:
             raise ValueError("kernel must be one of %r, got %r"

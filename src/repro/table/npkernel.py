@@ -78,7 +78,7 @@ def available() -> bool:
 def resolve_kernel(kernel: Optional[str], width: int) -> str:
     """Resolve the ``kernel`` knob to a concrete ``"int"``/``"numpy"``.
 
-    Policy (mirrors ``route_relation``'s strict-vs-auto split):
+    Policy:
 
     - explicit ``"int"`` / ``"numpy"`` are strict — ``"numpy"``
       without numpy installed raises;

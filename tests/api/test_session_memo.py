@@ -134,14 +134,6 @@ class TestCacheKeySchemaGuard:
         # None (auto) and True shard identically and share a slot; the
         # keyed pair is the effective on/off boundary.
         "decompose": (None, False),
-        # Routed solves are logically identical but their reports carry
-        # a different kernel's engine stats; None and "bdd" share the
-        # no-routing slot.
-        "backend": (None, "auto"),
-        "table_width": (None, 8),
-        # The kernel changes wall-clock only, but the report's engine
-        # stats describe the requested configuration; keyed raw.
-        "table_kernel": (None, "int"),
         # Keyed by the *resolved* racer line-up (None and the explicit
         # default line-up share a slot); legal only under
         # strategy="portfolio", hence the BASE_OVERRIDES entry.
@@ -153,10 +145,12 @@ class TestCacheKeySchemaGuard:
     }
     #: Fields that deliberately do not key the cache: the relation keys
     #: separately (identity/snapshot/spec), the label only decorates the
-    #: report copy, mode folds into the effective strategy, and the
+    #: report copy, mode folds into the effective strategy, the
     #: portfolio executor — like the block executor — is an execution
-    #: detail that cannot change the winning cost.
-    EXEMPT_FIELDS = {"relation", "label", "mode", "portfolio_executor"}
+    #: detail that cannot change the winning cost, and backend is
+    #: accepted and ignored.
+    EXEMPT_FIELDS = {"relation", "label", "mode", "portfolio_executor",
+                     "backend"}
 
     def test_every_field_is_classified(self):
         fields = {f.name for f in dataclasses.fields(SolveRequest)}

@@ -6,10 +6,10 @@ direct truth-table evaluation over *all* assignments, on seeded random
 relations from :mod:`repro.benchdata.brgen` with up to 6+6 variables.
 
 The same seeded cases also drive the bit-parallel table kernel
-(:class:`repro.table.TableManager`) and the width router: every
+(:class:`repro.table.TableManager`), on relations rebuilt there: every
 operation is compared **three ways** (BDD engine vs table kernel vs
-brute force), and full solver runs must agree bit-for-bit across
-``backend=None`` / ``"table"`` / ``"auto"``.
+brute force), and full solver runs on the two engines must agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import random
 import pytest
 
 from repro.benchdata.brgen import random_relation
-from repro.core import BrelOptions, BrelSolver, relation_to_table
-from repro.table import TableManager
+from repro.core import BrelOptions, BrelSolver
+
+from ..conftest import table_relation
 
 #: (num_inputs, num_outputs, seed) per differential round.
 CASES = [
@@ -157,13 +158,12 @@ def test_cofactors_match_truth_tables(num_inputs, num_outputs, seed, mode):
 # Table kernel: three-way differential (BDD vs table vs brute force)
 # ---------------------------------------------------------------------------
 
-def table_pool(relation, routed):
-    """Matched (bdd_node, table_node) pairs for the routed relation."""
-    tm = routed.relation.mgr
-    pairs = [(relation.node, routed.relation.node)]
+def table_pool(relation, table):
+    """Matched (bdd_node, table_node) pairs for the rebuilt relation."""
+    pairs = [(relation.node, table.node)]
     for position in range(min(3, len(relation.outputs))):
         bdd_isf = relation.project(position)
-        table_isf = routed.relation.project(position)
+        table_isf = table.project(position)
         pairs.append((bdd_isf.on, table_isf.on))
         pairs.append((bdd_isf.upper, table_isf.upper))
     return pairs
@@ -174,13 +174,12 @@ def test_table_kernel_three_way(num_inputs, num_outputs, seed):
     """Each op on the table kernel == the BDD engine == brute force."""
     relation = random_relation(num_inputs, num_outputs, seed=seed)
     mgr = relation.mgr
-    routed = relation_to_table(relation,
-                               table_width=num_inputs + num_outputs)
-    tm = routed.relation.mgr
+    table = table_relation(relation)
+    tm = table.mgr
     variables = list(relation.inputs) + list(relation.outputs)
     n = len(variables)
     full = (1 << (1 << n)) - 1
-    pairs = table_pool(relation, routed)
+    pairs = table_pool(relation, table)
     # Node-for-node: the table kernel's raw mask must equal the truth
     # table the BDD engine evaluates to (frame order == var order).
     for bdd_node, table_node in pairs:
@@ -215,11 +214,10 @@ def test_table_quantifiers_and_cofactors_three_way(num_inputs,
                                                    num_outputs, seed):
     relation = random_relation(num_inputs, num_outputs, seed=seed)
     mgr = relation.mgr
-    routed = relation_to_table(relation,
-                               table_width=num_inputs + num_outputs)
-    tm = routed.relation.mgr
+    table = table_relation(relation)
+    tm = table.mgr
     variables = list(relation.inputs) + list(relation.outputs)
-    pairs = table_pool(relation, routed)
+    pairs = table_pool(relation, table)
     rng = random.Random(2000 + seed)
     for _ in range(6):
         f_b, f_t = rng.choice(pairs)
@@ -243,7 +241,7 @@ def test_table_quantifiers_and_cofactors_three_way(num_inputs,
 
 
 # ---------------------------------------------------------------------------
-# Width router: full-solve parity across backends
+# Full-solve parity across engines
 # ---------------------------------------------------------------------------
 
 def solution_tables(relation, solution):
@@ -269,27 +267,20 @@ def check_solution_allowed(relation, solution):
 
 @pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)
 @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
-def test_router_three_way_solver_parity(num_inputs, num_outputs, seed,
-                                        strategy):
-    """backend=None / "table" / "auto" produce identical results."""
+def test_engine_solver_parity(num_inputs, num_outputs, seed, strategy):
+    """The BDD engine and the table engine produce identical results."""
     relation = random_relation(num_inputs, num_outputs, seed=seed)
-    results = {}
-    for backend in (None, "table", "auto"):
-        options = BrelOptions(strategy=strategy, max_explored=40,
-                              backend=backend,
-                              table_width=num_inputs + num_outputs)
-        results[backend] = BrelSolver(options).solve(relation)
-    baseline = results[None]
+    table = table_relation(relation)
+    options = BrelOptions(strategy=strategy, max_explored=40)
+    baseline = BrelSolver(options).solve(relation)
+    result = BrelSolver(options).solve(table)
     check_solution_allowed(relation, baseline.solution)
-    base_tables = solution_tables(relation, baseline.solution)
-    for backend in ("table", "auto"):
-        result = results[backend]
-        assert result.solution.cost == baseline.solution.cost, backend
-        assert result.stopped == baseline.stopped, backend
-        assert solution_tables(relation, result.solution) \
-            == base_tables, backend
-        assert [imp.cost for imp in result.improvements] \
-            == [imp.cost for imp in baseline.improvements], backend
-        # Converted solutions live in the *parent* manager.
-        assert result.solution.mgr is relation.mgr, backend
-        check_solution_allowed(relation, result.solution)
+    assert result.solution.cost == baseline.solution.cost
+    assert result.stopped == baseline.stopped
+    assert solution_tables(table, result.solution) \
+        == solution_tables(relation, baseline.solution)
+    assert [imp.cost for imp in result.improvements] \
+        == [imp.cost for imp in baseline.improvements]
+    # The table solve stays on the manager its relation lives on.
+    assert result.solution.mgr is table.mgr
+    check_solution_allowed(table, result.solution)

@@ -178,6 +178,42 @@ class TestSignatures:
         assert mixed.signature().key != low.signature().key
 
 
+class TestWideSupportKeys:
+    """Supports past 64 variables fold their rank masks to 64 bits; two
+    different functions on one support must still get different keys,
+    or the memo serves one for the other."""
+
+    def pair(self):
+        mgr = BddManager(["v%d" % i for i in range(200)])
+        var = mgr.var
+        high = TRUE
+        for index in range(1, 200):
+            high = mgr.and_(high, var(index))
+        # The low children differ by a shift of 64 ranks.
+        first = mgr.ite(var(0), high, mgr.and_(var(1), var(65)))
+        second = mgr.ite(var(0), high, mgr.and_(var(65), var(129)))
+        return mgr, first, second
+
+    def test_signatures_differ(self):
+        mgr, first, second = self.pair()
+        assert first != second
+        assert mgr.node_signature(first)[0] \
+            == mgr.node_signature(second)[0]
+        assert mgr.node_signature(first) != mgr.node_signature(second)
+
+    def test_memoised_minimisation_keeps_each_interval(self):
+        from repro.core.minimize import minimize_with_cover
+        mgr, first, second = self.pair()
+        inputs = tuple(range(200))
+        store = MemoStore()
+        for node in (first, second):
+            result, _, _ = minimize_with_cover(
+                Isf(mgr, node, FALSE, inputs), minimize_isop, store,
+                "isop")
+            assert result == node
+        assert store.counters() == (0, 2, 2)
+
+
 class TestTemplates:
     def test_solution_template_round_trip(self):
         relation = fig1_relation()

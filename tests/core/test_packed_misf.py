@@ -27,6 +27,7 @@ from repro import SolveRequest
 from repro.bdd import BddManager
 from repro.bdd.manager import FALSE
 from repro.bdd.packed import MAX_TABLE_WIDTH, tables_of
+from repro.benchdata import instance_by_name
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver, MemoStore, quick_solve
 from repro.core import brel as brel_module
@@ -42,6 +43,7 @@ from repro.core.split import select_split_from_conflicts
 from repro.service.diskcache import DiskCache
 from repro.table import TableManager
 
+from ..conftest import table_relation
 from .test_subproblem_layer import (KERNELS, assert_same_classes,
                                     engine_ids, engines, random_isfs,
                                     renamed_isf_key)
@@ -474,25 +476,28 @@ def report_row(report):
             report.literal_count, report.compatible, stats)
 
 
-def reports(**fields):
+def reports(kernel=None, **fields):
+    """Report rows of five solves through one session; with a
+    ``kernel``, each relation is rebuilt on a ``TableManager`` running
+    it."""
+    relations = [instance_by_name(name).build() for name in ("vtx", "int3")]
+    relations += [random_relation(*shape, seed=seed)
+                  for shape, seed in (((5, 3), 1), ((6, 4), 2),
+                                      ((4, 6), 3))]
+    if kernel is not None:
+        relations = [table_relation(relation, kernel)
+                     for relation in relations]
     session = repro.Session()
-    rows = []
-    for name in ("vtx", "int3"):
-        rows.append(report_row(session.solve(SolveRequest(
-            relation={"kind": "bench", "name": name}, max_explored=12,
-            **fields))))
-    for shape, seed in (((5, 3), 1), ((6, 4), 2), ((4, 6), 3)):
-        rows.append(report_row(session.solve(
-            SolveRequest(max_explored=12, **fields),
-            relation=random_relation(*shape, seed=seed))))
-    return rows
+    return [report_row(session.solve(
+        SolveRequest(max_explored=12, **fields), relation=relation))
+        for relation in relations]
 
 
 class TestReports:
     def test_engines_and_kernels_agree(self):
         expected = reports()
         for kernel in KERNELS:
-            assert reports(backend="auto", table_kernel=kernel) == expected
+            assert reports(kernel) == expected
 
     def test_memo_on_and_off_agree(self):
         def answers(rows):
@@ -513,9 +518,12 @@ class TestReports:
         assert reports(minimizer=minimizer, memo=memo) == packed
 
     def test_isop_matches_the_node_path(self, monkeypatch):
-        packed = reports(), reports(backend="auto")
+        def every_engine():
+            return [reports()] + [reports(kernel) for kernel in KERNELS]
+
+        packed = every_engine()
         off(monkeypatch)
-        assert (reports(), reports(backend="auto")) == packed
+        assert every_engine() == packed
 
     def test_custom_minimizer_gets_unpacked_isfs(self, monkeypatch):
         seen = []

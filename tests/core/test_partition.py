@@ -372,11 +372,6 @@ class TestBlockOptionsSchemaGuard:
         "record_trace": False,
         "memo": None,
         "decompose": False,
-        # Backend routing propagates: narrow blocks of a wide relation
-        # route to the table engine individually via their sub-solvers.
-        "backend": "inherit",
-        "table_width": "inherit",
-        "table_kernel": "inherit",
         # Portfolio knobs propagate so each block races its own
         # portfolio under strategy="portfolio".
         "portfolio_racers": "inherit",

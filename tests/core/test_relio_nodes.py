@@ -12,9 +12,8 @@ from repro.benchdata.brgen import random_relation
 from repro.core import (BooleanRelation, RelationNodes, check_nodes,
                         parse_relation, relation_from_nodes,
                         relation_to_nodes, write_relation)
-from repro.core.route import relation_to_table
 
-from ..conftest import wide_relation
+from ..conftest import table_relation, wide_relation
 
 
 def frame_of(relation):
@@ -135,10 +134,10 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="outside"):
             relation_to_nodes(relation)
 
-    def test_table_routing_uses_the_same_walk(self):
+    def test_table_engine_uses_the_same_walk(self):
         relation = interleaved(3, 2, seed=9, padding=1)
-        routed = relation_to_table(relation).relation
-        assert relation_to_nodes(routed) == relation_to_nodes(relation)
+        table = table_relation(relation)
+        assert relation_to_nodes(table) == relation_to_nodes(relation)
 
 
 class TestPlaRoundTrip:

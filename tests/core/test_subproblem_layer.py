@@ -358,14 +358,10 @@ class TestRouterReuse:
 #: of fixed solves, as the fingerprint-keyed subproblem layer reported
 #: them (the new keys must split subproblems identically).
 PINNED = {
-    ("vtx", "size", None): [92.0, 30, 30, 129, 171, 171],
-    ("vtx", "size", "auto"): [92.0, 30, 30, 60, 0, 0],
-    ("int7", "literals", None): [349.0, 30, 29, 80, 160, 160],
-    ("int7", "literals", "auto"): [349.0, 30, 29, 60, 0, 0],
-    ("brgen7x7s1", 40, None): [289.0, 40, 40, 439, 201, 201],
-    ("brgen7x7s1", 80, None): [288.0, 80, 80, 572, 148, 148],
-    ("brgen7x7s1", 40, "auto"): [289.0, 40, 40, 439, 201, 201],
-    ("brgen7x7s1", 80, "auto"): [288.0, 80, 80, 572, 148, 148],
+    ("vtx", "size"): [92.0, 30, 30, 129, 171, 171],
+    ("int7", "literals"): [349.0, 30, 29, 80, 160, 160],
+    ("brgen7x7s1", 40): [289.0, 40, 40, 439, 201, 201],
+    ("brgen7x7s1", 80): [288.0, 80, 80, 572, 148, 148],
 }
 COUNTERS = ("relations_explored", "splits", "memo_hits", "memo_misses",
             "memo_stores")
@@ -377,26 +373,20 @@ def pinned_row(report):
 
 class TestPinnedCounters:
     def test_table2_solves(self):
-        # One session: the routed solves run against the memo the BDD
-        # solves filled (templates cross engines).
         session = repro.Session()
-        for backend in (None, "auto"):
-            for name, cost in (("vtx", "size"), ("int7", "literals")):
-                report = session.solve(SolveRequest(
-                    relation={"kind": "bench", "name": name}, cost=cost,
-                    max_explored=30, backend=backend))
-                assert pinned_row(report) == PINNED[(name, cost, backend)]
+        for name, cost in (("vtx", "size"), ("int7", "literals")):
+            report = session.solve(SolveRequest(
+                relation={"kind": "bench", "name": name}, cost=cost,
+                max_explored=30))
+            assert pinned_row(report) == PINNED[(name, cost)]
 
-    @pytest.mark.parametrize("backend", [None, "auto"])
-    def test_brgen_solves(self, backend):
+    def test_brgen_solves(self):
         session = repro.Session()
         relation = random_relation(7, 7, seed=1)
         for budget in (40, 80):
-            report = session.solve(SolveRequest(max_explored=budget,
-                                                backend=backend),
+            report = session.solve(SolveRequest(max_explored=budget),
                                    relation=relation)
-            assert pinned_row(report) \
-                == PINNED[("brgen7x7s1", budget, backend)]
+            assert pinned_row(report) == PINNED[("brgen7x7s1", budget)]
 
 
 class TestSpecManagersReleaseCaches:

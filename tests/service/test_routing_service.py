@@ -1,12 +1,20 @@
-"""Routing knobs through the service layer: the table-kernel knob of
-whole-relation routing rides the wire."""
+"""The retired routing knobs on the wire: ``table_width`` and
+``table_kernel`` are unknown fields, so a request carrying them is a
+client error."""
 
-from repro.service import SolveService
+import pytest
+
+from repro.service import ServiceError, SolveService
 
 
-class TestRoutingStats:
-    def test_table_kernel_knob_accepted_on_the_wire(self, fig1_request):
+class TestRetiredRoutingFields:
+    @pytest.mark.parametrize("field,value", [("table_kernel", "int"),
+                                             ("table_width", 8)])
+    def test_table_knobs_are_unknown_fields(self, fig1_request, field,
+                                            value):
         service = SolveService()
-        report, _ = service.solve(dict(fig1_request, table_kernel="int"))
-        assert report["ok"]
-        assert report["request"]["table_kernel"] == "int"
+        with pytest.raises(ServiceError) as info:
+            service.solve(dict(fig1_request, **{field: value}))
+        assert info.value.status == 400
+        assert "unknown SolveRequest fields: %s" % field \
+            in str(info.value)

@@ -1,5 +1,8 @@
 """Tests for the transport-independent service core (SolveService)."""
 
+import errno
+import os
+
 import pytest
 
 from repro.api import SolveReport, SolveRequest
@@ -286,6 +289,53 @@ class TestMemoFlushing:
     def test_bad_flush_every_rejected(self):
         with pytest.raises(ValueError):
             SolveService(flush_every=0)
+
+
+def no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestDiskWriteFailures:
+    """A failing disk tier never fails a request: the engine's answer
+    is served and each failed write is counted."""
+
+    def test_solve_answers_from_the_engine(self, fig1_request, cache_dir,
+                                           monkeypatch):
+        service = SolveService(disk=DiskCache(cache_dir))
+        monkeypatch.setattr(os, "replace", no_space)
+        report, tier = service.solve(dict(fig1_request))
+        assert (report["ok"], tier) == (True, "engine")
+        assert service.stats()["disk"]["write_errors"] == 1
+        _, tier = service.solve(dict(fig1_request))
+        assert tier == "ram"
+
+    def test_batch_and_stream_answer_from_the_engine(self, fig1_request,
+                                                     cache_dir,
+                                                     monkeypatch):
+        service = SolveService(disk=DiskCache(cache_dir))
+        monkeypatch.setattr(os, "replace", no_space)
+        result = service.batch([dict(fig1_request, cost="cubes")])
+        assert result["ok"] and result["tiers"] == ["engine"]
+        frames = list(service.solve_stream(dict(fig1_request,
+                                                cost="literals")))
+        assert frames[-1][0] == "report" and frames[-1][1]["ok"]
+        assert service.stats()["disk"]["write_errors"] == 2
+
+    def test_resynth_answers_from_the_engine(self, cache_dir, monkeypatch):
+        service = SolveService(disk=DiskCache(cache_dir))
+        monkeypatch.setattr(os, "replace", no_space)
+        report, tier = service.resynth({"circuit": "s27", "passes": 1,
+                                        "max_explored": 8})
+        assert (report["ok"], tier) == (True, "engine")
+        assert service.stats()["disk"]["write_errors"] == 1
+
+    def test_flush_returns_zero(self, fig1_request, cache_dir,
+                                monkeypatch):
+        service = SolveService(disk=DiskCache(cache_dir))
+        service.solve(dict(fig1_request))
+        monkeypatch.setattr(os, "replace", no_space)
+        assert service.flush() == 0
+        assert service.stats()["disk"]["write_errors"] == 1
 
 
 class TestStatsAndHealth:

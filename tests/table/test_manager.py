@@ -13,8 +13,7 @@ import pytest
 
 from repro.bdd import BACKEND_METHODS, BddManager, FunctionBackend, conforms
 from repro.bdd.manager import FALSE, TRUE
-from repro.table import (DEFAULT_TABLE_WIDTH, MAX_TABLE_WIDTH,
-                         TableManager)
+from repro.table import MAX_TABLE_WIDTH, TableManager
 
 
 def paired_managers(num_vars, seed, functions=6):
@@ -62,7 +61,7 @@ class TestConstruction:
             TableManager(max_width=0)
         with pytest.raises(ValueError):
             TableManager(max_width=MAX_TABLE_WIDTH + 1)
-        assert TableManager().max_width == DEFAULT_TABLE_WIDTH
+        assert TableManager().max_width == 12
 
     def test_add_var_past_width_raises(self):
         tm = TableManager(max_width=2)

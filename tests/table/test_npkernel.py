@@ -13,9 +13,8 @@ import random
 
 import pytest
 
-from repro.table import (DEFAULT_TABLE_WIDTH, MAX_NUMPY_TABLE_WIDTH,
-                         MAX_TABLE_WIDTH, NUMPY_CROSSOVER_WIDTH,
-                         TableManager)
+from repro.table import (MAX_NUMPY_TABLE_WIDTH, MAX_TABLE_WIDTH,
+                         NUMPY_CROSSOVER_WIDTH, TableManager)
 from repro.table import npkernel
 
 requires_numpy = pytest.mark.skipif(
@@ -98,8 +97,7 @@ class TestImportGuard:
         assert not npkernel.available()
 
     def test_default_and_auto_fall_back_to_int(self, no_numpy):
-        tm = TableManager(max_width=DEFAULT_TABLE_WIDTH)
-        assert tm.kernel == "int"
+        assert TableManager().kernel == "int"
         wide = TableManager(max_width=MAX_TABLE_WIDTH, kernel="auto")
         assert wide.kernel == "int"
 

@@ -398,33 +398,18 @@ class TestServeCommand:
 
 
 class TestBackendFlags:
-    def test_solve_with_table_backend(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--backend", "table",
-                     "--table-width", "8", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True
-        assert report["request"]["backend"] == "table"
-        assert report["request"]["table_width"] == 8
-
-    def test_solve_backend_parity(self, relation_file, capsys):
-        costs = {}
-        for backend in ("bdd", "table", "auto"):
-            assert main(["solve", relation_file, "--backend", backend,
-                         "--json"]) == 0
-            report = json.loads(capsys.readouterr().out)
-            costs[backend] = (report["cost"], report["sop"])
-        assert costs["bdd"] == costs["table"] == costs["auto"]
-
-    def test_bad_backend_rejected_by_parser(self, relation_file):
+    @pytest.mark.parametrize("flags", [["--backend", "bdd"],
+                                       ["--table-width", "8"],
+                                       ["--table-kernel", "int"]])
+    def test_routing_flags_rejected_by_parser(self, relation_file, flags):
         with pytest.raises(SystemExit):
-            main(["solve", relation_file, "--backend", "cudd"])
+            main(["solve", relation_file] + flags)
 
-    def test_progress_renders_route_events(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--backend", "auto",
-                     "--progress"]) == 0
-        err = capsys.readouterr().err
-        assert "route" in err
-        assert "backend=" in err
+    @pytest.mark.parametrize("flags", [["--backend", "bdd"],
+                                       ["--table-width", "8"]])
+    def test_resynth_routing_flags_rejected_by_parser(self, flags):
+        with pytest.raises(SystemExit):
+            main(["resynth", "c17"] + flags)
 
     def test_serve_admission_flags_reach_the_service(self, tmp_path):
         from repro.cli import _service_from_args, build_parser
