@@ -1143,7 +1143,11 @@ class Session:
             try:
                 if source is None:
                     raise ValueError("request has no relation source")
-                resolved = self.resolve_relation(source)
+                if source["kind"] == "nodes":
+                    # SolveRequest checked the node list on construction.
+                    resolved = relation_from_nodes(nodes_of_spec(source))
+                else:
+                    resolved = self.resolve_relation(source)
                 if source["kind"] != "name":
                     spec_built.append(resolved)
                 if executor != "serial":
@@ -1174,10 +1178,11 @@ class Session:
                     **self._hand_over(cached, resolved))
                 continue
             if key not in pending:
-                # "relation" is the live object for in-process execution;
-                # workers get only the picklable node list.  The
-                # registry name (when the job referenced one) lets the
-                # serial path re-resolve and auto-trim safely.
+                # "relation" and "solve_request" are the live objects
+                # for in-process execution; workers get only the
+                # picklable node list and request dict.  The registry
+                # name (when the job referenced one) lets the serial
+                # path re-resolve and auto-trim safely.
                 registry_name = (source["name"]
                                  if source["kind"] == "name" else None)
                 # Serial jobs use the live store; pool jobs get a seed
@@ -1192,6 +1197,7 @@ class Session:
                     memo_entries = memo_export
                 payloads[key] = {"nodes": nodes,
                                  "request": request.to_dict(),
+                                 "solve_request": request,
                                  "label": label,
                                  "relation": resolved,
                                  "registry_name": registry_name,
@@ -1311,8 +1317,8 @@ class Session:
                 futures = {key: pool.submit(
                     _solve_payload,
                     {k: v for k, v in payloads[key].items()
-                     if k not in ("relation", "registry_name",
-                                  "memo_store")},
+                     if k not in ("relation", "solve_request",
+                                  "registry_name", "memo_store")},
                     cancel)
                     for key in keys}
                 for key, future in futures.items():
@@ -1333,8 +1339,8 @@ class Session:
 
         def process_payload(key: Tuple[Any, ...]) -> Dict[str, Any]:
             payload = {k: v for k, v in payloads[key].items()
-                       if k not in ("relation", "registry_name",
-                                    "memo_store", "memo",
+                       if k not in ("relation", "solve_request",
+                                    "registry_name", "memo_store", "memo",
                                     "memo_capacity")}
             payload["memo_shared"] = payloads[key].get("memo") is not None
             return payload
@@ -1388,11 +1394,12 @@ class Session:
                           ) -> SolveReport:
         """In-process execution: same contract as the worker, but solves
         the live relation object (keeping ``Solution`` handles valid in
-        the caller's managers)."""
+        the caller's managers) under the live, already validated
+        request."""
         label = payload.get("label")
         request_dict = payload.get("request")
         try:
-            request = SolveRequest.from_dict(request_dict)
+            request = payload["solve_request"]
             relation = payload["relation"]
             result = BrelSolver(request.to_options(),
                                 memo=payload.get("memo_store")).solve(

@@ -53,6 +53,11 @@ from .manager import FALSE, TRUE, BddManager, IsopTable, union_support
 #: work (and the int kernel's ceiling on the table engine).
 MAX_TABLE_WIDTH = 16
 
+#: Widest frame the table helpers (:func:`frame_masks`, :func:`unpack`,
+#: :func:`table_nodes`) serve: a resynthesis window's 16 leaves plus a
+#: two-node cut.  Only :data:`MAX_TABLE_WIDTH` gates the ISOP kernel.
+MAX_FRAME_WIDTH = 18
+
 #: Table bits one ISOP-table entry slot may hold on average: the table
 #: is flushed at ``limit * _BITS_PER_ENTRY`` packed bits as well as at
 #: ``limit`` entries (a 9-variable entry costs one slot).
@@ -62,7 +67,7 @@ _BITS_PER_ENTRY = 1 << 9
 _EXPAND, _MERGE, _COMBINE = 0, 1, 2
 
 #: ``_FULLS[w]``: the table of TRUE over ``w`` positions.
-_FULLS = [(1 << (1 << w)) - 1 for w in range(MAX_TABLE_WIDTH + 1)]
+_FULLS = [(1 << (1 << w)) - 1 for w in range(MAX_FRAME_WIDTH + 1)]
 
 _EMPTY = ((), 0)
 _TAUTOLOGY = ((),)
@@ -216,6 +221,35 @@ def _shannon(mk, table: int, width: int, frame: Sequence[int],
             else _shannon(mk, t1, width - 1, frame, memo))
     node = memo[key] = mk(frame[len(frame) - width], low, high)
     return node
+
+
+def table_nodes(table: int, width: int
+                ) -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
+    """The node list of a packed table over ``width`` positions, with
+    no manager: ``(nodes, root)`` as
+    :func:`repro.core.relio.function_nodes` gives them for the table's
+    BDD over frame ranks ``0..width-1`` (rank ``r`` on position
+    ``width-1-r``).  Triples come in post-order, low child first, one
+    per distinct cofactor; refs ``0``/``1`` are the terminals."""
+    if not table:
+        return (), FALSE
+    if table == _FULLS[width]:
+        return (), TRUE
+    nodes: List[Tuple[int, int, int]] = []
+    refs: Dict[Tuple[int, int, int], int] = {}
+
+    def mk(rank: int, low: int, high: int) -> int:
+        # A unique table: an equal cofactor reached again by another
+        # path maps to its first triple.
+        triple = (rank, low, high)
+        ref = refs.get(triple)
+        if ref is None:
+            ref = refs[triple] = len(nodes) + 2
+            nodes.append(triple)
+        return ref
+
+    root = _shannon(mk, table, width, range(width), {})
+    return tuple(nodes), root
 
 
 def tables_of(mgr, nodes: Sequence[int],

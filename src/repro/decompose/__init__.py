@@ -1,7 +1,8 @@
 """The paper's application: BR-driven logic decomposition (Section 10)."""
 
-from .cutflex import (CutError, CutResynthesis, cut_flexibility_relation,
-                      realize_functions, resynthesize_cut)
+from .cutflex import (CutError, CutResynthesis, cut_flexibility_nodes,
+                      cut_flexibility_relation, realize_functions,
+                      resynthesize_cut)
 from .flow import (ComparisonRow, FlowMetrics, compare_flows, run_baseline,
                    run_decomposed)
 from .gatedec import (DecompositionResult, and_function,
@@ -14,6 +15,7 @@ __all__ = [
     "ComparisonRow",
     "CutError",
     "CutResynthesis",
+    "cut_flexibility_nodes",
     "cut_flexibility_relation",
     "realize_functions",
     "resynthesize_cut",

@@ -26,15 +26,32 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bdd.isop import isop
 from ..bdd.manager import FALSE, TRUE, BddManager
+from ..bdd.packed import MAX_FRAME_WIDTH, frame_masks, table_nodes
 from ..core.brel import BrelOptions, BrelResult, solve_relation
 from ..core.relation import BooleanRelation
+from ..core.relio import RelationNodes
 from ..network.netlist import LogicNetwork
+from ..network.simulate import signal_masks
 from ..sop.cover import Cover
 from ..sop.cube import DASH, Cube
 
 
 class CutError(ValueError):
     """Raised on invalid cuts (unknown nodes, leaves, or cyclic usage)."""
+
+
+def _frame_leaves(network: LogicNetwork, cut: Sequence[str]) -> List[str]:
+    """The frame's leaves, after checking the cut against them."""
+    if not cut:
+        raise CutError("the cut is empty")
+    if len(set(cut)) != len(cut):
+        raise CutError("the cut repeats a node")
+    leaves = network.combinational_inputs()
+    leaf_set = set(leaves)
+    for name in cut:
+        if name not in network.nodes and name not in leaf_set:
+            raise CutError("cut member %r is not a network signal" % name)
+    return leaves
 
 
 def _collapse_with_cut(network: LogicNetwork, cut: Sequence[str]
@@ -46,13 +63,7 @@ def _collapse_with_cut(network: LogicNetwork, cut: Sequence[str]
     Returns (mgr, leaf_vars, cut_vars, original_roots, freed_roots).
     """
     cut_set = set(cut)
-    if len(cut_set) != len(cut):
-        raise CutError("the cut repeats a node")
-    leaves = network.combinational_inputs()
-    leaf_set = set(leaves)
-    for name in cut:
-        if name not in network.nodes and name not in leaf_set:
-            raise CutError("cut member %r is not a network signal" % name)
+    leaves = _frame_leaves(network, cut)
     mgr = BddManager(leaves + ["cut_%s" % name for name in cut])
     leaf_vars = {name: index for index, name in enumerate(leaves)}
     cut_vars = {name: len(leaves) + index
@@ -111,8 +122,6 @@ def cut_flexibility_relation(network: LogicNetwork, cut: Sequence[str]
     output) gets the identity relation ``y == x`` — a leaf admits no
     re-implementation, so its flexibility is the singleton.
     """
-    if not cut:
-        raise CutError("the cut is empty")
     mgr, leaf_vars, cut_vars, original_roots, freed_roots = \
         _collapse_with_cut(network, cut)
     node = TRUE
@@ -125,6 +134,48 @@ def cut_flexibility_relation(network: LogicNetwork, cut: Sequence[str]
     relation = BooleanRelation(mgr, sorted(leaf_vars.values()),
                                [cut_vars[name] for name in cut], node)
     return relation, cut_vars
+
+
+def cut_flexibility_nodes(network: LogicNetwork, cut: Sequence[str]
+                          ) -> RelationNodes:
+    """:func:`cut_flexibility_relation`'s relation as its node list,
+    mined on packed truth tables with no BDD manager.
+
+    Equal to ``relation_to_nodes(cut_flexibility_relation(network,
+    cut)[0])``, with the same :class:`CutError` messages and the same
+    degenerate cases.  The frame is the leaves followed by one variable
+    per cut node; rank ``r`` sits on table position ``k-1-r``, the
+    layout of :mod:`repro.bdd.packed`.  The network is simulated twice by one
+    bit-parallel evaluator, as it is and with every cut member pinned
+    to its variable, and the relation is the AND of the XNORs of every
+    combinational output.  A frame wider than
+    :data:`~repro.bdd.packed.MAX_FRAME_WIDTH` variables raises
+    :class:`CutError`.
+    """
+    leaves = _frame_leaves(network, cut)
+    width = len(leaves) + len(cut)
+    if width > MAX_FRAME_WIDTH:
+        raise CutError("the cut's frame has %d variables; packed mining "
+                       "stops at %d" % (width, MAX_FRAME_WIDTH))
+    _, ones = frame_masks(width)
+    top = width - 1
+    leaf_masks = [ones[top - rank] for rank in range(len(leaves))]
+    cut_masks = {name: ones[top - len(leaves) - index]
+                 for index, name in enumerate(cut)}
+    count = 1 << width
+    order = network.topological_order()
+    original = signal_masks(network, leaf_masks, count, order=order)
+    freed = signal_masks(network, leaf_masks, count, pinned=cut_masks,
+                         order=order)
+    table = (1 << count) - 1
+    for name in network.combinational_outputs():
+        table &= ~(freed[name] ^ original[name])
+    for name in cut:
+        if name not in network.nodes:  # a leaf member: y == x
+            table &= ~(cut_masks[name] ^ original[name])
+    nodes, root = table_nodes(table, width)
+    return RelationNodes(tuple(range(len(leaves))),
+                         tuple(range(len(leaves), width)), nodes, root)
 
 
 @dataclass

@@ -1,8 +1,11 @@
-"""Network simulation (reference semantics for the transform tests)."""
+"""Network simulation: per-vector reference semantics, and the
+bit-parallel evaluator that equivalence checks and window relations
+run on."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import random
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sop.cube import ONE, ZERO
 from .netlist import LogicNetwork
@@ -50,19 +53,29 @@ def initial_state(network: LogicNetwork) -> Dict[str, bool]:
     return {latch.output: bool(latch.init) for latch in network.latches}
 
 
-def _signature_from_masks(network: LogicNetwork, leaf_masks: List[int],
-                          count: int) -> List[Tuple[bool, ...]]:
+def signal_masks(network: LogicNetwork, leaf_masks: Sequence[int],
+                 count: int, pinned: Optional[Mapping[str, int]] = None,
+                 order: Optional[Sequence[str]] = None) -> Dict[str, int]:
     """Simulate ``count`` vectors at once, one int bit per vector.
 
     ``leaf_masks[i]`` carries leaf ``i``'s value in every vector.  A
     cube is the AND of its fanin masks or their complements and a cover
     the OR of its cubes, so one pass in topological order evaluates the
-    whole batch; the result has :func:`combinational_signature`'s shape.
+    whole batch.  ``pinned`` maps signals (leaves or nodes) to masks
+    that stand in for their own values; ``order`` is a topological
+    order of ``network``, computed when not given.  Returns the mask of
+    every signal, leaves included.
     """
     full = (1 << count) - 1
     values = dict(zip(network.combinational_inputs(), leaf_masks))
+    if pinned:
+        values.update(pinned)
+    if order is None:
+        order = network.topological_order()
     nodes = network.nodes
-    for name in network.topological_order():
+    for name in order:
+        if pinned and name in pinned:
+            continue
         node = nodes[name]
         fanins = [values[fanin] for fanin in node.fanins]
         total = 0
@@ -75,8 +88,39 @@ def _signature_from_masks(network: LogicNetwork, leaf_masks: List[int],
                     term &= ~mask
             total |= term
         values[name] = total
-    columns = [format(values[name], "0%db" % count)[::-1]
-               for name in network.combinational_outputs()]
+    return values
+
+
+def output_masks(network: LogicNetwork, leaf_masks: Sequence[int],
+                 count: int) -> List[int]:
+    """The mask of every frame output, in :meth:`combinational_outputs`
+    order: two networks over the same leaves agree on ``count``
+    vectors exactly when their output masks are equal."""
+    values = signal_masks(network, leaf_masks, count)
+    return [values[name] for name in network.combinational_outputs()]
+
+
+def random_leaf_masks(rng: random.Random, width: int,
+                      count: int) -> List[int]:
+    """``count`` seeded random vectors over ``width`` leaves as leaf
+    masks.  Vector ``v`` draws one ``rng.getrandbits(1)`` per leaf, in
+    leaf order, into bit ``v`` of that leaf's mask: the draws of
+    ``[{leaf: bool(rng.getrandbits(1)) for leaf in leaves} for _ in
+    range(count)]``."""
+    masks = [0] * width
+    draw = rng.getrandbits
+    for index in range(count):
+        bit = 1 << index
+        for position in range(width):
+            if draw(1):
+                masks[position] |= bit
+    return masks
+
+
+def _signature_rows(masks: Sequence[int],
+                    count: int) -> List[Tuple[bool, ...]]:
+    """Output masks as one row of output values per vector."""
+    columns = [format(mask, "0%db" % count)[::-1] for mask in masks]
     return [tuple(bit == "1" for bit in row) for row in zip(*columns)]
 
 
@@ -99,14 +143,13 @@ def combinational_signature(network: LogicNetwork,
                 raise ValueError("missing value for leaf %r" % leaf)
             if vector[leaf]:
                 masks[position] |= bit
-    return _signature_from_masks(network, masks, len(vectors))
+    return _signature_rows(output_masks(network, masks, len(vectors)),
+                           len(vectors))
 
 
-def exhaustive_signature(network: LogicNetwork) -> List[Tuple[bool, ...]]:
-    """Frame outputs over all leaf assignments (small frames only).
-
-    Vector ``v`` assigns leaf ``i`` bit ``i`` of ``v``.
-    """
+def exhaustive_outputs(network: LogicNetwork) -> List[int]:
+    """:func:`output_masks` over all leaf assignments (small frames
+    only); vector ``v`` assigns leaf ``i`` bit ``i`` of ``v``."""
     leaves = network.combinational_inputs()
     if len(leaves) > 16:
         raise ValueError("exhaustive simulation limited to 16 leaves")
@@ -116,4 +159,13 @@ def exhaustive_signature(network: LogicNetwork) -> List[Tuple[bool, ...]]:
     # zeros then 2^i ones, the classic truth-table variable pattern.
     masks = [full // ((1 << (1 << i)) + 1) << (1 << i)
              for i in range(len(leaves))]
-    return _signature_from_masks(network, masks, count)
+    return output_masks(network, masks, count)
+
+
+def exhaustive_signature(network: LogicNetwork) -> List[Tuple[bool, ...]]:
+    """Frame outputs over all leaf assignments (small frames only).
+
+    Vector ``v`` assigns leaf ``i`` bit ``i`` of ``v``.
+    """
+    return _signature_rows(exhaustive_outputs(network),
+                           1 << len(network.combinational_inputs()))

@@ -11,13 +11,14 @@ combinational outputs.
 
 from .pipeline import resynthesize, resynthesize_network
 from .report import RESYNTH_SCHEMA_VERSION, ResynthReport
-from .request import (ResynthRequest, load_circuit,
+from .request import (MAX_VERIFY_VECTORS, ResynthRequest, load_circuit,
                       normalize_circuit_spec)
 from .window import (CUT_POLICIES, MAX_WINDOW_LEAVES, Window,
                      enumerate_cuts, extract_window)
 
 __all__ = [
     "CUT_POLICIES",
+    "MAX_VERIFY_VECTORS",
     "MAX_WINDOW_LEAVES",
     "RESYNTH_SCHEMA_VERSION",
     "ResynthReport",

@@ -7,11 +7,14 @@ One pass over the network:
         ->  realize minimized covers  ->  accept strictly-improving
             rewrites  ->  sweep
 
-Every accepted rewrite is verified exhaustively on its window before it
-sticks, and the final network is checked against the original at the
-combinational outputs (exhaustively for narrow frames, by seeded
-random-vector signature for wide ones).  Rejected or conflicting
-candidates are counted, never silently dropped.
+Each window's flexibility relation is mined on packed truth tables
+and emitted as a node list (:func:`cut_flexibility_nodes`), with no BDD
+manager.  Every accepted rewrite is verified exhaustively on its window
+before it sticks, and the final network is checked against the
+original at the combinational outputs (exhaustively for narrow frames,
+on seeded random vectors for wide ones).  Both checks simulate the
+vectors bit-parallel and compare output masks.  Rejected or
+conflicting candidates are counted, never silently dropped.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.session import Session
-from ..core.relio import RelationNodes, relation_to_nodes
-from ..decompose.cutflex import cut_flexibility_relation, realize_functions
+from ..core.relio import RelationNodes
+from ..decompose.cutflex import cut_flexibility_nodes, realize_functions
 from ..network.blif import write_blif
 from ..network.netlist import LogicNetwork
-from ..network.simulate import combinational_signature, exhaustive_signature
+from ..network.simulate import (exhaustive_outputs, output_masks,
+                                random_leaf_masks)
 from .report import ResynthReport
 from .request import ResynthRequest, load_circuit
 from .window import Window, enumerate_cuts, extract_window
@@ -46,21 +50,31 @@ class _Candidate:
 
 def _mine_candidates(network: LogicNetwork, request: ResynthRequest,
                      counters: Dict[str, int]) -> List[_Candidate]:
-    """Window every candidate cut and extract its flexibility relation."""
+    """Window every candidate cut and extract its flexibility relation.
+
+    The network does not change while a pass mines (windows copy the
+    nodes they use), so its fanouts, topological order and outputs are
+    computed once for every window.
+    """
     fanouts = network.fanouts()
-    cuts = enumerate_cuts(network, request.cut_policy, request.max_nodes)
+    order = network.topological_order()
+    position = {name: index for index, name in enumerate(order)}
+    outputs = set(network.combinational_outputs())
+    cuts = enumerate_cuts(network, request.cut_policy, request.max_nodes,
+                          order=order)
     counters["candidates"] = len(cuts)
     candidates: List[_Candidate] = []
     for cut in cuts:
         window = extract_window(network, cut, max_leaves=request.window,
                                 tfo_depth=request.tfo_depth,
-                                fanouts=fanouts)
+                                fanouts=fanouts, position=position,
+                                outputs=outputs)
         if window is None:
             counters["windows_skipped"] += 1
             continue
-        relation, _ = cut_flexibility_relation(window.network, cut)
         candidates.append(_Candidate(
-            cut=cut, window=window, nodes=relation_to_nodes(relation),
+            cut=cut, window=window,
+            nodes=cut_flexibility_nodes(window.network, cut),
             old_literals=sum(
                 network.nodes[name].cover.literal_count()
                 for name in cut)))
@@ -92,8 +106,8 @@ def _verify_window(window: Window, new_covers: Dict[str, Tuple[List[str],
         node = rewritten.nodes[name]
         node.fanins = list(fanins)
         node.cover = cover
-    return exhaustive_signature(rewritten) == \
-        exhaustive_signature(window.network)
+    return exhaustive_outputs(rewritten) == \
+        exhaustive_outputs(window.network)
 
 
 def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
@@ -177,19 +191,18 @@ def _verify_final(original: LogicNetwork, rewritten: LogicNetwork,
                   else "signature")
     if method == "exhaustive":
         if len(leaves) > 16:
-            method = "signature"  # exhaustive_signature's hard cap
+            method = "signature"  # exhaustive_outputs' hard cap
         else:
-            same = exhaustive_signature(original) == \
-                exhaustive_signature(rewritten)
+            same = exhaustive_outputs(original) == \
+                exhaustive_outputs(rewritten)
             return same, "exhaustive", 1 << len(leaves)
-    rng = random.Random(request.seed)
     count = request.verify_vectors
     if len(leaves) < 30:
         count = min(count, 1 << len(leaves))
-    vectors = [{leaf: bool(rng.getrandbits(1)) for leaf in leaves}
-               for _ in range(count)]
-    same = combinational_signature(original, vectors) == \
-        combinational_signature(rewritten, vectors)
+    masks = random_leaf_masks(random.Random(request.seed), len(leaves),
+                              count)
+    same = output_masks(original, masks, count) == \
+        output_masks(rewritten, masks, count)
     return same, "signature", count
 
 

@@ -22,6 +22,12 @@ from .window import CUT_POLICIES, MAX_WINDOW_LEAVES
 EXECUTORS = ("serial", "thread", "process")
 VERIFY_MODES = ("auto", "exhaustive", "signature", "none")
 
+#: Most random vectors the final check may simulate: the vector count
+#: of the widest exhaustive check (16 leaves).  The check runs under
+#: the service lock and its cost grows with the count, so a request
+#: may not ask for more.
+MAX_VERIFY_VECTORS = 1 << 16
+
 
 def normalize_circuit_spec(spec: Any) -> Dict[str, Any]:
     """Canonicalise the circuit source into a tagged dict.
@@ -97,6 +103,8 @@ class ResynthRequest:
     #: per-rewrite window checks always run).
     verify: str = "auto"
     verify_exhaustive_limit: int = 12
+    #: Random vectors of the signature check, in
+    #: ``1..MAX_VERIFY_VECTORS``.
     verify_vectors: int = 256
     #: Seed for the signature vectors (and any other tie-breaking).
     seed: int = 0
@@ -125,8 +133,12 @@ class ResynthRequest:
                              % ", ".join(VERIFY_MODES))
         if not 0 <= self.verify_exhaustive_limit <= 16:
             raise ValueError("verify_exhaustive_limit must be in 0..16")
-        if self.verify_vectors < 1:
-            raise ValueError("verify_vectors must be >= 1")
+        if isinstance(self.verify_vectors, bool) \
+                or not isinstance(self.verify_vectors, int) \
+                or not 1 <= self.verify_vectors <= MAX_VERIFY_VECTORS:
+            raise ValueError("verify_vectors must be an int in 1..%d, "
+                             "got %r" % (MAX_VERIFY_VECTORS,
+                                         self.verify_vectors))
         if self.cost not in cost_registry:
             cost_registry.get(self.cost)  # raises with the valid names
         if self.minimizer not in minimizer_registry:

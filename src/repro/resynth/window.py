@@ -21,9 +21,9 @@ optimisation power, never correctness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (AbstractSet, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..network.netlist import LogicNetwork
 
@@ -54,8 +54,10 @@ class Window:
 
 
 def _grow_tfo(network: LogicNetwork, seeds: Sequence[str], depth: int,
-              fanouts: Dict[str, List[str]]) -> List[str]:
-    """Seed nodes plus their transitive fanout up to ``depth`` levels."""
+              fanouts: Dict[str, List[str]],
+              position: Mapping[str, int]) -> List[str]:
+    """Seed nodes plus their transitive fanout up to ``depth`` levels,
+    in topological order (``position`` ranks every node)."""
     member = set(seeds)
     frontier = list(seeds)
     for _ in range(depth):
@@ -68,14 +70,14 @@ def _grow_tfo(network: LogicNetwork, seeds: Sequence[str], depth: int,
         if not grown:
             break
         frontier = grown
-    order = [name for name in network.topological_order()
-             if name in member]
-    return order
+    return sorted(member, key=position.__getitem__)
 
 
 def extract_window(network: LogicNetwork, cut: Sequence[str],
                    max_leaves: int = 8, tfo_depth: int = 1,
-                   fanouts: Optional[Dict[str, List[str]]] = None
+                   fanouts: Optional[Dict[str, List[str]]] = None,
+                   position: Optional[Mapping[str, int]] = None,
+                   outputs: Optional[AbstractSet[str]] = None
                    ) -> Optional[Window]:
     """Carve the window around ``cut``, or ``None`` if none fits.
 
@@ -84,6 +86,11 @@ def extract_window(network: LogicNetwork, cut: Sequence[str],
     input signals the depth is backed off one level at a time.  At depth
     0 the window is the cut itself and the leaves are the cut's fanins —
     if even that exceeds the cap, the cut is not windowable.
+
+    ``fanouts`` (:meth:`LogicNetwork.fanouts`), ``position`` (each
+    node's index in a topological order) and ``outputs`` (the set of
+    combinational outputs) describe the unchanged host network; a
+    caller windowing many cuts computes them once and passes them in.
     """
     if max_leaves > MAX_WINDOW_LEAVES:
         raise ValueError("max_leaves is capped at %d" % MAX_WINDOW_LEAVES)
@@ -92,9 +99,13 @@ def extract_window(network: LogicNetwork, cut: Sequence[str],
             return None  # leaves and unknown signals are not windowable
     if fanouts is None:
         fanouts = network.fanouts()
-    output_set = set(network.combinational_outputs())
+    if position is None:
+        position = {name: index for index, name
+                    in enumerate(network.topological_order())}
+    if outputs is None:
+        outputs = set(network.combinational_outputs())
     for depth in range(max(tfo_depth, 0), -1, -1):
-        member_order = _grow_tfo(network, cut, depth, fanouts)
+        member_order = _grow_tfo(network, cut, depth, fanouts, position)
         member = set(member_order)
         leaves: List[str] = []
         seen = set()
@@ -106,7 +117,7 @@ def extract_window(network: LogicNetwork, cut: Sequence[str],
         if len(leaves) > max_leaves:
             continue
         roots = [name for name in member_order
-                 if name in output_set
+                 if name in outputs
                  or any(reader not in member
                         for reader in fanouts.get(name, ()))]
         sub = LogicNetwork("win_%s" % cut[0])
@@ -124,9 +135,11 @@ def extract_window(network: LogicNetwork, cut: Sequence[str],
 
 
 def enumerate_cuts(network: LogicNetwork, policy: str = "nodes",
-                   max_cuts: Optional[int] = None
+                   max_cuts: Optional[int] = None,
+                   order: Optional[Sequence[str]] = None
                    ) -> List[Tuple[str, ...]]:
-    """Candidate cuts under the given enumeration policy.
+    """Candidate cuts under the given enumeration policy, visiting the
+    nodes in ``order`` (a topological order, computed when not given).
 
     ``"nodes"``
         Every internal node as a singleton cut, in topological order —
@@ -139,14 +152,16 @@ def enumerate_cuts(network: LogicNetwork, policy: str = "nodes",
     if policy not in CUT_POLICIES:
         raise ValueError("unknown cut policy %r (choose from %s)"
                          % (policy, ", ".join(CUT_POLICIES)))
+    if order is None:
+        order = network.topological_order()
     cuts: List[Tuple[str, ...]] = []
     if policy == "nodes":
-        for name in network.topological_order():
+        for name in order:
             if name in network.nodes:
                 cuts.append((name,))
     else:
         seen = set()
-        for name in network.topological_order():
+        for name in order:
             if name not in network.nodes:
                 continue
             internal = [fanin for fanin in network.nodes[name].fanins

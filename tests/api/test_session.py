@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import Session, SolveRequest
 from repro.core import BooleanRelation
-from repro.core.relio import write_relation
+from repro.core.relio import relation_to_nodes, write_relation
 from repro.equations import BooleanSystem
 
 FIG1_ROWS = [{0b01}, {0b01}, {0b00, 0b11}, {0b10, 0b11}]
@@ -161,6 +161,36 @@ class TestSolveMany:
         assert reports[2].error is not None
         assert [r.label for r in reports] \
             == ["good", "bad-name", "bad-pla", "good2"]
+
+    def test_node_specs_are_checked_once_per_request(self, monkeypatch):
+        """SolveRequest checks a node spec on construction; a serial
+        solve_many builds the relation from the checked spec and solves
+        under the live request, checking neither again."""
+        import repro.api.request as request_module
+        import repro.core.relio as relio
+        calls = []
+        check_nodes = relio.check_nodes
+
+        def counting(data):
+            calls.append(data)
+            return check_nodes(data)
+
+        monkeypatch.setattr(request_module, "check_nodes", counting)
+        monkeypatch.setattr(relio, "check_nodes", counting)
+        rows = [FIG1_ROWS, [{0}, {1, 2}, {3}, {0, 3}]]
+        requests = [SolveRequest(relation=relation_to_nodes(
+            BooleanRelation.from_output_sets(row, 2, 2)).spec(),
+            label="r%d" % index) for index, row in enumerate(rows * 2)]
+        assert len(calls) == len(requests)
+        reports = Session().solve_many(requests, executor="serial")
+        assert all(report.ok and report.compatible for report in reports)
+        assert len(calls) == len(requests)
+
+    def test_malformed_node_spec_fails_at_construction(self):
+        spec = relation_to_nodes(
+            BooleanRelation.from_output_sets(FIG1_ROWS, 2, 2)).spec()
+        with pytest.raises(ValueError, match="root ref"):
+            SolveRequest(relation=dict(spec, root=len(spec["nodes"]) + 2))
 
     def test_not_well_defined_is_captured(self):
         session = Session()

@@ -15,12 +15,15 @@ import pytest
 from repro.bdd import BddManager
 from repro.bdd.isop import eliminate_nonessential, expand
 from repro.bdd.manager import FALSE, TRUE
-from repro.bdd.packed import (MAX_TABLE_WIDTH, eliminate, frame_masks,
-                              interval_isop, pack, reverse_index)
+from repro.bdd.packed import (MAX_FRAME_WIDTH, MAX_TABLE_WIDTH,
+                              cover_table, eliminate, frame_masks,
+                              interval_isop, pack, reverse_index,
+                              table_nodes, unpack)
 from repro.core.isf import Isf
 from repro.core.minimize import (_isop_pipeline,
                                  eliminate_nonessential_variables)
 from repro.core.relation import BooleanRelation
+from repro.core.relio import function_nodes
 from repro.table import TableManager, npkernel
 
 KERNELS = ["int"] + (["numpy"] if npkernel.available() else [])
@@ -221,6 +224,31 @@ class TestPackedElimination:
                 narrowed = eliminate_nonessential_variables(isf)
                 assert _isop_pipeline(isf, True) == reference(
                     mgr, narrowed.on, narrowed.upper)
+
+
+class TestTableNodes:
+    """``table_nodes`` is ``function_nodes`` of the unpacked node, with
+    no manager, at every width the table helpers serve."""
+
+    @pytest.mark.parametrize("width", range(MAX_FRAME_WIDTH + 1))
+    def test_matches_function_nodes_of_unpack(self, width):
+        rng = random.Random(300 + width)
+        tables = [0, (1 << (1 << width)) - 1]
+        if width <= MAX_TABLE_WIDTH:  # dense: BDDs near 2**width/width
+            tables += [rng.getrandbits(1 << width) for _ in range(3)]
+        for _ in range(4):  # sparse covers: wide tables, small BDDs
+            tables.append(cover_table(width, [
+                [(rank, rng.random() < 0.5) for rank in
+                 rng.sample(range(width), rng.randint(1, min(width, 6)))]
+                for _ in range(rng.randint(1, 8))] if width else []))
+        frame = list(range(width))
+        mgr = BddManager(["v%d" % var for var in frame])
+        for table in tables:
+            node = unpack(mgr, table, frame)
+            assert pack(mgr, [node], frame) == [table]
+            nodes, (root,) = function_nodes(
+                mgr, (node,), {var: var for var in frame})
+            assert table_nodes(table, width) == (nodes, root)
 
 
 class TestTableEngine:

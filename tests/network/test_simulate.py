@@ -6,7 +6,9 @@ import pytest
 
 from repro.network.netlist import LogicNetwork
 from repro.network.simulate import (combinational_signature, evaluate,
-                                    exhaustive_signature)
+                                    exhaustive_outputs,
+                                    exhaustive_signature, output_masks,
+                                    random_leaf_masks, signal_masks)
 from repro.sop.cover import Cover
 from repro.sop.cube import Cube
 
@@ -85,3 +87,58 @@ def test_missing_leaf_raises_like_evaluate():
     with pytest.raises(ValueError) as got:
         combinational_signature(net, [full, partial])
     assert str(got.value) == str(expected.value)
+
+
+def rows(masks, count):
+    return [tuple(bool(mask >> vector & 1) for mask in masks)
+            for vector in range(count)]
+
+
+def test_random_networks_include_latches():
+    assert any(random_network(seed).latches for seed in range(20))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_drawn_masks_are_the_dict_vectors(seed):
+    """``random_leaf_masks`` draws what the per-vector dicts drew, so a
+    check on output masks sees the same vectors as one on signatures."""
+    net = random_network(seed)
+    leaves = net.combinational_inputs()
+    count = random.Random(seed).randint(1, 300)
+    rng = random.Random(2000 + seed)
+    vectors = [{leaf: bool(rng.getrandbits(1)) for leaf in leaves}
+               for _ in range(count)]
+    masks = random_leaf_masks(random.Random(2000 + seed), len(leaves),
+                              count)
+    assert [{leaf: bool(masks[position] >> vector & 1)
+             for position, leaf in enumerate(leaves)}
+            for vector in range(count)] == vectors
+    assert rows(output_masks(net, masks, count), count) == \
+        combinational_signature(net, vectors)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exhaustive_outputs_are_the_signature_columns(seed):
+    net = random_network(seed)
+    count = 1 << len(net.combinational_inputs())
+    assert rows(exhaustive_outputs(net), count) == exhaustive_signature(net)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pinned_signal_behaves_as_a_free_leaf(seed):
+    """Pinning a node to a mask equals cutting it out as a new leaf."""
+    net = random_network(seed)
+    rng = random.Random(3000 + seed)
+    name = rng.choice(sorted(net.nodes))
+    freed = net.copy()
+    freed.remove_node(name)
+    freed.inputs.append(name)
+    count = 64
+    masks = [rng.getrandbits(count) for _ in net.combinational_inputs()]
+    pin = rng.getrandbits(count)
+    pinned = signal_masks(net, masks, count, pinned={name: pin})
+    # freed's leaves: the primary inputs, the new leaf, then the latches.
+    inputs = len(net.inputs)
+    expected = signal_masks(freed, masks[:inputs] + [pin] + masks[inputs:],
+                            count)
+    assert pinned == expected

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.api import Session
+from repro.network import LogicNetwork
 from repro.network.blif import parse_blif
 from repro.network.simulate import exhaustive_signature
-from repro.resynth import (ResynthRequest, load_circuit, resynthesize,
-                           resynthesize_network)
+from repro.resynth import (MAX_VERIFY_VECTORS, ResynthRequest, extract_window,
+                           load_circuit, resynthesize, resynthesize_network)
+from repro.resynth.pipeline import _verify_final, _verify_window
+from repro.sop import Cover
+from repro.sop.cube import DASH, Cube
+
+from ..decompose.test_cutflex import reconvergent_and_network
 
 
 def run(circuit="s27", **kwargs):
@@ -106,6 +112,87 @@ class TestVerification:
         assert report.verify_method == "exhaustive"
         leaves = len(load_circuit("s27").combinational_inputs())
         assert report.verify_vectors == 1 << leaves
+
+
+def flip_first_literal(cover):
+    """``cover`` with its first literal complemented."""
+    cubes = [list(cube.values) for cube in cover.cubes]
+    for values in cubes:
+        for position, value in enumerate(values):
+            if value != DASH:
+                values[position] = 1 - value
+                return Cover(cover.width, [Cube(row) for row in cubes])
+    raise AssertionError("the cover has no literal")
+
+
+def corrupted(network, name):
+    """A copy of ``network`` with one literal of node ``name`` flipped."""
+    bad = network.copy()
+    bad.nodes[name].cover = flip_first_literal(bad.nodes[name].cover)
+    return bad
+
+
+def wide_buffer_network(leaves=20):
+    """``o = x0`` beside an AND of every leaf: too wide to simulate
+    exhaustively, and flipping ``o``'s literal changes every vector."""
+    net = LogicNetwork("wide")
+    names = ["x%d" % index for index in range(leaves)]
+    for name in names:
+        net.add_input(name)
+    net.add_node("o", ["x0"], Cover.from_strings(1, ["1"]))
+    net.add_node("g", names, Cover.from_strings(leaves, ["1" * leaves]))
+    net.add_output("o")
+    net.add_output("g")
+    return net
+
+
+class TestCorruptedRewrites:
+    """The mask comparisons reject a rewrite that changes an output."""
+
+    def test_window_check_rejects_a_flipped_literal(self):
+        net = reconvergent_and_network()
+        window = extract_window(net, ["y1"], max_leaves=8, tfo_depth=0)
+        node = window.network.nodes["y1"]
+        assert _verify_window(window, {"y1": (node.fanins, node.cover)})
+        assert not _verify_window(
+            window, {"y1": (node.fanins, flip_first_literal(node.cover))})
+
+    def test_window_check_sees_through_the_tfo(self):
+        net = reconvergent_and_network()
+        window = extract_window(net, ["y1"], max_leaves=8, tfo_depth=1)
+        assert window.roots == ("f",)
+        node = window.network.nodes["y1"]
+        assert not _verify_window(
+            window, {"y1": (node.fanins, flip_first_literal(node.cover))})
+
+    @pytest.mark.parametrize("verify", ["exhaustive", "auto"])
+    def test_final_exhaustive_check_rejects_a_flipped_literal(self,
+                                                              verify):
+        net = reconvergent_and_network()
+        request = ResynthRequest(circuit="s27", verify=verify)
+        assert _verify_final(net, net.copy(), request) == \
+            (True, "exhaustive", 8)
+        assert _verify_final(net, corrupted(net, "f"), request) == \
+            (False, "exhaustive", 8)
+
+    @pytest.mark.parametrize("verify", ["signature", "auto", "exhaustive"])
+    def test_final_signature_check_rejects_a_flipped_literal(self,
+                                                             verify):
+        """20 leaves: every mode falls back to seeded random vectors."""
+        net = wide_buffer_network()
+        request = ResynthRequest(circuit="s27", verify=verify,
+                                 verify_vectors=100)
+        assert _verify_final(net, net.copy(), request) == \
+            (True, "signature", 100)
+        assert _verify_final(net, corrupted(net, "o"), request) == \
+            (False, "signature", 100)
+
+    def test_signature_vectors_stop_at_the_frame_size(self):
+        net = reconvergent_and_network()
+        request = ResynthRequest(circuit="s27", verify="signature",
+                                 verify_vectors=MAX_VERIFY_VECTORS)
+        assert _verify_final(net, net.copy(), request) == \
+            (True, "signature", 8)
 
 
 class TestMemoSharing:

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.resynth import (RESYNTH_SCHEMA_VERSION, ResynthReport,
-                           ResynthRequest, load_circuit,
+from repro.resynth import (MAX_VERIFY_VECTORS, RESYNTH_SCHEMA_VERSION,
+                           ResynthReport, ResynthRequest, load_circuit,
                            normalize_circuit_spec)
 
 
@@ -61,6 +61,21 @@ class TestRequestValidation:
     def test_bad_values_rejected_eagerly(self, kwargs):
         with pytest.raises((ValueError, KeyError)):
             ResynthRequest(circuit="s27", **kwargs)
+
+    @pytest.mark.parametrize("value", [0, -1, MAX_VERIFY_VECTORS + 1,
+                                       10 ** 8, True, 256.0, "256", None])
+    def test_verify_vectors_outside_the_bound(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            ResynthRequest(circuit="s27", verify_vectors=value)
+        message = str(excinfo.value)
+        assert "verify_vectors" in message and repr(value) in message
+
+    def test_verify_vectors_bound_is_inclusive(self):
+        assert MAX_VERIFY_VECTORS == 1 << 16
+        for value in (1, MAX_VERIFY_VECTORS):
+            assert ResynthRequest(circuit="s27",
+                                  verify_vectors=value).verify_vectors \
+                == value
 
     def test_circuit_normalised_at_construction(self):
         request = ResynthRequest(circuit="s27")

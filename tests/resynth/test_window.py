@@ -5,7 +5,7 @@ import pytest
 from repro.network import LogicNetwork
 from repro.network.simulate import exhaustive_signature
 from repro.resynth import (CUT_POLICIES, MAX_WINDOW_LEAVES,
-                           enumerate_cuts, extract_window)
+                           enumerate_cuts, extract_window, load_circuit)
 from repro.sop import Cover
 
 
@@ -106,3 +106,47 @@ class TestEnumerateCuts:
     def test_policies_constant_is_exhaustive(self):
         for policy in CUT_POLICIES:
             assert enumerate_cuts(chain_network(), policy) is not None
+
+
+class TestOnePassIndex:
+    """Fanouts, topological positions and outputs computed once per
+    pass give the windows and cuts each call computes for itself."""
+
+    @staticmethod
+    def pass_index(net):
+        order = net.topological_order()
+        return order, {"fanouts": net.fanouts(),
+                       "position": {name: index
+                                    for index, name in enumerate(order)},
+                       "outputs": set(net.combinational_outputs())}
+
+    @staticmethod
+    def shape(window):
+        return None if window is None else \
+            (window.nodes, window.leaves, window.roots)
+
+    @pytest.mark.parametrize("circuit", ["s27", "s298", "s1488"])
+    def test_precomputed_index_changes_nothing(self, circuit):
+        net = load_circuit(circuit)
+        order, index = self.pass_index(net)
+        for policy in CUT_POLICIES:
+            cuts = enumerate_cuts(net, policy)
+            assert enumerate_cuts(net, policy, order=order) == cuts
+            for cut in cuts:
+                for depth in range(3):
+                    own = extract_window(net, cut, max_leaves=8,
+                                         tfo_depth=depth)
+                    given = extract_window(net, cut, max_leaves=8,
+                                           tfo_depth=depth, **index)
+                    assert self.shape(given) == self.shape(own)
+
+    def test_precomputed_index_skips_the_network_walk(self, monkeypatch):
+        net = load_circuit("s298")
+        order, index = self.pass_index(net)
+
+        def walk():
+            raise AssertionError("topological_order recomputed")
+
+        monkeypatch.setattr(net, "topological_order", walk)
+        for cut in enumerate_cuts(net, "nodes", order=order):
+            extract_window(net, cut, max_leaves=8, tfo_depth=2, **index)

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -85,6 +86,18 @@ class TestResynthValidation:
         with pytest.raises(ServiceError):
             SolveService().resynth(dict(S27, passes=0))
 
+    @pytest.mark.parametrize("value", [10 ** 8, 0, True, "256"])
+    def test_verify_vectors_bound_answers_at_once(self, value):
+        service = SolveService()
+        started = time.perf_counter()
+        with pytest.raises(ServiceError) as excinfo:
+            service.resynth(dict(S27, circuit="sbc", passes=1, max_nodes=1,
+                                 verify_vectors=value))
+        assert time.perf_counter() - started < 0.5
+        assert excinfo.value.status == 400
+        assert "verify_vectors" in str(excinfo.value)
+        assert service._resynth_cache == {}
+
     def test_failed_runs_are_errors_and_never_cached(self):
         service = SolveService()
         bad = {"circuit": "no-such-circuit"}
@@ -142,6 +155,17 @@ class TestHttpRoute:
                                            "passes": 0})
         assert excinfo.value.code == 400
         assert "error" in json.loads(excinfo.value.read())
+
+    def test_verify_vectors_over_the_bound_is_400(self, served):
+        base, _ = served
+        started = time.perf_counter()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(base + "/resynth", {"circuit": "sbc", "passes": 1,
+                                           "max_nodes": 1,
+                                           "verify_vectors": 10 ** 8})
+        assert time.perf_counter() - started < 1.0
+        assert excinfo.value.code == 400
+        assert "verify_vectors" in json.loads(excinfo.value.read())["error"]
 
 
 class TestAsgiRoute:

@@ -454,6 +454,10 @@ class TestResynthCommand:
         assert main(["resynth", "s27", "--passes", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_verify_vectors_bound_is_a_usage_error(self, capsys):
+        assert main(["resynth", "s27", "--verify-vectors", "65537"]) == 2
+        assert "verify_vectors" in capsys.readouterr().err
+
     def test_executor_flag_round_trips(self, capsys):
         assert main(["resynth", "s27", "--quick",
                      "--executor", "thread", "--workers", "2",
