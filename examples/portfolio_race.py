@@ -36,8 +36,8 @@ def race(session, bench):
         single_costs[strategy] = report.cost
         print("  %-10s alone -> cost %.0f" % (strategy, report.cost))
 
-    # Now the race.  executor="serial" keeps the demo deterministic;
-    # drop it (default: one thread per racer) for real wall-clock wins.
+    # Now the race.  executor="serial" (the default) keeps the demo
+    # deterministic; "process" runs one OS process per racer.
     report = session.solve(SolveRequest(
         relation={"kind": "bench", "name": bench},
         strategy="portfolio", portfolio_executor="serial"))

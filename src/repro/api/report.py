@@ -10,7 +10,7 @@ captured error.  Being pure data it pickles across process boundaries
 When the solve ran in the calling process the live
 :class:`~repro.core.Solution` (BDD nodes and manager) is attached as
 ``report.solution``; it is excluded from comparison and serialisation.
-A report that crossed a manager, thread or process boundary instead
+A report that crossed a manager or process boundary instead
 keeps the solved vector as a manager-independent memo template
 (:meth:`SolveReport.solution_template`), from which
 :class:`~repro.api.Session` re-instantiates a live solution in the

@@ -30,14 +30,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
 from ..core.brel import BrelResult, BrelSolver
-from ..core.explore import CancelToken, Improvement, Observer
+from ..core.explore import (CancelToken, Improvement, Observer,
+                            check_executor)
 from ..core.memo import (DEFAULT_MEMO_CAPACITY, MemoStore,
                          instantiate_solution)
 from ..core.partition import (merge_block_stats, partition_relation,
@@ -79,40 +80,28 @@ def _init_worker_memo(entries: List[Tuple[Any, Any]],
     _worker_memo = MemoStore(capacity=capacity, entries=entries)
 
 
-def _solve_payload(payload: Dict[str, Any],
-                   cancel: Optional[CancelToken] = None) -> SolveReport:
-    """Execute one self-contained batch job (runs in worker processes).
+def _solve_payload(payload: Dict[str, Any]) -> SolveReport:
+    """Execute one self-contained pool job (runs in worker processes).
 
     Never raises: any failure — malformed request, unparsable relation,
     solver error — comes back as a failed report so one bad job cannot
-    poison a batch.  ``cancel`` reaches thread workers (shared memory);
-    process workers cannot share a token and stop only between jobs.
+    poison a batch.  Workers cannot share a cancel token; they stop
+    only between jobs.
 
-    Memoisation: process jobs set ``payload["memo_shared"]`` and solve
-    through the worker-global store installed by
-    :func:`_init_worker_memo`; thread jobs carry the exported
-    parent-store entries in ``payload["memo"]`` and build a private
-    seeded store (``MemoStore`` is not thread-safe, so thread workers
-    must not share one).  Either way the templates are
-    manager-independent, so they instantiate cleanly into the worker's
-    fresh manager, and the hit/miss counters travel back inside the
-    report's stats for the parent to merge.
+    Memoisation: jobs flagged ``payload["memo_shared"]`` solve through
+    the worker-global store installed by :func:`_init_worker_memo`.
+    The templates are manager-independent, so they instantiate cleanly
+    into the worker's fresh manager, and the hit/miss counters travel
+    back inside the report's stats for the parent to merge.
     """
     label = payload.get("label")
     request_dict = payload.get("request")
     try:
         request = SolveRequest.from_dict(request_dict)
         relation = relation_from_nodes(payload["nodes"])
-        if payload.get("memo_shared"):
-            memo = _worker_memo
-        else:
-            memo_entries = payload.get("memo")
-            memo = (MemoStore(capacity=payload.get("memo_capacity",
-                                                   DEFAULT_MEMO_CAPACITY),
-                              entries=memo_entries)
-                    if memo_entries is not None else None)
+        memo = _worker_memo if payload.get("memo_shared") else None
         result = BrelSolver(request.to_options(),
-                            memo=memo).solve(relation, cancel=cancel)
+                            memo=memo).solve(relation)
         report = SolveReport.from_result(relation, result,
                                          request=request_dict, label=label)
         # BDD handles must not cross back over the process boundary:
@@ -476,14 +465,13 @@ class Session:
         # while False reports lack the partition breakdown and must
         # not be served to sharded requests (or vice versa).  The
         # block executor is deliberately NOT keyed: sharded results
-        # are byte-identical across serial/thread/process dispatch.
+        # are byte-identical across serial and process dispatch.
         # The backend field is NOT keyed either: it is accepted and
         # ignored, so its values share one slot.
         # The portfolio racer line-up keys by its *resolved* canonical
         # JSON — None and an explicitly spelled-out default line-up
         # share a slot — while portfolio_executor, like the block
-        # executor, is an execution detail (results are cost-identical
-        # across serial/thread/process racing) and is NOT keyed.
+        # executor, is an execution detail and is NOT keyed.
         if request.exploration_strategy() == "portfolio":
             from ..core.portfolio import racers_cache_key
             racers = racers_cache_key(request.portfolio_racers)
@@ -739,9 +727,9 @@ class Session:
         when output-block decomposition shards the relation
         (:mod:`repro.core.partition`): ``"serial"`` (default) solves
         them in the fixed partition order inside the solver loop;
-        ``"thread"`` / ``"process"`` ship each block to the same pool
+        ``"process"`` ships each block to the same process-pool
         machinery :meth:`solve_many` uses (node list out, solution
-        template back) and recombine the per-block solutions in the
+        template back) and recombines the per-block solutions in the
         caller's manager — byte-identical to the serial result, since
         every block still runs the same deterministic strategy loop on
         the same ordered BDD.  Relations that do not shard, calls
@@ -755,9 +743,7 @@ class Session:
         blocks' templates.
         """
         request = request or SolveRequest()
-        if block_executor not in ("serial", "thread", "process"):
-            raise ValueError("block_executor must be 'serial', "
-                             "'thread' or 'process'")
+        check_executor("block_executor", block_executor)
         resolved, spec, key, from_registry = \
             self._prepare_solve(request, relation)
         cached = self._cache.get(key)
@@ -773,7 +759,7 @@ class Session:
                                           from_registry, request)
         report = None
         partition = None
-        if (block_executor != "serial"
+        if (block_executor == "process"
                 and request.decompose is not False
                 and len(resolved.outputs) >= 2
                 # Pool workers cannot stream events back to the caller
@@ -786,7 +772,6 @@ class Session:
             if not partition.is_trivial:
                 report = self._solve_blocks_pooled(request, resolved,
                                                    partition,
-                                                   block_executor,
                                                    block_workers, cancel)
         if report is None:
             # Hand any partition computed above to the solver's router
@@ -815,11 +800,11 @@ class Session:
     def _solve_blocks_pooled(self, request: SolveRequest,
                              resolved: BooleanRelation,
                              partition,
-                             executor: str,
                              max_workers: Optional[int],
                              cancel: Optional[CancelToken]
                              ) -> Optional[SolveReport]:
-        """Shard one solve across the pool; ``None`` = run in-process.
+        """Shard one solve across a process pool; ``None`` = run
+        in-process.
 
         Ships each block of the (non-trivial) ``partition`` as a
         self-contained job (node list + block request) through the
@@ -851,14 +836,12 @@ class Session:
         for block in partition.blocks:
             payload = {"nodes": relation_to_nodes(block.relation),
                        "request": dict(base_request),
-                       "label": "block-%d" % block.index,
-                       "memo": memo_entries,
-                       "memo_capacity": self.memo.capacity}
+                       "label": "block-%d" % block.index}
             payload["request"]["label"] = payload["label"]
             payloads.append(payload)
 
-        reports = self._run_block_jobs(payloads, executor, max_workers,
-                                       cancel)
+        reports = self._run_block_jobs(payloads, memo_entries,
+                                       max_workers, cancel)
         if reports is None:
             return None  # pool layer unavailable; solve in-process
         for payload, block_report in zip(payloads, reports):
@@ -944,52 +927,32 @@ class Session:
         return improvements
 
     def _run_block_jobs(self, payloads: List[Dict[str, Any]],
-                        executor: str, max_workers: Optional[int],
+                        memo_seed: Optional[List[Tuple[Any, Any]]],
+                        max_workers: Optional[int],
                         cancel: Optional[CancelToken]
                         ) -> Optional[List[SolveReport]]:
-        """Run block payloads on a pool; ``None`` = abandon pooling.
+        """Run block payloads on a process pool; ``None`` = abandon
+        pooling.
 
-        Thread workers share the cancel token (in-flight block searches
-        stop cooperatively and report best-so-far).  Process workers
-        cannot share a token, so a cancellation observed while waiting
-        cancels the undispatched blocks and abandons the pooled
-        attempt (``None``) — the in-process sharded solve then honours
-        the token directly.  A worker that dies (broken pool, pickling
-        breakage) comes back as a failed report for its block rather
-        than an escaping exception.
+        Workers cannot share the cancel token, so a cancellation
+        observed while waiting abandons the pooled attempt (``None``)
+        at once — the in-process sharded solve then honours the token
+        directly.  A worker that dies (broken pool, pickling breakage)
+        comes back as a failed report for its block rather than an
+        escaping exception.
         """
         if cancel is not None and cancel.cancelled:
             return None
-        if max_workers is None:
-            max_workers = self.default_max_workers
-        if max_workers is None:
-            max_workers = min(len(payloads), os.cpu_count() or 1)
-        max_workers = max(1, min(max_workers, len(payloads)))
-        if executor == "thread":
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [pool.submit(_solve_payload, payload, cancel)
-                           for payload in payloads]
-                return [future.result() for future in futures]
-        memo_seed = payloads[0].get("memo")
-        pool_kwargs: Dict[str, Any] = {"max_workers": max_workers}
-        if memo_seed is not None:
-            pool_kwargs["initializer"] = _init_worker_memo
-            pool_kwargs["initargs"] = (memo_seed, self.memo.capacity)
-        process_payloads = []
-        for payload in payloads:
-            stripped = {k: v for k, v in payload.items()
-                        if k not in ("memo", "memo_capacity")}
-            stripped["memo_shared"] = memo_seed is not None
-            process_payloads.append(stripped)
         try:
-            pool = ProcessPoolExecutor(**pool_kwargs)
+            pool = self._process_pool(max_workers, len(payloads),
+                                      memo_seed)
         except OSError:
             # No working fork/semaphore layer (restricted sandboxes):
             # signal the caller to run the in-process sharded solve.
             return None
         try:
-            futures = [pool.submit(_solve_payload, payload)
-                       for payload in process_payloads]
+            futures = [self._submit(pool, payload, memo_seed is not None)
+                       for payload in payloads]
             outstanding = set(futures)
             while outstanding:
                 done, outstanding = wait(
@@ -1004,19 +967,56 @@ class Session:
                     # finally-shutdown cancels queued blocks; running
                     # ones finish in the background and are discarded.
                     return None
-            reports = []
-            for payload, future in zip(process_payloads, futures):
-                try:
-                    reports.append(future.result())
-                except Exception as exc:  # pool/pickling breakage
-                    reports.append(SolveReport.from_error(
-                        exc, request=payload["request"],
-                        label=payload["label"]))
-            return reports
+            return [self._future_report(future, payload)
+                    for payload, future in zip(payloads, futures)]
         except OSError:
             return None
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
+
+    def _process_pool(self, max_workers: Optional[int], jobs: int,
+                      memo_seed: Optional[List[Tuple[Any, Any]]]
+                      ) -> ProcessPoolExecutor:
+        """A pool for ``jobs`` jobs; raises ``OSError`` without a
+        working process layer.
+
+        ``max_workers`` (else the session default, else one worker per
+        job up to the CPU count) caps its size.  With a ``memo_seed``
+        each worker process installs one store seeded from it
+        (:func:`_init_worker_memo`): the export pickles once per worker
+        instead of once per job, and jobs co-located on a worker share
+        what the earlier ones learned.
+        """
+        if max_workers is None:
+            max_workers = self.default_max_workers
+        if max_workers is None:
+            max_workers = min(jobs, os.cpu_count() or 1)
+        kwargs: Dict[str, Any] = {
+            "max_workers": max(1, min(max_workers, jobs))}
+        if memo_seed is not None:
+            kwargs["initializer"] = _init_worker_memo
+            kwargs["initargs"] = (memo_seed, self.memo.capacity)
+        return ProcessPoolExecutor(**kwargs)
+
+    @staticmethod
+    def _submit(pool: ProcessPoolExecutor, payload: Dict[str, Any],
+                memo_shared: bool) -> Future:
+        """Ship a job's picklable part (node list, request dict,
+        label) to the pool."""
+        return pool.submit(_solve_payload, {
+            "nodes": payload["nodes"], "request": payload["request"],
+            "label": payload["label"], "memo_shared": memo_shared})
+
+    @staticmethod
+    def _future_report(future: Future, payload: Dict[str, Any]
+                       ) -> SolveReport:
+        """A finished job's report; a broken pool or a pickling failure
+        becomes a failed report for that job."""
+        try:
+            return future.result()
+        except Exception as exc:  # noqa: BLE001 — pool/pickling breakage
+            return SolveReport.from_error(exc, request=payload["request"],
+                                          label=payload["label"])
 
     def solve_iter(self, request: Optional[SolveRequest] = None,
                    relation: Optional[RelationLike] = None, *,
@@ -1091,14 +1091,14 @@ class Session:
         * Failures (bad relation names, malformed inputs, solver errors)
           are captured in the corresponding report, never raised.
         * ``cancel`` propagates to workers as each executor allows:
-          serial and thread jobs share the token, so in-flight searches
-          stop cooperatively and report their best-so-far solution
+          serial jobs share the token, so the in-flight search stops
+          cooperatively and reports its best-so-far solution
           (``stopped="cancelled"``); process workers cannot share a
           token, so cancellation stops dispatch — queued jobs are
           cancelled and come back as failed ``cancelled before start``
           reports while already-running workers finish their job.
-        * Identical jobs — same relation (node-list content for pool
-          executors and node specs; object identity for serial jobs
+        * Identical jobs — same relation (node-list content for process
+          jobs and node specs; object identity for serial jobs
           naming a session relation, spec content for other
           self-contained serial specs), same options — are solved once
           *per batch* and the shared report fanned back out, with
@@ -1106,10 +1106,8 @@ class Session:
           carries the memo deltas).  The session cache additionally
           persists across calls.
         * ``executor`` selects ``"process"`` (default; true parallelism
-          across cores), ``"thread"`` (each job solves its own copy of
-          the relation in a private manager, since the shared managers
-          are not thread-safe), or ``"serial"`` (in-process, on the live
-          relation).  Pool jobs ship the relation as its node list
+          across cores) or ``"serial"`` (in-process, on the live
+          relation).  Process jobs ship the relation as its node list
           (:func:`~repro.core.relio.relation_to_nodes`), linear in BDD
           size at any input width.
 
@@ -1119,15 +1117,13 @@ class Session:
         (:meth:`_portable_solution`).
 
         Memoisation: serial jobs share the session's live
-        :class:`~repro.core.memo.MemoStore` directly; pool jobs are
-        pre-seeded with the parent store's most recent entries
+        :class:`~repro.core.memo.MemoStore` directly; process workers
+        are pre-seeded with the parent store's most recent entries
         (templates are manager-independent) and their hit/miss counters
         are merged back into the session's store afterwards.  Entries a
         worker learns stay in the worker — only the counters return.
         """
-        if executor not in ("process", "thread", "serial"):
-            raise ValueError("executor must be 'process', 'thread' "
-                             "or 'serial'")
+        check_executor("executor", executor)
         reports: List[Optional[SolveReport]] = [None] * len(requests)
         pending: Dict[Tuple[Any, ...], List[int]] = {}
         payloads: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
@@ -1150,7 +1146,7 @@ class Session:
                     resolved = self.resolve_relation(source)
                 if source["kind"] != "name":
                     spec_built.append(resolved)
-                if executor != "serial":
+                if executor == "process":
                     # The pool transport, linear in BDD size; serial
                     # jobs solve the live object and skip it entirely.
                     nodes = relation_to_nodes(resolved)
@@ -1185,30 +1181,25 @@ class Session:
                 # path re-resolve and auto-trim safely.
                 registry_name = (source["name"]
                                  if source["kind"] == "name" else None)
-                # Serial jobs use the live store; pool jobs get a seed
-                # export (computed once per batch, shared read-only by
-                # every payload) to rebuild a private store from.
+                # Serial jobs use the live store; process workers get
+                # a seed export (computed once per batch).
                 memo_store = self._memo_for(request)
-                memo_entries = None
-                if memo_store is not None and nodes is not None:
-                    if memo_export is None:
-                        memo_export = self.memo.export_entries(
-                            limit=DEFAULT_MEMO_EXPORT_LIMIT)
-                    memo_entries = memo_export
+                if (memo_store is not None and nodes is not None
+                        and memo_export is None):
+                    memo_export = self.memo.export_entries(
+                        limit=DEFAULT_MEMO_EXPORT_LIMIT)
                 payloads[key] = {"nodes": nodes,
                                  "request": request.to_dict(),
                                  "solve_request": request,
                                  "label": label,
                                  "relation": resolved,
                                  "registry_name": registry_name,
-                                 "memo_store": memo_store,
-                                 "memo": memo_entries,
-                                 "memo_capacity": self.memo.capacity}
+                                 "memo_store": memo_store}
             pending.setdefault(key, []).append(index)
 
         if pending:
             fresh = self._run_jobs(list(pending), payloads, max_workers,
-                                   executor, cancel)
+                                   executor, cancel, memo_export)
             for key, report in fresh.items():
                 # Cancelled in-flight jobs report ok with a best-so-far
                 # solution; like solve(), that partial answer must not
@@ -1267,19 +1258,14 @@ class Session:
                   payloads: Dict[Tuple[Any, ...], Dict[str, Any]],
                   max_workers: Optional[int],
                   executor: str,
-                  cancel: Optional[CancelToken] = None
+                  cancel: Optional[CancelToken] = None,
+                  memo_seed: Optional[List[Tuple[Any, Any]]] = None
                   ) -> Dict[Tuple[Any, ...], SolveReport]:
-        """Execute the unique jobs, serially or on an executor pool."""
-        if max_workers is None:
-            max_workers = self.default_max_workers
-        if max_workers is None:
-            max_workers = min(len(keys), os.cpu_count() or 1)
-        max_workers = max(1, min(max_workers, len(keys)))
-
+        """Execute the unique jobs, serially or on a process pool."""
         results: Dict[Tuple[Any, ...], SolveReport] = {}
-        # Only an explicit "serial" runs in this process: process/thread
-        # keep their isolation contract (a private manager per job) even
-        # for a single job or max_workers=1.
+        # Only an explicit "serial" runs in this process: process keeps
+        # its isolation contract (a private manager per job) even for a
+        # single job or max_workers=1.
         if executor == "serial":
             limit = self.auto_trim_nodes
             for key in keys:
@@ -1305,50 +1291,12 @@ class Session:
                 results[key] = self._solve_in_process(payload, cancel)
             return results
 
-        if executor == "thread":
-            # BddManager is not thread-safe and session relations of the
-            # same shape share one, so each thread job rebuilds its node
-            # list in a fresh manager (like a process worker) —
-            # and, for the same reason, a private seeded memo store
-            # whose counters merge back below.  Threads share the cancel
-            # token: in-flight searches stop cooperatively and report
-            # best-so-far.
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = {key: pool.submit(
-                    _solve_payload,
-                    {k: v for k, v in payloads[key].items()
-                     if k not in ("relation", "solve_request",
-                                  "registry_name", "memo_store")},
-                    cancel)
-                    for key in keys}
-                for key, future in futures.items():
-                    results[key] = future.result()
-                    self._absorb_memo_stats(results[key])
-            return results
-
-        # One worker-global store per process, seeded through the pool
-        # initializer: the export pickles once per worker instead of
-        # once per job, and jobs co-located on a worker share what the
-        # earlier ones learned.  Per-job payloads carry only a flag.
-        memo_seed = next((payloads[key]["memo"] for key in keys
-                          if payloads[key].get("memo") is not None), None)
-        pool_kwargs: Dict[str, Any] = {"max_workers": max_workers}
-        if memo_seed is not None:
-            pool_kwargs["initializer"] = _init_worker_memo
-            pool_kwargs["initargs"] = (memo_seed, self.memo.capacity)
-
-        def process_payload(key: Tuple[Any, ...]) -> Dict[str, Any]:
-            payload = {k: v for k, v in payloads[key].items()
-                       if k not in ("relation", "solve_request",
-                                    "registry_name", "memo_store", "memo",
-                                    "memo_capacity")}
-            payload["memo_shared"] = payloads[key].get("memo") is not None
-            return payload
-
         try:
-            with ProcessPoolExecutor(**pool_kwargs) as pool:
-                futures = {key: pool.submit(_solve_payload,
-                                            process_payload(key))
+            with self._process_pool(max_workers, len(keys),
+                                    memo_seed) as pool:
+                futures = {key: self._submit(
+                    pool, payloads[key],
+                    payloads[key]["memo_store"] is not None)
                     for key in keys}
                 # A CancelToken cannot cross the process boundary, so
                 # cancellation here stops dispatch: queued futures are
@@ -1369,13 +1317,9 @@ class Session:
                         results[key] = self._cancelled_report(
                             payloads[key])
                         continue
-                    try:
-                        results[key] = future.result()
-                        self._absorb_memo_stats(results[key])
-                    except Exception as exc:  # pool/pickling breakage
-                        results[key] = SolveReport.from_error(
-                            exc, request=payloads[key]["request"],
-                            label=payloads[key]["label"])
+                    results[key] = self._future_report(future,
+                                                       payloads[key])
+                    self._absorb_memo_stats(results[key])
         except OSError:
             # Process pools need a working fork/semaphore layer; fall
             # back to in-process execution in restricted sandboxes.

@@ -44,6 +44,7 @@ from .api.registry import (COSTS, cost_names, minimizer_names,
                            strategy_names)
 from .api.request import SolveRequest, load_manifest
 from .api.session import Session
+from .core.explore import EXECUTORS
 
 __all__ = ["COSTS", "build_parser", "main"]
 
@@ -253,12 +254,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_prewarm(args: argparse.Namespace) -> int:
-    from .service import prewarm
+    from .service import ServiceError, prewarm
 
     try:
         summary = prewarm(args.corpus, args.cache_dir,
                           executor=args.executor, workers=args.workers)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ServiceError, ValueError, KeyError, TypeError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -383,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "portfolio; default line-up: "
                             "bfs,dfs,best-first,beam); each name is an "
                             "exploration strategy")
-    solve.add_argument("--portfolio-executor",
-                       choices=["serial", "thread", "process"],
+    solve.add_argument("--portfolio-executor", choices=EXECUTORS,
                        default=None,
                        help="where portfolio racers run (implies "
-                            "--strategy portfolio; default thread; "
-                            "serial is deterministic)")
+                            "--strategy portfolio; default serial, "
+                            "which is deterministic; process runs one "
+                            "OS process per racer)")
     solve.add_argument("--no-quick", action="store_true",
                        help="skip QuickSolver on explored subrelations "
                             "(quick_on_subrelations=False)")
@@ -417,11 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--no-decompose", dest="decompose",
                        action="store_false",
                        help="always solve the monolithic relation")
-    solve.add_argument("--block-executor",
-                       choices=["serial", "thread", "process"],
+    solve.add_argument("--block-executor", choices=EXECUTORS,
                        default="serial",
                        help="where decomposed blocks run: in-solver "
-                            "(serial) or on a worker pool (results "
+                            "(serial) or on a process pool (results "
                             "are byte-identical either way)")
     solve.add_argument("--json", action="store_true",
                        help="emit the structured SolveReport as JSON")
@@ -434,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=None,
                        help="process-pool size (default: one per job, "
                             "capped at the CPU count)")
-    batch.add_argument("--executor",
-                       choices=["process", "thread", "serial"],
+    batch.add_argument("--executor", choices=EXECUTORS,
                        default="process")
     batch.add_argument("--output", default=None,
                        help="write the JSON report array here instead "
@@ -495,12 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
                          action="store_true", default=None)
     resynth.add_argument("--no-decompose", dest="decompose",
                          action="store_false")
-    resynth.add_argument("--executor",
-                         choices=["serial", "thread", "process"],
+    resynth.add_argument("--executor", choices=EXECUTORS,
                          default="serial",
                          help="how the relation stream is solved "
-                              "(default serial; pools ship each "
-                              "relation as its BDD node list)")
+                              "(default serial; process pools ship "
+                              "each relation as its BDD node list)")
     resynth.add_argument("--workers", type=int, default=None)
     resynth.add_argument("--verify",
                          choices=["auto", "exhaustive", "signature",
@@ -561,8 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "format as 'batch')")
     prewarm_cmd.add_argument("cache_dir",
                              help="disk-tier directory to fill")
-    prewarm_cmd.add_argument("--executor",
-                             choices=["serial", "thread", "process"],
+    prewarm_cmd.add_argument("--executor", choices=EXECUTORS,
                              default="serial")
     prewarm_cmd.add_argument("--workers", type=int, default=None)
     prewarm_cmd.set_defaults(func=_cmd_prewarm)

@@ -146,11 +146,11 @@ class BrelOptions:
         mappings ``{"strategy": ..., "name": ..., <option deltas>}``.
         Rejected eagerly for any other strategy.
     portfolio_executor:
-        How the racers run: ``"serial"`` (deterministic round-robin
-        interleave), ``"thread"`` (the default, ``None``) or
-        ``"process"``.  Like the session's block executor, this is an
-        execution detail — it never changes the solution — so cache
-        keys ignore it.  Rejected eagerly for any other strategy.
+        How the racers run: ``"serial"`` (the default, ``None``;
+        deterministic round-robin interleave) or ``"process"`` (one OS
+        process per racer).  Like the session's block executor, this
+        is an execution detail, so cache keys ignore it.  Rejected
+        eagerly for any other strategy.
     """
 
     cost_function: CostFunction = bdd_size_cost

@@ -19,7 +19,9 @@ touching the solver loop:
   running solve emits to observers and anytime iterators;
 * :class:`CancelToken` — cooperative cancellation for in-flight
   searches (the programmatic twin of §7.6's time-out completion
-  criterion).
+  criterion);
+* :data:`EXECUTORS` — where solver work (portfolio racers, sharded
+  blocks, batches, resynthesis) may run.
 """
 
 from __future__ import annotations
@@ -56,11 +58,37 @@ PRUNE_DETAILS = ("cost", "symmetry", "frontier-overflow", "bound",
                  "shared-bound")
 
 
+#: Where solver work runs: ``"serial"`` in the caller's process and
+#: thread (deterministic), ``"process"`` on OS worker processes (true
+#: parallelism; the engine is pure Python, so threads only take turns
+#: on the GIL).  Every executor option validates against this tuple.
+EXECUTORS: Tuple[str, ...] = ("serial", "process")
+
+
 def suggest(name: str, choices: Sequence[str]) -> str:
     """A ``did you mean`` suffix for unknown-name errors (may be empty)."""
     close = difflib.get_close_matches(str(name), list(choices), n=1,
                                       cutoff=0.5)
     return " — did you mean %r?" % close[0] if close else ""
+
+
+def check_executor(field: str, value: Any) -> str:
+    """``value`` if it is one of :data:`EXECUTORS`, else ``ValueError``
+    naming the field, the value and the valid values."""
+    if value not in EXECUTORS:
+        raise ValueError("%s must be one of %s, got %r"
+                         % (field, ", ".join(map(repr, EXECUTORS)), value))
+    return value
+
+
+def check_workers(value: Any) -> Optional[int]:
+    """``value`` if it is ``None`` or an int >= 1 (not a bool), else
+    ``ValueError`` naming the field and the value."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int) or value < 1):
+        raise ValueError("workers must be None or an int >= 1, got %r"
+                         % (value,))
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -20,24 +20,25 @@ the same relation and keeps whichever finishes best:
   across racers), one ``racer-done`` per racer, and a closing ``done``
   — so ``iter_solve`` and SSE streaming work unchanged.
 
-Executors (``portfolio_executor``):
+Executors (``portfolio_executor``, one of
+:data:`~repro.core.explore.EXECUTORS`):
 
-``"serial"``
+``"serial"`` (default)
     round-robin interleave of the racer generators on the caller's
     thread and manager — deterministic, and nothing is copied;
-``"thread"`` (default)
-    one thread per racer.  ``BddManager`` is not thread-safe, so each
-    racer rebuilds the relation's node list
-    (:func:`~repro.core.relio.relation_to_nodes`) in a private manager
-    — the same ordered BDD, at any input width — and improvements
-    travel back as memo templates, re-instantiated in the caller's
-    manager;
 ``"process"``
     one OS process per racer; the bound channel is a shared-memory
-    value and results come back over a queue.  Requires the cost
+    value and results come back over a queue as memo templates,
+    re-instantiated in the caller's manager.  Requires the cost
     function and minimiser to be registered by name.  A racer process
     that dies surfaces as a failed-racer note on the portfolio summary,
     never as an escaping pool error.
+
+Both run behind the same transport interface (``poll``/``cancel``/
+``close``) and one race loop, :func:`_drive`.  A process race that
+cannot run on processes — a daemonic caller, an unregistered cost or
+minimiser, no working process layer — races serially and says why in
+the summary's ``note``.
 
 The racer failure contract is uniform: a racer that errors (or whose
 process dies) is recorded on the summary and the race continues with
@@ -50,16 +51,16 @@ import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterator, List,
+                    Mapping, Optional, Set, Tuple)
 
 from .explore import CancelToken, Improvement, SolveEvent, \
-    get_strategy_factory
+    check_executor, get_strategy_factory
 from .memo import MemoStore, instantiate_solution, solution_template
 from .partition import merge_block_stats
 from .quick import quick_solve
 from .relation import BooleanRelation
-from .relio import RelationNodes, relation_from_nodes, relation_to_nodes
+from .relio import relation_from_nodes, relation_to_nodes
 from .solution import Solution, SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,14 +69,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The default racer line-up: one of each shipped frontier discipline.
 DEFAULT_RACERS: Tuple[str, ...] = ("bfs", "dfs", "best-first", "beam")
 
-#: Valid ``portfolio_executor`` values (``None`` means the default).
-RACE_EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
+#: Executor used when ``portfolio_executor`` is ``None``: deterministic,
+#: and it reproduces single-strategy costs exactly.
+DEFAULT_RACE_EXECUTOR = "serial"
 
-#: Executor used when ``portfolio_executor`` is ``None``.
-DEFAULT_RACE_EXECUTOR = "thread"
-
-#: Most-recent memo entries shipped to each thread/process racer's
-#: private store (mirrors the session batch export bound).
+#: Most-recent memo entries shipped to each racer process's private
+#: store (mirrors the session batch export bound).
 MEMO_EXPORT_LIMIT = 2048
 
 #: Option fields a racer spec may override relative to the base options.
@@ -173,7 +172,8 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
     :data:`RACER_DELTA_FIELDS`.  Names default to the strategy and are
     deduplicated with ``#2``-style suffixes, so two racers may share a
     strategy with different knobs.  Raises ``ValueError`` on unknown
-    strategies, nested portfolios, or unknown delta fields.
+    strategies, nested portfolios, unknown delta fields, or a line-up,
+    strategy or name of the wrong type.
     """
     if racers is None:
         entries: List[Any] = list(DEFAULT_RACERS)
@@ -184,15 +184,19 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
         raise ValueError("portfolio_racers must be a list of racer "
                          "specs (or a comma-separated string), not a "
                          "single mapping — wrap it in a list")
-    else:
+    elif isinstance(racers, (list, tuple)):
         entries = list(racers)
+    else:
+        raise ValueError("portfolio_racers must be None, a "
+                         "comma-separated string, or a list of racer "
+                         "specs, got %r" % (racers,))
     if not entries:
         raise ValueError("a portfolio needs at least one racer "
                          "(portfolio_racers=None races the default "
                          "line-up: %s)" % ", ".join(DEFAULT_RACERS))
     specs: List[Dict[str, Any]] = []
     names: set = set()
-    for entry in entries:
+    for position, entry in enumerate(entries, 1):
         if isinstance(entry, str):
             raw: Dict[str, Any] = {"strategy": entry.strip()}
         elif isinstance(entry, Mapping):
@@ -202,8 +206,9 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
                 "racer spec must be a strategy name or a mapping, "
                 "got %r" % type(entry).__name__)
         strategy = raw.pop("strategy", None)
-        if not strategy:
-            raise ValueError("racer spec %r has no 'strategy'" % (entry,))
+        if not isinstance(strategy, str) or not strategy:
+            raise ValueError("racer %d: 'strategy' must be a non-empty "
+                             "str, got %r" % (position, strategy))
         if strategy == "portfolio":
             raise ValueError("a portfolio cannot race itself: racer "
                              "strategies must name a concrete frontier "
@@ -212,7 +217,11 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
             get_strategy_factory(strategy)
         except KeyError as exc:
             raise ValueError(str(exc).strip('"')) from None
-        name = raw.pop("name", None) or strategy
+        name = raw.pop("name", None)
+        if name is not None and not isinstance(name, str):
+            raise ValueError("racer %d (%s): 'name' must be a str, got "
+                             "%r" % (position, strategy, name))
+        name = name or strategy
         unknown = set(raw) - set(RACER_DELTA_FIELDS)
         if unknown:
             raise ValueError(
@@ -271,11 +280,8 @@ def validate_portfolio_options(options: "BrelOptions"
     loaded, not mid-race.  Returns the normalised racer specs.
     """
     specs = normalize_racers(options.portfolio_racers)
-    executor = options.portfolio_executor
-    if executor is not None and executor not in RACE_EXECUTORS:
-        raise ValueError(
-            "portfolio_executor must be one of %r or None (None = %r)"
-            % (RACE_EXECUTORS, DEFAULT_RACE_EXECUTOR))
+    if options.portfolio_executor is not None:
+        check_executor("portfolio_executor", options.portfolio_executor)
     for spec in specs:
         # Construct each racer's options so every strategy-specific
         # combination check runs now (e.g. the beam width rule).
@@ -353,27 +359,6 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     options = solver.options
     specs = list(normalize_racers(options.portfolio_racers))
     requested = options.portfolio_executor or DEFAULT_RACE_EXECUTOR
-    executor = requested
-    note: Optional[str] = None
-    cost_name = minimizer_name = None
-    if executor == "process":
-        try:
-            import multiprocessing
-            daemonic = multiprocessing.current_process().daemon
-        except ImportError:  # pragma: no cover - stdlib always has it
-            daemonic = True
-        if daemonic:
-            note = ("thread fallback: daemonic processes cannot "
-                    "spawn racer processes")
-            executor = "thread"
-        else:
-            from ..api.registry import cost_registry, minimizer_registry
-            cost_name = cost_registry.name_of(options.cost_function)
-            minimizer_name = minimizer_registry.name_of(options.minimizer)
-            if cost_name is None or minimizer_name is None:
-                note = ("thread fallback: process racers need the cost "
-                        "function and minimizer registered by name")
-                executor = "thread"
 
     start = time.perf_counter()
     deadline = (start + options.time_limit_seconds
@@ -405,57 +390,50 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
             trace.append(ev)
         return ev
 
-    yield event("portfolio", detail="%d racers: %s; executor=%s%s" % (
-        len(specs), " | ".join(o.name for o in outcomes), executor,
-        " (%s)" % note if note else ""))
-    yield event("quick-solution", cost=best.cost, depth=0)
-    improvements.append(Improvement(best, best.cost,
-                                    time.perf_counter() - start, 0))
-    yield event("new-best", cost=best.cost, solution=best, depth=0)
-
+    # Open the transport before the opening event, so the event names
+    # the executor that actually runs the race.
+    transport, executor, note = _open_transport(
+        solver, relation, specs, channel, outcomes, requested)
     stop_reason: List[Optional[str]] = [None]
+    try:
+        yield event("portfolio", detail="%d racers: %s; executor=%s%s" % (
+            len(specs), " | ".join(o.name for o in outcomes), executor,
+            " (%s)" % note if note else ""))
+        yield event("quick-solution", cost=best.cost, depth=0)
+        improvements.append(Improvement(best, best.cost,
+                                        time.perf_counter() - start, 0))
+        yield event("new-best", cost=best.cost, solution=best, depth=0)
 
-    if executor == "serial":
-        driver = _drive_serial(solver, relation, specs, outcomes,
-                               channel, cancel, deadline, stop_reason)
-    elif executor == "thread":
-        driver = _drive_threads(solver, relation, specs, outcomes,
-                                channel, cancel, deadline, stop_reason)
-    else:
-        driver = _drive_processes(solver, relation, specs, outcomes,
-                                  channel, cancel, deadline, stop_reason,
-                                  cost_name, minimizer_name)
-
-    # The driver sub-generators yield ("event-kind", payload) tuples;
-    # globally improving incumbents arrive as live parent-manager
-    # solutions and are re-stamped here with the cumulative counters.
-    while True:
-        try:
-            kind, payload = next(driver)
-        except StopIteration:
-            break
-        if kind == "new-best":
-            solution, racer_index, depth = payload
-            if solution.cost < best.cost:
-                best = solution
-                best_racer = racer_index
-                improvements.append(Improvement(
-                    best, best.cost, time.perf_counter() - start,
-                    sum(o.explored for o in outcomes)))
-                yield event("new-best", cost=best.cost, solution=best,
-                            depth=depth,
-                            detail=outcomes[racer_index].name)
-        elif kind == "racer-done":
-            outcome = payload
-            yield event("racer-done", cost=outcome.cost,
-                        detail="%s: %s%s" % (
-                            outcome.name,
-                            outcome.stopped if outcome.error is None
-                            else "error (%s)" % outcome.error,
-                            " (proved optimal)"
-                            if outcome.proved_optimal else ""))
-        elif kind == "stopped":
-            yield event(payload)
+        # Globally improving incumbents arrive as live caller-manager
+        # solutions and are re-stamped here with the cumulative counters.
+        for kind, payload in _drive(transport, outcomes, memo, cancel,
+                                    deadline, stop_reason):
+            if kind == "new-best":
+                solution, racer_index, depth = payload
+                if solution.cost < best.cost:
+                    best = solution
+                    best_racer = racer_index
+                    improvements.append(Improvement(
+                        best, best.cost, time.perf_counter() - start,
+                        sum(o.explored for o in outcomes)))
+                    yield event("new-best", cost=best.cost,
+                                solution=best, depth=depth,
+                                detail=outcomes[racer_index].name)
+            elif kind == "racer-done":
+                outcome = payload
+                yield event("racer-done", cost=outcome.cost,
+                            detail="%s: %s%s" % (
+                                outcome.name,
+                                outcome.stopped if outcome.error is None
+                                else "error (%s)" % outcome.error,
+                                " (proved optimal)"
+                                if outcome.proved_optimal else ""))
+            else:  # stopped
+                yield event(payload)
+    finally:
+        # However the stream ends — finished, cancelled, or abandoned
+        # by its consumer — no racer outlives the race.
+        transport.close()
 
     failures = [o for o in outcomes if o.error is not None]
     if len(failures) == len(outcomes):
@@ -512,40 +490,63 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
                       portfolio=summary)
 
 
-# ----------------------------------------------------------------------
-# Serial executor: deterministic round-robin interleave
-# ----------------------------------------------------------------------
-def _drive_serial(solver: "BrelSolver", relation: BooleanRelation,
-                  specs: List[Dict[str, Any]],
-                  outcomes: List[_RacerOutcome],
-                  channel: BoundChannel,
-                  cancel: Optional[CancelToken],
-                  deadline: Optional[float],
-                  stop_reason: List[Optional[str]]):
-    """Pump the racer generators one event at a time, round-robin.
+def _open_transport(solver: "BrelSolver", relation: BooleanRelation,
+                    specs: List[Dict[str, Any]], channel: BoundChannel,
+                    outcomes: List[_RacerOutcome], requested: str
+                    ) -> Tuple[Any, str, Optional[str]]:
+    """Start the racers: ``(transport, executor that runs, note)``.
 
-    Racers share the caller's manager and the solver's memo store
-    (single-threaded, so no isolation is needed), which makes this the
-    deterministic reference executor.
+    A process race that cannot run on processes races serially, and
+    the note says why.
     """
-    from .brel import BrelSolver
-    options = solver.options
-    tokens = [CancelToken() for _ in specs]
-    racers = []
-    for spec, token in zip(specs, tokens):
-        sub = BrelSolver(build_racer_options(options, spec),
-                         memo=solver.memo, bound=channel)
-        racers.append(sub.iter_events(relation, cancel=token))
-    active = list(range(len(specs)))
+    if requested == "process":
+        import multiprocessing
+        from ..api.registry import cost_registry, minimizer_registry
+        cost_name = cost_registry.name_of(solver.options.cost_function)
+        minimizer_name = minimizer_registry.name_of(
+            solver.options.minimizer)
+        if multiprocessing.current_process().daemon:
+            reason = "daemonic processes cannot spawn racer processes"
+        elif cost_name is None or minimizer_name is None:
+            reason = ("process racers need the cost function and "
+                      "minimizer registered by name")
+        else:
+            try:
+                return (_ProcessRacers(solver, relation, specs,
+                                       channel.cost, cost_name,
+                                       minimizer_name),
+                        "process", None)
+            except OSError as exc:
+                reason = "no working process layer (%s: %s)" % (
+                    type(exc).__name__, exc)
+        note: Optional[str] = "serial fallback: %s" % reason
+    else:
+        note = None
+    return (_SerialRacers(solver, relation, specs, channel, outcomes),
+            "serial", note)
+
+
+def _drive(transport: Any, outcomes: List[_RacerOutcome],
+           memo: Optional[MemoStore], cancel: Optional[CancelToken],
+           deadline: Optional[float], stop_reason: List[Optional[str]]
+           ) -> Iterator[Tuple[str, Any]]:
+    """The race loop over either transport.
+
+    Polls the transport until every racer has reported, checking the
+    caller's token and the deadline between polls, and yields
+    ``("new-best", (solution, racer, depth))``, ``("racer-done",
+    outcome)`` and ``("stopped", reason)``.  A racer that proves
+    optimality cancels the rest.  The caller closes the transport.
+    """
+    pending: Set[int] = set(range(len(outcomes)))
     racer_start = time.perf_counter()
 
     def stop_all(reason: str) -> None:
         if stop_reason[0] is None:
             stop_reason[0] = reason
-            for token in tokens:
-                token.cancel()
+        transport.cancel(pending)
 
-    while active:
+    while pending:
         if cancel is not None and cancel.cancelled:
             stop_all("cancelled")
             yield ("stopped", "cancelled")
@@ -554,168 +555,21 @@ def _drive_serial(solver: "BrelSolver", relation: BooleanRelation,
             stop_all("timeout")
             yield ("stopped", "timeout")
             deadline = None
-        for index in list(active):
-            try:
-                ev = next(racers[index])
-            except StopIteration as stop:
-                result = stop.value
-                outcome = outcomes[index]
-                outcome.cost = result.solution.cost
-                outcome.explored = result.stats.relations_explored
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                outcome.stopped = result.stopped
-                outcome.stats = result.stats
-                outcome.frontier_overflow = \
-                    result.stats.frontier_overflow
-                active.remove(index)
-                yield ("racer-done", outcome)
-                if stop_reason[0] is None and outcome.proved_optimal:
-                    for other in active:
-                        tokens[other].cancel()
-                continue
-            except Exception as exc:  # noqa: BLE001 — racer isolation
-                outcome = outcomes[index]
-                outcome.error = "%s: %s" % (type(exc).__name__, exc)
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                active.remove(index)
-                yield ("racer-done", outcome)
-                continue
-            outcomes[index].explored = ev.explored
-            if ev.kind == "new-best" and ev.solution is not None:
-                if channel.publish(ev.solution.cost):
-                    outcomes[index].contributed += 1
-                    yield ("new-best", (ev.solution, index, ev.depth))
-
-
-# ----------------------------------------------------------------------
-# Thread executor: one racer per thread, private managers
-# ----------------------------------------------------------------------
-def _improvement(relation: BooleanRelation, solution: Solution
-                 ) -> Tuple[Any, float]:
-    """A racer's improvement as data: its template and its cost."""
-    return (solution_template(solution.mgr, solution.functions,
-                              relation.inputs), solution.cost)
-
-
-def _adopt(relation: BooleanRelation, improvement: Tuple[Any, float]
-           ) -> Solution:
-    """Re-instantiate a racer's improvement in the caller's manager.
-
-    The racer solved the same ordered BDD, so the cost it measured
-    carries over unchanged.
-    """
-    template, cost = improvement
-    return Solution(relation.mgr,
-                    instantiate_solution(relation.mgr, template,
-                                         relation.inputs), cost)
-
-
-def _thread_racer(index: int, spec: Dict[str, Any],
-                  base_options: "BrelOptions", nodes: RelationNodes,
-                  memo_entries: Optional[List[Tuple[Any, Any]]],
-                  memo_capacity: Optional[int],
-                  channel: BoundChannel, token: CancelToken,
-                  msgq: "queue_mod.SimpleQueue") -> None:
-    """One racer's thread body: private manager, shared bound channel.
-
-    Improvements that win the publish race are rendered to memo
-    templates *in this thread's manager* and shipped to the driver,
-    which re-instantiates them in the caller's manager.
-    """
-    from .brel import BrelSolver
-    try:
-        racer_relation = relation_from_nodes(nodes)
-        store = (MemoStore(capacity=memo_capacity, entries=memo_entries)
-                 if memo_entries is not None else None)
-        sub = BrelSolver(build_racer_options(base_options, spec),
-                         memo=store, bound=channel)
-
-        def observe(ev: SolveEvent) -> None:
-            if ev.kind == "new-best" and ev.solution is not None:
-                if channel.publish(ev.solution.cost):
-                    msgq.put(("improve", index,
-                              _improvement(racer_relation, ev.solution),
-                              ev.depth))
-
-        result = sub.solve(racer_relation, cancel=token,
-                           observer=observe)
-        msgq.put(("done", index, {
-            "cost": result.solution.cost,
-            "stopped": result.stopped,
-            "stats": result.stats,
-            "memo_counters": (store.counters()
-                              if store is not None else None),
-        }))
-    except Exception as exc:  # noqa: BLE001 — racer isolation
-        msgq.put(("error", index, "%s: %s" % (type(exc).__name__, exc)))
-
-
-def _drive_threads(solver: "BrelSolver", relation: BooleanRelation,
-                   specs: List[Dict[str, Any]],
-                   outcomes: List[_RacerOutcome],
-                   channel: BoundChannel,
-                   cancel: Optional[CancelToken],
-                   deadline: Optional[float],
-                   stop_reason: List[Optional[str]]):
-    """Drive one thread per racer; merge their message stream."""
-    nodes = relation_to_nodes(relation)
-    memo = solver.memo
-    memo_entries = (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
-                    if memo is not None else None)
-    memo_capacity = memo.capacity if memo is not None else None
-    tokens = [CancelToken() for _ in specs]
-    msgq: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
-    threads = []
-    racer_start = time.perf_counter()
-    for index, spec in enumerate(specs):
-        thread = threading.Thread(
-            target=_thread_racer,
-            args=(index, spec, solver.options, nodes, memo_entries,
-                  memo_capacity, channel, tokens[index], msgq),
-            name="portfolio-racer-%s" % spec["name"], daemon=True)
-        threads.append(thread)
-
-    def stop_all(reason: str) -> None:
-        if stop_reason[0] is None:
-            stop_reason[0] = reason
-        for token in tokens:
-            token.cancel()
-
-    try:
-        for thread in threads:
-            thread.start()
-        pending = set(range(len(specs)))
-        while pending:
-            if cancel is not None and cancel.cancelled:
-                stop_all("cancelled")
-                yield ("stopped", "cancelled")
-                cancel = None
-            if deadline is not None \
-                    and time.perf_counter() > deadline:
-                stop_all("timeout")
-                yield ("stopped", "timeout")
-                deadline = None
-            try:
-                message = msgq.get(timeout=0.05)
-            except queue_mod.Empty:
-                continue
-            kind = message[0]
-            index = message[1]
+        for kind, index, data in transport.poll(pending):
             outcome = outcomes[index]
             if kind == "improve":
-                _, _, improvement, depth = message
                 outcome.contributed += 1
-                yield ("new-best", (_adopt(relation, improvement), index,
-                                    depth))
-            elif kind == "done":
-                data = message[2]
+                solution, depth = data
+                yield ("new-best", (solution, index, depth))
+                continue
+            outcome.runtime_seconds = time.perf_counter() - racer_start
+            pending.discard(index)
+            if kind == "error":
+                outcome.error = data
+            else:  # done
                 stats: SolverStats = data["stats"]
                 outcome.cost = data["cost"]
                 outcome.explored = stats.relations_explored
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
                 outcome.stopped = data["stopped"]
                 outcome.stats = stats
                 outcome.frontier_overflow = stats.frontier_overflow
@@ -724,31 +578,70 @@ def _drive_threads(solver: "BrelSolver", relation: BooleanRelation,
                     hits, misses, stores = data["memo_counters"]
                     memo.absorb_counters(hits=hits, misses=misses,
                                          stores=stores)
-                pending.discard(index)
-                yield ("racer-done", outcome)
-                if stop_reason[0] is None and outcome.proved_optimal:
-                    for other in pending:
-                        tokens[other].cancel()
-            else:  # error
-                outcome.error = message[2]
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                pending.discard(index)
-                yield ("racer-done", outcome)
-    finally:
-        # Abandoned mid-race (consumer closed the stream, or an
-        # unexpected driver error): stop every racer thread before
-        # unwinding so none keeps burning CPU on a dead race.
-        for token in tokens:
-            token.cancel()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join(timeout=5.0)
+            yield ("racer-done", outcome)
+            if stop_reason[0] is None and outcome.proved_optimal:
+                transport.cancel(pending)
 
 
 # ----------------------------------------------------------------------
-# Process executor: one racer per OS process
+# Racer transports: poll(pending) yields ("improve", index, (solution,
+# depth)), ("done", index, data) and ("error", index, message);
+# cancel(indices) stops those racers; close() stops every racer.
 # ----------------------------------------------------------------------
+class _SerialRacers:
+    """Racer generators pumped round-robin, one event per racer per
+    poll, on the caller's thread and manager.
+
+    Racers share the caller's manager and the solver's memo store
+    (single-threaded, so no isolation is needed), which makes this the
+    deterministic reference executor.  Each racer's ``explored`` on its
+    outcome stays live, so event stamps count the work in flight.
+    """
+
+    def __init__(self, solver: "BrelSolver", relation: BooleanRelation,
+                 specs: List[Dict[str, Any]], channel: BoundChannel,
+                 outcomes: List[_RacerOutcome]) -> None:
+        from .brel import BrelSolver
+        self._tokens = [CancelToken() for _ in specs]
+        self._racers = [
+            BrelSolver(build_racer_options(solver.options, spec),
+                       memo=solver.memo, bound=channel)
+            .iter_events(relation, cancel=token)
+            for spec, token in zip(specs, self._tokens)]
+        self._channel = channel
+        self._outcomes = outcomes
+
+    def poll(self, pending: Set[int]) -> Iterator[Tuple[str, int, Any]]:
+        for index in sorted(pending):
+            try:
+                ev = next(self._racers[index])
+            except StopIteration as stop:
+                result = stop.value
+                yield ("done", index, {
+                    "cost": result.solution.cost,
+                    "stopped": result.stopped,
+                    "stats": result.stats,
+                    "memo_counters": None,  # the live store counted
+                })
+                continue
+            except Exception as exc:  # noqa: BLE001 — racer isolation
+                yield ("error", index,
+                       "%s: %s" % (type(exc).__name__, exc))
+                continue
+            self._outcomes[index].explored = ev.explored
+            if ev.kind == "new-best" and ev.solution is not None \
+                    and self._channel.publish(ev.solution.cost):
+                yield ("improve", index, (ev.solution, ev.depth))
+
+    def cancel(self, indices: Set[int]) -> None:
+        for index in indices:
+            self._tokens[index].cancel()
+
+    def close(self) -> None:
+        for racer in self._racers:
+            racer.close()
+
+
 def _process_racer_main(index: int, payload: Dict[str, Any],
                         bound_value: Any, cancel_value: Any,
                         msgq: Any) -> None:
@@ -767,37 +660,32 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
             cost_function=cost_registry.get(payload["cost"]),
             minimizer=minimizer_registry.get(payload["minimizer"]),
             strategy=payload["strategy"],
-            max_explored=payload["max_explored"],
-            fifo_capacity=payload["fifo_capacity"],
-            quick_on_subrelations=payload["quick_on_subrelations"],
-            symmetry_pruning=payload["symmetry_pruning"],
-            symmetry_max_depth=payload["symmetry_max_depth"],
             time_limit_seconds=payload["time_limit_seconds"],
-            record_trace=False, memo=None, decompose=False)
-        memo_entries = payload.get("memo")
-        store = (MemoStore(capacity=payload.get("memo_capacity"),
+            record_trace=False, memo=None, decompose=False,
+            **{field: payload[field] for field in RACER_DELTA_FIELDS})
+        memo_entries = payload["memo"]
+        store = (MemoStore(capacity=payload["memo_capacity"],
                            entries=memo_entries)
                  if memo_entries is not None else None)
         channel = _SharedValueBound(bound_value)
-        token = _SharedValueCancel(cancel_value)
-        contributed = [0]
         sub = BrelSolver(options, memo=store, bound=channel)
 
         def observe(ev: SolveEvent) -> None:
             if ev.kind == "new-best" and ev.solution is not None:
                 if channel.publish(ev.solution.cost):
-                    contributed[0] += 1
+                    template = solution_template(
+                        racer_relation.mgr, ev.solution.functions,
+                        racer_relation.inputs)
                     msgq.put(("improve", index,
-                              _improvement(racer_relation, ev.solution),
-                              ev.depth))
+                              (template, ev.solution.cost, ev.depth)))
 
-        result = sub.solve(racer_relation, cancel=token,
+        result = sub.solve(racer_relation,
+                           cancel=_SharedValueCancel(cancel_value),
                            observer=observe)
         msgq.put(("done", index, {
             "cost": result.solution.cost,
             "stopped": result.stopped,
             "stats": result.stats.as_dict(),
-            "contributed": contributed[0],
             "memo_counters": (store.counters()
                               if store is not None else None),
         }))
@@ -809,160 +697,105 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
             pass
 
 
-def _drive_processes(solver: "BrelSolver", relation: BooleanRelation,
-                     specs: List[Dict[str, Any]],
-                     outcomes: List[_RacerOutcome],
-                     channel: BoundChannel,
-                     cancel: Optional[CancelToken],
-                     deadline: Optional[float],
-                     stop_reason: List[Optional[str]],
-                     cost_name: str, minimizer_name: str):
-    """Drive one OS process per racer over a shared-memory bound.
+class _ProcessRacers:
+    """One OS process per racer over a shared-memory bound.
 
-    A racer process that dies without reporting (killed, segfaulted,
-    ``os._exit``) is recorded as a failed racer after a short grace
-    period, never raised.  When the process layer itself is unavailable
-    (restricted sandboxes without semaphores) the whole race falls back
-    to the thread executor.
+    Improvements come back as memo templates and are re-instantiated
+    in the caller's manager (the racer solved the same ordered BDD, so
+    the cost it measured carries over).  A racer process that dies
+    without reporting (killed, segfaulted, ``os._exit``) is reported
+    as an error after a short grace period, never raised.  Raises
+    ``OSError`` when the process layer is unavailable (restricted
+    sandboxes without semaphores or fork).
     """
-    import multiprocessing
-    options = solver.options
-    try:
+
+    def __init__(self, solver: "BrelSolver", relation: BooleanRelation,
+                 specs: List[Dict[str, Any]], bound: float,
+                 cost_name: str, minimizer_name: str) -> None:
+        import multiprocessing
+        options = solver.options
+        memo = solver.memo
         ctx = multiprocessing.get_context()
-        bound_value = ctx.Value("d", channel.cost)
-        cancel_value = ctx.Value("i", 0)
-        msgq = ctx.Queue()
-    except OSError:
-        # No working semaphore layer: race on threads instead.
-        yield from _drive_threads(solver, relation, specs, outcomes,
-                                  channel, cancel, deadline, stop_reason)
-        return
-    memo = solver.memo
-    memo_entries = (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
-                    if memo is not None else None)
-    base_payload = {
-        "nodes": relation_to_nodes(relation),
-        "cost": cost_name,
-        "minimizer": minimizer_name,
-        "quick_on_subrelations": options.quick_on_subrelations,
-        "time_limit_seconds": options.time_limit_seconds,
-        "memo": memo_entries,
-        "memo_capacity": memo.capacity if memo is not None else None,
-    }
-    processes: List[Any] = []
-    racer_start = time.perf_counter()
-    try:
+        bound_value = ctx.Value("d", bound)
+        self._cancel = [ctx.RawValue("i", 0) for _ in specs]
+        self._queue = ctx.Queue()
+        self._relation = relation
+        base_payload = {
+            "nodes": relation_to_nodes(relation),
+            "cost": cost_name,
+            "minimizer": minimizer_name,
+            "time_limit_seconds": options.time_limit_seconds,
+            "memo": (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
+                     if memo is not None else None),
+            "memo_capacity": memo.capacity if memo is not None else None,
+        }
+        self._processes: List[Any] = []
         for index, spec in enumerate(specs):
             racer_options = build_racer_options(options, spec)
-            payload = dict(base_payload)
-            payload.update({
-                "strategy": racer_options.exploration_strategy(),
-                "max_explored": racer_options.max_explored,
-                "fifo_capacity": racer_options.fifo_capacity,
-                "quick_on_subrelations":
-                    racer_options.quick_on_subrelations,
-                "symmetry_pruning": racer_options.symmetry_pruning,
-                "symmetry_max_depth": racer_options.symmetry_max_depth,
-            })
-            process = ctx.Process(
+            payload = dict(base_payload, strategy=spec["strategy"],
+                           **{field: getattr(racer_options, field)
+                              for field in RACER_DELTA_FIELDS})
+            self._processes.append(ctx.Process(
                 target=_process_racer_main,
-                args=(index, payload, bound_value, cancel_value, msgq),
-                name="portfolio-racer-%s" % spec["name"], daemon=True)
-            processes.append(process)
-        for process in processes:
-            process.start()
-    except OSError:
-        for process in processes:
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-        yield from _drive_threads(solver, relation, specs, outcomes,
-                                  channel, cancel, deadline, stop_reason)
-        return
+                args=(index, payload, bound_value, self._cancel[index],
+                      self._queue),
+                name="portfolio-racer-%s" % spec["name"], daemon=True))
+        self._strikes = [0] * len(specs)
+        try:
+            for process in self._processes:
+                process.start()
+        except OSError:
+            for process in self._processes:
+                if process.is_alive():  # pragma: no cover - defensive
+                    process.terminate()
+            raise
 
-    def stop_all(reason: Optional[str]) -> None:
-        if reason is not None and stop_reason[0] is None:
-            stop_reason[0] = reason
-        cancel_value.value = 1
+    def poll(self, pending: Set[int]) -> Iterator[Tuple[str, int, Any]]:
+        try:
+            kind, index, data = self._queue.get(timeout=0.05)
+        except queue_mod.Empty:
+            # A dead process that never reported gets a few grace polls
+            # (its queue feeder may still be flushing), then surfaces
+            # as a failed racer.
+            for index in sorted(pending):
+                process = self._processes[index]
+                if process.is_alive():
+                    self._strikes[index] = 0
+                    continue
+                self._strikes[index] += 1
+                if self._strikes[index] >= 4:
+                    yield ("error", index,
+                           "racer process died without reporting "
+                           "(exitcode %s)" % process.exitcode)
+            return
+        if kind == "improve":
+            template, cost, depth = data
+            mgr = self._relation.mgr
+            solution = Solution(mgr, instantiate_solution(
+                mgr, template, self._relation.inputs), cost)
+            yield ("improve", index, (solution, depth))
+        elif index in pending:  # else: a racer already written off
+            if kind == "done":
+                data["stats"] = SolverStats(**data["stats"])
+            yield (kind, index, data)
 
-    try:
-        pending = set(range(len(specs)))
-        dead_strikes = [0] * len(specs)
-        while pending:
-            if cancel is not None and cancel.cancelled:
-                stop_all("cancelled")
-                yield ("stopped", "cancelled")
-                cancel = None
-            if deadline is not None \
-                    and time.perf_counter() > deadline:
-                stop_all("timeout")
-                yield ("stopped", "timeout")
-                deadline = None
-            try:
-                message = msgq.get(timeout=0.05)
-            except queue_mod.Empty:
-                # A dead process that never reported gets a few grace
-                # polls (its queue feeder may still be flushing), then
-                # surfaces as a failed racer.
-                for index in list(pending):
-                    process = processes[index]
-                    if process.is_alive():
-                        dead_strikes[index] = 0
-                        continue
-                    dead_strikes[index] += 1
-                    if dead_strikes[index] >= 4:
-                        outcome = outcomes[index]
-                        outcome.error = (
-                            "racer process died without reporting "
-                            "(exitcode %s)" % process.exitcode)
-                        outcome.runtime_seconds = \
-                            time.perf_counter() - racer_start
-                        pending.discard(index)
-                        yield ("racer-done", outcome)
-                continue
-            kind = message[0]
-            index = message[1]
-            if index not in pending and kind != "improve":
-                continue  # late message from a racer already written off
-            outcome = outcomes[index]
-            if kind == "improve":
-                _, _, improvement, depth = message
-                outcome.contributed += 1
-                # Mirror the shared value into the in-process channel
-                # so the summary and any serial co-racers stay in sync.
-                solution = _adopt(relation, improvement)
-                channel.publish(solution.cost)
-                yield ("new-best", (solution, index, depth))
-            elif kind == "done":
-                data = message[2]
-                stats = SolverStats(**data["stats"])
-                outcome.cost = data["cost"]
-                outcome.explored = stats.relations_explored
-                outcome.contributed = data["contributed"]
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                outcome.stopped = data["stopped"]
-                outcome.stats = stats
-                outcome.frontier_overflow = stats.frontier_overflow
-                if memo is not None \
-                        and data["memo_counters"] is not None:
-                    hits, misses, stores = data["memo_counters"]
-                    memo.absorb_counters(hits=hits, misses=misses,
-                                         stores=stores)
-                pending.discard(index)
-                yield ("racer-done", outcome)
-                if stop_reason[0] is None and outcome.proved_optimal:
-                    stop_all(None)
-            else:  # error
-                outcome.error = message[2]
-                outcome.runtime_seconds = \
-                    time.perf_counter() - racer_start
-                pending.discard(index)
-                yield ("racer-done", outcome)
-    finally:
-        cancel_value.value = 1
-        for process in processes:
-            process.join(timeout=5.0)
-        for process in processes:
+    def cancel(self, indices: Set[int]) -> None:
+        for index in indices:
+            self._cancel[index].value = 1
+
+    def close(self) -> None:
+        for flag in self._cancel:
+            flag.value = 1
+        # Drain while the racers wind down: a racer cannot exit while
+        # its queue feeder still holds messages nobody reads.
+        deadline = time.monotonic() + 5.0
+        for process in self._processes:
+            while process.is_alive() and time.monotonic() < deadline:
+                try:
+                    self._queue.get(timeout=0.05)
+                except queue_mod.Empty:
+                    pass
             if process.is_alive():  # pragma: no cover - hung racer
                 process.terminate()
-        msgq.close()
+            process.join(timeout=1.0)
+        self._queue.close()

@@ -7,8 +7,8 @@ Two formats live here, with separate jobs:
   enumerates every input vertex, so its size is exponential in the
   number of inputs.
 * **The node list** (:class:`RelationNodes`) is the internal transport:
-  whenever the program moves a relation between managers, threads or
-  processes it ships the post-order ``(rank, lo, hi)`` triples of the
+  whenever the program moves a relation between managers or processes
+  it ships the post-order ``(rank, lo, hi)`` triples of the
   characteristic function (:func:`relation_to_nodes`,
   :func:`relation_from_nodes`).  Both directions are linear in the size
   of the BDD.  Ranks index the relation's variable frame compacted in

@@ -53,7 +53,7 @@ from ..api.request import (SolveRequest, merge_manifest_jobs,
                            relation_spec_to_jsonable)
 from ..api.report import SolveReport
 from ..api.session import DEFAULT_MEMO_EXPORT_LIMIT, Session
-from ..core.explore import CancelToken
+from ..core.explore import CancelToken, check_executor, check_workers
 from ..resynth.report import ResynthReport
 from ..resynth.request import ResynthRequest
 from .diskcache import DiskCache, fingerprint_payload
@@ -506,9 +506,9 @@ class SolveService:
 
         The body is manifest-shaped (a list of request dicts, or
         ``{"defaults", "jobs"}``) with two optional extras on the
-        object form: ``executor`` (``serial``/``thread``/``process``,
-        default serial — the service already parallelises across
-        worker processes) and ``workers``.  RAM- and disk-tier hits
+        object form: ``executor`` (``serial``/``process``, default
+        serial — the service already parallelises across worker
+        processes) and ``workers``.  RAM- and disk-tier hits
         are peeled off before dispatch, identical misses dispatch once
         and share the answer, and only genuine misses reach the pool.
         Fresh reports are written back to the disk tier.
@@ -517,14 +517,12 @@ class SolveService:
         workers: Optional[int] = None
         if isinstance(data, dict):
             data = dict(data)
-            executor = data.pop("executor", "serial")
-            workers = data.pop("workers", None)
-            if executor not in ("serial", "thread", "process"):
-                raise ServiceError("executor must be 'serial', "
-                                   "'thread' or 'process'")
-            if workers is not None and (not isinstance(workers, int)
-                                        or workers < 1):
-                raise ServiceError("workers must be a positive int")
+            try:
+                executor = check_executor("executor",
+                                          data.pop("executor", "serial"))
+                workers = check_workers(data.pop("workers", None))
+            except ValueError as exc:
+                raise ServiceError(str(exc)) from exc
         try:
             jobs = merge_manifest_jobs(data)
             requests = [self._admit(self.parse_request(job))

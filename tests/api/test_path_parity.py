@@ -3,8 +3,8 @@
 Seeded relations with 0-5 inputs and 1-4 outputs (every fourth one
 made of two independent output blocks, so the block executors have
 blocks to ship) go through a shared session, a fresh session per
-request, ``solve_many`` on the serial, thread and process executors,
-the thread and process block executors, and ``SolveService.solve``.
+request, ``solve_many`` on the serial and process executors, the
+process block executor, and ``SolveService.solve``.
 Every path must report the same SOP text and cost.
 
 The ``backend`` request field is accepted and ignored: a request
@@ -17,6 +17,7 @@ import pytest
 from repro import Session, SolveRequest
 from repro.benchdata.brgen import block_structured_relation, random_relation
 from repro.core import relation_to_nodes
+from repro.core.explore import EXECUTORS
 from repro.service import ServiceError, SolveService
 
 NUM_CASES = 40
@@ -51,16 +52,12 @@ class TestPathParity:
         paths = {
             "fresh session": answers(Session().solve(request)
                                      for request in requests),
-            "block thread": answers(
-                Session().solve(request, block_executor="thread",
-                                block_workers=2)
-                for request in requests),
             "block process": answers(
                 Session().solve(request, block_executor="process",
                                 block_workers=2)
                 for request in requests),
         }
-        for executor in ("serial", "thread", "process"):
+        for executor in EXECUTORS:
             paths["solve_many " + executor] = answers(
                 Session().solve_many(requests, max_workers=2,
                                      executor=executor))

@@ -45,12 +45,22 @@ class TestRequestPlumbing:
         with pytest.raises(ValueError, match="strategy='portfolio'"):
             SolveRequest(strategy="bfs", portfolio_racers="bfs,dfs")
 
+    def test_malformed_racer_specs_rejected(self):
+        from ..core.test_portfolio import BAD_RACER_SPECS
+        for racers, field in BAD_RACER_SPECS:
+            with pytest.raises(ValueError, match=field):
+                SolveRequest(strategy="portfolio", portfolio_racers=racers)
+            data = {"relation": "fig1", "strategy": "portfolio",
+                    "portfolio_racers": racers}
+            with pytest.raises(ValueError, match=field):
+                SolveRequest.from_dict(data)
+
     def test_dict_round_trip(self):
         request = SolveRequest(
             relation="fig1", strategy="portfolio",
             portfolio_racers=[{"strategy": "beam", "fifo_capacity": 8},
                               "dfs"],
-            portfolio_executor="thread")
+            portfolio_executor="process")
         data = json.loads(json.dumps(request.to_dict()))
         assert SolveRequest.from_dict(data) == request
 
@@ -95,9 +105,9 @@ class TestSessionPortfolio:
         # same race, same line-up -> same slot, whatever ran it.
         session = make_session()
         session.solve(portfolio_request(portfolio_executor="serial"))
-        threaded = session.solve(
-            portfolio_request(portfolio_executor="thread"))
-        assert threaded.cached is True
+        raced = session.solve(
+            portfolio_request(portfolio_executor="process"))
+        assert raced.cached is True
 
     def test_solve_iter_streams_the_race(self):
         session = make_session()

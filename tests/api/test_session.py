@@ -233,14 +233,15 @@ class TestSolveMany:
             assert report.solution.mgr is relation.mgr
             assert relation.is_compatible(report.solution.functions)
 
-    def test_thread_executor_solves_private_copies(self, session):
-        # Session managers are not thread-safe, so thread jobs solve a
-        # private copy of the relation; the answer is handed back in
-        # the caller's manager, and the PLA export renders on demand.
+    def test_process_executor_hands_back_the_serial_answer(self,
+                                                           session):
+        # Process jobs solve a private copy of the relation; the answer
+        # is handed back in the caller's manager, and the PLA export
+        # renders on demand.
         requests = [SolveRequest(relation="fig1", cost=c, label=c)
                     for c in ("size", "size2")]
         reports = session.solve_many(requests, max_workers=2,
-                                     executor="thread")
+                                     executor="process")
         serial = session.solve_many(
             [request.replace(memo=False) for request in requests],
             executor="serial")
@@ -421,7 +422,7 @@ class TestPerJobMemoAttribution:
         requests = [SolveRequest(relation="fig1", label="a"),
                     SolveRequest(relation="fig1", label="b"),
                     SolveRequest(relation="fig1", label="c")]
-        reports = session.solve_many(requests, executor="thread")
+        reports = session.solve_many(requests, executor="process")
         assert [r.ok for r in reports] == [True] * 3
         stats = session.memo_stats()
         assert sum(r.stats["memo_hits"] for r in reports) \

@@ -63,12 +63,10 @@ class TestSessionSolveSharded:
         assert report.partition is None
         assert report.compatible
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
-    def test_pooled_blocks_byte_identical_to_serial(self, session,
-                                                    executor):
+    def test_pooled_blocks_byte_identical_to_serial(self, session):
         serial = session.solve(BLOCK_REQUEST)
         session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor=executor)
+        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
         assert pooled.cost == serial.cost
         assert pooled.sop == serial.sop
         assert pooled.solution is not None
@@ -82,7 +80,7 @@ class TestSessionSolveSharded:
         assert "executor" not in pooled.partition
 
     def test_pooled_solve_is_cached_and_shared_with_serial(self, session):
-        first = session.solve(BLOCK_REQUEST, block_executor="thread")
+        first = session.solve(BLOCK_REQUEST, block_executor="process")
         hits_before = session.cache_hits
         second = session.solve(BLOCK_REQUEST)  # serial call, same key
         assert session.cache_hits == hits_before + 1
@@ -108,8 +106,7 @@ class TestSessionSolveSharded:
         with pytest.raises(ValueError, match="block_executor"):
             session.solve(BLOCK_REQUEST, block_executor="gpu")
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
-    def test_wide_block_pools_to_the_serial_answer(self, executor):
+    def test_wide_block_pools_to_the_serial_answer(self):
         session = Session()
         session.add_relation("wide", wide_relation(extra_block=True))
         serial = session.solve(SolveRequest(relation="wide"))
@@ -117,7 +114,7 @@ class TestSessionSolveSharded:
                 for block in serial.partition["blocks"]] == [18, 2]
         session.clear_cache()
         pooled = session.solve(SolveRequest(relation="wide"),
-                               block_executor=executor)
+                               block_executor="process")
         assert pooled.cost == serial.cost
         assert pooled.sop == serial.sop
         assert pooled.solution.functions == serial.solution.functions
@@ -128,7 +125,7 @@ class TestSessionSolveSharded:
         # keep its trace (and the cache must never hold a trace-less
         # report under a record_trace key).
         report = session.solve(BLOCK_REQUEST.replace(record_trace=True),
-                               block_executor="thread")
+                               block_executor="process")
         assert report.trace is not None
         assert report.trace[0]["kind"] == "partition"
         again = session.solve(BLOCK_REQUEST.replace(record_trace=True))
@@ -159,7 +156,7 @@ class TestSessionSolveSharded:
     def test_pooled_trajectory_matches_serial(self, session):
         serial = session.solve(BLOCK_REQUEST)
         session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor="thread")
+        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
         # The anytime trajectory shares the cache slot with serial
         # reports, so costs and cumulative explored counts must match
         # (wall stamps are worker-local and excluded, like any timing).
@@ -197,7 +194,7 @@ class TestSessionSolveSharded:
 
     def test_pooled_blocks_use_session_memo(self, session):
         before = session.memo_stats()["stores"]
-        session.solve(BLOCK_REQUEST, block_executor="thread")
+        session.solve(BLOCK_REQUEST, block_executor="process")
         stats = session.memo_stats()
         # Worker counters merge back into the session store.
         assert stats["misses"] + stats["hits"] > 0

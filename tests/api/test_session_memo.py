@@ -206,27 +206,27 @@ class TestBatchMemo:
         assert reports[0].ok
         assert reports[0].stats["memo_hits"] > 0
 
-    def test_thread_batch_seeds_workers_and_merges_counters(self):
+    def test_process_batch_seeds_workers_and_merges_counters(self):
         session = make_session()
         session.solve(SolveRequest(relation="fig1"))  # warm the store
         session.clear_cache()
         hits_before = session.memo.hits
         reports = session.solve_many(
-            [SolveRequest(relation="fig1", label="t")],
-            executor="thread")
+            [SolveRequest(relation="fig1", label="p")],
+            executor="process")
         assert reports[0].ok
         assert reports[0].stats["memo_hits"] > 0, \
             "worker store was not pre-seeded from the parent"
         assert session.memo.hits > hits_before, \
             "worker memo counters were not merged back"
 
-    def test_thread_batch_memo_false_unseeded(self):
+    def test_process_batch_memo_false_unseeded(self):
         session = make_session()
         session.solve(SolveRequest(relation="fig1"))
         session.clear_cache()
         reports = session.solve_many(
-            [SolveRequest(relation="fig1", label="t", memo=False)],
-            executor="thread")
+            [SolveRequest(relation="fig1", label="p", memo=False)],
+            executor="process")
         assert reports[0].ok
         assert reports[0].stats["memo_hits"] == 0
         assert reports[0].stats["memo_stores"] == 0

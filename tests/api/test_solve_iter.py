@@ -140,23 +140,34 @@ class TestSolveManyCancellation:
                                      cancel=CancelToken())
         assert all(report.ok for report in reports)
 
-    def test_thread_batch_token_reaches_workers(self, session):
+    def test_serial_batch_cancelled_mid_job_is_not_cached(self, session):
+        # The token trips while the first job runs: its search stops
+        # right after the guaranteed quick solution and reports
+        # best-so-far, and the jobs behind it are skipped.
         token = CancelToken()
-        token.cancel()
-        # Thread workers share the token: every search stops right
-        # after its guaranteed quick solution, reporting best-so-far.
-        reports = session.solve_many(self.requests(), executor="thread",
-                                     cancel=token)
-        assert len(reports) == 4
-        for report in reports:
-            assert report.ok and report.compatible
-            assert report.stopped == "cancelled"
-            assert report.stats["relations_explored"] == 0
-        # Regression: those best-so-far results must not poison the
-        # cache for later uncancelled batches.
-        fresh = session.solve_many(self.requests(), executor="thread")
-        assert all(r.ok and r.stopped != "cancelled" and not r.cached
-                   for r in fresh)
+
+        @register_strategy("trip-token-test")
+        def trip(options):
+            token.cancel()
+            return FifoStrategy(capacity=options.fifo_capacity)
+
+        try:
+            requests = [request.replace(strategy="trip-token-test")
+                        for request in self.requests()]
+            first, *rest = session.solve_many(requests, executor="serial",
+                                              cancel=token)
+            assert first.ok and first.compatible
+            assert first.stopped == "cancelled"
+            assert first.stats["relations_explored"] == 0
+            assert all(not report.ok and "cancelled" in report.error
+                       for report in rest)
+            # Regression: that best-so-far result must not poison the
+            # cache for later uncancelled batches.
+            fresh = session.solve_many(requests, executor="serial")
+            assert all(r.ok and r.stopped != "cancelled" and not r.cached
+                       for r in fresh)
+        finally:
+            strategy_registry.unregister("trip-token-test")
 
     def test_process_batch_cancels_undispatched(self, session):
         token = CancelToken()

@@ -1,20 +1,18 @@
 """Portfolio racing: spec normalisation, bound sharing, executors,
 winner attribution, and the cancellation races."""
 
+import multiprocessing
 import os
-import threading
-import time
 
 import pytest
 
 from repro.benchdata.brsuite import instance_by_name
 from repro.core import BrelOptions, BrelSolver, CancelToken
+from repro.core.explore import EXECUTORS
 from repro.core.portfolio import (BoundChannel, DEFAULT_RACERS,
                                   normalize_racers, racers_cache_key)
 
 from ..conftest import wide_relation
-
-EXECUTORS = ("serial", "thread", "process")
 
 #: Keys every racer summary row must carry (the report consumers'
 #: contract — the CLI table and the service request log read these).
@@ -23,12 +21,30 @@ ROW_KEYS = {"name", "strategy", "cost", "explored",
             "proved_optimal", "error", "winner"}
 
 
+#: Racer line-ups of the wrong shape, each with the field its error
+#: must name.
+BAD_RACER_SPECS = [
+    ([{"strategy": "bfs", "name": 3}], "name"),
+    ([{"strategy": ["bfs"]}], "strategy"),
+    ([{"strategy": "bfs", "name": ["x"]}], "name"),
+    ([{"strategy": ""}], "strategy"),
+    ([{"name": "orphan"}], "strategy"),
+    (5, "portfolio_racers"),
+    ({"bfs", "dfs"}, "portfolio_racers"),
+]
+
+
 def small_relation():
     return instance_by_name("int1").build()
 
 
 def racing_relation():
     return instance_by_name("int5").build()
+
+
+def racer_processes():
+    return [process for process in multiprocessing.active_children()
+            if process.name.startswith("portfolio-racer")]
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +89,18 @@ class TestNormalizeRacers:
         with pytest.raises(ValueError, match="did you mean 'dfs'"):
             normalize_racers(["dfss"])
 
+    @pytest.mark.parametrize("racers, field", BAD_RACER_SPECS)
+    def test_malformed_specs_rejected(self, racers, field):
+        with pytest.raises(ValueError, match=field):
+            normalize_racers(racers)
+        with pytest.raises(ValueError, match=field):
+            BrelOptions(strategy="portfolio", portfolio_racers=racers)
+
+    def test_empty_name_falls_back_to_the_strategy(self):
+        specs = normalize_racers([{"strategy": "bfs", "name": ""},
+                                  {"strategy": "dfs", "name": None}])
+        assert [s["name"] for s in specs] == ["bfs", "dfs"]
+
     def test_unknown_delta_field_rejected(self):
         with pytest.raises(ValueError, match="unknown racer option"):
             normalize_racers([{"strategy": "bfs", "beam_width": 3}])
@@ -91,7 +119,7 @@ class TestEagerOptionValidation:
 
     def test_executor_requires_portfolio_strategy(self):
         with pytest.raises(ValueError, match="strategy='portfolio'"):
-            BrelOptions(strategy="dfs", portfolio_executor="thread")
+            BrelOptions(strategy="dfs", portfolio_executor="process")
 
     def test_bad_racer_combo_fails_at_construction(self):
         # The beam width rule fires while the options are built, not
@@ -105,6 +133,13 @@ class TestEagerOptionValidation:
         with pytest.raises(ValueError, match="portfolio_executor"):
             BrelOptions(strategy="portfolio",
                         portfolio_executor="fork")
+
+    def test_default_executor_is_serial(self):
+        result = BrelSolver(BrelOptions(
+            strategy="portfolio",
+            portfolio_racers="bfs,dfs")).solve(small_relation())
+        assert result.portfolio["requested_executor"] == "serial"
+        assert result.portfolio["executor"] == "serial"
 
     def test_did_you_mean_knows_portfolio(self):
         with pytest.raises(ValueError, match="portfolio"):
@@ -166,14 +201,14 @@ class TestSharedBoundPruning:
 
 
 # ----------------------------------------------------------------------
-# The race itself, across all three executors
+# The race itself, on both executors
 # ----------------------------------------------------------------------
 class TestRaceExecutors:
     def test_serial_cost_parity_with_single_strategy(self):
         # The serial driver interleaves racers deterministically, so
         # the raced cost reproduces the single exhaustive solve
         # exactly.  Only serial gets the == claim: the relaxed-MISF
-        # prune bound is heuristic, and with thread/process timing a
+        # prune bound is heuristic, and with process timing a
         # shared incumbent can prune a subtree the solo run would have
         # explored, shifting the exhaustive cost by a point or two.
         relation = racing_relation()
@@ -187,8 +222,7 @@ class TestRaceExecutors:
         assert raced.solution.cost == single.solution.cost
         assert relation.is_compatible(raced.solution.functions)
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
-    def test_parallel_race_is_compatible_and_improving(self, executor):
+    def test_parallel_race_is_compatible_and_improving(self):
         # Whatever the interleaving, the race must end compatible and
         # never worse than the shared starting incumbent (the quick
         # solution every racer begins from).
@@ -198,7 +232,8 @@ class TestRaceExecutors:
         raced = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="dfs,best-first",
             max_explored=None, fifo_capacity=None,
-            portfolio_executor=executor)).solve(relation)
+            portfolio_executor="process")).solve(relation)
+        assert raced.portfolio["executor"] == "process"
         assert raced.solution.cost <= quick.solution.cost
         assert relation.is_compatible(raced.solution.functions)
         assert raced.portfolio["winner"] is not None
@@ -210,7 +245,7 @@ class TestRaceExecutors:
             portfolio_executor=executor)).solve(small_relation())
         summary = result.portfolio
         assert summary["requested_executor"] == executor
-        assert summary["executor"] in EXECUTORS
+        assert summary["executor"] == executor
         rows = summary["racers"]
         assert [row["name"] for row in rows] == ["bfs", "dfs"]
         assert all(set(row) == ROW_KEYS for row in rows)
@@ -267,7 +302,7 @@ class TestRaceExecutors:
         finally:
             strategy_registry.unregister("crashy-test")
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_failed_racer_is_isolated(self, crashy_strategy, executor):
         result = BrelSolver(BrelOptions(
             strategy="portfolio",
@@ -302,7 +337,7 @@ class TestRaceExecutors:
 # dead racer process)
 # ----------------------------------------------------------------------
 class TestCancellationRaces:
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_deadline_mid_race_returns_best_so_far(self, executor):
         relation = instance_by_name("vtx").build()
         result = BrelSolver(BrelOptions(
@@ -314,6 +349,7 @@ class TestCancellationRaces:
             time_limit_seconds=0.2)).solve(relation)
         assert result.stopped == "timeout"
         assert relation.is_compatible(result.solution.functions)
+        assert result.portfolio["executor"] == executor
         row = result.portfolio["racers"][0]
         assert row["error"] is None  # cancelled, not crashed
 
@@ -327,29 +363,29 @@ class TestCancellationRaces:
         assert result.stopped == "cancelled"
         assert relation.is_compatible(result.solution.functions)
 
-    def test_abandoned_stream_stops_racer_threads(self):
+    def test_abandoned_stream_stops_racer_processes(self):
         """Closing the event stream mid-race (the SSE-disconnect path)
-        must trip every racer token and join the threads — no orphan
-        racer may keep burning CPU on a dead race."""
+        must stop and join every racer process — no orphan racer may
+        keep burning CPU on a dead race.  Exhaustive bfs on vtx runs
+        for seconds, so a racer left running is still alive when the
+        close returns."""
         relation = instance_by_name("vtx").build()
         solver = BrelSolver(BrelOptions(
             strategy="portfolio",
-            portfolio_racers=[{"strategy": "best-first",
+            portfolio_racers=[{"strategy": "bfs",
                                "max_explored": None,
                                "fifo_capacity": None}],
-            portfolio_executor="thread"))
+            portfolio_executor="process"))
         stream = solver.iter_events(relation)
-        for _ in range(3):
-            next(stream)
+        # Past the three opening events: the fourth is the racer's
+        # first improvement, so the race is in flight.
+        for _ in range(4):
+            event = next(stream)
+        assert event.kind == "new-best"
+        assert racer_processes(), "the race was not running on processes"
         stream.close()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            racers = [t for t in threading.enumerate()
-                      if t.name.startswith("portfolio-racer")]
-            if not racers:
-                break
-            time.sleep(0.05)
-        assert not racers, "racer threads survived the stream close"
+        assert not racer_processes(), \
+            "racer processes survived the stream close"
 
     def test_dead_process_racer_surfaces_as_failed_racer(self,
                                                          monkeypatch):
@@ -381,7 +417,7 @@ class TestCancellationRaces:
 # Executor fallbacks
 # ----------------------------------------------------------------------
 class TestExecutorFallbacks:
-    def test_unregistered_cost_falls_back_to_threads(self):
+    def test_unregistered_cost_falls_back_to_serial(self):
         def custom_cost(mgr, functions):
             return float(sum(mgr.size(f) for f in functions))
 
@@ -391,13 +427,37 @@ class TestExecutorFallbacks:
             portfolio_executor="process")).solve(small_relation())
         summary = result.portfolio
         assert summary["requested_executor"] == "process"
-        assert summary["executor"] == "thread"
+        assert summary["executor"] == "serial"
         assert "registered by name" in summary["note"]
 
-    def test_wide_relation_races_on_threads(self):
-        # Racers rebuild the relation from its node list, so width no
-        # longer forces a serial race; a lone racer is deterministic,
-        # so the thread race must reproduce the serial one exactly.
+    def test_broken_process_layer_falls_back_to_serial(self,
+                                                       monkeypatch):
+        # No working semaphore layer: the race runs serially, and the
+        # summary and the opening event both say so.
+        def no_semaphores(*args, **kwargs):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(multiprocessing.get_context(), "Value",
+                            no_semaphores)
+        result = BrelSolver(BrelOptions(
+            strategy="portfolio", portfolio_racers="bfs,dfs",
+            portfolio_executor="process",
+            record_trace=True)).solve(small_relation())
+        summary = result.portfolio
+        assert summary["requested_executor"] == "process"
+        assert summary["executor"] == "serial"
+        assert "OSError" in summary["note"]
+        assert "Function not implemented" in summary["note"]
+        opening = result.events[0]
+        assert opening.kind == "portfolio"
+        assert "executor=serial" in opening.detail
+        assert "OSError" in opening.detail
+        assert summary["winner"] is not None
+
+    def test_wide_relation_races_on_processes(self):
+        # Racers rebuild the relation from its node list, so width does
+        # not force a serial race; a lone racer is deterministic, so
+        # the process race must reproduce the serial one exactly.
         relation = wide_relation()
         assert len(relation.inputs) == 18
 
@@ -406,12 +466,12 @@ class TestExecutorFallbacks:
                 strategy="portfolio", portfolio_racers="dfs",
                 portfolio_executor=executor)).solve(relation)
 
-        serial, threaded = race("serial"), race("thread")
-        assert threaded.portfolio["executor"] == "thread"
-        assert threaded.portfolio["note"] is None
-        assert threaded.solution.cost == serial.solution.cost
-        assert threaded.solution.functions == serial.solution.functions
-        assert relation.is_compatible(threaded.solution.functions)
+        serial, raced = race("serial"), race("process")
+        assert raced.portfolio["executor"] == "process"
+        assert raced.portfolio["note"] is None
+        assert raced.solution.cost == serial.solution.cost
+        assert raced.solution.functions == serial.solution.functions
+        assert relation.is_compatible(raced.solution.functions)
 
 
 # ----------------------------------------------------------------------

@@ -77,15 +77,10 @@ class TestEndToEnd:
 
 
 class TestExecutorsAndPolicies:
-    def test_thread_executor_matches_serial(self):
-        serial = run("s298")
-        threaded = run("s298", executor="thread", workers=2)
-        assert threaded.ok and threaded.equivalent is True
-        assert threaded.literals_after == serial.literals_after
-
-    def test_process_executor_matches_serial(self):
-        serial = run("s27")
-        pooled = run("s27", executor="process", workers=2)
+    @pytest.mark.parametrize("circuit", ("s27", "s298"))
+    def test_process_executor_matches_serial(self, circuit):
+        serial = run(circuit)
+        pooled = run(circuit, executor="process", workers=2)
         assert pooled.ok and pooled.equivalent is True
         assert pooled.literals_after == serial.literals_after
 

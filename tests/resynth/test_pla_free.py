@@ -32,7 +32,7 @@ def no_pla(monkeypatch):
     assert relio.parse_relation is stub
 
 
-@pytest.mark.parametrize("executor", ("serial", "thread"))
+@pytest.mark.parametrize("executor", ("serial", "process"))
 @pytest.mark.parametrize("circuit", ("s298", "s386"))
 def test_resynthesis_never_touches_pla(no_pla, circuit, executor):
     report = resynthesize(ResynthRequest(
@@ -44,15 +44,14 @@ def test_resynthesis_never_touches_pla(no_pla, circuit, executor):
     assert report.passes[0]["unrealized"] == 0
 
 
-@pytest.mark.parametrize("executor", ("thread", "process"))
-def test_pooled_batches_never_touch_pla(no_pla, executor):
+def test_pooled_batches_never_touch_pla(no_pla):
     session = Session()
     session.add_relation("wide", wide_relation())
     session.add_output_sets("fig1", [{1}, {1}, {0, 3}, {2, 3}], 2, 2)
     requests = [SolveRequest(relation=name, cost=cost, label=name + cost)
                 for name in ("wide", "fig1") for cost in ("size", "cubes")]
     requests.append(requests[0])  # a duplicate, fanned out
-    reports = session.solve_many(requests, executor=executor,
+    reports = session.solve_many(requests, executor="process",
                                  max_workers=2)
     assert all(report.ok for report in reports), \
         [report.error for report in reports]
@@ -60,5 +59,5 @@ def test_pooled_batches_never_touch_pla(no_pla, executor):
         relation = session.relation(request.relation["name"])
         assert relation.is_compatible(report.solution.functions)
     # Served again from the cache, still without PLA.
-    again = session.solve_many(requests[:1], executor=executor)
+    again = session.solve_many(requests[:1], executor="process")
     assert again[0].cached and again[0].cost == reports[0].cost

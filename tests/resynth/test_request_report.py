@@ -70,6 +70,19 @@ class TestRequestValidation:
         message = str(excinfo.value)
         assert "verify_vectors" in message and repr(value) in message
 
+    @pytest.mark.parametrize("value", ["x", 0, -2, True, 2.5])
+    def test_bad_workers_rejected(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            ResynthRequest(circuit="s27", executor="process",
+                           workers=value)
+        message = str(excinfo.value)
+        assert "workers" in message and repr(value) in message
+
+    @pytest.mark.parametrize("value", [None, 1, 4])
+    def test_good_workers_accepted(self, value):
+        assert ResynthRequest(circuit="s27", workers=value).workers \
+            == value
+
     def test_verify_vectors_bound_is_inclusive(self):
         assert MAX_VERIFY_VECTORS == 1 << 16
         for value in (1, MAX_VERIFY_VECTORS):
@@ -98,7 +111,7 @@ class TestRequestWire:
     def test_json_round_trip(self):
         request = ResynthRequest(circuit="s27", passes=3, window=6,
                                  cut_policy="reconvergent",
-                                 executor="thread", label="rt")
+                                 executor="process", label="rt")
         assert ResynthRequest.from_json(request.to_json()) == request
 
     def test_unknown_fields_rejected(self):
@@ -127,7 +140,7 @@ class TestOptionsKey:
     def test_non_result_fields_do_not_split_the_key(self):
         base = ResynthRequest(circuit="s27")
         assert base.options_key() == ResynthRequest(
-            circuit="s27", executor="thread", workers=3,
+            circuit="s27", executor="process", workers=3,
             label="other").options_key()
 
     def test_result_fields_split_the_key(self):

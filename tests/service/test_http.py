@@ -143,6 +143,28 @@ class TestBatchEndpoint:
         assert excinfo.value.code == 400
 
 
+class TestThreadExecutorRejected:
+    @pytest.mark.parametrize("route", ["/solve", "/solve/stream",
+                                       "/batch", "/resynth"])
+    def test_thread_is_400_naming_the_executors(self, served,
+                                                fig1_request, route):
+        base, _ = served
+        race = dict(fig1_request, strategy="portfolio",
+                    portfolio_executor="thread")
+        body = {"/solve": race,
+                "/solve/stream": race,
+                "/batch": {"jobs": [dict(fig1_request)],
+                           "executor": "thread"},
+                "/resynth": {"circuit": "s27", "executor": "thread"},
+                }[route]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + route, body)
+        assert excinfo.value.code == 400
+        message = json.loads(excinfo.value.read())["error"]
+        assert "'thread'" in message
+        assert "'serial'" in message and "'process'" in message
+
+
 class TestOpsEndpoints:
     def test_healthz(self, served):
         base, _ = served

@@ -1,10 +1,12 @@
 """Portfolio racing through the service layer: race summaries in the
 request log and /stats, and the SSE-disconnect cancellation path."""
 
-import threading
+import multiprocessing
 import time
 
-from repro.service import SolveService
+import pytest
+
+from repro.service import DiskCache, ServiceError, SolveService
 
 PORTFOLIO_FIG1 = {"strategy": "portfolio",
                   "portfolio_executor": "serial"}
@@ -49,6 +51,37 @@ class TestPortfolioReports:
         assert tier == "engine"
 
 
+class TestRacerSpecValidation:
+    @pytest.mark.parametrize("racers", [
+        [{"strategy": "bfs", "name": 3}],
+        [{"strategy": ["bfs"]}],
+        [{"strategy": "bfs", "name": ["x"]}],
+        5,
+    ])
+    def test_bad_spec_is_a_400_before_any_tier(self, fig1_request,
+                                               cache_dir, racers,
+                                               monkeypatch):
+        service = SolveService(disk=DiskCache(cache_dir))
+
+        def no_tier(*args, **kwargs):
+            raise AssertionError("a cache tier was consulted")
+
+        monkeypatch.setattr(service.session, "peek_cached", no_tier)
+        monkeypatch.setattr(service.disk, "get_report", no_tier)
+        body = dict(fig1_request, strategy="portfolio",
+                    portfolio_racers=racers)
+        for call in (service.solve, lambda data: next(
+                service.solve_stream(data))):
+            with pytest.raises(ServiceError) as excinfo:
+                call(dict(body))
+            assert excinfo.value.status == 400
+            assert str(excinfo.value).startswith("invalid solve request")
+        with pytest.raises(ServiceError) as excinfo:
+            service.batch({"jobs": [dict(body)]})
+        assert excinfo.value.status == 400
+        assert service.tier_hits == {"ram": 0, "disk": 0, "engine": 0}
+
+
 class TestPortfolioStream:
     def test_stream_reaches_the_report(self, fig1_request):
         service = SolveService()
@@ -63,30 +96,36 @@ class TestPortfolioStream:
         assert frames[-1][1]["portfolio"]["winner"] is not None
 
     def test_disconnect_mid_race_stops_every_racer(self):
-        """A client hanging up mid-portfolio-stream must trip every
-        racer's token: the race winds down instead of orphaned racer
-        threads burning CPU on a dead request."""
+        """A client hanging up mid-portfolio-stream must stop every
+        racer: the race winds down instead of orphaned racer processes
+        burning CPU on a dead request.  Exhaustive bfs on vtx runs for
+        seconds, so only a cancelled race closes fast."""
+        def racer_processes():
+            return [process
+                    for process in multiprocessing.active_children()
+                    if process.name.startswith("portfolio-racer")]
+
         service = SolveService()
         stream = service.solve_stream({
             "relation": {"kind": "bench", "name": "vtx"},
             "strategy": "portfolio",
-            "portfolio_racers": [{"strategy": "best-first",
+            "portfolio_racers": [{"strategy": "bfs",
                                   "max_explored": None,
                                   "fifo_capacity": None}],
-            "portfolio_executor": "thread"})
-        for _ in range(3):
-            next(stream)
+            "portfolio_executor": "process"})
+        # Past the three opening events: the fourth is the racer's
+        # first improvement, so the race is in flight.
+        events = 0
+        while events < 4:
+            kind, _ = next(stream)
+            events += kind == "event"
+        assert racer_processes(), "the race was not running on processes"
+        started = time.monotonic()
         stream.close()
+        assert time.monotonic() - started < 3.0, "the race was not cancelled"
         assert service.request_counts["stream_cancelled"] == 1
-        deadline = time.monotonic() + 10.0
-        racers = []
-        while time.monotonic() < deadline:
-            racers = [t for t in threading.enumerate()
-                      if t.name.startswith("portfolio-racer")]
-            if not racers:
-                break
-            time.sleep(0.05)
-        assert not racers, "racer threads survived the disconnect"
+        assert not racer_processes(), \
+            "racer processes survived the disconnect"
         # The cancelled partial never entered a cache tier.
         stats = service.stats()
         assert stats["portfolio"]["races"] == 0

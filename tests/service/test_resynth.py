@@ -98,6 +98,17 @@ class TestResynthValidation:
         assert "verify_vectors" in str(excinfo.value)
         assert service._resynth_cache == {}
 
+    @pytest.mark.parametrize("value", ["x", 0, True])
+    def test_bad_workers_answer_at_once(self, value):
+        # Rejected while the request is parsed, before any mining.
+        service = SolveService()
+        with pytest.raises(ServiceError) as excinfo:
+            service.resynth(dict(S27, executor="process", workers=value))
+        assert excinfo.value.status == 400
+        assert str(excinfo.value).startswith("invalid request")
+        assert "workers" in str(excinfo.value)
+        assert service._resynth_cache == {}
+
     def test_failed_runs_are_errors_and_never_cached(self):
         service = SolveService()
         bad = {"circuit": "no-such-circuit"}

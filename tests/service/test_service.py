@@ -222,6 +222,17 @@ class TestBatch:
             SolveService().batch({"jobs": [dict(fig1_request)],
                                   "workers": 0})
 
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.5, "x"])
+    def test_bad_workers_rejected(self, fig1_request, workers):
+        service = SolveService()
+        with pytest.raises(ServiceError) as excinfo:
+            service.batch({"jobs": [dict(fig1_request)],
+                           "executor": "process", "workers": workers})
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert "workers" in message and repr(workers) in message
+        assert service.request_counts["batch"] == 0
+
     def test_failing_job_does_not_sink_batch(self, fig1_request):
         service = SolveService()
         result = service.batch({"jobs": [

@@ -356,6 +356,11 @@ class TestPrewarmCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["tiers"] == {"disk": 2}
 
+    def test_prewarm_bad_workers(self, corpus_file, tmp_path, capsys):
+        assert main(["prewarm", corpus_file, str(tmp_path / "cache"),
+                     "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_prewarm_bad_corpus(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"no\": \"jobs\"}")
@@ -460,7 +465,14 @@ class TestResynthCommand:
 
     def test_executor_flag_round_trips(self, capsys):
         assert main(["resynth", "s27", "--quick",
-                     "--executor", "thread", "--workers", "2",
+                     "--executor", "process", "--workers", "2",
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["request"]["executor"] == "thread"
+        assert report["request"]["executor"] == "process"
+        assert report["request"]["workers"] == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers_is_a_usage_error(self, capsys, workers):
+        assert main(["resynth", "s27", "--quick", "--executor",
+                     "process", "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
