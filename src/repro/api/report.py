@@ -14,8 +14,8 @@ A report that crossed a manager or process boundary instead
 keeps the solved vector as a manager-independent memo template
 (:meth:`SolveReport.solution_template`), from which
 :class:`~repro.api.Session` re-instantiates a live solution in the
-caller's manager and :meth:`SolveReport.solution_pla` renders the PLA
-export.
+caller's manager, :meth:`SolveReport.solution_pla` renders the PLA
+export and resynthesis realises its covers without a BDD manager.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Mapping, Optional
 from ..bdd.manager import BddManager
 from ..core.brel import BrelResult
 from ..core.memo import SolutionTemplate, instantiate_solution
-from ..core.memo import solution_template as template_of
 from ..core.relation import BooleanRelation
 from ..core.relio import write_relation
 from ..core.solution import Solution
@@ -162,13 +161,14 @@ class SolveReport:
 
         Rank ``i`` of the template is input position ``i``, so
         :func:`~repro.core.memo.instantiate_solution` over any
-        relation's inputs rebuilds the same functions there.
+        relation's inputs rebuilds the same functions there.  It is
+        renamed from the ISOP covers :meth:`from_result` already
+        extracted (:meth:`~repro.core.Solution.template`), and copies
+        carry it once derived.
         """
         if self._template is None and self.solution is not None \
                 and self._inputs is not None:
-            self._template = template_of(self.solution.mgr,
-                                         self.solution.functions,
-                                         self._inputs)
+            self._template = self.solution.template(self._inputs)
         return self._template
 
     def solution_pla(self) -> Optional[str]:

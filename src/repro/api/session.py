@@ -19,8 +19,10 @@ Pool jobs are made *self-contained* before dispatch: the relation
 travels as its node list (:func:`repro.core.relio.relation_to_nodes`,
 linear in BDD size) and the request as its dict form, so a job needs
 nothing from the parent process beyond importable code; the solution
-comes back as a memo template that the session re-instantiates in the
-caller's manager.  (Custom registry entries reach workers through the
+comes back as a memo template, which the session re-instantiates in the
+manager of the job's relation when the parent built one.  Node-spec
+jobs are node lists already: they ship as they are, and their reports
+keep the template.  (Custom registry entries reach workers through the
 default ``fork`` start method on POSIX; under ``spawn`` they must be
 registered at import time of a module the workers import.)
 """
@@ -564,7 +566,14 @@ class Session:
 
     def _hand_over(self, report: SolveReport,
                    relation: Optional[BooleanRelation]) -> Dict[str, Any]:
-        """Copy changes giving a batch caller ``report`` on ``relation``."""
+        """Copy changes giving a batch caller ``report`` on ``relation``.
+
+        A node-spec job has no relation (``None``): its report goes out
+        as it is, with its template and whatever live solution it was
+        solved with.
+        """
+        if relation is None:
+            return {}
         solution = self._portable_solution(report, relation)
         if solution is None:
             return {"solution": None}
@@ -1111,10 +1120,18 @@ class Session:
           (:func:`~repro.core.relio.relation_to_nodes`), linear in BDD
           size at any input width.
 
-        Every successful report carries a live ``report.solution`` in
-        the manager of the job's relation: pool and cached results come
-        back as templates and are re-instantiated there
-        (:meth:`_portable_solution`).
+        Every successful report carries its solution template
+        (:meth:`SolveReport.solution_template`).  A report on a named
+        session relation also carries a live ``report.solution`` in
+        that relation's manager, and so does one on any other spec the
+        batch builds in this process (PLA text, output sets, ...): pool
+        and cached results are re-instantiated there
+        (:meth:`_portable_solution`).  Node specs are keyed by their
+        node list before anything is built, so a cache hit builds no
+        relation and a process job ships the list as it is; a
+        node-spec report carries a live solution only when this call
+        solved it in-process, or when the cached entry it was served
+        from has one (in the manager that entry was solved in).
 
         Memoisation: serial jobs share the session's live
         :class:`~repro.core.memo.MemoStore` directly; process workers
@@ -1135,32 +1152,38 @@ class Session:
         for index, request in enumerate(requests):
             label = request.label or "job-%d" % index
             source = request.relation
+            resolved: Optional[BooleanRelation] = None
             nodes: Optional[RelationNodes] = None
             try:
                 if source is None:
                     raise ValueError("request has no relation source")
                 if source["kind"] == "nodes":
-                    # SolveRequest checked the node list on construction.
-                    resolved = relation_from_nodes(nodes_of_spec(source))
+                    # The spec's own node list (SolveRequest checked it)
+                    # is the key on both executors and the pool
+                    # transport: a hit builds nothing, and only a serial
+                    # miss builds the relation, when it is solved.
+                    nodes = nodes_of_spec(source)
+                    key = self._cache_key(nodes, request)
                 else:
                     resolved = self.resolve_relation(source)
-                if source["kind"] != "name":
-                    spec_built.append(resolved)
-                if executor == "process":
-                    # The pool transport, linear in BDD size; serial
-                    # jobs solve the live object and skip it entirely.
-                    nodes = relation_to_nodes(resolved)
-                    key = self._cache_key(nodes, request)
-                elif source["kind"] != "name":
-                    # Serial jobs with self-contained specs key by spec
-                    # *content*, mirroring _prepare_solve.  Keying these
-                    # on the resolved object would dispatch duplicate
-                    # jobs: each materialisation mints a fresh manager,
-                    # so identical specs never collide by identity.
-                    key = self._spec_key(self._inline_file(source),
-                                         request)
-                else:
-                    key = self._live_key(resolved, request)
+                    if source["kind"] != "name":
+                        spec_built.append(resolved)
+                    if executor == "process":
+                        # The pool transport, linear in BDD size; serial
+                        # jobs solve the live object and skip it.
+                        nodes = relation_to_nodes(resolved)
+                        key = self._cache_key(nodes, request)
+                    elif source["kind"] != "name":
+                        # Serial jobs with self-contained specs key by
+                        # spec *content*, mirroring _prepare_solve.
+                        # Keying these on the resolved object would
+                        # dispatch duplicate jobs: each materialisation
+                        # mints a fresh manager, so identical specs never
+                        # collide by identity.
+                        key = self._spec_key(self._inline_file(source),
+                                             request)
+                    else:
+                        key = self._live_key(resolved, request)
             except Exception as exc:  # noqa: BLE001 — capture per job
                 reports[index] = SolveReport.from_error(
                     exc, request=request.to_dict(), label=label)
@@ -1184,7 +1207,7 @@ class Session:
                 # Serial jobs use the live store; process workers get
                 # a seed export (computed once per batch).
                 memo_store = self._memo_for(request)
-                if (memo_store is not None and nodes is not None
+                if (memo_store is not None and executor == "process"
                         and memo_export is None):
                     memo_export = self.memo.export_entries(
                         limit=DEFAULT_MEMO_EXPORT_LIMIT)
@@ -1201,6 +1224,9 @@ class Session:
             fresh = self._run_jobs(list(pending), payloads, max_workers,
                                    executor, cancel, memo_export)
             for key, report in fresh.items():
+                # Derived once here, the template rides along in every
+                # copy below, the cache entry's included.
+                report.solution_template()
                 # Cancelled in-flight jobs report ok with a best-so-far
                 # solution; like solve(), that partial answer must not
                 # be served to future uncancelled calls.
@@ -1339,18 +1365,26 @@ class Session:
         """In-process execution: same contract as the worker, but solves
         the live relation object (keeping ``Solution`` handles valid in
         the caller's managers) under the live, already validated
-        request."""
+        request.  A node-spec job has no relation until this builds it
+        from the payload's node list."""
         label = payload.get("label")
         request_dict = payload.get("request")
         try:
             request = payload["solve_request"]
             relation = payload["relation"]
+            spec_built = relation is None
+            if spec_built:
+                # A node-spec job: its relation is built only now.
+                relation = relation_from_nodes(payload["nodes"])
             result = BrelSolver(request.to_options(),
                                 memo=payload.get("memo_store")).solve(
                 relation, cancel=cancel)
-            return SolveReport.from_result(relation, result,
-                                           request=request_dict,
-                                           label=label)
+            report = SolveReport.from_result(relation, result,
+                                             request=request_dict,
+                                             label=label)
+            if spec_built:
+                relation.mgr.release_caches()  # as in solve()
+            return report
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
             return SolveReport.from_error(exc, request=request_dict,
                                           label=label)

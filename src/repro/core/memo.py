@@ -43,8 +43,8 @@ for them (:func:`minimizer_memo_key` returns ``None``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE
@@ -97,7 +97,17 @@ def cover_template(mgr: FunctionBackend, node: int,
     store (it cannot happen for functions produced by projecting the
     signed subproblem itself).
     """
-    cover, _ = mgr.isop(node, node)
+    return rank_cover(mgr.isop(node, node)[0], rank_of_var)
+
+
+def rank_cover(cover: Sequence[Mapping[int, bool]],
+               rank_of_var: Mapping[int, int]) -> CoverTemplate:
+    """Renumber an ISOP cover (cubes as ``{var: polarity}``) into a
+    rank template, each cube's literals sorted by rank.
+
+    Raises ``KeyError`` for out-of-support variables (see
+    :func:`cover_template`).
+    """
     return tuple(tuple(sorted((rank_of_var[var], polarity)
                               for var, polarity in cube.items()))
                  for cube in cover)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.manager import BddManager
+from .memo import SolutionTemplate, rank_cover
 
 
 @dataclass
@@ -45,6 +46,18 @@ class Solution:
             self._cover_cache = [self.mgr.isop(func, func)[0]
                                  for func in self.functions]
         return self._cover_cache
+
+    def template(self, support: Sequence[int]) -> SolutionTemplate:
+        """The ISOP covers as a memo template: rank ``i`` is variable
+        ``support[i]``.
+
+        Equal to :func:`~repro.core.memo.solution_template` over
+        ``support``, renamed from the covers the renderings below share
+        instead of extracted again.
+        """
+        rank_of_var = {var: rank for rank, var in enumerate(support)}
+        return tuple(rank_cover(cover, rank_of_var)
+                     for cover in self._covers())
 
     def sop_covers(self) -> List[List[Dict[int, bool]]]:
         """Per-output irredundant SOP covers of the exact functions."""

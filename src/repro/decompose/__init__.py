@@ -2,7 +2,7 @@
 
 from .cutflex import (CutError, CutResynthesis, cut_flexibility_nodes,
                       cut_flexibility_relation, realize_functions,
-                      resynthesize_cut)
+                      realize_template, resynthesize_cut)
 from .flow import (ComparisonRow, FlowMetrics, compare_flows, run_baseline,
                    run_decomposed)
 from .gatedec import (DecompositionResult, and_function,
@@ -18,6 +18,7 @@ __all__ = [
     "cut_flexibility_nodes",
     "cut_flexibility_relation",
     "realize_functions",
+    "realize_template",
     "resynthesize_cut",
     "DecompositionResult",
     "FlowMetrics",

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..bdd.isop import isop
 from ..bdd.manager import FALSE, TRUE, BddManager
 from ..bdd.packed import MAX_FRAME_WIDTH, frame_masks, table_nodes
 from ..core.brel import BrelOptions, BrelResult, solve_relation
+from ..core.memo import SolutionTemplate, solution_template
 from ..core.relation import BooleanRelation
 from ..core.relio import RelationNodes
 from ..network.netlist import LogicNetwork
@@ -193,28 +193,43 @@ class CutResynthesis:
     accepted: bool = True
 
 
+def realize_template(template: SolutionTemplate, leaves: Sequence[str]
+                     ) -> List[Tuple[List[str], Cover]]:
+    """Materialise rank covers as ``(fanins, cover)`` pairs, one per
+    output, with rank ``i`` renamed to ``leaves[i]``.
+
+    Each function's fanins are the leaves its cubes mention, sorted by
+    name; its cubes keep the template's order.  A renaming: no manager
+    and no ISOP.
+    """
+    realized = []
+    for cover in template:
+        fanins = sorted({leaves[rank] for cube in cover
+                         for rank, _ in cube})
+        index_of = {leaf: i for i, leaf in enumerate(fanins)}
+        cubes = []
+        for cube in cover:
+            values = [DASH] * len(fanins)
+            for rank, polarity in cube:
+                values[index_of[leaves[rank]]] = 1 if polarity else 0
+            cubes.append(Cube(values))
+        realized.append((fanins, Cover(len(fanins), cubes)))
+    return realized
+
+
 def realize_functions(mgr: BddManager, functions: Sequence[int],
                       var_to_leaf: Dict[int, str]
                       ) -> List[Tuple[List[str], Cover]]:
     """Materialise solved functions as ISOP covers over named leaves.
 
     Returns one ``(fanins, cover)`` pair per function; support may be
-    any subset of ``var_to_leaf``'s keys.
+    any subset of ``var_to_leaf``'s keys.  The covers are the
+    functions' memo template over ``var_to_leaf``'s variables, renamed
+    by :func:`realize_template`.
     """
-    realized = []
-    for func in functions:
-        cover, _ = isop(mgr, func, func)
-        fanins = sorted({var_to_leaf[var] for cube in cover
-                         for var in cube})
-        index_of = {leaf: i for i, leaf in enumerate(fanins)}
-        cubes = []
-        for cube in cover:
-            values = [DASH] * len(fanins)
-            for var, polarity in cube.items():
-                values[index_of[var_to_leaf[var]]] = 1 if polarity else 0
-            cubes.append(Cube(values))
-        realized.append((fanins, Cover(len(fanins), cubes)))
-    return realized
+    support = sorted(var_to_leaf)
+    return realize_template(solution_template(mgr, functions, support),
+                            [var_to_leaf[var] for var in support])
 
 
 def resynthesize_cut(network: LogicNetwork, cut: Sequence[str],

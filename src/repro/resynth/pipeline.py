@@ -4,12 +4,15 @@ One pass over the network:
 
     enumerate cuts  ->  carve windows  ->  mine flexibility relations
         ->  stream them through Session.solve_many (shared memo)
-        ->  realize minimized covers  ->  accept strictly-improving
-            rewrites  ->  sweep
+        ->  realize the solutions' rank covers  ->  accept
+            strictly-improving rewrites  ->  sweep
 
 Each window's flexibility relation is mined on packed truth tables
 and emitted as a node list (:func:`cut_flexibility_nodes`), with no BDD
-manager.  Every accepted rewrite is verified exhaustively on its window
+manager.  A solution comes back as its report's rank template (one ISOP
+cover per output over the relation's inputs), which becomes covers
+over the window's leaves by renaming alone (:func:`realize_template`).
+Every accepted rewrite is verified exhaustively on its window
 before it sticks, and the final network is checked against the
 original at the combinational outputs (exhaustively for narrow frames,
 on seeded random vectors for wide ones).  Both checks simulate the
@@ -25,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.session import Session
 from ..core.relio import RelationNodes
-from ..decompose.cutflex import cut_flexibility_nodes, realize_functions
+from ..decompose.cutflex import cut_flexibility_nodes, realize_template
 from ..network.blif import write_blif
 from ..network.netlist import LogicNetwork
 from ..network.simulate import (exhaustive_outputs, output_masks,
@@ -82,19 +85,28 @@ def _mine_candidates(network: LogicNetwork, request: ResynthRequest,
     return candidates
 
 
-def _solved_functions(report: Any) -> Optional[Tuple[Any, List[int],
-                                                     List[int]]]:
-    """``(mgr, functions, input_vars)`` from a solve report, or None.
+def _closes_cycle(network: LogicNetwork, cut: Tuple[str, ...]) -> bool:
+    """Whether a rewritten cut node now lies in its own transitive fanin.
 
-    :meth:`Session.solve_many` hands every successful report a live
-    :class:`Solution` in the manager of the job's relation, whichever
-    executor or cache tier produced it; the functions come back with
-    the variable indices of that relation's input frame.
+    The network was acyclic before the cut's new fanins went in, so any
+    cycle runs through one of them into a cut node; searching each cut
+    node's fanin cone for the node itself finds every such cycle.
     """
-    if report.solution is None or report._inputs is None:
-        return None
-    solution = report.solution
-    return solution.mgr, list(solution.functions), list(report._inputs)
+    nodes = network.nodes
+    for name in cut:
+        if name not in nodes:
+            continue
+        stack = list(nodes[name].fanins)
+        seen = set()
+        while stack:
+            signal = stack.pop()
+            if signal == name:
+                return True
+            if signal in seen or signal not in nodes:
+                continue
+            seen.add(signal)
+            stack.extend(nodes[signal].fanins)
+    return False
 
 
 def _verify_window(window: Window, new_covers: Dict[str, Tuple[List[str],
@@ -126,14 +138,13 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
         if not report.ok:
             counters["solver_failures"] += 1
             continue
-        solved = _solved_functions(report)
-        if solved is None:
+        template = report.solution_template()
+        if template is None:
             counters["unrealized"] += 1
             continue
-        mgr, functions, input_vars = solved
-        var_to_leaf = {var: leaf for var, leaf
-                       in zip(input_vars, candidate.window.leaves)}
-        realized = realize_functions(mgr, functions, var_to_leaf)
+        # Rank i of the template is input i of the window's relation,
+        # i.e. the window's i-th leaf.
+        realized = realize_template(template, candidate.window.leaves)
         new_literals = sum(cover.literal_count() for _, cover in realized)
         if new_literals >= candidate.old_literals:
             counters["rejected_cost"] += 1
@@ -152,12 +163,7 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
             node = network.nodes[name]
             node.fanins = list(fanins)
             node.cover = cover
-        try:
-            network.topological_order()
-            structural_ok = True
-        except ValueError:
-            structural_ok = False
-        if not structural_ok:
+        if _closes_cycle(network, candidate.cut):
             # The new support reconverges through the cut: a cycle.
             for name, (fanins, cover) in saved.items():
                 network.nodes[name].fanins = fanins

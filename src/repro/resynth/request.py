@@ -28,6 +28,39 @@ VERIFY_MODES = ("auto", "exhaustive", "signature", "none")
 #: may not ask for more.
 MAX_VERIFY_VECTORS = 1 << 16
 
+#: The integer fields as ``(name, least, greatest, optional)``: each
+#: must be an int (not a bool) in ``least..greatest`` (``None`` leaves
+#: that side open), or ``None`` where optional.
+_INT_FIELDS = (
+    ("passes", 1, None, False),
+    ("window", 1, MAX_WINDOW_LEAVES, False),
+    ("tfo_depth", 0, None, False),
+    ("max_nodes", 1, None, True),
+    ("verify_exhaustive_limit", 0, 16, False),
+    ("verify_vectors", 1, MAX_VERIFY_VECTORS, False),
+    ("seed", None, None, False),
+)
+
+
+def _check_int(name: str, value: Any, least: Optional[int],
+               greatest: Optional[int], optional: bool) -> None:
+    """``ValueError`` naming the field and the value unless ``value``
+    fits its :data:`_INT_FIELDS` row."""
+    if optional and value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)
+            or (greatest is not None and value > greatest)):
+        if least is None:
+            wanted = "an int"
+        elif greatest is None:
+            wanted = "an int >= %d" % least
+        else:
+            wanted = "an int in %d..%d" % (least, greatest)
+        raise ValueError("%s must be %s%s, got %r"
+                         % (name, "None or " if optional else "", wanted,
+                            value))
+
 
 def normalize_circuit_spec(spec: Any) -> Dict[str, Any]:
     """Canonicalise the circuit source into a tagged dict.
@@ -114,30 +147,16 @@ class ResynthRequest:
         if self.circuit is not None:
             object.__setattr__(self, "circuit",
                                normalize_circuit_spec(self.circuit))
-        if self.passes < 1:
-            raise ValueError("passes must be >= 1")
-        if not 1 <= self.window <= MAX_WINDOW_LEAVES:
-            raise ValueError("window must be in 1..%d"
-                             % MAX_WINDOW_LEAVES)
-        if self.tfo_depth < 0:
-            raise ValueError("tfo_depth must be >= 0")
+        for name, least, greatest, optional in _INT_FIELDS:
+            _check_int(name, getattr(self, name), least, greatest,
+                       optional)
         if self.cut_policy not in CUT_POLICIES:
             raise ValueError("unknown cut policy %r" % self.cut_policy)
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
         check_executor("executor", self.executor)
         check_workers(self.workers)
         if self.verify not in VERIFY_MODES:
-            raise ValueError("verify must be one of %s"
-                             % ", ".join(VERIFY_MODES))
-        if not 0 <= self.verify_exhaustive_limit <= 16:
-            raise ValueError("verify_exhaustive_limit must be in 0..16")
-        if isinstance(self.verify_vectors, bool) \
-                or not isinstance(self.verify_vectors, int) \
-                or not 1 <= self.verify_vectors <= MAX_VERIFY_VECTORS:
-            raise ValueError("verify_vectors must be an int in 1..%d, "
-                             "got %r" % (MAX_VERIFY_VECTORS,
-                                         self.verify_vectors))
+            raise ValueError("verify must be one of %s, got %r"
+                             % (", ".join(VERIFY_MODES), self.verify))
         if self.cost not in cost_registry:
             cost_registry.get(self.cost)  # raises with the valid names
         if self.minimizer not in minimizer_registry:

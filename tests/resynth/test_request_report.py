@@ -70,6 +70,32 @@ class TestRequestValidation:
         message = str(excinfo.value)
         assert "verify_vectors" in message and repr(value) in message
 
+    @pytest.mark.parametrize("field,value", [
+        ("passes", "2"), ("passes", 2.5), ("passes", True),
+        ("passes", None), ("window", None), ("window", 8.0),
+        ("window", "8"), ("tfo_depth", "1"), ("tfo_depth", 1.5),
+        ("tfo_depth", False), ("max_nodes", "x"), ("max_nodes", 2.5),
+        ("max_nodes", True), ("verify_exhaustive_limit", None),
+        ("verify_exhaustive_limit", 2.5), ("seed", [1]), ("seed", None),
+        ("seed", 1.0), ("seed", "0"), ("seed", True),
+    ])
+    def test_int_fields_must_be_ints(self, field, value):
+        with pytest.raises(ValueError) as excinfo:
+            ResynthRequest(circuit="s27", **{field: value})
+        message = str(excinfo.value)
+        assert field in message and repr(value) in message
+
+    @pytest.mark.parametrize("kwargs", [
+        {"passes": 1}, {"window": 1}, {"window": 16}, {"tfo_depth": 0},
+        {"max_nodes": None}, {"max_nodes": 1},
+        {"verify_exhaustive_limit": 0}, {"verify_exhaustive_limit": 16},
+        {"seed": -3}, {"seed": 10 ** 30},
+    ])
+    def test_int_fields_in_range_accepted(self, kwargs):
+        request = ResynthRequest(circuit="s27", **kwargs)
+        for field, value in kwargs.items():
+            assert getattr(request, field) == value
+
     @pytest.mark.parametrize("value", ["x", 0, -2, True, 2.5])
     def test_bad_workers_rejected(self, value):
         with pytest.raises(ValueError) as excinfo:

@@ -98,6 +98,29 @@ class TestResynthValidation:
         assert "verify_vectors" in str(excinfo.value)
         assert service._resynth_cache == {}
 
+    @pytest.mark.parametrize("field,value", [
+        ("passes", "2"), ("passes", 2.5), ("window", None),
+        ("tfo_depth", 1.5), ("max_nodes", 2.5), ("max_nodes", "x"),
+        ("verify_exhaustive_limit", None), ("seed", [1]), ("seed", None),
+    ])
+    def test_non_int_fields_answer_400_before_any_tier(self, field, value,
+                                                        monkeypatch):
+        from repro.resynth import pipeline
+
+        def never(*args, **kwargs):
+            raise AssertionError("the pipeline must not start")
+
+        monkeypatch.setattr(pipeline, "resynthesize", never)
+        service = SolveService()
+        with pytest.raises(ServiceError) as excinfo:
+            service.resynth(dict(S27, circuit="s298", **{field: value}))
+        assert excinfo.value.status == 400
+        assert str(excinfo.value).startswith("invalid request")
+        assert field in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+        assert service._resynth_cache == {}
+        assert sum(service.tier_hits.values()) == 0
+
     @pytest.mark.parametrize("value", ["x", 0, True])
     def test_bad_workers_answer_at_once(self, value):
         # Rejected while the request is parsed, before any mining.
