@@ -12,7 +12,7 @@ which executes every workload once (no pytest-benchmark needed), prints
 wall-clock timings plus an engine-stats snapshot, and fails loudly if a
 workload returns wrong results or the computed table exceeds its bound.
 Quick mode also runs one deep-recursion solve (brgen 7x7, seed 1,
-``max_explored=200``, memo off) and gates on its cost and on the share
+``max_explored=200``) and gates on its cost and on the share
 of ISOP sub-interval expansions the solve-wide ISOP table serves — a
 deterministic count, so a drop means the table stopped being shared
 across the solve's minimisations.  Its narrow-interval row times
@@ -274,13 +274,13 @@ def test_bdd_quantification_throughput(benchmark):
 
 
 def run_deep_recursion():
-    """One memo-off deep-recursion solve; cost and ISOP-table counters."""
+    """One deep-recursion solve; cost and ISOP-table counters."""
     num_inputs, num_outputs, seed = DEEP_CASE
     relation = random_relation(num_inputs, num_outputs, seed=seed)
     before = relation.mgr.stats()
     start = time.perf_counter()
-    result = BrelSolver(BrelOptions(max_explored=DEEP_MAX_EXPLORED,
-                                    memo=False)).solve(relation)
+    result = BrelSolver(BrelOptions(
+        max_explored=DEEP_MAX_EXPLORED)).solve(relation)
     seconds = time.perf_counter() - start
     after = relation.mgr.stats()
     hits = after["isop_hits"] - before["isop_hits"]
@@ -350,9 +350,9 @@ def packed_misf_evaluation(relation):
     view = pack_relation(relation)
     minimized = [view.minimize(position, minimize_isop, "isop")
                  for position in range(len(relation.outputs))]
-    return ([node for node, _, _ in minimized],
+    return ([node for node, _ in minimized],
             view.node(view.conflict_table(
-                [table for _, _, table in minimized])))
+                [table for _, table in minimized])))
 
 
 def run_misf_layer():

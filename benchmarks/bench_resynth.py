@@ -2,9 +2,8 @@
 
 Runs the :mod:`repro.resynth` pipeline over the bundled benchdata
 circuits — hundreds of windowed flexibility relations streamed through
-``solve_many`` with the shared memo store — and reports per-circuit
-literal/gate savings, rewrite acceptance, memo template hit rate and
-wall clock.
+``solve_many`` over one shared session — and reports per-circuit
+literal/gate savings, rewrite acceptance and wall clock.
 
 Hard gates (both modes):
 
@@ -12,9 +11,7 @@ Hard gates (both modes):
   at the combinational outputs (exhaustive or signature check);
 * net literal savings >= 0 on every circuit (the acceptance gate only
   installs strictly-improving rewrites, so this is a pipeline
-  invariant);
-* the memo template hit rate is > 0 on at least one circuit
-  (isomorphic windows dominate on real netlists).
+  invariant).
 
 Standalone quick mode for CI::
 
@@ -64,9 +61,6 @@ def run_workload(quick=True):
             "relations_mined": report.relations_mined,
             "relations_solved": report.relations_solved,
             "rewrites_accepted": report.rewrites_accepted,
-            "memo_hits": report.memo_hits,
-            "memo_misses": report.memo_misses,
-            "memo_hit_rate": report.memo_hit_rate or 0.0,
             "equivalent": report.equivalent,
             "verify_method": report.verify_method,
             "runtime_seconds": report.runtime_seconds,
@@ -76,8 +70,6 @@ def run_workload(quick=True):
         "literal_savings": sum(r["literal_savings"] for r in rows),
         "relations_mined": sum(r["relations_mined"] for r in rows),
         "rewrites_accepted": sum(r["rewrites_accepted"] for r in rows),
-        "memo_hits": sum(r["memo_hits"] for r in rows),
-        "memo_misses": sum(r["memo_misses"] for r in rows),
         "runtime_seconds": sum(r["runtime_seconds"] for r in rows),
     }
     return {"quick": quick, "rows": rows, "totals": totals}
@@ -93,18 +85,16 @@ def check_gates(results):
         if row["literal_savings"] < 0:
             failures.append("%s: negative literal savings (%d)"
                             % (row["circuit"], row["literal_savings"]))
-    if not any(row["memo_hit_rate"] > 0 for row in results["rows"]):
-        failures.append("memo template hit rate was 0 on every circuit")
     return failures
 
 
 def summarize(results):
     headers = ["circuit", "lits", "after", "saved", "rels", "accepted",
-               "memo%", "equal", "secs"]
+               "equal", "secs"]
     table_rows = [
         [r["circuit"], r["literals_before"], r["literals_after"],
          r["literal_savings"], r["relations_mined"],
-         r["rewrites_accepted"], "%.0f" % (100 * r["memo_hit_rate"]),
+         r["rewrites_accepted"],
          "yes" if r["equivalent"] else "NO",
          "%.3f" % r["runtime_seconds"]]
         for r in results["rows"]]
@@ -112,13 +102,11 @@ def summarize(results):
     table = format_table(
         headers, table_rows,
         title="Resynthesis over %d benchdata circuits "
-              "(windowed cuts -> solve_many, shared memo)"
+              "(windowed cuts -> solve_many, shared session)"
               % totals["circuits"])
-    table += ("\ntotal: %d literals saved, %d/%d rewrites, "
-              "%d memo hits / %d misses, %.2fs"
+    table += ("\ntotal: %d literals saved, %d/%d rewrites, %.2fs"
               % (totals["literal_savings"], totals["rewrites_accepted"],
-                 totals["relations_mined"], totals["memo_hits"],
-                 totals["memo_misses"], totals["runtime_seconds"]))
+                 totals["relations_mined"], totals["runtime_seconds"]))
     return table
 
 

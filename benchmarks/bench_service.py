@@ -10,14 +10,10 @@ transport adds nothing to what is being measured):
   tier).  The acceptance claim is structural: the hot and disk passes
   leave the engine untouched, and both are far cheaper than solving.
 * **prewarming** — a 20-request corpus is replayed into a cache
-  directory (``repro prewarm``); a cold-but-seeded worker then solves
-  *novel* requests (same relation family, different search options, so
-  the report tiers cannot answer) against an unseeded twin.  Both
-  workers own a disk tier (the unseeded one over an empty directory),
-  so both pay the same persistence, and each side's time is the median
-  of ``SWEEPS`` fresh-worker sweeps.  The seeded worker must do
-  measurably less memo work (fewer misses) and must not be slower —
-  the multi-worker story in two numbers.
+  directory (``repro prewarm``); a fresh worker over that directory
+  then serves the whole corpus from the disk tier, with the engine
+  untouched and the same answers — the multi-worker story: what one
+  worker solved, every later worker serves.
 
 Standalone quick mode for CI::
 
@@ -28,8 +24,6 @@ writes ``benchmarks/results/bench_service.json`` either way.
 
 import json
 import os
-import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -61,20 +55,6 @@ CORPUS_JOBS = [
     for cost in ("size", "cubes")
 ]
 
-#: Novel traffic for the seeding comparison: same relations, different
-#: exploration options — report tiers miss, memo templates still apply.
-NOVEL_REQUESTS = [
-    {"label": "%s-novel" % name,
-     "relation": {"kind": "bench", "name": name},
-     "strategy": "best-first", "max_explored": 30}
-    for name in CORPUS_NAMES
-]
-
-#: Fresh-worker sweeps per side of the seeding comparison.  One sweep
-#: is ten solves, too few for a single sample to beat machine noise;
-#: each side reports its median sweep.
-SWEEPS = 3
-
 
 def run_tiered_serving():
     """Cold/hot/disk passes over the serving stream; returns the row."""
@@ -94,7 +74,6 @@ def run_tiered_serving():
 
         cold_seconds, cold_tiers, cold_costs = sweep(worker)
         hot_seconds, hot_tiers, hot_costs = sweep(worker)
-        worker.flush()
         fresh = SolveService(disk=DiskCache(tmp))
         disk_seconds, disk_tiers, disk_costs = sweep(fresh)
         assert cold_costs == hot_costs == disk_costs, \
@@ -115,69 +94,34 @@ def run_tiered_serving():
 
 
 def run_prewarming():
-    """Seeded vs unseeded cold workers on novel traffic; returns row.
-
-    Every sweep boots a fresh worker over its own directory: a copy of
-    the prewarmed one (seeded) or an empty one (unseeded), so neither
-    side sees the other's reports or flushes.  The sides alternate
-    which goes first.
-    """
+    """Prewarm the corpus, then replay it on a fresh worker; the row."""
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path = os.path.join(tmp, "corpus.json")
         with open(corpus_path, "w") as handle:
             json.dump(CORPUS_JOBS, handle)
         cache_dir = os.path.join(tmp, "cache")
+        start = time.perf_counter()
         summary = prewarm(corpus_path, cache_dir)
+        prewarm_seconds = time.perf_counter() - start
         assert summary["ok"]
-
-        def sweep(side, index):
-            pool = os.path.join(tmp, "%s-%d" % (side, index))
-            if side == "seeded":
-                shutil.copytree(cache_dir, pool)
-            service = SolveService(disk=DiskCache(pool))
-            assert (service.seeded_entries > 0) == (side == "seeded")
-            start = time.perf_counter()
-            hits = misses = 0
-            costs = {}
-            for request in NOVEL_REQUESTS:
-                report, tier = service.solve(dict(request))
-                assert report["ok"] and tier == "engine"
-                hits += report["stats"]["memo_hits"]
-                misses += report["stats"]["memo_misses"]
-                costs[request["label"]] = report["cost"]
-            return time.perf_counter() - start, (hits, misses, costs)
-
-        runs = {"seeded": [], "unseeded": []}
-        for index in range(SWEEPS):
-            order = ["seeded", "unseeded"]
-            if index % 2:
-                order.reverse()
-            for side in order:
-                runs[side].append(sweep(side, index))
-        sides = {}
-        for side, sweeps in runs.items():
-            hits, misses, costs = sweeps[0][1]
-            assert all(work == (hits, misses, costs)
-                       for _, work in sweeps), \
-                "fresh workers did different work on the same requests"
-            sides[side] = {
-                "seconds": statistics.median(s for s, _ in sweeps),
-                "sweep_seconds": [s for s, _ in sweeps],
-                "memo_hits": hits, "memo_misses": misses, "costs": costs}
-        seeded, unseeded = sides["seeded"], sides["unseeded"]
-        assert seeded.pop("costs") == unseeded.pop("costs"), \
-            "memo seeding changed results"
+        costs = {report["label"]: report["cost"]
+                 for report in SolveService().batch(CORPUS_JOBS)["reports"]}
+        worker = SolveService(disk=DiskCache(cache_dir))
+        start = time.perf_counter()
+        tiers = {}
+        for job in CORPUS_JOBS:
+            report, tier = worker.solve(dict(job))
+            assert report["ok"] and report["cost"] == costs[job["label"]]
+            tiers[tier] = tiers.get(tier, 0) + 1
+        replay_seconds = time.perf_counter() - start
     return {
         "corpus_jobs": len(CORPUS_JOBS),
-        "novel_requests": len(NOVEL_REQUESTS),
-        "sweeps": SWEEPS,
-        "seeded_memo_entries": summary["memo_entries"],
-        "seeded": seeded,
-        "unseeded": unseeded,
-        "miss_reduction": (
-            1.0 - (seeded["memo_misses"] / unseeded["memo_misses"])
-            if unseeded["memo_misses"] else 0.0),
-        "seeded_speedup": unseeded["seconds"] / seeded["seconds"],
+        "prewarm_tiers": summary["tiers"],
+        "prewarm_seconds": prewarm_seconds,
+        "replay_tiers": tiers,
+        "replay_seconds": replay_seconds,
+        "replay_speedup": (prewarm_seconds / replay_seconds
+                           if replay_seconds > 0 else float("inf")),
     }
 
 
@@ -201,22 +145,14 @@ def summarize(results):
         ["pass", "seconds", "speedup", "engine solves"], rows,
         title="Tiered serving, %d-request stream (identical results)"
               % serving["requests"])
-    warm_rows = [
-        ["unseeded", warm["unseeded"]["memo_misses"],
-         warm["unseeded"]["memo_hits"],
-         "%.3f" % warm["unseeded"]["seconds"]],
-        ["prewarmed", warm["seeded"]["memo_misses"],
-         warm["seeded"]["memo_hits"],
-         "%.3f" % warm["seeded"]["seconds"]],
-    ]
     table += "\n\n" + format_table(
-        ["cold worker", "memo misses", "memo hits",
-         "seconds (median of %d)" % warm["sweeps"]],
-        warm_rows,
-        title="Prewarming: %d-job corpus, %d novel requests "
-              "(miss reduction %.0f%%, seeded speed-up %.2fx)"
-              % (warm["corpus_jobs"], warm["novel_requests"],
-                 100 * warm["miss_reduction"], warm["seeded_speedup"]))
+        ["pass", "seconds", "tiers"],
+        [["prewarm (engine)", "%.3f" % warm["prewarm_seconds"],
+          warm["prewarm_tiers"]],
+         ["fresh worker replay", "%.3f" % warm["replay_seconds"],
+          warm["replay_tiers"]]],
+        title="Prewarming: %d-job corpus (replay %.1fx faster)"
+              % (warm["corpus_jobs"], warm["replay_speedup"]))
     return table
 
 
@@ -233,10 +169,8 @@ def test_service_workloads(benchmark):
     write_artefact(results)
     assert results["tiered-serving"]["hot"]["tiers"] \
         == {"ram": results["tiered-serving"]["requests"]}
-    assert results["prewarming"]["seeded"]["memo_misses"] \
-        < results["prewarming"]["unseeded"]["memo_misses"]
-    assert results["prewarming"]["seeded"]["seconds"] \
-        <= results["prewarming"]["unseeded"]["seconds"]
+    assert results["prewarming"]["replay_tiers"] \
+        == {"disk": results["prewarming"]["corpus_jobs"]}
 
 
 def run_quick() -> int:
@@ -249,15 +183,9 @@ def run_quick() -> int:
         print("FAIL: hot pass reached the engine", file=sys.stderr)
         failures += 1
     warm = results["prewarming"]
-    if warm["seeded"]["memo_misses"] >= warm["unseeded"]["memo_misses"]:
-        print("FAIL: prewarming did not reduce memo misses",
-              file=sys.stderr)
-        failures += 1
-    if warm["seeded"]["seconds"] > warm["unseeded"]["seconds"]:
-        print("FAIL: the seeded worker was slower than the unseeded one "
-              "on novel traffic (%.3fs vs %.3fs)"
-              % (warm["seeded"]["seconds"], warm["unseeded"]["seconds"]),
-              file=sys.stderr)
+    if warm["replay_tiers"] != {"disk": warm["corpus_jobs"]}:
+        print("FAIL: the prewarmed corpus did not replay from the disk "
+              "tier (%s)" % warm["replay_tiers"], file=sys.stderr)
         failures += 1
     print("quick mode %s" % ("ok" if not failures else "FAILED"))
     return failures

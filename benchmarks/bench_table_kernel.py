@@ -14,15 +14,15 @@ Three sweeps land in ``benchmarks/results/bench_table_kernel.{txt,json}``:
 
 * **kernel sweep** — the same scripted op mix run on matched random
   functions (identical minterm sets) in a :class:`BddManager` and a
-  :class:`TableManager`, for 6/8/10-variable leaves.  Every result is
-  fingerprint-checked across engines, so the timing compares two
+  :class:`TableManager`, for 6/8/10-variable leaves.  Every result's
+  minterms are checked across engines, so the timing compares two
   implementations of *the same* semantics.
 * **kernel-vs-kernel sweep** — the int kernel vs the numpy word-array
   kernel on the full packed-table protocol (op mix *plus* the counting
   views: ``sat_count`` is where the hardware popcount pays) at widths
   10/14/16/18.  Width 18 is numpy-only — the int kernel's ceiling is
-  16, which is the point of the numpy kernel.  Checksums and
-  fingerprints are compared wherever both kernels run.
+  16, which is the point of the numpy kernel.  Checksums and truth
+  tables are compared wherever both kernels run.
 * **engine-solve sweep** — full ``BrelSolver`` runs on narrow seeded
   relations built on a ``BddManager`` vs the same relations built on
   a ``TableManager``, verifying cost parity (solver overhead shared by
@@ -138,9 +138,9 @@ def run_kernel_row(num_vars, rounds):
                                    seed=100 + num_vars)
     table_dt = time.perf_counter() - start
     # Parity check outside the timed region: every produced function
-    # must hash identically across engines.
-    assert [mgr.fingerprint(p) for p in bdd_products] \
-        == [tm.fingerprint(p) for p in table_products], \
+    # must have the same minterms on both engines.
+    assert [list(mgr.minterms(p, bdd_vars)) for p in bdd_products] \
+        == [list(tm.minterms(p, table_vars)) for p in table_products], \
         "engines disagree on the %d-var leaf workload" % num_vars
     return {"vars": num_vars, "rounds": rounds,
             "bdd_seconds": bdd_dt, "table_seconds": table_dt,
@@ -238,7 +238,7 @@ def run_kernel_vs_row(num_vars, rounds):
 
     Either kernel may be absent from a row: int past its width
     ceiling, numpy when not installed.  Parity (count checksum +
-    product fingerprints) is asserted whenever both ran.
+    product truth tables) is asserted whenever both ran.
     """
     kernels = []
     if num_vars <= MAX_TABLE_WIDTH:
@@ -260,7 +260,7 @@ def run_kernel_vs_row(num_vars, rounds):
             best = elapsed if best is None else min(best, elapsed)
         timings[kernel] = best
         views[kernel] = (checksum,
-                         [tm.fingerprint(p) for p in products[:20]])
+                         [tm.table(p) for p in products[:20]])
     if len(kernels) == 2:
         assert views["int"] == views["numpy"], \
             "kernels disagree on the %d-var counting workload" % num_vars
@@ -311,7 +311,7 @@ def summarize(results):
           "%.4f" % row["table_seconds"], "%.1fx" % row["speedup"]]
          for row in results["kernel_rows"]],
         title="Leaf op workload: BDD engine vs bit-parallel table "
-              "kernel (matched functions, fingerprint-verified)")
+              "kernel (matched functions, minterm-verified)")
     kernel_vs = format_table(
         ["vars", "int s", "numpy s", "numpy speedup"],
         [[row["vars"],

@@ -4,7 +4,7 @@
 Loads a bundled ISCAS'89-style benchdata netlist, runs the windowed
 don't-care resynthesis pipeline (:mod:`repro.resynth`) over it —
 every candidate cut becomes a Boolean relation, every relation goes
-through the recursive solver with the shared memo store — and prints
+through the recursive solver over one shared session — and prints
 the per-pass story plus the literal savings.
 
 The same run is available from the command line::

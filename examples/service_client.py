@@ -12,7 +12,7 @@ whole wire surface with nothing but :mod:`urllib`:
 3. ``POST /solve/stream`` — Server-Sent Events of the anytime search:
    every improving solution as it is found, then the final report;
 4. ``POST /batch`` — a manifest of jobs with per-job cache tiers;
-5. ``GET /stats`` — tier counters and per-request memo attribution.
+5. ``GET /stats`` — tier counters, the disk tier and recent requests.
 
 Run:  python examples/service_client.py
 """
@@ -50,15 +50,14 @@ def tiered_solves(base, cache_dir, server, service):
         print("  solve #%d: tier=%-6s cost=%.0f  sop=%r"
               % (attempt, headers["X-Cache-Tier"], report["cost"],
                  report["sop"].replace("\n", " | ")))
-    # A worker restart: flush templates, boot a new service on the same
-    # directory, and serve the same request without touching an engine.
-    service.flush()
+    # A worker restart: boot a new service on the same directory, and
+    # serve the same request without touching an engine.
     server.shutdown()
     server.server_close()
     new_server, new_service, new_base = start_server(cache_dir)
     headers, report = post(new_base + "/solve", INT1)
-    print("  fresh worker: tier=%-6s (seeded %d memo templates)"
-          % (headers["X-Cache-Tier"], new_service.seeded_entries))
+    print("  fresh worker: tier=%-6s engine solves=%d"
+          % (headers["X-Cache-Tier"], new_service.tier_hits["engine"]))
     print()
     return new_server, new_base
 
@@ -111,11 +110,12 @@ def batch_and_stats(base):
     with urllib.request.urlopen(base + "/stats", timeout=60) as response:
         stats = json.loads(response.read())
     print("  tiers: %s" % stats["tiers"])
-    print("  disk:  %d reports, %d memo entries"
-          % (stats["disk"]["reports"], stats["disk"]["memo_entries"]))
+    print("  disk:  %d reports, %d bytes, hit rate %.0f%%"
+          % (stats["disk"]["reports"], stats["disk"]["report_bytes"],
+             100 * stats["disk"]["report_hit_rate"]))
     for row in stats["recent"][-3:]:
-        print("  recent: %-10s tier=%-6s memo_misses=%d"
-              % (row["label"], row["tier"], row["memo_misses"]))
+        print("  recent: %-10s tier=%-6s %.3fs"
+              % (row["label"], row["tier"], row["runtime_seconds"]))
 
 
 def main():

@@ -34,7 +34,6 @@ the generator's return value::
 """
 
 from ..core.explore import CancelToken, Improvement, SolveEvent
-from ..core.memo import MemoStore
 from .events import event_to_jsonable, format_event
 from .registry import (COSTS, Registry, cost_names, cost_registry, get_cost,
                        get_minimizer, get_strategy, minimizer_names,
@@ -49,7 +48,6 @@ __all__ = [
     "COSTS",
     "CancelToken",
     "Improvement",
-    "MemoStore",
     "REPORT_SCHEMA_VERSION",
     "Registry",
     "RelationLike",

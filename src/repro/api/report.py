@@ -11,7 +11,7 @@ When the solve ran in the calling process the live
 :class:`~repro.core.Solution` (BDD nodes and manager) is attached as
 ``report.solution``; it is excluded from comparison and serialisation.
 A report that crossed a manager or process boundary instead
-keeps the solved vector as a manager-independent memo template
+keeps the solved vector as a manager-independent rank template
 (:meth:`SolveReport.solution_template`), from which
 :class:`~repro.api.Session` re-instantiates a live solution in the
 caller's manager, :meth:`SolveReport.solution_pla` renders the PLA
@@ -47,7 +47,10 @@ from ..core.solution import Solution
 #: retired).
 #: 7: the echoed ``request`` dropped the table engine's width and
 #: kernel fields (whole-relation routing was retired).
-REPORT_SCHEMA_VERSION = 7
+#: 8: ``stats`` dropped ``memo_hits``/``memo_misses``/``memo_stores``
+#: and the echoed ``request`` dropped ``memo`` and ``mode`` (the
+#: subproblem memo and the ``mode`` alias were retired).
+REPORT_SCHEMA_VERSION = 8
 
 
 @dataclass

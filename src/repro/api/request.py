@@ -1,8 +1,8 @@
 """Declarative solve specifications.
 
 A :class:`SolveRequest` describes one BREL solve as *pure data*: the
-relation source, the objective, the minimiser, the exploration mode, and
-the budgets — everything :class:`repro.core.BrelOptions` holds, but with
+relation source, the objective, the minimiser, the exploration strategy,
+and the budgets — everything :class:`repro.core.BrelOptions` holds, but with
 the live callables replaced by registry names so the spec round-trips
 through JSON (``from_dict(r.to_dict()) == r``), can be stored in batch
 manifests, and can cross process boundaries.
@@ -42,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -247,14 +246,15 @@ class SolveRequest:
 
     All solver knobs mirror :class:`repro.core.BrelOptions` but name the
     callables through the :mod:`repro.api.registry` tables.  Construction
-    validates everything eagerly — unknown registry names, bad modes, and
-    negative budgets are rejected here, not deep inside a worker process.
+    validates everything eagerly — unknown registry names, bad
+    strategies, and negative budgets are rejected here, not deep inside
+    a worker process.
     """
 
     relation: Any = None
     cost: str = "size"
     minimizer: str = "isop"
-    mode: str = "bfs"
+    #: Exploration strategy name; ``None`` means ``"bfs"``.
     strategy: Optional[str] = None
     max_explored: Optional[int] = 10
     fifo_capacity: Optional[int] = 64
@@ -265,12 +265,6 @@ class SolveRequest:
     symmetry_max_depth: int = 2
     time_limit_seconds: Optional[float] = None
     record_trace: bool = False
-    #: Subproblem-memoisation tri-state: ``None`` follows the session's
-    #: default (enabled unless :meth:`Session.disable_memo` was called),
-    #: ``True`` forces the session's store, ``False`` opts this solve
-    #: out.  Results are byte-identical either way; only the stats
-    #: (``memo_hits`` etc.) and the wall clock differ.
-    memo: Optional[bool] = None
     #: Output-block decomposition tri-state (mirrors
     #: :attr:`repro.core.BrelOptions.decompose`): ``None`` (auto) and
     #: ``True`` shard the relation into verified-independent output
@@ -303,13 +297,6 @@ class SolveRequest:
             from ..core.portfolio import normalize_racers
             object.__setattr__(self, "portfolio_racers",
                                normalize_racers(self.portfolio_racers))
-        if self.mode != "bfs":
-            # The request warns here, once; to_options() deliberately
-            # does not (it runs on every solve of the same request).
-            warnings.warn(
-                "the 'mode' field is a deprecated alias; pass "
-                "strategy=%r instead" % self.mode,
-                DeprecationWarning, stacklevel=3)
         if self.cost not in cost_registry:
             cost_registry.get(self.cost)  # raises with the valid names
         if self.minimizer not in minimizer_registry:
@@ -323,25 +310,15 @@ class SolveRequest:
 
     # -- conversion ----------------------------------------------------
     def exploration_strategy(self) -> str:
-        """The effective strategy name (``strategy`` wins over the
-        deprecated ``mode`` alias)."""
-        return self.strategy if self.strategy is not None else self.mode
+        """The effective strategy name (``None`` means ``"bfs"``)."""
+        return self.strategy if self.strategy is not None else "bfs"
 
     def to_options(self) -> BrelOptions:
-        """Resolve the registry names into live :class:`BrelOptions`.
-
-        The options are constructed with the *effective* strategy (so
-        every validation — including strategy-specific combinations —
-        runs against what will actually explore), then the
-        ``strategy``/``mode`` fields are restored verbatim.  Routing the
-        deprecated alias around ``BrelOptions.__post_init__`` keeps its
-        DeprecationWarning from re-firing on every solve of a request
-        that already warned at construction.
-        """
-        options = BrelOptions(
+        """Resolve the registry names into live :class:`BrelOptions`."""
+        return BrelOptions(
             cost_function=cost_registry.get(self.cost),
             minimizer=minimizer_registry.get(self.minimizer),
-            strategy=self.exploration_strategy(),
+            strategy=self.strategy,
             max_explored=self.max_explored,
             fifo_capacity=self.fifo_capacity,
             quick_on_subrelations=self.quick_on_subrelations,
@@ -349,13 +326,9 @@ class SolveRequest:
             symmetry_max_depth=self.symmetry_max_depth,
             time_limit_seconds=self.time_limit_seconds,
             record_trace=self.record_trace,
-            memo=self.memo,
             decompose=self.decompose,
             portfolio_racers=self.portfolio_racers,
             portfolio_executor=self.portfolio_executor)
-        options.strategy = self.strategy
-        options.mode = self.mode
-        return options
 
     @classmethod
     def from_options(cls, options: BrelOptions,
@@ -379,7 +352,7 @@ class SolveRequest:
                              % getattr(options.minimizer, "__name__",
                                        options.minimizer))
         return cls(relation=relation, cost=cost, minimizer=minimizer,
-                   mode=options.mode, strategy=options.strategy,
+                   strategy=options.strategy,
                    max_explored=options.max_explored,
                    fifo_capacity=options.fifo_capacity,
                    quick_on_subrelations=options.quick_on_subrelations,
@@ -387,7 +360,6 @@ class SolveRequest:
                    symmetry_max_depth=options.symmetry_max_depth,
                    time_limit_seconds=options.time_limit_seconds,
                    record_trace=options.record_trace,
-                   memo=options.memo,
                    decompose=options.decompose,
                    portfolio_racers=options.portfolio_racers,
                    portfolio_executor=options.portfolio_executor,
@@ -412,25 +384,12 @@ class SolveRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolveRequest":
-        """Build a request from a dict, rejecting unknown keys.
-
-        Pre-strategy-era dicts (no ``strategy`` key — every dict this
-        class now emits has one) always carried
-        ``quick_on_subrelations: true``, the old field default, which
-        the old solver *ignored* under ``mode="dfs"``.  Replaying such
-        a dict must not silently opt the DFS into per-subrelation
-        QuickSolver runs, so the legacy combination maps back to the
-        tri-state default.
-        """
+        """Build a request from a dict, rejecting unknown keys."""
         fields = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - fields
         if unknown:
             raise ValueError("unknown SolveRequest fields: %s"
                              % ", ".join(sorted(unknown)))
-        data = dict(data)
-        if ("strategy" not in data and data.get("mode") == "dfs"
-                and data.get("quick_on_subrelations") is True):
-            data["quick_on_subrelations"] = None
         return cls(**data)
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -19,12 +19,15 @@ Pool jobs are made *self-contained* before dispatch: the relation
 travels as its node list (:func:`repro.core.relio.relation_to_nodes`,
 linear in BDD size) and the request as its dict form, so a job needs
 nothing from the parent process beyond importable code; the solution
-comes back as a memo template, which the session re-instantiates in the
+comes back as a rank template, which the session re-instantiates in the
 manager of the job's relation when the parent built one.  Node-spec
 jobs are node lists already: they ship as they are, and their reports
 keep the template.  (Custom registry entries reach workers through the
 default ``fork`` start method on POSIX; under ``spawn`` they must be
 registered at import time of a module the workers import.)
+
+Every solve explores its relation from scratch: the session caches
+whole reports, never subproblems.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from ..bdd.manager import BddManager
 from ..core.brel import BrelResult, BrelSolver
 from ..core.explore import (CancelToken, Improvement, Observer,
                             check_executor)
-from ..core.memo import (DEFAULT_MEMO_CAPACITY, MemoStore,
-                         instantiate_solution)
+from ..core.memo import instantiate_solution
 from ..core.partition import (merge_block_stats, partition_relation,
                               worst_stopped)
 from ..core.relation import BooleanRelation
@@ -62,26 +64,6 @@ RelationLike = Union[BooleanRelation, RelationSpec]
 #: solves (None disables auto-trimming).
 DEFAULT_AUTO_TRIM_NODES = 500_000
 
-#: Most-recent memo entries a batch ships to each worker process; keeps
-#: the initializer payload bounded no matter how full the parent store
-#: is.
-DEFAULT_MEMO_EXPORT_LIMIT = 2048
-
-#: Per-worker-process memo store, installed by :func:`_init_worker_memo`
-#: (the process-pool initializer).  Jobs flagged ``memo_shared`` solve
-#: through it, so the seed entries are pickled once per worker — not
-#: once per job — and every job reuses what earlier jobs in the same
-#: worker learned.  Stays ``None`` in the parent process.
-_worker_memo: Optional[MemoStore] = None
-
-
-def _init_worker_memo(entries: List[Tuple[Any, Any]],
-                      capacity: Optional[int]) -> None:
-    """Process-pool initializer: seed this worker's shared memo store."""
-    global _worker_memo
-    _worker_memo = MemoStore(capacity=capacity, entries=entries)
-
-
 def _solve_payload(payload: Dict[str, Any]) -> SolveReport:
     """Execute one self-contained pool job (runs in worker processes).
 
@@ -89,21 +71,13 @@ def _solve_payload(payload: Dict[str, Any]) -> SolveReport:
     solver error — comes back as a failed report so one bad job cannot
     poison a batch.  Workers cannot share a cancel token; they stop
     only between jobs.
-
-    Memoisation: jobs flagged ``payload["memo_shared"]`` solve through
-    the worker-global store installed by :func:`_init_worker_memo`.
-    The templates are manager-independent, so they instantiate cleanly
-    into the worker's fresh manager, and the hit/miss counters travel
-    back inside the report's stats for the parent to merge.
     """
     label = payload.get("label")
     request_dict = payload.get("request")
     try:
         request = SolveRequest.from_dict(request_dict)
         relation = relation_from_nodes(payload["nodes"])
-        memo = _worker_memo if payload.get("memo_shared") else None
-        result = BrelSolver(request.to_options(),
-                            memo=memo).solve(relation)
+        result = BrelSolver(request.to_options()).solve(relation)
         report = SolveReport.from_result(relation, result,
                                          request=request_dict, label=label)
         # BDD handles must not cross back over the process boundary:
@@ -131,9 +105,7 @@ class Session:
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 auto_trim_nodes: Optional[int] = DEFAULT_AUTO_TRIM_NODES,
-                 memo_enabled: bool = True,
-                 memo_capacity: Optional[int] = DEFAULT_MEMO_CAPACITY
+                 auto_trim_nodes: Optional[int] = DEFAULT_AUTO_TRIM_NODES
                  ) -> None:
         self._relations: Dict[str, BooleanRelation] = {}
         self._managers: Dict[Tuple[int, int], BddManager] = {}
@@ -142,12 +114,6 @@ class Session:
         self.default_max_workers = max_workers
         self.auto_trim_nodes = auto_trim_nodes
         self.trims = 0
-        #: The session-wide subproblem memo, shared by every solve and
-        #: relation (templates are manager-independent).  ``memo_enabled``
-        #: is the default for requests whose ``memo`` field is ``None``;
-        #: an explicit ``memo=True``/``False`` on a request wins.
-        self.memo = MemoStore(capacity=memo_capacity)
-        self.memo_enabled = memo_enabled
 
     # ------------------------------------------------------------------
     # Managers
@@ -183,8 +149,7 @@ class Session:
         as ``"adopted:N"``, numbered by sorted relation name; the labels
         are positional and recomputed per call, so they can shift when
         relations are added or removed — treat each call's result as a
-        self-contained snapshot.  The subproblem memo's counters appear
-        under the ``"memo"`` key (see :meth:`memo_stats`).
+        self-contained snapshot.
         """
         out: Dict[str, Dict[str, Any]] = {}
         seen = set()
@@ -198,45 +163,7 @@ class Session:
                 seen.add(id(mgr))
                 out["adopted:%d" % adopted] = mgr.stats()
                 adopted += 1
-        out["memo"] = self.memo.stats()
         return out
-
-    # ------------------------------------------------------------------
-    # Subproblem memoisation
-    # ------------------------------------------------------------------
-    def enable_memo(self) -> None:
-        """Restore the default: solves use the session memo store."""
-        self.memo_enabled = True
-
-    def disable_memo(self) -> None:
-        """Stop consulting the memo store (entries are kept).
-
-        Per-request ``memo=True`` still opts back in.  The report cache
-        keys on the effective memo decision, so reports solved while
-        the store was on are not served to post-toggle solves (whose
-        memo_* stats must read zero) and vice versa.  Disable the store
-        when solving relations through a *custom registered cost
-        function* that is sensitive to variable identities beyond their
-        order — the store recognises subproblems up to order-preserving
-        renamings, so such a cost could price a cross-renaming hit
-        differently than a fresh solve (the built-in costs and
-        minimisers are all renaming-invariant).
-        """
-        self.memo_enabled = False
-
-    def clear_memo(self) -> None:
-        """Drop every memoised subproblem (counters are kept)."""
-        self.memo.clear()
-
-    def memo_stats(self) -> Dict[str, Any]:
-        """Hit/miss/eviction counters and size of the session memo."""
-        return self.memo.stats()
-
-    def _memo_for(self, request: SolveRequest) -> Optional[MemoStore]:
-        """The store a request's solve should use (or ``None``)."""
-        use = (request.memo if request.memo is not None
-               else self.memo_enabled)
-        return self.memo if use else None
 
     # ------------------------------------------------------------------
     # Memory management
@@ -247,15 +174,11 @@ class Session:
         Registered relations survive (they are pinned and remapped);
         everything unreachable — solver scratch, deregistered relations —
         is collected.  Live solutions handed out by earlier solves become
-        invalid; their reports' data fields stay correct.  The memo
-        store is evicted down to half capacity (its templates are
-        manager-independent, so the engine GC itself never invalidates
-        them — trimming it just returns memory).  Returns
+        invalid; their reports' data fields stay correct.  Returns
         :meth:`engine_stats` after the collection.
         """
         for mgr in self._session_managers():
             self._trim_manager(mgr)
-        self.memo.trim()
         return self.engine_stats()
 
     @staticmethod
@@ -450,17 +373,12 @@ class Session:
     # Solving
     # ------------------------------------------------------------------
     def _options_key(self, request: SolveRequest) -> Tuple[Any, ...]:
-        # The *effective* strategy keys the entry, so mode="dfs" and
-        # strategy="dfs" share a slot; record_trace is keyed because it
-        # changes the report's content (the trace field).  Memoisation
-        # keys by its *effective* decision (the tri-state resolved
-        # against the session toggle), so memo=True and memo=None share
-        # a slot while the session default is on, and flipping
-        # disable_memo()/enable_memo() stops earlier reports (whose
-        # memo_* stats reflect the other setting) from being served.
+        # The *effective* strategy keys the entry, so strategy=None and
+        # strategy="bfs" share a slot; record_trace is keyed because it
+        # changes the report's content (the trace field).
         # Every future request field that can alter a report's content
         # MUST join this tuple — the schema-evolution regression test
-        # (tests/api/test_session_memo.py::TestCacheKeySchemaGuard)
+        # (tests/api/test_session.py::TestCacheKeySchemaGuard)
         # enumerates the dataclass fields to catch omissions.
         # Decomposition keys by its *effective* decision too: None
         # (auto) and True shard identically, so they share a slot,
@@ -484,8 +402,8 @@ class Session:
                 request.max_explored, request.fifo_capacity,
                 request.quick_on_subrelations, request.symmetry_pruning,
                 request.symmetry_max_depth, request.time_limit_seconds,
-                request.record_trace, self._memo_for(request) is not None,
-                request.decompose is not False, racers)
+                request.record_trace, request.decompose is not False,
+                racers)
 
     def _cache_key(self, nodes: RelationNodes, request: SolveRequest
                    ) -> Tuple[Any, ...]:
@@ -584,23 +502,6 @@ class Session:
         self._cache.clear()
         self.cache_hits = 0
 
-    @staticmethod
-    def _cached_copy(report: SolveReport, **changes: Any) -> SolveReport:
-        """A cache-served copy of ``report`` with honest per-job stats.
-
-        Serving from the cache does no memoisation work, so the copy's
-        ``memo_*`` deltas read zero — each report attributes exactly
-        the store traffic *its own* solve caused, and summing the
-        deltas across a batch (or a service's request log) matches the
-        session store's counters instead of double-counting every
-        deduplicated job.
-        """
-        copy = report.copy(cached=True, **changes)
-        for field in ("memo_hits", "memo_misses", "memo_stores"):
-            if field in copy.stats:
-                copy.stats[field] = 0
-        return copy
-
     # ------------------------------------------------------------------
     # External cache tiers (the service layer's hooks)
     # ------------------------------------------------------------------
@@ -636,8 +537,8 @@ class Session:
         if cached is None:
             return None
         self.cache_hits += 1
-        return self._cached_copy(cached, label=request.label,
-                                 request=request.to_dict())
+        return cached.copy(cached=True, label=request.label,
+                           request=request.to_dict())
 
     def store_report(self, request: SolveRequest, report: SolveReport,
                      relation: Optional[RelationLike] = None) -> None:
@@ -761,8 +662,8 @@ class Session:
         # cache entry) rather than serve it.
         if cached is not None and cached.solution is not None:
             self.cache_hits += 1
-            return self._cached_copy(cached, label=request.label,
-                                     request=request.to_dict())
+            return cached.copy(cached=True, label=request.label,
+                               request=request.to_dict())
         spec_built = resolved is None
         resolved, key = self._materialize(resolved, spec, key,
                                           from_registry, request)
@@ -785,8 +686,7 @@ class Session:
         if report is None:
             # Hand any partition computed above to the solver's router
             # so the support/separability analysis is never paid twice.
-            result = BrelSolver(request.to_options(),
-                                memo=self._memo_for(request)).solve(
+            result = BrelSolver(request.to_options()).solve(
                 resolved, cancel=cancel, observer=observer,
                 partition=partition)
             report = SolveReport.from_result(resolved, result,
@@ -800,8 +700,8 @@ class Session:
         if spec_built:
             # A manager built from a spec is private to this solve, but
             # the cached report's live solution keeps it alive: drop its
-            # derived tables (computed and ISOP tables, per-node
-            # signatures) now that the report exists.  Registry and
+            # derived tables (computed and ISOP tables, per-node sizes)
+            # now that the report exists.  Registry and
             # caller-owned relations keep theirs.
             resolved.mgr.release_caches()
         return report
@@ -832,10 +732,6 @@ class Session:
         # failure in RuntimeError.
         resolved.require_well_defined()
         start = time.perf_counter()
-        memo_store = self._memo_for(request)
-        memo_entries = (self.memo.export_entries(
-            limit=DEFAULT_MEMO_EXPORT_LIMIT)
-            if memo_store is not None else None)
         base_request = request.to_dict()
         base_request["relation"] = None
         # Blocks are connected components: they cannot shard further,
@@ -849,8 +745,7 @@ class Session:
             payload["request"]["label"] = payload["label"]
             payloads.append(payload)
 
-        reports = self._run_block_jobs(payloads, memo_entries,
-                                       max_workers, cancel)
+        reports = self._run_block_jobs(payloads, max_workers, cancel)
         if reports is None:
             return None  # pool layer unavailable; solve in-process
         for payload, block_report in zip(payloads, reports):
@@ -858,8 +753,6 @@ class Session:
                 raise RuntimeError(
                     "sharded solve failed on %s: %s"
                     % (payload["label"], block_report.error))
-            if memo_store is not None:
-                self._absorb_memo_stats(block_report)
 
         block_solutions = [self._portable_solution(block_report,
                                                    block.relation)
@@ -936,7 +829,6 @@ class Session:
         return improvements
 
     def _run_block_jobs(self, payloads: List[Dict[str, Any]],
-                        memo_seed: Optional[List[Tuple[Any, Any]]],
                         max_workers: Optional[int],
                         cancel: Optional[CancelToken]
                         ) -> Optional[List[SolveReport]]:
@@ -953,15 +845,13 @@ class Session:
         if cancel is not None and cancel.cancelled:
             return None
         try:
-            pool = self._process_pool(max_workers, len(payloads),
-                                      memo_seed)
+            pool = self._process_pool(max_workers, len(payloads))
         except OSError:
             # No working fork/semaphore layer (restricted sandboxes):
             # signal the caller to run the in-process sharded solve.
             return None
         try:
-            futures = [self._submit(pool, payload, memo_seed is not None)
-                       for payload in payloads]
+            futures = [self._submit(pool, payload) for payload in payloads]
             outstanding = set(futures)
             while outstanding:
                 done, outstanding = wait(
@@ -983,38 +873,29 @@ class Session:
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _process_pool(self, max_workers: Optional[int], jobs: int,
-                      memo_seed: Optional[List[Tuple[Any, Any]]]
+    def _process_pool(self, max_workers: Optional[int], jobs: int
                       ) -> ProcessPoolExecutor:
         """A pool for ``jobs`` jobs; raises ``OSError`` without a
         working process layer.
 
         ``max_workers`` (else the session default, else one worker per
-        job up to the CPU count) caps its size.  With a ``memo_seed``
-        each worker process installs one store seeded from it
-        (:func:`_init_worker_memo`): the export pickles once per worker
-        instead of once per job, and jobs co-located on a worker share
-        what the earlier ones learned.
+        job up to the CPU count) caps its size.
         """
         if max_workers is None:
             max_workers = self.default_max_workers
         if max_workers is None:
             max_workers = min(jobs, os.cpu_count() or 1)
-        kwargs: Dict[str, Any] = {
-            "max_workers": max(1, min(max_workers, jobs))}
-        if memo_seed is not None:
-            kwargs["initializer"] = _init_worker_memo
-            kwargs["initargs"] = (memo_seed, self.memo.capacity)
-        return ProcessPoolExecutor(**kwargs)
+        return ProcessPoolExecutor(max_workers=max(1, min(max_workers,
+                                                          jobs)))
 
     @staticmethod
-    def _submit(pool: ProcessPoolExecutor, payload: Dict[str, Any],
-                memo_shared: bool) -> Future:
+    def _submit(pool: ProcessPoolExecutor, payload: Dict[str, Any]
+                ) -> Future:
         """Ship a job's picklable part (node list, request dict,
         label) to the pool."""
         return pool.submit(_solve_payload, {
             "nodes": payload["nodes"], "request": payload["request"],
-            "label": payload["label"], "memo_shared": memo_shared})
+            "label": payload["label"]})
 
     @staticmethod
     def _future_report(future: Future, payload: Dict[str, Any]
@@ -1069,15 +950,14 @@ class Session:
         cached = self._cache.get(key)
         if cached is not None and cached.solution is not None:
             self.cache_hits += 1
-            report = self._cached_copy(cached, label=request.label,
-                                       request=request.to_dict())
+            report = cached.copy(cached=True, label=request.label,
+                                 request=request.to_dict())
             yield Improvement(report.solution, report.cost, 0.0, 0)
             return report
         spec_built = resolved is None
         resolved, key = self._materialize(resolved, spec, key,
                                           from_registry, request)
-        solver = BrelSolver(request.to_options(),
-                            memo=self._memo_for(request))
+        solver = BrelSolver(request.to_options())
         result = yield from solver.iter_solve(resolved, cancel=cancel,
                                               observer=observer)
         report = SolveReport.from_result(resolved, result,
@@ -1110,10 +990,8 @@ class Session:
           jobs and node specs; object identity for serial jobs
           naming a session relation, spec content for other
           self-contained serial specs), same options — are solved once
-          *per batch* and the shared report fanned back out, with
-          per-job memo attribution kept honest (only the job that ran
-          carries the memo deltas).  The session cache additionally
-          persists across calls.
+          *per batch* and the shared report fanned back out.  The
+          session cache additionally persists across calls.
         * ``executor`` selects ``"process"`` (default; true parallelism
           across cores) or ``"serial"`` (in-process, on the live
           relation).  Process jobs ship the relation as its node list
@@ -1132,13 +1010,6 @@ class Session:
         node-spec report carries a live solution only when this call
         solved it in-process, or when the cached entry it was served
         from has one (in the manager that entry was solved in).
-
-        Memoisation: serial jobs share the session's live
-        :class:`~repro.core.memo.MemoStore` directly; process workers
-        are pre-seeded with the parent store's most recent entries
-        (templates are manager-independent) and their hit/miss counters
-        are merged back into the session's store afterwards.  Entries a
-        worker learns stay in the worker — only the counters return.
         """
         check_executor("executor", executor)
         reports: List[Optional[SolveReport]] = [None] * len(requests)
@@ -1147,7 +1018,6 @@ class Session:
         resolved_by_index: List[Optional[BooleanRelation]] = \
             [None] * len(requests)
         spec_built: List[BooleanRelation] = []
-        memo_export: Optional[List[Tuple[Any, Any]]] = None
 
         for index, request in enumerate(requests):
             label = request.label or "job-%d" % index
@@ -1192,8 +1062,8 @@ class Session:
             cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
-                reports[index] = self._cached_copy(
-                    cached, label=label, request=request.to_dict(),
+                reports[index] = cached.copy(
+                    cached=True, label=label, request=request.to_dict(),
                     **self._hand_over(cached, resolved))
                 continue
             if key not in pending:
@@ -1204,25 +1074,17 @@ class Session:
                 # path re-resolve and auto-trim safely.
                 registry_name = (source["name"]
                                  if source["kind"] == "name" else None)
-                # Serial jobs use the live store; process workers get
-                # a seed export (computed once per batch).
-                memo_store = self._memo_for(request)
-                if (memo_store is not None and executor == "process"
-                        and memo_export is None):
-                    memo_export = self.memo.export_entries(
-                        limit=DEFAULT_MEMO_EXPORT_LIMIT)
                 payloads[key] = {"nodes": nodes,
                                  "request": request.to_dict(),
                                  "solve_request": request,
                                  "label": label,
                                  "relation": resolved,
-                                 "registry_name": registry_name,
-                                 "memo_store": memo_store}
+                                 "registry_name": registry_name}
             pending.setdefault(key, []).append(index)
 
         if pending:
             fresh = self._run_jobs(list(pending), payloads, max_workers,
-                                   executor, cancel, memo_export)
+                                   executor, cancel)
             for key, report in fresh.items():
                 # Derived once here, the template rides along in every
                 # copy below, the cache entry's included.
@@ -1239,40 +1101,20 @@ class Session:
                     **self._hand_over(report, resolved_by_index[first]))
                 for index in rest:
                     # Failures are never cached, so only successful
-                    # shared results count (and read) as cache hits —
-                    # and only those are _cached_copy'd, zeroing the
-                    # memo deltas the job did not itself cause.
-                    shared = dict(
+                    # shared results count (and read) as cache hits.
+                    if report.ok:
+                        self.cache_hits += 1
+                    reports[index] = report.copy(
+                        cached=report.ok,
                         label=requests[index].label or "job-%d" % index,
                         request=requests[index].to_dict(),
                         **self._hand_over(report, resolved_by_index[index]))
-                    if report.ok:
-                        self.cache_hits += 1
-                        reports[index] = self._cached_copy(report, **shared)
-                    else:
-                        reports[index] = report.copy(cached=False,
-                                                     **shared)
         for relation in spec_built:
             relation.mgr.release_caches()  # as in solve()
         # Every index was filled above: failure, cache hit, or fresh run.
         return [report for report in reports if report is not None]
 
     # ------------------------------------------------------------------
-    def _absorb_memo_stats(self, report: SolveReport) -> None:
-        """Merge a pool worker's memo counters into the session store.
-
-        Only the counters travel back — worker-learned entries die with
-        the worker.  Serial (and pool-fallback) jobs solve against the
-        live store, so their counters are already counted and must not
-        pass through here.
-        """
-        if not report.ok:
-            return
-        self.memo.absorb_counters(
-            hits=int(report.stats.get("memo_hits", 0)),
-            misses=int(report.stats.get("memo_misses", 0)),
-            stores=int(report.stats.get("memo_stores", 0)))
-
     @staticmethod
     def _cancelled_report(payload: Dict[str, Any]) -> SolveReport:
         """The failed report of a job cancelled before it started."""
@@ -1284,8 +1126,7 @@ class Session:
                   payloads: Dict[Tuple[Any, ...], Dict[str, Any]],
                   max_workers: Optional[int],
                   executor: str,
-                  cancel: Optional[CancelToken] = None,
-                  memo_seed: Optional[List[Tuple[Any, Any]]] = None
+                  cancel: Optional[CancelToken] = None
                   ) -> Dict[Tuple[Any, ...], SolveReport]:
         """Execute the unique jobs, serially or on a process pool."""
         results: Dict[Tuple[Any, ...], SolveReport] = {}
@@ -1318,12 +1159,9 @@ class Session:
             return results
 
         try:
-            with self._process_pool(max_workers, len(keys),
-                                    memo_seed) as pool:
-                futures = {key: self._submit(
-                    pool, payloads[key],
-                    payloads[key]["memo_store"] is not None)
-                    for key in keys}
+            with self._process_pool(max_workers, len(keys)) as pool:
+                futures = {key: self._submit(pool, payloads[key])
+                           for key in keys}
                 # A CancelToken cannot cross the process boundary, so
                 # cancellation here stops dispatch: queued futures are
                 # cancelled, running workers finish their current job.
@@ -1345,7 +1183,6 @@ class Session:
                         continue
                     results[key] = self._future_report(future,
                                                        payloads[key])
-                    self._absorb_memo_stats(results[key])
         except OSError:
             # Process pools need a working fork/semaphore layer; fall
             # back to in-process execution in restricted sandboxes.
@@ -1376,8 +1213,7 @@ class Session:
             if spec_built:
                 # A node-spec job: its relation is built only now.
                 relation = relation_from_nodes(payload["nodes"])
-            result = BrelSolver(request.to_options(),
-                                memo=payload.get("memo_store")).solve(
+            result = BrelSolver(request.to_options()).solve(
                 relation, cancel=cancel)
             report = SolveReport.from_result(relation, result,
                                              request=request_dict,

@@ -2,10 +2,10 @@
 
 :mod:`repro.core` never manipulates BDD nodes directly: every algorithm
 — ISF projection, QuickSolver, the minimisers (ISOP, generalized
-cofactors, squeeze), the BREL search loop, output-block partitioning,
-and the memo signatures — goes through the operation surface defined
-here.  :class:`FunctionBackend` names that surface explicitly so a
-second engine can implement it and slot in underneath the whole stack.
+cofactors, squeeze), the BREL search loop and output-block
+partitioning — goes through the operation surface defined here.
+:class:`FunctionBackend` names that surface explicitly so a second
+engine can implement it and slot in underneath the whole stack.
 
 Two implementations ship:
 
@@ -27,12 +27,6 @@ The contract every backend must honour
   the representation.  Structural walks (shortest-path cube extraction,
   cube iteration) only use this view, so they behave identically on
   every backend.
-* **Fingerprints.** ``fingerprint``/``fingerprints``/
-  ``support_fingerprint``/``node_signature`` must reproduce the
-  canonical 64-bit hashes of :mod:`repro.bdd.manager` bit-for-bit: the
-  memo store keys templates on them, and cross-backend template
-  sharing (a subproblem solved on one backend re-instantiated under
-  the other) only works when equal functions hash equally everywhere.
 * **Solve scope.** ``enter_solve``/``exit_solve`` bracket a solve;
   ``isop`` keeps its sub-interval table from the outermost
   ``enter_solve`` to the matching ``exit_solve``.  ``clear_caches``
@@ -77,8 +71,6 @@ BACKEND_METHODS = (
     "support", "size", "shared_size", "sat_count", "eval",
     # cube / minterm construction
     "cube", "minterm", "from_minterms", "minterms",
-    # canonical content hashes
-    "fingerprint", "fingerprints", "support_fingerprint", "node_signature",
     # two-level synthesis
     "isop",
     # lifecycle
@@ -141,14 +133,6 @@ class FunctionBackend(Protocol):
                       values: Iterable[int]) -> int: ...
     def minterms(self, f: int,
                  variables: Sequence[int]) -> Iterator[int]: ...
-
-    # -- canonical content hashes ---------------------------------------
-    def fingerprint(self, f: int) -> int: ...
-    def fingerprints(self, functions: Sequence[int],
-                     var_map: Optional[Dict[int, int]] = None
-                     ) -> Tuple[int, ...]: ...
-    def support_fingerprint(self, f: int) -> int: ...
-    def node_signature(self, f: int) -> Tuple[Tuple[int, ...], int]: ...
 
     # -- two-level synthesis --------------------------------------------
     def isop(self, lower: int,

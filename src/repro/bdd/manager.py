@@ -29,11 +29,9 @@ Design notes
   entries it is flushed wholesale (the CUDD-style lossy-cache policy —
   results are always recomputable from the unique table).  Hit, miss,
   eviction and flush counters are exposed through :meth:`stats`.
-* Subproblem identity and ISOP reuse live here too: every node caches
-  its renaming-invariant signature (:meth:`node_signature`) and its
-  size for the manager's lifetime, and :meth:`isop` keeps its
-  sub-interval table for the whole enclosing solve
-  (:meth:`enter_solve`).
+* ISOP reuse lives here too: every node caches its size for the
+  manager's lifetime, and :meth:`isop` keeps its sub-interval table for
+  the whole enclosing solve (:meth:`enter_solve`).
 * Memory is reclaimable: roots survive :meth:`collect` (a mark-and-sweep
   pass that compacts the node arrays) only when reachable from a
   :meth:`pin`\\ ned node, a variable, or an explicit extra root.  ``collect``
@@ -102,86 +100,6 @@ _TERMINAL_RULES = {
 _APPLY_NAMES = {"and": _OP_AND, "or": _OP_OR, "xor": _OP_XOR,
                 "andnot": _OP_ANDNOT}
 
-# ----------------------------------------------------------------------
-# Structural fingerprints
-# ----------------------------------------------------------------------
-# 64-bit content hashes of BDD structure: fp(node) mixes the node's
-# (possibly renumbered) variable level with the fingerprints of its two
-# children.  The mixing is a fixed splitmix64-style finalizer, NOT
-# Python's randomised hash(), so fingerprints are deterministic across
-# processes — a requirement for memo stores pre-seeded into worker
-# processes (Session.solve_many) and for cross-manager equality.
-_FP_MASK = (1 << 64) - 1
-#: Fingerprints of the terminal nodes (arbitrary fixed odd constants).
-_FP_FALSE = 0x9AE16A3B2F90404F
-_FP_TRUE = 0xC2B2AE3D27D4EB4F
-#: Start of :func:`_fold64` (any non-zero constant).
-TABLE_FOLD_SEED = 0xD1B54A32D192ED03
-
-
-def _fp_mix(level: int, lo: int, hi: int) -> int:
-    """Combine a variable level and two child fingerprints into one."""
-    h = (level * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) & _FP_MASK
-    h ^= (lo * 0xBF58476D1CE4E5B9) & _FP_MASK
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _FP_MASK
-    h ^= (hi * 0xFF51AFD7ED558CCD) & _FP_MASK
-    h = (h ^ (h >> 29)) * 0xC4CEB9FE1A85EC53 & _FP_MASK
-    return h ^ (h >> 32)
-
-
-# Per-node signatures: the renaming-invariant twin of the fingerprint.
-# nfp(n) hashes n with its own support renumbered 0..k-1.  The top
-# variable is always rank 0 of that support, so nfp(n) is determined by
-# k, where each child's support sits inside n's (a rank bit mask), and
-# the children's own nfp -- composable bottom-up and cacheable per node,
-# unlike a fingerprint under a caller-chosen renaming.
-def _fold64(value: int) -> int:
-    """Hash an int wider than 64 bits down to 64 (supports past 64
-    variables give rank masks that wide; packed ISFs give tables).
-
-    The fold starts from the non-zero :data:`TABLE_FOLD_SEED`, so a
-    zero chunk still moves the hash: ``_fold64(v << 64) != _fold64(v)``.
-    """
-    h = TABLE_FOLD_SEED
-    while value:
-        h = ((h ^ (value & _FP_MASK)) * 0xBF58476D1CE4E5B9) & _FP_MASK
-        h ^= h >> 31
-        value >>= 64
-    return h
-
-
-def _nfp_mix(size: int, lo_mask: int, lo_fp: int, hi_mask: int,
-             hi_fp: int) -> int:
-    """Combine a support size, two rank masks and two child nfps."""
-    if lo_mask > _FP_MASK:
-        lo_mask = _fold64(lo_mask)
-    if hi_mask > _FP_MASK:
-        hi_mask = _fold64(hi_mask)
-    h = (size * 0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D) & _FP_MASK
-    h ^= (lo_mask * 0xD6E8FEB86659FD93) & _FP_MASK
-    h = (h ^ (h >> 31)) * 0xBF58476D1CE4E5B9 & _FP_MASK
-    h ^= lo_fp
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _FP_MASK
-    h ^= (hi_mask * 0xFF51AFD7ED558CCD) & _FP_MASK
-    h = (h ^ (h >> 29)) * 0xC4CEB9FE1A85EC53 & _FP_MASK
-    h ^= hi_fp
-    h = (h ^ (h >> 31)) * 0x9E3779B97F4A7C15 & _FP_MASK
-    return h ^ (h >> 32)
-
-
-def support_mask(sub: Tuple[int, ...], sup: Tuple[int, ...]) -> int:
-    """Bit ``r`` set when ``sup[r]`` is in ``sub`` (sorted, ``sub <= sup``)."""
-    if len(sub) == len(sup):
-        return (1 << len(sup)) - 1
-    mask = 0
-    index = 0
-    count = len(sub)
-    for rank, var in enumerate(sup):
-        if index < count and sub[index] == var:
-            mask |= 1 << rank
-            index += 1
-    return mask
-
 
 def union_support(a: Tuple[int, ...], b: Tuple[int, ...]
                   ) -> Tuple[int, ...]:
@@ -191,29 +109,6 @@ def union_support(a: Tuple[int, ...], b: Tuple[int, ...]
     if not a:
         return b
     return tuple(sorted(set(a).union(b)))
-
-
-def node_signature_of(level: int, lo_sig: Tuple, hi_sig: Tuple,
-                      intern: Dict[Tuple[int, ...], Tuple[int, ...]]
-                      ) -> Tuple[Tuple[int, ...], int]:
-    """``(S(n), nfp(n))`` of a node from its level and child signatures.
-
-    The one copy of the composition both engines use, so equal
-    functions get equal signatures on either.  ``intern`` shares equal
-    support tuples between nodes.
-    """
-    lo_sup, lo_fp = lo_sig
-    hi_sup, hi_fp = hi_sig
-    rest = union_support(lo_sup, hi_sup)
-    support = (level,) + rest
-    support = intern.setdefault(support, support)
-    # Rank 0 is the node's own variable, never in a child's support.
-    return support, _nfp_mix(len(support), support_mask(lo_sup, rest) << 1,
-                             lo_fp, support_mask(hi_sup, rest) << 1, hi_fp)
-
-
-#: Signatures of the terminal nodes: empty support, the fingerprint seeds.
-_TERMINAL_SIGNATURES = {FALSE: ((), _FP_FALSE), TRUE: ((), _FP_TRUE)}
 
 
 class IsopTable(dict):
@@ -278,17 +173,8 @@ class BddManager:
         self._gc_runs = 0
         self._gc_reclaimed = 0
         self._peak_nodes = 2
-        # Structural-fingerprint memo (node id -> 64-bit content hash);
-        # values are id-independent, keys are remapped by collect().
-        self._fp_memo: Dict[int, int] = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
-        # Per-node signature memo (node id -> (support, nfp)); values
-        # are id-independent, keys are remapped by collect().  Equal
-        # support tuples are shared through _supports.
-        self._sig_memo: Dict[int, Tuple[Tuple[int, ...], int]] = \
-            dict(_TERMINAL_SIGNATURES)
-        self._supports: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # Per-node size memo (node id -> internal node count); remapped
-        # by collect() like the signatures.
+        # Per-node size memo (node id -> internal node count); values
+        # are id-independent, keys are remapped by collect().
         self._size_memo: Dict[int, int] = {}
         # Solve-wide ISOP sub-interval table (see repro.bdd.packed for
         # its keys); exists only while a solve is open (see
@@ -400,17 +286,14 @@ class BddManager:
 
     def release_caches(self) -> None:
         """Drop every derived table: :meth:`clear_caches` plus the
-        per-node signatures, sizes and fingerprints.
+        per-node sizes.
 
         For a manager whose solve is over but whose nodes stay
         referenced (a cached report's live solution): everything
         dropped here is recomputable on demand.
         """
         self.clear_caches()
-        self._sig_memo = dict(_TERMINAL_SIGNATURES)
-        self._supports = {}
         self._size_memo = {}
-        self._fp_memo = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
 
     def enter_solve(self) -> None:
         """Open (or join) a solve: ISOP keeps one sub-interval table
@@ -596,14 +479,8 @@ class BddManager:
         self._var_nodes = [mapping[node] for node in self._var_nodes]
         self._pins = {mapping[node]: pins
                       for node, pins in self._pins.items()}
-        # Fingerprints, signatures and sizes do not depend on node ids,
-        # so surviving entries stay valid under their remapped ids.
-        self._fp_memo = {mapping[node]: fp
-                         for node, fp in self._fp_memo.items()
-                         if node in mapping}
-        self._sig_memo = {mapping[node]: sig
-                          for node, sig in self._sig_memo.items()
-                          if node in mapping}
+        # Sizes do not depend on node ids, so surviving entries stay
+        # valid under their remapped ids.
         self._size_memo = {mapping[node]: size
                            for node, size in self._size_memo.items()
                            if node in mapping}
@@ -1531,139 +1408,10 @@ class BddManager:
         return self.permute(f, {var_a: var_b, var_b: var_a})
 
     # ------------------------------------------------------------------
-    # Structural fingerprints
-    # ------------------------------------------------------------------
-    def _fp_walk(self, f: int, memo: Dict[int, int],
-                 var_map: Optional[Dict[int, int]]) -> int:
-        """Post-order fingerprint walk shared by every fingerprint API.
-
-        ``memo`` must contain the terminal seeds; ``var_map`` (level ->
-        level) is applied before mixing, ``None`` meaning identity.
-        Being the single copy of the walk is deliberate: renamed and
-        unrenamed fingerprints must come from the same algorithm.
-        """
-        level, low, high = self._level, self._low, self._high
-        map_get = var_map.get if var_map is not None else None
-        stack = [f]
-        push = stack.append
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            lo, hi = low[node], high[node]
-            lo_fp = memo.get(lo)
-            hi_fp = memo.get(hi)
-            if lo_fp is None:
-                push(lo)
-            if hi_fp is None:
-                push(hi)
-            if lo_fp is not None and hi_fp is not None:
-                stack.pop()
-                lvl = level[node]
-                if map_get is not None:
-                    lvl = map_get(lvl, lvl)
-                memo[node] = _fp_mix(lvl, lo_fp, hi_fp)
-        return memo[f]
-
-    def fingerprint(self, f: int) -> int:
-        """64-bit canonical content hash of the function ``f``.
-
-        Two nodes have equal fingerprints exactly when their reduced
-        BDDs are structurally identical over the *same* variable levels
-        (modulo the vanishing 64-bit collision probability) — including
-        nodes living in **different managers**, as long as those
-        managers assign the function's variables the same levels.  The
-        hash mixes only levels and child hashes with fixed constants,
-        so it is stable across processes and interpreter runs (unlike
-        ``hash()``).  Results are memoised per manager and survive
-        :meth:`collect` (remapped alongside the node ids).
-        """
-        hit = self._fp_memo.get(f)
-        if hit is not None:
-            return hit
-        return self._fp_walk(f, self._fp_memo, None)
-
-    def fingerprints(self, functions: Sequence[int],
-                     var_map: Optional[Dict[int, int]] = None
-                     ) -> Tuple[int, ...]:
-        """Fingerprints of several functions under one level renaming.
-
-        ``var_map`` maps variable levels to replacement levels before
-        mixing (it must be order-preserving on the combined support for
-        the result to describe a realisable BDD; levels not mapped keep
-        their own value).  With a shared renaming, functions that are
-        identical *up to that renaming* — e.g. the same structure
-        shifted to a different support — hash identically.  Uncached:
-        renamed walks depend on the map, so results are memoised only
-        for the duration of the call.  ``var_map=None`` delegates to the
-        cached :meth:`fingerprint`.
-        """
-        if var_map is None:
-            return tuple(self.fingerprint(f) for f in functions)
-        memo: Dict[int, int] = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
-        return tuple(self._fp_walk(f, memo, var_map)
-                     for f in functions)
-
-    def support_fingerprint(self, f: int) -> int:
-        """Fingerprint of ``f`` with its support renumbered to ``0..k-1``.
-
-        The canonicalisation is order-preserving (sorted support ranks),
-        so semantically identical functions whose supports differ only
-        by a level *shift or gap pattern* — not a reordering — hash
-        identically.  Convenience form of the normalisation the
-        cross-layer memo signatures apply: ``Isf.signature()`` and
-        ``BooleanRelation.signature()`` run :meth:`fingerprints` with
-        rank maps of their own (joint over several functions, or
-        role-tagged), this method is the single-function case.
-        """
-        ranks = {var: rank for rank, var in enumerate(self.support(f))}
-        return self.fingerprints((f,), ranks)[0]
-
-    def node_signature(self, f: int) -> Tuple[Tuple[int, ...], int]:
-        """``(support, nfp)``: the sorted support of ``f`` and its
-        fingerprint with that support renumbered ``0..k-1``.
-
-        Equal ``nfp`` means equal up to an order-preserving renaming of
-        the support (the memo signatures' identity).  Memoised per node
-        for the manager's lifetime (remapped by :meth:`collect`), so a
-        node costs O(|support|) once and a lookup after that; values
-        match :class:`~repro.table.TableManager` for equal functions.
-        """
-        memo = self._sig_memo
-        hit = memo.get(f)
-        if hit is not None:
-            return hit
-        level, low, high = self._level, self._low, self._high
-        intern = self._supports
-        stack = [f]
-        push = stack.append
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            lo, hi = low[node], high[node]
-            lo_sig = memo.get(lo)
-            hi_sig = memo.get(hi)
-            if lo_sig is None:
-                push(lo)
-            if hi_sig is None:
-                push(hi)
-            if lo_sig is not None and hi_sig is not None:
-                stack.pop()
-                memo[node] = node_signature_of(level[node], lo_sig, hi_sig,
-                                               intern)
-        return memo[f]
-
-    # ------------------------------------------------------------------
     # Structural queries
     # ------------------------------------------------------------------
     def support(self, f: int) -> Tuple[int, ...]:
         """Return the sorted tuple of variables ``f`` depends on."""
-        hit = self._sig_memo.get(f)
-        if hit is not None:
-            return hit[0]
         seen = set()
         variables = set()
         stack = [f]

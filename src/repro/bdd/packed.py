@@ -281,12 +281,11 @@ def node_of(mgr, table: int, frame: Sequence[int]) -> int:
                                  mgr.num_vars, _frame_mask(frame)))
 
 
-def cover_table(k: int, cubes: Sequence[Sequence[Tuple[int, bool]]],
-                position: Optional[Sequence[int]] = None) -> int:
+def cover_table(k: int, cubes: Sequence[Sequence[Tuple[int, bool]]]
+                ) -> int:
     """The packed table over a ``k``-variable frame of a cover whose
     cubes list ``(rank, polarity)`` pairs: rank ``r`` is the frame's
-    ``r``-th variable (position ``k-1-r``), or sits on position
-    ``position[r]``."""
+    ``r``-th variable (position ``k-1-r``)."""
     zeros, ones = frame_masks(k)
     full = _FULLS[k]
     top = k - 1
@@ -294,8 +293,7 @@ def cover_table(k: int, cubes: Sequence[Sequence[Tuple[int, bool]]],
     for cube in cubes:
         term = full
         for rank, value in cube:
-            p = top - rank if position is None else position[rank]
-            term &= ones[p] if value else zeros[p]
+            term &= ones[top - rank] if value else zeros[top - rank]
         table |= term
     return table
 
@@ -441,8 +439,8 @@ def interval_isop(mgr, lower: int, upper: int,
     the minimiser pipeline both land here.
 
     ``support`` (BDD engine only) is a sorted frame containing the
-    joint support of the bounds, e.g. the ISF signature's support; by
-    default it is the union of the bounds' supports.  On the table
+    joint support of the bounds; by default it is the union of the
+    bounds' supports.  On the table
     engine the frame is the manager's own.  Frames up to
     :data:`MAX_TABLE_WIDTH` run packed, wider ones node by node; either
     way the sub-intervals go through the engine's ISOP table and

@@ -60,7 +60,7 @@ def _request_from_args(args: argparse.Namespace,
             getattr(args, "racers", None) is not None
             or getattr(args, "portfolio_executor", None) is not None):
         strategy = "portfolio"
-    kwargs: Dict[str, Any] = dict(
+    return SolveRequest(
         relation=relation_spec,
         cost=args.cost,
         minimizer=args.minimizer,
@@ -71,18 +71,11 @@ def _request_from_args(args: argparse.Namespace,
         symmetry_pruning=args.symmetries,
         time_limit_seconds=args.time_limit,
         record_trace=args.trace,
-        memo=args.memo,
         decompose=args.decompose,
         # Portfolio knobs exist only on the solve verb; getattr keeps
         # the shared builder usable from parsers without them.
         portfolio_racers=getattr(args, "racers", None),
         portfolio_executor=getattr(args, "portfolio_executor", None))
-    # The deprecated alias travels only when the user actually typed
-    # --mode; otherwise the request keeps its own default and the
-    # deprecation path is never exercised by default invocations.
-    if args.mode is not None:
-        kwargs["mode"] = args.mode
-    return SolveRequest(**kwargs)
 
 
 def _progress_printer(stream):
@@ -228,8 +221,7 @@ def _service_from_args(args: argparse.Namespace):
             max_report_bytes=getattr(args, "cache_max_bytes", None),
             max_report_age_seconds=getattr(args, "cache_max_age", None))
     return SolveService(
-        disk=disk, flush_every=args.flush_every,
-        max_time_limit=getattr(args, "max_time_limit", None))
+        disk=disk, max_time_limit=getattr(args, "max_time_limit", None))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -239,9 +231,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = create_server(service, args.host, args.port,
                            quiet=args.quiet)
     host, port = server.server_address[:2]
-    print("repro service on http://%s:%d (cache: %s, memo seeded: %d)"
-          % (host, port, args.cache_dir or "RAM only",
-             service.seeded_entries), file=sys.stderr)
+    print("repro service on http://%s:%d (cache: %s)"
+          % (host, port, args.cache_dir or "RAM only"), file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -249,7 +240,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.shutdown()
         server.server_close()
-        service.flush()
     return 0
 
 
@@ -296,7 +286,6 @@ def _cmd_resynth(args: argparse.Namespace) -> int:
             minimizer=args.minimizer,
             strategy=args.strategy,
             max_explored=args.max_explored,
-            memo=args.memo,
             decompose=args.decompose,
             executor=args.executor,
             workers=args.workers,
@@ -370,11 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="isop")
     solve.add_argument("--strategy", choices=strategy_names(),
                        default=None,
-                       help="exploration strategy (default: bfs; "
-                            "overrides --mode)")
-    solve.add_argument("--mode", choices=["bfs", "dfs"], default=None,
-                       help="deprecated alias of --strategy (only "
-                            "forwarded when given explicitly)")
+                       help="exploration strategy (default: bfs)")
     solve.add_argument("--max-explored", type=int, default=10)
     solve.add_argument("--fifo-capacity", type=int, default=64,
                        help="frontier bound for bfs (FIFO) and beam "
@@ -402,14 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", action="store_true",
                        help="record the full event trace in the report "
                             "(visible with --json)")
-    solve.add_argument("--memo", dest="memo", action="store_true",
-                       default=None,
-                       help="memoise solved subproblems across the "
-                            "search (the default; hit counts appear as "
-                            "memo_* stats in --json)")
-    solve.add_argument("--no-memo", dest="memo", action="store_false",
-                       help="disable subproblem memoisation (results "
-                            "are byte-identical either way)")
     solve.add_argument("--decompose", dest="decompose",
                        action="store_true", default=None,
                        help="shard the relation into independent "
@@ -487,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     resynth.add_argument("--strategy", choices=strategy_names(),
                          default=None)
     resynth.add_argument("--max-explored", type=int, default=10)
-    resynth.add_argument("--memo", dest="memo", action="store_true",
-                         default=None)
-    resynth.add_argument("--no-memo", dest="memo",
-                         action="store_false")
     resynth.add_argument("--decompose", dest="decompose",
                          action="store_true", default=None)
     resynth.add_argument("--no-decompose", dest="decompose",
@@ -532,9 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="disk-tier directory shared across "
                                 "workers and restarts (default: RAM "
                                 "cache only)")
-    serve_cmd.add_argument("--flush-every", type=int, default=8,
-                           help="engine solves between memo flushes "
-                                "to the disk tier")
     serve_cmd.add_argument("--max-time-limit", type=float, default=None,
                            help="server-side cap on per-request "
                                 "time_limit_seconds; requests asking "

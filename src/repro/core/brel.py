@@ -37,12 +37,15 @@ registered observers, honours a cooperative
 :class:`~repro.core.explore.CancelToken` plus the wall-clock deadline,
 and :meth:`BrelSolver.iter_solve` yields every strictly improving
 :class:`~repro.core.explore.Improvement` as it is found.
+
+As in the paper, every explored subrelation is projected, minimised and
+split from scratch; nothing is looked up across subproblems or solves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Generator, Iterable, List, Optional,
                     Tuple)
@@ -51,7 +54,6 @@ from ..bdd.manager import FALSE
 from .cost import CostFunction, bdd_size_cost
 from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
-from .memo import MemoStore, template_from_var_cover
 from .minimize import (IsfMinimizer, minimize_isop, minimizer_memo_key,
                        solve_misf)
 from .partition import (Partition, merge_block_stats, partition_relation,
@@ -59,7 +61,6 @@ from .partition import (Partition, merge_block_stats, partition_relation,
 from .packedrel import PackedRelation, pack_relation
 from .quick import quick_solve
 from .relation import BooleanRelation
-from .route import SubproblemRouter
 from .solution import Solution, SolverStats
 from .split import select_split_from_conflicts
 from .symmetry import SymmetryCache
@@ -79,11 +80,7 @@ class BrelOptions:
         Name of the exploration strategy
         (:data:`repro.core.explore.STRATEGIES`): ``"bfs"``, ``"dfs"``,
         ``"best-first"``, ``"beam"``, or any name registered through
-        :func:`repro.api.register_strategy`.  ``None`` falls back to
-        the deprecated ``mode`` alias.
-    mode:
-        Deprecated alias of ``strategy`` kept for pre-strategy callers;
-        ``strategy`` wins when both are set.
+        :func:`repro.api.register_strategy`.  ``None`` means ``"bfs"``.
     max_explored:
         Maximum number of subrelations dequeued/visited; ``None`` means
         unbounded.  Table 2 uses 10, Table 3 uses 200.
@@ -113,15 +110,6 @@ class BrelOptions:
         Keep every emitted :class:`SolveEvent` on the result
         (``BrelResult.events``) for post-mortem inspection; off by
         default because traces grow with the tree.
-    memo:
-        Subproblem-memoisation tri-state.  ``None`` (default) uses a
-        :class:`~repro.core.memo.MemoStore` only when the caller
-        supplies one (``BrelSolver(options, memo=store)`` — the
-        :class:`~repro.api.Session` does); ``True`` additionally makes
-        a standalone solver mint a private store shared across its own
-        solves; ``False`` disables memoisation even when a store is
-        supplied.  Memoisation is transparent: results are
-        byte-identical with the store on or off.
     decompose:
         Output-block decomposition tri-state
         (:mod:`repro.core.partition`).  ``None`` (the default, *auto*)
@@ -129,7 +117,7 @@ class BrelOptions:
         output blocks when the partition finds at least two — each
         block then runs the full strategy loop on its own, with the
         same options (budgets such as ``max_explored`` apply *per
-        block*) and the same memo store; ``False`` always solves the
+        block*); ``False`` always solves the
         monolithic semi-lattice.  Sharding is transparent: the
         recombined solution is compatible and, for per-output-additive
         cost functions, reaches the same final cost as the monolithic
@@ -155,7 +143,6 @@ class BrelOptions:
 
     cost_function: CostFunction = bdd_size_cost
     minimizer: IsfMinimizer = minimize_isop
-    mode: str = "bfs"
     strategy: Optional[str] = None
     max_explored: Optional[int] = 10
     fifo_capacity: Optional[int] = 64
@@ -164,35 +151,19 @@ class BrelOptions:
     symmetry_max_depth: int = 2
     time_limit_seconds: Optional[float] = None
     record_trace: bool = False
-    memo: Optional[bool] = None
     decompose: Optional[bool] = None
     portfolio_racers: Any = None
     portfolio_executor: Optional[str] = None
 
     def exploration_strategy(self) -> str:
-        """The effective strategy name (``strategy`` wins over ``mode``)."""
-        return self.strategy if self.strategy is not None else self.mode
+        """The effective strategy name (``None`` means ``"bfs"``)."""
+        return self.strategy if self.strategy is not None else "bfs"
 
     def __post_init__(self) -> None:
-        if self.mode != "bfs":
-            # One warning per construction.  Note the default value
-            # never warns: there is no way to tell an explicit
-            # mode="bfs" from an untouched field, and the default is
-            # exactly what strategy=None falls back to anyway.
-            warnings.warn(
-                "the 'mode' option is a deprecated alias; pass "
-                "strategy=%r instead" % self.mode,
-                DeprecationWarning, stacklevel=3)
-        if not (self.memo is None or isinstance(self.memo, bool)):
-            # Strict identity matters downstream (`options.memo is
-            # False`), so 0/1 must not sneak past an equality check.
-            raise ValueError("memo must be True, False or None "
-                             "(None = use a store only when one is "
-                             "supplied)")
         if not (self.decompose is None
                 or isinstance(self.decompose, bool)):
-            # Same identity discipline as memo: the router tests
-            # `options.decompose is not False`.
+            # Strict identity matters downstream (`options.decompose is
+            # not False`), so 0/1 must not sneak past an equality check.
             raise ValueError("decompose must be True, False or None "
                              "(None = auto: shard when the partition "
                              "finds at least two blocks)")
@@ -200,7 +171,7 @@ class BrelOptions:
             get_strategy_factory(self.exploration_strategy())
         except KeyError as exc:
             # Surface as ValueError: a bad name is an invalid option
-            # value, and pre-strategy callers matched ValueError.
+            # value.
             raise ValueError(str(exc).strip('"')) from None
         if (self.time_limit_seconds is not None
                 and self.time_limit_seconds < 0):
@@ -276,19 +247,9 @@ class BrelSolver:
 
     def __init__(self, options: Optional[BrelOptions] = None,
                  observers: Iterable[Observer] = (),
-                 memo: Optional[MemoStore] = None,
                  bound: Optional[Any] = None) -> None:
         self.options = options or BrelOptions()
         self._observers: List[Observer] = list(observers)
-        # Effective memo store: options.memo=False vetoes a supplied
-        # store, options.memo=True mints a private one when none was
-        # given (shared across this solver's solves), and the default
-        # None simply uses whatever the caller supplied.
-        if self.options.memo is False:
-            memo = None
-        elif memo is None and self.options.memo is True:
-            memo = MemoStore()
-        self.memo = memo
         # Cross-racer bound channel (repro.core.portfolio): anything
         # with a ``.cost`` property of externally published incumbent
         # costs.  The monolithic loop prunes against it in addition to
@@ -429,37 +390,21 @@ class BrelSolver:
 
     # ------------------------------------------------------------------
     def _block_options(self, time_limit: Optional[float]) -> BrelOptions:
-        """Per-block options: same knobs, no further decomposition.
-
-        Built field by field (not ``dataclasses.replace``) so the
-        deprecated ``mode`` alias cannot re-fire its warning, and with
+        """Per-block options: same knobs, no further decomposition, and
         ``record_trace`` off — block events are re-stamped into the
         sharded solve's own trace.
         """
-        options = self.options
-        return BrelOptions(
-            cost_function=options.cost_function,
-            minimizer=options.minimizer,
-            strategy=options.exploration_strategy(),
-            max_explored=options.max_explored,
-            fifo_capacity=options.fifo_capacity,
-            quick_on_subrelations=options.quick_on_subrelations,
-            symmetry_pruning=options.symmetry_pruning,
-            symmetry_max_depth=options.symmetry_max_depth,
-            time_limit_seconds=time_limit,
-            record_trace=False,
-            memo=None,
-            decompose=False,
-            portfolio_racers=options.portfolio_racers,
-            portfolio_executor=options.portfolio_executor)
+        return dataclasses.replace(self.options,
+                                   time_limit_seconds=time_limit,
+                                   record_trace=False, decompose=False)
 
     def _iter_events_sharded(self, partition: Partition,
                              cancel: Optional[CancelToken]
                              ) -> Generator[SolveEvent, None, BrelResult]:
         """Solve a partitioned relation block by block and recombine.
 
-        Blocks run in the fixed partition order through sub-solvers that
-        share this solver's memo store.  The stream mirrors a monolithic
+        Blocks run in the fixed partition order, each through a
+        sub-solver of its own.  The stream mirrors a monolithic
         solve — an opening ``partition`` event, a whole-relation
         ``quick-solution``/``new-best`` pair (the recombined per-block
         QuickSolver incumbents), then every block event re-stamped with
@@ -473,8 +418,6 @@ class BrelSolver:
         start = time.perf_counter()
         deadline = (start + options.time_limit_seconds
                     if options.time_limit_seconds is not None else None)
-        memo = self.memo
-        memo_before = memo.counters() if memo is not None else None
         engine_before = relation.mgr.stats()
         trace: Optional[List[SolveEvent]] = \
             [] if options.record_trace else None
@@ -501,13 +444,13 @@ class BrelSolver:
         # Guarantees a compatible full solution exists before any block
         # search runs, so an early stop can never lose solvability —
         # the sharded twin of the §7.2 root quick solution.  Each block
-        # solver repeats this quick pass as its own root incumbent (a
-        # memo hit when a store is attached), so these upfront passes
-        # are deliberately *not* counted in stats.quick_solutions —
-        # the block counters already report the same logical solutions.
+        # solver repeats this quick pass as its own root incumbent, so
+        # these upfront passes are deliberately *not* counted in
+        # stats.quick_solutions — the block counters already report the
+        # same logical solutions.
         block_best: List[Solution] = [
             quick_solve(block.relation, options.minimizer,
-                        options.cost_function, memo=memo)
+                        options.cost_function)
             for block in partition.blocks]
         best = partition.recombine_solutions(block_best,
                                              options.cost_function)
@@ -532,7 +475,7 @@ class BrelSolver:
                     yield event("timeout")
                     break
                 remaining = max(remaining, 0.0)
-            sub = BrelSolver(self._block_options(remaining), memo=memo)
+            sub = BrelSolver(self._block_options(remaining))
             events = sub.iter_events(block.relation, cancel=cancel)
             base_explored = explored_total
             while True:
@@ -583,11 +526,6 @@ class BrelSolver:
                                 - engine_before["cache_hits"])
         stats.bdd_cache_misses = (engine_after["cache_misses"]
                                   - engine_before["cache_misses"])
-        if memo_before is not None:
-            hits, misses, stores = memo.counters()
-            stats.memo_hits = hits - memo_before[0]
-            stats.memo_misses = misses - memo_before[1]
-            stats.memo_stores = stores - memo_before[2]
         summary = partition.summary()
         for entry, result, solution in zip(summary["blocks"],
                                            block_results, block_best):
@@ -617,20 +555,14 @@ class BrelSolver:
                     if options.time_limit_seconds is not None else None)
         stats = SolverStats()
         engine_before = relation.mgr.stats()
-        memo = self.memo
-        memo_before = memo.counters() if memo is not None else None
         trace: Optional[List[SolveEvent]] = \
             [] if options.record_trace else None
         improvements: List[Improvement] = []
 
-        # The subproblem layer of this solve: memoised minimisations
-        # whose memo hits reuse the nodes this loop already built.
-        router = SubproblemRouter(memo) if memo is not None else None
-
         # Initial solution: QuickSolver guarantees one compatible function
         # exists before any pruning can truncate the search (§7.2).
         best = quick_solve(relation, options.minimizer,
-                           options.cost_function, memo=memo, router=router)
+                           options.cost_function)
         stats.quick_solutions += 1
 
         def event(kind: str, **kw: object) -> SolveEvent:
@@ -726,8 +658,7 @@ class BrelSolver:
             # QuickSolver into a hill climber.
             if quick_on_subrelations and depth > 0:
                 quick = quick_solve(current, options.minimizer,
-                                    options.cost_function, memo=memo,
-                                    router=router, view=view)
+                                    options.cost_function, view=view)
                 stats.quick_solutions += 1
                 yield event("quick-solution", cost=quick.cost, depth=depth)
                 if quick.cost < best.cost:
@@ -735,8 +666,7 @@ class BrelSolver:
                     stats.compatible_found += 1
                     yield from improved_events(best, depth)
 
-            candidate, conflicts = self._evaluate(current, stats, router,
-                                                  view)
+            candidate, conflicts = self._evaluate(current, stats, view)
             if candidate.cost >= min(best.cost, external_bound):
                 stats.cost_prunes += 1
                 yield event("prune",
@@ -775,86 +705,35 @@ class BrelSolver:
                                 - engine_before["cache_hits"])
         stats.bdd_cache_misses = (engine_after["cache_misses"]
                                   - engine_before["cache_misses"])
-        if memo_before is not None:
-            hits, misses, stores = memo.counters()
-            stats.memo_hits = hits - memo_before[0]
-            stats.memo_misses = misses - memo_before[1]
-            stats.memo_stores = stores - memo_before[2]
         yield event("done", cost=best.cost)
         return BrelResult(best, stats, improvements=improvements,
                           events=trace, stopped=stopped)
 
     # ------------------------------------------------------------------
     def _evaluate(self, relation: BooleanRelation, stats: SolverStats,
-                  router: Optional[SubproblemRouter] = None,
                   view: Optional[PackedRelation] = None
                   ) -> Tuple[Solution, int]:
         """Minimise the covering MISF; return the candidate and conflicts.
 
-        The whole evaluation — projection of every output, per-output
-        minimisation, conflict computation — is a pure function of the
-        relation's structure and the minimiser, so it memoises under the
-        relation's canonical signature: a hit re-instantiates the stored
-        per-output covers (byte-identical to the fresh computation; the
-        solve's ``router`` reuses the nodes when it built them already)
-        and only recomputes the conflict set when the recorded
-        evaluation was not an exactly-solved leaf.  With the relation's
-        packed ``view`` every step but the cover and conflict-set
-        builds runs on its truth table.
+        With the relation's packed ``view`` every step but the cover and
+        conflict-set builds runs on its truth table.
         """
         options = self.options
-        key = None
-        sig = None
-        name = minimizer_memo_key(options.minimizer)
-        if name is None:
-            router = None
-        if router is not None:
-            sig = relation.signature()
-            if sig is not None:
-                key = ("eval", sig.key, name)
-                hit = router.memo.get(key)
-                if hit is not None:
-                    covers, conflict_free = hit
-                    functions = router.instantiate(relation.mgr, key,
-                                                   covers, sig.support)
-                    cost = options.cost_function(relation.mgr, functions)
-                    if conflict_free:
-                        conflicts = FALSE
-                    elif view is not None:
-                        conflicts = view.node(view.conflict_table(
-                            view.template_tables(covers, sig.support)))
-                    else:
-                        conflicts = relation.conflict_inputs(functions)
-                    return Solution(relation.mgr, functions, cost), \
-                        conflicts
         if view is not None:
-            minimized = [view.minimize(position, options.minimizer, name,
-                                       router)
+            name = minimizer_memo_key(options.minimizer)
+            minimized = [view.minimize(position, options.minimizer, name)
                          for position in range(len(relation.outputs))]
-        elif router is not None:
-            minimized = [router.minimize(component, options.minimizer,
-                                         name)
-                         for component in relation.misf()]
+            functions = tuple(node for node, _ in minimized)
         else:
-            minimized = [(node, None, None) for node in
-                         solve_misf(relation.misf(), options.minimizer)]
-        functions = tuple(node for node, _, _ in minimized)
+            functions = tuple(solve_misf(relation.misf(),
+                                         options.minimizer))
         stats.misf_minimizations += 1
         cost = options.cost_function(relation.mgr, functions)
         if view is not None:
             conflicts = view.node(view.conflict_table(
-                [table for _, _, table in minimized]))
+                [table for _, table in minimized]))
         else:
             conflicts = relation.conflict_inputs(functions)
-        if key is not None:
-            rank_of_var = sig.rank_map()
-            conflict_free = conflicts == FALSE
-            router.memo.put_if_mappable(
-                key,
-                lambda: (tuple(template_from_var_cover(cover, rank_of_var)
-                               for _, cover, _ in minimized),
-                         conflict_free))
-            router.remember(key, sig.support, functions)
         return Solution(relation.mgr, functions, cost), conflicts
 
     def _children(self, relation: BooleanRelation, conflicts: int,

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE, _fold64, support_mask, union_support
-from ..bdd.packed import node_of, tables_of
-from .memo import Signature
+from ..bdd.manager import FALSE
+from ..bdd.packed import node_of
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class Isf:
     #: is computed at most once per ISF instead of per ``upper`` access).
     _upper: Optional[int] = field(default=None, init=False, repr=False,
                                   compare=False)
-    #: Lazily cached :meth:`signature`.
-    _sig: Optional[Signature] = field(default=None, init=False,
-                                      repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mgr.and_(self.on, self.dc) != FALSE:
@@ -66,34 +62,6 @@ class Isf:
             upper = self.mgr.or_(self.on, self.dc)
             object.__setattr__(self, "_upper", upper)
         return upper
-
-    def signature(self) -> Signature:
-        """Canonical subproblem identity of this ISF.
-
-        The combined support ``J`` of ``on`` and ``dc`` is renumbered to
-        ``0..k-1`` (order-preserving), so ISFs identical up to such a
-        renaming — the same interval shifted to a different support —
-        share a signature and hence a
-        :class:`~repro.core.memo.MemoStore` slot.  The key is built
-        from the manager's per-node signatures: ``|J|``, then for each
-        of ``on`` and ``dc`` the rank mask of its own support inside
-        ``J`` and its renaming-invariant fingerprint — a lookup per
-        node once the manager has seen it.  ``inputs`` is deliberately
-        *not* part of the identity: no minimiser's result depends on
-        variables outside the interval's support.
-        """
-        sig = self._sig
-        if sig is None:
-            mgr = self.mgr
-            on_support, on_fp = mgr.node_signature(self.on)
-            dc_support, dc_fp = mgr.node_signature(self.dc)
-            support = union_support(on_support, dc_support)
-            sig = Signature(("isf2", len(support),
-                             support_mask(on_support, support), on_fp,
-                             support_mask(dc_support, support), dc_fp),
-                            support)
-            object.__setattr__(self, "_sig", sig)
-        return sig
 
     @property
     def off(self) -> int:
@@ -180,23 +148,6 @@ class PackedIsf:
         self.dc = dc
         self.support = support
         self.inputs = inputs
-
-    @staticmethod
-    def from_isf(isf: Isf, support: Tuple[int, ...]) -> "PackedIsf":
-        """Pack ``isf`` over its joint ``support``."""
-        on, dc = tables_of(isf.mgr, (isf.on, isf.dc), support)
-        return PackedIsf(isf.mgr, on, dc, support, isf.inputs)
-
-    def key(self) -> Tuple:
-        """Canonical memo identity: equal exactly when the intervals
-        are equal up to an order-preserving renaming of their supports
-        (the classes of :meth:`Isf.signature`), with each table folded
-        to 64 bits so the key stays small and JSON-safe.  The fold
-        starts from a non-zero seed, so a table shifted up by whole
-        64-bit chunks -- ``a & g`` against ``~a & g`` for a lowest
-        support variable ``a`` -- folds differently."""
-        return ("isf3", len(self.support),
-                _fold64(self.on), _fold64(self.dc))
 
     def unpack(self) -> Isf:
         """The same ISF as nodes, for minimisers that work on them."""

@@ -23,11 +23,10 @@ at most 64 Kbit, and each of these steps is a few shifts and masks:
 
 Minimisation takes each ISF compressed to its own support
 (:class:`~repro.core.isf.PackedIsf`) straight into the packed ISOP
-kernel, and the ISF memo key comes from the same tables.  The relation
-itself stays a node, so :meth:`~repro.core.relation.BooleanRelation.split`
-and the relation memo key do not change; nodes are built only for the
-chosen covers, the conflict set and functional leaves, one Shannon
-build each.
+kernel.  The relation itself stays a node, so
+:meth:`~repro.core.relation.BooleanRelation.split` does not change;
+nodes are built only for the chosen covers, the conflict set and
+functional leaves, one Shannon build each.
 
 :func:`pack_relation` is the one selection test.  Wider relations, and
 relations whose characteristic function mentions a variable outside
@@ -41,11 +40,10 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bdd.manager import FALSE, BddManager
-from ..bdd.packed import (_FULLS, MAX_TABLE_WIDTH, cover_table,
-                          frame_masks, node_of, pack_positions,
-                          reverse_index, spread, squeeze, tables_of)
+from ..bdd.packed import (_FULLS, MAX_TABLE_WIDTH, frame_masks, node_of,
+                          pack_positions, reverse_index, spread, squeeze,
+                          tables_of)
 from .isf import PackedIsf
-from .memo import VarCover
 from .minimize import IsfMinimizer, minimize_packed
 from .relation import BooleanRelation, NotWellDefinedError
 
@@ -213,14 +211,6 @@ class PackedRelation:
             chosen &= (function * rep) ^ zeros[n + position]
         return self._exists_outputs(chosen & ~self.table)
 
-    def template_tables(self, covers: Sequence[Sequence], support:
-                        Sequence[int]) -> List[int]:
-        """Input tables of a solution template's rank covers over the
-        relation signature's ``support`` (a memo hit's functions,
-        without reading their nodes)."""
-        position = [self._position.get(var) for var in support]
-        return [cover_table(self.n, cover, position) for cover in covers]
-
     def split_position(self, vertex: Mapping[int, bool]) -> Optional[int]:
         """The first output whose ISF has a don't care at the full
         input ``vertex`` (Theorem 5.2), or ``None``."""
@@ -268,28 +258,19 @@ class PackedRelation:
         return spread(table, self.n, keep)
 
     def minimize(self, position: int, minimizer: IsfMinimizer,
-                 minimizer_name: Optional[str], router=None,
-                 table: Optional[int] = None
-                 ) -> Tuple[int, Optional[VarCover], int]:
+                 minimizer_name: Optional[str],
+                 table: Optional[int] = None) -> Tuple[int, int]:
         """Minimise output ``position``'s ISF in ``table`` (default:
         the relation's own).
 
-        Returns ``(node, cover, input table)``; the cover is ``None``
-        without a ``router``.  With one, the call enters
-        :meth:`~repro.core.route.SubproblemRouter.minimize` like every
-        memoised minimisation; a custom minimiser (``minimizer_name``
-        ``None``) gets the ISF as nodes and its result is packed back
-        over the input frame.
+        Returns ``(node, input table)``.  A custom minimiser
+        (``minimizer_name`` ``None``) gets the ISF as nodes and its
+        result is packed back over the input frame.
         """
         isf = self.isf(*self.project(position, table))
-        if router is not None:
-            node, cover, packed = router.minimize(isf, minimizer,
-                                                  minimizer_name)
-        elif minimizer_name is not None:
-            node, cover, packed = minimize_packed(isf, minimizer,
-                                                  minimizer_name, False)
-        else:
+        if minimizer_name is None:
             node = minimizer(isf.unpack())
             (packed,) = tables_of(self.mgr, (node,), self.frame)
-            return node, None, packed
-        return node, cover, self.expand(packed, isf.support)
+            return node, packed
+        node, packed = minimize_packed(isf, minimizer, minimizer_name)
+        return node, self.expand(packed, isf.support)

@@ -205,9 +205,8 @@ def _sub_relation(relation: BooleanRelation, positions: Sequence[int],
     """Build the block sub-relation over its own support frame.
 
     Inputs are restricted to the variables ``node`` actually mentions
-    (parent order preserved) so block signatures normalise tightly —
-    smaller frames raise the isomorphic-template hit rate in the
-    session :class:`~repro.core.memo.MemoStore`.
+    (parent order preserved), so each block solves over the smallest
+    frame.
     """
     support = set(relation.mgr.support(node))
     inputs = [var for var in relation.inputs if var in support]
@@ -330,7 +329,4 @@ def merge_block_stats(block_stats: Sequence[SolverStats]) -> SolverStats:
         total.bdd_nodes = max(total.bdd_nodes, stats.bdd_nodes)
         total.bdd_cache_hits += stats.bdd_cache_hits
         total.bdd_cache_misses += stats.bdd_cache_misses
-        total.memo_hits += stats.memo_hits
-        total.memo_misses += stats.memo_misses
-        total.memo_stores += stats.memo_stores
     return total

@@ -28,7 +28,7 @@ Executors (``portfolio_executor``, one of
     thread and manager — deterministic, and nothing is copied;
 ``"process"``
     one OS process per racer; the bound channel is a shared-memory
-    value and results come back over a queue as memo templates,
+    value and results come back over a queue as rank templates,
     re-instantiated in the caller's manager.  Requires the cost
     function and minimiser to be registered by name.  A racer process
     that dies surfaces as a failed-racer note on the portfolio summary,
@@ -56,7 +56,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterator, List,
 
 from .explore import CancelToken, Improvement, SolveEvent, \
     check_executor, get_strategy_factory
-from .memo import MemoStore, instantiate_solution, solution_template
+from .memo import instantiate_solution, solution_template
 from .partition import merge_block_stats
 from .quick import quick_solve
 from .relation import BooleanRelation
@@ -72,10 +72,6 @@ DEFAULT_RACERS: Tuple[str, ...] = ("bfs", "dfs", "best-first", "beam")
 #: Executor used when ``portfolio_executor`` is ``None``: deterministic,
 #: and it reproduces single-strategy costs exactly.
 DEFAULT_RACE_EXECUTOR = "serial"
-
-#: Most-recent memo entries shipped to each racer process's private
-#: store (mirrors the session batch export bound).
-MEMO_EXPORT_LIMIT = 2048
 
 #: Option fields a racer spec may override relative to the base options.
 RACER_DELTA_FIELDS: Tuple[str, ...] = (
@@ -247,9 +243,8 @@ def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any]
     """One racer's :class:`BrelOptions`: the base knobs plus its deltas.
 
     Racers never re-decompose (the portfolio already runs below the
-    sharding layer), never record their own trace (the driver's merged
-    trace is the record), and leave the memo tri-state at ``None`` —
-    the driver wires each racer's store explicitly.
+    sharding layer) and never record their own trace (the driver's
+    merged trace is the record).
     """
     from .brel import BrelOptions
     return BrelOptions(
@@ -266,7 +261,6 @@ def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any]
                                     base.symmetry_max_depth),
         time_limit_seconds=base.time_limit_seconds,
         record_trace=False,
-        memo=None,
         decompose=False)
 
 
@@ -294,7 +288,7 @@ def racers_cache_key(racers: Any) -> str:
 
     ``None`` and an explicitly spelled-out default line-up normalise to
     the same string, so they share a cache slot (the same tri-state
-    resolution discipline the session applies to ``memo``/``decompose``).
+    resolution discipline the session applies to ``decompose``).
     """
     import json
     return json.dumps(normalize_racers(racers), sort_keys=True)
@@ -363,8 +357,6 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     start = time.perf_counter()
     deadline = (start + options.time_limit_seconds
                 if options.time_limit_seconds is not None else None)
-    memo = solver.memo
-    memo_before = memo.counters() if memo is not None else None
     engine_before = relation.mgr.stats()
     trace: Optional[List[SolveEvent]] = \
         [] if options.record_trace else None
@@ -376,7 +368,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     # solution exists however early the race is cancelled, and seeds
     # the bound channel so every racer prunes from the first dequeue.
     best = quick_solve(relation, options.minimizer,
-                       options.cost_function, memo=memo)
+                       options.cost_function)
     best_racer: Optional[int] = None
     channel = BoundChannel(best.cost)
 
@@ -406,7 +398,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
 
         # Globally improving incumbents arrive as live caller-manager
         # solutions and are re-stamped here with the cumulative counters.
-        for kind, payload in _drive(transport, outcomes, memo, cancel,
+        for kind, payload in _drive(transport, outcomes, cancel,
                                     deadline, stop_reason):
             if kind == "new-best":
                 solution, racer_index, depth = payload
@@ -471,11 +463,6 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
                             - engine_before["cache_hits"])
     stats.bdd_cache_misses = (engine_after["cache_misses"]
                               - engine_before["cache_misses"])
-    if memo_before is not None:
-        hits, misses, stores = memo.counters()
-        stats.memo_hits = hits - memo_before[0]
-        stats.memo_misses = misses - memo_before[1]
-        stats.memo_stores = stores - memo_before[2]
 
     summary = {
         "executor": executor,
@@ -527,7 +514,7 @@ def _open_transport(solver: "BrelSolver", relation: BooleanRelation,
 
 
 def _drive(transport: Any, outcomes: List[_RacerOutcome],
-           memo: Optional[MemoStore], cancel: Optional[CancelToken],
+           cancel: Optional[CancelToken],
            deadline: Optional[float], stop_reason: List[Optional[str]]
            ) -> Iterator[Tuple[str, Any]]:
     """The race loop over either transport.
@@ -573,11 +560,6 @@ def _drive(transport: Any, outcomes: List[_RacerOutcome],
                 outcome.stopped = data["stopped"]
                 outcome.stats = stats
                 outcome.frontier_overflow = stats.frontier_overflow
-                if memo is not None \
-                        and data["memo_counters"] is not None:
-                    hits, misses, stores = data["memo_counters"]
-                    memo.absorb_counters(hits=hits, misses=misses,
-                                         stores=stores)
             yield ("racer-done", outcome)
             if stop_reason[0] is None and outcome.proved_optimal:
                 transport.cancel(pending)
@@ -592,10 +574,10 @@ class _SerialRacers:
     """Racer generators pumped round-robin, one event per racer per
     poll, on the caller's thread and manager.
 
-    Racers share the caller's manager and the solver's memo store
-    (single-threaded, so no isolation is needed), which makes this the
-    deterministic reference executor.  Each racer's ``explored`` on its
-    outcome stays live, so event stamps count the work in flight.
+    Racers share the caller's manager (single-threaded, so no isolation
+    is needed), which makes this the deterministic reference executor.
+    Each racer's ``explored`` on its outcome stays live, so event
+    stamps count the work in flight.
     """
 
     def __init__(self, solver: "BrelSolver", relation: BooleanRelation,
@@ -605,7 +587,7 @@ class _SerialRacers:
         self._tokens = [CancelToken() for _ in specs]
         self._racers = [
             BrelSolver(build_racer_options(solver.options, spec),
-                       memo=solver.memo, bound=channel)
+                       bound=channel)
             .iter_events(relation, cancel=token)
             for spec, token in zip(specs, self._tokens)]
         self._channel = channel
@@ -621,7 +603,6 @@ class _SerialRacers:
                     "cost": result.solution.cost,
                     "stopped": result.stopped,
                     "stats": result.stats,
-                    "memo_counters": None,  # the live store counted
                 })
                 continue
             except Exception as exc:  # noqa: BLE001 — racer isolation
@@ -661,14 +642,10 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
             minimizer=minimizer_registry.get(payload["minimizer"]),
             strategy=payload["strategy"],
             time_limit_seconds=payload["time_limit_seconds"],
-            record_trace=False, memo=None, decompose=False,
+            record_trace=False, decompose=False,
             **{field: payload[field] for field in RACER_DELTA_FIELDS})
-        memo_entries = payload["memo"]
-        store = (MemoStore(capacity=payload["memo_capacity"],
-                           entries=memo_entries)
-                 if memo_entries is not None else None)
         channel = _SharedValueBound(bound_value)
-        sub = BrelSolver(options, memo=store, bound=channel)
+        sub = BrelSolver(options, bound=channel)
 
         def observe(ev: SolveEvent) -> None:
             if ev.kind == "new-best" and ev.solution is not None:
@@ -686,8 +663,6 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
             "cost": result.solution.cost,
             "stopped": result.stopped,
             "stats": result.stats.as_dict(),
-            "memo_counters": (store.counters()
-                              if store is not None else None),
         }))
     except Exception as exc:  # noqa: BLE001 — racer isolation
         try:
@@ -700,7 +675,7 @@ def _process_racer_main(index: int, payload: Dict[str, Any],
 class _ProcessRacers:
     """One OS process per racer over a shared-memory bound.
 
-    Improvements come back as memo templates and are re-instantiated
+    Improvements come back as rank templates and are re-instantiated
     in the caller's manager (the racer solved the same ordered BDD, so
     the cost it measured carries over).  A racer process that dies
     without reporting (killed, segfaulted, ``os._exit``) is reported
@@ -714,7 +689,6 @@ class _ProcessRacers:
                  cost_name: str, minimizer_name: str) -> None:
         import multiprocessing
         options = solver.options
-        memo = solver.memo
         ctx = multiprocessing.get_context()
         bound_value = ctx.Value("d", bound)
         self._cancel = [ctx.RawValue("i", 0) for _ in specs]
@@ -725,9 +699,6 @@ class _ProcessRacers:
             "cost": cost_name,
             "minimizer": minimizer_name,
             "time_limit_seconds": options.time_limit_seconds,
-            "memo": (memo.export_entries(limit=MEMO_EXPORT_LIMIT)
-                     if memo is not None else None),
-            "memo_capacity": memo.capacity if memo is not None else None,
         }
         self._processes: List[Any] = []
         for index, spec in enumerate(specs):

@@ -16,7 +16,7 @@ runs the MISF work on the relation's packed truth table instead
 :meth:`misf`, :meth:`restrict_output`, :meth:`conflict_inputs`,
 :meth:`is_function`, :meth:`function_vector` or
 :meth:`require_well_defined` on such a relation while exploring it,
-only :meth:`split` and :meth:`signature`.  They all stay public API,
+only :meth:`split`.  They all stay public API,
 the path for wider relations, and the reference the packed layer is
 tested against.
 """
@@ -29,16 +29,10 @@ from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
 from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE, BddManager
 from .isf import Isf, Misf
-from .memo import Signature
 
 
 class NotWellDefinedError(ValueError):
     """Raised when an operation requires a left-total (well-defined) BR."""
-
-
-#: Sentinel cached by :meth:`BooleanRelation.signature` for relations
-#: whose characteristic function mentions out-of-frame variables.
-_NO_SIGNATURE = Signature((), ())
 
 
 #: Most inputs a tabular relation (``output_sets``/``truth_tables``)
@@ -104,7 +98,7 @@ class BooleanRelation:
     out in Section 7.1).
     """
 
-    __slots__ = ("mgr", "inputs", "outputs", "node", "_sig")
+    __slots__ = ("mgr", "inputs", "outputs", "node")
 
     def __init__(self, mgr: FunctionBackend, inputs: Sequence[int],
                  outputs: Sequence[int], node: int) -> None:
@@ -112,7 +106,6 @@ class BooleanRelation:
         self.inputs: Tuple[int, ...] = tuple(inputs)
         self.outputs: Tuple[int, ...] = tuple(outputs)
         self.node = node
-        self._sig: Optional[Signature] = None
         if set(self.inputs) & set(self.outputs):
             raise ValueError("input and output variables must be disjoint")
 
@@ -221,45 +214,6 @@ class BooleanRelation:
     def __repr__(self) -> str:
         return ("BooleanRelation(inputs=%d, outputs=%d, pairs=%d)"
                 % (len(self.inputs), len(self.outputs), self.pair_count()))
-
-    def signature(self) -> Optional[Signature]:
-        """Canonical subproblem identity of this relation.
-
-        The characteristic function's support is renumbered to
-        ``0..k-1`` (order-preserving), and each rank is tagged with its
-        *role* — input, or output position ``j`` — so relations that
-        are identical up to an order-preserving renaming of their
-        support share a signature, while relations whose outputs play
-        different positions (or whose frames differ in output count) do
-        not.  Input identities beyond "is an input" are irrelevant: the
-        solver only ever distinguishes inputs through the BDD order,
-        which the renumbering preserves.
-
-        Returns ``None`` (unmemoisable) when the node mentions a
-        variable outside the relation's frame.  The result is cached on
-        the instance (relations are immutable); the support and the
-        renaming-invariant fingerprint come from the manager's per-node
-        signature.
-        """
-        sig = self._sig
-        if sig is None:
-            support, fingerprint = self.mgr.node_signature(self.node)
-            input_set = set(self.inputs)
-            output_position = {var: position
-                               for position, var in enumerate(self.outputs)}
-            roles: List[int] = []
-            for var in support:
-                if var in input_set:
-                    roles.append(-1)
-                elif var in output_position:
-                    roles.append(output_position[var])
-                else:
-                    self._sig = _NO_SIGNATURE
-                    return None
-            sig = Signature(("rel2", len(self.outputs), tuple(roles),
-                             fingerprint), support)
-            self._sig = sig
-        return None if sig is _NO_SIGNATURE else sig
 
     # ------------------------------------------------------------------
     # Set algebra

@@ -48,7 +48,7 @@ class Solution:
         return self._cover_cache
 
     def template(self, support: Sequence[int]) -> SolutionTemplate:
-        """The ISOP covers as a memo template: rank ``i`` is variable
+        """The ISOP covers as a rank template: rank ``i`` is variable
         ``support[i]``.
 
         Equal to :func:`~repro.core.memo.solution_template` over
@@ -117,11 +117,6 @@ class SolverStats:
     bdd_nodes: int = 0
     bdd_cache_hits: int = 0
     bdd_cache_misses: int = 0
-    # Subproblem-memo counters for the run (deltas on the MemoStore the
-    # solve used; all zero when memoisation was off).
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_stores: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view for table printing."""
@@ -139,7 +134,4 @@ class SolverStats:
             "bdd_nodes": self.bdd_nodes,
             "bdd_cache_hits": self.bdd_cache_hits,
             "bdd_cache_misses": self.bdd_cache_misses,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_stores": self.memo_stores,
         }

@@ -224,7 +224,7 @@ def realize_functions(mgr: BddManager, functions: Sequence[int],
 
     Returns one ``(fanins, cover)`` pair per function; support may be
     any subset of ``var_to_leaf``'s keys.  The covers are the
-    functions' memo template over ``var_to_leaf``'s variables, renamed
+    functions' rank template over ``var_to_leaf``'s variables, renamed
     by :func:`realize_template`.
     """
     support = sorted(var_to_leaf)

@@ -3,7 +3,7 @@
 The pipeline ingests a BLIF netlist, windows every candidate cut,
 extracts per-cut don't-care flexibility as Boolean relations
 (:mod:`repro.decompose.cutflex`), streams them through
-:meth:`repro.api.Session.solve_many` with the shared memo store, and
+:meth:`repro.api.Session.solve_many` with a shared report cache, and
 rewrites the network with the strictly-improving minimized covers —
 verifying every rewrite on its window and the final network at the
 combinational outputs.

@@ -3,7 +3,7 @@
 One pass over the network:
 
     enumerate cuts  ->  carve windows  ->  mine flexibility relations
-        ->  stream them through Session.solve_many (shared memo)
+        ->  stream them through Session.solve_many (shared cache)
         ->  realize the solutions' rank covers  ->  accept
             strictly-improving rewrites  ->  sweep
 
@@ -218,8 +218,8 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
     """Run the full pipeline on a parsed network.
 
     Returns ``(rewritten_network, report)``.  The input network is not
-    mutated.  A shared ``session`` carries its memo store and report
-    cache across calls — the service layer passes its own.
+    mutated.  A shared ``session`` carries its report cache across
+    calls — the service layer passes its own.
     """
     started = time.perf_counter()
     if session is None:
@@ -230,8 +230,6 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
     total_mined = 0
     total_solved = 0
     total_accepted = 0
-    memo_hits = 0
-    memo_misses = 0
 
     for index in range(request.passes):
         pass_started = time.perf_counter()
@@ -253,10 +251,6 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
                                      max_workers=request.workers,
                                      executor=request.executor)
         reports_by_nodes = dict(zip(unique, reports))
-        for report in reports:
-            if report.ok:
-                memo_hits += int(report.stats.get("memo_hits", 0))
-                memo_misses += int(report.stats.get("memo_misses", 0))
         accepted = _apply_pass(net, candidates, reports_by_nodes,
                                counters)
         swept = net.sweep_dangling()
@@ -273,7 +267,6 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
             break
 
     equivalent, method, vectors = _verify_final(original, net, request)
-    total = memo_hits + memo_misses
     report = ResynthReport(
         ok=True,
         label=request.label,
@@ -292,9 +285,6 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
         relations_mined=total_mined,
         relations_solved=total_solved,
         rewrites_accepted=total_accepted,
-        memo_hits=memo_hits,
-        memo_misses=memo_misses,
-        memo_hit_rate=(memo_hits / total) if total else None,
         equivalent=equivalent,
         verify_method=method,
         verify_vectors=vectors,

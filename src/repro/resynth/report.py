@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 #: Bumped when the report schema changes shape.
-RESYNTH_SCHEMA_VERSION = 1
+#: 2: dropped ``memo_hits``, ``memo_misses`` and ``memo_hit_rate`` (the
+#: subproblem memo was retired).
+RESYNTH_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -37,9 +39,6 @@ class ResynthReport:
     relations_mined: int = 0
     relations_solved: int = 0
     rewrites_accepted: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_hit_rate: Optional[float] = None
     #: Final whole-network equivalence verdict; ``None`` when the
     #: request disabled the check (``verify="none"``).
     equivalent: Optional[bool] = None
@@ -50,6 +49,12 @@ class ResynthReport:
     blif: Optional[str] = None
     cached: bool = False
     schema_version: int = RESYNTH_SCHEMA_VERSION
+
+    #: Always 0, and not dataclass fields, so they stay out of
+    #: :meth:`to_dict` and the wire.  Only ``perfbench/`` still reads
+    #: them; remove both once it stops.
+    memo_hits = 0
+    memo_misses = 0
 
     # -- serialisation -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -95,14 +100,12 @@ class ResynthReport:
         name = self.label or self.circuit or "<unnamed>"
         if not self.ok:
             return "%s: FAILED (%s)" % (name, self.error)
-        rate = ("%.0f%%" % (100.0 * self.memo_hit_rate)
-                if self.memo_hit_rate is not None else "n/a")
         verdict = {True: "equivalent", False: "NOT EQUIVALENT",
                    None: "unverified"}[self.equivalent]
         return ("%s: literals %d -> %d (saved %d), %d/%d rewrites, "
-                "memo %s, %s, %.3fs%s"
+                "%s, %.3fs%s"
                 % (name, self.literals_before or 0,
                    self.literals_after or 0, self.literal_savings or 0,
-                   self.rewrites_accepted, self.relations_mined, rate,
+                   self.rewrites_accepted, self.relations_mined,
                    verdict, self.runtime_seconds,
                    " [cached]" if self.cached else ""))

@@ -124,7 +124,6 @@ class ResynthRequest:
     minimizer: str = "isop"
     strategy: Optional[str] = None
     max_explored: Optional[int] = 10
-    memo: Optional[bool] = None
     decompose: Optional[bool] = None
     # -- batch execution -----------------------------------------------
     executor: str = "serial"
@@ -175,7 +174,6 @@ class ResynthRequest:
             minimizer=self.minimizer,
             strategy=self.strategy,
             max_explored=self.max_explored,
-            memo=self.memo,
             decompose=self.decompose,
             label=label)
 
@@ -198,7 +196,6 @@ class ResynthRequest:
             self.minimizer,
             self.strategy,
             self.max_explored,
-            self.memo,
             self.decompose,
             self.verify,
             self.verify_exhaustive_limit,

@@ -5,12 +5,10 @@ The package splits cleanly into four pieces:
 :mod:`~repro.service.app`
     :class:`SolveService` — the transport-independent core: tiered
     ``solve`` (RAM → disk → engine), the anytime ``solve_stream``,
-    ``batch``, ``healthz``/``stats``, and periodic memo flushing.
+    ``batch``, ``resynth`` and ``healthz``/``stats``.
 :mod:`~repro.service.diskcache`
     :class:`DiskCache` — the process-spanning tier: atomic JSON report
-    files keyed by canonical request fingerprints, plus the shared
-    memo template pool (a ``memo.json`` snapshot and append-only
-    segments) workers seed from at boot.
+    files keyed by canonical request fingerprints.
 :mod:`~repro.service.http`
     The stdlib ``ThreadingHTTPServer`` transport (no dependencies) —
     ``create_server``/``serve`` and the SSE encoder.
@@ -31,15 +29,13 @@ Sixty-second tour::
     # the second identical POST returns X-Cache-Tier: ram.
 """
 
-from .app import DEFAULT_FLUSH_EVERY, ServiceError, SolveService
+from .app import ServiceError, SolveService
 from .asgi import create_app
-from .diskcache import DEFAULT_DISK_MEMO_LIMIT, DiskCache, fingerprint_payload
+from .diskcache import DiskCache, fingerprint_payload
 from .http import create_server, encode_sse, serve
 from .prewarm import prewarm
 
 __all__ = [
-    "DEFAULT_DISK_MEMO_LIMIT",
-    "DEFAULT_FLUSH_EVERY",
     "DiskCache",
     "ServiceError",
     "SolveService",

@@ -12,10 +12,9 @@ test driving it directly) exposes:
                    through the same tiers, keyed by the
                    network+options fingerprint;
 ``healthz``        liveness;
-``stats``          engine, memo, report-cache, disk-tier and per-tier
+``stats``          engine, report-cache, disk-tier and per-tier
                    request counters, per-tier ``solve`` latency
-                   percentiles, plus a ring of recent requests with
-                   their per-request memo deltas.
+                   percentiles, plus a ring of recent requests.
 
 Tiered serving
 --------------
@@ -29,14 +28,15 @@ Every ``solve`` walks the tiers in order:
    the next identical request never reaches the disk.
 3. **Engine** — a real solve; the fresh report is written back to the
    disk tier for every other worker (and every future worker) to find.
+   The engine solves every relation from scratch.
+
+A stored report whose ``schema_version`` is not the running one is a
+miss: the engine solves the request again and overwrites the file.
 
 Multi-worker story: each worker process builds its own service over the
-same cache directory.  At boot the worker compacts the disk tier's memo
-pool (when other workers left segments) and seeds its session memo
-store from it, so a cold worker starts with the fleet's accumulated
-subproblem templates.  After every ``flush_every`` engine solves (and
-at shutdown) the worker appends the templates it learned since its
-last flush as one new pool segment.
+same cache directory.  Workers share only the report files; a cold
+worker serves every report any worker has written, and keeps nothing
+else on disk.
 """
 
 from __future__ import annotations
@@ -51,18 +51,14 @@ from typing import (Any, Callable, Deque, Dict, Generator, Iterator, List,
 from ..api.events import event_to_jsonable
 from ..api.request import (SolveRequest, merge_manifest_jobs,
                            relation_spec_to_jsonable)
-from ..api.report import SolveReport
-from ..api.session import DEFAULT_MEMO_EXPORT_LIMIT, Session
+from ..api.report import REPORT_SCHEMA_VERSION, SolveReport
+from ..api.session import Session
 from ..core.explore import CancelToken, check_executor, check_workers
-from ..resynth.report import ResynthReport
+from ..resynth.report import RESYNTH_SCHEMA_VERSION, ResynthReport
 from ..resynth.request import ResynthRequest
 from .diskcache import DiskCache, fingerprint_payload
 
-__all__ = ["ServiceError", "SolveService", "DEFAULT_FLUSH_EVERY",
-           "MAX_BODY_BYTES"]
-
-#: Engine solves between automatic memo flushes to the disk tier.
-DEFAULT_FLUSH_EVERY = 8
+__all__ = ["ServiceError", "SolveService", "MAX_BODY_BYTES"]
 
 #: Largest request body either transport reads; past it they answer 413
 #: (``repro.service.http`` and ``repro.service.asgi`` both import this).
@@ -116,12 +112,8 @@ class SolveService:
 
     def __init__(self, session: Optional[Session] = None,
                  disk: Optional[DiskCache] = None, *,
-                 flush_every: int = DEFAULT_FLUSH_EVERY,
-                 memo_export_limit: int = DEFAULT_MEMO_EXPORT_LIMIT,
                  max_time_limit: Optional[float] = None
                  ) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be a positive int")
         if max_time_limit is not None and not (
                 isinstance(max_time_limit, (int, float))
                 and math.isfinite(max_time_limit)
@@ -130,16 +122,13 @@ class SolveService:
                              "number of seconds, or None for no cap")
         self.session = session if session is not None else Session()
         self.disk = disk
-        self.flush_every = flush_every
         #: Server-side cap on per-request ``time_limit_seconds``: every
         #: admitted request is clamped to this budget (including
         #: requests asking for *no* limit), so one client cannot hold
         #: the single-threaded engine indefinitely.  ``None`` = no cap.
         self.max_time_limit = max_time_limit
-        self.memo_export_limit = memo_export_limit
         self.started = time.time()
         self._lock = threading.RLock()
-        self._solves_since_flush = 0
         self.tier_hits = {"ram": 0, "disk": 0, "engine": 0}
         self._latencies: Dict[str, Deque[float]] = {
             tier: deque(maxlen=LATENCY_SAMPLES) for tier in self.tier_hits}
@@ -150,8 +139,6 @@ class SolveService:
         #: only understands SolveRequests), keyed by the same
         #: fingerprint the disk tier uses.
         self._resynth_cache: Dict[str, ResynthReport] = {}
-        self.seeded_entries = 0
-        self.flushes = 0
         #: Disk-tier writes that raised ``OSError`` (see _disk_write).
         self.disk_write_errors = 0
         self._recent: Deque[Dict[str, Any]] = deque(maxlen=RECENT_REQUESTS)
@@ -160,12 +147,6 @@ class SolveService:
         #: still names its winner).
         self.portfolio_races = 0
         self.portfolio_wins: Dict[str, int] = {}
-        if self.disk is not None:
-            self.disk.compact_memo()
-            entries = self.disk.load_memo_entries()
-            if entries:
-                self.session.memo.seed(entries)
-            self.seeded_entries = len(entries)
 
     # ------------------------------------------------------------------
     # Canonical request identity (the disk tier's key)
@@ -238,9 +219,8 @@ class SolveService:
         ``solve_latency_ms`` gives, per tier, the p50 and p99 of the
         last :data:`LATENCY_SAMPLES` ``solve`` calls that tier served
         (milliseconds, measured once the request holds the engine
-        lock; ``None`` before the first sample).  Nothing here reads
-        the memo pool, so a dashboard poll holds the lock only for
-        counter copies and directory listings.
+        lock; ``None`` before the first sample).  A dashboard poll
+        holds the lock only for counter copies and directory listings.
         """
         with self._lock:
             session = self.session
@@ -258,9 +238,6 @@ class SolveService:
                     "cache_hits": session.cache_hits,
                     "relations": session.relation_names(),
                 },
-                "memo": session.memo_stats(),
-                "memo_seeded_entries": self.seeded_entries,
-                "memo_flushes": self.flushes,
                 "engine": session.engine_stats(),
                 "disk": dict(self.disk.stats(),
                              write_errors=self.disk_write_errors)
@@ -316,7 +293,6 @@ class SolveService:
         if (self.disk is not None and report.ok
                 and report.stopped != "cancelled"):
             self._disk_write(self.disk.put_report, key, report.to_dict())
-        self._after_engine_solve()
         return report, "engine"
 
     # ------------------------------------------------------------------
@@ -397,14 +373,16 @@ class SolveService:
                     if self.disk is not None:
                         self._disk_write(self.disk.put_report, key,
                                          report.to_dict())
-                    self._after_engine_solve()
             self.tier_hits[tier] += 1
             return report.to_dict(), tier
 
     @staticmethod
     def _resynth_from_wire(stored: Dict[str, Any]
                            ) -> Optional[ResynthReport]:
-        """Rebuild a disk-tier resynth report; skew degrades to a miss."""
+        """Rebuild a disk-tier resynth report; a report written under
+        another schema version, or one that does not parse, is a miss."""
+        if stored.get("schema_version") != RESYNTH_SCHEMA_VERSION:
+            return None
         try:
             report = ResynthReport.from_dict(stored)
         except (ValueError, TypeError):
@@ -414,13 +392,16 @@ class SolveService:
     def _report_from_wire(self, stored: Dict[str, Any],
                           request: SolveRequest
                           ) -> Optional[SolveReport]:
-        """Rebuild a disk-tier report; version skew degrades to a miss."""
+        """Rebuild a disk-tier report; a report written under another
+        schema version, or one that does not parse, is a miss."""
+        if stored.get("schema_version") != REPORT_SCHEMA_VERSION:
+            return None
         try:
             report = SolveReport.from_dict(stored)
         except (ValueError, TypeError):
             return None
-        return Session._cached_copy(report, label=request.label,
-                                    request=request.to_dict())
+        return report.copy(cached=True, label=request.label,
+                           request=request.to_dict())
 
     def solve_stream(self, data: Any
                      ) -> Generator[Tuple[str, Dict[str, Any]], None, None]:
@@ -494,8 +475,6 @@ class SolveService:
                     self._disk_write(self.disk.put_report,
                                      self.request_fingerprint(request),
                                      report.to_dict())
-                if not report.cached:
-                    self._after_engine_solve()
                 tier = "ram" if report.cached else "engine"
                 self.tier_hits[tier] += 1
                 self._record(request, report, tier)
@@ -588,8 +567,6 @@ class SolveService:
                             continue
                         self._disk_write(self.disk.put_report, key,
                                          report.to_dict())
-                if any(not report.cached for report in fresh):
-                    self._after_engine_solve()
             for index, request, source_index in duplicates:
                 source = reports[source_index]
                 if source is None:
@@ -598,8 +575,8 @@ class SolveService:
                 if source.ok:
                     # Shared through the batch, so it is cache-served
                     # from this job's point of view.
-                    reports[index] = Session._cached_copy(
-                        source, label=label, request=request.to_dict())
+                    reports[index] = source.copy(
+                        cached=True, label=label, request=request.to_dict())
                     tiers[index] = "ram"
                 else:
                     reports[index] = source.copy(
@@ -633,9 +610,9 @@ class SolveService:
         return None, "engine"
 
     # ------------------------------------------------------------------
-    # Disk-tier writes and memo flushing
+    # Disk-tier writes
     # ------------------------------------------------------------------
-    def _disk_write(self, write: Callable[..., Any], *args: Any) -> Any:
+    def _disk_write(self, write: Callable[..., Any], *args: Any) -> None:
         """Run one disk-tier write; a failing disk never fails a request.
 
         The caller already holds the engine's answer, so an ``OSError``
@@ -643,35 +620,9 @@ class SolveService:
         ``stats()["disk"]["write_errors"]`` and the write is dropped.
         """
         try:
-            return write(*args)
+            write(*args)
         except OSError:
             self.disk_write_errors += 1
-            return 0
-
-    def _after_engine_solve(self) -> None:
-        self._solves_since_flush += 1
-        if (self.disk is not None
-                and self._solves_since_flush >= self.flush_every):
-            self.flush()
-
-    def flush(self) -> int:
-        """Append what this worker's memo learned to the disk tier now.
-
-        Writes the templates the session store learned since the last
-        flush as one new pool segment: never the entries it was seeded
-        with, and at most the ``memo_export_limit`` most recently
-        learned.  Returns the number of entries appended (0 when there
-        is no disk tier, nothing new was learned or the write failed).
-        Called automatically every ``flush_every`` engine solves and by
-        transports at shutdown.
-        """
-        self._solves_since_flush = 0
-        if self.disk is None:
-            return 0
-        entries = self.session.memo.take_learned(
-            limit=self.memo_export_limit)
-        self.flushes += 1
-        return self._disk_write(self.disk.merge_memo_entries, entries)
 
     # ------------------------------------------------------------------
     def _record(self, request: SolveRequest, report: SolveReport,
@@ -683,8 +634,6 @@ class SolveService:
             "ok": report.ok,
             "cached": report.cached,
             "cost": report.cost,
-            "memo_hits": int(report.stats.get("memo_hits", 0)),
-            "memo_misses": int(report.stats.get("memo_misses", 0)),
             "runtime_seconds": report.stats.get("runtime_seconds", 0.0),
         }
         if report.portfolio is not None:

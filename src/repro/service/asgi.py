@@ -11,8 +11,7 @@ the same service under it without this package importing any of them::
 Configuration of the module-level ``app`` comes from the environment
 (it is constructed lazily, on the first request):
 
-``REPRO_CACHE_DIR``    directory for the disk tier (unset = RAM only);
-``REPRO_FLUSH_EVERY``  engine solves between memo flushes (default 8).
+``REPRO_CACHE_DIR``    directory for the disk tier (unset = RAM only).
 
 Routes, bodies and status codes match :mod:`repro.service.http`
 exactly; ``/solve/stream`` emits the same SSE frames.  The engine work
@@ -71,8 +70,7 @@ def create_app(service: Optional[SolveService] = None
 def _service_from_env() -> SolveService:
     cache_dir = os.environ.get("REPRO_CACHE_DIR")
     disk = DiskCache(cache_dir) if cache_dir else None
-    flush_every = int(os.environ.get("REPRO_FLUSH_EVERY", "8"))
-    return SolveService(disk=disk, flush_every=flush_every)
+    return SolveService(disk=disk)
 
 
 async def _lifespan(get_service: Callable[[], SolveService],
@@ -80,10 +78,9 @@ async def _lifespan(get_service: Callable[[], SolveService],
     while True:
         message = await receive()
         if message["type"] == "lifespan.startup":
-            get_service()  # eager boot: seed the memo before traffic
+            get_service()  # eager boot: build the service before traffic
             await send({"type": "lifespan.startup.complete"})
         elif message["type"] == "lifespan.shutdown":
-            await asyncio.to_thread(get_service().flush)
             await send({"type": "lifespan.shutdown.complete"})
             return
 

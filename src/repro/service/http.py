@@ -20,7 +20,7 @@ POST     ``/batch``          Manifest JSON (list, or ``{"defaults",
                              ``workers``) → ``{"reports", "tiers",
                              "ok"}``.
 GET      ``/healthz``        Liveness probe.
-GET      ``/stats``          Tier/engine/memo/disk counter snapshot.
+GET      ``/stats``          Tier/engine/disk counter snapshot.
 =======  ==================  ===========================================
 
 Errors are JSON too: ``{"error": ...}`` with 400 for bad requests
@@ -195,7 +195,7 @@ def create_server(service: SolveService, host: str = "127.0.0.1",
 
 def serve(service: SolveService, host: str = "127.0.0.1",
           port: int = 8080, *, quiet: bool = True) -> None:
-    """Blocking serve loop; flushes memo templates to disk on exit."""
+    """Blocking serve loop, until interrupted."""
     server = create_server(service, host, port, quiet=quiet)
     try:
         server.serve_forever()
@@ -204,4 +204,3 @@ def serve(service: SolveService, host: str = "127.0.0.1",
     finally:
         server.shutdown()
         server.server_close()
-        service.flush()

@@ -21,8 +21,8 @@ Two interchangeable *kernels* hold the raw tables:
 The ``kernel`` knob selects one (``"int"``/``"numpy"``/``"auto"``;
 ``None`` honours the ``REPRO_TABLE_KERNEL`` environment variable, then
 defaults to auto).  Handle-level semantics are kernel-independent:
-handles, structural views, fingerprints, ISOP covers and minterm
-orders are byte-identical across kernels.
+handles, structural views, ISOP covers and minterm orders are
+byte-identical across kernels.
 
 :class:`TableManager` implements the full
 :class:`repro.bdd.FunctionBackend` protocol, with the contracts core
@@ -42,10 +42,8 @@ code relies on:
   ``to_int``/``from_int``).  Only frames wider than 16 variables
   (numpy kernel) take the shared node-level expansion of
   :mod:`repro.bdd.isop`.
-* **Hash/cost parity.** ``fingerprint*`` and ``node_signature``
-  reproduce the canonical BDD values bit-for-bit (same mixers, same
-  terminal seeds) and ``size`` counts reduced-BDD nodes, so memo
-  signatures and the paper's BDD-size cost agree across backends.
+* **Cost parity.** ``size`` counts reduced-BDD nodes, so the paper's
+  BDD-size cost agrees across backends.
 """
 
 from __future__ import annotations
@@ -53,9 +51,7 @@ from __future__ import annotations
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from ..bdd.manager import (FALSE, TRUE, TERMINAL_LEVEL, _FP_FALSE,
-                           _FP_TRUE, _TERMINAL_SIGNATURES, IsopTable,
-                           _fp_mix, node_signature_of)
+from ..bdd.manager import FALSE, TRUE, TERMINAL_LEVEL, IsopTable
 from ..bdd.packed import MAX_TABLE_WIDTH, interval_isop
 from .npkernel import (KERNEL_CHOICES, MAX_NUMPY_TABLE_WIDTH,
                        NumpyKernel, resolve_kernel)
@@ -244,12 +240,8 @@ class TableManager:
         # Handle-keyed memos (cheap small-int keys instead of re-hashing
         # multi-kilobit tables).
         self._op_cache: Dict[Tuple, int] = {}
-        self._fp_memo: Dict[int, int] = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
         self._support_memo: Dict[int, Tuple[int, ...]] = {}
         self._size_memo: Dict[int, int] = {}
-        self._sig_memo: Dict[int, Tuple[Tuple[int, ...], int]] = \
-            dict(_TERMINAL_SIGNATURES)
-        self._supports: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_flushes = 0
@@ -281,8 +273,7 @@ class TableManager:
         # Widen every interned table: the new variable is irrelevant to
         # existing functions, so their tables duplicate into the new
         # upper half.  Widening commutes with all bitwise kernels, so
-        # handle-keyed caches (ops, fingerprints, supports, sizes,
-        # signatures) stay valid.  The ISOP table is keyed by tables
+        # handle-keyed caches (ops, supports, sizes) stay valid.  The ISOP table is keyed by tables
         # over the old frame, so it is flushed.
         k = self._k
         k.grow()
@@ -628,93 +619,6 @@ class TableManager:
             stack.append((lo, index + 1, acc))
 
     # ------------------------------------------------------------------
-    # Structural fingerprints
-    # ------------------------------------------------------------------
-    def _fp_walk(self, f: int, memo: Dict[int, int],
-                 var_map: Optional[Dict[int, int]]) -> int:
-        """Fingerprint of handle ``f`` over the virtual reduced BDD.
-
-        Recurses on top-variable cofactors with the same mixer and
-        terminal seeds as ``BddManager._fp_walk``, so equal functions
-        hash equally across backends.  ``memo`` is handle-keyed and must
-        contain the terminal seeds.
-        """
-        hit = memo.get(f)
-        if hit is not None:
-            return hit
-        map_get = var_map.get if var_map is not None else None
-        stack = [f]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            lo, hi = self.low(node), self.high(node)
-            lo_fp = memo.get(lo)
-            hi_fp = memo.get(hi)
-            if lo_fp is None:
-                stack.append(lo)
-            if hi_fp is None:
-                stack.append(hi)
-            if lo_fp is not None and hi_fp is not None:
-                stack.pop()
-                lvl = self.level(node)
-                if map_get is not None:
-                    lvl = map_get(lvl, lvl)
-                memo[node] = _fp_mix(lvl, lo_fp, hi_fp)
-        return memo[f]
-
-    def fingerprint(self, f: int) -> int:
-        """64-bit canonical content hash; equals the BDD fingerprint."""
-        return self._fp_walk(f, self._fp_memo, None)
-
-    def fingerprints(self, functions: Sequence[int],
-                     var_map: Optional[Dict[int, int]] = None
-                     ) -> Tuple[int, ...]:
-        """Fingerprints of several functions under one level renaming."""
-        if var_map is None:
-            return tuple(self.fingerprint(f) for f in functions)
-        memo: Dict[int, int] = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
-        return tuple(self._fp_walk(f, memo, var_map)
-                     for f in functions)
-
-    def support_fingerprint(self, f: int) -> int:
-        """Fingerprint of ``f`` with its support renumbered to ``0..k-1``."""
-        ranks = {var: rank for rank, var in enumerate(self.support(f))}
-        return self.fingerprints((f,), ranks)[0]
-
-    def node_signature(self, f: int) -> Tuple[Tuple[int, ...], int]:
-        """``(support, nfp)`` of handle ``f``; equals the BDD value.
-
-        Composed bottom-up over the virtual reduced BDD with the same
-        helper as ``BddManager.node_signature`` and memoised per handle
-        (handles never move, and widening keeps supports).
-        """
-        memo = self._sig_memo
-        hit = memo.get(f)
-        if hit is not None:
-            return hit
-        intern = self._supports
-        stack = [f]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            lo, hi = self.low(node), self.high(node)
-            lo_sig = memo.get(lo)
-            hi_sig = memo.get(hi)
-            if lo_sig is None:
-                stack.append(lo)
-            if hi_sig is None:
-                stack.append(hi)
-            if lo_sig is not None and hi_sig is not None:
-                stack.pop()
-                memo[node] = node_signature_of(self.level(node), lo_sig,
-                                               hi_sig, intern)
-        return memo[f]
-
-    # ------------------------------------------------------------------
     # Two-level synthesis
     # ------------------------------------------------------------------
     def isop(self, lower: int,
@@ -757,11 +661,8 @@ class TableManager:
     def release_caches(self) -> None:
         """Drop every derived table (see ``BddManager.release_caches``)."""
         self.clear_caches()
-        self._fp_memo = {FALSE: _FP_FALSE, TRUE: _FP_TRUE}
         self._support_memo = {}
         self._size_memo = {}
-        self._sig_memo = dict(_TERMINAL_SIGNATURES)
-        self._supports = {}
 
     def enter_solve(self) -> None:
         """Open (or join) a solve-wide ISOP table (as the BDD engine)."""

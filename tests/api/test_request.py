@@ -1,7 +1,6 @@
 """SolveRequest: serialisation round-trips and eager validation."""
 
 import json
-import warnings
 
 import pytest
 
@@ -24,7 +23,7 @@ def fig1_spec():
 class TestRoundTrip:
     def test_dict_round_trip_identity(self):
         request = SolveRequest(relation=fig1_spec(), cost="size2",
-                               minimizer="restrict", mode="dfs",
+                               minimizer="restrict", strategy="dfs",
                                max_explored=77, fifo_capacity=None,
                                symmetry_pruning=True,
                                time_limit_seconds=1.5, label="rt")
@@ -68,16 +67,11 @@ class TestStrategyField:
         assert again == request
         assert json.loads(text)["strategy"] == "best-first"
 
-    def test_default_strategy_is_none_mode_wins(self):
-        request = SolveRequest(relation=fig1_spec(), mode="dfs")
+    def test_default_strategy_is_none_meaning_bfs(self):
+        request = SolveRequest(relation=fig1_spec())
         assert request.strategy is None
-        assert request.exploration_strategy() == "dfs"
-        assert request.to_options().exploration_strategy() == "dfs"
-
-    def test_strategy_overrides_mode(self):
-        request = SolveRequest(relation=fig1_spec(), mode="dfs",
-                               strategy="beam")
-        assert request.exploration_strategy() == "beam"
+        assert request.exploration_strategy() == "bfs"
+        assert request.to_options().exploration_strategy() == "bfs"
 
     def test_unknown_strategy_did_you_mean(self):
         with pytest.raises(ValueError, match="did you mean"):
@@ -85,30 +79,13 @@ class TestStrategyField:
 
     def test_pre_strategy_json_still_loads(self):
         # A schema-1 era request dict (no strategy/record_trace keys)
-        # must keep deserialising.
-        request = SolveRequest(relation=fig1_spec(), mode="dfs")
+        # that never set the retired ``mode`` alias must keep
+        # deserialising.
+        request = SolveRequest(relation=fig1_spec())
         old = request.to_dict()
         del old["strategy"]
         del old["record_trace"]
-        assert SolveRequest.from_dict(old).exploration_strategy() == "dfs"
-
-    def test_legacy_dfs_dict_does_not_opt_into_quick(self):
-        # Pre-strategy dicts always serialised the old field default
-        # quick_on_subrelations=true, which the old solver ignored
-        # under mode="dfs"; replaying one must keep that behaviour.
-        legacy = {"relation": fig1_spec(), "mode": "dfs",
-                  "quick_on_subrelations": True}
-        request = SolveRequest.from_dict(legacy)
-        assert request.quick_on_subrelations is None
-        # A new-era dict (has the strategy key) keeps an explicit True.
-        explicit = dict(legacy, strategy="dfs")
-        assert SolveRequest.from_dict(
-            explicit).quick_on_subrelations is True
-        # And legacy bfs dicts keep True (the old solver honoured it).
-        legacy_bfs = {"relation": fig1_spec(), "mode": "bfs",
-                      "quick_on_subrelations": True}
-        assert SolveRequest.from_dict(
-            legacy_bfs).quick_on_subrelations is True
+        assert SolveRequest.from_dict(old) == request
 
     def test_from_options_carries_strategy(self):
         options = BrelOptions(strategy="beam", record_trace=True)
@@ -129,9 +106,19 @@ class TestValidation:
         with pytest.raises(KeyError, match="unknown minimizer"):
             SolveRequest(minimizer="no-such-minimizer")
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            SolveRequest(mode="sideways")
+            SolveRequest(strategy="sideways")
+
+    @pytest.mark.parametrize("field,value", [("memo", False),
+                                             ("mode", "dfs")])
+    def test_retired_fields_rejected(self, field, value):
+        with pytest.raises(TypeError):
+            SolveRequest(relation=fig1_spec(), **{field: value})
+        with pytest.raises(ValueError,
+                           match="unknown SolveRequest fields: %s" % field):
+            SolveRequest.from_dict({"relation": fig1_spec(),
+                                    field: value})
 
     def test_negative_budgets_rejected(self):
         with pytest.raises(ValueError):
@@ -176,15 +163,15 @@ class TestValidation:
 class TestOptionsBridge:
     def test_to_options_resolves_callables(self):
         request = SolveRequest(cost="size2", minimizer="restrict",
-                               mode="dfs", max_explored=5)
+                               strategy="dfs", max_explored=5)
         options = request.to_options()
         assert options.cost_function is bdd_size_squared_cost
         assert options.minimizer is minimize_restrict
-        assert options.mode == "dfs" and options.max_explored == 5
+        assert options.strategy == "dfs" and options.max_explored == 5
 
     def test_from_options_round_trip(self):
         options = BrelOptions(cost_function=bdd_size_squared_cost,
-                              minimizer=minimize_restrict, mode="dfs",
+                              minimizer=minimize_restrict, strategy="dfs",
                               max_explored=3, fifo_capacity=None)
         request = SolveRequest.from_options(options, label="x")
         rebuilt = request.to_options()
@@ -265,50 +252,3 @@ class TestBuildRelation:
     def test_name_needs_session(self):
         with pytest.raises(ValueError, match="session name"):
             build_relation("registered-somewhere")
-
-
-class TestModeDeprecationOnRequests:
-    def test_request_mode_warns_exactly_once_per_construction(self):
-        """The deprecated alias warns once — not twice, even though the
-        request's eager validation constructs BrelOptions internally."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SolveRequest(relation=fig1_spec(), mode="dfs")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "mode" in str(deprecations[0].message)
-
-    def test_default_request_never_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SolveRequest(relation=fig1_spec())
-            SolveRequest(relation=fig1_spec(), strategy="dfs")
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_strategy_wins_over_mode_on_requests(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            request = SolveRequest(relation=fig1_spec(), mode="dfs",
-                                   strategy="bfs")
-        assert request.exploration_strategy() == "bfs"
-        assert request.to_options().exploration_strategy() == "bfs"
-        assert [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-    def test_to_options_does_not_rewarn(self):
-        """A request warns at construction; replaying it through
-        to_options() (every Session.solve does) must stay silent."""
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            request = SolveRequest(relation=fig1_spec(), mode="dfs")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            options = request.to_options()
-            request.to_options()
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        # The alias fields survive the round-trip untouched.
-        assert options.mode == "dfs" and options.strategy is None
-        assert options.exploration_strategy() == "dfs"

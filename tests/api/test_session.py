@@ -1,8 +1,11 @@
 """Session: ingestion, cached solving, batch ordering and isolation."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import Session, SolveRequest
+from repro.benchdata.brgen import random_relation
 from repro.core import BooleanRelation
 from repro.core.relio import relation_to_nodes, write_relation
 from repro.equations import BooleanSystem
@@ -94,6 +97,12 @@ class TestSolve:
         assert report.ok and report.compatible
         relation = session.relation("fig1")
         assert relation.is_compatible(report.solution.functions)
+
+    @pytest.mark.parametrize("knob", [{"memo_enabled": False},
+                                      {"memo_capacity": 16}])
+    def test_retired_memo_knobs_rejected(self, knob):
+        with pytest.raises(TypeError):
+            Session(**knob)
 
     def test_solve_explicit_relation(self, session):
         relation = BooleanRelation.from_output_sets(FIG1_ROWS, 2, 2)
@@ -242,9 +251,8 @@ class TestSolveMany:
                     for c in ("size", "size2")]
         reports = session.solve_many(requests, max_workers=2,
                                      executor="process")
-        serial = session.solve_many(
-            [request.replace(memo=False) for request in requests],
-            executor="serial")
+        session.clear_cache()  # the serial reference solves afresh
+        serial = session.solve_many(requests, executor="serial")
         assert [r.ok for r in reports] == [True, True]
         relation = session.relation("fig1")
         for report, expected in zip(reports, serial):
@@ -340,9 +348,9 @@ class TestServiceCacheHooks:
         assert peeked.sop == report.sop and peeked.cost == report.cost
 
     def test_peek_does_not_run_the_engine(self, session):
-        before = session.memo_stats()
+        before = session.engine_stats()
         assert session.peek_cached(SolveRequest(relation="fig1")) is None
-        assert session.memo_stats() == before
+        assert session.engine_stats() == before
 
     def test_peek_serves_data_only_entries(self, session):
         """Unlike solve(), which re-solves when the cached entry lost
@@ -405,41 +413,97 @@ class TestServiceCacheHooks:
         assert a != c
 
 
-class TestPerJobMemoAttribution:
-    """Cache-served reports must not repeat the original job's memo
-    deltas: summing per-job stats across a batch has to agree with the
-    session store's own counters."""
+class TestCacheKeySchemaGuard:
+    """Regression guard: requests that differ *only* in a field must not
+    share a report-cache slot unless that difference cannot change the
+    report.  Newly added SolveRequest fields break this test until a
+    distinguishing value pair is registered below — forcing the
+    cache-key decision to be made consciously."""
 
-    def test_cached_copy_zeroes_memo_deltas(self, session):
-        first = session.solve(SolveRequest(relation="fig1"))
-        assert first.stats["memo_stores"] > 0
-        again = session.solve(SolveRequest(relation="fig1"))
-        assert again.cached is True
-        for field in ("memo_hits", "memo_misses", "memo_stores"):
-            assert again.stats[field] == 0
+    #: field -> two values that must produce distinct cache keys.
+    KEYED_FIELDS = {
+        "cost": ("size", "cubes"),
+        "minimizer": ("isop", "restrict"),
+        "strategy": ("bfs", "dfs"),
+        "max_explored": (10, 11),
+        "fifo_capacity": (64, 32),
+        "quick_on_subrelations": (None, False),
+        "symmetry_pruning": (False, True),
+        "symmetry_max_depth": (2, 3),
+        "time_limit_seconds": (None, 60.0),
+        "record_trace": (False, True),
+        # None (auto) and True shard identically and share a slot; the
+        # keyed pair is the effective on/off boundary.
+        "decompose": (None, False),
+        # Keyed by the *resolved* racer line-up (None and the explicit
+        # default line-up share a slot); legal only under
+        # strategy="portfolio", hence the BASE_OVERRIDES entry.
+        "portfolio_racers": (None, "bfs,dfs"),
+    }
+    #: Extra base-request fields a KEYED_FIELDS pair needs to be legal.
+    BASE_OVERRIDES = {
+        "portfolio_racers": {"strategy": "portfolio"},
+    }
+    #: Fields that deliberately do not key the cache: the relation keys
+    #: separately (identity/snapshot/spec), the label only decorates the
+    #: report copy, the portfolio executor — like the block executor —
+    #: is an execution detail that cannot change the winning cost, and
+    #: backend is accepted and ignored.
+    EXEMPT_FIELDS = {"relation", "label", "portfolio_executor", "backend"}
 
-    def test_batch_deltas_sum_to_store_counters(self, session):
-        requests = [SolveRequest(relation="fig1", label="a"),
-                    SolveRequest(relation="fig1", label="b"),
-                    SolveRequest(relation="fig1", label="c")]
-        reports = session.solve_many(requests, executor="process")
-        assert [r.ok for r in reports] == [True] * 3
-        stats = session.memo_stats()
-        assert sum(r.stats["memo_hits"] for r in reports) \
-            == stats["hits"]
-        assert sum(r.stats["memo_misses"] for r in reports) \
-            == stats["misses"]
+    def test_every_field_is_classified(self):
+        fields = {f.name for f in dataclasses.fields(SolveRequest)}
+        unclassified = fields - set(self.KEYED_FIELDS) - self.EXEMPT_FIELDS
+        assert not unclassified, \
+            "new SolveRequest field(s) %s: decide whether they join " \
+            "Session._options_key and register them here" \
+            % sorted(unclassified)
 
-    def test_serial_batch_duplicates_report_zero_memo_work(self, session):
-        session.solve(SolveRequest(relation="fig1"))
-        hits_before = session.memo_stats()["hits"]
-        misses_before = session.memo_stats()["misses"]
-        reports = session.solve_many(
-            [SolveRequest(relation="fig1", label="dup-%d" % i)
-             for i in range(3)], executor="serial")
-        assert all(r.cached for r in reports)
-        delta_hits = session.memo_stats()["hits"] - hits_before
-        delta_misses = session.memo_stats()["misses"] - misses_before
-        assert sum(r.stats["memo_hits"] for r in reports) == delta_hits
-        assert sum(r.stats["memo_misses"] for r in reports) \
-            == delta_misses
+    def test_keyed_fields_produce_distinct_cache_keys(self, session):
+        base = SolveRequest(relation="fig1")
+        for field, (value_a, value_b) in self.KEYED_FIELDS.items():
+            request = base.replace(**self.BASE_OVERRIDES.get(field, {}))
+            key_a = session._options_key(
+                request.replace(**{field: value_a}))
+            key_b = session._options_key(
+                request.replace(**{field: value_b}))
+            assert key_a != key_b, \
+                "requests differing only in %r share a cache key" % field
+
+    def test_default_strategy_shares_a_slot_with_bfs(self, session):
+        default = SolveRequest(relation="fig1")
+        explicit = SolveRequest(relation="fig1", strategy="bfs")
+        assert session._options_key(default) \
+            == session._options_key(explicit)
+
+
+#: Cost, relations_explored and splits of fixed solves.
+PINNED = {
+    ("vtx", "size"): [92.0, 30, 30],
+    ("int7", "literals"): [349.0, 30, 29],
+    ("brgen7x7s1", 40): [289.0, 40, 40],
+    ("brgen7x7s1", 80): [288.0, 80, 80],
+}
+COUNTERS = ("relations_explored", "splits")
+
+
+def pinned_row(report):
+    return [report.cost] + [report.stats[key] for key in COUNTERS]
+
+
+class TestPinnedCounters:
+    def test_table2_solves(self):
+        session = Session()
+        for name, cost in (("vtx", "size"), ("int7", "literals")):
+            report = session.solve(SolveRequest(
+                relation={"kind": "bench", "name": name}, cost=cost,
+                max_explored=30))
+            assert pinned_row(report) == PINNED[(name, cost)]
+
+    def test_brgen_solves(self):
+        session = Session()
+        relation = random_relation(7, 7, seed=1)
+        for budget in (40, 80):
+            report = session.solve(SolveRequest(max_explored=budget),
+                                   relation=relation)
+            assert pinned_row(report) == PINNED[("brgen7x7s1", budget)]

@@ -192,14 +192,6 @@ class TestSessionSolveSharded:
             session.solve(SolveRequest(relation="partial"),
                           block_executor="process")
 
-    def test_pooled_blocks_use_session_memo(self, session):
-        before = session.memo_stats()["stores"]
-        session.solve(BLOCK_REQUEST, block_executor="process")
-        stats = session.memo_stats()
-        # Worker counters merge back into the session store.
-        assert stats["misses"] + stats["hits"] > 0
-        assert before == 0
-
 
 class TestReportSchema:
     def test_partition_survives_json_round_trip(self, session):

@@ -224,3 +224,50 @@ class TestPoolTransport:
              for cost in ("size", "cubes")],
             executor="process", max_workers=2)
         assert all(report.ok for report in reports)
+
+
+class TestSpecManagersReleaseCaches:
+    ROWS = [{0b01}, {0b01, 0b10}, {0b00, 0b11}, {0b10, 0b11},
+            {0b00}, {0b01, 0b11}, {0b10}, {0b00, 0b01, 0b11}]
+
+    def spec(self):
+        return {"kind": "output_sets", "rows": [sorted(r) for r in self.ROWS],
+                "num_inputs": 3, "num_outputs": 2}
+
+    def test_spec_built_solve_drops_derived_tables(self):
+        session = Session()
+        report = session.solve(SolveRequest(relation=self.spec(),
+                                            max_explored=20))
+        stats = report.solution.mgr.stats()
+        assert stats["cache_entries"] == 0
+        assert stats["isop_entries"] == 0
+        registered = Session()
+        registered.add_output_sets("r", self.ROWS, 3, 2)
+        reference = registered.solve(SolveRequest(relation="r",
+                                                  max_explored=20))
+        assert report.to_dict()["pla"] == reference.to_dict()["pla"]
+        assert report.sop == reference.sop
+        assert report.cost == reference.cost
+        # The registry relation's manager keeps its computed table.
+        assert registered.relation("r").mgr.stats()["cache_entries"] > 0
+
+    def test_solve_many_and_solve_iter_release_spec_managers(self):
+        session = Session()
+        reports = session.solve_many(
+            [SolveRequest(relation=self.spec(), max_explored=10,
+                          label="a")], executor="serial")
+        assert reports[0].solution.mgr.stats()["cache_entries"] == 0
+        gen = session.solve_iter(SolveRequest(relation=self.spec(),
+                                              max_explored=11))
+        try:
+            while True:
+                next(gen)
+        except StopIteration as stop:
+            report = stop.value
+        assert report.solution.mgr.stats()["cache_entries"] == 0
+
+    def test_caller_owned_relation_keeps_its_tables(self):
+        session = Session()
+        relation = random_relation(4, 3, seed=4)
+        session.solve(SolveRequest(max_explored=10), relation=relation)
+        assert relation.mgr.stats()["cache_entries"] > 0

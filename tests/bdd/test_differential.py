@@ -206,7 +206,6 @@ def test_table_kernel_three_way(num_inputs, num_outputs, seed):
         # Structural/semantic accessors agree across backends.
         assert tm.size(f_t) == mgr.size(f_b)
         assert tm.sat_count(f_t, range(n)) == mgr.sat_count(f_b, variables)
-        assert tm.fingerprint(f_t) == mgr.fingerprint(f_b)
 
 
 @pytest.mark.parametrize("num_inputs,num_outputs,seed", CASES)

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BddManager
-from repro.core import (Isf, MINIMIZERS, Misf,
+from repro.core import (BooleanRelation, Isf, MINIMIZERS, Misf,
                         eliminate_nonessential_variables, get_minimizer,
-                        minimize_exact_cubes, minimize_isop, solve_misf)
+                        minimize_exact_cubes, minimize_isop,
+                        minimizer_memo_key, quick_solve, solve_misf)
+from repro.core.minimize import minimize_restrict
 
 from ..conftest import bdd_from_tt
 
@@ -135,6 +137,44 @@ class TestRegistry:
         isf = Isf(mgr, parity, dc, tuple(range(5)))
         with pytest.raises(ValueError):
             minimize_exact_cubes(isf)
+
+    def test_builtin_minimizers_are_named_and_custom_ones_are_not(self):
+        def custom(isf):
+            return minimize_isop(isf)
+
+        assert minimizer_memo_key(custom) is None
+        assert minimizer_memo_key(minimize_isop) == "isop"
+        assert minimizer_memo_key(minimize_restrict) == "restrict"
+        # A custom minimiser gets its ISFs as nodes and lands on the
+        # same solution as the built-in it wraps.
+        relation = BooleanRelation.from_output_sets(
+            [{0b01}, {0b01}, {0b00, 0b11}, {0b10, 0b11}], 2, 2)
+        assert quick_solve(relation, minimizer=custom).functions \
+            == quick_solve(relation).functions
+
+
+class TestIsfUpperCache:
+    def test_repeated_upper_access_is_engine_free(self):
+        """``upper`` is computed once per ISF; repeated access must not
+        issue manager operations at all."""
+        mgr = BddManager(["a", "b", "c"])
+        isf = Isf(mgr, mgr.and_(mgr.var(0), mgr.var(1)),
+                  mgr.and_(mgr.var(1), mgr.not_(mgr.var(0))), (0, 1, 2))
+        first = isf.upper
+        before = mgr.stats()
+        for _ in range(50):
+            assert isf.upper == first
+        after = mgr.stats()
+        assert after["cache_hits"] == before["cache_hits"]
+        assert after["cache_misses"] == before["cache_misses"]
+        assert after["nodes"] == before["nodes"]
+
+    def test_upper_still_correct(self):
+        mgr = BddManager(["a", "b"])
+        isf = Isf(mgr, mgr.var(0), mgr.and_(mgr.var(1),
+                                            mgr.not_(mgr.var(0))), (0, 1))
+        assert isf.upper == mgr.or_(isf.on, isf.dc)
+        assert isf.off == mgr.not_(isf.upper)
 
 
 @given(tt8, tt8)

@@ -22,7 +22,7 @@ class TestBudgetValidation:
 
     def test_existing_validation_still_active(self):
         with pytest.raises(ValueError, match="unknown strategy"):
-            BrelOptions(mode="sideways")
+            BrelOptions(strategy="sideways")
         with pytest.raises(ValueError, match="time_limit_seconds"):
             BrelOptions(time_limit_seconds=-0.5)
 

@@ -10,14 +10,14 @@ node-level operations, which stay the wide path and the reference:
   offset, gapped, interleaved and outputs-first frames;
 * relations the selection test turns down (out-of-frame variables, 17
   variables) solve on nodes, as before;
-* ISF memo keys from tables split ISFs into the renamed-fingerprint
-  classes, survive the disk tier's JSON, and never match entries keyed
-  the old way;
-* reports agree across engines, table kernels, memo on/off, and with
-  the layer switched off (the node-level computation).
+* ISFs packed over their own supports -- shifted, interleaved, up to 16
+  variables wide, and shifted by whole 64-bit chunks of the table --
+  unpack to the same intervals, and every built-in minimiser gives the
+  same implementation on the packed ISF as on the nodes;
+* reports agree across engines, table kernels, and with the layer
+  switched off (the node-level computation).
 """
 
-import json
 import random
 
 import pytest
@@ -29,24 +29,20 @@ from repro.bdd.manager import FALSE
 from repro.bdd.packed import MAX_TABLE_WIDTH, tables_of
 from repro.benchdata import instance_by_name
 from repro.benchdata.brgen import random_relation
-from repro.core import BrelOptions, BrelSolver, MemoStore, quick_solve
+from repro.core import BrelOptions, BrelSolver, quick_solve
 from repro.core import brel as brel_module
 from repro.core import quick as quick_module
 from repro.core.isf import Isf, PackedIsf
-from repro.core.memo import instantiate_solution, template_from_var_cover
 from repro.core.minimize import (MINIMIZERS, minimize_isop,
-                                 minimize_with_cover)
+                                 minimize_packed, minimizer_memo_key)
 from repro.core.packedrel import pack_relation
 from repro.core.relation import BooleanRelation
-from repro.core.route import SubproblemRouter
 from repro.core.split import select_split_from_conflicts
-from repro.service.diskcache import DiskCache
-from repro.table import TableManager
+from repro.table import TableManager, npkernel
 
 from ..conftest import table_relation
-from .test_subproblem_layer import (KERNELS, assert_same_classes,
-                                    engine_ids, engines, random_isfs,
-                                    renamed_isf_key)
+
+KERNELS = ["int"] + (["numpy"] if npkernel.available() else [])
 
 LAYOUTS = ("contiguous", "offset", "gapped", "interleaved",
            "outputs-first")
@@ -106,12 +102,54 @@ def shaped_relation(n, m, seed):
     return cube_relation(mgr, inputs, outputs, rng), rng
 
 
-def wide_engines():
-    """One fresh manager per engine/kernel, as wide as a table gets."""
-    names = ["v%d" % i for i in range(MAX_TABLE_WIDTH)]
+#: The built-in minimisers, which run on packed ISFs.
+PACKED_MINIMIZERS = [name for name, minimizer in MINIMIZERS.items()
+                     if minimizer_memo_key(minimizer) == name]
+
+ISF_WIDTH = 9
+
+
+def engines(width=ISF_WIDTH):
+    """One fresh manager per engine/kernel, ``width`` variables each."""
+    names = ["v%d" % i for i in range(width)]
     return [BddManager(names)] + [
-        TableManager(names, max_width=MAX_TABLE_WIDTH, kernel=kernel)
+        TableManager(names, max_width=width, kernel=kernel)
         for kernel in KERNELS]
+
+
+def engine_ids():
+    return ["bdd"] + ["table-%s" % kernel for kernel in KERNELS]
+
+
+def random_isfs(mgr, seed, count=40):
+    """Seeded ISFs over shifted and interleaved supports.
+
+    Each base interval (random ON/DC tables over ``k`` variables) is
+    embedded at several variable placements, so the set mixes ISFs
+    equal up to an order-preserving renaming with genuinely different
+    ones.
+    """
+    rng = random.Random(seed)
+    placements = [(0, 1, 2), (3, 4, 5), (1, 4, 7), (2, 5, 8),
+                  (0, 1, 2, 3), (4, 5, 6, 7), (0, 2, 4, 6), (5, 6, 7, 8),
+                  (1, 3, 5, 7)]
+    bases = []
+    for _ in range(count // 4):
+        k = rng.choice((3, 4))
+        points = list(range(1 << k))
+        on = {p for p in points if rng.random() < 0.4}
+        dc = {p for p in points if p not in on and rng.random() < 0.3}
+        bases.append((k, sorted(on), sorted(dc)))
+    # An interval whose cover the elimination pre-pass changes, so the
+    # two ``isop`` minimisers give different answers.
+    bases.append((4, [2, 5, 8, 9, 12], [0, 1, 3, 6, 7, 10, 13, 14, 15]))
+    isfs = []
+    for k, on, dc in bases:
+        for variables in [p for p in placements if len(p) == k]:
+            isfs.append(Isf(mgr, mgr.from_minterms(variables, on),
+                            mgr.from_minterms(variables, dc),
+                            tuple(range(ISF_WIDTH))))
+    return isfs
 
 
 def cover_function(mgr, cover, variables):
@@ -168,6 +206,32 @@ def wide_isfs(mgr, seed):
     return isfs
 
 
+def joint_support(isf):
+    return tuple(sorted(set(isf.mgr.support(isf.on))
+                        | set(isf.mgr.support(isf.dc))))
+
+
+def pack_isf(isf):
+    """``isf`` as tables over its own support."""
+    support = joint_support(isf)
+    on, dc = tables_of(isf.mgr, (isf.on, isf.dc), support)
+    return PackedIsf(isf.mgr, on, dc, support, isf.inputs)
+
+
+def check_packed_isf(packed, isf, names=PACKED_MINIMIZERS):
+    """``packed`` holds ``isf``, and each named minimiser implements it
+    the same way on either form."""
+    mgr = isf.mgr
+    assert packed.support == joint_support(isf)
+    unpacked = packed.unpack()
+    assert (unpacked.on, unpacked.dc, unpacked.inputs) \
+        == (isf.on, isf.dc, isf.inputs)
+    for name in names:
+        node, table = minimize_packed(packed, MINIMIZERS[name], name)
+        assert node == MINIMIZERS[name](isf), name
+        assert [table] == tables_of(mgr, (node,), packed.support), name
+
+
 def isf_tables(relation, isf, frame):
     return tuple(tables_of(relation.mgr, (isf.on, isf.dc), frame))
 
@@ -199,8 +263,8 @@ def check_against_nodes(relation, rng):
         assert view.project(position, table) \
             == isf_tables(relation, isf, frame)
         expected = minimize_isop(isf)
-        node, _, function = view.minimize(position, minimize_isop, "isop",
-                                          None, table)
+        node, function = view.minimize(position, minimize_isop, "isop",
+                                       table)
         assert node == expected
         assert [function] == tables_of(mgr, (expected,), frame)
         current = current.restrict_output(position, expected)
@@ -295,19 +359,6 @@ def solve_row(result):
             stats.quick_solutions)
 
 
-class TestMemoTemplates:
-    def test_template_tables_match_instantiated_nodes(self):
-        relation = random_relation(6, 4, seed=13)
-        store = MemoStore()
-        BrelSolver(BrelOptions(max_explored=6), memo=store).solve(relation)
-        view = pack_relation(relation)
-        sig = relation.signature()
-        covers, _ = store.get(("eval", sig.key, "isop"))
-        functions = instantiate_solution(relation.mgr, covers, sig.support)
-        assert view.template_tables(covers, sig.support) \
-            == tables_of(relation.mgr, functions, view.frame)
-
-
 class TestNodePath:
     def test_out_of_frame_variable(self):
         rng = random.Random(5)
@@ -332,133 +383,73 @@ class TestNodePath:
         assert solve_row(BrelSolver(options).solve(fresh)) == packed
 
 
-class TestIsfKeys:
+class TestPackedIsfs:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("index", range(1 + len(KERNELS)),
                              ids=engine_ids())
-    def test_keys_match_renamed_fingerprints(self, seed, index):
+    def test_shifted_supports_match_the_nodes(self, seed, index):
         mgr = engines()[index]
         isfs = random_isfs(mgr, seed)
-
-        def key(isf):
-            return PackedIsf.from_isf(isf, isf.signature().support).key()
-
-        assert_same_classes(isfs, key, renamed_isf_key)
-        keys = {key(isf) for isf in isfs}
-        assert 1 < len(keys) < len(isfs)
+        for isf in isfs:
+            check_packed_isf(pack_isf(isf), isf)
+        # Shifted copies of one base pack to equal tables.
+        tables = {(packed.on, packed.dc)
+                  for packed in map(pack_isf, isfs)}
+        assert 1 < len(tables) < len(isfs)
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("index", range(1 + len(KERNELS)),
                              ids=engine_ids())
-    def test_wide_supports_match_renamed_fingerprints(self, seed, index):
+    def test_wide_supports_match_the_nodes(self, seed, index):
         # Tables of 7 or more variables span several 64-bit chunks;
         # the placements under ``a`` / ``~a`` shift one table by whole
-        # chunks.
-        mgr = wide_engines()[index]
-        isfs = wide_isfs(mgr, seed)
-
-        def key(isf):
-            return PackedIsf.from_isf(isf, isf.signature().support).key()
-
-        assert_same_classes(isfs, key, renamed_isf_key)
-        assert len({key(isf) for isf in isfs}) < len(isfs)
+        # chunks.  Only the ``isop`` minimisers run a packed kernel.
+        mgr = engines(MAX_TABLE_WIDTH)[index]
+        for isf in wide_isfs(mgr, seed):
+            check_packed_isf(pack_isf(isf), isf, ("isop", "isop-noelim"))
 
     @pytest.mark.parametrize("k", range(7, MAX_TABLE_WIDTH + 1))
-    def test_chunk_shifted_tables_get_different_keys(self, k):
+    def test_chunk_shifted_tables_pack_apart(self, k):
         mgr = BddManager(["v%d" % i for i in range(MAX_TABLE_WIDTH)])
         rng = random.Random(k)
         a = mgr.var(0)
         g = full_support_function(mgr, list(range(1, k)), rng)
         h = full_support_function(mgr, list(range(2, k)), rng)
         frame = tuple(range(MAX_TABLE_WIDTH))
-
-        def key(on, dc=FALSE):
+        intervals = [(mgr.and_(a, g), FALSE),
+                     (mgr.and_(mgr.not_(a), g), FALSE),
+                     (FALSE, mgr.and_(mgr.not_(a), g))]
+        intervals += [(mgr.and_(mgr.cube({0: pa, 1: pb}), h), FALSE)
+                      for pa in (False, True) for pb in (False, True)]
+        tables = set()
+        for on, dc in intervals:
             isf = Isf(mgr, on, dc, frame)
-            assert len(isf.signature().support) == k
-            return PackedIsf.from_isf(isf, isf.signature().support).key()
+            packed = pack_isf(isf)
+            assert len(packed.support) == k
+            check_packed_isf(packed, isf, ("isop", "isop-noelim"))
+            tables.add((packed.on, packed.dc))
+        assert len(tables) == len(intervals)
 
-        assert key(mgr.and_(a, g)) != key(mgr.and_(mgr.not_(a), g))
-        assert key(mgr.and_(a, g), FALSE) \
-            != key(FALSE, mgr.and_(mgr.not_(a), g))
-        quadrants = [key(mgr.and_(mgr.cube({0: pa, 1: pb}), h))
-                     for pa in (False, True) for pb in (False, True)]
-        assert len(set(quadrants)) == 4
-
-    def test_view_and_isf_keys_agree(self):
-        relation = random_relation(6, 4, seed=9)
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    @pytest.mark.parametrize("kernel", [None] + KERNELS,
+                             ids=engine_ids())
+    def test_view_isfs_match_the_nodes(self, seed, kernel):
+        relation = random_relation(6, 4, seed=seed)
+        if kernel is not None:
+            relation = table_relation(relation, kernel)
         view = pack_relation(relation)
+        # The exact search takes at most 12 don't-care points, fewer
+        # than six-input ISFs have.
+        names = [name for name in PACKED_MINIMIZERS if name != "exact"]
         for position in range(4):
-            packed = view.isf(*view.project(position))
             isf = relation.project(position)
-            assert packed.support == isf.signature().support
-            assert packed.key() \
-                == PackedIsf.from_isf(isf, packed.support).key()
-
-    def test_fifteen_variable_entry_round_trips_through_disk(self,
-                                                            tmp_path):
-        names = ["v%d" % i for i in range(16)]
-        rng = random.Random(15)
-
-        def wide_isf(mgr):
-            support = list(range(1, 16))
-            lower = FALSE
-            for _ in range(12):
-                literals = rng.sample(support, 4)
-                lower = mgr.or_(lower, mgr.cube(
-                    {var: rng.random() < 0.5 for var in literals}))
-            dc = mgr.diff(mgr.cube({1: True, 15: False}), lower)
-            return Isf(mgr, lower, dc, tuple(range(16)))
-
-        state = rng.getstate()
-        mgr = BddManager(names)
-        isf = wide_isf(mgr)
-        assert len(isf.signature().support) == 15
-        store = MemoStore()
-        node, cover, _ = minimize_with_cover(isf, minimize_isop, store,
-                                             "isop")
-        (key, template), = store.export_entries()
-        assert key[1][0] == "isf3" and key[1][1] == 15
-        disk = DiskCache(str(tmp_path / "pool"))
-        disk.merge_memo_entries(store.export_entries())
-        loaded = DiskCache(str(tmp_path / "pool")).load_memo_entries()
-        assert loaded == [(key, template)]
-        json.dumps(loaded)  # keys stay small enough to write
-        rng.setstate(state)
-        other = BddManager(names)
-        twin = wide_isf(other)
-        revived = MemoStore(entries=loaded)
-        served, served_cover, _ = minimize_with_cover(twin, minimize_isop,
-                                                      revived, "isop")
-        assert revived.hits == 1 and revived.misses == 0
-        assert served_cover == cover
-        assert other.isop(served, served)[0] == mgr.isop(node, node)[0]
-
-    def test_old_isf2_entries_never_match(self):
-        relation = random_relation(5, 3, seed=21)
-        rank_entries = []
-        for position in range(3):
-            isf = relation.project(position)
-            sig = isf.signature()
-            node, cover, _ = minimize_with_cover(isf, minimize_isop, None,
-                                                 "isop")
-            rank_entries.append((("isf", sig.key, "isop"),
-                                 template_from_var_cover(
-                                     cover, sig.rank_map())))
-        assert all(key[1][0] == "isf2" for key, _ in rank_entries)
-        store = MemoStore(entries=rank_entries)
-        quick_solve(random_relation(5, 3, seed=21), memo=store)
-        BrelSolver(BrelOptions(max_explored=10),
-                   memo=store).solve(random_relation(5, 3, seed=21))
-        assert store.hits > 0  # the new entries do serve repeats...
-        for key, _ in rank_entries:
-            assert key in store
-        router = SubproblemRouter(MemoStore(entries=rank_entries))
-        view = pack_relation(relation)
-        for position in range(3):
-            view.minimize(position, minimize_isop, "isop", router)
-        # ...but the seeded old-key entries are never hit.
-        assert router.memo.hits == 0
-        assert router.memo.misses == 3
+            check_packed_isf(view.isf(*view.project(position)), isf, names)
+            for name in names:
+                node, table = view.minimize(position, MINIMIZERS[name],
+                                            name)
+                assert node == MINIMIZERS[name](isf), name
+                assert [table] \
+                    == tables_of(relation.mgr, (node,), view.frame), name
 
 
 def off(monkeypatch):
@@ -499,23 +490,12 @@ class TestReports:
         for kernel in KERNELS:
             assert reports(kernel) == expected
 
-    def test_memo_on_and_off_agree(self):
-        def answers(rows):
-            return [row[:-1] + ({key: value for key, value in
-                                 row[-1].items()
-                                 if not key.startswith("memo_")},)
-                    for row in rows]
-
-        assert answers(reports(memo=False)) == answers(reports())
-
     @pytest.mark.parametrize("minimizer", ["constrain", "licompact",
                                            "isop-noelim"])
-    @pytest.mark.parametrize("memo", [True, False])
-    def test_minimizers_match_the_node_path(self, minimizer, memo,
-                                            monkeypatch):
-        packed = reports(minimizer=minimizer, memo=memo)
+    def test_minimizers_match_the_node_path(self, minimizer, monkeypatch):
+        packed = reports(minimizer=minimizer)
         off(monkeypatch)
-        assert reports(minimizer=minimizer, memo=memo) == packed
+        assert reports(minimizer=minimizer) == packed
 
     def test_isop_matches_the_node_path(self, monkeypatch):
         def every_engine():
@@ -534,9 +514,8 @@ class TestReports:
 
         relation = random_relation(5, 3, seed=8)
         options = BrelOptions(minimizer=custom, max_explored=8)
-        packed = solve_row(BrelSolver(options, memo=MemoStore()).solve(
-            relation))
+        packed = solve_row(BrelSolver(options).solve(relation))
         assert seen and set(seen) == {Isf}
         off(monkeypatch)
-        assert solve_row(BrelSolver(options, memo=MemoStore()).solve(
+        assert solve_row(BrelSolver(options).solve(
             random_relation(5, 3, seed=8))) == packed

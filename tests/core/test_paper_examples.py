@@ -226,9 +226,9 @@ class TestFig8Symmetry:
 
     def test_symmetry_pruning_reduces_exploration(self):
         relation = self.symmetric_relation()
-        base = BrelOptions(mode="dfs", max_explored=None,
+        base = BrelOptions(strategy="dfs", max_explored=None,
                            fifo_capacity=None, symmetry_pruning=False)
-        pruned = BrelOptions(mode="dfs", max_explored=None,
+        pruned = BrelOptions(strategy="dfs", max_explored=None,
                              fifo_capacity=None, symmetry_pruning=True,
                              symmetry_max_depth=4)
         plain = BrelSolver(base).solve(relation)

@@ -5,7 +5,7 @@ import pytest
 from repro.benchdata.brgen import block_structured_relation, random_relation
 from repro.benchdata.brsuite import instance_by_name
 from repro.core import (BooleanRelation, BrelOptions, BrelSolver,
-                        CancelToken, MemoStore, Solution, SolverStats,
+                        CancelToken, Solution, SolverStats,
                         merge_block_stats, partition_relation,
                         support_components, worst_stopped)
 
@@ -160,15 +160,12 @@ class TestHelpers:
         assert worst_stopped(["exhausted", "weird"]) == "weird"
 
     def test_merge_block_stats_sums_counters(self):
-        a = SolverStats(relations_explored=3, splits=1, bdd_nodes=100,
-                        memo_hits=2)
-        b = SolverStats(relations_explored=5, splits=2, bdd_nodes=80,
-                        memo_hits=1)
+        a = SolverStats(relations_explored=3, splits=1, bdd_nodes=100)
+        b = SolverStats(relations_explored=5, splits=2, bdd_nodes=80)
         merged = merge_block_stats([a, b])
         assert merged.relations_explored == 8
         assert merged.splits == 3
         assert merged.bdd_nodes == 100  # gauge: max, not sum
-        assert merged.memo_hits == 3
         assert merged.runtime_seconds == 0.0  # caller owns the wall
 
 
@@ -309,37 +306,6 @@ class TestShardedSolver:
             BrelSolver(BrelOptions()).solve(relation,
                                             partition=partition)
 
-    def test_sharded_solve_is_memo_transparent(self):
-        relation = block_structured_relation([(4, 2), (4, 2)], seed=7)
-        store = MemoStore()
-        with_memo = BrelSolver(BrelOptions(decompose=True),
-                               memo=store).solve(relation)
-        without = BrelSolver(BrelOptions(decompose=True)).solve(relation)
-        assert with_memo.solution.functions == without.solution.functions
-        assert with_memo.stats.memo_stores > 0
-        # A second memoised solve hits the store and stays identical.
-        again = BrelSolver(BrelOptions(decompose=True),
-                           memo=store).solve(relation)
-        assert again.solution.functions == with_memo.solution.functions
-        assert again.stats.memo_hits > 0
-
-    def test_isomorphic_blocks_share_memo_templates(self):
-        # Two identical block shapes built from the same sub-seed are
-        # isomorphic up to the support renaming; the second block's
-        # evaluation must hit the first block's templates.
-        base = block_structured_relation([(3, 2)], seed=2)
-        rows = dict(base.rows())
-        doubled = BooleanRelation.from_output_sets(
-            [{a | (b << 2)
-              for a in rows[value & 7]
-              for b in rows[(value >> 3) & 7]}
-             for value in range(64)], 6, 4)
-        store = MemoStore()
-        result = BrelSolver(BrelOptions(), memo=store).solve(doubled)
-        assert result.partition is not None
-        assert result.partition["num_blocks"] == 2
-        assert result.stats.memo_hits > 0
-
     def test_tristate_validation(self):
         with pytest.raises(ValueError):
             BrelOptions(decompose=1)
@@ -348,12 +314,12 @@ class TestShardedSolver:
 
 
 class TestBlockOptionsSchemaGuard:
-    """`BrelSolver._block_options` rebuilds the per-block options field
-    by field (to keep the deprecated ``mode`` alias from re-warning);
-    a newly added BrelOptions field silently not propagating to block
-    sub-solvers would make sharded solves ignore the new knob.  This
-    guard forces the list to be updated consciously, like the session
-    cache-key guard does for SolveRequest."""
+    """`BrelSolver._block_options` copies the parent options and pins a
+    few per-block values; a newly added BrelOptions field silently not
+    propagating to block sub-solvers would make sharded solves ignore
+    the new knob.  This guard forces the list to be updated
+    consciously, like the session cache-key guard does for
+    SolveRequest."""
 
     #: Every BrelOptions field and how _block_options must treat it:
     #: "inherit" = copied from the parent options, otherwise the pinned
@@ -366,11 +332,9 @@ class TestBlockOptionsSchemaGuard:
         "quick_on_subrelations": "inherit",
         "symmetry_pruning": "inherit",
         "symmetry_max_depth": "inherit",
-        "strategy": "effective-strategy",
-        "mode": "default",
+        "strategy": "inherit",
         "time_limit_seconds": "remaining-budget",
         "record_trace": False,
-        "memo": None,
         "decompose": False,
         # Portfolio knobs propagate so each block races its own
         # portfolio under strategy="portfolio".
@@ -404,10 +368,6 @@ class TestBlockOptionsSchemaGuard:
             value = getattr(block, name)
             if rule == "inherit":
                 assert value == getattr(parent, name), name
-            elif rule == "effective-strategy":
-                assert value == parent.exploration_strategy()
-            elif rule == "default":
-                assert value == "bfs"
             elif rule == "remaining-budget":
                 assert value == 12.5
             else:

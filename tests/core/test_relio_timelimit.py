@@ -102,7 +102,7 @@ class TestTimeLimit:
     def test_dfs_respects_limit(self):
         rows = [{0b01, 0b10, 0b11}] * 8
         relation = BooleanRelation.from_output_sets(rows, 3, 2)
-        options = BrelOptions(mode="dfs", time_limit_seconds=0.0,
+        options = BrelOptions(strategy="dfs", time_limit_seconds=0.0,
                               max_explored=None, fifo_capacity=None)
         result = BrelSolver(options).solve(relation)
         assert relation.is_compatible(result.solution.functions)

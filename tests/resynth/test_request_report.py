@@ -122,14 +122,14 @@ class TestRequestValidation:
 
     def test_solver_request_inherits_knobs(self):
         request = ResynthRequest(circuit="s27", cost="cubes",
-                                 max_explored=7, memo=False)
+                                 max_explored=7, decompose=False)
         solve = request.solver_request({"kind": "pla",
                                         "text": ".i 1\n.o 1\n0 0\n"
                                                 "1 1\n.e\n"},
                                        label="x")
         assert solve.cost == "cubes"
         assert solve.max_explored == 7
-        assert solve.memo is False
+        assert solve.decompose is False
         assert solve.label == "x"
 
 
@@ -143,6 +143,13 @@ class TestRequestWire:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ResynthRequest.from_dict({"circuit": "s27", "bogus": 1})
+
+    def test_retired_memo_field_rejected(self):
+        with pytest.raises(TypeError):
+            ResynthRequest(circuit="s27", memo=False)
+        with pytest.raises(ValueError,
+                           match="unknown ResynthRequest fields: memo"):
+            ResynthRequest.from_dict({"circuit": "s27", "memo": False})
 
 
 class TestOptionsKey:

@@ -1,4 +1,4 @@
-"""Tests for the disk tier: atomic report files + shared memo pool."""
+"""Tests for the disk tier: atomic report files."""
 
 import json
 import multiprocessing
@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.core.memo import MemoStore
 from repro.service import DiskCache, fingerprint_payload
 
 
@@ -57,270 +56,71 @@ class TestReports:
         assert all(name.endswith(".json") for name in names)
 
 
-class TestMemoPool:
-    def test_merge_and_load_round_trip(self, cache_dir):
-        store = MemoStore()
-        store.put(("quick", ("sig",), "isop"), ((1, True), (2, False)))
-        store.put(("eval", ("sig2",), "isop"), 7)
-        cache = DiskCache(cache_dir)
-        cache.merge_memo_entries(store.export_entries())
-        loaded = DiskCache(cache_dir).load_memo_entries()
-        fresh = MemoStore()
-        fresh.seed(loaded)
-        assert fresh.get(("quick", ("sig",), "isop")) \
-            == ((1, True), (2, False))
-        assert fresh.get(("eval", ("sig2",), "isop")) == 7
-
-    def test_merge_keeps_other_workers_entries(self, cache_dir):
-        a, b = DiskCache(cache_dir), DiskCache(cache_dir)
-        a.merge_memo_entries([(("k", 1), "one")])
-        b.merge_memo_entries([(("k", 2), "two")])
-        entries = dict(DiskCache(cache_dir).load_memo_entries())
-        assert entries == {("k", 1): "one", ("k", 2): "two"}
-
-    def test_merge_bounded_drops_oldest(self, cache_dir):
-        cache = DiskCache(cache_dir, memo_limit=3)
-        assert cache.merge_memo_entries(
-            [(("k", i), i) for i in range(3)]) == 3
-        assert cache.merge_memo_entries([(("k", 99), 99)]) == 1
-        assert cache.memo_entries == 3  # capped at the limit
-        entries = dict(cache.load_memo_entries())
-        assert len(entries) == 3
-        assert ("k", 0) not in entries  # the oldest fell off
-        assert entries[("k", 99)] == 99
-
-    def test_remerge_refreshes_recency(self, cache_dir):
-        cache = DiskCache(cache_dir, memo_limit=2)
-        cache.merge_memo_entries([(("k", 0), 0), (("k", 1), 1)])
-        # Re-merging key 0 makes it most recent; key 1 is now oldest.
-        cache.merge_memo_entries([(("k", 0), 0), (("k", 2), 2)])
-        assert cache.memo_segment_count() == 2
-        entries = dict(cache.load_memo_entries())
-        assert set(entries) == {("k", 0), ("k", 2)}
-        # Compaction keeps exactly what loading the segments gave.
-        assert cache.compact_memo()
-        assert cache.memo_segment_count() == 0
-        assert set(dict(cache.load_memo_entries())) == {("k", 0), ("k", 2)}
-
-    def test_empty_merge_writes_nothing(self, cache_dir):
-        cache = DiskCache(cache_dir)
-        assert cache.merge_memo_entries([]) == 0
-        assert cache.memo_segment_count() == 0
-        assert cache.memo_merges == 0
-
-    def test_corrupt_memo_file_degrades_to_empty(self, cache_dir):
-        cache = DiskCache(cache_dir)
-        cache.merge_memo_entries([(("k", 0), 0)])
-        assert cache.compact_memo()
-        with open(os.path.join(cache_dir, "memo.json"), "w") as handle:
-            handle.write("not json at all")
-        assert cache.load_memo_entries() == []
-        assert cache.memo_entries == 0
-        # A flush over the corrupt snapshot recovers cleanly, and so
-        # does the compaction that replaces it.
-        cache.merge_memo_entries([(("k", 1), 1)])
-        assert dict(cache.load_memo_entries()) == {("k", 1): 1}
-        assert cache.compact_memo()
-        assert dict(DiskCache(cache_dir).load_memo_entries()) \
-            == {("k", 1): 1}
-
-    def test_stale_rows_skipped_on_load(self, cache_dir):
-        cache = DiskCache(cache_dir)
-        cache.merge_memo_entries([(("k", 0), 0)])
-        assert cache.compact_memo()
-        path = os.path.join(cache_dir, "memo.json")
-        with open(path) as handle:
-            data = json.load(handle)
-        data["entries"].append(["only-one-element"])
-        data["entries"].append("not a pair at all")
-        with open(path, "w") as handle:
-            json.dump(data, handle)
-        assert dict(cache.load_memo_entries()) == {("k", 0): 0}
+def _report_worker(cache_dir, worker, rounds, failures):
+    """One process of the concurrency test: write a shared key and a
+    private key each round, reading both back after every write."""
+    cache = DiskCache(cache_dir)
+    shared, private = "s" * 64, ("%d" % worker) * 64
+    blob = 2000
+    for round_ in range(rounds):
+        cache.put_report(shared, {"writer": worker, "round": round_,
+                                  "blob": [worker] * blob})
+        cache.put_report(private, {"writer": worker, "round": round_,
+                                   "blob": [worker] * blob})
+        got = cache.get_report(shared)
+        # Another writer may have replaced the shared report, but only
+        # ever with a whole document of its own.
+        if (got is None or got["writer"] not in (0, 1)
+                or got["blob"] != [got["writer"]] * blob):
+            failures.put("torn shared report in round %d" % round_)
+            return
+        got = cache.get_report(private)
+        if got != {"writer": worker, "round": round_,
+                   "blob": [worker] * blob}:
+            failures.put("foreign or stale private report in round %d"
+                         % round_)
+            return
 
 
-def _segment_paths(cache_dir):
-    directory = os.path.join(cache_dir, "memo-segments")
-    return sorted(os.path.join(directory, name)
-                  for name in os.listdir(directory))
-
-
-def _flush_worker(cache_dir, worker, flushes, per_flush):
-    """One process of the concurrency test: flush, compacting now and
-    then, as a worker booting mid-traffic would."""
-    cache = DiskCache(cache_dir, memo_limit=None)
-    for flush in range(flushes):
-        cache.merge_memo_entries(
-            [(("w", worker, flush, item), item)
-             for item in range(per_flush)])
-        if flush % 2:
-            cache.compact_memo()
-
-
-class TestMemoJournal:
-    """Snapshot + append-only segments: layout, compaction, failures."""
-
-    def test_flush_appends_a_segment_and_leaves_the_snapshot(
+class TestConcurrentWriters:
+    def test_two_processes_never_read_torn_or_foreign_reports(
             self, cache_dir):
-        cache = DiskCache(cache_dir)
-        cache.merge_memo_entries([(("k", 0), 0)])
-        assert cache.compact_memo()
-        snapshot = os.path.join(cache_dir, "memo.json")
-        with open(snapshot) as handle:
-            before = handle.read()
-        cache.merge_memo_entries([(("k", 1), 1)])
-        cache.merge_memo_entries([(("k", 2), 2)])
-        with open(snapshot) as handle:
-            assert handle.read() == before
-        paths = _segment_paths(cache_dir)
-        assert len(paths) == 2
-        with open(paths[-1]) as handle:  # names sort in write order
-            assert json.load(handle) == {"entries": [[["k", 2], 2]]}
-
-    def test_compaction_folds_every_segment(self, cache_dir):
-        cache = DiskCache(cache_dir)
-        assert not cache.compact_memo()  # nothing to fold
-        for index in range(4):
-            cache.merge_memo_entries([(("k", index), index)])
-        loaded = cache.load_memo_entries()
-        assert cache.compact_memo()
-        assert _segment_paths(cache_dir) == []
-        assert DiskCache(cache_dir).load_memo_entries() == loaded
-        stats = cache.stats()
-        assert stats["memo_compactions"] == 1
-        assert stats["memo_segments"] == 0
-        assert stats["memo_entries"] == 4
-
-    def test_torn_and_garbage_segments_are_skipped_and_counted(
-            self, cache_dir):
-        cache = DiskCache(cache_dir)
-        cache.merge_memo_entries([(("k", 0), 0)])
-        directory = os.path.join(cache_dir, "memo-segments")
-        bad = {"1-torn.json": b'{"entries": [[["k", 9], 9], [["k"',
-               "2-garbage.json": b"\xff\xfe\x00 not json",
-               "3-wrong-shape.json": b"[1, 2, 3]"}
-        for name, raw in bad.items():
-            with open(os.path.join(directory, name), "wb") as handle:
-                handle.write(raw)
-        # A worker killed mid-write leaves only a temp file behind.
-        with open(os.path.join(directory, "killed.tmp"), "w") as handle:
-            handle.write('{"entries": [')
-        cache.merge_memo_entries([(("k", 1), 1)])
-        fresh = DiskCache(cache_dir)
-        assert dict(fresh.load_memo_entries()) == {("k", 0): 0,
-                                                   ("k", 1): 1}
-        assert fresh.stats()["memo_segments_skipped"] == 3
-        assert fresh.stats()["memo_segments"] == 5
-        # Compaction folds the good segments and drops the corrupt
-        # ones; the temp file is never treated as a segment.
-        assert fresh.compact_memo()
-        assert fresh.memo_segment_count() == 0
-        assert dict(DiskCache(cache_dir).load_memo_entries()) \
-            == {("k", 0): 0, ("k", 1): 1}
-
-    def test_segment_written_during_compaction_survives(self, cache_dir):
-        compactor, writer = DiskCache(cache_dir), DiskCache(cache_dir)
-        compactor.merge_memo_entries([(("k", "folded"), 1)])
-
-        def write_then_race(path, payload):
-            # Another worker flushes after the compactor listed the
-            # segments but before it writes the snapshot.
-            writer.merge_memo_entries([(("k", "late"), 2)])
-            DiskCache._write_atomic(path, payload)
-
-        compactor._write_atomic = write_then_race
-        assert compactor.compact_memo()
-        remaining = _segment_paths(cache_dir)
-        assert len(remaining) == 1
-        with open(remaining[0]) as handle:
-            assert json.load(handle) == {"entries": [[["k", "late"], 2]]}
-        assert dict(DiskCache(cache_dir).load_memo_entries()) \
-            == {("k", "folded"): 1, ("k", "late"): 2}
-
-    def test_compaction_skipped_while_another_process_holds_the_lock(
-            self, cache_dir):
-        fcntl = pytest.importorskip("fcntl")
-        cache = DiskCache(cache_dir)
-        cache.merge_memo_entries([(("k", 0), 0)])
-        with open(os.path.join(cache_dir, "memo.lock"), "a") as handle:
-            fcntl.flock(handle, fcntl.LOCK_SH)  # a concurrent loader
-            assert not cache.compact_memo()
-            assert dict(cache.load_memo_entries()) == {("k", 0): 0}
-        assert cache.memo_segment_count() == 1
-        assert cache.compact_memo()
-
-    def test_concurrent_processes_lose_no_entry(self, cache_dir):
-        workers, flushes, per_flush = 3, 20, 4
         context = multiprocessing.get_context("spawn")
-        processes = [context.Process(target=_flush_worker,
-                                     args=(cache_dir, worker, flushes,
-                                           per_flush))
-                     for worker in range(workers)]
+        failures = context.Queue()
+        processes = [context.Process(target=_report_worker,
+                                     args=(cache_dir, worker, 60,
+                                           failures))
+                     for worker in range(2)]
         for process in processes:
             process.start()
         for process in processes:
             process.join(timeout=120)
         assert all(not process.is_alive() and process.exitcode == 0
                    for process in processes)
-        entries = dict(DiskCache(cache_dir, memo_limit=None)
-                       .load_memo_entries())
-        expected = {("w", worker, flush, item)
-                    for worker in range(workers)
-                    for flush in range(flushes)
-                    for item in range(per_flush)}
-        assert set(entries) == expected
-
-    def test_stats_do_not_read_the_pool(self, cache_dir, monkeypatch):
+        assert failures.empty(), failures.get()
         cache = DiskCache(cache_dir)
-        cache.merge_memo_entries([(("k", 0), 0), (("k", 1), 1)])
-
-        def no_reads(*args, **kwargs):
-            raise AssertionError("stats() read the memo pool")
-
-        monkeypatch.setattr(cache, "_read_pool", no_reads)
-        monkeypatch.setattr(cache, "_read_json", no_reads)
-        stats = cache.stats()
-        assert stats["memo_entries"] == 2
-        assert stats["memo_segments"] == 1
-
-
-class TestLearnedLog:
-    def test_solve_only_store_log_stays_within_capacity(self):
-        """A store that never flushes must not grow from the log, even
-        under heavy eviction."""
-        from repro.benchdata import instance_by_name
-        from repro.core import BrelOptions, BrelSolver
-
-        store = MemoStore(capacity=16)
-        relation = instance_by_name("vtx").build()
-        BrelSolver(BrelOptions(max_explored=40), memo=store).solve(
-            relation)
-        assert store.evictions > 0
-        assert len(store._learned) <= store.capacity
-        assert all(key in store for key in store._learned)
+        assert cache.report_count() == 3
+        assert cache.get_report("s" * 64)["writer"] in (0, 1)
+        names = os.listdir(os.path.join(cache_dir, "reports"))
+        assert all(name.endswith(".json") for name in names)
 
 
 class TestMaintenance:
-    def test_clear_drops_everything(self, cache_dir):
+    def test_clear_drops_every_report(self, cache_dir):
         cache = DiskCache(cache_dir)
         cache.put_report("c" * 64, {"ok": True})
-        cache.merge_memo_entries([(("k", 0), 0)])
-        assert cache.compact_memo()
-        cache.merge_memo_entries([(("k", 1), 1)])
+        cache.put_report("d" * 64, {"ok": True})
         cache.clear()
         assert cache.report_count() == 0
-        assert cache.memo_entries == 0
-        assert cache.memo_segment_count() == 0
-        assert not os.path.exists(os.path.join(cache_dir, "memo.json"))
-        assert cache.load_memo_entries() == []
+        assert cache.get_report("c" * 64) is None
 
     def test_stats_shape(self, cache_dir):
         stats = DiskCache(cache_dir).stats()
-        for field in ("root", "reports", "report_hits", "report_misses",
-                      "report_stores", "report_hit_rate", "memo_entries",
-                      "memo_limit", "memo_loads", "memo_merges",
-                      "memo_segments", "memo_segments_skipped",
-                      "memo_compactions"):
-            assert field in stats
+        assert set(stats) == {
+            "root", "reports", "report_hits", "report_misses",
+            "report_stores", "report_hit_rate", "report_bytes",
+            "report_evictions", "max_report_bytes",
+            "max_report_age_seconds"}
 
 
 class TestReportEviction:

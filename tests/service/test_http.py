@@ -165,6 +165,22 @@ class TestThreadExecutorRejected:
         assert "'serial'" in message and "'process'" in message
 
 
+class TestRetiredFieldsRejected:
+    @pytest.mark.parametrize("route", ["/solve", "/batch", "/resynth"])
+    def test_memo_is_400_naming_the_field(self, served, fig1_request,
+                                          route):
+        base, _ = served
+        body = {"/solve": dict(fig1_request, memo=False),
+                "/batch": {"jobs": [dict(fig1_request, memo=False)]},
+                "/resynth": {"circuit": "s27", "memo": False},
+                }[route]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + route, body)
+        assert excinfo.value.code == 400
+        message = json.loads(excinfo.value.read())["error"]
+        assert "fields: memo" in message
+
+
 class TestOpsEndpoints:
     def test_healthz(self, served):
         base, _ = served

@@ -1,11 +1,13 @@
 """Tests for the transport-independent service core (SolveService)."""
 
 import errno
+import json
 import os
 
 import pytest
 
-from repro.api import SolveReport, SolveRequest
+from repro.api import REPORT_SCHEMA_VERSION, SolveReport, SolveRequest
+from repro.resynth import RESYNTH_SCHEMA_VERSION, ResynthRequest
 from repro.service import (DiskCache, ServiceError, SolveService,
                            fingerprint_payload)
 
@@ -25,15 +27,13 @@ class TestTieredSolve:
         assert second["cost"] == first["cost"]
         assert service.tier_hits == {"ram": 1, "disk": 0, "engine": 1}
 
-    def test_ram_hit_does_no_memo_work(self, fig1_request):
+    def test_ram_hit_does_no_engine_work(self, fig1_request):
         service = SolveService()
         service.solve(dict(fig1_request))
-        before = service.session.memo_stats()
+        before = service.session.engine_stats()
         report, tier = service.solve(dict(fig1_request))
-        assert tier == "ram"
-        assert service.session.memo_stats() == before
-        assert report["stats"]["memo_hits"] == 0
-        assert report["stats"]["memo_misses"] == 0
+        assert tier == "ram" and report["cached"]
+        assert service.session.engine_stats() == before
 
     def test_disk_tier_survives_worker_death(self, fig1_request,
                                              cache_dir):
@@ -243,65 +243,6 @@ class TestBatch:
         assert result["reports"][1]["ok"] is False
 
 
-class TestMemoFlushing:
-    def test_boot_seeds_from_disk(self, fig1_request, cache_dir):
-        warm = SolveService(disk=DiskCache(cache_dir))
-        warm.solve(dict(fig1_request))
-        flushed = warm.flush()
-        assert flushed > 0
-        cold = SolveService(disk=DiskCache(cache_dir))
-        assert cold.seeded_entries == flushed
-        assert cold.session.memo_stats()["entries"] == flushed
-
-    def test_boot_compacts_leftover_segments(self, fig1_request, cache_dir):
-        warm = SolveService(disk=DiskCache(cache_dir))
-        warm.solve(dict(fig1_request))
-        warm.flush()
-        assert warm.disk.stats()["memo_segments"] == 1
-        cold = SolveService(disk=DiskCache(cache_dir))
-        stats = cold.disk.stats()
-        assert stats["memo_compactions"] == 1
-        assert stats["memo_segments"] == 0
-        assert stats["memo_entries"] == cold.seeded_entries
-
-    def test_flush_appends_only_what_was_learned(self, cache_dir):
-        vtx = {"relation": {"kind": "bench", "name": "vtx"},
-               "max_explored": 40}
-        warm = SolveService(disk=DiskCache(cache_dir))
-        warm.solve(dict(vtx))
-        seeded = warm.flush()
-        cold = SolveService(disk=DiskCache(cache_dir))
-        assert cold.flush() == 0  # seeded entries are never re-written
-        cold.solve(dict(vtx, strategy="best-first"))
-        learned = cold.flush()
-        assert 0 < learned <= cold.session.memo_stats()["entries"] - seeded
-        assert cold.flush() == 0  # nothing new since the last flush
-
-    def test_flush_cadence(self, fig1_request, cache_dir):
-        service = SolveService(disk=DiskCache(cache_dir), flush_every=2)
-        service.solve(dict(fig1_request))
-        assert service.flushes == 0
-        service.solve(dict(fig1_request, cost="cubes"))
-        assert service.flushes == 1
-
-    def test_ram_hits_do_not_advance_cadence(self, fig1_request,
-                                             cache_dir):
-        service = SolveService(disk=DiskCache(cache_dir), flush_every=2)
-        service.solve(dict(fig1_request))
-        for _ in range(5):
-            service.solve(dict(fig1_request))
-        assert service.flushes == 0
-
-    def test_flush_without_disk_is_a_noop(self, fig1_request):
-        service = SolveService()
-        service.solve(dict(fig1_request))
-        assert service.flush() == 0
-
-    def test_bad_flush_every_rejected(self):
-        with pytest.raises(ValueError):
-            SolveService(flush_every=0)
-
-
 def no_space(*args, **kwargs):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -340,14 +281,6 @@ class TestDiskWriteFailures:
         assert (report["ok"], tier) == (True, "engine")
         assert service.stats()["disk"]["write_errors"] == 1
 
-    def test_flush_returns_zero(self, fig1_request, cache_dir,
-                                monkeypatch):
-        service = SolveService(disk=DiskCache(cache_dir))
-        service.solve(dict(fig1_request))
-        monkeypatch.setattr(os, "replace", no_space)
-        assert service.flush() == 0
-        assert service.stats()["disk"]["write_errors"] == 1
-
 
 class TestStatsAndHealth:
     def test_healthz(self):
@@ -360,17 +293,20 @@ class TestStatsAndHealth:
         service.solve(dict(fig1_request))
         service.solve(dict(fig1_request))
         stats = service.stats()
+        assert set(stats) == {"uptime_seconds", "max_time_limit",
+                              "requests", "tiers", "solve_latency_ms",
+                              "session", "engine", "disk", "portfolio",
+                              "recent"}
         assert stats["tiers"] == {"ram": 1, "disk": 0, "engine": 1}
         assert stats["requests"]["solve"] == 2
         assert stats["disk"]["report_stores"] == 1
+        assert stats["disk"]["write_errors"] == 0
         assert len(stats["recent"]) == 2
         fresh, cached = stats["recent"]
+        assert set(fresh) == {"label", "tier", "ok", "cached", "cost",
+                              "runtime_seconds"}
         assert fresh["tier"] == "engine" and cached["tier"] == "ram"
-        # Per-request memo attribution: the engine request did real
-        # memo work, the cache hit reports none of its own.
-        assert fresh["memo_misses"] > 0
-        assert cached["memo_hits"] == 0
-        assert cached["memo_misses"] == 0
+        assert not fresh["cached"] and cached["cached"]
 
     def test_stats_latency_percentiles_per_tier(self, fig1_request,
                                                 cache_dir):
@@ -411,6 +347,92 @@ class TestWireRoundTrip:
         cold = SolveService(disk=DiskCache(cache_dir))
         report, tier = cold.solve(dict(fig1_request))
         assert tier == "engine" and report["ok"]
+
+
+INT1 = {"relation": {"kind": "bench", "name": "int1"}}
+S27 = {"circuit": "s27", "passes": 1, "max_explored": 8}
+
+
+def rewrite_stored(cache, key, **changes):
+    """Rewrite the stored report ``key`` with ``changes`` applied."""
+    stored = cache.get_report(key)
+    assert stored is not None
+    stored.update(changes)
+    cache.put_report(key, stored)
+
+
+class TestStoredSchemaVersion:
+    """A report written under another schema version is a disk miss:
+    the engine solves the request again and overwrites the file."""
+
+    def test_solve_report_from_another_version_is_re_solved(
+            self, cache_dir):
+        first = SolveService(disk=DiskCache(cache_dir))
+        fresh, _ = first.solve(dict(INT1))
+        key = first.request_fingerprint(SolveRequest.from_dict(INT1))
+        rewrite_stored(first.disk, key, schema_version=6,
+                       sop="y0 = stale")
+        worker = SolveService(disk=DiskCache(cache_dir))
+        report, tier = worker.solve(dict(INT1))
+        assert tier == "engine"
+        assert report["sop"] == fresh["sop"]
+        assert report["schema_version"] == REPORT_SCHEMA_VERSION
+        stored = worker.disk.get_report(key)
+        assert stored["schema_version"] == REPORT_SCHEMA_VERSION
+        assert stored["sop"] == fresh["sop"]
+        again, tier = SolveService(disk=DiskCache(cache_dir)).solve(
+            dict(INT1))
+        assert tier == "disk" and again["sop"] == fresh["sop"]
+
+    def test_resynth_report_from_another_version_is_re_solved(
+            self, cache_dir):
+        first = SolveService(disk=DiskCache(cache_dir))
+        fresh, _ = first.resynth(dict(S27))
+        key = first.resynth_fingerprint(ResynthRequest.from_dict(S27))
+        rewrite_stored(first.disk, key, schema_version=1,
+                       blif=".model stale\n.end\n")
+        worker = SolveService(disk=DiskCache(cache_dir))
+        report, tier = worker.resynth(dict(S27))
+        assert tier == "engine"
+        assert report["blif"] == fresh["blif"]
+        assert report["schema_version"] == RESYNTH_SCHEMA_VERSION
+        assert worker.disk.get_report(key)["schema_version"] \
+            == RESYNTH_SCHEMA_VERSION
+        _, tier = SolveService(disk=DiskCache(cache_dir)).resynth(
+            dict(S27))
+        assert tier == "disk"
+
+    def test_directory_of_an_older_version_opens(self, cache_dir):
+        """An older version kept a subproblem-memo pool beside the
+        reports (``memo.json``, ``memo-segments/``, ``memo.lock``) and
+        wrote schema-7 reports with ``memo_*`` stats.  Such a directory
+        opens as it is, misses once, then serves from disk."""
+        seed = SolveService(disk=DiskCache(cache_dir))
+        fresh, _ = seed.solve(dict(INT1))
+        key = seed.request_fingerprint(SolveRequest.from_dict(INT1))
+        stats = dict(fresh["stats"], memo_hits=3, memo_misses=9,
+                     memo_stores=9)
+        rewrite_stored(seed.disk, key, schema_version=7, stats=stats)
+        pool = [[["isf3", 2, 1, 2], [[[0, True]]]]]
+        with open(os.path.join(cache_dir, "memo.json"), "w") as handle:
+            json.dump({"entries": pool}, handle)
+        segments = os.path.join(cache_dir, "memo-segments")
+        os.makedirs(segments)
+        with open(os.path.join(segments, "%020d-1-abcd.json" % 1),
+                  "w") as handle:
+            json.dump({"entries": pool}, handle)
+        open(os.path.join(cache_dir, "memo.lock"), "w").close()
+
+        worker = SolveService(disk=DiskCache(cache_dir))
+        report, tier = worker.solve(dict(INT1))
+        assert tier == "engine" and report["sop"] == fresh["sop"]
+        assert "memo_hits" not in report["stats"]
+        again, tier = SolveService(disk=DiskCache(cache_dir)).solve(
+            dict(INT1))
+        assert tier == "disk" and again["sop"] == fresh["sop"]
+        # The old pool files are left alone.
+        assert os.listdir(segments) and os.path.isfile(
+            os.path.join(cache_dir, "memo.lock"))
 
 
 class TestTimeLimitAdmission:

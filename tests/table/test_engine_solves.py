@@ -1,14 +1,13 @@
-"""Solves on the table engine, and memo templates across engines.
+"""Solves on the table engine.
 
 A relation built on a :class:`~repro.table.TableManager` solves there;
 nothing moves a relation between engines.  These tests pin that the
-rebuilt relation keeps its semantics, that memo templates minted on one
-engine replay on the other, and that sharded solves agree across
-engines.
+rebuilt relation keeps its semantics and that sharded solves agree
+across engines.
 """
 
 from repro.benchdata.brgen import block_structured_relation, random_relation
-from repro.core import BrelOptions, BrelSolver, MemoStore
+from repro.core import BrelOptions, BrelSolver
 from repro.table import TableManager
 
 from ..conftest import table_relation
@@ -50,35 +49,6 @@ class TestTableRelation:
         assert result.solution.cost == base.solution.cost
         assert solution_minterms(table, result.solution) \
             == solution_minterms(relation, base.solution)
-
-
-class TestCrossBackendMemo:
-    def test_templates_minted_on_table_replay_on_bdd(self):
-        """Memo signatures are engine-agnostic: a store populated by a
-        table-engine solve must serve hits — and identical results —
-        when the same relation is solved on the BDD engine."""
-        relation = random_relation(4, 4, seed=3)
-        table = table_relation(relation)
-        store = MemoStore()
-        table_result = BrelSolver(BrelOptions(), memo=store).solve(table)
-        assert table_result.stats.memo_stores > 0
-        entries = store.stats()["entries"]
-        assert entries > 0
-        bdd_result = BrelSolver(BrelOptions(), memo=store).solve(relation)
-        assert bdd_result.stats.memo_hits > 0
-        assert bdd_result.solution.cost == table_result.solution.cost
-        assert solution_minterms(relation, bdd_result.solution) \
-            == solution_minterms(table, table_result.solution)
-
-    def test_templates_minted_on_bdd_replay_on_table(self):
-        relation = random_relation(4, 4, seed=3)
-        store = MemoStore()
-        bdd_result = BrelSolver(BrelOptions(), memo=store).solve(relation)
-        assert bdd_result.stats.memo_stores > 0
-        table_result = BrelSolver(BrelOptions(), memo=store).solve(
-            table_relation(relation))
-        assert table_result.stats.memo_hits > 0
-        assert table_result.solution.cost == bdd_result.solution.cost
 
 
 class TestDecomposedBlocks:

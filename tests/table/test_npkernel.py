@@ -3,7 +3,7 @@
 The numpy kernel must be invisible at the handle level: the same
 functions built on ``kernel="int"`` and ``kernel="numpy"`` managers
 must agree on every semantic view (minterms, sat counts, supports,
-fingerprints, ISOP covers).  numpy itself stays strictly optional —
+truth tables, ISOP covers).  numpy itself stays strictly optional —
 the module, the manager and the ``auto`` policy must all keep working
 when the import fails, which these tests force by monkeypatching the
 kernel module's ``_np`` handle to ``None``.
@@ -132,7 +132,7 @@ class TestKernelParity:
             assert tn.sat_count(f_n, vn) == ti.sat_count(f_i, vi)
             assert tn.size(f_n) == ti.size(f_i)
             assert tn.support(f_n) == ti.support(f_i)
-            assert tn.fingerprint(f_n) == ti.fingerprint(f_i)
+            assert tn.table(f_n) == ti.table(f_i)
 
     @pytest.mark.parametrize("num_vars", [3, 7])
     def test_operations_agree(self, num_vars):
@@ -151,7 +151,7 @@ class TestKernelParity:
             (ti.forall(f_i, [vi[0]]), tn.forall(f_n, [vn[0]])),
         ]
         for r_i, r_n in ops:
-            assert tn.fingerprint(r_n) == ti.fingerprint(r_i)
+            assert tn.table(r_n) == ti.table(r_i)
 
     def test_isop_covers_agree(self):
         ti, tn, vi, vn, pairs = paired_kernels(5, seed=91)
@@ -159,7 +159,7 @@ class TestKernelParity:
             cover_i, node_i = ti.isop(f_i, f_i)
             cover_n, node_n = tn.isop(f_n, f_n)
             assert cover_n == cover_i
-            assert tn.fingerprint(node_n) == ti.fingerprint(node_i)
+            assert tn.table(node_n) == ti.table(node_i)
 
     def test_add_var_widening_agrees(self):
         ti = TableManager(max_width=8, kernel="int")
@@ -171,7 +171,7 @@ class TestKernelParity:
         # Grow across the 64-bit word boundary (6 -> 7 vars).
         ti.add_vars(5)
         tn.add_vars(5)
-        assert tn.fingerprint(f_n) == ti.fingerprint(f_i)
+        assert tn.table(f_n) == ti.table(f_i)
         assert tn.support(f_n) == ti.support(f_i)
 
     def test_width_18_works(self):

@@ -47,7 +47,7 @@ class TestSolveCommand:
             assert main(["solve", relation_file, "--cost", cost]) == 0
 
     def test_solve_dfs_mode(self, relation_file, capsys):
-        assert main(["solve", relation_file, "--mode", "dfs",
+        assert main(["solve", relation_file, "--strategy", "dfs",
                      "--max-explored", "100"]) == 0
 
     def test_solve_with_symmetries_and_limit(self, relation_file):
@@ -157,18 +157,13 @@ class TestSolveCommand:
 
     def test_solve_default_flags_emit_no_deprecation_warning(
             self, relation_file, capsys):
-        # The deprecated --mode alias must not travel unless the user
-        # actually typed it; a default invocation builds a request that
-        # never touches the alias path.
+        # A default invocation builds its request without touching any
+        # deprecated path.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             assert main(["solve", relation_file]) == 0
         report_out = capsys.readouterr().out
         assert "compatible=True" in report_out
-
-    def test_solve_explicit_mode_still_warns(self, relation_file):
-        with pytest.warns(DeprecationWarning):
-            assert main(["solve", relation_file, "--mode", "dfs"]) == 0
 
     def test_solve_reports_partition_blocks(self, block_relation_file,
                                             capsys):
@@ -350,7 +345,6 @@ class TestPrewarmCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["ok"] and summary["jobs"] == 2
         assert summary["tiers"] == {"engine": 2}
-        assert summary["memo_entries"] > 0
         # Idempotent: the rerun is pure cache hits.
         assert main(["prewarm", corpus_file, cache]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -405,16 +399,26 @@ class TestServeCommand:
 class TestBackendFlags:
     @pytest.mark.parametrize("flags", [["--backend", "bdd"],
                                        ["--table-width", "8"],
-                                       ["--table-kernel", "int"]])
+                                       ["--table-kernel", "int"],
+                                       ["--memo"], ["--no-memo"],
+                                       ["--mode", "dfs"]])
     def test_routing_flags_rejected_by_parser(self, relation_file, flags):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["solve", relation_file] + flags)
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("flags", [["--backend", "bdd"],
-                                       ["--table-width", "8"]])
+                                       ["--table-width", "8"],
+                                       ["--memo"], ["--no-memo"]])
     def test_resynth_routing_flags_rejected_by_parser(self, flags):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["resynth", "c17"] + flags)
+        assert excinfo.value.code == 2
+
+    def test_serve_flush_every_rejected_by_parser(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--flush-every", "8"])
+        assert excinfo.value.code == 2
 
     def test_serve_admission_flags_reach_the_service(self, tmp_path):
         from repro.cli import _service_from_args, build_parser

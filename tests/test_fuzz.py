@@ -35,7 +35,7 @@ BLIF_LINES = [".names", ".names a", ".names a b", "1 1", "01 0", "1-",
               ".model", ".subckt foo", "\\", ".names x x", "- 1"]
 
 #: ResynthRequest's own fields.  The solver knobs (cost, minimizer,
-#: strategy, max_explored, memo, decompose) are left alone: they are
+#: strategy, max_explored, decompose) are left alone: they are
 #: validated by SolveRequest, which has its own field checks.
 REQUEST_FIELDS = ["circuit", "passes", "window", "tfo_depth",
                   "cut_policy", "max_nodes", "executor", "workers",
