@@ -16,9 +16,9 @@ two claims that make the race worth running:
   optimality cancellation must let the race finish below the *median*
   single-racer wall clock.  These runs use a two-racer line-up
   (``bfs`` vs ``best-first``) in exhaustive configuration on instances
-  where the prover is >4x faster than the plodder; even on a single
-  core the race then beats the median, because the cancellation cuts
-  the plodder's tail off (true parallel speedups come on top of this).
+  where the prover is >4x faster than the plodder; the racers take
+  turns in one process, and the race still beats the median because
+  the cancellation cuts the plodder's tail off.
 
 The gated instances are pinned empirically: proven-optimality
 cancellation is only cost-safe where the racers' heuristic trees agree
@@ -149,8 +149,7 @@ def run_cost_matrix(specs, ungated=()):
                 "cost": report.cost,
                 "seconds": report.stats["runtime_seconds"]}
         report = session.solve(SolveRequest(
-            strategy="portfolio", portfolio_executor="serial",
-            **base)).raise_for_error()
+            strategy="portfolio", **base)).raise_for_error()
         rows.append({
             "instance": spec["name"],
             "gated": spec["name"] not in ungated_names,
@@ -182,7 +181,7 @@ def run_race_matrix(specs):
                 "seconds": report.stats["runtime_seconds"]}
         report = session.solve(SolveRequest(
             relation=spec["name"], strategy="portfolio",
-            portfolio_racers=RACE_LINEUP, portfolio_executor="serial",
+            portfolio_racers=RACE_LINEUP,
             **RACE_OPTS)).raise_for_error()
         times = sorted(s["seconds"] for s in singles.values())
         median = sum(times) / len(times)

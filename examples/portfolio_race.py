@@ -36,14 +36,14 @@ def race(session, bench):
         single_costs[strategy] = report.cost
         print("  %-10s alone -> cost %.0f" % (strategy, report.cost))
 
-    # Now the race.  executor="serial" (the default) keeps the demo
-    # deterministic; "process" runs one OS process per racer.
+    # Now the race.  The racers take turns in this process, so the
+    # demo is deterministic.
     report = session.solve(SolveRequest(
         relation={"kind": "bench", "name": bench},
-        strategy="portfolio", portfolio_executor="serial"))
+        strategy="portfolio"))
     summary = report.portfolio
-    print("  portfolio (%s executor) -> cost %.0f, won by %s"
-          % (summary["executor"], report.cost, summary["winner"]))
+    print("  portfolio -> cost %.0f, won by %s"
+          % (report.cost, summary["winner"]))
     for racer in summary["racers"]:
         print("    %-10s cost=%-4s explored=%-3d contributed=%d %s%s"
               % (racer["name"],

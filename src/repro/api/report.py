@@ -50,7 +50,10 @@ from ..core.solution import Solution
 #: 8: ``stats`` dropped ``memo_hits``/``memo_misses``/``memo_stores``
 #: and the echoed ``request`` dropped ``memo`` and ``mode`` (the
 #: subproblem memo and the ``mode`` alias were retired).
-REPORT_SCHEMA_VERSION = 8
+#: 9: ``portfolio`` dropped its two executor fields and ``note``, and
+#: the echoed ``request`` dropped the racer executor (a solve always
+#: runs in its caller's process).
+REPORT_SCHEMA_VERSION = 9
 
 
 @dataclass
@@ -87,7 +90,7 @@ class SolveReport:
     #: ``None`` when the relation solved monolithically.
     partition: Optional[Dict[str, Any]] = None
     #: Portfolio race summary when ``strategy="portfolio"`` raced the
-    #: solve (:mod:`repro.core.portfolio`): executor, winner, and one
+    #: solve (:mod:`repro.core.portfolio`): the winner and one
     #: attribution row per racer (cost, explored, improvements
     #: contributed, wall time, completion reason).  ``None`` otherwise.
     portfolio: Optional[Dict[str, Any]] = None

@@ -42,10 +42,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.brel import BrelOptions
+from ..core.explore import check_int, suggest
+from ..core.portfolio import RACER_DELTA_FIELDS, normalize_racers
 from ..core.relation import (BooleanRelation, check_output_sets,
                              check_truth_tables)
 from ..core.relio import RelationNodes, check_nodes, relation_from_nodes
@@ -54,8 +57,70 @@ from .registry import cost_registry, minimizer_registry
 #: What callers may pass as a relation source.
 RelationSpec = Union[str, Mapping[str, Any]]
 
-#: Accepted values of the no-op :attr:`SolveRequest.backend` field.
-_BACKEND_CHOICES = (None, "bdd", "table", "auto")
+#: The option fields of :class:`SolveRequest` as ``name: (kind, bound,
+#: optional)``, in the form of ``ResynthRequest``'s integer table.
+#: ``kind`` is ``"int"`` (an int, not a bool, at least ``bound``; see
+#: :func:`~repro.core.explore.check_int`), ``"seconds"`` (a finite int
+#: or float, not a bool, at least ``bound``), ``"bool"``, ``"str"`` or
+#: ``"choice"`` (one of the names in ``bound``, a tuple or a registry);
+#: ``optional`` admits ``None``.  The relation and the racer line-up have checkers of
+#: their own; a strategy's name is checked against the strategy table
+#: when the options are built.
+_FIELDS: Dict[str, tuple] = {
+    "cost": ("choice", cost_registry, False),
+    "minimizer": ("choice", minimizer_registry, False),
+    "strategy": ("str", None, True),
+    "max_explored": ("int", 0, True),
+    "fifo_capacity": ("int", 0, True),
+    "quick_on_subrelations": ("bool", None, True),
+    "symmetry_pruning": ("bool", None, False),
+    "symmetry_max_depth": ("int", 0, False),
+    "time_limit_seconds": ("seconds", 0, True),
+    "record_trace": ("bool", None, False),
+    "decompose": ("bool", None, True),
+    # Accepted and ignored (see SolveRequest.backend).
+    "backend": ("choice", ("bdd", "table", "auto"), True),
+    "label": ("str", None, True),
+}
+
+
+def _check_field(name: str, value: Any, kind: str, bound: Any,
+                 optional: bool) -> None:
+    """``ValueError`` naming the field and the value unless ``value``
+    fits its :data:`_FIELDS` row."""
+    if kind == "int":
+        check_int(name, value, bound, None, optional)
+        return
+    if value is None:
+        ok = optional
+    elif kind == "seconds":
+        # The limit becomes a float deadline: NaN, infinities and ints
+        # past the float range cannot.
+        ok = (type(value) in (int, float)
+              and bound <= value < sys.float_info.max)
+    elif kind == "bool":
+        ok = type(value) is bool
+    elif kind == "str":
+        ok = isinstance(value, str)
+    else:  # choice
+        ok = isinstance(value, str) and value in bound
+    if ok:
+        return
+    hint = ""
+    if kind == "seconds":
+        wanted = "a finite number >= %d" % bound
+    elif kind == "bool":
+        wanted = "True or False"
+    elif kind == "str":
+        wanted = "a str"
+    else:
+        wanted = "one of %s" % ", ".join(map(repr, bound))
+        if isinstance(value, str):
+            hint = suggest(value, list(bound))
+    raise ValueError("%s must be %s%s, got %r%s"
+                     % (name, "None or " if optional else "", wanted,
+                        value, hint))
+
 
 _SPEC_KEYS = {
     "name": ("name",),
@@ -74,17 +139,18 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
 
     Sequences become tuples (``output_sets`` rows additionally sorted and
     deduplicated) so that two specs describing the same source compare
-    equal regardless of JSON/Python container types.  ``output_sets``
-    and ``truth_tables`` values are range-checked here, so a bad one is
-    rejected (``ValueError``) before anything is looked up or built.
+    equal regardless of JSON/Python container types.  Every field's
+    shape is checked, and ``output_sets`` and ``truth_tables`` values
+    are range-checked, so a bad spec is rejected (``ValueError``)
+    before anything is looked up or built.
     """
     if isinstance(spec, str):
         spec = {"kind": "name", "name": spec}
     if not isinstance(spec, Mapping):
-        raise TypeError("relation spec must be a string or a mapping, "
-                        "got %r" % type(spec).__name__)
+        raise ValueError("relation spec must be a string or a mapping, "
+                         "got %r" % (spec,))
     kind = spec.get("kind")
-    if kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ValueError("unknown relation kind %r (expected one of %s)"
                          % (kind, ", ".join(sorted(_SPEC_KEYS))))
     expected = _SPEC_KEYS[kind]
@@ -101,10 +167,27 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
     for key in expected:
         value = spec[key]
         if key == "rows":
-            value = tuple(tuple(sorted(set(int(v) for v in row)))
-                          for row in value)
+            # A row is a set of output vertices, in any order and with
+            # repeats; check_output_sets checks each vertex below.
+            try:
+                value = tuple(tuple(sorted(set(row))) for row in value)
+            except TypeError:
+                raise ValueError("'output_sets' relation spec: rows must "
+                                 "be a list of lists of ints, got %r"
+                                 % (value,)) from None
         elif key in ("tables", "equations", "independents", "dependents"):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError("%r relation spec: %s must be a list, "
+                                 "got %r" % (kind, key, value))
             value = tuple(value)
+            if key != "tables" and not all(isinstance(item, str)
+                                           for item in value):
+                raise ValueError("%r relation spec: %s must be a list of "
+                                 "str, got %r" % (kind, key, value))
+        elif key in ("name", "path", "text") \
+                and not isinstance(value, str):
+            raise ValueError("%r relation spec: %s must be a str, got %r"
+                             % (kind, key, value))
         out[key] = value
     if kind == "output_sets":
         check_output_sets(out["rows"], out["num_inputs"],
@@ -246,9 +329,11 @@ class SolveRequest:
 
     All solver knobs mirror :class:`repro.core.BrelOptions` but name the
     callables through the :mod:`repro.api.registry` tables.  Construction
-    validates everything eagerly — unknown registry names, bad
-    strategies, and negative budgets are rejected here, not deep inside
-    a worker process.
+    validates everything eagerly, each option field against its
+    :data:`_FIELDS` row: a wrong type, an unknown name, a negative
+    budget or a non-finite time limit is a ``ValueError`` naming the
+    field and the value, raised here rather than deep inside a worker
+    process.
     """
 
     relation: Any = None
@@ -273,8 +358,8 @@ class SolveRequest:
     #: breakdown in :attr:`SolveReport.partition`.
     decompose: Optional[bool] = None
     #: Accepted for wire compatibility and ignored: every solve runs on
-    #: the manager its relation lives on.  Still validated against
-    #: ``_BACKEND_CHOICES``; not part of any cache key, because
+    #: the manager its relation lives on.  Still validated against its
+    #: :data:`_FIELDS` choices; not part of any cache key, because
     #: requests that differ only here get identical answers.
     backend: Optional[str] = None
     #: Racer line-up for ``strategy="portfolio"`` (mirrors
@@ -283,29 +368,25 @@ class SolveRequest:
     #: list of names/spec mappings, normalised here to the canonical
     #: spec tuple so equal line-ups compare (and cache) equal.
     portfolio_racers: Any = None
-    #: Racer executor (``"serial"``/``"process"``; ``None`` = serial).
-    #: An execution detail like the session's block executor: never
-    #: part of a cache key.
-    portfolio_executor: Optional[str] = None
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.relation is not None:
             object.__setattr__(self, "relation",
                                normalize_relation_spec(self.relation))
+        for name, rule in _FIELDS.items():
+            _check_field(name, getattr(self, name), *rule)
         if self.portfolio_racers is not None:
-            from ..core.portfolio import normalize_racers
-            object.__setattr__(self, "portfolio_racers",
-                               normalize_racers(self.portfolio_racers))
-        if self.cost not in cost_registry:
-            cost_registry.get(self.cost)  # raises with the valid names
-        if self.minimizer not in minimizer_registry:
-            minimizer_registry.get(self.minimizer)
-        if self.backend not in _BACKEND_CHOICES:
-            raise ValueError("backend must be one of %r (accepted and "
-                             "ignored)" % (_BACKEND_CHOICES,))
-        # Budget validation is shared with BrelOptions.__post_init__; build
-        # the options eagerly so a bad request never reaches a worker.
+            racers = normalize_racers(self.portfolio_racers)
+            for spec in racers:
+                for field in RACER_DELTA_FIELDS:
+                    if field in spec:
+                        _check_field("racer %r %s" % (spec["name"], field),
+                                     spec[field], *_FIELDS[field])
+            object.__setattr__(self, "portfolio_racers", racers)
+        # Option combinations are checked by BrelOptions.__post_init__;
+        # build the options eagerly so a bad request never reaches a
+        # worker.
         self.to_options()
 
     # -- conversion ----------------------------------------------------
@@ -327,8 +408,7 @@ class SolveRequest:
             time_limit_seconds=self.time_limit_seconds,
             record_trace=self.record_trace,
             decompose=self.decompose,
-            portfolio_racers=self.portfolio_racers,
-            portfolio_executor=self.portfolio_executor)
+            portfolio_racers=self.portfolio_racers)
 
     @classmethod
     def from_options(cls, options: BrelOptions,
@@ -362,7 +442,6 @@ class SolveRequest:
                    record_trace=options.record_trace,
                    decompose=options.decompose,
                    portfolio_racers=options.portfolio_racers,
-                   portfolio_executor=options.portfolio_executor,
                    label=label)
 
     # -- serialisation -------------------------------------------------

@@ -15,6 +15,11 @@ A :class:`Session` is the stateful front door of the package.  It
   per-job failures captured as failed :class:`SolveReport`\\ s rather
   than raised.
 
+A single solve always runs in its caller's process: sharded blocks and
+portfolio racers run in turn inside the solver.  The batch pool of
+:meth:`Session.solve_many` is the package's one process pool; it runs
+many requests side by side, which is where parallelism pays.
+
 Pool jobs are made *self-contained* before dispatch: the relation
 travels as its node list (:func:`repro.core.relio.relation_to_nodes`,
 linear in BDD size) and the request as its dict form, so a job needs
@@ -34,23 +39,19 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
-from ..core.brel import BrelResult, BrelSolver
+from ..core.brel import BrelSolver
 from ..core.explore import (CancelToken, Improvement, Observer,
                             check_executor)
 from ..core.memo import instantiate_solution
-from ..core.partition import (merge_block_stats, partition_relation,
-                              worst_stopped)
 from ..core.relation import BooleanRelation
 from ..core.relio import (RelationNodes, parse_relation, peek_shape,
                           relation_from_nodes, relation_to_nodes)
-from ..core.solution import Solution, SolverStats
+from ..core.solution import Solution
 from .report import SolveReport
 from .request import (RelationSpec, SolveRequest, build_relation,
                       nodes_of_spec, normalize_relation_spec,
@@ -383,15 +384,12 @@ class Session:
         # Decomposition keys by its *effective* decision too: None
         # (auto) and True shard identically, so they share a slot,
         # while False reports lack the partition breakdown and must
-        # not be served to sharded requests (or vice versa).  The
-        # block executor is deliberately NOT keyed: sharded results
-        # are byte-identical across serial and process dispatch.
-        # The backend field is NOT keyed either: it is accepted and
-        # ignored, so its values share one slot.
+        # not be served to sharded requests (or vice versa).
+        # The backend field is NOT keyed: it is accepted and ignored,
+        # so its values share one slot.
         # The portfolio racer line-up keys by its *resolved* canonical
         # JSON — None and an explicitly spelled-out default line-up
-        # share a slot — while portfolio_executor, like the block
-        # executor, is an execution detail and is NOT keyed.
+        # share a slot.
         if request.exploration_strategy() == "portfolio":
             from ..core.portfolio import racers_cache_key
             racers = racers_cache_key(request.portfolio_racers)
@@ -617,10 +615,8 @@ class Session:
     def solve(self, request: Optional[SolveRequest] = None,
               relation: Optional[RelationLike] = None, *,
               cancel: Optional[CancelToken] = None,
-              observer: Optional[Observer] = None,
-              block_executor: str = "serial",
-              block_workers: Optional[int] = None) -> SolveReport:
-        """Run one solve and return its report.
+              observer: Optional[Observer] = None) -> SolveReport:
+        """Run one solve, in this process, and return its report.
 
         The relation comes from the explicit ``relation`` argument or,
         failing that, the request's ``relation`` spec.  Unlike
@@ -632,28 +628,8 @@ class Session:
         ``stopped="cancelled"``); ``observer`` receives every
         :class:`~repro.core.SolveEvent` of a fresh run (cache hits
         emit no events).
-
-        ``block_executor`` dispatches the *blocks of this one solve*
-        when output-block decomposition shards the relation
-        (:mod:`repro.core.partition`): ``"serial"`` (default) solves
-        them in the fixed partition order inside the solver loop;
-        ``"process"`` ships each block to the same process-pool
-        machinery :meth:`solve_many` uses (node list out, solution
-        template back) and recombines the per-block solutions in the
-        caller's manager — byte-identical to the serial result, since
-        every block still runs the same deterministic strategy loop on
-        the same ordered BDD.  Relations that do not shard, calls
-        that need the live event stream (an ``observer`` or
-        ``record_trace`` — workers cannot stream events back), and
-        environments without a working pool layer all fall back to the
-        in-process solve, which still shards serially in-solver.
-        ``block_workers`` caps the pool (default: one worker per
-        block, capped at the CPU count).  The recombined report carries
-        a live solution in the caller's manager, rebuilt from the
-        blocks' templates.
         """
         request = request or SolveRequest()
-        check_executor("block_executor", block_executor)
         resolved, spec, key, from_registry = \
             self._prepare_solve(request, relation)
         cached = self._cache.get(key)
@@ -667,31 +643,11 @@ class Session:
         spec_built = resolved is None
         resolved, key = self._materialize(resolved, spec, key,
                                           from_registry, request)
-        report = None
-        partition = None
-        if (block_executor == "process"
-                and request.decompose is not False
-                and len(resolved.outputs) >= 2
-                # Pool workers cannot stream events back to the caller
-                # (observer/trace), and cannot share the serial path's
-                # single cross-block deadline (time limit); those
-                # contracts beat pooling, so such solves run in-solver.
-                and observer is None and not request.record_trace
-                and request.time_limit_seconds is None):
-            partition = partition_relation(resolved)
-            if not partition.is_trivial:
-                report = self._solve_blocks_pooled(request, resolved,
-                                                   partition,
-                                                   block_workers, cancel)
-        if report is None:
-            # Hand any partition computed above to the solver's router
-            # so the support/separability analysis is never paid twice.
-            result = BrelSolver(request.to_options()).solve(
-                resolved, cancel=cancel, observer=observer,
-                partition=partition)
-            report = SolveReport.from_result(resolved, result,
-                                             request=request.to_dict(),
-                                             label=request.label)
+        result = BrelSolver(request.to_options()).solve(
+            resolved, cancel=cancel, observer=observer)
+        report = SolveReport.from_result(resolved, result,
+                                         request=request.to_dict(),
+                                         label=request.label)
         # A cancelled solve is a partial result of *this call's* token,
         # which is not part of the cache key — caching it would serve
         # the truncated answer to future uncancelled calls.
@@ -705,208 +661,6 @@ class Session:
             # caller-owned relations keep theirs.
             resolved.mgr.release_caches()
         return report
-
-    def _solve_blocks_pooled(self, request: SolveRequest,
-                             resolved: BooleanRelation,
-                             partition,
-                             max_workers: Optional[int],
-                             cancel: Optional[CancelToken]
-                             ) -> Optional[SolveReport]:
-        """Shard one solve across a process pool; ``None`` = run
-        in-process.
-
-        Ships each block of the (non-trivial) ``partition`` as a
-        self-contained job (node list + block request) through the
-        same worker entry point batches use, and recombines the
-        per-block solution templates into a live full solution in the
-        caller's manager.  Returns ``None`` when the pool layer is
-        unavailable or the solve was cancelled before the pool
-        finished — the caller then runs the in-process solve, which
-        still shards serially in-solver and honours the token
-        (immediately returning the quick incumbents).  Block failures
-        raise, matching :meth:`solve`'s raise-on-failure contract.
-        """
-        # The serial path's solver checks left-totality first and lets
-        # NotWellDefinedError propagate; raise the same error here
-        # rather than shipping doomed blocks and wrapping the worker's
-        # failure in RuntimeError.
-        resolved.require_well_defined()
-        start = time.perf_counter()
-        base_request = request.to_dict()
-        base_request["relation"] = None
-        # Blocks are connected components: they cannot shard further,
-        # but pin the router off so workers skip the re-analysis.
-        base_request["decompose"] = False
-        payloads = []
-        for block in partition.blocks:
-            payload = {"nodes": relation_to_nodes(block.relation),
-                       "request": dict(base_request),
-                       "label": "block-%d" % block.index}
-            payload["request"]["label"] = payload["label"]
-            payloads.append(payload)
-
-        reports = self._run_block_jobs(payloads, max_workers, cancel)
-        if reports is None:
-            return None  # pool layer unavailable; solve in-process
-        for payload, block_report in zip(payloads, reports):
-            if not block_report.ok:
-                raise RuntimeError(
-                    "sharded solve failed on %s: %s"
-                    % (payload["label"], block_report.error))
-
-        block_solutions = [self._portable_solution(block_report,
-                                                   block.relation)
-                           for block, block_report
-                           in zip(partition.blocks, reports)]
-        full = partition.recombine_solutions(
-            block_solutions, request.to_options().cost_function)
-        stats = merge_block_stats(
-            [SolverStats(**block_report.stats)
-             for block_report in reports])
-        stats.runtime_seconds = time.perf_counter() - start
-        stats.bdd_nodes = resolved.mgr.num_nodes
-        stopped = worst_stopped(
-            [block_report.stopped or "exhausted"
-             for block_report in reports])
-        # No executor tag in the summary: pooled and serial sharded
-        # reports share a cache slot, so their content must not depend
-        # on which executor produced them.
-        summary = partition.summary()
-        for entry, solution, block_report in zip(
-                summary["blocks"], block_solutions, reports):
-            entry["cost"] = solution.cost
-            entry["stats"] = dict(block_report.stats)
-            entry["stopped"] = block_report.stopped
-        improvements = self._recombine_improvements(reports,
-                                                    block_solutions,
-                                                    full, stats)
-        result = BrelResult(
-            full, stats, improvements=improvements,
-            events=None, stopped=stopped, partition=summary)
-        return SolveReport.from_result(resolved, result,
-                                       request=request.to_dict(),
-                                       label=request.label)
-
-    @staticmethod
-    def _recombine_improvements(reports: List[SolveReport],
-                                block_solutions: List[Solution],
-                                full: Solution,
-                                stats: SolverStats) -> List[Improvement]:
-        """Rebuild the serial-equivalent anytime trajectory.
-
-        The serial sharded loop records one improvement per strictly
-        improving recombination, walking the blocks in partition order;
-        for per-output-additive costs each block-local improvement
-        lowers the running total by exactly its local delta, so the
-        same trajectory (costs and cumulative explored counts; wall
-        stamps are worker-local) reconstructs from the block reports.
-        A cost function the block deltas cannot explain (the trajectory
-        would not end at the recombined cost) falls back to the single
-        final entry rather than fabricating a sequence.
-        """
-        trajectories = [list(report.improvements) for report in reports]
-        if any(not trajectory for trajectory in trajectories):
-            return [Improvement(full, full.cost, stats.runtime_seconds,
-                                stats.relations_explored)]
-        running = [trajectory[0]["cost"] for trajectory in trajectories]
-        best_total = sum(running)
-        improvements = [Improvement(full, best_total, 0.0, 0)]
-        explored_base = 0
-        for index, trajectory in enumerate(trajectories):
-            for entry in trajectory[1:]:
-                running[index] = entry["cost"]
-                candidate_total = sum(running)
-                if candidate_total < best_total:
-                    best_total = candidate_total
-                    improvements.append(Improvement(
-                        full, best_total, entry["elapsed_seconds"],
-                        explored_base + int(entry["explored"])))
-            explored_base += int(reports[index].stats.get(
-                "relations_explored", 0))
-        if improvements[-1].cost != full.cost:
-            return [Improvement(full, full.cost, stats.runtime_seconds,
-                                stats.relations_explored)]
-        return improvements
-
-    def _run_block_jobs(self, payloads: List[Dict[str, Any]],
-                        max_workers: Optional[int],
-                        cancel: Optional[CancelToken]
-                        ) -> Optional[List[SolveReport]]:
-        """Run block payloads on a process pool; ``None`` = abandon
-        pooling.
-
-        Workers cannot share the cancel token, so a cancellation
-        observed while waiting abandons the pooled attempt (``None``)
-        at once — the in-process sharded solve then honours the token
-        directly.  A worker that dies (broken pool, pickling breakage)
-        comes back as a failed report for its block rather than an
-        escaping exception.
-        """
-        if cancel is not None and cancel.cancelled:
-            return None
-        try:
-            pool = self._process_pool(max_workers, len(payloads))
-        except OSError:
-            # No working fork/semaphore layer (restricted sandboxes):
-            # signal the caller to run the in-process sharded solve.
-            return None
-        try:
-            futures = [self._submit(pool, payload) for payload in payloads]
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding,
-                    timeout=0.1 if cancel is not None else None,
-                    return_when=FIRST_COMPLETED)
-                if (cancel is not None and cancel.cancelled
-                        and outstanding):
-                    # Abandon without joining: workers cannot see the
-                    # token, so waiting for them would stall the cancel
-                    # for the duration of the longest block.  The
-                    # finally-shutdown cancels queued blocks; running
-                    # ones finish in the background and are discarded.
-                    return None
-            return [self._future_report(future, payload)
-                    for payload, future in zip(payloads, futures)]
-        except OSError:
-            return None
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _process_pool(self, max_workers: Optional[int], jobs: int
-                      ) -> ProcessPoolExecutor:
-        """A pool for ``jobs`` jobs; raises ``OSError`` without a
-        working process layer.
-
-        ``max_workers`` (else the session default, else one worker per
-        job up to the CPU count) caps its size.
-        """
-        if max_workers is None:
-            max_workers = self.default_max_workers
-        if max_workers is None:
-            max_workers = min(jobs, os.cpu_count() or 1)
-        return ProcessPoolExecutor(max_workers=max(1, min(max_workers,
-                                                          jobs)))
-
-    @staticmethod
-    def _submit(pool: ProcessPoolExecutor, payload: Dict[str, Any]
-                ) -> Future:
-        """Ship a job's picklable part (node list, request dict,
-        label) to the pool."""
-        return pool.submit(_solve_payload, {
-            "nodes": payload["nodes"], "request": payload["request"],
-            "label": payload["label"]})
-
-    @staticmethod
-    def _future_report(future: Future, payload: Dict[str, Any]
-                       ) -> SolveReport:
-        """A finished job's report; a broken pool or a pickling failure
-        becomes a failed report for that job."""
-        try:
-            return future.result()
-        except Exception as exc:  # noqa: BLE001 — pool/pickling breakage
-            return SolveReport.from_error(exc, request=payload["request"],
-                                          label=payload["label"])
 
     def solve_iter(self, request: Optional[SolveRequest] = None,
                    relation: Optional[RelationLike] = None, *,
@@ -1158,10 +912,23 @@ class Session:
                 results[key] = self._solve_in_process(payload, cancel)
             return results
 
+        # One worker per job up to the CPU count, unless capped by the
+        # call or the session default.
+        if max_workers is None:
+            max_workers = self.default_max_workers
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
         try:
-            with self._process_pool(max_workers, len(keys)) as pool:
-                futures = {key: self._submit(pool, payloads[key])
-                           for key in keys}
+            with ProcessPoolExecutor(
+                    max_workers=max(1, min(max_workers, len(keys)))) as pool:
+                futures = {}
+                for key in keys:
+                    payload = payloads[key]
+                    # Workers get only the picklable part of a job.
+                    futures[key] = pool.submit(_solve_payload, {
+                        "nodes": payload["nodes"],
+                        "request": payload["request"],
+                        "label": payload["label"]})
                 # A CancelToken cannot cross the process boundary, so
                 # cancellation here stops dispatch: queued futures are
                 # cancelled, running workers finish their current job.
@@ -1177,12 +944,18 @@ class Session:
                             future.cancel()
                         break
                 for key, future in futures.items():
+                    payload = payloads[key]
                     if future.cancelled():
-                        results[key] = self._cancelled_report(
-                            payloads[key])
+                        results[key] = self._cancelled_report(payload)
                         continue
-                    results[key] = self._future_report(future,
-                                                       payloads[key])
+                    try:
+                        results[key] = future.result()
+                    except Exception as exc:  # noqa: BLE001 — pool breakage
+                        # A dead worker or a pickling failure fails
+                        # this job only.
+                        results[key] = SolveReport.from_error(
+                            exc, request=payload["request"],
+                            label=payload["label"])
         except OSError:
             # Process pools need a working fork/semaphore layer; fall
             # back to in-process execution in restricted sandboxes.

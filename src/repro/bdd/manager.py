@@ -299,8 +299,8 @@ class BddManager:
         """Open (or join) a solve: ISOP keeps one sub-interval table
         until the matching outermost :meth:`exit_solve`.
 
-        Nested solves on this manager (sharded blocks, serial portfolio
-        racers) join the table of the solve that encloses them.
+        Nested solves on this manager (sharded blocks, portfolio racers)
+        join the table of the solve that encloses them.
         """
         self._solve_depth += 1
         if self._isop_table is None:

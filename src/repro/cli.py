@@ -51,14 +51,12 @@ __all__ = ["COSTS", "build_parser", "main"]
 
 def _request_from_args(args: argparse.Namespace,
                        relation_spec: Dict[str, Any]) -> SolveRequest:
-    # Typing a racer line-up (or picking an executor for one) IS asking
-    # for a race: imply the meta-strategy rather than demanding
-    # --strategy portfolio be spelled out too.  An explicitly typed
-    # conflicting strategy still fails eager validation.
+    # Typing a racer line-up IS asking for a race: imply the
+    # meta-strategy rather than demanding --strategy portfolio be
+    # spelled out too.  An explicitly typed conflicting strategy still
+    # fails eager validation.
     strategy = args.strategy
-    if strategy is None and (
-            getattr(args, "racers", None) is not None
-            or getattr(args, "portfolio_executor", None) is not None):
+    if strategy is None and getattr(args, "racers", None) is not None:
         strategy = "portfolio"
     return SolveRequest(
         relation=relation_spec,
@@ -72,10 +70,9 @@ def _request_from_args(args: argparse.Namespace,
         time_limit_seconds=args.time_limit,
         record_trace=args.trace,
         decompose=args.decompose,
-        # Portfolio knobs exist only on the solve verb; getattr keeps
-        # the shared builder usable from parsers without them.
-        portfolio_racers=getattr(args, "racers", None),
-        portfolio_executor=getattr(args, "portfolio_executor", None))
+        # The racer line-up exists only on the solve verb; getattr
+        # keeps the shared builder usable from parsers without it.
+        portfolio_racers=getattr(args, "racers", None))
 
 
 def _progress_printer(stream):
@@ -98,8 +95,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         request = _request_from_args(
             args, {"kind": "file", "path": args.relation})
-        report = Session().solve(request, observer=observer,
-                                 block_executor=args.block_executor)
+        report = Session().solve(request, observer=observer)
     except (OSError, ValueError, KeyError, RelationFormatError,
             NotWellDefinedError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -125,9 +121,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                          "relations_explored", 0)),
                      block["stopped"]))
     if report.portfolio:
-        print("# portfolio: %s executor, won by %s"
-              % (report.portfolio["executor"],
-                 report.portfolio["winner"]))
+        print("# portfolio: won by %s" % report.portfolio["winner"])
         for racer in report.portfolio["racers"]:
             print("#   %-12s cost=%s explored=%d contributed=%d "
                   "%.3fs (%s)%s"
@@ -370,12 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "portfolio; default line-up: "
                             "bfs,dfs,best-first,beam); each name is an "
                             "exploration strategy")
-    solve.add_argument("--portfolio-executor", choices=EXECUTORS,
-                       default=None,
-                       help="where portfolio racers run (implies "
-                            "--strategy portfolio; default serial, "
-                            "which is deterministic; process runs one "
-                            "OS process per racer)")
     solve.add_argument("--no-quick", action="store_true",
                        help="skip QuickSolver on explored subrelations "
                             "(quick_on_subrelations=False)")
@@ -396,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--no-decompose", dest="decompose",
                        action="store_false",
                        help="always solve the monolithic relation")
-    solve.add_argument("--block-executor", choices=EXECUTORS,
-                       default="serial",
-                       help="where decomposed blocks run: in-solver "
-                            "(serial) or on a process pool (results "
-                            "are byte-identical either way)")
     solve.add_argument("--json", action="store_true",
                        help="emit the structured SolveReport as JSON")
     solve.set_defaults(func=_cmd_solve)

@@ -40,6 +40,10 @@ and :meth:`BrelSolver.iter_solve` yields every strictly improving
 
 As in the paper, every explored subrelation is projected, minimised and
 split from scratch; nothing is looked up across subproblems or solves.
+A solve runs in its caller's process and thread: the blocks of a
+sharded solve run one after another, and portfolio racers take turns
+(:mod:`repro.core.portfolio`).  Parallelism lives one level up, in
+:meth:`repro.api.Session.solve_many`, which runs many solves at once.
 """
 
 from __future__ import annotations
@@ -133,12 +137,6 @@ class BrelOptions:
         comma-separated string / list of strategy names / list of
         mappings ``{"strategy": ..., "name": ..., <option deltas>}``.
         Rejected eagerly for any other strategy.
-    portfolio_executor:
-        How the racers run: ``"serial"`` (the default, ``None``;
-        deterministic round-robin interleave) or ``"process"`` (one OS
-        process per racer).  Like the session's block executor, this
-        is an execution detail, so cache keys ignore it.  Rejected
-        eagerly for any other strategy.
     """
 
     cost_function: CostFunction = bdd_size_cost
@@ -153,7 +151,6 @@ class BrelOptions:
     record_trace: bool = False
     decompose: Optional[bool] = None
     portfolio_racers: Any = None
-    portfolio_executor: Optional[str] = None
 
     def exploration_strategy(self) -> str:
         """The effective strategy name (``None`` means ``"bfs"``)."""
@@ -202,12 +199,10 @@ class BrelOptions:
             # import: repro.core.portfolio imports this module.
             from .portfolio import validate_portfolio_options
             validate_portfolio_options(self)
-        elif (self.portfolio_racers is not None
-                or self.portfolio_executor is not None):
+        elif self.portfolio_racers is not None:
             raise ValueError(
-                "portfolio_racers/portfolio_executor apply only to "
-                "strategy='portfolio' (got strategy=%r)"
-                % self.exploration_strategy())
+                "portfolio_racers applies only to strategy='portfolio' "
+                "(got strategy=%r)" % self.exploration_strategy())
 
 
 @dataclass
@@ -225,7 +220,7 @@ class BrelResult:
     reached, whose initial QuickSolver incumbent stands).
     ``portfolio`` is ``None`` unless ``strategy="portfolio"`` raced the
     solve, in which case it records the JSON-ready race summary —
-    executor, winner, and per-racer attribution (cost, explored,
+    the winner and per-racer attribution (cost, explored,
     improvements contributed, wall time, completion reason).
     """
 
@@ -277,18 +272,14 @@ class BrelSolver:
     # ------------------------------------------------------------------
     def solve(self, relation: BooleanRelation,
               cancel: Optional[CancelToken] = None,
-              observer: Optional[Observer] = None,
-              partition: Optional[Partition] = None) -> BrelResult:
+              observer: Optional[Observer] = None) -> BrelResult:
         """Solve a well-defined relation; raises if it is not left-total.
 
         Drives :meth:`iter_events` to completion, dispatching events to
         the registered observers (plus the per-call ``observer``).
-        ``partition`` optionally hands over an already-computed
-        decomposition of this exact relation (see :meth:`iter_events`).
         """
         observers = self._notify(observer)
-        events = self.iter_events(relation, cancel=cancel,
-                                  partition=partition)
+        events = self.iter_events(relation, cancel=cancel)
         while True:
             try:
                 event = next(events)
@@ -325,8 +316,7 @@ class BrelSolver:
 
     # ------------------------------------------------------------------
     def iter_events(self, relation: BooleanRelation,
-                    cancel: Optional[CancelToken] = None,
-                    partition: Optional[Partition] = None
+                    cancel: Optional[CancelToken] = None
                     ) -> Generator[SolveEvent, None, BrelResult]:
         """The solver loop as a typed event stream.
 
@@ -340,38 +330,29 @@ class BrelSolver:
         a verified partition with at least two independent output
         blocks routes to the sharded loop (each block solved by its own
         strategy loop, results recombined), anything else to the
-        monolithic loop below.  A caller that already ran the analysis
-        (the :class:`~repro.api.Session` pooled-dispatch path) can pass
-        its ``partition`` to skip the re-analysis; it must describe
-        exactly this relation object.
+        monolithic loop below.
 
         The solve holds its manager's solve scope
         (:meth:`~repro.bdd.BddManager.enter_solve`) until the stream
         ends, so every ISOP call of the solve — sharded blocks and
-        serial portfolio racers included — shares one sub-interval
+        portfolio racers included — shares one sub-interval
         table, dropped when the outermost solve returns.
         """
         mgr = relation.mgr
         mgr.enter_solve()
         try:
-            return (yield from self._iter_events_scoped(relation, cancel,
-                                                        partition))
+            return (yield from self._iter_events_scoped(relation, cancel))
         finally:
             mgr.exit_solve()
 
     def _iter_events_scoped(self, relation: BooleanRelation,
-                            cancel: Optional[CancelToken],
-                            partition: Optional[Partition]
+                            cancel: Optional[CancelToken]
                             ) -> Generator[SolveEvent, None, BrelResult]:
         """:meth:`iter_events` inside the manager's solve scope."""
         relation.require_well_defined()
         options = self.options
-        if partition is not None and partition.relation is not relation:
-            raise ValueError("the supplied partition describes a "
-                             "different relation")
         if options.decompose is not False and len(relation.outputs) >= 2:
-            if partition is None:
-                partition = partition_relation(relation)
+            partition = partition_relation(relation)
             if not partition.is_trivial:
                 result = yield from self._iter_events_sharded(
                     partition, cancel)

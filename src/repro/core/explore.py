@@ -20,8 +20,8 @@ touching the solver loop:
 * :class:`CancelToken` — cooperative cancellation for in-flight
   searches (the programmatic twin of §7.6's time-out completion
   criterion);
-* :data:`EXECUTORS` — where solver work (portfolio racers, sharded
-  blocks, batches, resynthesis) may run.
+* :data:`EXECUTORS` — where the solves of a batch (``solve_many``,
+  resynthesis, the service's batches and prewarming) may run.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ``partition`` opens a sharded solve (the relation decomposed into
 #: ``detail``-described output blocks; see
 #: :mod:`repro.core.partition`); ``portfolio`` opens a racing solve
-#: (``detail`` names the racers and the executor; see
-#: :mod:`repro.core.portfolio`) and ``racer-done`` closes each racer's
-#: leg of the race; ``timeout`` / ``cancelled`` / ``budget`` flag an
-#: early stop (matching ``BrelResult.stopped``); ``done`` always closes
-#: the stream.
+#: (``detail`` names the racers; see :mod:`repro.core.portfolio`) and
+#: ``racer-done`` closes each racer's leg of the race; ``timeout`` /
+#: ``cancelled`` / ``budget`` flag an early stop (matching
+#: ``BrelResult.stopped``); ``done`` always closes the stream.
 EVENT_KINDS = ("partition", "portfolio", "quick-solution", "new-best",
                "branch", "prune", "racer-done", "timeout", "cancelled",
                "budget", "done")
@@ -58,10 +57,12 @@ PRUNE_DETAILS = ("cost", "symmetry", "frontier-overflow", "bound",
                  "shared-bound")
 
 
-#: Where solver work runs: ``"serial"`` in the caller's process and
-#: thread (deterministic), ``"process"`` on OS worker processes (true
-#: parallelism; the engine is pure Python, so threads only take turns
-#: on the GIL).  Every executor option validates against this tuple.
+#: Where the solves of a batch run: ``"serial"`` one after another in
+#: the caller's process and thread, ``"process"`` side by side on OS
+#: worker processes (true parallelism; the engine is pure Python, so
+#: threads only take turns on the GIL).  A single solve always runs in
+#: its caller's process.  Every executor option validates against this
+#: tuple.
 EXECUTORS: Tuple[str, ...] = ("serial", "process")
 
 
@@ -79,6 +80,27 @@ def check_executor(field: str, value: Any) -> str:
         raise ValueError("%s must be one of %s, got %r"
                          % (field, ", ".join(map(repr, EXECUTORS)), value))
     return value
+
+
+def check_int(name: str, value: Any, least: Optional[int],
+              greatest: Optional[int], optional: bool) -> None:
+    """``ValueError`` naming the field and the value unless ``value`` is
+    an int (not a bool) in ``least..greatest`` (``None`` leaves that
+    side open), or ``None`` where ``optional``."""
+    if optional and value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)
+            or (greatest is not None and value > greatest)):
+        if least is None:
+            wanted = "an int"
+        elif greatest is None:
+            wanted = "an int >= %d" % least
+        else:
+            wanted = "an int in %d..%d" % (least, greatest)
+        raise ValueError("%s must be %s%s, got %r"
+                         % (name, "None or " if optional else "", wanted,
+                            value))
 
 
 def check_workers(value: Any) -> Optional[int]:

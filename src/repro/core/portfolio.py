@@ -20,58 +20,34 @@ the same relation and keeps whichever finishes best:
   across racers), one ``racer-done`` per racer, and a closing ``done``
   — so ``iter_solve`` and SSE streaming work unchanged.
 
-Executors (``portfolio_executor``, one of
-:data:`~repro.core.explore.EXECUTORS`):
+The racers run on the caller's thread and manager: one race loop,
+:func:`_drive`, pumps their generators round-robin, one event per racer
+per round, so a race is deterministic and nothing is copied.
 
-``"serial"`` (default)
-    round-robin interleave of the racer generators on the caller's
-    thread and manager — deterministic, and nothing is copied;
-``"process"``
-    one OS process per racer; the bound channel is a shared-memory
-    value and results come back over a queue as rank templates,
-    re-instantiated in the caller's manager.  Requires the cost
-    function and minimiser to be registered by name.  A racer process
-    that dies surfaces as a failed-racer note on the portfolio summary,
-    never as an escaping pool error.
-
-Both run behind the same transport interface (``poll``/``cancel``/
-``close``) and one race loop, :func:`_drive`.  A process race that
-cannot run on processes — a daemonic caller, an unregistered cost or
-minimiser, no working process layer — races serially and says why in
-the summary's ``note``.
-
-The racer failure contract is uniform: a racer that errors (or whose
-process dies) is recorded on the summary and the race continues with
-the rest; only a race with *no* surviving racer raises.
+A racer that errors is recorded on the summary and the race continues
+with the rest; only a race with *no* surviving racer raises.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterator, List,
-                    Mapping, Optional, Set, Tuple)
+                    Mapping, Optional, Tuple)
 
 from .explore import CancelToken, Improvement, SolveEvent, \
-    check_executor, get_strategy_factory
-from .memo import instantiate_solution, solution_template
+    get_strategy_factory
 from .partition import merge_block_stats
 from .quick import quick_solve
 from .relation import BooleanRelation
-from .relio import relation_from_nodes, relation_to_nodes
-from .solution import Solution, SolverStats
+from .solution import SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .brel import BrelOptions, BrelResult, BrelSolver
 
 #: The default racer line-up: one of each shipped frontier discipline.
 DEFAULT_RACERS: Tuple[str, ...] = ("bfs", "dfs", "best-first", "beam")
-
-#: Executor used when ``portfolio_executor`` is ``None``: deterministic,
-#: and it reproduces single-strategy costs exactly.
-DEFAULT_RACE_EXECUTOR = "serial"
 
 #: Option fields a racer spec may override relative to the base options.
 RACER_DELTA_FIELDS: Tuple[str, ...] = (
@@ -114,45 +90,6 @@ class BoundChannel:
 
     def __repr__(self) -> str:
         return "BoundChannel(cost=%r)" % self._cost
-
-
-class _SharedValueBound:
-    """Process-side :class:`BoundChannel` adapter over an mp ``Value``."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any) -> None:
-        self._value = value
-
-    @property
-    def cost(self) -> float:
-        return self._value.value
-
-    def publish(self, cost: float) -> bool:
-        with self._value.get_lock():
-            if cost < self._value.value:
-                self._value.value = cost
-                return True
-            return False
-
-
-class _SharedValueCancel:
-    """Duck-typed :class:`CancelToken` over a shared mp flag ``Value``."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Any) -> None:
-        self._value = value
-
-    def cancel(self) -> None:
-        self._value.value = 1
-
-    @property
-    def cancelled(self) -> bool:
-        return self._value.value != 0
-
-    def __bool__(self) -> bool:
-        return self.cancelled
 
 
 # ----------------------------------------------------------------------
@@ -270,12 +207,10 @@ def validate_portfolio_options(options: "BrelOptions"
 
     Called from ``BrelOptions.__post_init__`` so a bad racer line-up
     (unknown strategy, ``beam`` with ``fifo_capacity=0``, a nested
-    portfolio, a bogus executor) fails where batch manifests are
-    loaded, not mid-race.  Returns the normalised racer specs.
+    portfolio) fails where batch manifests are loaded, not mid-race.
+    Returns the normalised racer specs.
     """
     specs = normalize_racers(options.portfolio_racers)
-    if options.portfolio_executor is not None:
-        check_executor("portfolio_executor", options.portfolio_executor)
     for spec in specs:
         # Construct each racer's options so every strategy-specific
         # combination check runs now (e.g. the beam width rule).
@@ -352,7 +287,6 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     from .brel import BrelResult
     options = solver.options
     specs = list(normalize_racers(options.portfolio_racers))
-    requested = options.portfolio_executor or DEFAULT_RACE_EXECUTOR
 
     start = time.perf_counter()
     deadline = (start + options.time_limit_seconds
@@ -382,15 +316,12 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
             trace.append(ev)
         return ev
 
-    # Open the transport before the opening event, so the event names
-    # the executor that actually runs the race.
-    transport, executor, note = _open_transport(
-        solver, relation, specs, channel, outcomes, requested)
     stop_reason: List[Optional[str]] = [None]
+    racing = _drive(solver, relation, specs, channel, outcomes, cancel,
+                    deadline, stop_reason)
     try:
-        yield event("portfolio", detail="%d racers: %s; executor=%s%s" % (
-            len(specs), " | ".join(o.name for o in outcomes), executor,
-            " (%s)" % note if note else ""))
+        yield event("portfolio", detail="%d racers: %s" % (
+            len(specs), " | ".join(o.name for o in outcomes)))
         yield event("quick-solution", cost=best.cost, depth=0)
         improvements.append(Improvement(best, best.cost,
                                         time.perf_counter() - start, 0))
@@ -398,8 +329,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
 
         # Globally improving incumbents arrive as live caller-manager
         # solutions and are re-stamped here with the cumulative counters.
-        for kind, payload in _drive(transport, outcomes, cancel,
-                                    deadline, stop_reason):
+        for kind, payload in racing:
             if kind == "new-best":
                 solution, racer_index, depth = payload
                 if solution.cost < best.cost:
@@ -425,7 +355,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     finally:
         # However the stream ends — finished, cancelled, or abandoned
         # by its consumer — no racer outlives the race.
-        transport.close()
+        racing.close()
 
     failures = [o for o in outcomes if o.error is not None]
     if len(failures) == len(outcomes):
@@ -465,9 +395,6 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
                               - engine_before["cache_misses"])
 
     summary = {
-        "executor": executor,
-        "requested_executor": requested,
-        "note": note,
         "winner": outcomes[winner].name if winner is not None else None,
         "racers": [o.summary_row() for o in outcomes],
     }
@@ -477,296 +404,75 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
                       portfolio=summary)
 
 
-def _open_transport(solver: "BrelSolver", relation: BooleanRelation,
-                    specs: List[Dict[str, Any]], channel: BoundChannel,
-                    outcomes: List[_RacerOutcome], requested: str
-                    ) -> Tuple[Any, str, Optional[str]]:
-    """Start the racers: ``(transport, executor that runs, note)``.
-
-    A process race that cannot run on processes races serially, and
-    the note says why.
-    """
-    if requested == "process":
-        import multiprocessing
-        from ..api.registry import cost_registry, minimizer_registry
-        cost_name = cost_registry.name_of(solver.options.cost_function)
-        minimizer_name = minimizer_registry.name_of(
-            solver.options.minimizer)
-        if multiprocessing.current_process().daemon:
-            reason = "daemonic processes cannot spawn racer processes"
-        elif cost_name is None or minimizer_name is None:
-            reason = ("process racers need the cost function and "
-                      "minimizer registered by name")
-        else:
-            try:
-                return (_ProcessRacers(solver, relation, specs,
-                                       channel.cost, cost_name,
-                                       minimizer_name),
-                        "process", None)
-            except OSError as exc:
-                reason = "no working process layer (%s: %s)" % (
-                    type(exc).__name__, exc)
-        note: Optional[str] = "serial fallback: %s" % reason
-    else:
-        note = None
-    return (_SerialRacers(solver, relation, specs, channel, outcomes),
-            "serial", note)
-
-
-def _drive(transport: Any, outcomes: List[_RacerOutcome],
-           cancel: Optional[CancelToken],
+def _drive(solver: "BrelSolver", relation: BooleanRelation,
+           specs: List[Dict[str, Any]], channel: BoundChannel,
+           outcomes: List[_RacerOutcome], cancel: Optional[CancelToken],
            deadline: Optional[float], stop_reason: List[Optional[str]]
            ) -> Iterator[Tuple[str, Any]]:
-    """The race loop over either transport.
+    """The race loop: racer generators pumped round-robin.
 
-    Polls the transport until every racer has reported, checking the
-    caller's token and the deadline between polls, and yields
-    ``("new-best", (solution, racer, depth))``, ``("racer-done",
+    Each round advances every pending racer by one event, in line-up
+    order, checking the caller's token and the deadline between rounds.
+    Racers share the caller's manager and publish their improvements to
+    ``channel``.  Each outcome's ``explored`` stays live, so event stamps
+    count the work in flight.  Yields ``("new-best", (solution, racer,
+    depth))`` for every published improvement, ``("racer-done",
     outcome)`` and ``("stopped", reason)``.  A racer that proves
-    optimality cancels the rest.  The caller closes the transport.
+    optimality cancels the rest; closing the loop closes every racer.
     """
-    pending: Set[int] = set(range(len(outcomes)))
+    from .brel import BrelSolver
+    tokens = [CancelToken() for _ in specs]
+    racers = [BrelSolver(build_racer_options(solver.options, spec),
+                         bound=channel).iter_events(relation, cancel=token)
+              for spec, token in zip(specs, tokens)]
+    pending = set(range(len(outcomes)))
     racer_start = time.perf_counter()
+
+    def cancel_pending() -> None:
+        for index in pending:
+            tokens[index].cancel()
 
     def stop_all(reason: str) -> None:
         if stop_reason[0] is None:
             stop_reason[0] = reason
-        transport.cancel(pending)
+        cancel_pending()
 
-    while pending:
-        if cancel is not None and cancel.cancelled:
-            stop_all("cancelled")
-            yield ("stopped", "cancelled")
-            cancel = None  # emit the stop event once
-        if deadline is not None and time.perf_counter() > deadline:
-            stop_all("timeout")
-            yield ("stopped", "timeout")
-            deadline = None
-        for kind, index, data in transport.poll(pending):
-            outcome = outcomes[index]
-            if kind == "improve":
-                outcome.contributed += 1
-                solution, depth = data
-                yield ("new-best", (solution, index, depth))
-                continue
-            outcome.runtime_seconds = time.perf_counter() - racer_start
-            pending.discard(index)
-            if kind == "error":
-                outcome.error = data
-            else:  # done
-                stats: SolverStats = data["stats"]
-                outcome.cost = data["cost"]
-                outcome.explored = stats.relations_explored
-                outcome.stopped = data["stopped"]
-                outcome.stats = stats
-                outcome.frontier_overflow = stats.frontier_overflow
-            yield ("racer-done", outcome)
-            if stop_reason[0] is None and outcome.proved_optimal:
-                transport.cancel(pending)
-
-
-# ----------------------------------------------------------------------
-# Racer transports: poll(pending) yields ("improve", index, (solution,
-# depth)), ("done", index, data) and ("error", index, message);
-# cancel(indices) stops those racers; close() stops every racer.
-# ----------------------------------------------------------------------
-class _SerialRacers:
-    """Racer generators pumped round-robin, one event per racer per
-    poll, on the caller's thread and manager.
-
-    Racers share the caller's manager (single-threaded, so no isolation
-    is needed), which makes this the deterministic reference executor.
-    Each racer's ``explored`` on its outcome stays live, so event
-    stamps count the work in flight.
-    """
-
-    def __init__(self, solver: "BrelSolver", relation: BooleanRelation,
-                 specs: List[Dict[str, Any]], channel: BoundChannel,
-                 outcomes: List[_RacerOutcome]) -> None:
-        from .brel import BrelSolver
-        self._tokens = [CancelToken() for _ in specs]
-        self._racers = [
-            BrelSolver(build_racer_options(solver.options, spec),
-                       bound=channel)
-            .iter_events(relation, cancel=token)
-            for spec, token in zip(specs, self._tokens)]
-        self._channel = channel
-        self._outcomes = outcomes
-
-    def poll(self, pending: Set[int]) -> Iterator[Tuple[str, int, Any]]:
-        for index in sorted(pending):
-            try:
-                ev = next(self._racers[index])
-            except StopIteration as stop:
-                result = stop.value
-                yield ("done", index, {
-                    "cost": result.solution.cost,
-                    "stopped": result.stopped,
-                    "stats": result.stats,
-                })
-                continue
-            except Exception as exc:  # noqa: BLE001 — racer isolation
-                yield ("error", index,
-                       "%s: %s" % (type(exc).__name__, exc))
-                continue
-            self._outcomes[index].explored = ev.explored
-            if ev.kind == "new-best" and ev.solution is not None \
-                    and self._channel.publish(ev.solution.cost):
-                yield ("improve", index, (ev.solution, ev.depth))
-
-    def cancel(self, indices: Set[int]) -> None:
-        for index in indices:
-            self._tokens[index].cancel()
-
-    def close(self) -> None:
-        for racer in self._racers:
-            racer.close()
-
-
-def _process_racer_main(index: int, payload: Dict[str, Any],
-                        bound_value: Any, cancel_value: Any,
-                        msgq: Any) -> None:
-    """Racer process entry point (must be importable, hence top-level).
-
-    Rebuilds the racer options from registry names, solves against the
-    shared-memory bound, and ships improvements/results back over the
-    queue as data (templates + stat dicts) — BDD handles never cross
-    the process boundary.
-    """
     try:
-        from .brel import BrelOptions, BrelSolver
-        from ..api.registry import cost_registry, minimizer_registry
-        racer_relation = relation_from_nodes(payload["nodes"])
-        options = BrelOptions(
-            cost_function=cost_registry.get(payload["cost"]),
-            minimizer=minimizer_registry.get(payload["minimizer"]),
-            strategy=payload["strategy"],
-            time_limit_seconds=payload["time_limit_seconds"],
-            record_trace=False, decompose=False,
-            **{field: payload[field] for field in RACER_DELTA_FIELDS})
-        channel = _SharedValueBound(bound_value)
-        sub = BrelSolver(options, bound=channel)
-
-        def observe(ev: SolveEvent) -> None:
-            if ev.kind == "new-best" and ev.solution is not None:
-                if channel.publish(ev.solution.cost):
-                    template = solution_template(
-                        racer_relation.mgr, ev.solution.functions,
-                        racer_relation.inputs)
-                    msgq.put(("improve", index,
-                              (template, ev.solution.cost, ev.depth)))
-
-        result = sub.solve(racer_relation,
-                           cancel=_SharedValueCancel(cancel_value),
-                           observer=observe)
-        msgq.put(("done", index, {
-            "cost": result.solution.cost,
-            "stopped": result.stopped,
-            "stats": result.stats.as_dict(),
-        }))
-    except Exception as exc:  # noqa: BLE001 — racer isolation
-        try:
-            msgq.put(("error", index,
-                      "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:  # pragma: no cover - queue already broken
-            pass
-
-
-class _ProcessRacers:
-    """One OS process per racer over a shared-memory bound.
-
-    Improvements come back as rank templates and are re-instantiated
-    in the caller's manager (the racer solved the same ordered BDD, so
-    the cost it measured carries over).  A racer process that dies
-    without reporting (killed, segfaulted, ``os._exit``) is reported
-    as an error after a short grace period, never raised.  Raises
-    ``OSError`` when the process layer is unavailable (restricted
-    sandboxes without semaphores or fork).
-    """
-
-    def __init__(self, solver: "BrelSolver", relation: BooleanRelation,
-                 specs: List[Dict[str, Any]], bound: float,
-                 cost_name: str, minimizer_name: str) -> None:
-        import multiprocessing
-        options = solver.options
-        ctx = multiprocessing.get_context()
-        bound_value = ctx.Value("d", bound)
-        self._cancel = [ctx.RawValue("i", 0) for _ in specs]
-        self._queue = ctx.Queue()
-        self._relation = relation
-        base_payload = {
-            "nodes": relation_to_nodes(relation),
-            "cost": cost_name,
-            "minimizer": minimizer_name,
-            "time_limit_seconds": options.time_limit_seconds,
-        }
-        self._processes: List[Any] = []
-        for index, spec in enumerate(specs):
-            racer_options = build_racer_options(options, spec)
-            payload = dict(base_payload, strategy=spec["strategy"],
-                           **{field: getattr(racer_options, field)
-                              for field in RACER_DELTA_FIELDS})
-            self._processes.append(ctx.Process(
-                target=_process_racer_main,
-                args=(index, payload, bound_value, self._cancel[index],
-                      self._queue),
-                name="portfolio-racer-%s" % spec["name"], daemon=True))
-        self._strikes = [0] * len(specs)
-        try:
-            for process in self._processes:
-                process.start()
-        except OSError:
-            for process in self._processes:
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-            raise
-
-    def poll(self, pending: Set[int]) -> Iterator[Tuple[str, int, Any]]:
-        try:
-            kind, index, data = self._queue.get(timeout=0.05)
-        except queue_mod.Empty:
-            # A dead process that never reported gets a few grace polls
-            # (its queue feeder may still be flushing), then surfaces
-            # as a failed racer.
+        while pending:
+            if cancel is not None and cancel.cancelled:
+                stop_all("cancelled")
+                yield ("stopped", "cancelled")
+                cancel = None  # emit the stop event once
+            if deadline is not None and time.perf_counter() > deadline:
+                stop_all("timeout")
+                yield ("stopped", "timeout")
+                deadline = None
             for index in sorted(pending):
-                process = self._processes[index]
-                if process.is_alive():
-                    self._strikes[index] = 0
-                    continue
-                self._strikes[index] += 1
-                if self._strikes[index] >= 4:
-                    yield ("error", index,
-                           "racer process died without reporting "
-                           "(exitcode %s)" % process.exitcode)
-            return
-        if kind == "improve":
-            template, cost, depth = data
-            mgr = self._relation.mgr
-            solution = Solution(mgr, instantiate_solution(
-                mgr, template, self._relation.inputs), cost)
-            yield ("improve", index, (solution, depth))
-        elif index in pending:  # else: a racer already written off
-            if kind == "done":
-                data["stats"] = SolverStats(**data["stats"])
-            yield (kind, index, data)
-
-    def cancel(self, indices: Set[int]) -> None:
-        for index in indices:
-            self._cancel[index].value = 1
-
-    def close(self) -> None:
-        for flag in self._cancel:
-            flag.value = 1
-        # Drain while the racers wind down: a racer cannot exit while
-        # its queue feeder still holds messages nobody reads.
-        deadline = time.monotonic() + 5.0
-        for process in self._processes:
-            while process.is_alive() and time.monotonic() < deadline:
+                outcome = outcomes[index]
                 try:
-                    self._queue.get(timeout=0.05)
-                except queue_mod.Empty:
-                    pass
-            if process.is_alive():  # pragma: no cover - hung racer
-                process.terminate()
-            process.join(timeout=1.0)
-        self._queue.close()
+                    ev = next(racers[index])
+                except StopIteration as stop:
+                    result = stop.value
+                    outcome.cost = result.solution.cost
+                    outcome.explored = result.stats.relations_explored
+                    outcome.stopped = result.stopped
+                    outcome.stats = result.stats
+                    outcome.frontier_overflow = \
+                        result.stats.frontier_overflow
+                except Exception as exc:  # noqa: BLE001 — racer isolation
+                    outcome.error = "%s: %s" % (type(exc).__name__, exc)
+                else:
+                    outcome.explored = ev.explored
+                    if (ev.kind == "new-best" and ev.solution is not None
+                            and channel.publish(ev.solution.cost)):
+                        outcome.contributed += 1
+                        yield ("new-best", (ev.solution, index, ev.depth))
+                    continue
+                outcome.runtime_seconds = time.perf_counter() - racer_start
+                pending.discard(index)
+                yield ("racer-done", outcome)
+                if stop_reason[0] is None and outcome.proved_optimal:
+                    cancel_pending()
+    finally:
+        for racer in racers:
+            racer.close()

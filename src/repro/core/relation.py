@@ -61,8 +61,8 @@ def check_output_sets(rows: Sequence[Iterable[int]], num_inputs: int,
                       num_outputs: int) -> None:
     """Raise ``ValueError`` unless ``num_inputs``/``num_outputs`` are
     ints within :data:`MAX_SPEC_INPUTS`/:data:`MAX_SPEC_OUTPUTS`,
-    ``rows`` has one row per input vertex and every output vertex lies
-    in ``0..2**num_outputs-1``."""
+    ``rows`` has one row per input vertex and every output vertex is an
+    int (not a bool) in ``0..2**num_outputs-1``."""
     _check_count("num_inputs", num_inputs, MAX_SPEC_INPUTS)
     _check_count("num_outputs", num_outputs, MAX_SPEC_OUTPUTS)
     if len(rows) != (1 << num_inputs):
@@ -71,7 +71,7 @@ def check_output_sets(rows: Sequence[Iterable[int]], num_inputs: int,
     top = 1 << num_outputs
     for index, row in enumerate(rows):
         for value in row:
-            if not 0 <= value < top:
+            if type(value) is not int or not 0 <= value < top:
                 raise ValueError("row %d: output vertex %r is outside "
                                  "0..%d" % (index, value, top - 1))
 
@@ -79,15 +79,20 @@ def check_output_sets(rows: Sequence[Iterable[int]], num_inputs: int,
 def check_truth_tables(tables: Sequence[int], num_inputs: int) -> None:
     """Raise ``ValueError`` unless ``num_inputs`` is an int within
     :data:`MAX_SPEC_INPUTS`, there are at most :data:`MAX_SPEC_OUTPUTS`
-    tables (one per output) and every table lies in
+    tables (one per output) and every table is an int (not a bool) in
     ``0..2**(2**num_inputs)-1``."""
     _check_count("num_inputs", num_inputs, MAX_SPEC_INPUTS)
     _check_count("number of tables", len(tables), MAX_SPEC_OUTPUTS)
     top = 1 << (1 << num_inputs)
     for index, table in enumerate(tables):
-        if not 0 <= table < top:
-            raise ValueError("table %d: %r is outside 0..%d"
-                             % (index, table, top - 1))
+        if type(table) is not int or not 0 <= table < top:
+            # The bound has 2**num_inputs bits: print its exponent, and
+            # only the size of a wide table.
+            shown = ("an int of %d bits" % table.bit_length()
+                     if type(table) is int and table.bit_length() > 64
+                     else repr(table))
+            raise ValueError("table %d: %s is outside 0..2**%d-1"
+                             % (index, shown, 1 << num_inputs))
 
 
 class BooleanRelation:

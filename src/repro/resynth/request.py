@@ -12,10 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..api.registry import cost_registry, minimizer_registry
 from ..api.request import SolveRequest
 from ..benchdata.circuits import circuit_by_name
-from ..core.explore import check_executor, check_workers
+from ..core.explore import check_executor, check_int, check_workers
 from ..network.blif import parse_blif
 from ..network.netlist import LogicNetwork
 from .window import CUT_POLICIES, MAX_WINDOW_LEAVES
@@ -40,26 +39,6 @@ _INT_FIELDS = (
     ("verify_vectors", 1, MAX_VERIFY_VECTORS, False),
     ("seed", None, None, False),
 )
-
-
-def _check_int(name: str, value: Any, least: Optional[int],
-               greatest: Optional[int], optional: bool) -> None:
-    """``ValueError`` naming the field and the value unless ``value``
-    fits its :data:`_INT_FIELDS` row."""
-    if optional and value is None:
-        return
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (least is not None and value < least)
-            or (greatest is not None and value > greatest)):
-        if least is None:
-            wanted = "an int"
-        elif greatest is None:
-            wanted = "an int >= %d" % least
-        else:
-            wanted = "an int in %d..%d" % (least, greatest)
-        raise ValueError("%s must be %s%s, got %r"
-                         % (name, "None or " if optional else "", wanted,
-                            value))
 
 
 def normalize_circuit_spec(spec: Any) -> Dict[str, Any]:
@@ -147,7 +126,7 @@ class ResynthRequest:
             object.__setattr__(self, "circuit",
                                normalize_circuit_spec(self.circuit))
         for name, least, greatest, optional in _INT_FIELDS:
-            _check_int(name, getattr(self, name), least, greatest,
+            check_int(name, getattr(self, name), least, greatest,
                        optional)
         if self.cut_policy not in CUT_POLICIES:
             raise ValueError("unknown cut policy %r" % self.cut_policy)
@@ -156,10 +135,6 @@ class ResynthRequest:
         if self.verify not in VERIFY_MODES:
             raise ValueError("verify must be one of %s, got %r"
                              % (", ".join(VERIFY_MODES), self.verify))
-        if self.cost not in cost_registry:
-            cost_registry.get(self.cost)  # raises with the valid names
-        if self.minimizer not in minimizer_registry:
-            minimizer_registry.get(self.minimizer)
         # Validate the solver knobs eagerly via a throwaway request.
         self.solver_request({"kind": "pla", "text": ".i 1\n.o 1\n"
                                                    "0 0\n1 1\n.e\n"})

@@ -189,17 +189,14 @@ class SolveService:
     def _admit(self, request: SolveRequest) -> SolveRequest:
         """Apply server-side admission policy to a parsed request.
 
-        Non-finite time limits (NaN/inf pass the request dataclass's
-        range check) are client errors; with :attr:`max_time_limit`
-        configured, requests asking for more than the cap — or for no
-        limit at all — come back clamped to it.  Clamping happens
-        *before* any cache key is computed, so a clamped request is
-        cached (RAM, disk, fingerprint) as what actually ran.
+        With :attr:`max_time_limit` configured, requests asking for more
+        than the cap — or for no limit at all — come back clamped to it.
+        Clamping happens *before* any cache key is computed, so a
+        clamped request is cached (RAM, disk, fingerprint) as what
+        actually ran.  (A non-finite limit never gets here: the request
+        itself rejects it.)
         """
         limit = request.time_limit_seconds
-        if limit is not None and not math.isfinite(limit):
-            raise ServiceError(
-                "time_limit_seconds must be finite, got %r" % limit)
         cap = self.max_time_limit
         if cap is not None and (limit is None or limit > cap):
             request = request.replace(time_limit_seconds=cap)
@@ -220,11 +217,13 @@ class SolveService:
         last :data:`LATENCY_SAMPLES` ``solve`` calls that tier served
         (milliseconds, measured once the request holds the engine
         lock; ``None`` before the first sample).  A dashboard poll
-        holds the lock only for counter copies and directory listings.
+        holds the lock only to copy counters; the disk tier's directory
+        walk runs after it is released, so a poll never stalls a solve
+        on the file system.
         """
         with self._lock:
             session = self.session
-            return {
+            snapshot = {
                 "uptime_seconds": time.time() - self.started,
                 "max_time_limit": self.max_time_limit,
                 "requests": dict(self.request_counts),
@@ -239,15 +238,18 @@ class SolveService:
                     "relations": session.relation_names(),
                 },
                 "engine": session.engine_stats(),
-                "disk": dict(self.disk.stats(),
-                             write_errors=self.disk_write_errors)
-                if self.disk is not None else None,
+                "disk": None,
                 "portfolio": {
                     "races": self.portfolio_races,
                     "wins": dict(self.portfolio_wins),
                 },
                 "recent": list(self._recent),
             }
+            write_errors = self.disk_write_errors
+        if self.disk is not None:
+            snapshot["disk"] = dict(self.disk.stats(),
+                                    write_errors=write_errors)
+        return snapshot
 
     def solve(self, data: Any) -> Tuple[Dict[str, Any], str]:
         """Serve one request through the tiers.
@@ -639,7 +641,6 @@ class SolveService:
         if report.portfolio is not None:
             winner = report.portfolio.get("winner")
             row["portfolio_winner"] = winner
-            row["portfolio_executor"] = report.portfolio.get("executor")
             self.portfolio_races += 1
             if winner is not None:
                 self.portfolio_wins[winner] = \

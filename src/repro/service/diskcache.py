@@ -29,7 +29,7 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 __all__ = ["DiskCache", "fingerprint_payload"]
 
@@ -155,20 +155,7 @@ class DiskCache:
         if self.max_report_bytes is None \
                 and self.max_report_age_seconds is None:
             return
-        entries = []  # (mtime, size, path)
-        try:
-            names = os.listdir(self._reports_dir)
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self._reports_dir, name)
-            try:
-                status = os.stat(path)
-            except OSError:
-                continue
-            entries.append((status.st_mtime, status.st_size, path))
+        entries = list(self._report_entries())
         now = time.time()
         if self.max_report_age_seconds is not None:
             cutoff = now - self.max_report_age_seconds
@@ -195,56 +182,56 @@ class DiskCache:
             return
         self.report_evictions += 1
 
-    def report_count(self) -> int:
+    def _report_entries(self) -> Iterator[Tuple[float, int, str]]:
+        """``(mtime, size, path)`` of each stored report, from one
+        directory walk.
+
+        A report deleted by another worker mid-walk is skipped, and an
+        unreadable directory yields nothing.
+        """
         try:
-            return sum(1 for name in os.listdir(self._reports_dir)
-                       if name.endswith(".json"))
+            with os.scandir(self._reports_dir) as walk:
+                for entry in walk:
+                    if not entry.name.endswith(".json"):
+                        continue
+                    try:
+                        status = entry.stat()
+                    except OSError:
+                        continue
+                    yield status.st_mtime, status.st_size, entry.path
         except OSError:
-            return 0
+            return
+
+    def report_count(self) -> int:
+        """Reports currently in the reports directory."""
+        return sum(1 for _ in self._report_entries())
 
     def report_bytes(self) -> int:
         """Total payload bytes currently in the reports directory."""
-        total = 0
-        try:
-            names = os.listdir(self._reports_dir)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                total += os.stat(
-                    os.path.join(self._reports_dir, name)).st_size
-            except OSError:
-                continue
-        return total
+        return sum(size for _, size, _ in self._report_entries())
 
     # -- maintenance ---------------------------------------------------
     def clear(self) -> None:
         """Drop every persisted report (counters kept)."""
-        try:
-            names = os.listdir(self._reports_dir)
-        except OSError:
-            return
-        for name in names:
-            if name.endswith(".json"):
-                try:
-                    os.unlink(os.path.join(self._reports_dir, name))
-                except OSError:
-                    pass
+        for _, _, path in list(self._report_entries()):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
     def stats(self) -> Dict[str, Any]:
-        """Counter + occupancy snapshot."""
+        """Counter + occupancy snapshot (one directory walk)."""
+        sizes = [size for _, size, _ in self._report_entries()]
         total = self.report_hits + self.report_misses
         return {
             "root": self.root,
-            "reports": self.report_count(),
+            "reports": len(sizes),
             "report_hits": self.report_hits,
             "report_misses": self.report_misses,
             "report_stores": self.report_stores,
             "report_hit_rate": (self.report_hits / total) if total
             else 0.0,
-            "report_bytes": self.report_bytes(),
+            "report_bytes": sum(sizes),
             "report_evictions": self.report_evictions,
             "max_report_bytes": self.max_report_bytes,
             "max_report_age_seconds": self.max_report_age_seconds,

@@ -179,7 +179,8 @@ class TestNodeSpecBatches:
         def broken_pool(*args, **kwargs):
             raise OSError("no process layer")
 
-        monkeypatch.setattr(Session, "_process_pool", broken_pool)
+        monkeypatch.setattr(session_module, "ProcessPoolExecutor",
+                            broken_pool)
         specs = node_specs(4, seed=60)
         requests = [SolveRequest(relation=spec, max_explored=8)
                     for spec in specs]

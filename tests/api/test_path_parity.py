@@ -1,10 +1,9 @@
 """Every way to solve a request gives the same answer.
 
 Seeded relations with 0-5 inputs and 1-4 outputs (every fourth one
-made of two independent output blocks, so the block executors have
-blocks to ship) go through a shared session, a fresh session per
-request, ``solve_many`` on the serial and process executors, the
-process block executor, and ``SolveService.solve``.
+made of two independent output blocks, so sharding is exercised) go
+through a shared session, a fresh session per request, ``solve_many``
+on the serial and process executors, and ``SolveService.solve``.
 Every path must report the same SOP text and cost.
 
 The ``backend`` request field is accepted and ignored: a request
@@ -52,10 +51,6 @@ class TestPathParity:
         paths = {
             "fresh session": answers(Session().solve(request)
                                      for request in requests),
-            "block process": answers(
-                Session().solve(request, block_executor="process",
-                                block_workers=2)
-                for request in requests),
         }
         for executor in EXECUTORS:
             paths["solve_many " + executor] = answers(

@@ -27,7 +27,6 @@ def fig1_pla():
 
 def portfolio_request(**kwargs):
     kwargs.setdefault("strategy", "portfolio")
-    kwargs.setdefault("portfolio_executor", "serial")
     return SolveRequest(relation="fig1", **kwargs)
 
 
@@ -59,8 +58,7 @@ class TestRequestPlumbing:
         request = SolveRequest(
             relation="fig1", strategy="portfolio",
             portfolio_racers=[{"strategy": "beam", "fifo_capacity": 8},
-                              "dfs"],
-            portfolio_executor="process")
+                              "dfs"])
         data = json.loads(json.dumps(request.to_dict()))
         assert SolveRequest.from_dict(data) == request
 
@@ -99,15 +97,6 @@ class TestSessionPortfolio:
         session.solve(portfolio_request(portfolio_racers="bfs,dfs"))
         other = session.solve(portfolio_request(portfolio_racers="dfs"))
         assert other.cached is False
-
-    def test_executor_shares_a_cache_slot(self):
-        # The executor is an execution detail (like the block pool):
-        # same race, same line-up -> same slot, whatever ran it.
-        session = make_session()
-        session.solve(portfolio_request(portfolio_executor="serial"))
-        raced = session.solve(
-            portfolio_request(portfolio_executor="process"))
-        assert raced.cached is True
 
     def test_solve_iter_streams_the_race(self):
         session = make_session()
@@ -186,11 +175,9 @@ class TestSolveManyDedup:
         spec = {"kind": "pla", "text": fig1_pla()}
         reports = session.solve_many(
             [SolveRequest(relation=dict(spec), label="a",
-                          strategy="portfolio",
-                          portfolio_executor="serial"),
+                          strategy="portfolio"),
              SolveRequest(relation=dict(spec), label="b",
-                          strategy="portfolio",
-                          portfolio_executor="serial")],
+                          strategy="portfolio")],
             executor="serial")
         assert all(report.ok for report in reports)
         assert reports[0].portfolio == reports[1].portfolio
@@ -205,8 +192,7 @@ class TestDecomposedPortfolioReports:
         relation = block_structured_relation([(3, 2), (3, 2)], seed=5)
         session.add_relation("blocky", relation)
         report = session.solve(SolveRequest(
-            relation="blocky", strategy="portfolio",
-            portfolio_executor="serial", decompose=True))
+            relation="blocky", strategy="portfolio", decompose=True))
         assert report.ok
         for entry in report.partition["blocks"]:
             assert entry["portfolio"]["winner"] is not None

@@ -99,11 +99,11 @@ class TestStrategyField:
 
 class TestValidation:
     def test_unknown_cost_rejected(self):
-        with pytest.raises(KeyError, match="unknown cost function"):
+        with pytest.raises(ValueError, match="cost must be one of"):
             SolveRequest(cost="no-such-cost")
 
     def test_unknown_minimizer_rejected(self):
-        with pytest.raises(KeyError, match="unknown minimizer"):
+        with pytest.raises(ValueError, match="minimizer must be one of"):
             SolveRequest(minimizer="no-such-minimizer")
 
     def test_unknown_strategy_rejected(self):
@@ -194,7 +194,7 @@ class TestRegistries:
             assert request.to_options().cost_function is constant
         finally:
             cost_registry.unregister("test-constant-cost")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="test-constant-cost"):
             SolveRequest(cost="test-constant-cost")
 
     def test_duplicate_registration_rejected(self):

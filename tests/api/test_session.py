@@ -446,10 +446,8 @@ class TestCacheKeySchemaGuard:
     }
     #: Fields that deliberately do not key the cache: the relation keys
     #: separately (identity/snapshot/spec), the label only decorates the
-    #: report copy, the portfolio executor — like the block executor —
-    #: is an execution detail that cannot change the winning cost, and
-    #: backend is accepted and ignored.
-    EXEMPT_FIELDS = {"relation", "label", "portfolio_executor", "backend"}
+    #: report copy, and backend is accepted and ignored.
+    EXEMPT_FIELDS = {"relation", "label", "backend"}
 
     def test_every_field_is_classified(self):
         fields = {f.name for f in dataclasses.fields(SolveRequest)}

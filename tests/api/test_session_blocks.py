@@ -7,8 +7,6 @@ import pytest
 from repro.api import Session, SolveRequest, SolveReport
 from repro.benchdata.brgen import block_structured_relation
 
-from ..conftest import wide_relation
-
 
 @pytest.fixture
 def session():
@@ -63,30 +61,6 @@ class TestSessionSolveSharded:
         assert report.partition is None
         assert report.compatible
 
-    def test_pooled_blocks_byte_identical_to_serial(self, session):
-        serial = session.solve(BLOCK_REQUEST)
-        session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
-        assert pooled.cost == serial.cost
-        assert pooled.sop == serial.sop
-        assert pooled.solution is not None
-        assert pooled.solution.functions == serial.solution.functions
-        # Pool dispatch is an execution detail, not a result property:
-        # the partition summary carries no executor tag (pooled and
-        # serial reports share one cache slot, so their content must
-        # not depend on which executor produced them).
-        assert pooled.partition["num_blocks"] == \
-            serial.partition["num_blocks"]
-        assert "executor" not in pooled.partition
-
-    def test_pooled_solve_is_cached_and_shared_with_serial(self, session):
-        first = session.solve(BLOCK_REQUEST, block_executor="process")
-        hits_before = session.cache_hits
-        second = session.solve(BLOCK_REQUEST)  # serial call, same key
-        assert session.cache_hits == hits_before + 1
-        assert second.cached
-        assert second.cost == first.cost
-
     def test_auto_and_forced_on_share_a_cache_slot(self, session):
         first = session.solve(BLOCK_REQUEST)
         hits_before = session.cache_hits
@@ -102,95 +76,27 @@ class TestSessionSolveSharded:
         assert not off.cached
         assert off.partition is None
 
-    def test_bad_block_executor_rejected(self, session):
-        with pytest.raises(ValueError, match="block_executor"):
-            session.solve(BLOCK_REQUEST, block_executor="gpu")
-
-    def test_wide_block_pools_to_the_serial_answer(self):
-        session = Session()
-        session.add_relation("wide", wide_relation(extra_block=True))
-        serial = session.solve(SolveRequest(relation="wide"))
-        assert [block["num_inputs"]
-                for block in serial.partition["blocks"]] == [18, 2]
-        session.clear_cache()
-        pooled = session.solve(SolveRequest(relation="wide"),
-                               block_executor="process")
-        assert pooled.cost == serial.cost
-        assert pooled.sop == serial.sop
-        assert pooled.solution.functions == serial.solution.functions
-
-    def test_record_trace_falls_back_to_in_process_sharding(self,
-                                                            session):
-        # Pool workers cannot stream events back; a traced request must
-        # keep its trace (and the cache must never hold a trace-less
-        # report under a record_trace key).
-        report = session.solve(BLOCK_REQUEST.replace(record_trace=True),
-                               block_executor="process")
+    def test_traced_sharded_solve_keeps_its_trace_in_the_cache(
+            self, session):
+        # The cache must never hold a trace-less report under a
+        # record_trace key.
+        report = session.solve(BLOCK_REQUEST.replace(record_trace=True))
         assert report.trace is not None
         assert report.trace[0]["kind"] == "partition"
         again = session.solve(BLOCK_REQUEST.replace(record_trace=True))
         assert again.cached
         assert again.trace is not None
 
-    def test_observer_falls_back_to_in_process_sharding(self, session):
-        events = []
-        report = session.solve(BLOCK_REQUEST,
-                               block_executor="process",
-                               observer=events.append)
-        assert report.partition is not None
-        kinds = [event.kind for event in events]
-        assert kinds[0] == "partition" and kinds[-1] == "done"
-
-    def test_precancelled_pooled_solve_honours_the_token(self, session):
+    def test_precancelled_sharded_solve_is_not_cached(self, session):
         from repro.api import CancelToken
         cancel = CancelToken()
         cancel.cancel()
-        report = session.solve(BLOCK_REQUEST,
-                               block_executor="process", cancel=cancel)
+        report = session.solve(BLOCK_REQUEST, cancel=cancel)
         assert report.stopped == "cancelled"
         assert report.compatible
         # Cancelled partial results never enter the cache.
         fresh = session.solve(BLOCK_REQUEST)
         assert not fresh.cached
-
-    def test_pooled_trajectory_matches_serial(self, session):
-        serial = session.solve(BLOCK_REQUEST)
-        session.clear_cache()
-        pooled = session.solve(BLOCK_REQUEST, block_executor="process")
-        # The anytime trajectory shares the cache slot with serial
-        # reports, so costs and cumulative explored counts must match
-        # (wall stamps are worker-local and excluded, like any timing).
-        assert [(imp["cost"], imp["explored"])
-                for imp in pooled.improvements] == \
-            [(imp["cost"], imp["explored"])
-             for imp in serial.improvements]
-
-    def test_time_limited_requests_never_pool(self, session,
-                                              monkeypatch):
-        # The serial sharded loop shares one deadline across blocks;
-        # pool workers cannot, so time-limited solves must run
-        # in-solver without ever reaching the pooled dispatcher.
-        called = []
-        monkeypatch.setattr(
-            Session, "_solve_blocks_pooled",
-            lambda self, *args, **kwargs: called.append(1) or None)
-        report = session.solve(
-            BLOCK_REQUEST.replace(time_limit_seconds=30.0),
-            block_executor="process")
-        assert not called
-        assert report.partition is not None
-
-    def test_pooled_not_well_defined_raises_the_real_error(self):
-        # The pooled path must surface NotWellDefinedError like the
-        # serial path, not a RuntimeError wrapping a worker failure.
-        from repro.core import BooleanRelation, NotWellDefinedError
-        session = Session()
-        session.add_relation(
-            "partial",
-            BooleanRelation.from_output_sets([set(), set()], 1, 2))
-        with pytest.raises(NotWellDefinedError):
-            session.solve(SolveRequest(relation="partial"),
-                          block_executor="process")
 
 
 class TestReportSchema:

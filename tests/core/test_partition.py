@@ -279,33 +279,6 @@ class TestShardedSolver:
         # One shared deadline, one timeout event — never one per block.
         assert [event.kind for event in events].count("timeout") == 1
 
-    def test_supplied_partition_skips_reanalysis(self):
-        from repro.core import partition_relation
-        relation = block_structured_relation([(3, 2), (3, 2)], seed=5)
-        partition = partition_relation(relation)
-        handed = BrelSolver(BrelOptions()).solve(relation,
-                                                 partition=partition)
-        fresh = BrelSolver(BrelOptions()).solve(relation)
-        assert handed.solution.functions == fresh.solution.functions
-        assert handed.partition["num_blocks"] == \
-            fresh.partition["num_blocks"]
-        # Per-block stats carry wall-clock stamps; compare the
-        # structural fields only.
-        for mine, theirs in zip(handed.partition["blocks"],
-                                fresh.partition["blocks"]):
-            assert mine["outputs"] == theirs["outputs"]
-            assert mine["cost"] == theirs["cost"]
-            assert mine["stopped"] == theirs["stopped"]
-
-    def test_supplied_partition_must_match_the_relation(self):
-        from repro.core import partition_relation
-        relation = block_structured_relation([(3, 2), (3, 2)], seed=5)
-        other = block_structured_relation([(3, 2), (3, 2)], seed=6)
-        partition = partition_relation(other)
-        with pytest.raises(ValueError, match="different relation"):
-            BrelSolver(BrelOptions()).solve(relation,
-                                            partition=partition)
-
     def test_tristate_validation(self):
         with pytest.raises(ValueError):
             BrelOptions(decompose=1)
@@ -336,10 +309,9 @@ class TestBlockOptionsSchemaGuard:
         "time_limit_seconds": "remaining-budget",
         "record_trace": False,
         "decompose": False,
-        # Portfolio knobs propagate so each block races its own
+        # The racer line-up propagates so each block races its own
         # portfolio under strategy="portfolio".
         "portfolio_racers": "inherit",
-        "portfolio_executor": "inherit",
     }
 
     def test_every_field_is_classified(self):

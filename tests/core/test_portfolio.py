@@ -1,18 +1,12 @@
-"""Portfolio racing: spec normalisation, bound sharing, executors,
+"""Portfolio racing: spec normalisation, bound sharing, the race loop,
 winner attribution, and the cancellation races."""
-
-import multiprocessing
-import os
 
 import pytest
 
 from repro.benchdata.brsuite import instance_by_name
 from repro.core import BrelOptions, BrelSolver, CancelToken
-from repro.core.explore import EXECUTORS
 from repro.core.portfolio import (BoundChannel, DEFAULT_RACERS,
                                   normalize_racers, racers_cache_key)
-
-from ..conftest import wide_relation
 
 #: Keys every racer summary row must carry (the report consumers'
 #: contract — the CLI table and the service request log read these).
@@ -40,11 +34,6 @@ def small_relation():
 
 def racing_relation():
     return instance_by_name("int5").build()
-
-
-def racer_processes():
-    return [process for process in multiprocessing.active_children()
-            if process.name.startswith("portfolio-racer")]
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +106,10 @@ class TestEagerOptionValidation:
         with pytest.raises(ValueError, match="strategy='portfolio'"):
             BrelOptions(strategy="bfs", portfolio_racers="bfs,dfs")
 
-    def test_executor_requires_portfolio_strategy(self):
-        with pytest.raises(ValueError, match="strategy='portfolio'"):
-            BrelOptions(strategy="dfs", portfolio_executor="process")
+    def test_racer_executor_knob_is_gone(self):
+        # Racers always take turns in the caller's process.
+        with pytest.raises(TypeError):
+            BrelOptions(strategy="portfolio", portfolio_executor="serial")
 
     def test_bad_racer_combo_fails_at_construction(self):
         # The beam width rule fires while the options are built, not
@@ -128,18 +118,6 @@ class TestEagerOptionValidation:
             BrelOptions(strategy="portfolio",
                         portfolio_racers=[{"strategy": "beam",
                                            "fifo_capacity": 0}])
-
-    def test_bogus_executor_rejected(self):
-        with pytest.raises(ValueError, match="portfolio_executor"):
-            BrelOptions(strategy="portfolio",
-                        portfolio_executor="fork")
-
-    def test_default_executor_is_serial(self):
-        result = BrelSolver(BrelOptions(
-            strategy="portfolio",
-            portfolio_racers="bfs,dfs")).solve(small_relation())
-        assert result.portfolio["requested_executor"] == "serial"
-        assert result.portfolio["executor"] == "serial"
 
     def test_did_you_mean_knows_portfolio(self):
         with pytest.raises(ValueError, match="portfolio"):
@@ -201,51 +179,28 @@ class TestSharedBoundPruning:
 
 
 # ----------------------------------------------------------------------
-# The race itself, on both executors
+# The race itself
 # ----------------------------------------------------------------------
-class TestRaceExecutors:
-    def test_serial_cost_parity_with_single_strategy(self):
-        # The serial driver interleaves racers deterministically, so
-        # the raced cost reproduces the single exhaustive solve
-        # exactly.  Only serial gets the == claim: the relaxed-MISF
-        # prune bound is heuristic, and with process timing a
-        # shared incumbent can prune a subtree the solo run would have
-        # explored, shifting the exhaustive cost by a point or two.
+class TestRace:
+    def test_cost_parity_with_single_strategy(self):
+        # The race loop interleaves racers deterministically, so the
+        # raced cost reproduces the single exhaustive solve exactly.
         relation = racing_relation()
         single = BrelSolver(BrelOptions(
             strategy="dfs", max_explored=None)).solve(relation)
         assert single.stopped == "exhausted"
         raced = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="dfs,best-first",
-            max_explored=None, fifo_capacity=None,
-            portfolio_executor="serial")).solve(relation)
+            max_explored=None, fifo_capacity=None)).solve(relation)
         assert raced.solution.cost == single.solution.cost
         assert relation.is_compatible(raced.solution.functions)
 
-    def test_parallel_race_is_compatible_and_improving(self):
-        # Whatever the interleaving, the race must end compatible and
-        # never worse than the shared starting incumbent (the quick
-        # solution every racer begins from).
-        relation = racing_relation()
-        quick = BrelSolver(BrelOptions(
-            strategy="dfs", max_explored=0)).solve(relation)
-        raced = BrelSolver(BrelOptions(
-            strategy="portfolio", portfolio_racers="dfs,best-first",
-            max_explored=None, fifo_capacity=None,
-            portfolio_executor="process")).solve(relation)
-        assert raced.portfolio["executor"] == "process"
-        assert raced.solution.cost <= quick.solution.cost
-        assert relation.is_compatible(raced.solution.functions)
-        assert raced.portfolio["winner"] is not None
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_summary_shape(self, executor):
+    def test_summary_shape(self):
         result = BrelSolver(BrelOptions(
-            strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor=executor)).solve(small_relation())
+            strategy="portfolio",
+            portfolio_racers="bfs,dfs")).solve(small_relation())
         summary = result.portfolio
-        assert summary["requested_executor"] == executor
-        assert summary["executor"] == executor
+        assert set(summary) == {"winner", "racers"}
         rows = summary["racers"]
         assert [row["name"] for row in rows] == ["bfs", "dfs"]
         assert all(set(row) == ROW_KEYS for row in rows)
@@ -258,8 +213,7 @@ class TestRaceExecutors:
 
         def race():
             result = BrelSolver(BrelOptions(
-                strategy="portfolio",
-                portfolio_executor="serial")).solve(relation)
+                strategy="portfolio")).solve(relation)
             stable = [(row["name"], row["cost"], row["explored"],
                        row["stopped"], row["winner"])
                       for row in result.portfolio["racers"]]
@@ -270,8 +224,7 @@ class TestRaceExecutors:
 
     def test_improvement_stream_is_strictly_improving(self):
         result = BrelSolver(BrelOptions(
-            strategy="portfolio",
-            portfolio_executor="serial")).solve(racing_relation())
+            strategy="portfolio")).solve(racing_relation())
         costs = [imp.cost for imp in result.improvements]
         assert costs == sorted(costs, reverse=True)
         assert len(set(costs)) == len(costs)
@@ -282,8 +235,8 @@ class TestRaceExecutors:
         # finishes first and must cancel the slower racer mid-flight.
         result = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="best-first,bfs",
-            max_explored=None, fifo_capacity=None,
-            portfolio_executor="serial")).solve(racing_relation())
+            max_explored=None,
+            fifo_capacity=None)).solve(racing_relation())
         rows = {row["name"]: row for row in result.portfolio["racers"]}
         assert rows["best-first"]["proved_optimal"]
         assert rows["bfs"]["stopped"] == "cancelled"
@@ -302,12 +255,10 @@ class TestRaceExecutors:
         finally:
             strategy_registry.unregister("crashy-test")
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_failed_racer_is_isolated(self, crashy_strategy, executor):
+    def test_failed_racer_is_isolated(self, crashy_strategy):
         result = BrelSolver(BrelOptions(
             strategy="portfolio",
-            portfolio_racers="bfs,crashy-test",
-            portfolio_executor=executor)).solve(small_relation())
+            portfolio_racers="bfs,crashy-test")).solve(small_relation())
         rows = {row["name"]: row for row in result.portfolio["racers"]}
         assert "boom" in rows["crashy-test"]["error"]
         assert rows["bfs"]["error"] is None
@@ -317,39 +268,35 @@ class TestRaceExecutors:
         with pytest.raises(RuntimeError, match="every portfolio racer"):
             BrelSolver(BrelOptions(
                 strategy="portfolio",
-                portfolio_racers="crashy-test,crashy-test",
-                portfolio_executor="serial")).solve(small_relation())
+                portfolio_racers="crashy-test,crashy-test")).solve(
+                    small_relation())
 
     def test_trace_has_the_portfolio_stream_shape(self):
         result = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor="serial",
             record_trace=True)).solve(small_relation())
         kinds = [ev.kind for ev in result.events]
         assert kinds[0] == "portfolio"
+        assert result.events[0].detail == "2 racers: bfs | dfs"
         assert kinds[-1] == "done"
         assert kinds.count("racer-done") == 2
         assert "quick-solution" in kinds
 
 
 # ----------------------------------------------------------------------
-# Cancellation races (deadline, external cancel, abandoned stream,
-# dead racer process)
+# Cancellation races (deadline, external cancel)
 # ----------------------------------------------------------------------
 class TestCancellationRaces:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_deadline_mid_race_returns_best_so_far(self, executor):
+    def test_deadline_mid_race_returns_best_so_far(self):
         relation = instance_by_name("vtx").build()
         result = BrelSolver(BrelOptions(
             strategy="portfolio",
             portfolio_racers=[{"strategy": "best-first",
                                "max_explored": None,
                                "fifo_capacity": None}],
-            portfolio_executor=executor,
             time_limit_seconds=0.2)).solve(relation)
         assert result.stopped == "timeout"
         assert relation.is_compatible(result.solution.functions)
-        assert result.portfolio["executor"] == executor
         row = result.portfolio["racers"][0]
         assert row["error"] is None  # cancelled, not crashed
 
@@ -358,120 +305,28 @@ class TestCancellationRaces:
         token = CancelToken()
         token.cancel()
         result = BrelSolver(BrelOptions(
-            strategy="portfolio",
-            portfolio_executor="serial")).solve(relation, cancel=token)
+            strategy="portfolio")).solve(relation, cancel=token)
         assert result.stopped == "cancelled"
         assert relation.is_compatible(result.solution.functions)
 
-    def test_abandoned_stream_stops_racer_processes(self):
+    def test_abandoned_stream_closes_every_racer(self):
         """Closing the event stream mid-race (the SSE-disconnect path)
-        must stop and join every racer process — no orphan racer may
-        keep burning CPU on a dead race.  Exhaustive bfs on vtx runs
-        for seconds, so a racer left running is still alive when the
-        close returns."""
+        closes every racer at once: each leaves the manager's solve
+        scope, so nothing waits for the racers to be collected."""
         relation = instance_by_name("vtx").build()
-        solver = BrelSolver(BrelOptions(
+        stream = BrelSolver(BrelOptions(
             strategy="portfolio",
             portfolio_racers=[{"strategy": "bfs",
                                "max_explored": None,
-                               "fifo_capacity": None}],
-            portfolio_executor="process"))
-        stream = solver.iter_events(relation)
+                               "fifo_capacity": None}])).iter_events(relation)
         # Past the three opening events: the fourth is the racer's
         # first improvement, so the race is in flight.
         for _ in range(4):
             event = next(stream)
         assert event.kind == "new-best"
-        assert racer_processes(), "the race was not running on processes"
+        assert relation.mgr._solve_depth == 2  # the race and its racer
         stream.close()
-        assert not racer_processes(), \
-            "racer processes survived the stream close"
-
-    def test_dead_process_racer_surfaces_as_failed_racer(self,
-                                                         monkeypatch):
-        import multiprocessing
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("patched racer entry point needs fork")
-        from repro.core import portfolio as portfolio_mod
-        real_main = portfolio_mod._process_racer_main
-
-        def dying_main(index, payload, bound_value, cancel_value, msgq):
-            if index == 0:
-                os._exit(3)  # die without reporting anything
-            real_main(index, payload, bound_value, cancel_value, msgq)
-
-        monkeypatch.setattr(portfolio_mod, "_process_racer_main",
-                            dying_main)
-        relation = small_relation()
-        result = BrelSolver(BrelOptions(
-            strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor="process")).solve(relation)
-        rows = {row["name"]: row for row in result.portfolio["racers"]}
-        assert "died without reporting" in rows["bfs"]["error"]
-        assert rows["dfs"]["error"] is None
-        assert result.portfolio["winner"] == "dfs"
-        assert relation.is_compatible(result.solution.functions)
-
-
-# ----------------------------------------------------------------------
-# Executor fallbacks
-# ----------------------------------------------------------------------
-class TestExecutorFallbacks:
-    def test_unregistered_cost_falls_back_to_serial(self):
-        def custom_cost(mgr, functions):
-            return float(sum(mgr.size(f) for f in functions))
-
-        result = BrelSolver(BrelOptions(
-            cost_function=custom_cost,
-            strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor="process")).solve(small_relation())
-        summary = result.portfolio
-        assert summary["requested_executor"] == "process"
-        assert summary["executor"] == "serial"
-        assert "registered by name" in summary["note"]
-
-    def test_broken_process_layer_falls_back_to_serial(self,
-                                                       monkeypatch):
-        # No working semaphore layer: the race runs serially, and the
-        # summary and the opening event both say so.
-        def no_semaphores(*args, **kwargs):
-            raise OSError(38, "Function not implemented")
-
-        monkeypatch.setattr(multiprocessing.get_context(), "Value",
-                            no_semaphores)
-        result = BrelSolver(BrelOptions(
-            strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor="process",
-            record_trace=True)).solve(small_relation())
-        summary = result.portfolio
-        assert summary["requested_executor"] == "process"
-        assert summary["executor"] == "serial"
-        assert "OSError" in summary["note"]
-        assert "Function not implemented" in summary["note"]
-        opening = result.events[0]
-        assert opening.kind == "portfolio"
-        assert "executor=serial" in opening.detail
-        assert "OSError" in opening.detail
-        assert summary["winner"] is not None
-
-    def test_wide_relation_races_on_processes(self):
-        # Racers rebuild the relation from its node list, so width does
-        # not force a serial race; a lone racer is deterministic, so
-        # the process race must reproduce the serial one exactly.
-        relation = wide_relation()
-        assert len(relation.inputs) == 18
-
-        def race(executor):
-            return BrelSolver(BrelOptions(
-                strategy="portfolio", portfolio_racers="dfs",
-                portfolio_executor=executor)).solve(relation)
-
-        serial, raced = race("serial"), race("process")
-        assert raced.portfolio["executor"] == "process"
-        assert raced.portfolio["note"] is None
-        assert raced.solution.cost == serial.solution.cost
-        assert raced.solution.functions == serial.solution.functions
-        assert relation.is_compatible(raced.solution.functions)
+        assert relation.mgr._solve_depth == 0
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +338,6 @@ class TestDecomposedPortfolio:
         relation = block_structured_relation([(3, 2), (3, 2)], seed=5)
         result = BrelSolver(BrelOptions(
             strategy="portfolio", portfolio_racers="bfs,dfs",
-            portfolio_executor="serial",
             decompose=True)).solve(relation)
         assert result.partition is not None
         blocks = result.partition["blocks"]

@@ -122,6 +122,33 @@ class TestMaintenance:
             "report_evictions", "max_report_bytes",
             "max_report_age_seconds"}
 
+    def test_stats_walks_the_directory_once(self, cache_dir,
+                                            monkeypatch):
+        cache = DiskCache(cache_dir)
+        cache.put_report("c" * 64, {"ok": True})
+        cache.put_report("d" * 64, {"ok": True, "cost": 12})
+        sizes = sum(os.path.getsize(os.path.join(cache_dir, "reports",
+                                                 name))
+                    for name in os.listdir(os.path.join(cache_dir,
+                                                        "reports")))
+        walks = []
+        real_scandir, real_listdir = os.scandir, os.listdir
+
+        def scandir(path):
+            walks.append(path)
+            return real_scandir(path)
+
+        def listdir(path):
+            walks.append(path)
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        monkeypatch.setattr(os, "listdir", listdir)
+        stats = cache.stats()
+        assert len(walks) == 1
+        assert stats["reports"] == 2
+        assert stats["report_bytes"] == sizes
+
 
 class TestReportEviction:
     """Bounded reports directory: byte budget, age cutoff, LRU touch."""

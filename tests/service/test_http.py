@@ -144,16 +144,11 @@ class TestBatchEndpoint:
 
 
 class TestThreadExecutorRejected:
-    @pytest.mark.parametrize("route", ["/solve", "/solve/stream",
-                                       "/batch", "/resynth"])
+    @pytest.mark.parametrize("route", ["/batch", "/resynth"])
     def test_thread_is_400_naming_the_executors(self, served,
                                                 fig1_request, route):
         base, _ = served
-        race = dict(fig1_request, strategy="portfolio",
-                    portfolio_executor="thread")
-        body = {"/solve": race,
-                "/solve/stream": race,
-                "/batch": {"jobs": [dict(fig1_request)],
+        body = {"/batch": {"jobs": [dict(fig1_request)],
                            "executor": "thread"},
                 "/resynth": {"circuit": "s27", "executor": "thread"},
                 }[route]
@@ -179,6 +174,21 @@ class TestRetiredFieldsRejected:
         assert excinfo.value.code == 400
         message = json.loads(excinfo.value.read())["error"]
         assert "fields: memo" in message
+
+    @pytest.mark.parametrize("route", ["/solve", "/solve/stream",
+                                       "/batch"])
+    def test_racer_executor_is_400_naming_the_field(self, served,
+                                                    fig1_request, route):
+        race = dict(fig1_request, strategy="portfolio",
+                    portfolio_executor="serial")
+        body = {"/solve": race, "/solve/stream": race,
+                "/batch": {"jobs": [race]}}[route]
+        base, _ = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(base + route, body)
+        assert excinfo.value.code == 400
+        message = json.loads(excinfo.value.read())["error"]
+        assert "fields: portfolio_executor" in message
 
 
 class TestOpsEndpoints:

@@ -1,15 +1,13 @@
 """Portfolio racing through the service layer: race summaries in the
 request log and /stats, and the SSE-disconnect cancellation path."""
 
-import multiprocessing
 import time
 
 import pytest
 
 from repro.service import DiskCache, ServiceError, SolveService
 
-PORTFOLIO_FIG1 = {"strategy": "portfolio",
-                  "portfolio_executor": "serial"}
+PORTFOLIO_FIG1 = {"strategy": "portfolio"}
 
 
 class TestPortfolioReports:
@@ -26,7 +24,7 @@ class TestPortfolioReports:
         assert stats["portfolio"]["wins"] == {winner: 1}
         recent = stats["recent"][-1]
         assert recent["portfolio_winner"] == winner
-        assert recent["portfolio_executor"] == "serial"
+        assert "portfolio_executor" not in recent
 
     def test_non_portfolio_requests_not_counted(self, fig1_request):
         service = SolveService()
@@ -95,37 +93,27 @@ class TestPortfolioStream:
         assert any(event["kind"] == "racer-done" for event in events)
         assert frames[-1][1]["portfolio"]["winner"] is not None
 
-    def test_disconnect_mid_race_stops_every_racer(self):
-        """A client hanging up mid-portfolio-stream must stop every
-        racer: the race winds down instead of orphaned racer processes
-        burning CPU on a dead request.  Exhaustive bfs on vtx runs for
-        seconds, so only a cancelled race closes fast."""
-        def racer_processes():
-            return [process
-                    for process in multiprocessing.active_children()
-                    if process.name.startswith("portfolio-racer")]
-
+    def test_disconnect_mid_race_cancels_the_race(self):
+        """A client hanging up mid-portfolio-stream must stop the race
+        instead of letting it run headless.  Exhaustive bfs on vtx runs
+        for seconds, so only a cancelled race closes fast."""
         service = SolveService()
         stream = service.solve_stream({
             "relation": {"kind": "bench", "name": "vtx"},
             "strategy": "portfolio",
             "portfolio_racers": [{"strategy": "bfs",
                                   "max_explored": None,
-                                  "fifo_capacity": None}],
-            "portfolio_executor": "process"})
+                                  "fifo_capacity": None}]})
         # Past the three opening events: the fourth is the racer's
         # first improvement, so the race is in flight.
         events = 0
         while events < 4:
             kind, _ = next(stream)
             events += kind == "event"
-        assert racer_processes(), "the race was not running on processes"
         started = time.monotonic()
         stream.close()
         assert time.monotonic() - started < 3.0, "the race was not cancelled"
         assert service.request_counts["stream_cancelled"] == 1
-        assert not racer_processes(), \
-            "racer processes survived the disconnect"
         # The cancelled partial never entered a cache tier.
         stats = service.stats()
         assert stats["portfolio"]["races"] == 0

@@ -187,6 +187,17 @@ class TestShapeBounds:
         with pytest.raises(ValueError, match="an int of 100 bits"):
             normalize_relation_spec(output_sets(1, 1 << 99))
 
+    def test_table_range_message_stays_short_on_wide_frames(self):
+        # At the widest frame the bound has 2**18 bits: the message
+        # names it by its exponent, and a wide table by its size.
+        spec = {"kind": "truth_tables", "num_inputs": MAX_SPEC_INPUTS}
+        with pytest.raises(ValueError, match=r"table 0: -1 is outside "
+                                             r"0\.\.2\*\*262144-1$"):
+            normalize_relation_spec(dict(spec, tables=[-1]))
+        with pytest.raises(ValueError, match="table 0: an int of 262145 "
+                                             "bits is outside"):
+            normalize_relation_spec(dict(spec, tables=[1 << 262144]))
+
     def test_bounds_themselves_are_accepted(self):
         rows = [[0, (1 << MAX_SPEC_OUTPUTS) - 1], [1]]
         relation = BooleanRelation.from_output_sets(rows, 1,

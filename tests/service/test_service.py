@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import threading
 
 import pytest
 
@@ -325,6 +326,32 @@ class TestStatsAndHealth:
         service.solve(dict(fig1_request))
         assert service.stats()["disk"] is None
 
+    def test_disk_walk_runs_outside_the_engine_lock(self, fig1_request,
+                                                    cache_dir,
+                                                    monkeypatch):
+        # A dashboard poll must not stall solves on a directory walk.
+        service = SolveService(disk=DiskCache(cache_dir))
+        service.solve(dict(fig1_request))
+        probes = []
+        real_stats = service.disk.stats
+
+        def probe_lock():
+            if service._lock.acquire(blocking=False):
+                service._lock.release()
+                probes.append("free")
+            else:
+                probes.append("held")
+
+        def stats():
+            thread = threading.Thread(target=probe_lock)
+            thread.start()
+            thread.join()
+            return real_stats()
+
+        monkeypatch.setattr(service.disk, "stats", stats)
+        assert service.stats()["disk"]["reports"] == 1
+        assert probes == ["free"]
+
 
 class TestWireRoundTrip:
     def test_disk_report_rebuilds_as_report(self, fig1_request,
@@ -444,8 +471,8 @@ class TestTimeLimitAdmission:
                 SolveService(max_time_limit=bad)
 
     def test_non_finite_time_limit_is_a_client_error(self, fig1_request):
-        # Rejected even without a cap configured: NaN/inf pass the
-        # request dataclass's range check but can never be honoured.
+        # Rejected even without a cap configured: a non-finite limit
+        # can never be honoured.
         service = SolveService()
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ServiceError, match="finite"):

@@ -91,17 +91,16 @@ class TestSolveCommand:
     def test_solve_portfolio_prints_the_race_table(self, relation_file,
                                                    capsys):
         assert main(["solve", relation_file, "--strategy", "portfolio",
-                     "--racers", "bfs,dfs",
-                     "--portfolio-executor", "serial"]) == 0
+                     "--racers", "bfs,dfs"]) == 0
         out = capsys.readouterr().out
-        assert "# portfolio: serial executor, won by" in out
+        assert "# portfolio: won by" in out
         assert "*winner*" in out
         assert out.count("cost=") >= 2  # one row per racer
 
     def test_solve_portfolio_json_carries_the_summary(
             self, relation_file, capsys):
         assert main(["solve", relation_file, "--strategy", "portfolio",
-                     "--portfolio-executor", "serial", "--json"]) == 0
+                     "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] and report["compatible"]
         names = [row["name"] for row in report["portfolio"]["racers"]]
@@ -117,7 +116,7 @@ class TestSolveCommand:
     def test_solve_racers_imply_the_portfolio_strategy(
             self, relation_file, capsys):
         assert main(["solve", relation_file, "--racers", "bfs,dfs",
-                     "--portfolio-executor", "serial", "--json"]) == 0
+                     "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["request"]["strategy"] == "portfolio"
         assert report["portfolio"]["winner"] is not None
@@ -191,18 +190,6 @@ class TestSolveCommand:
             [[0, 1], [2, 3]]
         assert all(block["stopped"] == "exhausted"
                    for block in report["partition"]["blocks"])
-
-    def test_solve_block_executor_matches_serial(
-            self, block_relation_file, capsys):
-        assert main(["solve", block_relation_file, "--json"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(["solve", block_relation_file, "--json",
-                     "--block-executor", "process"]) == 0
-        pooled = json.loads(capsys.readouterr().out)
-        assert pooled["cost"] == serial["cost"]
-        assert pooled["sop"] == serial["sop"]
-        assert pooled["partition"]["num_blocks"] == \
-            serial["partition"]["num_blocks"]
 
 
 class TestBatchCommand:

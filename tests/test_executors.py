@@ -1,11 +1,14 @@
 """Every executor option accepts exactly ``EXECUTORS`` and rejects the rest.
 
-The option names differ by entry point (``portfolio_executor``,
-``block_executor``, ``executor`` and the matching CLI flags), but they
-all validate against :data:`repro.core.explore.EXECUTORS`; a rejected
-value names the valid ones: a ``ValueError`` from the Python API, a
-400-mapped :class:`~repro.service.ServiceError` from the service, and
-exit status 2 from the CLI.
+Executors choose where the solves of a batch run (``solve_many``,
+resynthesis, the service's batches and prewarming, and the matching
+CLI flags); they all validate against
+:data:`repro.core.explore.EXECUTORS`, and a rejected value names the
+valid ones: a ``ValueError`` from the Python API, a 400-mapped
+:class:`~repro.service.ServiceError` from the service, and exit status
+2 from the CLI.  A single solve has no executor: it always runs in its
+caller's process, and the knobs that once split it across processes
+are rejected.
 """
 
 import json
@@ -45,12 +48,6 @@ def run_cli(argv):
 
 
 ENTRY_POINTS = {
-    "BrelOptions.portfolio_executor": lambda value, tmp: BrelOptions(
-        strategy="portfolio", portfolio_executor=value),
-    "SolveRequest.portfolio_executor": lambda value, tmp: SolveRequest(
-        strategy="portfolio", portfolio_executor=value),
-    "Session.solve block_executor": lambda value, tmp: Session().solve(
-        SolveRequest(**JOB), block_executor=value),
     "Session.solve_many executor": lambda value, tmp: Session().solve_many(
         [SolveRequest(**JOB)], executor=value),
     "ResynthRequest.executor": lambda value, tmp: ResynthRequest(
@@ -59,10 +56,6 @@ ENTRY_POINTS = {
         {"jobs": [JOB], "executor": value}),
     "prewarm executor": lambda value, tmp: prewarm(
         manifest_file(tmp), str(tmp / "cache"), executor=value),
-    "repro solve --portfolio-executor": lambda value, tmp: run_cli(
-        ["solve", fig1_file(tmp), "--portfolio-executor", value]),
-    "repro solve --block-executor": lambda value, tmp: run_cli(
-        ["solve", fig1_file(tmp), "--block-executor", value]),
     "repro batch --executor": lambda value, tmp: run_cli(
         ["batch", manifest_file(tmp), "--executor", value, "--quiet"]),
     "repro resynth --executor": lambda value, tmp: run_cli(
@@ -91,3 +84,23 @@ def test_entry_point_accepts_exactly_the_executors(entry, value, tmp_path,
     assert "'thread'" in message
     for name in EXECUTORS:
         assert repr(name) in message, message
+
+
+class TestSingleSolveHasNoExecutor:
+    def test_retired_knobs_are_rejected(self):
+        with pytest.raises(TypeError):
+            BrelOptions(strategy="portfolio", portfolio_executor="serial")
+        with pytest.raises(TypeError):
+            Session().solve(SolveRequest(**JOB), block_executor="serial")
+        with pytest.raises(ValueError, match="unknown SolveRequest fields: "
+                                             "portfolio_executor"):
+            SolveRequest.from_dict(dict(JOB, strategy="portfolio",
+                                        portfolio_executor="serial"))
+
+    @pytest.mark.parametrize("flag", ["--block-executor",
+                                      "--portfolio-executor"])
+    def test_retired_solve_flags_exit_2(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", fig1_file(tmp_path), flag, "serial"])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err

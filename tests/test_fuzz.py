@@ -1,5 +1,5 @@
-"""Seeded fuzzing of the input boundaries: BLIF text and resynthesis
-requests.
+"""Seeded fuzzing of the input boundaries: BLIF text, resynthesis
+requests and solve requests.
 
 Every mutant must either be accepted or fail with a ``ValueError`` (the
 one error class the service answers 400), within a time bound per
@@ -7,6 +7,8 @@ input.  A hang trips the bound; any other exception fails the test.
 """
 
 import contextlib
+import dataclasses
+import math
 import random
 import signal
 import threading
@@ -14,6 +16,7 @@ import time
 
 import pytest
 
+from repro import SolveRequest
 from repro.benchdata.circuits import CIRCUITS
 from repro.network.blif import parse_blif, write_blif
 from repro.resynth import ResynthRequest
@@ -47,6 +50,28 @@ REQUEST_VALUES = [None, True, False, 0, 1, -1, 2, 16, 17, 2.5, 8.0,
                   {}, {"kind": "bench"}, {"kind": "bench", "name": 5},
                   {"kind": "blif", "text": ".model m\n.end\n"},
                   {"kind": "file"}, {"kind": [1]}, {"kind": {}}]
+
+
+#: SolveRequest's own fields, the relation spec included.
+SOLVE_FIELDS = [field.name for field in dataclasses.fields(SolveRequest)]
+SOLVE_VALUES = [None, True, False, 0, 1, -1, 3, 2.5, float("nan"),
+                float("inf"), 10 ** 30, 10 ** 400, "", "x", "bfs",
+                "portfolio", "size", "isop", "auto", "fig1", [], [1],
+                ["bfs"], [{"strategy": "dfs"}], {}, {"a": 1},
+                {"kind": "bench", "name": "int1"}, {"kind": "bench"},
+                {"kind": [1]}, {"kind": "bench", "name": 5},
+                {"kind": "pla", "text": 5},
+                {"kind": "output_sets", "rows": 5, "num_inputs": 1,
+                 "num_outputs": 1},
+                {"kind": "output_sets", "rows": [["x"], [1]],
+                 "num_inputs": 1, "num_outputs": 1},
+                {"kind": "truth_tables", "tables": ["x"],
+                 "num_inputs": 1},
+                {"kind": "equations", "equations": 5,
+                 "independents": ["a"], "dependents": ["b"]}]
+SOLVE_BASE = SolveRequest(relation={
+    "kind": "output_sets", "rows": [[1], [1], [0, 3], [2, 3]],
+    "num_inputs": 2, "num_outputs": 2}).to_dict()
 
 
 @contextlib.contextmanager
@@ -101,16 +126,17 @@ def mutate_blif(text, rng):
     return "\n".join(lines) + "\n"
 
 
-def mutate_request(base, rng):
+def mutate_request(base, rng, fields=REQUEST_FIELDS,
+                   values=REQUEST_VALUES):
     data = dict(base)
     for _ in range(rng.randint(1, 3)):
         move = rng.randrange(10)
         if move == 0:
-            data.pop(rng.choice(REQUEST_FIELDS), None)
+            data.pop(rng.choice(fields), None)
         elif move == 1:
-            data["bogus_%d" % rng.randrange(3)] = rng.choice(REQUEST_VALUES)
+            data["bogus_%d" % rng.randrange(3)] = rng.choice(values)
         else:
-            data[rng.choice(REQUEST_FIELDS)] = rng.choice(REQUEST_VALUES)
+            data[rng.choice(fields)] = rng.choice(values)
     return data
 
 
@@ -157,4 +183,38 @@ class TestFuzz:
             # equals itself.
             assert ResynthRequest.from_json(request.to_json()).to_json() \
                 == request.to_json()
+        assert outcomes["built"] and outcomes["rejected"]
+
+    def test_solve_request_mutants_build_or_raise_value_error(self):
+        rng = random.Random("solve-request")
+        outcomes = {"built": 0, "rejected": 0}
+        for _ in range(REQUEST_MUTANTS):
+            mutant = mutate_request(SOLVE_BASE, rng, SOLVE_FIELDS,
+                                    SOLVE_VALUES)
+            with time_bound(TIME_BOUND):
+                try:
+                    request = SolveRequest.from_dict(mutant)
+                except ValueError:
+                    outcomes["rejected"] += 1
+                    continue
+            outcomes["built"] += 1
+            # What was admitted is well formed.
+            for field in ("max_explored", "fifo_capacity",
+                          "symmetry_max_depth"):
+                value = getattr(request, field)
+                assert value is None or (
+                    isinstance(value, int)
+                    and not isinstance(value, bool)), (field, value)
+            for field in ("symmetry_pruning", "record_trace"):
+                assert isinstance(getattr(request, field), bool), field
+            for field in ("quick_on_subrelations", "decompose"):
+                assert getattr(request, field) in (None, True, False), \
+                    field
+            limit = request.time_limit_seconds
+            assert limit is None or (
+                not isinstance(limit, bool) and math.isfinite(limit)
+                and limit >= 0), limit
+            assert request.label is None or isinstance(request.label,
+                                                       str)
+            assert SolveRequest.from_json(request.to_json()) == request
         assert outcomes["built"] and outcomes["rejected"]

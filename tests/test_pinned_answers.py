@@ -10,6 +10,15 @@ against this file without a second copy of the code.
   default ``max_explored=10``) with each built-in cost, and under
   ``dfs`` at ``max_explored=200``.  Each digest is of the row
   ``(name, SOP, cost, relations_explored, splits)``.
+- Portfolio race: each of the 18 instances under
+  ``strategy="portfolio"`` with the default racer line-up and budget.
+  Each digest is of ``(name, SOP, cost, relations_explored, splits,
+  winner)``.
+- Sharded solves: three independent ``(4, 2)`` blocks
+  (:func:`~repro.benchdata.brgen.block_structured_relation`) at seeds
+  0, 1, 3 and 5 with ``max_explored=500`` and decomposition left on.
+  Each digest is of ``(name, SOP, cost, relations_explored, splits,
+  block count)``.
 - Resynthesis: the rewritten BLIF of each of the 22 bundled circuits at
   ``passes=2 window=8 max_explored=8``.
 """
@@ -19,6 +28,7 @@ import hashlib
 import pytest
 
 from repro import Session, SolveRequest
+from repro.benchdata.brgen import block_structured_relation
 from repro.benchdata.brsuite import SUITE
 from repro.benchdata.circuits import CIRCUITS
 from repro.resynth import ResynthRequest, resynthesize
@@ -216,6 +226,54 @@ TABLE2_DIGESTS = {
     },
 }
 
+RACE_DIGESTS = {
+    "int1":
+        "ec9befe7eb327c77458d4dd72573fba3fa515cf55d1e49d6eb0c2fbd4cf58838",
+    "int2":
+        "e47839be893e2774fa1c09affe3491caa7e069c8a559385172f2af4db8d76b4c",
+    "int3":
+        "e56fe935d675e4f79cb95447481e600de462a5afa17ace232bc1259dfde7e936",
+    "int4":
+        "d9e8a5e9c4a08a26e666b7577165995ee0feb9127f046c5e94b0d08042ba1ee8",
+    "int5":
+        "2ddb5cf85c1e308c3d221e8038e205f393a85821ca84de3a2005e045c279741e",
+    "int6":
+        "3627b2b0e9c61bf73e21a758ee1c4894fe2b7cb0a89c34708254e8bad32dc601",
+    "int7":
+        "5bf8f907712310f69bcd4601df91c6437d02d15264a24efdf6684e5a49279c38",
+    "int8":
+        "4c6fede2f77fadb927022c834f4af1c1b6b56767048c88789705e63cdb99602d",
+    "int9":
+        "471da8fadddbd2a121bd626008c892a421d653a0415afc605fb74400757ce7cb",
+    "int10":
+        "c4ebd65ea6f56785186652a6127fb1dda6c58d367039c930073260421c7d1453",
+    "she1":
+        "62c89b0ca7363894c3649fbad01c7eefd3f9dd4a4e3960092923e17f0f8231c1",
+    "she2":
+        "26fb0b430e29e6bc0ed854c735dc32bf74ca8d10868c4fd8e172fd87b9311cc7",
+    "she3":
+        "e1cbdb15c7af4ffd657b5b729227019fa4aaf8c8649577c00077a7468f054ed0",
+    "b9":
+        "45cac8330eaff1482c87ddae54789016b3e4087ca5e6694eae64ecb6ab9e63fb",
+    "vtx":
+        "4a2de9c9c2b073b0224adca9fda32b6b9d1119d8b5486094709b70faaf9ca331",
+    "gr":
+        "40ab7482f4c57e5834b039e8a82250b64eb24fb83eee6713de124935518c7d47",
+    "c17b":
+        "da1245136eb82dda11fa5b1415af2ee701954e61097f4ca560f1f8d046ed9dd4",
+    "c17i":
+        "cd6401f1223267087079e3e1b225db80158babceb3937fa16fbc8e1dbf0b0f95",
+}
+
+#: Seed -> digest of three independent (4, 2) blocks, solved sharded.
+SHARDED_BLOCKS = [(4, 2)] * 3
+SHARDED_DIGESTS = {
+    0: "76d403f690ab7b1a496487e916b6e9088254251d24269b58b0cef168845b171a",
+    1: "41e7015c6da56a2d2d07ed9b29fd60516bea05122bf2a0ddaa61c59a13ee1948",
+    3: "44a968420c0ba02b64d7a4c83356ab434113c6d9703894d8735696c9231843b2",
+    5: "029d0bf355a45e1669ebbd365ce608776a7837d1bc74c8e0071a76a21a0a0731",
+}
+
 RESYNTH_DIGESTS = {
     "s27":
         "89583164deb334fd822ccc9c697346471b9b2ff4820337ee6533f8475c999aaa",
@@ -273,6 +331,7 @@ def test_every_instance_and_circuit_is_pinned():
     assert len(names) == 18
     for pinned in TABLE2_DIGESTS.values():
         assert list(pinned) == names
+    assert list(RACE_DIGESTS) == names
     circuits = [spec.name for spec in CIRCUITS]
     assert len(circuits) == 22
     assert list(RESYNTH_DIGESTS) == circuits
@@ -291,6 +350,30 @@ def test_table2_answers(strategy, cost, max_explored, name):
            report.stats["relations_explored"], report.stats["splits"])
     assert sha256(repr(row)) \
         == TABLE2_DIGESTS[strategy, cost, max_explored][name]
+
+
+@pytest.mark.parametrize("name", list(RACE_DIGESTS))
+def test_portfolio_race_answers(name):
+    report = Session().solve(SolveRequest(
+        relation={"kind": "bench", "name": name}, strategy="portfolio"))
+    assert report.ok, report.error
+    row = (name, report.sop, report.cost,
+           report.stats["relations_explored"], report.stats["splits"],
+           report.portfolio["winner"])
+    assert sha256(repr(row)) == RACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", list(SHARDED_DIGESTS))
+def test_sharded_answers(seed):
+    relation = block_structured_relation(SHARDED_BLOCKS, seed=seed)
+    report = Session().solve(SolveRequest(max_explored=500),
+                             relation=relation)
+    assert report.ok, report.error
+    assert report.partition["num_blocks"] == len(SHARDED_BLOCKS)
+    row = ("3x(4,2)s%d" % seed, report.sop, report.cost,
+           report.stats["relations_explored"], report.stats["splits"],
+           report.partition["num_blocks"])
+    assert sha256(repr(row)) == SHARDED_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("name", list(RESYNTH_DIGESTS))
