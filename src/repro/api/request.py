@@ -44,11 +44,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.brel import BrelOptions
 from ..core.explore import check_int, suggest
-from ..core.portfolio import RACER_DELTA_FIELDS, normalize_racers
+from ..core.portfolio import (RACER_DELTA_FIELDS, normalize_racers,
+                              racers_cache_key)
 from ..core.relation import (BooleanRelation, check_output_sets,
                              check_truth_tables)
 from ..core.relio import RelationNodes, check_nodes, relation_from_nodes
@@ -242,7 +244,11 @@ def build_relation(spec: RelationSpec) -> BooleanRelation:
     :class:`~repro.api.Session` (the owner of the name table) can
     resolve.
     """
-    spec = normalize_relation_spec(spec)
+    return relation_of_spec(normalize_relation_spec(spec))
+
+
+def relation_of_spec(spec: Mapping[str, Any]) -> BooleanRelation:
+    """:func:`build_relation` of a *normalised* spec (no re-check)."""
     kind = spec["kind"]
     if kind == "name":
         raise ValueError("relation %r is a session name; resolve it "
@@ -393,6 +399,33 @@ class SolveRequest:
     def exploration_strategy(self) -> str:
         """The effective strategy name (``None`` means ``"bfs"``)."""
         return self.strategy if self.strategy is not None else "bfs"
+
+    def options_key(self) -> Tuple[Any, ...]:
+        """Every result-affecting option value, as a JSON-safe tuple.
+
+        The session's report cache and the service's disk fingerprint
+        key on this tuple plus the relation, so every field that can
+        change a report's content MUST join it: the schema guard in the
+        test suite (``TestCacheKeySchemaGuard``) enumerates the dataclass
+        fields to catch omissions.  ``record_trace`` is keyed because it
+        fills the report's trace; the label (it names the job, not the
+        problem) and ``backend`` (accepted and ignored) are not.
+        Tri-states key by their *effective* decision: the strategy
+        ``None`` shares ``"bfs"``'s slot, ``decompose=None`` (auto)
+        shares ``True``'s (both shard identically, while ``False``
+        reports lack the partition breakdown), and the racer line-up
+        keys by its resolved canonical JSON, so ``None`` and the
+        spelled-out default line-up share a slot.
+        """
+        if self.exploration_strategy() == "portfolio":
+            racers = racers_cache_key(self.portfolio_racers)
+        else:
+            racers = None
+        return (self.cost, self.minimizer, self.exploration_strategy(),
+                self.max_explored, self.fifo_capacity,
+                self.quick_on_subrelations, self.symmetry_pruning,
+                self.symmetry_max_depth, self.time_limit_seconds,
+                self.record_trace, self.decompose is not False, racers)
 
     def to_options(self) -> BrelOptions:
         """Resolve the registry names into live :class:`BrelOptions`."""

@@ -20,6 +20,15 @@ portfolio racers run in turn inside the solver.  The batch pool of
 :meth:`Session.solve_many` is the package's one process pool; it runs
 many requests side by side, which is where parallelism pays.
 
+Every path into the report cache — :meth:`Session.solve`,
+:meth:`Session.solve_iter`, :meth:`Session.solve_many` on either
+executor, and the service hooks :meth:`Session.peek_cached` and
+:meth:`Session.store_report` — keys a request the same way: a session
+name or a caller's relation object by identity, a node spec by its
+node list, any other self-contained spec by its content, each plus
+:meth:`SolveRequest.options_key`.  The request's spec is keyed as it
+was normalised when the request was built.
+
 Pool jobs are made *self-contained* before dispatch: the relation
 travels as its node list (:func:`repro.core.relio.relation_to_nodes`,
 linear in BDD size) and the request as its dict form, so a job needs
@@ -27,9 +36,10 @@ nothing from the parent process beyond importable code; the solution
 comes back as a rank template, which the session re-instantiates in the
 manager of the job's relation when the parent built one.  Node-spec
 jobs are node lists already: they ship as they are, and their reports
-keep the template.  (Custom registry entries reach workers through the
-default ``fork`` start method on POSIX; under ``spawn`` they must be
-registered at import time of a module the workers import.)
+keep the template; other relations are flattened for cache misses
+only.  (Custom registry entries reach workers through the default
+``fork`` start method on POSIX; under ``spawn`` they must be registered
+at import time of a module the workers import.)
 
 Every solve explores its relation from scratch: the session caches
 whole reports, never subproblems.
@@ -44,7 +54,7 @@ from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
-from ..core.brel import BrelSolver
+from ..core.brel import BrelResult, BrelSolver
 from ..core.explore import (CancelToken, Improvement, Observer,
                             check_executor)
 from ..core.memo import instantiate_solution
@@ -53,8 +63,8 @@ from ..core.relio import (RelationNodes, parse_relation, peek_shape,
                           relation_from_nodes, relation_to_nodes)
 from ..core.solution import Solution
 from .report import SolveReport
-from .request import (RelationSpec, SolveRequest, build_relation,
-                      nodes_of_spec, normalize_relation_spec,
+from .request import (RelationSpec, SolveRequest, nodes_of_spec,
+                      normalize_relation_spec, relation_of_spec,
                       relation_spec_to_jsonable,
                       truth_tables_to_output_sets)
 
@@ -65,26 +75,40 @@ RelationLike = Union[BooleanRelation, RelationSpec]
 #: solves (None disables auto-trimming).
 DEFAULT_AUTO_TRIM_NODES = 500_000
 
-def _solve_payload(payload: Dict[str, Any]) -> SolveReport:
-    """Execute one self-contained pool job (runs in worker processes).
+def _run_job(job: Dict[str, Any],
+             cancel: Optional[CancelToken] = None) -> SolveReport:
+    """Execute one unique batch job, in this process or a pool worker.
 
     Never raises: any failure — malformed request, unparsable relation,
     solver error — comes back as a failed report so one bad job cannot
-    poison a batch.  Workers cannot share a cancel token; they stop
-    only between jobs.
+    poison a batch.  In this process the job carries the live, validated
+    request and (unless it is a node-spec job) the live relation, whose
+    manager keeps the solution valid.  A worker gets only the request
+    dict, the node list and the label, and no cancel token; BDD handles
+    must not cross back over the process boundary, so it ships the
+    solved vector as a template.
     """
-    label = payload.get("label")
-    request_dict = payload.get("request")
+    label = job["label"]
+    request_dict = job["request"]
     try:
-        request = SolveRequest.from_dict(request_dict)
-        relation = relation_from_nodes(payload["nodes"])
-        result = BrelSolver(request.to_options()).solve(relation)
+        request = job.get("solve_request")
+        in_worker = request is None
+        if in_worker:
+            request = SolveRequest.from_dict(request_dict)
+        relation = job.get("relation")
+        built = relation is None
+        if built:
+            # A node-spec job, or a pool job: built only now.
+            relation = relation_from_nodes(job["nodes"])
+        result = BrelSolver(request.to_options()).solve(relation,
+                                                        cancel=cancel)
         report = SolveReport.from_result(relation, result,
                                          request=request_dict, label=label)
-        # BDD handles must not cross back over the process boundary:
-        # keep the solved vector as a template, then ship the report.
-        report.solution_template()
-        report.solution = None
+        if in_worker:
+            report.solution_template()
+            report.solution = None
+        elif built:
+            relation.mgr.release_caches()  # as in Session.solve()
         return report
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
         return SolveReport.from_error(exc, request=request_dict,
@@ -196,7 +220,7 @@ class Session:
     def _trim_manager(self, mgr: BddManager,
                       keep: Optional[BooleanRelation] = None,
                       extra_reports: Iterable[SolveReport] = (),
-                      extra_payloads: Iterable[Dict[str, Any]] = ()
+                      extra_jobs: Iterable[Dict[str, Any]] = ()
                       ) -> Optional[BooleanRelation]:
         """GC one manager, remapping this session's state through it.
 
@@ -206,7 +230,7 @@ class Session:
         solutions (kept as templates), identity-keyed cache
         entries of this manager are dropped — their key objects would
         hold stale node ids — and relations referenced by
-        ``extra_payloads`` (a batch's pending jobs) are kept live and
+        ``extra_jobs`` (a batch's pending jobs) are kept live and
         remapped in place.
         """
         stale_keys = []
@@ -223,20 +247,20 @@ class Session:
             if (report.solution is not None
                     and report.solution.mgr is mgr):
                 self._strip_solution(report)
-        payload_relations = [
-            (payload, payload["relation"]) for payload in extra_payloads
-            if isinstance(payload.get("relation"), BooleanRelation)
-            and payload["relation"].mgr is mgr]
+        job_relations = [
+            (job, job["relation"]) for job in extra_jobs
+            if isinstance(job.get("relation"), BooleanRelation)
+            and job["relation"].mgr is mgr]
         mgr.clear_caches()
         extra = [keep.node] if keep is not None else []
-        extra.extend(relation.node for _, relation in payload_relations)
+        extra.extend(relation.node for _, relation in job_relations)
         mapping = mgr.collect(extra_roots=extra)
         for name, relation in list(self._relations.items()):
             if relation.mgr is mgr:
                 self._relations[name] = relation.with_node(
                     mapping[relation.node])
-        for payload, relation in payload_relations:
-            payload["relation"] = relation.with_node(mapping[relation.node])
+        for job, relation in job_relations:
+            job["relation"] = relation.with_node(mapping[relation.node])
         self.trims += 1
         if keep is not None:
             return keep.with_node(mapping[keep.node])
@@ -360,60 +384,11 @@ class Session:
     def __contains__(self, name: object) -> bool:
         return name in self._relations
 
-    def resolve_relation(self, source: RelationLike) -> BooleanRelation:
-        """Materialise any accepted relation source."""
-        if isinstance(source, BooleanRelation):
-            return source
-        if isinstance(source, str):
-            return self.relation(source)
-        if isinstance(source, Mapping) and source.get("kind") == "name":
-            return self.relation(source["name"])
-        return build_relation(source)
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def _options_key(self, request: SolveRequest) -> Tuple[Any, ...]:
-        # The *effective* strategy keys the entry, so strategy=None and
-        # strategy="bfs" share a slot; record_trace is keyed because it
-        # changes the report's content (the trace field).
-        # Every future request field that can alter a report's content
-        # MUST join this tuple — the schema-evolution regression test
-        # (tests/api/test_session.py::TestCacheKeySchemaGuard)
-        # enumerates the dataclass fields to catch omissions.
-        # Decomposition keys by its *effective* decision too: None
-        # (auto) and True shard identically, so they share a slot,
-        # while False reports lack the partition breakdown and must
-        # not be served to sharded requests (or vice versa).
-        # The backend field is NOT keyed: it is accepted and ignored,
-        # so its values share one slot.
-        # The portfolio racer line-up keys by its *resolved* canonical
-        # JSON — None and an explicitly spelled-out default line-up
-        # share a slot.
-        if request.exploration_strategy() == "portfolio":
-            from ..core.portfolio import racers_cache_key
-            racers = racers_cache_key(request.portfolio_racers)
-        else:
-            racers = None
-        return (request.cost, request.minimizer,
-                request.exploration_strategy(),
-                request.max_explored, request.fifo_capacity,
-                request.quick_on_subrelations, request.symmetry_pruning,
-                request.symmetry_max_depth, request.time_limit_seconds,
-                request.record_trace, request.decompose is not False,
-                racers)
-
-    def _cache_key(self, nodes: RelationNodes, request: SolveRequest
-                   ) -> Tuple[Any, ...]:
-        """Content key for pool jobs and node specs (any manager).
-
-        The node list is exact: by ROBDD canonicity equal relations
-        over the same frame give equal tuples, and unequal ones never
-        collide, so no hash can serve a wrong answer.
-        """
-        return (nodes,) + self._options_key(request)
-
-    def _live_key(self, relation: BooleanRelation,
+    @staticmethod
+    def _live_key(relation: BooleanRelation,
                   request: SolveRequest) -> Tuple[Any, ...]:
         """Identity-based key for interactive solves.
 
@@ -423,24 +398,27 @@ class Session:
         its manager alive, so ids cannot be recycled while the entry
         exists.
         """
-        return (relation,) + self._options_key(request)
+        return (relation,) + request.options_key()
 
-    def _spec_key(self, spec: Mapping[str, Any],
+    @staticmethod
+    def _spec_key(spec: Mapping[str, Any],
                   request: SolveRequest) -> Tuple[Any, ...]:
-        """Content-based key for self-contained relation specs.
+        """Content-based key for self-contained (normalised) specs.
 
         The spec identifies the relation without building it, so
-        repeated spec solves hit the cache instead of minting a fresh
-        manager per call.  Node specs key on their node list, the key a
-        pool job on the same relation uses; the rest key on their
-        canonical JSON (file specs are inlined first, see
-        :meth:`_inline_file`).
+        repeated spec solves and batch jobs hit the cache instead of
+        minting a fresh manager per call.  Node specs key on their node
+        list, which is exact: by ROBDD canonicity equal relations over
+        the same frame give equal tuples, and unequal ones never
+        collide.  The rest key on their canonical JSON (file specs are
+        inlined first, see :meth:`_inline_file`).
         """
         if spec["kind"] == "nodes":
-            return self._cache_key(nodes_of_spec(spec), request)
-        return ("spec", json.dumps(relation_spec_to_jsonable(dict(spec)),
-                                   sort_keys=True)) \
-            + self._options_key(request)
+            head: Tuple[Any, ...] = (nodes_of_spec(spec),)
+        else:
+            head = ("spec", json.dumps(relation_spec_to_jsonable(spec),
+                                       sort_keys=True))
+        return head + request.options_key()
 
     @staticmethod
     def _inline_file(spec: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -484,9 +462,9 @@ class Session:
                    relation: Optional[BooleanRelation]) -> Dict[str, Any]:
         """Copy changes giving a batch caller ``report`` on ``relation``.
 
-        A node-spec job has no relation (``None``): its report goes out
-        as it is, with its template and whatever live solution it was
-        solved with.
+        A job the batch built no relation for (``None``: a node spec, or
+        a cache hit on a self-contained spec) gets its report as it is,
+        with its template and whatever live solution it was solved with.
         """
         if relation is None:
             return {}
@@ -503,18 +481,6 @@ class Session:
     # ------------------------------------------------------------------
     # External cache tiers (the service layer's hooks)
     # ------------------------------------------------------------------
-    def options_key(self, request: SolveRequest) -> Tuple[Any, ...]:
-        """The request's result-affecting option values, as a tuple.
-
-        Every field that can change a report's content is present (the
-        schema-evolution guard in the test suite enforces it), and all
-        values are JSON-safe primitives — external cache tiers key
-        their slots on this tuple plus a canonical relation rendering.
-        Tri-states are resolved to their *effective* decision against
-        this session's defaults, exactly like the in-RAM report cache.
-        """
-        return self._options_key(request)
-
     def peek_cached(self, request: Optional[SolveRequest] = None,
                     relation: Optional[RelationLike] = None
                     ) -> Optional[SolveReport]:
@@ -525,7 +491,9 @@ class Session:
         a data-only entry — one produced by a pool worker or adopted
         from an external tier via :meth:`store_report` — *is* served:
         callers of this hook (the service layer) want the report data,
-        not a live :class:`~repro.core.Solution` handle.  Input
+        not a live :class:`~repro.core.Solution` handle.  They also
+        serialise it, so the entry's PLA export is rendered into the
+        entry the first time it is served, and never again.  Input
         validation matches :meth:`solve`: unknown names and unreadable
         files raise here.
         """
@@ -535,6 +503,7 @@ class Session:
         if cached is None:
             return None
         self.cache_hits += 1
+        cached.solution_pla()
         return cached.copy(cached=True, label=request.label,
                            request=request.to_dict())
 
@@ -562,45 +531,60 @@ class Session:
         """Resolve the relation source into ``(resolved, spec, key,
         from_registry)`` without materialising spec-built relations.
 
-        The cache key is picked *before* materialising anything: session
-        names and caller objects key by identity; self-contained specs
-        key by content (:meth:`_spec_key`), which lets repeated spec
-        solves hit the cache instead of minting a fresh manager per
-        call.
+        This is the one cache key of every solve path.  The request's
+        own spec is keyed as it stands (the request normalised it when
+        it was built); only an explicit ``relation=`` spec is
+        normalised here.  The key is picked *before* materialising
+        anything: session names and caller objects key by identity
+        (:meth:`_live_key`); self-contained specs key by content
+        (:meth:`_spec_key`), which lets repeated spec solves hit the
+        cache instead of minting a fresh manager per call.
         """
         if relation is None:
-            if request.relation is None:
+            spec = request.relation
+            if spec is None:
                 raise ValueError("no relation: pass relation= or set "
                                  "request.relation")
-            relation = request.relation
-        resolved: Optional[BooleanRelation] = None
-        spec: Optional[Dict[str, Any]] = None
-        from_registry = False
-        if isinstance(relation, BooleanRelation):
-            resolved = relation
-            key = self._live_key(resolved, request)
+        elif isinstance(relation, BooleanRelation):
+            return relation, None, self._live_key(relation, request), False
         else:
             spec = normalize_relation_spec(relation)
-            if spec["kind"] == "name":
-                resolved = self.relation(spec["name"])
-                from_registry = True
-                key = self._live_key(resolved, request)
-            else:
-                spec = self._inline_file(spec)
-                key = self._spec_key(spec, request)
-        return resolved, spec, key, from_registry
+        if spec["kind"] == "name":
+            resolved = self.relation(spec["name"])
+            return resolved, spec, self._live_key(resolved, request), True
+        spec = self._inline_file(spec)
+        return None, spec, self._spec_key(spec, request), False
+
+    def _live_hit(self, key: Tuple[Any, ...], request: SolveRequest
+                  ) -> Optional[SolveReport]:
+        """The cache entry for ``key`` as a hit, if it has a live solution.
+
+        A data-only entry (from a pool worker or an external tier) is a
+        miss here: the solve paths promise a live solution, so they
+        re-solve and upgrade the entry rather than serve it.
+        """
+        cached = self._cache.get(key)
+        if cached is None or cached.solution is None:
+            return None
+        self.cache_hits += 1
+        return cached.copy(cached=True, label=request.label,
+                           request=request.to_dict())
 
     def _materialize(self, resolved: Optional[BooleanRelation],
                      spec: Optional[Dict[str, Any]],
                      key: Tuple[Any, ...], from_registry: bool,
                      request: SolveRequest
-                     ) -> Tuple[BooleanRelation, Tuple[Any, ...]]:
-        """Build (or trim around) the relation a solve will run on."""
+                     ) -> Tuple[BooleanRelation, Tuple[Any, ...], bool]:
+        """Build (or trim around) the relation a solve will run on.
+
+        Returns the relation, its key and whether it was built from the
+        spec here.
+        """
         if resolved is None:
             # Spec-built relations get a fresh manager per call; there is
             # nothing from earlier solves to reclaim in it.
-            resolved = build_relation(spec)
-        elif from_registry:
+            return relation_of_spec(spec), key, True
+        if from_registry:
             # Auto-trim only fires for registry-resolved relations: the
             # session can remap those safely.  Trimming around a
             # caller-owned handle would leave the caller's object holding
@@ -608,9 +592,29 @@ class Session:
             trimmed = self._maybe_trim(resolved)
             if trimmed is not resolved:
                 # The trim remapped node ids; re-key on the fresh object.
-                resolved = trimmed
-                key = self._live_key(resolved, request)
-        return resolved, key
+                return trimmed, self._live_key(trimmed, request), False
+        return resolved, key, False
+
+    def _finish(self, request: SolveRequest, resolved: BooleanRelation,
+                result: BrelResult, key: Tuple[Any, ...],
+                spec_built: bool) -> SolveReport:
+        """Report a fresh run, cache it, and release a spec's manager."""
+        report = SolveReport.from_result(resolved, result,
+                                         request=request.to_dict(),
+                                         label=request.label)
+        # A cancelled solve is a partial result of *this call's* token,
+        # which is not part of the cache key — caching it would serve
+        # the truncated answer to future uncancelled calls.
+        if report.stopped != "cancelled":
+            self._cache[key] = report.copy()
+        if spec_built:
+            # A manager built from a spec is private to this solve, but
+            # the cached report's live solution keeps it alive: drop its
+            # derived tables (computed and ISOP tables, per-node sizes)
+            # now that the report exists.  Registry and
+            # caller-owned relations keep theirs.
+            resolved.mgr.release_caches()
+        return report
 
     def solve(self, request: Optional[SolveRequest] = None,
               relation: Optional[RelationLike] = None, *,
@@ -632,35 +636,14 @@ class Session:
         request = request or SolveRequest()
         resolved, spec, key, from_registry = \
             self._prepare_solve(request, relation)
-        cached = self._cache.get(key)
-        # A worker-produced cache entry has its solution stripped; this
-        # path promises a live solution, so re-solve (and upgrade the
-        # cache entry) rather than serve it.
-        if cached is not None and cached.solution is not None:
-            self.cache_hits += 1
-            return cached.copy(cached=True, label=request.label,
-                               request=request.to_dict())
-        spec_built = resolved is None
-        resolved, key = self._materialize(resolved, spec, key,
-                                          from_registry, request)
+        hit = self._live_hit(key, request)
+        if hit is not None:
+            return hit
+        resolved, key, spec_built = self._materialize(
+            resolved, spec, key, from_registry, request)
         result = BrelSolver(request.to_options()).solve(
             resolved, cancel=cancel, observer=observer)
-        report = SolveReport.from_result(resolved, result,
-                                         request=request.to_dict(),
-                                         label=request.label)
-        # A cancelled solve is a partial result of *this call's* token,
-        # which is not part of the cache key — caching it would serve
-        # the truncated answer to future uncancelled calls.
-        if report.stopped != "cancelled":
-            self._cache[key] = report.copy()
-        if spec_built:
-            # A manager built from a spec is private to this solve, but
-            # the cached report's live solution keeps it alive: drop its
-            # derived tables (computed and ISOP tables, per-node sizes)
-            # now that the report exists.  Registry and
-            # caller-owned relations keep theirs.
-            resolved.mgr.release_caches()
-        return report
+        return self._finish(request, resolved, result, key, spec_built)
 
     def solve_iter(self, request: Optional[SolveRequest] = None,
                    relation: Optional[RelationLike] = None, *,
@@ -701,28 +684,16 @@ class Session:
                     observer: Optional[Observer]
                     ) -> Generator[Improvement, None, SolveReport]:
         """The lazy half of :meth:`solve_iter` (inputs already vetted)."""
-        cached = self._cache.get(key)
-        if cached is not None and cached.solution is not None:
-            self.cache_hits += 1
-            report = cached.copy(cached=True, label=request.label,
-                                 request=request.to_dict())
-            yield Improvement(report.solution, report.cost, 0.0, 0)
-            return report
-        spec_built = resolved is None
-        resolved, key = self._materialize(resolved, spec, key,
-                                          from_registry, request)
+        hit = self._live_hit(key, request)
+        if hit is not None:
+            yield Improvement(hit.solution, hit.cost, 0.0, 0)
+            return hit
+        resolved, key, spec_built = self._materialize(
+            resolved, spec, key, from_registry, request)
         solver = BrelSolver(request.to_options())
         result = yield from solver.iter_solve(resolved, cancel=cancel,
                                               observer=observer)
-        report = SolveReport.from_result(resolved, result,
-                                         request=request.to_dict(),
-                                         label=request.label)
-        # Same rule as solve(): never cache a cancelled partial result.
-        if result.stopped != "cancelled":
-            self._cache[key] = report.copy()
-        if spec_built:
-            resolved.mgr.release_caches()  # as in solve()
-        return report
+        return self._finish(request, resolved, result, key, spec_built)
 
     def solve_many(self, requests: Sequence[SolveRequest],
                    max_workers: Optional[int] = None,
@@ -740,104 +711,84 @@ class Session:
           token, so cancellation stops dispatch — queued jobs are
           cancelled and come back as failed ``cancelled before start``
           reports while already-running workers finish their job.
-        * Identical jobs — same relation (node-list content for process
-          jobs and node specs; object identity for serial jobs
-          naming a session relation, spec content for other
-          self-contained serial specs), same options — are solved once
-          *per batch* and the shared report fanned back out.  The
-          session cache additionally persists across calls.
+        * Every job is keyed as :meth:`solve` keys it, on both
+          executors: a session name by the relation object, a node spec
+          by its node list, any other spec by its content, plus the
+          options.  Identical jobs are solved once *per batch* and the
+          shared report fanned back out (``cached=True`` on the
+          copies); the session cache additionally persists across
+          calls.
         * ``executor`` selects ``"process"`` (default; true parallelism
           across cores) or ``"serial"`` (in-process, on the live
           relation).  Process jobs ship the relation as its node list
           (:func:`~repro.core.relio.relation_to_nodes`), linear in BDD
-          size at any input width.
+          size at any input width: a node spec's own list as it is,
+          any other relation flattened in this process, for cache
+          misses only.
 
         Every successful report carries its solution template
         (:meth:`SolveReport.solution_template`).  A report on a named
         session relation also carries a live ``report.solution`` in
-        that relation's manager, and so does one on any other spec the
-        batch builds in this process (PLA text, output sets, ...): pool
-        and cached results are re-instantiated there
-        (:meth:`_portable_solution`).  Node specs are keyed by their
-        node list before anything is built, so a cache hit builds no
-        relation and a process job ships the list as it is; a
-        node-spec report carries a live solution only when this call
+        that relation's manager, and so does a fresh report on any
+        other spec the batch builds in this process (PLA text, output
+        sets, ...): pool results are re-instantiated there
+        (:meth:`_portable_solution`).  Nothing is built before the
+        cache lookup, so a hit on a self-contained spec builds no
+        relation and a node spec is never built here for a process
+        job; such a report carries a live solution only when this call
         solved it in-process, or when the cached entry it was served
         from has one (in the manager that entry was solved in).
         """
         check_executor("executor", executor)
         reports: List[Optional[SolveReport]] = [None] * len(requests)
         pending: Dict[Tuple[Any, ...], List[int]] = {}
-        payloads: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-        resolved_by_index: List[Optional[BooleanRelation]] = \
-            [None] * len(requests)
+        jobs: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
         spec_built: List[BooleanRelation] = []
 
         for index, request in enumerate(requests):
             label = request.label or "job-%d" % index
-            source = request.relation
-            resolved: Optional[BooleanRelation] = None
-            nodes: Optional[RelationNodes] = None
             try:
-                if source is None:
-                    raise ValueError("request has no relation source")
-                if source["kind"] == "nodes":
-                    # The spec's own node list (SolveRequest checked it)
-                    # is the key on both executors and the pool
-                    # transport: a hit builds nothing, and only a serial
-                    # miss builds the relation, when it is solved.
-                    nodes = nodes_of_spec(source)
-                    key = self._cache_key(nodes, request)
-                else:
-                    resolved = self.resolve_relation(source)
-                    if source["kind"] != "name":
-                        spec_built.append(resolved)
-                    if executor == "process":
-                        # The pool transport, linear in BDD size; serial
-                        # jobs solve the live object and skip it.
-                        nodes = relation_to_nodes(resolved)
-                        key = self._cache_key(nodes, request)
-                    elif source["kind"] != "name":
-                        # Serial jobs with self-contained specs key by
-                        # spec *content*, mirroring _prepare_solve.
-                        # Keying these on the resolved object would
-                        # dispatch duplicate jobs: each materialisation
-                        # mints a fresh manager, so identical specs never
-                        # collide by identity.
-                        key = self._spec_key(self._inline_file(source),
-                                             request)
+                resolved, spec, key, from_registry = \
+                    self._prepare_solve(request, None)
+                cached = self._cache.get(key)
+                if cached is None and key not in jobs:
+                    # A node spec's own list (the request checked it)
+                    # ships as it is, and a serial job builds it when it
+                    # is solved; any other spec is built here, and
+                    # flattened for the pool only.
+                    nodes: Optional[RelationNodes] = None
+                    if spec["kind"] == "nodes":
+                        nodes = nodes_of_spec(spec)
                     else:
-                        key = self._live_key(resolved, request)
+                        if not from_registry:
+                            resolved = relation_of_spec(spec)
+                            spec_built.append(resolved)
+                        if executor == "process":
+                            nodes = relation_to_nodes(resolved)
+                    # "relation" and "solve_request" are the live objects
+                    # for in-process execution; workers get only the
+                    # node list and request dict.  The registry name
+                    # lets the serial path re-resolve and auto-trim.
+                    jobs[key] = {
+                        "nodes": nodes, "request": request.to_dict(),
+                        "solve_request": request, "label": label,
+                        "relation": resolved,
+                        "registry_name": spec["name"] if from_registry
+                        else None}
             except Exception as exc:  # noqa: BLE001 — capture per job
                 reports[index] = SolveReport.from_error(
                     exc, request=request.to_dict(), label=label)
                 continue
-            resolved_by_index[index] = resolved
-            cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
                 reports[index] = cached.copy(
                     cached=True, label=label, request=request.to_dict(),
                     **self._hand_over(cached, resolved))
                 continue
-            if key not in pending:
-                # "relation" and "solve_request" are the live objects
-                # for in-process execution; workers get only the
-                # picklable node list and request dict.  The registry
-                # name (when the job referenced one) lets the serial
-                # path re-resolve and auto-trim safely.
-                registry_name = (source["name"]
-                                 if source["kind"] == "name" else None)
-                payloads[key] = {"nodes": nodes,
-                                 "request": request.to_dict(),
-                                 "solve_request": request,
-                                 "label": label,
-                                 "relation": resolved,
-                                 "registry_name": registry_name}
             pending.setdefault(key, []).append(index)
 
         if pending:
-            fresh = self._run_jobs(list(pending), payloads, max_workers,
+            fresh = self._run_jobs(list(pending), jobs, max_workers,
                                    executor, cancel)
             for key, report in fresh.items():
                 # Derived once here, the template rides along in every
@@ -848,21 +799,17 @@ class Session:
                 # be served to future uncancelled calls.
                 if report.ok and report.stopped != "cancelled":
                     self._cache[key] = report.copy()
-                first, *rest = pending[key]
-                reports[first] = report.copy(
-                    label=requests[first].label or "job-%d" % first,
-                    request=requests[first].to_dict(),
-                    **self._hand_over(report, resolved_by_index[first]))
-                for index in rest:
+                hand_over = self._hand_over(report, jobs[key]["relation"])
+                for position, index in enumerate(pending[key]):
                     # Failures are never cached, so only successful
                     # shared results count (and read) as cache hits.
-                    if report.ok:
+                    shared = position > 0 and report.ok
+                    if shared:
                         self.cache_hits += 1
                     reports[index] = report.copy(
-                        cached=report.ok,
+                        cached=shared,
                         label=requests[index].label or "job-%d" % index,
-                        request=requests[index].to_dict(),
-                        **self._hand_over(report, resolved_by_index[index]))
+                        request=requests[index].to_dict(), **hand_over)
         for relation in spec_built:
             relation.mgr.release_caches()  # as in solve()
         # Every index was filled above: failure, cache hit, or fresh run.
@@ -870,14 +817,14 @@ class Session:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _cancelled_report(payload: Dict[str, Any]) -> SolveReport:
+    def _cancelled_report(job: Dict[str, Any]) -> SolveReport:
         """The failed report of a job cancelled before it started."""
         return SolveReport.from_error(
             RuntimeError("cancelled before start"),
-            request=payload["request"], label=payload["label"])
+            request=job["request"], label=job["label"])
 
     def _run_jobs(self, keys: List[Tuple[Any, ...]],
-                  payloads: Dict[Tuple[Any, ...], Dict[str, Any]],
+                  jobs: Dict[Tuple[Any, ...], Dict[str, Any]],
                   max_workers: Optional[int],
                   executor: str,
                   cancel: Optional[CancelToken] = None
@@ -890,26 +837,26 @@ class Session:
         if executor == "serial":
             limit = self.auto_trim_nodes
             for key in keys:
-                payload = payloads[key]
+                job = jobs[key]
                 if cancel is not None and cancel.cancelled:
                     # In-flight jobs stopped themselves (best-so-far);
                     # jobs not yet started are skipped outright.
-                    results[key] = self._cancelled_report(payload)
+                    results[key] = self._cancelled_report(job)
                     continue
-                name = payload.get("registry_name")
+                name = job["registry_name"]
                 if name is not None and name in self._relations:
                     # Re-resolve from the registry so earlier trims in
-                    # this batch cannot leave the payload holding stale
+                    # this batch cannot leave the job holding stale
                     # node ids, then trim if the engine grew too big.
                     relation = self._relations[name]
-                    payload["relation"] = relation
+                    job["relation"] = relation
                     if (limit is not None
                             and relation.mgr.num_nodes > limit):
-                        payload["relation"] = self._trim_manager(
+                        job["relation"] = self._trim_manager(
                             relation.mgr, keep=relation,
                             extra_reports=results.values(),
-                            extra_payloads=[payloads[k] for k in keys])
-                results[key] = self._solve_in_process(payload, cancel)
+                            extra_jobs=[jobs[k] for k in keys])
+                results[key] = _run_job(job, cancel)
             return results
 
         # One worker per job up to the CPU count, unless capped by the
@@ -923,12 +870,11 @@ class Session:
                     max_workers=max(1, min(max_workers, len(keys)))) as pool:
                 futures = {}
                 for key in keys:
-                    payload = payloads[key]
+                    job = jobs[key]
                     # Workers get only the picklable part of a job.
-                    futures[key] = pool.submit(_solve_payload, {
-                        "nodes": payload["nodes"],
-                        "request": payload["request"],
-                        "label": payload["label"]})
+                    futures[key] = pool.submit(_run_job, {
+                        "nodes": job["nodes"], "request": job["request"],
+                        "label": job["label"]})
                 # A CancelToken cannot cross the process boundary, so
                 # cancellation here stops dispatch: queued futures are
                 # cancelled, running workers finish their current job.
@@ -944,9 +890,9 @@ class Session:
                             future.cancel()
                         break
                 for key, future in futures.items():
-                    payload = payloads[key]
+                    job = jobs[key]
                     if future.cancelled():
-                        results[key] = self._cancelled_report(payload)
+                        results[key] = self._cancelled_report(job)
                         continue
                     try:
                         results[key] = future.result()
@@ -954,46 +900,15 @@ class Session:
                         # A dead worker or a pickling failure fails
                         # this job only.
                         results[key] = SolveReport.from_error(
-                            exc, request=payload["request"],
-                            label=payload["label"])
+                            exc, request=job["request"],
+                            label=job["label"])
         except OSError:
             # Process pools need a working fork/semaphore layer; fall
             # back to in-process execution in restricted sandboxes.
             for key in keys:
                 if key not in results:
                     if cancel is not None and cancel.cancelled:
-                        results[key] = self._cancelled_report(
-                            payloads[key])
+                        results[key] = self._cancelled_report(jobs[key])
                     else:
-                        results[key] = self._solve_in_process(
-                            payloads[key], cancel)
+                        results[key] = _run_job(jobs[key], cancel)
         return results
-
-    def _solve_in_process(self, payload: Dict[str, Any],
-                          cancel: Optional[CancelToken] = None
-                          ) -> SolveReport:
-        """In-process execution: same contract as the worker, but solves
-        the live relation object (keeping ``Solution`` handles valid in
-        the caller's managers) under the live, already validated
-        request.  A node-spec job has no relation until this builds it
-        from the payload's node list."""
-        label = payload.get("label")
-        request_dict = payload.get("request")
-        try:
-            request = payload["solve_request"]
-            relation = payload["relation"]
-            spec_built = relation is None
-            if spec_built:
-                # A node-spec job: its relation is built only now.
-                relation = relation_from_nodes(payload["nodes"])
-            result = BrelSolver(request.to_options()).solve(
-                relation, cancel=cancel)
-            report = SolveReport.from_result(relation, result,
-                                             request=request_dict,
-                                             label=label)
-            if spec_built:
-                relation.mgr.release_caches()  # as in solve()
-            return report
-        except Exception as exc:  # noqa: BLE001 — isolation is the contract
-            return SolveReport.from_error(exc, request=request_dict,
-                                          label=label)

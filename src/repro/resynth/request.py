@@ -156,7 +156,7 @@ class ResynthRequest:
         """Canonical tuple of every result-affecting knob.
 
         The service folds this into the cache fingerprint, so — like
-        ``Session._options_key`` — every field that can change the
+        :meth:`SolveRequest.options_key` — every field that can change the
         rewritten network or the report MUST appear here.  The schema
         guard test enumerates the dataclass fields against this tuple.
         """

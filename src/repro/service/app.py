@@ -6,8 +6,10 @@ operations every transport (the stdlib HTTP server in
 test driving it directly) exposes:
 
 ``solve``          one request through the tiered cache;
-``solve_stream``   the anytime event/improvement stream of one solve;
-``batch``          many requests through :meth:`Session.solve_many`;
+``solve_stream``   the anytime event/improvement stream of one solve,
+                   through the same tiers;
+``batch``          many requests through the same tiers, the misses
+                   through one :meth:`Session.solve_many` call;
 ``resynth``        one network resynthesis run (:mod:`repro.resynth`)
                    through the same tiers, keyed by the
                    network+options fingerprint;
@@ -18,7 +20,9 @@ test driving it directly) exposes:
 
 Tiered serving
 --------------
-Every ``solve`` walks the tiers in order:
+Every route that solves (``solve``, ``solve_stream`` and each job of
+``batch``) walks the tiers in order, through one lookup
+(:meth:`SolveService._lookup`):
 
 1. **RAM** — the session's own report cache
    (:meth:`Session.peek_cached`); a hit costs a dict copy.
@@ -29,6 +33,11 @@ Every ``solve`` walks the tiers in order:
 3. **Engine** — a real solve; the fresh report is written back to the
    disk tier for every other worker (and every future worker) to find.
    The engine solves every relation from scratch.
+
+A streamed RAM or disk hit sends one ``improvement`` frame built from
+the stored report, then the ``report`` frame.  A batch sends its misses
+to one :meth:`Session.solve_many` call, which solves identical jobs
+once and returns the copies ``cached``.
 
 A stored report whose ``schema_version`` is not the running one is a
 miss: the engine solves the request again and overwrites the file.
@@ -45,8 +54,8 @@ import math
 import threading
 import time
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, Generator, Iterator, List,
-                    Optional, Tuple)
+from typing import (Any, Deque, Dict, Generator, Iterator, List, Optional,
+                    Tuple)
 
 from ..api.events import event_to_jsonable
 from ..api.request import (SolveRequest, merge_manifest_jobs,
@@ -155,21 +164,19 @@ class SolveService:
         """The cross-process-stable cache key of one request.
 
         Combines the canonical relation rendering (``file`` specs are
-        inlined so on-disk edits invalidate, exactly like the RAM
-        tier) with :meth:`Session.options_key` — every result-shaping
-        option, tri-states resolved to their effective decision.  The
-        label is deliberately absent: it names the job, not the
-        problem.
+        inlined by :meth:`Session._inline_file`, so on-disk edits
+        invalidate, exactly like the RAM tier) with
+        :meth:`SolveRequest.options_key` — every result-shaping option,
+        tri-states resolved to their effective decision.  The label is
+        deliberately absent: it names the job, not the problem.
         """
         spec = request.relation
         if spec is None:
             raise ServiceError("request has no relation source")
-        if spec["kind"] == "file":
-            with open(spec["path"], "r", encoding="ascii") as handle:
-                spec = {"kind": "pla", "text": handle.read()}
         payload = {
-            "relation": relation_spec_to_jsonable(dict(spec)),
-            "options": list(self.session.options_key(request)),
+            "relation": relation_spec_to_jsonable(
+                Session._inline_file(spec)),
+            "options": list(request.options_key()),
         }
         return fingerprint_payload(payload)
 
@@ -265,7 +272,10 @@ class SolveService:
             self.request_counts["solve"] += 1
             try:
                 request = self._admit(self.parse_request(data))
-                report, tier = self._solve_tiered(request)
+                report, tier, key = self._lookup(request)
+                if report is None:
+                    report = self.session.solve(request)
+                    self._write_back(key, report)
             except ServiceError:
                 self.request_counts["errors"] += 1
                 raise
@@ -277,25 +287,30 @@ class SolveService:
             self._record(request, report, tier)
             return report.to_dict(), tier
 
-    def _solve_tiered(self, request: SolveRequest
-                      ) -> Tuple[SolveReport, str]:
-        session = self.session
-        cached = session.peek_cached(request)
+    def _lookup(self, request: SolveRequest
+                ) -> Tuple[Optional[SolveReport], str, Optional[str]]:
+        """The one tier walk of every route: RAM, then disk.
+
+        Returns ``(report, tier, key)``, where ``key`` is the request's
+        disk fingerprint (``None`` on a RAM hit or without a disk
+        tier).  A miss is ``(None, "engine", key)``: the caller runs the
+        engine and hands the fresh report to :meth:`_write_back`.  A
+        disk hit is promoted into the RAM tier so the next identical
+        request never reaches the disk.
+        """
+        cached = self.session.peek_cached(request)
         if cached is not None:
-            return cached, "ram"
+            return cached, "ram", None
+        if self.disk is None:
+            return None, "engine", None
         key = self.request_fingerprint(request)
-        if self.disk is not None:
-            stored = self.disk.get_report(key)
-            if stored is not None:
-                report = self._report_from_wire(stored, request)
-                if report is not None:
-                    session.store_report(request, report)
-                    return report, "disk"
-        report = session.solve(request)
-        if (self.disk is not None and report.ok
-                and report.stopped != "cancelled"):
-            self._disk_write(self.disk.put_report, key, report.to_dict())
-        return report, "engine"
+        stored = self.disk.get_report(key)
+        if stored is not None:
+            report = self._report_from_wire(stored, request)
+            if report is not None:
+                self.session.store_report(request, report)
+                return report, "disk", key
+        return None, "engine", key
 
     # ------------------------------------------------------------------
     # Resynthesis (repro.resynth through the same tiers)
@@ -373,8 +388,7 @@ class SolveService:
                                            % report.error)
                     self._resynth_cache[key] = report.copy()
                     if self.disk is not None:
-                        self._disk_write(self.disk.put_report, key,
-                                         report.to_dict())
+                        self._disk_write(key, report.to_dict())
             self.tier_hits[tier] += 1
             return report.to_dict(), tier
 
@@ -409,7 +423,11 @@ class SolveService:
                      ) -> Generator[Tuple[str, Dict[str, Any]], None, None]:
         """The anytime stream of one solve, as ``(event, payload)`` pairs.
 
-        Yields, in order: every :class:`~repro.core.SolveEvent` as
+        The request walks the tiers of :meth:`solve`.  A RAM or disk hit
+        yields one ``("improvement", ...)`` built from the stored report
+        (its cost and SOP rendering, at zero elapsed time and explored
+        count) and then the ``("report", ...)`` frame.  An engine run
+        yields, in order: every :class:`~repro.core.SolveEvent` as
         ``("event", ...)`` (serialised by the shared
         :func:`~repro.api.events.event_to_jsonable`), each strictly
         improving incumbent as ``("improvement", ...)`` (cost, wall
@@ -433,54 +451,54 @@ class SolveService:
         with self._lock:
             self.request_counts["stream"] += 1
             try:
-                gen = self.session.solve_iter(request, cancel=cancel,
-                                              observer=observer)
+                report, tier, key = self._lookup(request)
+                if report is None:
+                    gen = self.session.solve_iter(request, cancel=cancel,
+                                                  observer=observer)
             except _CLIENT_ERRORS as exc:
                 self.request_counts["errors"] += 1
                 raise ServiceError("invalid solve request: %s"
                                    % exc) from exc
-            report: Optional[SolveReport] = None
-            try:
-                while True:
-                    try:
-                        improvement = next(gen)
-                    except StopIteration as stop:
-                        report = stop.value
-                        break
-                    # Events observed while computing this improvement
-                    # happened first; flush them before it.
-                    for event in buffered:
-                        yield "event", event
-                    del buffered[:]
-                    yield "improvement", {
-                        "cost": improvement.cost,
-                        "elapsed_seconds": improvement.elapsed_seconds,
-                        "explored": improvement.explored,
-                        "sop": improvement.solution.describe(),
-                    }
-            except GeneratorExit:
-                # Client went away: stop the search cooperatively and
-                # let the solver wind down (it returns best-so-far
-                # almost immediately; the session will not cache it).
-                cancel.cancel()
-                for _ in gen:
-                    pass
-                self.request_counts["stream_cancelled"] += 1
-                raise
-            for event in buffered:
-                yield "event", event
-            del buffered[:]
             if report is not None:
-                if (self.disk is not None and report.ok
-                        and report.stopped != "cancelled"
-                        and not report.cached):
-                    self._disk_write(self.disk.put_report,
-                                     self.request_fingerprint(request),
-                                     report.to_dict())
-                tier = "ram" if report.cached else "engine"
-                self.tier_hits[tier] += 1
-                self._record(request, report, tier)
-                yield "report", report.to_dict()
+                yield "improvement", {"cost": report.cost,
+                                      "elapsed_seconds": 0.0,
+                                      "explored": 0, "sop": report.sop}
+            else:
+                try:
+                    while True:
+                        try:
+                            improvement = next(gen)
+                        except StopIteration as stop:
+                            report = stop.value
+                            break
+                        # Events observed while computing this improvement
+                        # happened first; flush them before it.
+                        for event in buffered:
+                            yield "event", event
+                        del buffered[:]
+                        yield "improvement", {
+                            "cost": improvement.cost,
+                            "elapsed_seconds": improvement.elapsed_seconds,
+                            "explored": improvement.explored,
+                            "sop": improvement.solution.describe(),
+                        }
+                except GeneratorExit:
+                    # Client went away: stop the search cooperatively
+                    # and let the solver wind down (it returns
+                    # best-so-far almost immediately; the session will
+                    # not cache it).
+                    cancel.cancel()
+                    for _ in gen:
+                        pass
+                    self.request_counts["stream_cancelled"] += 1
+                    raise
+                for event in buffered:
+                    yield "event", event
+                del buffered[:]
+                self._write_back(key, report)
+            self.tier_hits[tier] += 1
+            self._record(request, report, tier)
+            yield "report", report.to_dict()
 
     def batch(self, data: Any) -> Dict[str, Any]:
         """Drive :meth:`Session.solve_many` over a manifest payload.
@@ -489,10 +507,11 @@ class SolveService:
         ``{"defaults", "jobs"}``) with two optional extras on the
         object form: ``executor`` (``serial``/``process``, default
         serial — the service already parallelises across worker
-        processes) and ``workers``.  RAM- and disk-tier hits
-        are peeled off before dispatch, identical misses dispatch once
-        and share the answer, and only genuine misses reach the pool.
-        Fresh reports are written back to the disk tier.
+        processes) and ``workers``.  Each job walks the RAM and disk
+        tiers of :meth:`solve`; the misses go to one
+        :meth:`Session.solve_many` call, which solves identical jobs
+        once and hands the copies back ``cached`` (tier ``ram``).  Fresh
+        reports are written back to the disk tier.
         """
         executor = "serial"
         workers: Optional[int] = None
@@ -512,117 +531,58 @@ class SolveService:
             raise ServiceError("invalid batch manifest: %s" % exc) from exc
         with self._lock:
             self.request_counts["batch"] += 1
-            reports: List[Optional[SolveReport]] = [None] * len(requests)
-            tiers: List[str] = ["engine"] * len(requests)
-            pending: List[Tuple[int, SolveRequest]] = []
-            for index, request in enumerate(requests):
+            found: List[Tuple[Optional[SolveReport], str, Optional[str]]] = []
+            for request in requests:
                 try:
-                    report, tier = self._peek_tiers(request)
+                    found.append(self._lookup(request))
                 except _CLIENT_ERRORS:
                     # Bad per-job input: let solve_many capture it as a
                     # failed report, honouring its no-raise contract.
-                    report, tier = None, "engine"
-                if report is not None:
-                    reports[index] = report
-                    tiers[index] = tier
-                    self.tier_hits[tier] += 1
-                else:
-                    pending.append((index, request))
-            # Within-batch dedup: identical problems dispatch once and
-            # share the answer (solve_many only content-dedups for pool
-            # executors; the serial path keys on object identity, which
-            # two wire requests never share).
-            dispatch: List[Tuple[int, SolveRequest]] = []
-            duplicates: List[Tuple[int, SolveRequest, int]] = []
-            first_for: Dict[str, int] = {}
-            for index, request in pending:
-                try:
-                    fingerprint = self.request_fingerprint(request)
-                except (ServiceError, OSError):
-                    dispatch.append((index, request))
-                    continue
-                if fingerprint in first_for:
-                    duplicates.append((index, request,
-                                       first_for[fingerprint]))
-                else:
-                    first_for[fingerprint] = index
-                    dispatch.append((index, request))
-            if dispatch:
-                fresh = self.session.solve_many(
-                    [request for _, request in dispatch],
-                    max_workers=workers, executor=executor)
-                for (index, request), report in zip(dispatch, fresh):
-                    if request.label is None:
-                        # solve_many numbers unlabelled jobs by its own
-                        # sub-batch position; renumber to the caller's.
-                        report = report.copy(label="job-%d" % index)
-                    reports[index] = report
-                    tier = "ram" if report.cached else "engine"
-                    tiers[index] = tier
-                    self.tier_hits[tier] += 1
-                    if (self.disk is not None and report.ok
-                            and not report.cached
-                            and report.stopped != "cancelled"):
-                        try:
-                            key = self.request_fingerprint(request)
-                        except (ServiceError, OSError):
-                            continue
-                        self._disk_write(self.disk.put_report, key,
-                                         report.to_dict())
-            for index, request, source_index in duplicates:
-                source = reports[source_index]
-                if source is None:
-                    continue
-                label = request.label or "job-%d" % index
-                if source.ok:
-                    # Shared through the batch, so it is cache-served
-                    # from this job's point of view.
-                    reports[index] = source.copy(
-                        cached=True, label=label, request=request.to_dict())
-                    tiers[index] = "ram"
-                else:
-                    reports[index] = source.copy(
-                        label=label, request=request.to_dict())
-                self.tier_hits[tiers[index]] += 1
-            for request, report, tier in zip(requests, reports, tiers):
-                if report is not None:
-                    self._record(request, report, tier)
+                    found.append((None, "engine", None))
+            pending = [index for index, (report, _, _) in enumerate(found)
+                       if report is None]
+            fresh = self.session.solve_many(
+                [requests[index] for index in pending],
+                max_workers=workers, executor=executor)
+            for index, report in zip(pending, fresh):
+                if requests[index].label is None:
+                    # solve_many numbers unlabelled jobs by its own
+                    # sub-batch position; renumber to the caller's.
+                    report = report.copy(label="job-%d" % index)
+                _, _, key = found[index]
+                tier = "ram" if report.cached else "engine"
+                found[index] = (report, tier, key)
+                self._write_back(key, report)
+            for request, (report, tier, _) in zip(requests, found):
+                self.tier_hits[tier] += 1
+                self._record(request, report, tier)
         return {
-            "reports": [report.to_dict() for report in reports
-                        if report is not None],
-            "tiers": tiers,
-            "ok": all(report.ok for report in reports
-                      if report is not None),
+            "reports": [report.to_dict() for report, _, _ in found],
+            "tiers": [tier for _, tier, _ in found],
+            "ok": all(report.ok for report, _, _ in found),
         }
-
-    def _peek_tiers(self, request: SolveRequest
-                    ) -> Tuple[Optional[SolveReport], str]:
-        """RAM then disk, never the engine; ``(None, _)`` = dispatch."""
-        cached = self.session.peek_cached(request)
-        if cached is not None:
-            return cached, "ram"
-        if self.disk is not None:
-            key = self.request_fingerprint(request)
-            stored = self.disk.get_report(key)
-            if stored is not None:
-                report = self._report_from_wire(stored, request)
-                if report is not None:
-                    self.session.store_report(request, report)
-                    return report, "disk"
-        return None, "engine"
 
     # ------------------------------------------------------------------
     # Disk-tier writes
     # ------------------------------------------------------------------
-    def _disk_write(self, write: Callable[..., Any], *args: Any) -> None:
-        """Run one disk-tier write; a failing disk never fails a request.
+    def _write_back(self, key: Optional[str], report: SolveReport) -> None:
+        """Persist a fresh engine report under its fingerprint ``key``
+        (``None`` without a disk tier) for every other worker to find;
+        failed, cancelled and cache-served reports are not written."""
+        if (key is not None and report.ok and not report.cached
+                and report.stopped != "cancelled"):
+            self._disk_write(key, report.to_dict())
+
+    def _disk_write(self, key: str, payload: Dict[str, Any]) -> None:
+        """Write one report to the disk tier; a failing disk never fails
+        a request.
 
         The caller already holds the engine's answer, so an ``OSError``
         (a full disk, a read-only mount) is counted in
         ``stats()["disk"]["write_errors"]`` and the write is dropped.
         """
         try:
-            write(*args)
+            self.disk.put_report(key, payload)
         except OSError:
             self.disk_write_errors += 1
 

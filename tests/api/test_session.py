@@ -336,8 +336,8 @@ class TestSolveMany:
 
 
 class TestServiceCacheHooks:
-    """peek_cached / store_report / options_key — the service layer's
-    window into the session report cache."""
+    """peek_cached / store_report / SolveRequest.options_key — the
+    service layer's window into the session report cache."""
 
     def test_peek_miss_then_hit(self, session):
         request = SolveRequest(relation="fig1")
@@ -400,16 +400,13 @@ class TestServiceCacheHooks:
         session.store_report(request, cancelled)
         assert session.peek_cached(request) is None
 
-    def test_options_key_is_json_safe_and_label_free(self, session):
+    def test_options_key_is_json_safe_and_label_free(self):
         import json
-        a = session.options_key(SolveRequest(relation="fig1",
-                                             label="x"))
-        b = session.options_key(SolveRequest(relation="fig1",
-                                             label="y"))
+        a = SolveRequest(relation="fig1", label="x").options_key()
+        b = SolveRequest(relation="fig1", label="y").options_key()
         assert a == b
         json.dumps(list(a))
-        c = session.options_key(SolveRequest(relation="fig1",
-                                             cost="cubes"))
+        c = SolveRequest(relation="fig1", cost="cubes").options_key()
         assert a != c
 
 
@@ -454,25 +451,22 @@ class TestCacheKeySchemaGuard:
         unclassified = fields - set(self.KEYED_FIELDS) - self.EXEMPT_FIELDS
         assert not unclassified, \
             "new SolveRequest field(s) %s: decide whether they join " \
-            "Session._options_key and register them here" \
+            "SolveRequest.options_key and register them here" \
             % sorted(unclassified)
 
-    def test_keyed_fields_produce_distinct_cache_keys(self, session):
+    def test_keyed_fields_produce_distinct_cache_keys(self):
         base = SolveRequest(relation="fig1")
         for field, (value_a, value_b) in self.KEYED_FIELDS.items():
             request = base.replace(**self.BASE_OVERRIDES.get(field, {}))
-            key_a = session._options_key(
-                request.replace(**{field: value_a}))
-            key_b = session._options_key(
-                request.replace(**{field: value_b}))
+            key_a = request.replace(**{field: value_a}).options_key()
+            key_b = request.replace(**{field: value_b}).options_key()
             assert key_a != key_b, \
                 "requests differing only in %r share a cache key" % field
 
-    def test_default_strategy_shares_a_slot_with_bfs(self, session):
+    def test_default_strategy_shares_a_slot_with_bfs(self):
         default = SolveRequest(relation="fig1")
         explicit = SolveRequest(relation="fig1", strategy="bfs")
-        assert session._options_key(default) \
-            == session._options_key(explicit)
+        assert default.options_key() == explicit.options_key()
 
 
 #: Cost, relations_explored and splits of fixed solves.
