@@ -37,7 +37,7 @@ import pytest
 
 from repro.bdd import BddManager, isop, shortest_path_cube
 from repro.bdd.isop import eliminate_nonessential, expand
-from repro.bdd.packed import interval_isop
+from repro.bdd.packed import interval_isop, node_of
 from repro.benchdata import build_suite
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver
@@ -346,13 +346,13 @@ def node_misf_evaluation(relation):
 
 
 def packed_misf_evaluation(relation):
-    """The same evaluation on the relation's packed truth table."""
+    """The same evaluation on the relation's packed truth table, its
+    functions and conflict set built as nodes at the end."""
     view = pack_relation(relation)
-    minimized = [view.minimize(position, minimize_isop, "isop")
-                 for position in range(len(relation.outputs))]
-    return ([node for node, _ in minimized],
-            view.node(view.conflict_table(
-                [table for _, table in minimized])))
+    tables = [view.minimize(position, minimize_isop)
+              for position in range(len(relation.outputs))]
+    return ([node_of(relation.mgr, table, view.frame) for table in tables],
+            node_of(relation.mgr, view.conflict_inputs(tables), view.frame))
 
 
 def run_misf_layer():

@@ -39,6 +39,7 @@ lo, hi], ..], "root": r}``
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
@@ -515,3 +516,13 @@ class SolveRequest:
     def replace(self, **changes: Any) -> "SolveRequest":
         """A copy with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
+
+    def with_time_limit(self, seconds: Optional[float]) -> "SolveRequest":
+        """A copy with another time limit, checked against its
+        :data:`_FIELDS` row; unlike :meth:`replace`, the relation is
+        not normalised again."""
+        _check_field("time_limit_seconds", seconds,
+                     *_FIELDS["time_limit_seconds"])
+        clamped = copy.copy(self)
+        object.__setattr__(clamped, "time_limit_seconds", seconds)
+        return clamped

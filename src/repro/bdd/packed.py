@@ -20,8 +20,8 @@ stripped of the top positions neither bound depends on, is keyed
 ``(width, lower, upper)`` — the same key wherever, and in whichever
 frame, it recurs; a call's interval is also keyed by its handles and
 elimination flag, ``((lower, upper), eliminate)``, or, when the caller
-hands over tables, by its frame and tables,
-``((frame, lower, upper), eliminate)``; and the node-level expansion
+hands over tables, by its width and tables,
+``((width, lower, upper), eliminate)``; and the node-level expansion
 keys its sub-intervals by handle pair.
 
 Tables cross the engine boundary in one place each way:
@@ -34,11 +34,13 @@ its own frame, carrying the same bits with the index order reversed
 
 :func:`interval_isop` is the node-level entry point, shared by
 ``BddManager.isop``, ``TableManager.isop`` and the minimiser pipeline;
+it hands back the cubes over frame variables and the cover's node.
 :func:`packed_isop` is its twin for callers that already hold the
-tables (the packed MISF layer, :mod:`repro.core.packedrel`).  Intervals
-wider than :data:`MAX_TABLE_WIDTH` run through the node-level
-:func:`~repro.bdd.isop.expand` instead.  Covers (cube order included)
-and nodes equal the node-level expansion's.
+tables (the packed MISF layer, :mod:`repro.core.packedrel`): it hands
+back the cover's table and its cubes over positions, and builds no
+node.  Intervals wider than :data:`MAX_TABLE_WIDTH` run through the
+node-level :func:`~repro.bdd.isop.expand` instead.  Covers (cube order
+included) and nodes equal the node-level expansion's.
 """
 
 from __future__ import annotations
@@ -250,6 +252,26 @@ def table_nodes(table: int, width: int
 
     root = _shannon(mk, table, width, range(width), {})
     return tuple(nodes), root
+
+
+def table_size(tables: Sequence[int], width: int) -> int:
+    """The reduced-BDD node count, shared nodes once, of packed tables
+    over ``width`` positions in frame order (what ``shared_size`` gives
+    for their nodes), with no manager: the nodes on position ``p`` are
+    the distinct cofactors by the positions above ``p`` that depend on
+    ``p``."""
+    count = 0
+    level = set(tables)
+    for p in range(width - 1, -1, -1):
+        mask, half = _FULLS[p], 1 << p
+        below = set()
+        for table in level:
+            low, high = table & mask, table >> half
+            count += low != high
+            below.add(low)
+            below.add(high)
+        level = below
+    return count
 
 
 def tables_of(mgr, nodes: Sequence[int],
@@ -472,55 +494,54 @@ def interval_isop(mgr, lower: int, upper: int,
         low, upp = tables_of(mgr, (lower, upper), frame)
         if low & ~upp:
             raise ValueError("isop requires lower <= upper")
-        hit = _cover(mgr, table, limit, low, upp, frame, eliminate_first)
+        cubes, cover = _cover(mgr, table, limit, low, upp, len(frame),
+                              eliminate_first)
+        top = len(frame) - 1
+        hit = (tuple([tuple([(frame[top - p], value) for p, value in cube])
+                      for cube in cubes]), node_of(mgr, cover, frame))
         _store(table, limit, key, hit, 0)
     else:
         mgr._isop_hits += 1
     return [dict(cube) for cube in hit[0]], hit[1]
 
 
-def packed_isop(mgr, lower: int, upper: int, frame: Tuple[int, ...],
+def packed_isop(mgr, lower: int, upper: int, k: int,
                 eliminate_first: bool = False
-                ) -> Tuple[Tuple[Tuple[Tuple[int, bool], ...], ...], int,
-                           int]:
+                ) -> Tuple[Tuple[Tuple[Tuple[int, bool], ...], ...], int]:
     """:func:`interval_isop` for a caller holding the packed bounds
-    over ``frame`` (sorted, at most :data:`MAX_TABLE_WIDTH` variables,
-    ``lower <= upper``): returns ``(cubes, node, cover)`` with each
-    cube a tuple of ``(variable, polarity)`` pairs by increasing level
-    and ``cover`` the cover's packed table over ``frame``.
+    over ``k`` positions (at most :data:`MAX_TABLE_WIDTH`, ``lower <=
+    upper``): returns ``(cubes, cover)``, each cube a tuple of
+    ``(position, polarity)`` pairs, highest position first, and
+    ``cover`` their packed disjunction.  No node is built.
 
-    The call is keyed by its frame, tables and elimination flag, so a
+    The call is keyed by its width, tables and elimination flag, so a
     repeat costs one lookup, as a repeat of :func:`interval_isop` does.
     """
     table, limit = mgr._isop_scope()
-    key = ((frame, lower, upper), eliminate_first)
+    key = ((k, lower, upper), eliminate_first)
     hit = table.get(key)
     if hit is None:
-        hit = _cover(mgr, table, limit, lower, upper, frame,
-                     eliminate_first)
-        _store(table, limit, key, hit, 2 << len(frame))
+        hit = _cover(mgr, table, limit, lower, upper, k, eliminate_first)
+        _store(table, limit, key, hit, 2 << k)
     else:
         mgr._isop_hits += 1
     return hit
 
 
 def _cover(mgr, table: IsopTable, limit: float, low: int, upp: int,
-           frame: Sequence[int], eliminate_first: bool):
-    """``(cubes, node, cover)`` of packed ``[low, upp]`` over ``frame``."""
-    k = len(frame)
+           k: int, eliminate_first: bool) -> Tuple[Tuple, int]:
+    """``(cubes, cover)`` of packed ``[low, upp]`` over ``k``
+    positions, as :func:`packed_isop` returns them."""
     if eliminate_first:
         low, upp = eliminate(k, low, upp)
     if not low:
-        return (), FALSE, 0
+        return _EMPTY
     if upp == _FULLS[k]:
-        return ((),), TRUE, upp
-    (cubes, cover), hits, misses = expand_packed(k, low, upp, table, limit)
+        return _TAUTOLOGY, upp
+    result, hits, misses = expand_packed(k, low, upp, table, limit)
     mgr._isop_hits += hits
     mgr._isop_misses += misses
-    top = k - 1
-    cubes = tuple([tuple([(frame[top - p], value) for p, value in cube])
-                   for cube in cubes])
-    return cubes, node_of(mgr, cover, frame), cover
+    return result
 
 
 def _store(table: IsopTable, limit: float, key, value, bits: int) -> None:

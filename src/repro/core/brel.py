@@ -40,6 +40,11 @@ and :meth:`BrelSolver.iter_solve` yields every strictly improving
 
 As in the paper, every explored subrelation is projected, minimised and
 split from scratch; nothing is looked up across subproblems or solves.
+A relation whose frame fits the packed MISF layer
+(:mod:`repro.core.packedrel`) is packed once, at the root of its solve,
+and runs on its truth table down to every leaf: the frontier holds
+packed subrelations, and nodes are built only for the incumbents a
+caller reads.  Wider relations run the same loop on nodes.
 A solve runs in its caller's process and thread: the blocks of a
 sharded solve run one after another, and portfolio racers take turns
 (:mod:`repro.core.portfolio`).  Parallelism lives one level up, in
@@ -51,15 +56,12 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Generator, Iterable, List, Optional,
-                    Tuple)
+from typing import Any, Dict, Generator, Iterable, List, Optional, Union
 
-from ..bdd.manager import FALSE
 from .cost import CostFunction, bdd_size_cost
 from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
-from .minimize import (IsfMinimizer, minimize_isop, minimizer_memo_key,
-                       solve_misf)
+from .minimize import IsfMinimizer, minimize_isop
 from .partition import (Partition, merge_block_stats, partition_relation,
                         worst_stopped)
 from .packedrel import PackedRelation, pack_relation
@@ -348,11 +350,18 @@ class BrelSolver:
     def _iter_events_scoped(self, relation: BooleanRelation,
                             cancel: Optional[CancelToken]
                             ) -> Generator[SolveEvent, None, BrelResult]:
-        """:meth:`iter_events` inside the manager's solve scope."""
-        relation.require_well_defined()
+        """:meth:`iter_events` inside the manager's solve scope.
+
+        A relation :func:`~repro.core.packedrel.pack_relation` takes is
+        packed here, once: the partition reads its output supports off
+        the table, and the monolithic loop runs on it.
+        """
+        root = pack_relation(relation) or relation
+        root.require_well_defined()
         options = self.options
         if options.decompose is not False and len(relation.outputs) >= 2:
-            partition = partition_relation(relation)
+            partition = partition_relation(relation,
+                                           root.output_supports())
             if not partition.is_trivial:
                 result = yield from self._iter_events_sharded(
                     partition, cancel)
@@ -365,8 +374,7 @@ class BrelSolver:
             from .portfolio import race_portfolio
             result = yield from race_portfolio(self, relation, cancel)
             return result
-        result = yield from self._iter_events_monolithic(relation,
-                                                         cancel)
+        result = yield from self._iter_events_monolithic(root, cancel)
         return result
 
     # ------------------------------------------------------------------
@@ -526,10 +534,15 @@ class BrelSolver:
 
     # ------------------------------------------------------------------
     def _iter_events_monolithic(
-            self, relation: BooleanRelation,
+            self, relation: Union[BooleanRelation, PackedRelation],
             cancel: Optional[CancelToken]
             ) -> Generator[SolveEvent, None, BrelResult]:
-        """The single-semilattice strategy loop (paper Fig. 6 / §7.2)."""
+        """The single-semilattice strategy loop (paper Fig. 6 / §7.2).
+
+        ``relation`` is the packed root or, for a relation the packed
+        layer turns down, the relation itself; its subrelations take
+        the same form, and every step below is a call both answer.
+        """
         options = self.options
         start = time.perf_counter()
         deadline = (start + options.time_limit_seconds
@@ -618,17 +631,12 @@ class BrelSolver:
             node = strategy.pop()
             current, depth = node.relation, node.depth
             stats.relations_explored += 1
-            # The packed MISF layer: one truth table per explored
-            # relation, shared by the functional test, QuickSolver, the
-            # evaluation and the split choice (None: stay on nodes).
-            view = pack_relation(current)
-            misf = current if view is None else view
 
-            if misf.is_function():
-                functions = tuple(misf.function_vector())
-                cost = options.cost_function(current.mgr, functions)
-                if cost < best.cost:
-                    best = Solution(current.mgr, functions, cost)
+            if current.is_function():
+                leaf = current.solution(current.function_vector(),
+                                        options.cost_function)
+                if leaf.cost < best.cost:
+                    best = leaf
                     stats.compatible_found += 1
                     yield from improved_events(best, depth)
                 continue
@@ -639,7 +647,7 @@ class BrelSolver:
             # QuickSolver into a hill climber.
             if quick_on_subrelations and depth > 0:
                 quick = quick_solve(current, options.minimizer,
-                                    options.cost_function, view=view)
+                                    options.cost_function)
                 stats.quick_solutions += 1
                 yield event("quick-solution", cost=quick.cost, depth=depth)
                 if quick.cost < best.cost:
@@ -647,7 +655,13 @@ class BrelSolver:
                     stats.compatible_found += 1
                     yield from improved_events(best, depth)
 
-            candidate, conflicts = self._evaluate(current, stats, view)
+            # Minimise the covering MISF (§5.3): the candidate and, unless
+            # it is pruned, its conflict set (nodes or input tables, as
+            # the relation holds its functions).
+            functions = [current.minimize(position, options.minimizer)
+                         for position in range(len(current.outputs))]
+            stats.misf_minimizations += 1
+            candidate = current.solution(functions, options.cost_function)
             if candidate.cost >= min(best.cost, external_bound):
                 stats.cost_prunes += 1
                 yield event("prune",
@@ -655,12 +669,16 @@ class BrelSolver:
                             else "shared-bound",
                             cost=candidate.cost, depth=depth)
                 continue
-            if conflicts == FALSE:
+            conflicts = current.conflict_inputs(functions)
+            if not conflicts:
                 best = candidate
                 stats.compatible_found += 1
                 yield from improved_events(best, depth)
                 continue
-            left, right = self._children(current, conflicts, stats, view)
+            choice = select_split_from_conflicts(current, conflicts)
+            stats.splits += 1
+            left, right = current.split(choice.vertex_dict(),
+                                        choice.position)
             yield event("branch", cost=candidate.cost, depth=depth)
             children: List[SearchNode] = []
             for child in (left, right):
@@ -689,41 +707,6 @@ class BrelSolver:
         yield event("done", cost=best.cost)
         return BrelResult(best, stats, improvements=improvements,
                           events=trace, stopped=stopped)
-
-    # ------------------------------------------------------------------
-    def _evaluate(self, relation: BooleanRelation, stats: SolverStats,
-                  view: Optional[PackedRelation] = None
-                  ) -> Tuple[Solution, int]:
-        """Minimise the covering MISF; return the candidate and conflicts.
-
-        With the relation's packed ``view`` every step but the cover and
-        conflict-set builds runs on its truth table.
-        """
-        options = self.options
-        if view is not None:
-            name = minimizer_memo_key(options.minimizer)
-            minimized = [view.minimize(position, options.minimizer, name)
-                         for position in range(len(relation.outputs))]
-            functions = tuple(node for node, _ in minimized)
-        else:
-            functions = tuple(solve_misf(relation.misf(),
-                                         options.minimizer))
-        stats.misf_minimizations += 1
-        cost = options.cost_function(relation.mgr, functions)
-        if view is not None:
-            conflicts = view.node(view.conflict_table(
-                [table for _, table in minimized]))
-        else:
-            conflicts = relation.conflict_inputs(functions)
-        return Solution(relation.mgr, functions, cost), conflicts
-
-    def _children(self, relation: BooleanRelation, conflicts: int,
-                  stats: SolverStats,
-                  view: Optional[PackedRelation] = None
-                  ) -> Tuple[BooleanRelation, BooleanRelation]:
-        choice = select_split_from_conflicts(relation, conflicts, view)
-        stats.splits += 1
-        return relation.split(choice.vertex_dict(), choice.position)
 
 
 def solve_relation(relation: BooleanRelation,

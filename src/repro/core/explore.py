@@ -231,7 +231,10 @@ class Improvement:
 class SearchNode:
     """One frontier entry: a subrelation plus its search bookkeeping.
 
-    ``bound`` is the parent's relaxed-MISF candidate cost — a lower
+    ``relation`` is a :class:`~repro.core.relation.BooleanRelation`, or
+    a :class:`~repro.core.packedrel.PackedRelation` when the solve's
+    frame fits the packed MISF layer.  ``bound`` is the parent's
+    relaxed-MISF candidate cost — a lower
     bound on every solution inside this subtree when the ISF minimiser
     is exact (Fig. 6, line 6), and the priority key of the
     ``best-first`` and ``beam`` strategies.  ``seq`` is a monotone

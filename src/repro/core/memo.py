@@ -31,7 +31,7 @@ CoverTemplate = Tuple[RankCube, ...]
 #: One cover per output: a solved multiple-output function.
 SolutionTemplate = Tuple[CoverTemplate, ...]
 #: A cube/cover at concrete variable level (variables by increasing
-#: level), the form the packed ISOP kernel returns covers in.
+#: level).
 VarCube = Tuple[Tuple[int, bool], ...]
 VarCover = Tuple[VarCube, ...]
 

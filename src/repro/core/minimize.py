@@ -18,7 +18,7 @@ i.e. a BDD node ``f`` with ``on <= f <= on + dc``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..bdd.gencof import constrain, restrict
 from ..bdd.isop import eliminate_nonessential
@@ -163,22 +163,20 @@ def minimizer_memo_key(minimizer: IsfMinimizer) -> Optional[str]:
 
 
 def minimize_packed(isf: PackedIsf, minimizer: IsfMinimizer,
-                    minimizer_name: str) -> Tuple[int, int]:
+                    minimizer_name: str) -> int:
     """Run a structural minimiser on a packed ISF.
 
-    Returns ``(node, table)``: the implementation's node and its
-    packed table over ``isf.support``.  The ``isop`` minimisers run the
-    packed kernel on the ISF's tables directly (the same intervals
-    :func:`_isop_pipeline` packs, so the same nodes); the others get
-    the ISF unpacked to nodes, and their result is packed back.
+    Returns the implementation's packed table over ``isf.support``.
+    The ``isop`` minimisers run the packed kernel on the ISF's tables
+    directly (the same intervals :func:`_isop_pipeline` packs, so the
+    same functions) and build no node; the others get the ISF unpacked
+    to nodes, and their result is packed back.
     """
     if minimizer_name == "isop" or minimizer_name == "isop-noelim":
-        _, node, table = packed_isop(isf.mgr, isf.on, isf.on | isf.dc,
-                                     isf.support, minimizer_name == "isop")
-        return node, table
-    node = minimizer(isf.unpack())
-    (table,) = tables_of(isf.mgr, (node,), isf.support)
-    return node, table
+        return packed_isop(isf.mgr, isf.on, isf.on | isf.dc,
+                           len(isf.support), minimizer_name == "isop")[1]
+    (table,) = tables_of(isf.mgr, (minimizer(isf.unpack()),), isf.support)
+    return table
 
 
 def solve_misf(misf, minimizer: IsfMinimizer = minimize_isop) -> List[int]:

@@ -214,10 +214,14 @@ def _sub_relation(relation: BooleanRelation, positions: Sequence[int],
     return BooleanRelation(relation.mgr, inputs, outputs, node)
 
 
-def partition_relation(relation: BooleanRelation) -> Partition:
+def partition_relation(relation: BooleanRelation,
+                       supports: Optional[Sequence[Sequence[int]]] = None
+                       ) -> Partition:
     """Decompose a relation into verified-independent output blocks.
 
-    Builds the output–input support graph, takes its connected
+    Builds the output–input support graph (from ``supports``, the
+    per-output input supports, when the caller has them: the solver
+    reads them off the packed root), takes its connected
     components as candidate blocks, and verifies separability exactly:
     the candidate partition is used only when the conjunction of the
     block projections reproduces ``R`` node for node.  When the global
@@ -234,8 +238,8 @@ def partition_relation(relation: BooleanRelation) -> Partition:
     num_outputs = len(relation.outputs)
     if num_outputs < 2:
         return _trivial(relation)
-    supports = [relation.output_support(position)
-                for position in range(num_outputs)]
+    if supports is None:
+        supports = relation.output_supports()
     candidates = support_components(supports)
     if len(candidates) < 2:
         return _trivial(relation)

@@ -10,25 +10,26 @@ All the structural operations the solver needs live here: well-definedness
 covering MISF (Definition 5.2), compatibility of a candidate function
 vector (Definition 5.3), and the Split operation (Definition 5.4).
 
-For a relation whose frame has at most 16 variables the solver loop
-runs the MISF work on the relation's packed truth table instead
-(:mod:`repro.core.packedrel`): it no longer calls :meth:`project`,
-:meth:`misf`, :meth:`restrict_output`, :meth:`conflict_inputs`,
-:meth:`is_function`, :meth:`function_vector` or
-:meth:`require_well_defined` on such a relation while exploring it,
-only :meth:`split`.  They all stay public API,
-the path for wider relations, and the reference the packed layer is
-tested against.
+For a relation whose frame has at most 16 variables the solver packs
+the root once and calls nothing here while exploring it: its
+:class:`~repro.core.packedrel.PackedRelation` answers the same calls
+(:meth:`is_function`, :meth:`minimize`, :meth:`conflict_inputs`,
+:meth:`split` and the rest) on a truth table.  They all stay public
+API, the path for wider relations, and the reference the packed layer
+is tested against.
 """
 
 from __future__ import annotations
 
-from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE, BddManager
+from ..bdd.traversal import shortest_path_cube
+from .cost import CostFunction
 from .isf import Isf, Misf
+from .solution import Solution
 
 
 class NotWellDefinedError(ValueError):
@@ -337,6 +338,11 @@ class BooleanRelation:
         """The covering MISF obtained by projecting every output."""
         return Misf([self.project(i) for i in range(len(self.outputs))])
 
+    def minimize(self, position: int,
+                 minimizer: Callable[[Isf], int]) -> int:
+        """Output ``position``'s ISF minimised by ``minimizer``."""
+        return minimizer(self.project(position))
+
     def misf_relation(self) -> "BooleanRelation":
         """The MISF as a relation: join of the single-output projections.
 
@@ -383,6 +389,19 @@ class BooleanRelation:
         """Input-space projection of the incompatibilities (§7.4's C)."""
         return self.mgr.exists(self.incompatibilities(functions),
                                self.outputs)
+
+    def conflict_cube(self, conflicts: int) -> Optional[Dict[int, bool]]:
+        """The largest cube of the conflict set ``conflicts`` (its
+        shortest BDD path), or ``None`` when it is empty."""
+        return shortest_path_cube(self.mgr, conflicts)
+
+    def solution(self, functions: Sequence[int],
+                 cost_function: CostFunction) -> Solution:
+        """The function vector ``functions``, priced by
+        ``cost_function``."""
+        functions = tuple(functions)
+        return Solution(self.mgr, functions,
+                        cost_function(self.mgr, functions))
 
     # ------------------------------------------------------------------
     # Split (paper Definition 5.4)

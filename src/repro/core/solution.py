@@ -2,33 +2,53 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bdd.manager import BddManager
+from ..bdd.backend import FunctionBackend
+from ..bdd.packed import node_of
 from .memo import SolutionTemplate, rank_cover
 
 
-@dataclass
 class Solution:
     """A multiple-output function produced by a solver.
 
     Attributes
     ----------
     mgr:
-        Owning BDD manager.
+        Owning function engine.
     functions:
-        One BDD node per relation output.
+        One node per relation output.  A solution found on packed
+        truth tables (:mod:`repro.core.packedrel`) builds them from
+        ``tables`` the first time this is read.
     cost:
         Value of the solver's cost function on ``functions``.
+    tables, frame:
+        One input table per output over ``frame`` (the inputs sorted
+        by level), or ``None`` and ``()``.
     """
 
-    mgr: BddManager
-    functions: Tuple[int, ...]
-    cost: float
-    #: The per-output ISOP covers, extracted once (see :meth:`_covers`).
-    _cover_cache: Optional[List[List[Dict[int, bool]]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("mgr", "cost", "tables", "frame", "_functions",
+                 "_cover_cache")
+
+    def __init__(self, mgr: FunctionBackend,
+                 functions: Optional[Tuple[int, ...]], cost: float,
+                 tables: Optional[Tuple[int, ...]] = None,
+                 frame: Tuple[int, ...] = ()) -> None:
+        self.mgr = mgr
+        self._functions = functions
+        self.cost = cost
+        self.tables = tables
+        self.frame = frame
+        #: The per-output ISOP covers, extracted once (:meth:`_covers`).
+        self._cover_cache: Optional[List[List[Dict[int, bool]]]] = None
+
+    @property
+    def functions(self) -> Tuple[int, ...]:
+        if self._functions is None:
+            self._functions = tuple(node_of(self.mgr, table, self.frame)
+                                    for table in self.tables)
+        return self._functions
 
     @property
     def num_outputs(self) -> int:

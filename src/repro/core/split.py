@@ -9,6 +9,11 @@ When the minimised MISF conflicts with the relation, BREL picks:
 * the output ``y_i``: the first output in the BDD variable order whose
   projection still allows both values at ``x`` (the Theorem 5.2
   precondition for a well-defined strict split).
+
+Both steps are calls on the relation, so a
+:class:`~repro.core.relation.BooleanRelation` answers them on nodes and
+a :class:`~repro.core.packedrel.PackedRelation` on its truth table, by
+the same rule.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..bdd.manager import FALSE
-from ..bdd.traversal import shortest_path_cube
-from .packedrel import PackedRelation
 from .relation import BooleanRelation
 
 
@@ -43,39 +45,31 @@ def select_split(relation: BooleanRelation,
     relation, so it indicates caller misuse.
     """
     conflicts = relation.conflict_inputs(functions)
-    if conflicts == FALSE:
+    if not conflicts:
         return None
     return select_split_from_conflicts(relation, conflicts)
 
 
 def select_split_from_conflicts(relation: BooleanRelation,
-                                conflicts: int,
-                                view: Optional[PackedRelation] = None
-                                ) -> SplitChoice:
+                                conflicts: int) -> SplitChoice:
     """Split selection given the conflict input set ``C = ∃Y.Incomp``.
 
-    The vertex comes from the shortest path of the conflict set's node
-    on either path.  With the relation's packed ``view``
-    (:mod:`repro.core.packedrel`) the output test reads the don't-care
-    tables the evaluation already projected; without one each output
-    is projected on nodes.  Raises ``ValueError`` when no output has a
-    don't care at the vertex.
+    ``relation`` is a :class:`~repro.core.relation.BooleanRelation`
+    with ``C`` as a node, or a
+    :class:`~repro.core.packedrel.PackedRelation` with ``C`` as an
+    input table; the vertex comes from ``C``'s shortest path
+    (``conflict_cube``) and the output from ``can_split``.  Raises
+    ``ValueError`` when no output has a don't care at the vertex.
     """
-    mgr = relation.mgr
-    cube = shortest_path_cube(mgr, conflicts)
+    cube = relation.conflict_cube(conflicts)
     if cube is None:
         raise ValueError("conflict set is empty")
     # "The input vertex x is obtained from the incompatible input cube by
     #  assigning the value 1 to the variables with a don't care value."
     vertex = {var: cube.get(var, True) for var in relation.inputs}
-
-    if view is not None:
-        position = view.split_position(vertex)
-    else:
-        position = next((position
-                         for position in range(len(relation.outputs))
-                         if mgr.eval(relation.project(position).dc,
-                                     vertex)), None)
+    position = next((position
+                     for position in range(len(relation.outputs))
+                     if relation.can_split(vertex, position)), None)
     if position is None:
         raise ValueError(
             "no output admits both values at the conflict vertex; "

@@ -206,7 +206,7 @@ class SolveService:
         limit = request.time_limit_seconds
         cap = self.max_time_limit
         if cap is not None and (limit is None or limit > cap):
-            request = request.replace(time_limit_seconds=cap)
+            request = request.with_time_limit(cap)
         return request
 
     # ------------------------------------------------------------------
@@ -507,8 +507,8 @@ class SolveService:
         ``{"defaults", "jobs"}``) with two optional extras on the
         object form: ``executor`` (``serial``/``process``, default
         serial — the service already parallelises across worker
-        processes) and ``workers``.  Each job walks the RAM and disk
-        tiers of :meth:`solve`; the misses go to one
+        processes) and ``workers``.  Each distinct job walks the RAM
+        and disk tiers of :meth:`solve` once; the misses go to one
         :meth:`Session.solve_many` call, which solves identical jobs
         once and hands the copies back ``cached`` (tier ``ram``).  Fresh
         reports are written back to the disk tier.
@@ -532,13 +532,22 @@ class SolveService:
         with self._lock:
             self.request_counts["batch"] += 1
             found: List[Tuple[Optional[SolveReport], str, Optional[str]]] = []
+            # Each distinct job walks the tiers once: a copy of a miss
+            # reuses the miss, and a copy of a hit finds it in RAM.
+            misses: Dict[Any, Tuple[None, str, Optional[str]]] = {}
             for request in requests:
                 try:
-                    found.append(self._lookup(request))
+                    job = (request.relation
+                           and tuple(request.relation.items()),
+                           request.options_key())
+                    found.append(misses.get(job) or self._lookup(request))
                 except _CLIENT_ERRORS:
                     # Bad per-job input: let solve_many capture it as a
                     # failed report, honouring its no-raise contract.
                     found.append((None, "engine", None))
+                    continue
+                if found[-1][0] is None:
+                    misses[job] = found[-1]
             pending = [index for index, (report, _, _) in enumerate(found)
                        if report is None]
             fresh = self.session.solve_many(

@@ -26,7 +26,7 @@ import repro
 from repro import SolveRequest
 from repro.bdd import BddManager
 from repro.bdd.manager import FALSE
-from repro.bdd.packed import MAX_TABLE_WIDTH, tables_of
+from repro.bdd.packed import MAX_TABLE_WIDTH, node_of, tables_of
 from repro.benchdata import instance_by_name
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver, quick_solve
@@ -227,8 +227,9 @@ def check_packed_isf(packed, isf, names=PACKED_MINIMIZERS):
     assert (unpacked.on, unpacked.dc, unpacked.inputs) \
         == (isf.on, isf.dc, isf.inputs)
     for name in names:
-        node, table = minimize_packed(packed, MINIMIZERS[name], name)
-        assert node == MINIMIZERS[name](isf), name
+        table = minimize_packed(packed, MINIMIZERS[name], name)
+        node = MINIMIZERS[name](isf)
+        assert node_of(mgr, table, packed.support) == node, name
         assert [table] == tables_of(mgr, (node,), packed.support), name
 
 
@@ -236,9 +237,9 @@ def isf_tables(relation, isf, frame):
     return tuple(tables_of(relation.mgr, (isf.on, isf.dc), frame))
 
 
-def split_outcome(relation, conflicts, view=None):
+def split_outcome(relation, conflicts):
     try:
-        return select_split_from_conflicts(relation, conflicts, view)
+        return select_split_from_conflicts(relation, conflicts)
     except ValueError as exc:
         return str(exc)
 
@@ -257,29 +258,29 @@ def check_against_nodes(relation, rng):
     # QuickSolver's restriction sequence, in a seeded output order.
     order = list(range(m))
     rng.shuffle(order)
-    table, current = view.table, relation
+    packed, current = view, relation
     for position in order:
         isf = current.project(position)
-        assert view.project(position, table) \
+        assert packed.project(position) \
             == isf_tables(relation, isf, frame)
         expected = minimize_isop(isf)
-        node, function = view.minimize(position, minimize_isop, "isop",
-                                       table)
-        assert node == expected
+        function = packed.minimize(position, minimize_isop)
+        assert node_of(mgr, function, frame) == expected
         assert [function] == tables_of(mgr, (expected,), frame)
         current = current.restrict_output(position, expected)
-        table = view.restrict(table, position, function)
-        assert table == pack_relation(current).table
+        packed = packed.restrict_output(position, function)
+        assert packed.table == pack_relation(current).table
     # Conflicts and the split choice for random function vectors.
     for _ in range(3):
         functions = [rng.getrandbits(1 << n) for _ in range(m)]
-        nodes = [view.node(function) for function in functions]
+        nodes = [node_of(mgr, function, frame) for function in functions]
         expected = relation.conflict_inputs(nodes)
-        assert view.node(view.conflict_table(functions)) == expected
-        assert view.conflict_table(tables_of(mgr, nodes, frame)) \
-            == view.conflict_table(functions)
+        conflicts = view.conflict_inputs(functions)
+        assert node_of(mgr, conflicts, frame) == expected
+        assert view.conflict_inputs(tables_of(mgr, nodes, frame)) \
+            == conflicts
         if expected != FALSE:
-            assert split_outcome(relation, expected, view) \
+            assert split_outcome(view, conflicts) \
                 == split_outcome(relation, expected)
 
 
@@ -313,8 +314,9 @@ class TestAgainstNodes:
                                                   functions)
         view = pack_relation(relation)
         assert view.is_function() and relation.is_function()
-        assert view.function_vector() == relation.function_vector() \
-            == functions
+        assert relation.function_vector() == functions
+        assert view.function_vector() \
+            == tables_of(mgr, functions, view.frame)
         partial = cube_relation(mgr, inputs, outputs, rng,
                                 well_defined=False)
         view = pack_relation(partial)
@@ -333,13 +335,14 @@ class TestAgainstNodes:
         tm = TableManager(["v%d" % i for i in range(width)],
                           max_width=width, kernel=kernel)
         inputs, outputs = tuple(range(n)), tuple(range(n, width))
-        views = [pack_relation(cube_relation(mgr, inputs, outputs,
-                                             random.Random(width)))
-                 for mgr in (bdd, tm)]
+        relations = [cube_relation(mgr, inputs, outputs,
+                                   random.Random(width))
+                     for mgr in (bdd, tm)]
+        views = [pack_relation(relation) for relation in relations]
         assert views[0].table == views[1].table
         for position in range(m):
             assert views[0].project(position) == views[1].project(position)
-        check_against_nodes(views[1].relation, random.Random(3))
+        check_against_nodes(relations[1], random.Random(3))
 
     def test_table_engine_frame_must_hold_inputs_first(self):
         tm = TableManager(["v%d" % i for i in range(5)], max_width=5)
@@ -445,9 +448,9 @@ class TestPackedIsfs:
             isf = relation.project(position)
             check_packed_isf(view.isf(*view.project(position)), isf, names)
             for name in names:
-                node, table = view.minimize(position, MINIMIZERS[name],
-                                            name)
-                assert node == MINIMIZERS[name](isf), name
+                table = view.minimize(position, MINIMIZERS[name])
+                node = MINIMIZERS[name](isf)
+                assert node_of(relation.mgr, table, view.frame) == node, name
                 assert [table] \
                     == tables_of(relation.mgr, (node,), view.frame), name
 

@@ -490,6 +490,31 @@ class TestTimeLimitAdmission:
                                       time_limit_seconds=1000.0))
         assert (tier1, tier2) == ("engine", "ram")
 
+    def test_clamp_normalises_the_relation_once(self, fig1_request,
+                                                monkeypatch):
+        # The clamp copies the parsed request; only the request's own
+        # construction normalises its relation spec, on every tier.
+        from repro.api import request as request_module
+        calls = []
+        normalize = request_module.normalize_relation_spec
+
+        def counting(spec):
+            calls.append(spec)
+            return normalize(spec)
+
+        monkeypatch.setattr(request_module, "normalize_relation_spec",
+                            counting)
+        service = SolveService(max_time_limit=30.0)
+        for expected_tier in ("engine", "ram"):
+            del calls[:]
+            _, tier = service.solve(dict(fig1_request))
+            assert tier == expected_tier and len(calls) == 1
+        report, _ = service.solve(dict(fig1_request,
+                                       time_limit_seconds=1000.0))
+        assert report["request"]["time_limit_seconds"] == 30.0
+        with pytest.raises(ValueError, match="time_limit_seconds"):
+            SolveRequest.from_dict(dict(fig1_request)).with_time_limit(-1)
+
     def test_under_cap_limits_pass_through_unclamped(self, fig1_request):
         service = SolveService(max_time_limit=30.0)
         service.solve(dict(fig1_request, time_limit_seconds=5.0))

@@ -123,6 +123,21 @@ def test_batch_solves_identical_jobs_once(executor, fig1_request,
         return put_report(self, key, report)
 
     monkeypatch.setattr(DiskCache, "put_report", counting_put)
+    reads, fingerprints = [], []
+    get_report = DiskCache.get_report
+    fingerprint = SolveService.request_fingerprint
+
+    def counting_get(self, key):
+        reads.append(key)
+        return get_report(self, key)
+
+    def counting_fingerprint(self, request):
+        fingerprints.append(request.label)
+        return fingerprint(self, request)
+
+    monkeypatch.setattr(DiskCache, "get_report", counting_get)
+    monkeypatch.setattr(SolveService, "request_fingerprint",
+                        counting_fingerprint)
     solves = engine_solves(monkeypatch)
     unlabelled = {key: value for key, value in fig1_request.items()
                   if key != "label"}
@@ -137,6 +152,8 @@ def test_batch_solves_identical_jobs_once(executor, fig1_request,
     assert [report["cached"] for report in reports] == [False, True, True]
     assert len({report["sop"] for report in reports}) == 1
     assert len(solves) == 1 and len(writes) == 1
+    # The three copies walk the tiers once: one fingerprint, one read.
+    assert len(reads) == 1 and fingerprints == ["a"]
     stats = service.stats()
     assert stats["tiers"] == {"ram": 2, "disk": 0, "engine": 1}
     assert stats["session"]["cache_hits"] == 2
