@@ -37,7 +37,7 @@ import pytest
 
 from repro.bdd import BddManager, isop, shortest_path_cube
 from repro.bdd.isop import eliminate_nonessential, expand
-from repro.bdd.packed import interval_isop, node_of
+from repro.bdd.packed import interval_isop, unpack
 from repro.benchdata import build_suite
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver
@@ -351,8 +351,8 @@ def packed_misf_evaluation(relation):
     view = pack_relation(relation)
     tables = [view.minimize(position, minimize_isop)
               for position in range(len(relation.outputs))]
-    return ([node_of(relation.mgr, table, view.frame) for table in tables],
-            node_of(relation.mgr, view.conflict_inputs(tables), view.frame))
+    return ([unpack(relation.mgr, table, view.frame) for table in tables],
+            unpack(relation.mgr, view.conflict_inputs(tables), view.frame))
 
 
 def run_misf_layer():

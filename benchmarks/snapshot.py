@@ -32,7 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The quick benches whose artefacts feed the snapshot (absent files
 #: are skipped with a warning so a partial run still snapshots).
 ARTEFACTS = ("bench_partition", "bench_bdd_engine", "bench_service",
-             "bench_table_kernel", "bench_resynth", "bench_portfolio")
+             "bench_resynth", "bench_portfolio")
 
 #: Leaf-name fragments that mark machine-local wall-clock numbers.
 TIMING_MARKERS = ("seconds", "speedup", "_s", "runtime")

@@ -36,13 +36,6 @@ setup(
             "repro=repro.cli:main",
         ],
     },
-    # The core solver is dependency-free on purpose; the accel extra
-    # unlocks the numpy uint64 word-array table kernel
-    # (repro.table.npkernel) and the >16-variable width ceiling.
-    # Without it the stdlib bignum kernel serves every width <= 16.
-    extras_require={
-        "accel": ["numpy"],
-    },
     classifiers=[
         "Programming Language :: Python :: 3",
         "Topic :: Scientific/Engineering :: "

@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`BddManager` — node store, Boolean connectives, quantifiers.
-* :class:`FunctionBackend` — the engine protocol every backend
-  (ROBDD or truth-table) implements; core code is written against it.
+* :class:`FunctionBackend` — the typing protocol of the engine's
+  operation surface; core code is annotated against it.
 * :class:`Bdd` — operator-overloaded function handle.
 * :func:`isop` — Minato-Morreale irredundant SOP within an interval.
 * :func:`constrain` / :func:`restrict` — generalized cofactors.
@@ -12,7 +12,7 @@ Public surface:
 * traversal helpers — shortest-path cube, cube/minterm iteration.
 """
 
-from .backend import BACKEND_METHODS, FunctionBackend, conforms
+from .backend import FunctionBackend
 from .function import Bdd
 from .gencof import (constrain, minimize_with_constrain,
                      minimize_with_restrict, restrict)
@@ -24,13 +24,11 @@ from .traversal import (count_paths, iter_cubes, pick_minterm,
 from .dot import to_dot
 
 __all__ = [
-    "BACKEND_METHODS",
     "Bdd",
     "BddManager",
     "FALSE",
     "FunctionBackend",
     "TRUE",
-    "conforms",
     "constrain",
     "count_paths",
     "cover_literals",

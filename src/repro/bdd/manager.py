@@ -299,8 +299,9 @@ class BddManager:
         """Open (or join) a solve: ISOP keeps one sub-interval table
         until the matching outermost :meth:`exit_solve`.
 
-        Nested solves on this manager (sharded blocks, portfolio racers)
-        join the table of the solve that encloses them.
+        A solve's sharded blocks and portfolio racers run inside the
+        scope it opened; a solve opened inside another on this manager
+        joins the enclosing table.
         """
         self._solve_depth += 1
         if self._isop_table is None:

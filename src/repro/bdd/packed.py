@@ -24,19 +24,14 @@ hands over tables, by its width and tables,
 ``((width, lower, upper), eliminate)``; and the node-level expansion
 keys its sub-intervals by handle pair.
 
-Tables cross the engine boundary in one place each way:
-:func:`tables_of` packs nodes over a frame and :func:`node_of` builds
-the node of a table.  On the BDD engine these are :func:`pack` and
-:func:`unpack`; the table engine's tables already are packed ints over
-its own frame, carrying the same bits with the index order reversed
-(:func:`reverse_index`), so there a frame is cut out with
-:func:`squeeze` and put back with :func:`spread`.
+Tables cross the engine boundary in one place each way: :func:`pack`
+packs nodes over a frame and :func:`unpack` builds the node of a table.
 
 :func:`interval_isop` is the node-level entry point, shared by
-``BddManager.isop``, ``TableManager.isop`` and the minimiser pipeline;
-it hands back the cubes over frame variables and the cover's node.
-:func:`packed_isop` is its twin for callers that already hold the
-tables (the packed MISF layer, :mod:`repro.core.packedrel`): it hands
+``BddManager.isop`` and the minimiser pipeline; it hands back the cubes
+over frame variables and the cover's node.  :func:`packed_isop` is its
+twin for callers that already hold the tables (the packed MISF layer,
+:mod:`repro.core.packedrel`, and a packed solution's covers): it hands
 back the cover's table and its cubes over positions, and builds no
 node.  Intervals wider than :data:`MAX_TABLE_WIDTH` run through the
 node-level :func:`~repro.bdd.isop.expand` instead.  Covers (cube order
@@ -52,7 +47,7 @@ from .manager import FALSE, TRUE, BddManager, IsopTable, union_support
 
 #: Widest frame the kernel packs: a 2**16-bit table is 8 KiB per
 #: function, where whole-table int operations still beat node-level
-#: work (and the int kernel's ceiling on the table engine).
+#: work.
 MAX_TABLE_WIDTH = 16
 
 #: Widest frame the table helpers (:func:`frame_masks`, :func:`unpack`,
@@ -77,9 +72,6 @@ _TAUTOLOGY = ((),)
 #: k -> (zeros, ones): ``zeros[p]`` marks the table positions where
 #: position ``p`` is 0, ``ones[p]`` its complement.
 _MASKS: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-#: (n, width) -> the (shift, mask) delta swaps that reverse the low
-#: n bits of a width-bit index.
-_REVERSALS: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
 
 
 def frame_masks(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -91,24 +83,6 @@ def frame_masks(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
                       for p in range(k))
         masks = _MASKS[k] = (zeros, tuple(full ^ zero for zero in zeros))
     return masks
-
-
-def reverse_index(n: int, table: int, width: Optional[int] = None) -> int:
-    """Reorder a table so index bit ``i < n`` becomes bit ``n-1-i`` (the
-    table engine's layout to the kernel's and back); the table has
-    ``width`` positions (default ``n``), the ones from ``n`` up stay."""
-    if width is None:
-        width = n
-    swaps = _REVERSALS.get((n, width))
-    if swaps is None:
-        zeros, ones = frame_masks(width)
-        swaps = _REVERSALS[n, width] = tuple(
-            ((1 << (n - 1 - i)) - (1 << i), ones[i] & zeros[n - 1 - i])
-            for i in range(n // 2))
-    for shift, mask in swaps:
-        delta = (table ^ (table >> shift)) & mask
-        table ^= delta | (delta << shift)
-    return table
 
 
 def squeeze(table: int, width: int, keep: int) -> int:
@@ -274,35 +248,6 @@ def table_size(tables: Sequence[int], width: int) -> int:
     return count
 
 
-def tables_of(mgr, nodes: Sequence[int],
-              frame: Sequence[int]) -> List[int]:
-    """Packed tables of ``nodes`` over ``frame`` on either engine (the
-    engine-to-kernel hand-over).  Raises ``KeyError`` when a node
-    mentions a variable outside the frame."""
-    if isinstance(mgr, BddManager):
-        return pack(mgr, nodes, frame)
-    width = mgr.num_vars
-    keep = _frame_mask(frame)
-    tables = []
-    for node in nodes:
-        if keep != (1 << width) - 1 \
-                and _frame_mask(mgr.support(node)) & ~keep:
-            raise KeyError("node depends on a variable outside the frame")
-        tables.append(reverse_index(len(frame),
-                                    squeeze(mgr.table(node), width, keep)))
-    return tables
-
-
-def node_of(mgr, table: int, frame: Sequence[int]) -> int:
-    """The node of a packed table over ``frame`` on either engine (the
-    kernel-to-engine hand-over): a Shannon build on the BDD engine, an
-    interned table on the table engine."""
-    if isinstance(mgr, BddManager):
-        return unpack(mgr, table, frame)
-    return mgr.from_table(spread(reverse_index(len(frame), table),
-                                 mgr.num_vars, _frame_mask(frame)))
-
-
 def cover_table(k: int, cubes: Sequence[Sequence[Tuple[int, bool]]]
                 ) -> int:
     """The packed table over a ``k``-variable frame of a cover whose
@@ -318,13 +263,6 @@ def cover_table(k: int, cubes: Sequence[Sequence[Tuple[int, bool]]]
             term &= ones[top - rank] if value else zeros[top - rank]
         table |= term
     return table
-
-
-def _frame_mask(frame: Sequence[int]) -> int:
-    mask = 0
-    for var in frame:
-        mask |= 1 << var
-    return mask
 
 
 def eliminate(k: int, lower: int, upper: int) -> Tuple[int, int]:
@@ -452,28 +390,23 @@ def expand_packed(k: int, lower: int, upper: int, table: IsopTable,
     return results[0], hits, misses
 
 
-def interval_isop(mgr, lower: int, upper: int,
+def interval_isop(mgr: BddManager, lower: int, upper: int,
                   support: Optional[Tuple[int, ...]] = None,
                   eliminate_first: bool = False
                   ) -> Tuple[List[Cube], int]:
     """Irredundant SOP cover ``(cubes, node)`` of ``[lower, upper]``,
-    optionally after Brown's elimination — the engines' ``isop`` and
-    the minimiser pipeline both land here.
+    optionally after Brown's elimination — ``BddManager.isop`` and the
+    minimiser pipeline both land here.
 
-    ``support`` (BDD engine only) is a sorted frame containing the
-    joint support of the bounds; by default it is the union of the
-    bounds' supports.  On the table
-    engine the frame is the manager's own.  Frames up to
-    :data:`MAX_TABLE_WIDTH` run packed, wider ones node by node; either
-    way the sub-intervals go through the engine's ISOP table and
-    counters.  Raises ``ValueError`` unless ``lower <= upper``.
+    ``support`` is a sorted frame containing the joint support of the
+    bounds; by default it is the union of the bounds' supports.  Frames
+    up to :data:`MAX_TABLE_WIDTH` run packed, wider ones node by node;
+    either way the sub-intervals go through the manager's ISOP table
+    and counters.  Raises ``ValueError`` unless ``lower <= upper``.
     """
-    if isinstance(mgr, BddManager):
-        frame = support
-        if frame is None:
-            frame = union_support(mgr.support(lower), mgr.support(upper))
-    else:
-        frame = tuple(range(mgr.num_vars))
+    frame = support
+    if frame is None:
+        frame = union_support(mgr.support(lower), mgr.support(upper))
     table, limit = mgr._isop_scope()
     if len(frame) > MAX_TABLE_WIDTH:
         if not mgr.implies(lower, upper):
@@ -491,14 +424,14 @@ def interval_isop(mgr, lower: int, upper: int,
     key = ((lower, upper), eliminate_first)
     hit = table.get(key)
     if hit is None:
-        low, upp = tables_of(mgr, (lower, upper), frame)
+        low, upp = pack(mgr, (lower, upper), frame)
         if low & ~upp:
             raise ValueError("isop requires lower <= upper")
         cubes, cover = _cover(mgr, table, limit, low, upp, len(frame),
                               eliminate_first)
         top = len(frame) - 1
         hit = (tuple([tuple([(frame[top - p], value) for p, value in cube])
-                      for cube in cubes]), node_of(mgr, cover, frame))
+                      for cube in cubes]), unpack(mgr, cover, frame))
         _store(table, limit, key, hit, 0)
     else:
         mgr._isop_hits += 1

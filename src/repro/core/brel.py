@@ -354,7 +354,7 @@ class BrelSolver:
 
         A relation :func:`~repro.core.packedrel.pack_relation` takes is
         packed here, once: the partition reads its output supports off
-        the table, and the monolithic loop runs on it.
+        the table, and the search runs on it.
         """
         root = pack_relation(relation) or relation
         root.require_well_defined()
@@ -366,13 +366,22 @@ class BrelSolver:
                 result = yield from self._iter_events_sharded(
                     partition, cancel)
                 return result
-        if options.exploration_strategy() == "portfolio":
+        result = yield from self._iter_events_search(root, cancel)
+        return result
+
+    def _iter_events_search(
+            self, root: Union[BooleanRelation, PackedRelation],
+            cancel: Optional[CancelToken]
+            ) -> Generator[SolveEvent, None, BrelResult]:
+        """The search on a well-defined root its caller packed (or left
+        on nodes): a portfolio race or the monolithic loop."""
+        if self.options.exploration_strategy() == "portfolio":
             # The portfolio meta-strategy replaces the monolithic loop
             # with a race of concrete-strategy sub-solvers (lazy import:
             # repro.core.portfolio imports this module).  Decomposition
             # wins above — each block then races its own portfolio.
             from .portfolio import race_portfolio
-            result = yield from race_portfolio(self, relation, cancel)
+            result = yield from race_portfolio(self, root, cancel)
             return result
         result = yield from self._iter_events_monolithic(root, cancel)
         return result
@@ -433,14 +442,16 @@ class BrelSolver:
         # Guarantees a compatible full solution exists before any block
         # search runs, so an early stop can never lose solvability —
         # the sharded twin of the §7.2 root quick solution.  Each block
-        # solver repeats this quick pass as its own root incumbent, so
+        # search repeats this quick pass as its own root incumbent, so
         # these upfront passes are deliberately *not* counted in
         # stats.quick_solutions — the block counters already report the
-        # same logical solutions.
+        # same logical solutions.  Each block is packed once, here, and
+        # both its quick pass and its search run on that form.
+        roots = [pack_relation(block.relation) or block.relation
+                 for block in partition.blocks]
         block_best: List[Solution] = [
-            quick_solve(block.relation, options.minimizer,
-                        options.cost_function)
-            for block in partition.blocks]
+            quick_solve(root, options.minimizer, options.cost_function)
+            for root in roots]
         best = partition.recombine_solutions(block_best,
                                              options.cost_function)
         yield event("quick-solution", cost=best.cost, depth=0)
@@ -451,7 +462,7 @@ class BrelSolver:
         block_results: List[Optional[BrelResult]] = \
             [None] * partition.num_blocks
         stopped = "exhausted"
-        for index, block in enumerate(partition.blocks):
+        for index, root in enumerate(roots):
             if cancel is not None and cancel.cancelled:
                 stopped = "cancelled"
                 yield event("cancelled")
@@ -465,7 +476,7 @@ class BrelSolver:
                     break
                 remaining = max(remaining, 0.0)
             sub = BrelSolver(self._block_options(remaining))
-            events = sub.iter_events(block.relation, cancel=cancel)
+            events = sub._iter_events_search(root, cancel)
             base_explored = explored_total
             while True:
                 try:

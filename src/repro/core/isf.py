@@ -3,7 +3,7 @@
 Paper Definitions 4.4 and 4.5: an ISF is a function ``B^n -> {0, 1, *}``
 characterised by its ON / OFF / DC sets, equivalently by the interval of
 Boolean functions ``[ON, ON + DC]``.  An MISF is a vector of ISFs sharing
-the input space.  :class:`Isf` holds the sets as function-engine nodes;
+the input space.  :class:`Isf` holds the sets as BDD nodes;
 :class:`PackedIsf` holds them as packed truth tables over the ISF's own
 support, the form the packed MISF layer (:mod:`repro.core.packedrel`)
 projects relations into.
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE
-from ..bdd.packed import node_of
+from ..bdd.manager import FALSE, BddManager
+from ..bdd.packed import unpack
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class PackedIsf:
 
     __slots__ = ("mgr", "on", "dc", "support", "inputs")
 
-    def __init__(self, mgr: FunctionBackend, on: int, dc: int,
+    def __init__(self, mgr: BddManager, on: int, dc: int,
                  support: Tuple[int, ...], inputs: Tuple[int, ...]) -> None:
         self.mgr = mgr
         self.on = on
@@ -152,5 +152,5 @@ class PackedIsf:
     def unpack(self) -> Isf:
         """The same ISF as nodes, for minimisers that work on them."""
         mgr, support = self.mgr, self.support
-        return Isf(mgr, node_of(mgr, self.on, support),
-                   node_of(mgr, self.dc, support), self.inputs)
+        return Isf(mgr, unpack(mgr, self.on, support),
+                   unpack(mgr, self.dc, support), self.inputs)

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 from ..bdd.gencof import constrain, restrict
 from ..bdd.isop import eliminate_nonessential
 from ..bdd.manager import FALSE, TRUE
-from ..bdd.packed import interval_isop, packed_isop, tables_of
+from ..bdd.packed import interval_isop, pack, packed_isop
 from ..bdd.safemin import squeeze
 from .isf import Isf, PackedIsf
 
@@ -175,7 +175,7 @@ def minimize_packed(isf: PackedIsf, minimizer: IsfMinimizer,
     if minimizer_name == "isop" or minimizer_name == "isop-noelim":
         return packed_isop(isf.mgr, isf.on, isf.on | isf.dc,
                            len(isf.support), minimizer_name == "isop")[1]
-    (table,) = tables_of(isf.mgr, (minimizer(isf.unpack()),), isf.support)
+    (table,) = pack(isf.mgr, (minimizer(isf.unpack()),), isf.support)
     return table
 
 

@@ -51,10 +51,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..bdd.manager import FALSE, TRUE, BddManager
+from ..bdd.manager import FALSE, TRUE
 from ..bdd.packed import (_FULLS, MAX_TABLE_WIDTH, _shannon, frame_masks,
-                          pack_positions, packed_isop, reverse_index,
-                          spread, squeeze, table_size, tables_of)
+                          pack, pack_positions, packed_isop, spread,
+                          squeeze, table_size)
 from .cost import (CostFunction, bdd_size_cost, bdd_size_squared_cost,
                    cube_count_cost, literal_count_cost,
                    shared_bdd_size_cost)
@@ -82,12 +82,9 @@ def _replicator(n: int, m: int) -> int:
 def pack_relation(relation: BooleanRelation) -> Optional["PackedRelation"]:
     """The packed form of ``relation``, or ``None`` to keep it on nodes.
 
-    The one selection test: the frame has at most
-    :data:`~repro.bdd.packed.MAX_TABLE_WIDTH` variables and the
-    characteristic function mentions no variable outside it.  On the
-    table engine the engine's frame must also hold the inputs before
-    the outputs, exactly — its table then reads with the input index
-    bits reversed.
+    The one selection test: the relation's frame has at most
+    :data:`~repro.bdd.packed.MAX_TABLE_WIDTH` variables and its
+    characteristic function mentions no variable outside it.
     """
     inputs, outputs = relation.inputs, relation.outputs
     n, m = len(inputs), len(outputs)
@@ -96,19 +93,12 @@ def pack_relation(relation: BooleanRelation) -> Optional["PackedRelation"]:
         return None
     mgr = relation.mgr
     frame = tuple(sorted(inputs))
-    if isinstance(mgr, BddManager):
-        position = {var: n - 1 - index for index, var in enumerate(frame)}
-        for j, var in enumerate(outputs):
-            position[var] = n + j
-        try:
-            (table,) = pack_positions(mgr, (relation.node,), position,
-                                      width)
-        except KeyError:
-            return None
-    elif (frame == tuple(range(n)) and outputs == tuple(range(n, width))
-          and mgr.num_vars == width):
-        table = reverse_index(n, mgr.table(relation.node), width)
-    else:
+    position = {var: n - 1 - index for index, var in enumerate(frame)}
+    for j, var in enumerate(outputs):
+        position[var] = n + j
+    try:
+        (table,) = pack_positions(mgr, (relation.node,), position, width)
+    except KeyError:
         return None
     return PackedRelation(mgr, inputs, outputs, frame, table, relation.node)
 
@@ -357,8 +347,8 @@ class PackedRelation:
         isf = self.isf(on, dc, keep)
         name = minimizer_memo_key(minimizer)
         if name is None:
-            return tables_of(self.mgr, (minimizer(isf.unpack()),),
-                             self.frame)[0]
+            return pack(self.mgr, (minimizer(isf.unpack()),),
+                        self.frame)[0]
         return spread(minimize_packed(isf, minimizer, name), self.n, keep)
 
     def solution(self, functions: Sequence[int],

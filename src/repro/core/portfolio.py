@@ -34,10 +34,11 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterator, List,
-                    Mapping, Optional, Tuple)
+                    Mapping, Optional, Tuple, Union)
 
 from .explore import CancelToken, Improvement, SolveEvent, \
     get_strategy_factory
+from .packedrel import PackedRelation
 from .partition import merge_block_stats
 from .quick import quick_solve
 from .relation import BooleanRelation
@@ -274,15 +275,18 @@ class _RacerOutcome:
 # ----------------------------------------------------------------------
 # The race driver
 # ----------------------------------------------------------------------
-def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
+def race_portfolio(solver: "BrelSolver",
+                   root: Union[BooleanRelation, PackedRelation],
                    cancel: Optional[CancelToken]
                    ) -> Generator[SolveEvent, None, "BrelResult"]:
-    """Race the configured racers on ``relation``; the merged stream.
+    """Race the configured racers on ``root``; the merged stream.
 
     The generator behind ``strategy="portfolio"`` solves (see module
-    docstring for the stream shape).  The returned
-    :class:`~repro.core.BrelResult` carries the per-racer attribution
-    on ``result.portfolio``.
+    docstring for the stream shape).  ``root`` is the well-defined
+    relation as the solver packed it (or left it on nodes); the root
+    quick solution and every racer's loop run on that one form.  The
+    returned :class:`~repro.core.BrelResult` carries the per-racer
+    attribution on ``result.portfolio``.
     """
     from .brel import BrelResult
     options = solver.options
@@ -291,7 +295,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     start = time.perf_counter()
     deadline = (start + options.time_limit_seconds
                 if options.time_limit_seconds is not None else None)
-    engine_before = relation.mgr.stats()
+    engine_before = root.mgr.stats()
     trace: Optional[List[SolveEvent]] = \
         [] if options.record_trace else None
     improvements: List[Improvement] = []
@@ -301,8 +305,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
     # Root incumbent before any racer starts: guarantees a compatible
     # solution exists however early the race is cancelled, and seeds
     # the bound channel so every racer prunes from the first dequeue.
-    best = quick_solve(relation, options.minimizer,
-                       options.cost_function)
+    best = quick_solve(root, options.minimizer, options.cost_function)
     best_racer: Optional[int] = None
     channel = BoundChannel(best.cost)
 
@@ -317,7 +320,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
         return ev
 
     stop_reason: List[Optional[str]] = [None]
-    racing = _drive(solver, relation, specs, channel, outcomes, cancel,
+    racing = _drive(solver, root, specs, channel, outcomes, cancel,
                     deadline, stop_reason)
     try:
         yield event("portfolio", detail="%d racers: %s" % (
@@ -387,7 +390,7 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
                                if o.stats is not None])
     stats.quick_solutions += 1  # the root incumbent above
     stats.runtime_seconds = time.perf_counter() - start
-    engine_after = relation.mgr.stats()
+    engine_after = root.mgr.stats()
     stats.bdd_nodes = engine_after["nodes"]
     stats.bdd_cache_hits = (engine_after["cache_hits"]
                             - engine_before["cache_hits"])
@@ -404,7 +407,8 @@ def race_portfolio(solver: "BrelSolver", relation: BooleanRelation,
                       portfolio=summary)
 
 
-def _drive(solver: "BrelSolver", relation: BooleanRelation,
+def _drive(solver: "BrelSolver",
+           root: Union[BooleanRelation, PackedRelation],
            specs: List[Dict[str, Any]], channel: BoundChannel,
            outcomes: List[_RacerOutcome], cancel: Optional[CancelToken],
            deadline: Optional[float], stop_reason: List[Optional[str]]
@@ -413,17 +417,18 @@ def _drive(solver: "BrelSolver", relation: BooleanRelation,
 
     Each round advances every pending racer by one event, in line-up
     order, checking the caller's token and the deadline between rounds.
-    Racers share the caller's manager and publish their improvements to
-    ``channel``.  Each outcome's ``explored`` stays live, so event stamps
-    count the work in flight.  Yields ``("new-best", (solution, racer,
-    depth))`` for every published improvement, ``("racer-done",
-    outcome)`` and ``("stopped", reason)``.  A racer that proves
-    optimality cancels the rest; closing the loop closes every racer.
+    Every racer runs its strategy loop on ``root``; racers share the
+    caller's manager and publish their improvements to ``channel``.
+    Each outcome's ``explored`` stays live, so event stamps count the
+    work in flight.  Yields ``("new-best", (solution, racer, depth))``
+    for every published improvement, ``("racer-done", outcome)`` and
+    ``("stopped", reason)``.  A racer that proves optimality cancels
+    the rest; closing the loop closes every racer.
     """
     from .brel import BrelSolver
     tokens = [CancelToken() for _ in specs]
     racers = [BrelSolver(build_racer_options(solver.options, spec),
-                         bound=channel).iter_events(relation, cancel=token)
+                         bound=channel)._iter_events_monolithic(root, token)
               for spec, token in zip(specs, tokens)]
     pending = set(range(len(outcomes)))
     racer_start = time.perf_counter()

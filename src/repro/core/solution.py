@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.backend import FunctionBackend
-from ..bdd.packed import node_of
+from ..bdd.packed import packed_isop, unpack
 from .memo import SolutionTemplate, rank_cover
 
 
@@ -46,7 +46,7 @@ class Solution:
     @property
     def functions(self) -> Tuple[int, ...]:
         if self._functions is None:
-            self._functions = tuple(node_of(self.mgr, table, self.frame)
+            self._functions = tuple(unpack(self.mgr, table, self.frame)
                                     for table in self.tables)
         return self._functions
 
@@ -61,10 +61,20 @@ class Solution:
     def _covers(self) -> List[List[Dict[int, bool]]]:
         """The ISOP covers, shared by the read-only renderings below (a
         report asks for cubes, literals and the SOP text of one
-        solution)."""
+        solution).  A packed solution takes them from its tables, with
+        no node built; they equal ``mgr.isop(f, f)`` of its functions.
+        """
         if self._cover_cache is None:
-            self._cover_cache = [self.mgr.isop(func, func)[0]
-                                 for func in self.functions]
+            if self.tables is None:
+                self._cover_cache = [self.mgr.isop(func, func)[0]
+                                     for func in self.functions]
+            else:
+                frame, top = self.frame, len(self.frame) - 1
+                self._cover_cache = [
+                    [{frame[top - p]: value for p, value in cube}
+                     for cube in packed_isop(self.mgr, table, table,
+                                             len(frame))[0]]
+                    for table in self.tables]
         return self._cover_cache
 
     def template(self, support: Sequence[int]) -> SolutionTemplate:

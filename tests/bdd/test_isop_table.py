@@ -1,4 +1,4 @@
-"""The solve-wide ISOP table on both engines.
+"""The solve-wide ISOP table.
 
 ISOP covers and nodes served from a warm table equal a fresh manager's,
 whatever filled, flushed or collected the table first; the table lives
@@ -12,23 +12,13 @@ import pytest
 from repro.bdd import BddManager
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver
-from repro.table import TableManager, npkernel
 
-KERNELS = ["int"] + (["numpy"] if npkernel.available() else [])
 WIDTH = 9
 
 
-def engines():
-    """One fresh manager per engine/kernel, ``WIDTH`` variables each."""
-    names = ["v%d" % i for i in range(WIDTH)]
-    made = [BddManager(names)]
-    made.extend(TableManager(names, max_width=WIDTH, kernel=kernel)
-                for kernel in KERNELS)
-    return made
-
-
-def engine_ids():
-    return ["bdd"] + ["table-%s" % kernel for kernel in KERNELS]
+def fresh_manager():
+    """A fresh manager of ``WIDTH`` variables."""
+    return BddManager(["v%d" % i for i in range(WIDTH)])
 
 
 def interval_specs(seed, num_vars, count=12):
@@ -61,22 +51,15 @@ def isop_results(mgr, pairs):
 
 
 class TestIsopTableParity:
-    @pytest.mark.parametrize("index", range(1 + len(KERNELS)),
-                             ids=engine_ids())
     @pytest.mark.parametrize("warmup", ["unrelated", "flush", "collect",
                                         "clear_caches"])
-    def test_warm_table_matches_fresh_manager(self, index, warmup,
-                                              monkeypatch):
+    def test_warm_table_matches_fresh_manager(self, warmup):
         specs = interval_specs(11, WIDTH)
-        fresh = engines()[index]
+        fresh = fresh_manager()
         expected = isop_results(fresh, build_intervals(fresh, specs, WIDTH))
-        mgr = engines()[index]
+        mgr = fresh_manager()
         if warmup == "flush":
-            if isinstance(mgr, BddManager):
-                mgr.set_cache_limit(8)
-            else:
-                import repro.table.manager as table_manager
-                monkeypatch.setattr(table_manager, "_OP_CACHE_LIMIT", 8)
+            mgr.set_cache_limit(8)
         mgr.enter_solve()
         try:
             isop_results(mgr, build_intervals(
@@ -99,25 +82,6 @@ class TestIsopTableParity:
         finally:
             mgr.exit_solve()
         assert mgr.stats()["isop_entries"] == 0
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_widening_flushes_the_raw_table(self, kernel):
-        specs = interval_specs(3, 5)
-        mgr = TableManager(["v%d" % i for i in range(5)], max_width=6,
-                           kernel=kernel)
-        mgr.enter_solve()
-        try:
-            pairs = build_intervals(mgr, specs, 5)
-            isop_results(mgr, pairs)
-            assert mgr.stats()["isop_entries"] > 0
-            mgr.add_var("v5")
-            assert mgr.stats()["isop_entries"] == 0
-            warm = isop_results(mgr, pairs)
-        finally:
-            mgr.exit_solve()
-        fresh = TableManager(["v%d" % i for i in range(6)], max_width=6,
-                             kernel=kernel)
-        assert warm == isop_results(fresh, build_intervals(fresh, specs, 5))
 
     def test_table_is_empty_after_a_solve(self):
         relation = random_relation(5, 4, seed=3)

@@ -1,13 +1,29 @@
-"""The packed narrow-interval kernel against the node-level reference.
+"""The packed truth-table kernel against the node-level reference.
+
+:mod:`repro.bdd.packed` is the solver's only truth-table engine: every
+narrow MISF step, ISOP and cost of a solve runs on its primitives.  Each
+primitive is checked on every frame width it serves, against the
+node-level operation it stands in for or against point-by-point
+evaluation:
+
+* ``frame_masks`` are the packed tables of the frame's literals;
+* ``pack`` agrees with ``eval`` at every point, ``unpack`` inverts it,
+  and ``pack_positions`` honours any assignment of positions;
+* ``squeeze`` is ``pack`` over the kept sub-frame, ``spread`` its inverse;
+* ``table_size`` is ``shared_size`` of the packed nodes;
+* ``cover_table`` is the OR of its cubes' nodes;
+* ``eliminate`` is Brown's node-level elimination;
+* ``packed_isop`` gives ``interval_isop``'s cubes and cover, building no
+  node;
+* ``table_nodes`` is ``function_nodes`` of the unpacked node.
 
 :func:`repro.bdd.packed.interval_isop` must return exactly what Brown's
 elimination plus the Minato-Morreale expansion of :mod:`repro.bdd.isop`
-return — the same cube list in the same order, and the same node — on
-either engine, whether the frame is packed (at most 16 variables) or
-wide (the node-level fallback).  ``BooleanRelation.from_output_sets``
+return — the same cube list in the same order, and the same node —
+whether the frame is packed (at most 16 variables) or wide (the
+node-level fallback).  ``BooleanRelation.from_output_sets``
 builds bottom-up and must give the node of the minterm-OR definition.
 """
-
 import random
 
 import pytest
@@ -17,27 +33,65 @@ from repro.bdd.isop import eliminate_nonessential, expand
 from repro.bdd.manager import FALSE, TRUE
 from repro.bdd.packed import (MAX_FRAME_WIDTH, MAX_TABLE_WIDTH,
                               cover_table, eliminate, frame_masks,
-                              interval_isop, pack, reverse_index,
-                              table_nodes, unpack)
+                              interval_isop, pack, pack_positions,
+                              packed_isop, spread, squeeze, table_nodes,
+                              table_size, unpack)
 from repro.core.isf import Isf
 from repro.core.minimize import (_isop_pipeline,
                                  eliminate_nonessential_variables)
 from repro.core.relation import BooleanRelation
 from repro.core.relio import function_nodes
-from repro.table import TableManager, npkernel
 
-KERNELS = ["int"] + (["numpy"] if npkernel.available() else [])
+
+#: Every width the table helpers serve, and every width the ISOP kernel
+#: packs.
+FRAME_WIDTHS = range(MAX_FRAME_WIDTH + 1)
+TABLE_WIDTHS = range(MAX_TABLE_WIDTH + 1)
+
+#: Widths small enough to evaluate every point of the frame.
+EVAL_WIDTHS = range(11)
+
+
+def random_rank_cubes(rng, width, count):
+    """``count`` random cubes as ``(rank, polarity)`` lists over a
+    ``width``-variable frame, a few literals each."""
+    if not width:
+        return [[] for _ in range(count)]
+    return [[(rank, rng.random() < 0.5)
+             for rank in rng.sample(range(width),
+                                    rng.randint(1, min(width, 5)))]
+            for _ in range(count)]
+
+
+def cubes_node(mgr, frame, cubes):
+    """The node of a cover of ``(rank, polarity)`` cubes, built by the
+    manager's own operations."""
+    node = FALSE
+    for cube in cubes:
+        node = mgr.or_(node, mgr.cube({frame[rank]: value
+                                       for rank, value in cube}))
+    return node
 
 
 def random_cubes(mgr, rng, frame, count):
     """OR of ``count`` random cubes over ``frame`` (a few literals each)."""
-    node = FALSE
+    return cubes_node(mgr, frame, random_rank_cubes(rng, len(frame), count))
+
+
+def random_functions(mgr, frame, rng, count=4):
+    """Seeded nodes over ``frame``: the constants, full random tables on
+    narrow frames, and covers of random cubes."""
+    nodes = [FALSE, TRUE]
+    width = len(frame)
     for _ in range(count):
-        width = rng.randint(1, min(len(frame), 5))
-        cube = {var: rng.random() < 0.5
-                for var in rng.sample(list(frame), width)}
-        node = mgr.or_(node, mgr.cube(cube))
-    return node
+        if width <= 8 and rng.random() < 0.5:
+            nodes.append(mgr.from_minterms(
+                frame, [p for p in range(1 << width)
+                        if rng.random() < 0.5]))
+        else:
+            nodes.append(random_cubes(mgr, rng, frame,
+                                      rng.randint(1, 4 + width // 2)))
+    return nodes
 
 
 def random_interval(mgr, rng, frame):
@@ -70,6 +124,29 @@ def reference(mgr, lower, upper, eliminate_first=False):
 def ordered(cover):
     """A cover with each cube's literal order made comparable."""
     return [list(cube.items()) for cube in cover]
+
+
+def gapped_frame(width, rng):
+    """``(manager, frame)``: ``width`` sorted variables out of a few
+    more, so frame ranks and manager levels differ."""
+    num_vars = width + rng.randint(0, 5)
+    mgr = BddManager(["v%d" % i for i in range(num_vars)])
+    return mgr, sorted(rng.sample(range(num_vars), width))
+
+
+def assignment_at(frame, index):
+    """The frame point of table bit ``index``: rank ``r`` sits on
+    position ``k-1-r``."""
+    top = len(frame) - 1
+    return {var: bool(index >> (top - rank) & 1)
+            for rank, var in enumerate(frame)}
+
+
+def kept_frame(frame, keep):
+    """The sub-frame of the positions set in ``keep``, in frame order."""
+    top = len(frame) - 1
+    return [var for rank, var in enumerate(frame)
+            if keep >> (top - rank) & 1]
 
 
 def frames(seed, count=30):
@@ -197,33 +274,154 @@ class TestPackedElimination:
             assert [low, upp] == pack(mgr, (expected.on, expected.upper),
                                       frame)
 
-    def test_frame_masks_and_index_reversal(self):
-        zeros, ones = frame_masks(3)
-        assert zeros == (0x55, 0x33, 0x0F)
-        assert ones == (0xAA, 0xCC, 0xF0)
-        assert frame_masks(0) == ((), ())
-        rng = random.Random(11)
-        for n in range(MAX_TABLE_WIDTH + 1):
-            table = rng.getrandbits(1 << n)
-            reversed_table = reverse_index(n, table)
-            for index in rng.sample(range(1 << n), min(1 << n, 50)):
-                mirrored = int(format(index, "0%db" % n)[::-1] or "0", 2)
-                assert (reversed_table >> mirrored) & 1 \
-                    == (table >> index) & 1
-            assert reverse_index(n, reversed_table) == table
+    @pytest.mark.parametrize("width", FRAME_WIDTHS)
+    def test_frame_masks(self, width):
+        # The masks are the packed literals: rank r on position k-1-r.
+        mgr, frame = gapped_frame(width, random.Random(width))
+        zeros, ones = frame_masks(width)
+        assert len(zeros) == len(ones) == width
+        for rank, var in enumerate(frame):
+            p = width - 1 - rank
+            assert pack(mgr, [mgr.var(var), mgr.nvar(var)], frame) \
+                == [ones[p], zeros[p]]
+        if width == 3:
+            assert zeros == (0x55, 0x33, 0x0F)
+            assert ones == (0xAA, 0xCC, 0xF0)
 
-    def test_pipeline_matches_reference_on_both_engines(self):
+    def test_pipeline_matches_reference(self):
         rng = random.Random(9)
-        names = ["v%d" % i for i in range(6)]
-        for mgr in [BddManager(names)] + [
-                TableManager(names, max_width=6, kernel=kernel)
-                for kernel in KERNELS]:
-            for _ in range(15):
-                lower, upper = random_interval(mgr, rng, range(6))
-                isf = Isf.from_interval(mgr, lower, upper, tuple(range(6)))
-                narrowed = eliminate_nonessential_variables(isf)
-                assert _isop_pipeline(isf, True) == reference(
-                    mgr, narrowed.on, narrowed.upper)
+        mgr = BddManager(["v%d" % i for i in range(6)])
+        for _ in range(15):
+            lower, upper = random_interval(mgr, rng, range(6))
+            isf = Isf.from_interval(mgr, lower, upper, tuple(range(6)))
+            narrowed = eliminate_nonessential_variables(isf)
+            assert _isop_pipeline(isf, True) == reference(
+                mgr, narrowed.on, narrowed.upper)
+
+
+class TestPack:
+    @pytest.mark.parametrize("width", EVAL_WIDTHS)
+    def test_pack_agrees_with_eval(self, width):
+        rng = random.Random(100 + width)
+        mgr, frame = gapped_frame(width, rng)
+        nodes = random_functions(mgr, frame, rng)
+        for node, table in zip(nodes, pack(mgr, nodes, frame)):
+            assert table >> (1 << width) == 0
+            for index in range(1 << width):
+                assert bool(table >> index & 1) \
+                    == mgr.eval(node, assignment_at(frame, index))
+
+    @pytest.mark.parametrize("width", FRAME_WIDTHS)
+    def test_unpack_inverts_pack(self, width):
+        rng = random.Random(200 + width)
+        mgr, frame = gapped_frame(width, rng)
+        nodes = random_functions(mgr, frame, rng)
+        tables = pack(mgr, nodes, frame)
+        assert [unpack(mgr, table, frame) for table in tables] == nodes
+        # Packing one node at a time gives the shared walk's tables.
+        assert [pack(mgr, [node], frame)[0] for node in nodes] == tables
+
+    @pytest.mark.parametrize("width", EVAL_WIDTHS)
+    def test_pack_positions_honours_any_order(self, width):
+        rng = random.Random(300 + width)
+        mgr, frame = gapped_frame(width, rng)
+        positions = list(range(width))
+        rng.shuffle(positions)
+        position = dict(zip(frame, positions))
+        nodes = random_functions(mgr, frame, rng)
+        for node, table in zip(nodes, pack_positions(mgr, nodes, position,
+                                                     width)):
+            for index in range(1 << width):
+                point = {var: bool(index >> position[var] & 1)
+                         for var in frame}
+                assert bool(table >> index & 1) == mgr.eval(node, point)
+
+    def test_variable_outside_the_frame_raises(self):
+        mgr = BddManager(["v0", "v1", "v2"])
+        node = mgr.and_(mgr.var(0), mgr.var(2))
+        with pytest.raises(KeyError):
+            pack(mgr, [node], [0, 1])
+
+
+class TestSqueezeSpread:
+    @pytest.mark.parametrize("width", TABLE_WIDTHS)
+    def test_squeeze_is_pack_over_the_kept_positions(self, width):
+        rng = random.Random(400 + width)
+        mgr, frame = gapped_frame(width, rng)
+        full = (1 << width) - 1
+        for keep in (0, full, rng.getrandbits(width),
+                     rng.getrandbits(width)):
+            sub = kept_frame(frame, keep)
+            for node in random_functions(mgr, sub, rng, 3):
+                (table,) = pack(mgr, [node], frame)
+                assert squeeze(table, width, keep) \
+                    == pack(mgr, [node], sub)[0]
+
+    @pytest.mark.parametrize("width", TABLE_WIDTHS)
+    def test_spread_is_pack_over_the_whole_frame(self, width):
+        rng = random.Random(500 + width)
+        mgr, frame = gapped_frame(width, rng)
+        full = (1 << width) - 1
+        for keep in (0, full, rng.getrandbits(width),
+                     rng.getrandbits(width)):
+            sub = kept_frame(frame, keep)
+            for node in random_functions(mgr, sub, rng, 3):
+                (table,) = pack(mgr, [node], sub)
+                spread_table = spread(table, width, keep)
+                assert spread_table == pack(mgr, [node], frame)[0]
+                assert squeeze(spread_table, width, keep) == table
+
+
+class TestTableSize:
+    @pytest.mark.parametrize("width", FRAME_WIDTHS)
+    def test_table_size_is_shared_size(self, width):
+        rng = random.Random(600 + width)
+        mgr, frame = gapped_frame(width, rng)
+        nodes = random_functions(mgr, frame, rng, 5)
+        tables = pack(mgr, nodes, frame)
+        assert table_size(tables, width) == mgr.shared_size(nodes)
+        for node, table in zip(nodes, tables):
+            assert table_size([table], width) == mgr.size(node)
+
+
+class TestCoverTable:
+    @pytest.mark.parametrize("width", FRAME_WIDTHS)
+    def test_cover_table_is_the_or_of_its_cubes(self, width):
+        rng = random.Random(700 + width)
+        mgr, frame = gapped_frame(width, rng)
+        covers = [[], [[]]] + [random_rank_cubes(rng, width,
+                                                 rng.randint(1, 8))
+                               for _ in range(4)]
+        for cubes in covers:
+            assert cover_table(width, cubes) \
+                == pack(mgr, [cubes_node(mgr, frame, cubes)], frame)[0]
+
+
+class TestPackedIsop:
+    @pytest.mark.parametrize("eliminate_first", [False, True])
+    @pytest.mark.parametrize("width", TABLE_WIDTHS)
+    def test_matches_interval_isop(self, width, eliminate_first):
+        rng = random.Random(900 + width)
+        mgr, frame = gapped_frame(width, rng)
+        top = width - 1
+        for _ in range(4):
+            lower, extra = random_functions(mgr, frame, rng, 2)[2:]
+            upper = mgr.or_(lower, extra)
+            low, upp = pack(mgr, (lower, upper), frame)
+            nodes = mgr.num_nodes
+            cubes, cover = packed_isop(mgr, low, upp, width,
+                                       eliminate_first)
+            assert mgr.num_nodes == nodes
+            expected, node = interval_isop(mgr, lower, upper, frame,
+                                           eliminate_first)
+            assert [[(frame[top - p], value) for p, value in cube]
+                    for cube in cubes] \
+                == [list(cube.items()) for cube in expected]
+            assert cover == pack(mgr, [node], frame)[0]
+            assert cover_table(width, [[(top - p, value)
+                                        for p, value in cube]
+                                       for cube in cubes]) == cover
+            assert not low & ~cover and not cover & ~upp
 
 
 class TestTableNodes:
@@ -249,35 +447,6 @@ class TestTableNodes:
             nodes, (root,) = function_nodes(
                 mgr, (node,), {var: var for var in frame})
             assert table_nodes(table, width) == (nodes, root)
-
-
-class TestTableEngine:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("width", [1, 7, 12])
-    def test_isop_matches_expand_on_the_same_manager(self, kernel, width):
-        rng = random.Random(width)
-        mgr = TableManager(["v%d" % i for i in range(width)],
-                           max_width=width, kernel=kernel)
-        for _ in range(12):
-            frame = sorted(rng.sample(range(width), rng.randint(0, width)))
-            lower, upper = random_interval(mgr, rng, frame)
-            expected = reference(mgr, lower, upper)
-            cover, node = mgr.isop(lower, upper)
-            assert ordered(cover) == ordered(expected[0])
-            assert node == expected[1]
-
-    @pytest.mark.skipif("numpy" not in KERNELS, reason="numpy missing")
-    def test_wide_numpy_frame_falls_back_to_expand(self):
-        width = MAX_TABLE_WIDTH + 1
-        mgr = TableManager(["v%d" % i for i in range(width)],
-                           max_width=width, kernel="numpy")
-        rng = random.Random(10)
-        frame = (0, 3, 8, 16)
-        lower = random_cubes(mgr, rng, frame, 3)
-        upper = mgr.or_(lower, random_cubes(mgr, rng, frame, 2))
-        assert mgr.isop(lower, upper) == reference(mgr, lower, upper)
-        with pytest.raises(ValueError):
-            mgr.isop(mgr.var(0), mgr.var(16))
 
 
 def minterm_or(rows, num_inputs, num_outputs):
@@ -321,9 +490,3 @@ class TestFromOutputSets:
                                                  num_outputs)
         assert [fresh.output_set(v) for v in range(1 << num_inputs)] \
             == [set(row) for row in rows]
-
-    def test_table_engine_matches(self):
-        rows = [{0, 3}, {1}, {2, 3}, {0}, {1, 2}, {3}, {0, 1}, {2}]
-        mgr = TableManager(["v%d" % i for i in range(5)], max_width=5)
-        relation = BooleanRelation.from_output_sets(rows, 3, 2, mgr=mgr)
-        assert [relation.output_set(v) for v in range(8)] == rows

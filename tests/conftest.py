@@ -9,7 +9,7 @@ variable ``j``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from repro.bdd import Bdd, BddManager
 from repro.bdd.manager import TRUE
 from repro.core.relation import BooleanRelation
-from repro.core.relio import relation_from_nodes, relation_to_nodes
-from repro.table import TableManager
 
 
 def tt_strategy(num_vars: int):
@@ -88,21 +86,6 @@ def wide_relation(num_inputs: int = 18,
         inputs += [num_inputs + 3, num_inputs + 4]
         outputs.append(num_inputs + 5)
     return BooleanRelation(mgr, inputs, outputs, node)
-
-
-def table_relation(relation: BooleanRelation,
-                   kernel: Optional[str] = None) -> BooleanRelation:
-    """``relation`` rebuilt on a fresh ``TableManager``.
-
-    The table frame is the relation's inputs and outputs compacted to
-    ``0..k-1`` in level order, with the same variable names, so the
-    reduced-BDD structure (split choices, ISOP covers, sizes) and the
-    rendered SOP text match the source relation.
-    """
-    frame = sorted(set(relation.inputs) | set(relation.outputs))
-    mgr = TableManager([relation.mgr.var_name(var) for var in frame],
-                       max_width=max(len(frame), 1), kernel=kernel)
-    return relation_from_nodes(relation_to_nodes(relation), mgr=mgr)
 
 
 @pytest.fixture

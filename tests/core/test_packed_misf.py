@@ -14,8 +14,8 @@ node-level operations, which stay the wide path and the reference:
   variables wide, and shifted by whole 64-bit chunks of the table --
   unpack to the same intervals, and every built-in minimiser gives the
   same implementation on the packed ISF as on the nodes;
-* reports agree across engines, table kernels, and with the layer
-  switched off (the node-level computation).
+* reports agree with the layer switched off (the node-level
+  computation).
 """
 
 import random
@@ -26,7 +26,7 @@ import repro
 from repro import SolveRequest
 from repro.bdd import BddManager
 from repro.bdd.manager import FALSE
-from repro.bdd.packed import MAX_TABLE_WIDTH, node_of, tables_of
+from repro.bdd.packed import MAX_TABLE_WIDTH, pack, unpack
 from repro.benchdata import instance_by_name
 from repro.benchdata.brgen import random_relation
 from repro.core import BrelOptions, BrelSolver, quick_solve
@@ -38,11 +38,6 @@ from repro.core.minimize import (MINIMIZERS, minimize_isop,
 from repro.core.packedrel import pack_relation
 from repro.core.relation import BooleanRelation
 from repro.core.split import select_split_from_conflicts
-from repro.table import TableManager, npkernel
-
-from ..conftest import table_relation
-
-KERNELS = ["int"] + (["numpy"] if npkernel.available() else [])
 
 LAYOUTS = ("contiguous", "offset", "gapped", "interleaved",
            "outputs-first")
@@ -109,16 +104,9 @@ PACKED_MINIMIZERS = [name for name, minimizer in MINIMIZERS.items()
 ISF_WIDTH = 9
 
 
-def engines(width=ISF_WIDTH):
-    """One fresh manager per engine/kernel, ``width`` variables each."""
-    names = ["v%d" % i for i in range(width)]
-    return [BddManager(names)] + [
-        TableManager(names, max_width=width, kernel=kernel)
-        for kernel in KERNELS]
-
-
-def engine_ids():
-    return ["bdd"] + ["table-%s" % kernel for kernel in KERNELS]
+def fresh_manager(width=ISF_WIDTH):
+    """A fresh manager of ``width`` variables."""
+    return BddManager(["v%d" % i for i in range(width)])
 
 
 def random_isfs(mgr, seed, count=40):
@@ -214,7 +202,7 @@ def joint_support(isf):
 def pack_isf(isf):
     """``isf`` as tables over its own support."""
     support = joint_support(isf)
-    on, dc = tables_of(isf.mgr, (isf.on, isf.dc), support)
+    on, dc = pack(isf.mgr, (isf.on, isf.dc), support)
     return PackedIsf(isf.mgr, on, dc, support, isf.inputs)
 
 
@@ -229,12 +217,12 @@ def check_packed_isf(packed, isf, names=PACKED_MINIMIZERS):
     for name in names:
         table = minimize_packed(packed, MINIMIZERS[name], name)
         node = MINIMIZERS[name](isf)
-        assert node_of(mgr, table, packed.support) == node, name
-        assert [table] == tables_of(mgr, (node,), packed.support), name
+        assert unpack(mgr, table, packed.support) == node, name
+        assert [table] == pack(mgr, (node,), packed.support), name
 
 
 def isf_tables(relation, isf, frame):
-    return tuple(tables_of(relation.mgr, (isf.on, isf.dc), frame))
+    return tuple(pack(relation.mgr, (isf.on, isf.dc), frame))
 
 
 def split_outcome(relation, conflicts):
@@ -265,19 +253,19 @@ def check_against_nodes(relation, rng):
             == isf_tables(relation, isf, frame)
         expected = minimize_isop(isf)
         function = packed.minimize(position, minimize_isop)
-        assert node_of(mgr, function, frame) == expected
-        assert [function] == tables_of(mgr, (expected,), frame)
+        assert unpack(mgr, function, frame) == expected
+        assert [function] == pack(mgr, (expected,), frame)
         current = current.restrict_output(position, expected)
         packed = packed.restrict_output(position, function)
         assert packed.table == pack_relation(current).table
     # Conflicts and the split choice for random function vectors.
     for _ in range(3):
         functions = [rng.getrandbits(1 << n) for _ in range(m)]
-        nodes = [node_of(mgr, function, frame) for function in functions]
+        nodes = [unpack(mgr, function, frame) for function in functions]
         expected = relation.conflict_inputs(nodes)
         conflicts = view.conflict_inputs(functions)
-        assert node_of(mgr, conflicts, frame) == expected
-        assert view.conflict_inputs(tables_of(mgr, nodes, frame)) \
+        assert unpack(mgr, conflicts, frame) == expected
+        assert view.conflict_inputs(pack(mgr, nodes, frame)) \
             == conflicts
         if expected != FALSE:
             assert split_outcome(view, conflicts) \
@@ -316,7 +304,7 @@ class TestAgainstNodes:
         assert view.is_function() and relation.is_function()
         assert relation.function_vector() == functions
         assert view.function_vector() \
-            == tables_of(mgr, functions, view.frame)
+            == pack(mgr, functions, view.frame)
         partial = cube_relation(mgr, inputs, outputs, rng,
                                 well_defined=False)
         view = pack_relation(partial)
@@ -325,34 +313,6 @@ class TestAgainstNodes:
         if not partial.is_function():
             with pytest.raises(ValueError):
                 view.function_vector()
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (6, 6), (2, 10)])
-    def test_table_engine_reads_the_same_table(self, shape, kernel):
-        n, m = shape
-        width = n + m
-        bdd = BddManager(["v%d" % i for i in range(width)])
-        tm = TableManager(["v%d" % i for i in range(width)],
-                          max_width=width, kernel=kernel)
-        inputs, outputs = tuple(range(n)), tuple(range(n, width))
-        relations = [cube_relation(mgr, inputs, outputs,
-                                   random.Random(width))
-                     for mgr in (bdd, tm)]
-        views = [pack_relation(relation) for relation in relations]
-        assert views[0].table == views[1].table
-        for position in range(m):
-            assert views[0].project(position) == views[1].project(position)
-        check_against_nodes(relations[1], random.Random(3))
-
-    def test_table_engine_frame_must_hold_inputs_first(self):
-        tm = TableManager(["v%d" % i for i in range(5)], max_width=5)
-        rng = random.Random(1)
-        assert pack_relation(cube_relation(tm, (0, 1, 2), (3, 4), rng)) \
-            is not None
-        for inputs, outputs in (((2, 3, 4), (0, 1)), ((0, 1), (3, 4)),
-                                ((0, 1, 2), (4, 3))):
-            relation = cube_relation(tm, inputs, outputs, rng)
-            assert pack_relation(relation) is None
 
 
 def solve_row(result):
@@ -388,10 +348,8 @@ class TestNodePath:
 
 class TestPackedIsfs:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("index", range(1 + len(KERNELS)),
-                             ids=engine_ids())
-    def test_shifted_supports_match_the_nodes(self, seed, index):
-        mgr = engines()[index]
+    def test_shifted_supports_match_the_nodes(self, seed):
+        mgr = fresh_manager()
         isfs = random_isfs(mgr, seed)
         for isf in isfs:
             check_packed_isf(pack_isf(isf), isf)
@@ -401,13 +359,11 @@ class TestPackedIsfs:
         assert 1 < len(tables) < len(isfs)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    @pytest.mark.parametrize("index", range(1 + len(KERNELS)),
-                             ids=engine_ids())
-    def test_wide_supports_match_the_nodes(self, seed, index):
+    def test_wide_supports_match_the_nodes(self, seed):
         # Tables of 7 or more variables span several 64-bit chunks;
         # the placements under ``a`` / ``~a`` shift one table by whole
         # chunks.  Only the ``isop`` minimisers run a packed kernel.
-        mgr = engines(MAX_TABLE_WIDTH)[index]
+        mgr = fresh_manager(MAX_TABLE_WIDTH)
         for isf in wide_isfs(mgr, seed):
             check_packed_isf(pack_isf(isf), isf, ("isop", "isop-noelim"))
 
@@ -434,12 +390,8 @@ class TestPackedIsfs:
         assert len(tables) == len(intervals)
 
     @pytest.mark.parametrize("seed", [9, 10, 11])
-    @pytest.mark.parametrize("kernel", [None] + KERNELS,
-                             ids=engine_ids())
-    def test_view_isfs_match_the_nodes(self, seed, kernel):
+    def test_view_isfs_match_the_nodes(self, seed):
         relation = random_relation(6, 4, seed=seed)
-        if kernel is not None:
-            relation = table_relation(relation, kernel)
         view = pack_relation(relation)
         # The exact search takes at most 12 don't-care points, fewer
         # than six-input ISFs have.
@@ -450,9 +402,9 @@ class TestPackedIsfs:
             for name in names:
                 table = view.minimize(position, MINIMIZERS[name])
                 node = MINIMIZERS[name](isf)
-                assert node_of(relation.mgr, table, view.frame) == node, name
+                assert unpack(relation.mgr, table, view.frame) == node, name
                 assert [table] \
-                    == tables_of(relation.mgr, (node,), view.frame), name
+                    == pack(relation.mgr, (node,), view.frame), name
 
 
 def off(monkeypatch):
@@ -470,17 +422,12 @@ def report_row(report):
             report.literal_count, report.compatible, stats)
 
 
-def reports(kernel=None, **fields):
-    """Report rows of five solves through one session; with a
-    ``kernel``, each relation is rebuilt on a ``TableManager`` running
-    it."""
+def reports(**fields):
+    """Report rows of five solves through one session."""
     relations = [instance_by_name(name).build() for name in ("vtx", "int3")]
     relations += [random_relation(*shape, seed=seed)
                   for shape, seed in (((5, 3), 1), ((6, 4), 2),
                                       ((4, 6), 3))]
-    if kernel is not None:
-        relations = [table_relation(relation, kernel)
-                     for relation in relations]
     session = repro.Session()
     return [report_row(session.solve(
         SolveRequest(max_explored=12, **fields), relation=relation))
@@ -488,11 +435,6 @@ def reports(kernel=None, **fields):
 
 
 class TestReports:
-    def test_engines_and_kernels_agree(self):
-        expected = reports()
-        for kernel in KERNELS:
-            assert reports(kernel) == expected
-
     @pytest.mark.parametrize("minimizer", ["constrain", "licompact",
                                            "isop-noelim"])
     def test_minimizers_match_the_node_path(self, minimizer, monkeypatch):
@@ -501,12 +443,9 @@ class TestReports:
         assert reports(minimizer=minimizer) == packed
 
     def test_isop_matches_the_node_path(self, monkeypatch):
-        def every_engine():
-            return [reports()] + [reports(kernel) for kernel in KERNELS]
-
-        packed = every_engine()
+        packed = reports()
         off(monkeypatch)
-        assert every_engine() == packed
+        assert reports() == packed
 
     def test_custom_minimizer_gets_unpacked_isfs(self, monkeypatch):
         seen = []

@@ -309,10 +309,20 @@ class TestCancellationRaces:
         assert result.stopped == "cancelled"
         assert relation.is_compatible(result.solution.functions)
 
-    def test_abandoned_stream_closes_every_racer(self):
+    def test_abandoned_stream_closes_every_racer(self, monkeypatch):
         """Closing the event stream mid-race (the SSE-disconnect path)
-        closes every racer at once: each leaves the manager's solve
+        closes every racer at once and leaves the manager's solve
         scope, so nothing waits for the racers to be collected."""
+        closed = []
+        loop = BrelSolver._iter_events_monolithic
+
+        def tracked(self, relation, cancel):
+            try:
+                return (yield from loop(self, relation, cancel))
+            finally:
+                closed.append(self)
+
+        monkeypatch.setattr(BrelSolver, "_iter_events_monolithic", tracked)
         relation = instance_by_name("vtx").build()
         stream = BrelSolver(BrelOptions(
             strategy="portfolio",
@@ -324,9 +334,11 @@ class TestCancellationRaces:
         for _ in range(4):
             event = next(stream)
         assert event.kind == "new-best"
-        assert relation.mgr._solve_depth == 2  # the race and its racer
+        # The race holds the one solve scope; its racer runs inside it.
+        assert relation.mgr._solve_depth == 1 and not closed
         stream.close()
         assert relation.mgr._solve_depth == 0
+        assert len(closed) == 1
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.core import (BooleanRelation, RelationNodes, check_nodes,
                         parse_relation, relation_from_nodes,
                         relation_to_nodes, write_relation)
 
-from ..conftest import table_relation, wide_relation
+from ..conftest import wide_relation
 
 
 def frame_of(relation):
@@ -127,11 +127,6 @@ class TestRoundTrip:
                                    mgr.and_(mgr.var(1), mgr.var(2)))
         with pytest.raises(ValueError, match="outside"):
             relation_to_nodes(relation)
-
-    def test_table_engine_uses_the_same_walk(self):
-        relation = interleaved(3, 2, seed=9, padding=1)
-        table = table_relation(relation)
-        assert relation_to_nodes(table) == relation_to_nodes(relation)
 
 
 class TestPlaRoundTrip:

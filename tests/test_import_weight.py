@@ -2,7 +2,7 @@
 
 Each import runs in a fresh interpreter, so modules the rest of the
 suite has already imported cannot hide a module-level import of
-``repro.table`` (which pulls in numpy when it is installed).
+``repro.table`` (the stand-ins perfbench reads) or of numpy.
 """
 
 import os
