@@ -667,29 +667,34 @@ class Session:
         and returns the cached report immediately.
 
         Input validation is eager, matching :meth:`solve`: unknown
-        relation names and unreadable files raise *here*, not at the
-        first ``next()`` — only the search itself runs lazily.
+        relation names, unreadable files and specs that do not build a
+        relation (a bad PLA cube, an unknown benchmark) raise *here*,
+        not at the first ``next()`` — only the search itself runs
+        lazily.
         """
         request = request or SolveRequest()
         resolved, spec, key, from_registry = \
             self._prepare_solve(request, relation)
-        return self._solve_iter(request, resolved, spec, key,
-                                from_registry, cancel, observer)
+        hit = self._live_hit(key, request)
+        if hit is not None:
+            return self._yield_hit(hit)
+        resolved, key, spec_built = self._materialize(
+            resolved, spec, key, from_registry, request)
+        return self._solve_iter(request, resolved, key, spec_built,
+                                cancel, observer)
 
-    def _solve_iter(self, request: SolveRequest,
-                    resolved: Optional[BooleanRelation],
-                    spec: Optional[Dict[str, Any]],
-                    key: Tuple[Any, ...], from_registry: bool,
+    @staticmethod
+    def _yield_hit(hit: SolveReport
+                   ) -> Generator[Improvement, None, SolveReport]:
+        yield Improvement(hit.solution, hit.cost, 0.0, 0)
+        return hit
+
+    def _solve_iter(self, request: SolveRequest, resolved: BooleanRelation,
+                    key: Tuple[Any, ...], spec_built: bool,
                     cancel: Optional[CancelToken],
                     observer: Optional[Observer]
                     ) -> Generator[Improvement, None, SolveReport]:
-        """The lazy half of :meth:`solve_iter` (inputs already vetted)."""
-        hit = self._live_hit(key, request)
-        if hit is not None:
-            yield Improvement(hit.solution, hit.cost, 0.0, 0)
-            return hit
-        resolved, key, spec_built = self._materialize(
-            resolved, spec, key, from_registry, request)
+        """The lazy half of :meth:`solve_iter`: the search itself."""
         solver = BrelSolver(request.to_options())
         result = yield from solver.iter_solve(resolved, cancel=cancel,
                                               observer=observer)

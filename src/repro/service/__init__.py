@@ -10,11 +10,9 @@ The package splits cleanly into four pieces:
     :class:`DiskCache` — the process-spanning tier: atomic JSON report
     files keyed by canonical request fingerprints.
 :mod:`~repro.service.http`
-    The stdlib ``ThreadingHTTPServer`` transport (no dependencies) —
-    ``create_server``/``serve`` and the SSE encoder.
-:mod:`~repro.service.asgi`
-    The same wire protocol as a raw ASGI 3.0 app for uvicorn-style
-    servers, still dependency-free.
+    The HTTP/SSE boundary (no dependencies): one route table answered
+    by ``respond``, carried by the stdlib ``ThreadingHTTPServer`` that
+    ``create_server`` builds, and the SSE encoder.
 :mod:`~repro.service.prewarm`
     Corpus replay that fills a cache directory before traffic arrives.
 
@@ -30,19 +28,16 @@ Sixty-second tour::
 """
 
 from .app import ServiceError, SolveService
-from .asgi import create_app
 from .diskcache import DiskCache, fingerprint_payload
-from .http import create_server, encode_sse, serve
+from .http import create_server, encode_sse
 from .prewarm import prewarm
 
 __all__ = [
     "DiskCache",
     "ServiceError",
     "SolveService",
-    "create_app",
     "create_server",
     "encode_sse",
     "fingerprint_payload",
     "prewarm",
-    "serve",
 ]

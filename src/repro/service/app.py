@@ -1,9 +1,8 @@
 """Solve-as-a-service: the transport-independent service core.
 
 A :class:`SolveService` wraps one :class:`~repro.api.Session` behind the
-operations every transport (the stdlib HTTP server in
-:mod:`repro.service.http`, the ASGI app in :mod:`repro.service.asgi`, a
-test driving it directly) exposes:
+operations its callers (the route table and stdlib HTTP server in
+:mod:`repro.service.http`, a test driving it directly) use:
 
 ``solve``          one request through the tiered cache;
 ``solve_stream``   the anytime event/improvement stream of one solve,
@@ -69,8 +68,8 @@ from .diskcache import DiskCache, fingerprint_payload
 
 __all__ = ["ServiceError", "SolveService", "MAX_BODY_BYTES"]
 
-#: Largest request body either transport reads; past it they answer 413
-#: (``repro.service.http`` and ``repro.service.asgi`` both import this).
+#: Largest request body the HTTP server reads; past it the server
+#: answers 413 without reading (see :mod:`repro.service.http`).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Recent requests kept for the ``/stats`` attribution ring.
@@ -441,7 +440,6 @@ class SolveService:
         headless to completion.  Cancelled partial results are never
         cached (the session guarantees that).
         """
-        request = self._admit(self.parse_request(data))
         cancel = CancelToken()
         buffered: List[Dict[str, Any]] = []
 
@@ -451,10 +449,14 @@ class SolveService:
         with self._lock:
             self.request_counts["stream"] += 1
             try:
+                request = self._admit(self.parse_request(data))
                 report, tier, key = self._lookup(request)
                 if report is None:
                     gen = self.session.solve_iter(request, cancel=cancel,
                                                   observer=observer)
+            except ServiceError:
+                self.request_counts["errors"] += 1
+                raise
             except _CLIENT_ERRORS as exc:
                 self.request_counts["errors"] += 1
                 raise ServiceError("invalid solve request: %s"

@@ -1,31 +1,23 @@
-"""The stdlib HTTP/SSE transport over a :class:`SolveService`.
+"""The HTTP/SSE boundary of a :class:`SolveService`.
 
 No third-party dependency: :class:`http.server.ThreadingHTTPServer`
-carries the whole wire protocol.  Routes:
+carries the whole wire protocol.  The boundary has two halves:
 
-=======  ==================  ===========================================
-Method   Path                Body / response
-=======  ==================  ===========================================
-POST     ``/solve``          SolveRequest JSON → SolveReport JSON; the
-                             ``X-Cache-Tier`` header says which tier
-                             answered (``ram``/``disk``/``engine``).
-POST     ``/solve/stream``   SolveRequest JSON → ``text/event-stream``
-                             of ``event:``/``improvement:`` frames and
-                             one final ``report:`` frame.  Client
-                             disconnect cancels the solve.
-POST     ``/resynth``        ResynthRequest JSON → ResynthReport JSON
-                             through the same tiers (``X-Cache-Tier``).
-POST     ``/batch``          Manifest JSON (list, or ``{"defaults",
-                             "jobs"}`` plus optional ``executor``,
-                             ``workers``) → ``{"reports", "tiers",
-                             "ok"}``.
-GET      ``/healthz``        Liveness probe.
-GET      ``/stats``          Tier/engine/disk counter snapshot.
-=======  ==================  ===========================================
-
-Errors are JSON too: ``{"error": ...}`` with 400 for bad requests
-(malformed JSON, unknown relations, invalid options), 404 for unknown
-routes, 500 for genuine failures.
+:func:`respond`
+    Answers one request from its method, path and body bytes, with no
+    socket.  It looks the route up in :data:`ROUTES` (404 when it is
+    not there), decodes a POST body as JSON (400 when the body is empty
+    or not JSON) and maps exceptions to statuses once: a
+    :class:`ServiceError` gives its own status, anything else a 500.
+    Errors are JSON too: ``{"error": ...}``.
+:class:`ServiceHandler`
+    A byte adapter over :func:`respond`.  It reads the body that
+    ``Content-Length`` declares and writes back the JSON answer, or the
+    SSE frames one at a time.  A length that is not a decimal integer
+    is a 400, one past :data:`~repro.service.app.MAX_BODY_BYTES` a 413
+    and a ``Transfer-Encoding`` body a 411; then no body is read and
+    the connection is closed, so no unread bytes are parsed as the next
+    request.
 
 Run it from the CLI (``repro serve --port 8080 --cache-dir CACHE``) or
 embed it::
@@ -40,16 +32,143 @@ embed it::
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, NamedTuple, Optional,
+                    Tuple)
 
 from .app import MAX_BODY_BYTES, ServiceError, SolveService
 
-__all__ = ["ServiceHandler", "create_server", "serve"]
+__all__ = ["ROUTES", "Response", "ServiceHandler", "create_server",
+           "encode_sse", "respond"]
 
 #: Socket errors that mean "the client hung up" — on an SSE stream they
 #: trigger cooperative cancellation rather than a traceback.
 _DISCONNECTS = (BrokenPipeError, ConnectionResetError)
+
+
+class Response(NamedTuple):
+    """One answer of :func:`respond`.
+
+    ``body`` goes out right after the headers.  ``frames`` is ``None``
+    except on an SSE stream, where it yields the frames after the first
+    one; closing it closes the service's stream, which cancels its
+    solve.
+    """
+
+    status: int
+    headers: Dict[str, str]
+    body: bytes
+    frames: Optional[Iterator[bytes]] = None
+
+
+def _json(status: int, payload: Any,
+          extra_headers: Optional[Dict[str, str]] = None) -> Response:
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json",
+               "Content-Length": str(len(body))}
+    headers.update(extra_headers or {})
+    return Response(status, headers, body)
+
+
+def _tiered(answer: Tuple[Dict[str, Any], str]) -> Response:
+    """A report and the tier that answered it (``X-Cache-Tier``)."""
+    report, tier = answer
+    return _json(200, report, {"X-Cache-Tier": tier})
+
+
+def _stream(service: SolveService, data: Any) -> Response:
+    frames = _encoded(service.solve_stream(data))
+    # The first frame is pulled before any header goes out, so a bad
+    # request is still a clean JSON 400 instead of a dead stream.
+    first = next(frames)
+    return Response(200, {"Content-Type": "text/event-stream",
+                          "Cache-Control": "no-cache",
+                          "Connection": "close"}, first, frames)
+
+
+def _encoded(stream: Iterator[Tuple[str, Any]]) -> Iterator[bytes]:
+    with closing(stream):
+        for name, payload in stream:
+            yield encode_sse(name, payload)
+
+
+def encode_sse(name: str, payload: Any) -> bytes:
+    """One Server-Sent-Events frame: ``event:`` + single-line ``data:``."""
+    return ("event: %s\ndata: %s\n\n"
+            % (name, json.dumps(payload))).encode("utf-8")
+
+
+#: Every route of the service: ``(method, path) → handler(service,
+#: data)``, where ``data`` is a POST's decoded JSON body (``None`` on a
+#: GET).
+ROUTES: Dict[Tuple[str, str], Callable[[SolveService, Any], Response]] = {
+    # SolveRequest → SolveReport; X-Cache-Tier says which tier answered
+    # (ram, disk or engine).
+    ("POST", "/solve"): lambda service, data: _tiered(service.solve(data)),
+    # SolveRequest → text/event-stream of event and improvement frames
+    # and one final report frame; a client that hangs up cancels the
+    # solve.
+    ("POST", "/solve/stream"): _stream,
+    # ResynthRequest → ResynthReport through the same tiers.
+    ("POST", "/resynth"):
+        lambda service, data: _tiered(service.resynth(data)),
+    # A manifest (a list, or {"defaults", "jobs"} plus optional
+    # "executor" and "workers") → {"reports", "tiers", "ok"}.
+    ("POST", "/batch"):
+        lambda service, data: _json(200, service.batch(data)),
+    # Liveness probe.
+    ("GET", "/healthz"):
+        lambda service, _: _json(200, service.healthz()),
+    # Tier, engine and disk counter snapshot.
+    ("GET", "/stats"):
+        lambda service, _: _json(200, service.stats()),
+}
+
+
+def respond(service: SolveService, method: str, path: str,
+            body: bytes) -> Response:
+    """Answer one request; never raises."""
+    handler = ROUTES.get((method, path))
+    if handler is None:
+        return _json(404, {"error": "no such route: %s" % path})
+    try:
+        return handler(service, _decode(body) if method == "POST" else None)
+    except ServiceError as exc:
+        return _json(exc.status, {"error": str(exc)})
+    except Exception as exc:  # noqa: BLE001 — the wire boundary
+        return _json(500, {"error": "internal error: %s" % exc})
+
+
+def _decode(body: bytes) -> Any:
+    if not body:
+        raise ServiceError("request body required")
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ServiceError("request body is not valid JSON: %s"
+                           % exc) from exc
+
+
+def _declared_length(value: str) -> Optional[int]:
+    """A ``Content-Length`` value as an int; ``None`` if it is not a
+    decimal integer.
+
+    A value with more digits than :data:`MAX_BODY_BYTES` reads as one
+    byte past the limit, however many digits it has: ``int()`` refuses
+    strings past 4,300 digits.
+    """
+    digits = value.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)):
+        return MAX_BODY_BYTES + 1
+    return int(digits)
+
+
+#: Sent with a 400, 411 or 413 that left the body unread.
+_CLOSE = {"Connection": "close"}
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -61,117 +180,52 @@ class ServiceHandler(BaseHTTPRequestHandler):
     #: the stdlib's per-request stderr lines.
     quiet = True
 
-    # -- plumbing ------------------------------------------------------
-    @property
-    def service(self) -> SolveService:
-        return self.server.service  # type: ignore[attr-defined]
-
     def log_message(self, format: str, *args: Any) -> None:
         if not self.quiet:
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
-    def _send_json(self, status: int, payload: Any,
-                   extra_headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, status: int, message: str) -> None:
-        try:
-            self._send_json(status, {"error": message})
-        except _DISCONNECTS:
-            pass
-
-    def _read_body_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ServiceError("request body required")
-        if length > MAX_BODY_BYTES:
-            raise ServiceError("request body too large", status=413)
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ServiceError("request body is not valid JSON: %s"
-                               % exc) from exc
-
-    # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        path = self.path.split("?", 1)[0]
-        if path == "/healthz":
-            self._send_json(200, self.service.healthz())
-        elif path == "/stats":
-            self._send_json(200, self.service.stats())
-        else:
-            self._send_error_json(404, "no such route: %s" % path)
-
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/solve":
-                data = self._read_body_json()
-                report, tier = self.service.solve(data)
-                self._send_json(200, report, {"X-Cache-Tier": tier})
-            elif path == "/solve/stream":
-                data = self._read_body_json()
-                self._stream_solve(data)
-            elif path == "/batch":
-                data = self._read_body_json()
-                self._send_json(200, self.service.batch(data))
-            elif path == "/resynth":
-                data = self._read_body_json()
-                report, tier = self.service.resynth(data)
-                self._send_json(200, report, {"X-Cache-Tier": tier})
-            else:
-                self._send_error_json(404, "no such route: %s" % path)
-        except ServiceError as exc:
-            self._send_error_json(exc.status, str(exc))
-        except _DISCONNECTS:
-            self.close_connection = True
-        except Exception as exc:  # noqa: BLE001 — the wire boundary
-            self._send_error_json(500, "internal error: %s" % exc)
+        """Read the declared body, then answer through :func:`respond`."""
+        length = _declared_length(self.headers.get("Content-Length", "0"))
+        if "Transfer-Encoding" in self.headers:
+            # A chunked body is not read; close before it is parsed as
+            # the next request.
+            response = _json(411, {"error": "Transfer-Encoding is not "
+                                            "supported; send a "
+                                            "Content-Length"}, _CLOSE)
+        elif length is None:
+            response = _json(400, {"error": "Content-Length is not a "
+                                            "decimal integer"}, _CLOSE)
+        elif length > MAX_BODY_BYTES:
+            response = _json(413, {"error": "request body too large"},
+                             _CLOSE)
+        else:
+            service = self.server.service  # type: ignore[attr-defined]
+            response = respond(service, self.command,
+                               self.path.split("?", 1)[0],
+                               self.rfile.read(length))
+        self._send(response)
 
-    # -- SSE -----------------------------------------------------------
-    def _stream_solve(self, data: Any) -> None:
-        """Relay the service's anytime stream as Server-Sent Events."""
-        stream = self.service.solve_stream(data)
-        started = False
+    do_GET = do_POST
+
+    def _send(self, response: Response) -> None:
         try:
-            for name, payload in stream:
-                if not started:
-                    # Headers go out lazily so a validation error can
-                    # still become a clean 400 instead of a dead SSE.
-                    self.send_response(200)
-                    self.send_header("Content-Type", "text/event-stream")
-                    self.send_header("Cache-Control", "no-cache")
-                    self.send_header("Connection", "close")
-                    self.end_headers()
-                    self.close_connection = True
-                    started = True
-                self.wfile.write(encode_sse(name, payload))
+            self.send_response(response.status)
+            for name, value in response.headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(response.body)
+            if response.frames is not None:
                 self.wfile.flush()
+                for frame in response.frames:
+                    self.wfile.write(frame)
+                    self.wfile.flush()
         except _DISCONNECTS:
-            # Closing the generator trips the solve's CancelToken.
-            stream.close()
             self.close_connection = True
-        except ServiceError:
-            if started:
-                self.close_connection = True
-                return
-            raise
         finally:
-            stream.close()
-
-
-def encode_sse(name: str, payload: Any) -> bytes:
-    """One Server-Sent-Events frame: ``event:`` + single-line ``data:``."""
-    return ("event: %s\ndata: %s\n\n"
-            % (name, json.dumps(payload))).encode("utf-8")
+            if response.frames is not None:
+                # Stops the solve when the client hung up mid-stream.
+                response.frames.close()
 
 
 class _ServiceServer(ThreadingHTTPServer):
@@ -191,16 +245,3 @@ def create_server(service: SolveService, host: str = "127.0.0.1",
     handler = type("BoundServiceHandler", (ServiceHandler,),
                    {"quiet": quiet})
     return _ServiceServer((host, port), handler, service)
-
-
-def serve(service: SolveService, host: str = "127.0.0.1",
-          port: int = 8080, *, quiet: bool = True) -> None:
-    """Blocking serve loop, until interrupted."""
-    server = create_server(service, host, port, quiet=quiet)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()

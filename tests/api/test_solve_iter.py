@@ -101,6 +101,9 @@ class TestSolveIter:
         with pytest.raises(OSError):
             session.solve_iter(SolveRequest(
                 relation={"kind": "file", "path": "/no/such/file.pla"}))
+        with pytest.raises(ValueError, match="bad cube character"):
+            session.solve_iter(SolveRequest(relation={
+                "kind": "pla", "text": ".i 2\n.o 2\n.type fr\n0z 11\n.e\n"}))
 
     def test_observer_sees_events(self, session):
         kinds = []

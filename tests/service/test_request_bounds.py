@@ -1,18 +1,22 @@
 """Request bounds at the service boundary.
 
-* Both transports cap request bodies at one shared limit
-  (``repro.service.app.MAX_BODY_BYTES``) and answer 413 past it; the
-  ASGI adapter stops reading as soon as a ``content-length`` header or
-  the running total passes the limit, and the service never sees the
-  request.
+* The stdlib server caps request bodies at
+  ``repro.service.app.MAX_BODY_BYTES`` and answers 413 past it; a
+  ``Content-Length`` that is not a decimal integer is a 400 and a
+  chunked body a 411.  In each case it reads no body, the service
+  never sees the request and the connection closes.  Every body within the limit is read before
+  routing, so a kept-alive connection never parses a leftover body as
+  the next request.
 * ``num_inputs``/``num_outputs`` of tabular specs are checked — ints,
   not bools, within ``MAX_SPEC_INPUTS``/``MAX_SPEC_OUTPUTS`` — before
   anything shifts by them, so an oversized value is a clear 400 at every
   layer instead of an ``OverflowError`` or a stalled worker.
 """
 
-import asyncio
+import http.client
 import json
+import socket
+import threading
 
 import pytest
 
@@ -20,11 +24,10 @@ from repro import SolveRequest
 from repro.api.request import normalize_relation_spec
 from repro.core.relation import (MAX_SPEC_INPUTS, MAX_SPEC_OUTPUTS,
                                  BooleanRelation)
-from repro.service import ServiceError, SolveService
-from repro.service import asgi as asgi_module
+from repro.service import ServiceError, SolveService, create_server
 from repro.service import http as http_module
 from repro.service.app import MAX_BODY_BYTES
-from repro.service.asgi import create_app
+from repro.service.http import respond
 
 SOLVE_BODY = json.dumps({"relation": {"kind": "bench", "name": "int1"},
                          "max_explored": 2}).encode("utf-8")
@@ -40,96 +43,147 @@ class RecordingService:
         self.seen.append(data)
         return {"ok": True}, "engine"
 
-
-def drive(app, chunks, headers=()):
-    """POST /solve with ``chunks`` (an iterable of bytes, the last one
-    closing the body); returns (status, payload, receive calls)."""
-
-    async def run():
-        scope = {"type": "http", "method": "POST", "path": "/solve",
-                 "headers": list(headers)}
-        feed = iter(chunks)
-        calls = {"count": 0}
-
-        async def receive():
-            calls["count"] += 1
-            chunk, more = next(feed)
-            return {"type": "http.request", "body": chunk,
-                    "more_body": more}
-
-        sent = []
-
-        async def send(message):
-            sent.append(message)
-
-        await app(scope, receive, send)
-        return sent, calls["count"]
-
-    sent, count = asyncio.run(run())
-    body = b"".join(message.get("body", b"") for message in sent[1:])
-    return sent[0]["status"], json.loads(body), count
+    def healthz(self):
+        return {"ok": True}
 
 
-def endless(chunk):
-    """Chunks of ``chunk`` that never close the body."""
-    while True:
-        yield chunk, True
+@pytest.fixture
+def serve():
+    """Start a server over a service; yields the function that does it
+    (returning the port) and shuts every server down afterwards."""
+    servers = []
+
+    def start(service):
+        server = create_server(service, "127.0.0.1", 0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server.server_address[1]
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def exchange(port, head, body=b"", closes=False):
+    """Send one raw request; return (status, headers, JSON body).
+
+    With ``closes``, also check that the server closed the connection
+    after answering.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head + b"\r\n\r\n" + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read())
+        if closes:
+            assert sock.recv(1) == b""
+    return response.status, response.headers, payload
+
+
+def post_head(length):
+    return (b"POST /solve HTTP/1.1\r\nHost: test\r\nContent-Length: "
+            + length)
 
 
 class TestBodyLimit:
-    def test_one_limit_for_both_transports(self):
-        assert asgi_module.MAX_BODY_BYTES is MAX_BODY_BYTES
+    def test_one_limit(self):
         assert http_module.MAX_BODY_BYTES is MAX_BODY_BYTES
         assert MAX_BODY_BYTES == 32 * 1024 * 1024
 
-    def test_chunks_past_the_limit_get_413(self):
+    @pytest.mark.parametrize("length", [
+        str(MAX_BODY_BYTES + 1).encode("ascii"),
+        # More digits than int() parses by default.
+        b"9" * 5000,
+    ])
+    def test_content_length_past_the_limit_reads_nothing(self, serve,
+                                                         length):
         service = RecordingService()
-        megabyte = b" " * (1 << 20)
-        status, payload, reads = drive(create_app(service),
-                                       endless(megabyte))
+        port = serve(service)
+        # The body is never sent: a server that tried to read it would
+        # wait for it instead of answering.
+        status, headers, payload = exchange(port, post_head(length),
+                                            closes=True)
         assert status == 413
         assert "too large" in payload["error"]
-        # Reading stopped at the first chunk past the limit.
-        assert reads == MAX_BODY_BYTES // len(megabyte) + 1
+        assert headers["Connection"] == "close"
         assert service.seen == []
 
-    def test_content_length_past_the_limit_reads_nothing(self):
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3", b"0x10",
+                                        b"\xc2\xb2", b""])
+    def test_malformed_content_length_is_400(self, serve, length):
         service = RecordingService()
-        status, _, reads = drive(
-            create_app(service), endless(b"x"),
-            headers=[(b"content-length",
-                      str(MAX_BODY_BYTES + 1).encode("ascii"))])
-        assert status == 413
-        assert reads == 0
+        port = serve(service)
+        status, headers, payload = exchange(port, post_head(length),
+                                            SOLVE_BODY, closes=True)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert headers["Connection"] == "close"
         assert service.seen == []
 
-    def test_huge_content_length_digits_get_413(self):
-        status, _, reads = drive(
-            create_app(RecordingService()), endless(b"x"),
-            headers=[(b"content-length", b"9" * 5000)])
-        assert status == 413
-        assert reads == 0
+    def test_leading_zeros_are_not_digits_past_the_limit(self, serve):
+        service = RecordingService()
+        port = serve(service)
+        length = b"0" * 5000 + str(len(SOLVE_BODY)).encode("ascii")
+        status, _, payload = exchange(port, post_head(length), SOLVE_BODY)
+        assert status == 200 and payload == {"ok": True}
 
-    def test_body_at_the_limit_still_parses(self, monkeypatch):
-        # A small limit keeps the test light; the adapter reads the
-        # shared binding, so the bound under test is the real check.
+    def test_body_at_the_limit_still_parses(self, serve, monkeypatch):
+        # A small limit keeps the test light; the server reads the
+        # module's binding, so the bound under test is the real check.
         limit = 4096
-        monkeypatch.setattr(asgi_module, "MAX_BODY_BYTES", limit)
+        monkeypatch.setattr(http_module, "MAX_BODY_BYTES", limit)
         padded = SOLVE_BODY + b" " * (limit - len(SOLVE_BODY))
         service = RecordingService()
-        halves = [(padded[:1000], True), (padded[1000:], False)]
-        status, payload, _ = drive(create_app(service), halves)
+        port = serve(service)
+        status, _, payload = exchange(
+            port, post_head(str(limit).encode("ascii")), padded)
         assert status == 200 and payload == {"ok": True}
         assert len(service.seen) == 1
-        status, _, _ = drive(create_app(service),
-                             [(padded + b" ", False)])
+        status, _, _ = exchange(
+            port, post_head(str(limit + 1).encode("ascii")), padded + b" ",
+            closes=True)
         assert status == 413
         assert len(service.seen) == 1
 
-    def test_real_service_solves_under_the_limit(self):
-        status, payload, _ = drive(create_app(SolveService()),
-                                   [(SOLVE_BODY, False)])
+    def test_real_service_solves_under_the_limit(self, serve):
+        port = serve(SolveService())
+        status, _, payload = exchange(
+            port, post_head(str(len(SOLVE_BODY)).encode("ascii")),
+            SOLVE_BODY)
         assert status == 200 and payload["ok"]
+
+
+class TestKeepAlive:
+    def test_unrouted_body_is_read_before_the_404(self, serve):
+        port = serve(RecordingService())
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=30)
+        try:
+            connection.request("POST", "/solv", body=SOLVE_BODY)
+            response = connection.getresponse()
+            assert response.status == 404
+            assert "no such route" in json.loads(response.read())["error"]
+            # Same connection: the 404's body was consumed, so this is
+            # parsed as a request, not as the leftover JSON.
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"ok": True}
+        finally:
+            connection.close()
+
+    def test_chunked_body_is_refused_and_the_connection_closed(self,
+                                                               serve):
+        service = RecordingService()
+        port = serve(service)
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(SOLVE_BODY), SOLVE_BODY)
+        status, _, payload = exchange(
+            port, b"POST /solve HTTP/1.1\r\nHost: test\r\n"
+                  b"Transfer-Encoding: chunked", chunked, closes=True)
+        assert status == 411
+        assert "Content-Length" in payload["error"]
+        assert service.seen == []
 
 
 def output_sets(num_inputs, num_outputs, rows=((0,), (0,))):
@@ -173,12 +227,11 @@ class TestShapeBounds:
         assert service.tier_hits == {"ram": 0, "disk": 0, "engine": 0}
 
     @pytest.mark.parametrize("field,spec", BAD_SHAPES[:2])
-    def test_asgi_answers_400(self, field, spec):
+    def test_route_answers_400(self, field, spec):
         body = json.dumps({"relation": spec}).encode("utf-8")
-        status, payload, _ = drive(create_app(SolveService()),
-                                   [(body, False)])
-        assert status == 400
-        assert field in payload["error"]
+        response = respond(SolveService(), "POST", "/solve", body)
+        assert response.status == 400
+        assert field in json.loads(response.body)["error"]
 
     def test_value_in_the_message(self):
         with pytest.raises(ValueError, match=r"0\.\.%d, got %d"

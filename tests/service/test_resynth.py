@@ -1,4 +1,4 @@
-"""Tests for the /resynth service operation (core + both transports)."""
+"""Tests for the /resynth service operation (core, route and server)."""
 
 import json
 import threading
@@ -9,9 +9,7 @@ import urllib.request
 import pytest
 
 from repro.service import DiskCache, ServiceError, SolveService, create_server
-from repro.service.asgi import create_app
-
-from .test_asgi import run_http
+from repro.service.http import respond
 
 S27 = {"circuit": "s27", "passes": 1, "max_explored": 8,
        "label": "s27-resynth"}
@@ -202,13 +200,13 @@ class TestHttpRoute:
         assert "verify_vectors" in json.loads(excinfo.value.read())["error"]
 
 
-class TestAsgiRoute:
+class TestRoute:
     def test_resynth_sets_tier_header(self):
-        app = create_app(SolveService())
+        service = SolveService()
         raw = json.dumps(S27).encode()
-        status1, headers1, body1 = run_http(app, "POST", "/resynth", raw)
-        status2, headers2, body2 = run_http(app, "POST", "/resynth", raw)
-        assert status1 == status2 == 200
-        assert headers1["x-cache-tier"] == "engine"
-        assert headers2["x-cache-tier"] == "ram"
-        assert json.loads(body2)["cached"] is True
+        first = respond(service, "POST", "/resynth", raw)
+        second = respond(service, "POST", "/resynth", raw)
+        assert first.status == second.status == 200
+        assert first.headers["X-Cache-Tier"] == "engine"
+        assert second.headers["X-Cache-Tier"] == "ram"
+        assert json.loads(second.body)["cached"] is True

@@ -1,8 +1,9 @@
-"""The public entry points load neither numpy nor the table engine.
+"""The public entry points load neither numpy nor the table engine,
+and the service loads no asyncio.
 
 Each import runs in a fresh interpreter, so modules the rest of the
 suite has already imported cannot hide a module-level import of
-``repro.table`` (the stand-ins perfbench reads) or of numpy.
+``repro.table`` (the stand-ins perfbench reads), of numpy or of asyncio.
 """
 
 import os
@@ -18,17 +19,28 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 PROBE = """
 import importlib, sys
 importlib.import_module(sys.argv[1])
-print(" ".join(sorted(
-    name for name in sys.modules
-    if name.split(".")[0] == "numpy" or name.startswith("repro.table"))))
+print(" ".join(sorted(sys.modules)))
 """
+
+
+def imported_by(module):
+    """Every module a fresh interpreter holds after importing ``module``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = subprocess.run([sys.executable, "-c", PROBE, module], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout.split()
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.resynth",
                                     "repro.service"])
 def test_import_loads_no_table_engine(module):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    probe = subprocess.run([sys.executable, "-c", PROBE, module], env=env,
-                           capture_output=True, text=True, timeout=60)
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == ""
+    assert [name for name in imported_by(module)
+            if name.split(".")[0] == "numpy"
+            or name.startswith("repro.table")] == []
+
+
+def test_service_import_loads_no_asyncio():
+    # The HTTP boundary is the stdlib's threaded server.
+    assert [name for name in imported_by("repro.service")
+            if name.split(".")[0] == "asyncio"] == []
