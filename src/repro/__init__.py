@@ -3,7 +3,7 @@
 Baneres, Cortadella, Kishinevsky: *A Recursive Paradigm to Solve Boolean
 Relations* (DAC 2004; extended in IEEE Trans. Computers 58(4), 2009).
 
-The package is organised as layered subsystems (see DESIGN.md):
+The package is organised as layered subsystems (README, "Architecture"):
 
 * :mod:`repro.api` — the official front door: :class:`Session`,
   declarative :class:`SolveRequest`/:class:`SolveReport`, named
@@ -47,7 +47,7 @@ The lower-level entry points remain available::
     print(result.solution.describe())
 """
 
-from .bdd import Bdd, BddManager
+from .bdd import BddManager
 from .core import (BooleanRelation, BrelOptions, BrelResult, BrelSolver,
                    CancelToken, ExplorationStrategy, Improvement, Isf,
                    Misf, NotWellDefinedError, Partition, Solution,
@@ -62,7 +62,6 @@ from .api import (Session, SolveReport, SolveRequest, register_cost,
 __version__ = "1.1.0"
 
 __all__ = [
-    "Bdd",
     "BddManager",
     "BooleanEquation",
     "BooleanRelation",

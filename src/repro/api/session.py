@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
@@ -870,6 +870,8 @@ class Session:
             max_workers = self.default_max_workers
         if max_workers is None:
             max_workers = os.cpu_count() or 1
+        # Imported here so that ``import repro`` loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         try:
             with ProcessPoolExecutor(
                     max_workers=max(1, min(max_workers, len(keys)))) as pool:

@@ -2,21 +2,17 @@
 
 Public surface:
 
-* :class:`BddManager` — node store, Boolean connectives, quantifiers.
-* :class:`FunctionBackend` — the typing protocol of the engine's
-  operation surface; core code is annotated against it.
-* :class:`Bdd` — operator-overloaded function handle.
+* :class:`BddManager` — the one function engine (node store, Boolean
+  connectives, quantifiers); core code is annotated with it.
 * :func:`isop` — Minato-Morreale irredundant SOP within an interval.
 * :func:`constrain` / :func:`restrict` — generalized cofactors.
 * :func:`squeeze` — safe interval minimisation (LICompact stand-in).
 * traversal helpers — shortest-path cube, cube/minterm iteration.
 """
 
-from .backend import FunctionBackend
-from .function import Bdd
 from .gencof import (constrain, minimize_with_constrain,
                      minimize_with_restrict, restrict)
-from .isop import cover_literals, cover_to_node, isop, isop_node
+from .isop import cover_literals, isop
 from .manager import FALSE, TRUE, BddManager
 from .safemin import minimize_with_squeeze, squeeze
 from .traversal import (count_paths, iter_cubes, pick_minterm,
@@ -24,17 +20,13 @@ from .traversal import (count_paths, iter_cubes, pick_minterm,
 from .dot import to_dot
 
 __all__ = [
-    "Bdd",
     "BddManager",
     "FALSE",
-    "FunctionBackend",
     "TRUE",
     "constrain",
     "count_paths",
     "cover_literals",
-    "cover_to_node",
     "isop",
-    "isop_node",
     "iter_cubes",
     "minimize_with_constrain",
     "minimize_with_restrict",

@@ -43,8 +43,7 @@ def isop(mgr: BddManager, lower: int, upper: int) -> Tuple[List[Cube], int]:
     Parameters
     ----------
     mgr:
-        The owning manager (any :class:`~repro.bdd.FunctionBackend`;
-        the expansion only uses protocol operations).
+        The owning manager.
     lower, upper:
         Nodes with ``lower <= upper`` (raises ``ValueError`` otherwise).
 
@@ -175,19 +174,6 @@ def eliminate_nonessential(mgr: BddManager, lower: int, upper: int
     return lower, upper
 
 
-def isop_node(mgr: BddManager, lower: int, upper: int) -> int:
-    """Like :func:`isop` but return only the BDD of the cover."""
-    return isop(mgr, lower, upper)[1]
-
-
 def cover_literals(cover: List[Cube]) -> int:
     """Total literal count of a cube list."""
     return sum(len(cube) for cube in cover)
-
-
-def cover_to_node(mgr: BddManager, cover: List[Cube]) -> int:
-    """Disjunction of a cube list as a BDD node."""
-    result = FALSE
-    for cube in cover:
-        result = mgr.or_(result, mgr.cube(cube))
-    return result

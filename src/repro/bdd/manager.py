@@ -37,9 +37,6 @@ Design notes
   :meth:`pin`\\ ned node, a variable, or an explicit extra root.  ``collect``
   returns the old-id -> new-id mapping so holders of surviving roots can
   remap their handles.
-
-Only the manager lives here; the ergonomic operator-overloaded wrapper is
-:class:`repro.bdd.function.Bdd`.
 """
 
 from __future__ import annotations
@@ -96,10 +93,6 @@ _TERMINAL_RULES = {
     _OP_ANDNOT: (False, FALSE, FALSE, _NEG_OTHER, _OTHER, FALSE),
 }
 
-#: Public operation names accepted by :meth:`BddManager.apply`.
-_APPLY_NAMES = {"and": _OP_AND, "or": _OP_OR, "xor": _OP_XOR,
-                "andnot": _OP_ANDNOT}
-
 
 def union_support(a: Tuple[int, ...], b: Tuple[int, ...]
                   ) -> Tuple[int, ...]:
@@ -129,6 +122,20 @@ class IsopTable(dict):
 
 class BddManager:
     """A reduced ordered BDD manager with hash-consing.
+
+    The one function engine; core code is annotated with this class
+    and relies on it as follows:
+
+    * functions are ``int`` handles, ``FALSE == 0`` and ``TRUE == 1``,
+      and handle equality is semantic equality (core code compares
+      handles, ``conflicts == FALSE``, and keys sets and dicts by them);
+    * ``level(f)``, ``low(f)`` and ``high(f)`` are the top support
+      variable of a non-terminal handle and its cofactors there: the
+      reduced-BDD view, the only one structural walks use;
+    * ``size(f)`` counts the internal nodes of the reduced BDD of ``f``
+      (constants are 0), the paper's BDD-size cost;
+    * the solver samples the ``nodes``, ``cache_hits`` and
+      ``cache_misses`` counters of :meth:`stats`.
 
     Parameters
     ----------
@@ -236,10 +243,6 @@ class BddManager:
     def var_name(self, index: int) -> str:
         """Return the declared name of variable ``index``."""
         return self._names[index]
-
-    def var_index_of_node(self, node: int) -> int:
-        """Return the variable labelling ``node`` (undefined for terminals)."""
-        return self._level[node]
 
     def level(self, node: int) -> int:
         """Return the level of ``node`` (``TERMINAL_LEVEL`` for constants)."""
@@ -492,15 +495,6 @@ class BddManager:
     # ------------------------------------------------------------------
     # Core Boolean connectives (explicit-stack apply)
     # ------------------------------------------------------------------
-    def apply(self, op: str, f: int, g: int) -> int:
-        """Generic binary connective: ``op`` is ``"and"``, ``"or"``, ``"xor"``."""
-        try:
-            tag = _APPLY_NAMES[op]
-        except KeyError:
-            raise ValueError("unknown apply op %r (expected one of %s)"
-                             % (op, ", ".join(sorted(_APPLY_NAMES)))) from None
-        return self._apply(tag, f, g)
-
     def _apply(self, op: int, f: int, g: int) -> int:
         """Iterative Shannon expansion of a commutative binary connective.
 
@@ -1564,8 +1558,7 @@ class BddManager:
              upper: int) -> Tuple[List[Dict[int, bool]], int]:
         """Irredundant SOP cover of a function in ``[lower, upper]``.
 
-        Part of the :class:`~repro.bdd.backend.FunctionBackend`
-        protocol; runs the Minato-Morreale expansion through
+        Runs the Minato-Morreale expansion through
         :func:`repro.bdd.packed.interval_isop` — packed truth tables over
         the joint support of at most 16 variables, node by node
         (:mod:`repro.bdd.isop`) beyond — against this manager's ISOP

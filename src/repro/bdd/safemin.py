@@ -21,9 +21,9 @@ top-down, both classical safe-minimisation moves:
    branch's interval, reuse it for both, which merges the children.
 
 Both rules only ever merge nodes, hence the safety guarantee.  The
-substitution is documented in DESIGN.md (Section 4).  The walk runs an
-explicit frame stack, so intervals of any BDD depth are handled under the
-default interpreter recursion limit.
+substitution is documented in README ("Benchmark substitutions").  The
+walk runs an explicit frame stack, so intervals of any BDD depth are
+handled under the default interpreter recursion limit.
 """
 
 from __future__ import annotations

@@ -120,11 +120,6 @@ def pick_minterm(mgr: BddManager, f: int,
     return {var: cube.get(var, False) for var in variables}
 
 
-def cube_to_node(mgr: BddManager, cube: Dict[int, bool]) -> int:
-    """Build the BDD of a cube given as a var -> polarity mapping."""
-    return mgr.cube(cube)
-
-
 def count_paths(mgr: BddManager, f: int) -> int:
     """Number of distinct root-to-TRUE paths (cubes in the path cover)."""
     memo: Dict[int, int] = {TRUE: 1, FALSE: 0}

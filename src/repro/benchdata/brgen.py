@@ -1,9 +1,10 @@
 """Seeded generators for well-defined Boolean relations.
 
 The paper's Table 2 benchmarks are the gyocro suite (int*, she*, b9, vtx,
-gr, …), whose original files are not redistributable here; DESIGN.md §4
-documents the substitution.  This generator produces well-defined BRs with
-two controlled properties that drive solver behaviour:
+gr, …), whose original files are not redistributable here; README's
+"Benchmark substitutions" documents the substitution.  This generator
+produces well-defined BRs with two controlled properties that drive
+solver behaviour:
 
 * ``flexibility`` — the fraction of input vertices with more than one
   permitted output vertex;

@@ -4,7 +4,8 @@ Instance names follow the gyocro suite the paper evaluates (int1…int10,
 she* / b9 / vtx / gr style examples); PI/PO counts are chosen at the same
 scale as the published table (4-8 inputs, 3-5 outputs).  Each instance is
 generated deterministically from its name, so every benchmark run sees the
-same relations.  See DESIGN.md Section 4 for the substitution rationale.
+same relations.  See README, "Benchmark substitutions", for the
+substitution rationale.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ reproduced in the literature).  The remaining entries are deterministic
 synthetic circuits matched to the published PI/PO/FF counts of their
 ISCAS'89 namesakes, with gate counts scaled down to pure-Python scale and
 next-state cone supports bounded by construction (real ISCAS next-state
-logic is similarly local) — see DESIGN.md Section 4.
+logic is similarly local) — see README, "Benchmark substitutions".
 """
 
 from __future__ import annotations
@@ -197,7 +197,8 @@ class CircuitSpec:
 
 
 #: Table 3 circuit list; PI/PO/FF follow the ISCAS'89 namesakes, gate
-#: counts are scaled to pure-Python runtimes (DESIGN.md Section 4).
+#: counts are scaled to pure-Python runtimes (README, "Benchmark
+#: substitutions").
 CIRCUITS: List[CircuitSpec] = [
     CircuitSpec("s27", 4, 1, 3, 10),
     CircuitSpec("s208", 10, 1, 8, 32),

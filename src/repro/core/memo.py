@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence, Tuple
 
-from ..bdd.backend import FunctionBackend
-from ..bdd.manager import FALSE, TRUE
+from ..bdd.manager import FALSE, TRUE, BddManager
 
 #: A cube over support ranks: ``((rank, polarity), ...)`` sorted by rank.
 RankCube = Tuple[Tuple[int, bool], ...]
@@ -39,7 +38,7 @@ VarCover = Tuple[VarCube, ...]
 # ----------------------------------------------------------------------
 # Solution templates
 # ----------------------------------------------------------------------
-def cover_template(mgr: FunctionBackend, node: int,
+def cover_template(mgr: BddManager, node: int,
                    rank_of_var: Dict[int, int]) -> CoverTemplate:
     """Render one function as an ISOP cover over support ranks.
 
@@ -70,7 +69,7 @@ def var_cover_from_template(cover: CoverTemplate,
                  for cube in cover)
 
 
-def solution_template(mgr: FunctionBackend, functions: Sequence[int],
+def solution_template(mgr: BddManager, functions: Sequence[int],
                       support: Sequence[int]) -> SolutionTemplate:
     """Render a solved function vector as per-output rank covers."""
     rank_of_var = {var: rank for rank, var in enumerate(support)}
@@ -78,7 +77,7 @@ def solution_template(mgr: FunctionBackend, functions: Sequence[int],
                  for func in functions)
 
 
-def instantiate_cover(mgr: FunctionBackend, cover: CoverTemplate,
+def instantiate_cover(mgr: BddManager, cover: CoverTemplate,
                       support: Sequence[int]) -> int:
     """Rebuild one rank cover as a BDD node over ``support`` variables.
 
@@ -90,7 +89,7 @@ def instantiate_cover(mgr: FunctionBackend, cover: CoverTemplate,
                                  var_cover_from_template(cover, support))
 
 
-def instantiate_var_cover(mgr: FunctionBackend, cover: VarCover) -> int:
+def instantiate_var_cover(mgr: BddManager, cover: VarCover) -> int:
     """Disjoin a variable-level cover into ``mgr``.
 
     Cubes are stored sorted by level, so conjoining right-to-left keeps
@@ -109,7 +108,7 @@ def instantiate_var_cover(mgr: FunctionBackend, cover: VarCover) -> int:
     return node
 
 
-def instantiate_solution(mgr: FunctionBackend, covers: SolutionTemplate,
+def instantiate_solution(mgr: BddManager, covers: SolutionTemplate,
                          support: Sequence[int]) -> Tuple[int, ...]:
     """Rebuild a per-output template into ``mgr``; one node per output."""
     return tuple(instantiate_cover(mgr, cover, support)

@@ -86,7 +86,8 @@ def minimize_restrict(isf: Isf) -> int:
 
 
 def minimize_licompact(isf: Isf) -> int:
-    """Safe interval minimisation (LICompact stand-in, see DESIGN.md §4)."""
+    """Safe interval minimisation (LICompact stand-in, see README,
+    "Benchmark substitutions")."""
     return squeeze(isf.mgr, isf.on, isf.upper)
 
 

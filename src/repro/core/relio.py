@@ -47,7 +47,6 @@ from __future__ import annotations
 from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
-from ..bdd.backend import FunctionBackend
 from ..bdd.manager import FALSE, TRUE, BddManager
 from ..sop.cube import Cube
 from .relation import BooleanRelation
@@ -86,7 +85,7 @@ class RelationNodes(NamedTuple):
                 "root": self.root}
 
 
-def function_nodes(mgr: FunctionBackend, roots: Sequence[int],
+def function_nodes(mgr: BddManager, roots: Sequence[int],
                    rank_of_var: Mapping[int, int]
                    ) -> Tuple[Tuple[NodeTriple, ...], Tuple[int, ...]]:
     """Post-order ``(rank, lo, hi)`` triples of the DAG under ``roots``.
@@ -126,7 +125,7 @@ def function_nodes(mgr: FunctionBackend, roots: Sequence[int],
     return tuple(nodes), tuple(refs[root] for root in roots)
 
 
-def build_nodes(mgr: FunctionBackend, nodes: Sequence[NodeTriple],
+def build_nodes(mgr: BddManager, nodes: Sequence[NodeTriple],
                 variables: Sequence[int]) -> List[int]:
     """Rebuild triples in ``mgr``; rank ``r`` becomes ``variables[r]``.
 
@@ -258,7 +257,7 @@ def check_nodes(data: Any) -> RelationNodes:
 
 
 def relation_from_nodes(data: Any,
-                        mgr: Optional[FunctionBackend] = None
+                        mgr: Optional[BddManager] = None
                         ) -> BooleanRelation:
     """Rebuild a relation from node-list data, linear in its size.
 

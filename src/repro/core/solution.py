@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bdd.backend import FunctionBackend
+from ..bdd.manager import BddManager
 from ..bdd.packed import packed_isop, unpack
 from .memo import SolutionTemplate, rank_cover
 
@@ -31,7 +31,7 @@ class Solution:
     __slots__ = ("mgr", "cost", "tables", "frame", "_functions",
                  "_cover_cache")
 
-    def __init__(self, mgr: FunctionBackend,
+    def __init__(self, mgr: BddManager,
                  functions: Optional[Tuple[int, ...]], cost: float,
                  tables: Optional[Tuple[int, ...]] = None,
                  frame: Tuple[int, ...] = ()) -> None:
@@ -49,10 +49,6 @@ class Solution:
             self._functions = tuple(unpack(self.mgr, table, self.frame)
                                     for table in self.tables)
         return self._functions
-
-    @property
-    def num_outputs(self) -> int:
-        return len(self.functions)
 
     def bdd_sizes(self) -> List[int]:
         """Per-output BDD sizes."""

@@ -12,8 +12,8 @@ paper's AREA and delay columns:
    minimum-arrival) cover over the library's pattern trees.
 
 Area is the sum of chosen gate areas; delay is the longest gate-delay path
-(load-independent pin delays — see DESIGN.md Section 4 for why ratios are
-the meaningful output).
+(load-independent pin delays — see README, "Benchmark substitutions", for
+why ratios are the meaningful output).
 """
 
 from __future__ import annotations

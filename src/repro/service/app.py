@@ -53,8 +53,7 @@ import math
 import threading
 import time
 from collections import deque
-from typing import (Any, Deque, Dict, Generator, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..api.events import event_to_jsonable
 from ..api.request import (SolveRequest, merge_manifest_jobs,
@@ -617,6 +616,3 @@ class SolveService:
                 self.portfolio_wins[winner] = \
                     self.portfolio_wins.get(winner, 0) + 1
         self._recent.append(row)
-
-    def iter_recent(self) -> Iterator[Dict[str, Any]]:
-        return iter(list(self._recent))

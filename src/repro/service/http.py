@@ -17,7 +17,8 @@ carries the whole wire protocol.  The boundary has two halves:
     is a 400, one past :data:`~repro.service.app.MAX_BODY_BYTES` a 413
     and a ``Transfer-Encoding`` body a 411; then no body is read and
     the connection is closed, so no unread bytes are parsed as the next
-    request.
+    request.  A client that sent ``Expect: 100-continue`` gets that
+    refusal instead of ``100 Continue``, so it never sends the body.
 
 Run it from the CLI (``repro serve --port 8080 --cache-dir CACHE``) or
 embed it::
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import json
 from contextlib import closing
+from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (Any, Callable, Dict, Iterator, NamedTuple, Optional,
-                    Tuple)
+                    Tuple, Union)
 
 from .app import MAX_BODY_BYTES, ServiceError, SolveService
 
@@ -171,6 +173,23 @@ def _declared_length(value: str) -> Optional[int]:
 _CLOSE = {"Connection": "close"}
 
 
+def _framing(headers: Message) -> Union[int, Response]:
+    """The body length the headers declare, or the 400, 411 or 413
+    that refuses the body unread."""
+    if "Transfer-Encoding" in headers:
+        # A chunked body is not read; close before it is parsed as the
+        # next request.
+        return _json(411, {"error": "Transfer-Encoding is not supported; "
+                                    "send a Content-Length"}, _CLOSE)
+    length = _declared_length(headers.get("Content-Length", "0"))
+    if length is None:
+        return _json(400, {"error": "Content-Length is not a decimal "
+                                    "integer"}, _CLOSE)
+    if length > MAX_BODY_BYTES:
+        return _json(413, {"error": "request body too large"}, _CLOSE)
+    return length
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
     """Request handler bound to the server's :class:`SolveService`."""
 
@@ -184,27 +203,26 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if not self.quiet:
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` only for a body :meth:`do_POST` will
+        read; otherwise its refusal goes out instead, before the client
+        sends the body."""
+        framing = _framing(self.headers)
+        if isinstance(framing, Response):
+            self._send(framing)
+            return False
+        return BaseHTTPRequestHandler.handle_expect_100(self)
+
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
         """Read the declared body, then answer through :func:`respond`."""
-        length = _declared_length(self.headers.get("Content-Length", "0"))
-        if "Transfer-Encoding" in self.headers:
-            # A chunked body is not read; close before it is parsed as
-            # the next request.
-            response = _json(411, {"error": "Transfer-Encoding is not "
-                                            "supported; send a "
-                                            "Content-Length"}, _CLOSE)
-        elif length is None:
-            response = _json(400, {"error": "Content-Length is not a "
-                                            "decimal integer"}, _CLOSE)
-        elif length > MAX_BODY_BYTES:
-            response = _json(413, {"error": "request body too large"},
-                             _CLOSE)
-        else:
-            service = self.server.service  # type: ignore[attr-defined]
-            response = respond(service, self.command,
-                               self.path.split("?", 1)[0],
-                               self.rfile.read(length))
-        self._send(response)
+        framing = _framing(self.headers)
+        if isinstance(framing, Response):
+            self._send(framing)
+            return
+        service = self.server.service  # type: ignore[attr-defined]
+        self._send(respond(service, self.command,
+                           self.path.split("?", 1)[0],
+                           self.rfile.read(framing)))
 
     do_GET = do_POST
 

@@ -8,6 +8,8 @@ hits build no relation, process jobs build none in the parent, and a
 pool that cannot start still solves them in-process.
 """
 
+import concurrent.futures
+
 import pytest
 
 from repro.api import Session, SolveRequest
@@ -179,7 +181,7 @@ class TestNodeSpecBatches:
         def broken_pool(*args, **kwargs):
             raise OSError("no process layer")
 
-        monkeypatch.setattr(session_module, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             broken_pool)
         specs = node_specs(4, seed=60)
         requests = [SolveRequest(relation=spec, max_explored=8)

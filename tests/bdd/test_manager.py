@@ -1,8 +1,6 @@
 """Unit tests for the BDD manager core operations."""
 
-import pytest
-
-from repro.bdd import FALSE, TRUE, Bdd, BddManager
+from repro.bdd import FALSE, TRUE, BddManager
 
 from ..conftest import bdd_from_tt, tt_from_bdd
 
@@ -259,43 +257,3 @@ class TestCubesMinterm:
         table = 0x5AF0
         node = bdd_from_tt(mgr, [0, 1, 2, 3], table)
         assert tt_from_bdd(mgr, [0, 1, 2, 3], node) == table
-
-
-class TestBddHandle:
-    def test_operator_overloads(self):
-        mgr = BddManager(["a", "b"])
-        a, b = Bdd.variable(mgr, 0), Bdd.variable(mgr, 1)
-        assert (a & b).node == mgr.and_(a.node, b.node)
-        assert (a | b).node == mgr.or_(a.node, b.node)
-        assert (a ^ b).node == mgr.xor_(a.node, b.node)
-        assert (~a).node == mgr.not_(a.node)
-        assert (a - b).node == mgr.diff(a.node, b.node)
-
-    def test_comparison_is_containment(self):
-        mgr = BddManager(["a", "b"])
-        a, b = Bdd.variable(mgr, 0), Bdd.variable(mgr, 1)
-        assert (a & b) <= a
-        assert (a & b) < a
-        assert a >= (a & b)
-        assert not (a <= b)
-
-    def test_truthiness_raises(self):
-        mgr = BddManager(["a"])
-        with pytest.raises(TypeError):
-            bool(Bdd.variable(mgr, 0))
-
-    def test_cross_manager_raises(self):
-        m1, m2 = BddManager(["a"]), BddManager(["a"])
-        with pytest.raises(ValueError):
-            Bdd.variable(m1, 0) & Bdd.variable(m2, 0)
-
-    def test_repr_mentions_constants(self):
-        mgr = BddManager(["a"])
-        assert "TRUE" in repr(Bdd.true(mgr))
-        assert "FALSE" in repr(Bdd.false(mgr))
-
-    def test_hashable(self):
-        mgr = BddManager(["a", "b"])
-        a, b = Bdd.variable(mgr, 0), Bdd.variable(mgr, 1)
-        seen = {a & b, b & a}
-        assert len(seen) == 1

@@ -9,12 +9,12 @@ variable ``j``).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from repro.bdd import Bdd, BddManager
+from repro.bdd import BddManager
 from repro.bdd.manager import TRUE
 from repro.core.relation import BooleanRelation
 
@@ -98,9 +98,3 @@ def mgr3() -> BddManager:
 def mgr4() -> BddManager:
     """A fresh manager with four variables."""
     return BddManager(["a", "b", "c", "d"])
-
-
-@pytest.fixture
-def abc(mgr3: BddManager) -> List[Bdd]:
-    """The literals of :func:`mgr3` as Bdd handles."""
-    return [Bdd.variable(mgr3, i) for i in range(3)]

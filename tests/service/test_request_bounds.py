@@ -6,7 +6,8 @@
   chunked body a 411.  In each case it reads no body, the service
   never sees the request and the connection closes.  Every body within the limit is read before
   routing, so a kept-alive connection never parses a leftover body as
-  the next request.
+  the next request.  A client that sent ``Expect: 100-continue`` gets
+  the refusal instead of ``100 Continue``.
 * ``num_inputs``/``num_outputs`` of tabular specs are checked — ints,
   not bools, within ``MAX_SPEC_INPUTS``/``MAX_SPEC_OUTPUTS`` — before
   anything shifts by them, so an oversized value is a clear 400 at every
@@ -184,6 +185,61 @@ class TestKeepAlive:
         assert status == 411
         assert "Content-Length" in payload["error"]
         assert service.seen == []
+
+
+class TestExpectContinue:
+    """``Expect: 100-continue`` is answered with the refusal, not with
+    an invitation to send a body the server will not read."""
+
+    HEAD = b"POST /solve HTTP/1.1\r\nHost: test\r\n"
+
+    @pytest.mark.parametrize("framing", [
+        b"Content-Length: %d" % (MAX_BODY_BYTES + 1),
+        b"Content-Length: abc",
+        b"Transfer-Encoding: chunked",
+    ])
+    def test_refusal_comes_before_100_continue(self, serve, framing):
+        service = RecordingService()
+        port = serve(service)
+        status, _, payload = exchange(port, self.HEAD + framing,
+                                      closes=True)
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=30) as sock:
+            sock.sendall(self.HEAD + b"Expect: 100-continue\r\n"
+                         + framing + b"\r\n\r\n")
+            raw = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        # The refusal is the first and only answer.
+        assert head.startswith(b"HTTP/1.1 %d " % status), head
+        assert b"100 Continue" not in raw
+        assert b"Connection: close" in head
+        assert json.loads(body) == payload
+        assert service.seen == []
+
+    def test_a_valid_length_is_invited_then_answered(self, serve):
+        service = RecordingService()
+        port = serve(service)
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=30) as sock:
+            sock.sendall(self.HEAD + b"Expect: 100-continue\r\n"
+                         + b"Content-Length: %d\r\n\r\n" % len(SOLVE_BODY))
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, interim
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(SOLVE_BODY)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"ok": True}
+        assert len(service.seen) == 1
 
 
 def output_sets(num_inputs, num_outputs, rows=((0,), (0,))):

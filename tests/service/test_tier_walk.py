@@ -6,13 +6,13 @@ answers every route from the disk, and a batch's duplicates are solved
 once by ``Session.solve_many`` on either executor.
 """
 
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.api import Session, SolveRequest
 from repro.api import report as report_module
-from repro.api import session as session_module
 from repro.core.brel import BrelSolver
 from repro.core.explore import EXECUTORS
 from repro.service import DiskCache, SolveService
@@ -38,7 +38,8 @@ def engine_solves(monkeypatch):
 
     monkeypatch.setattr(BrelSolver, "solve", counting_solve)
     monkeypatch.setattr(BrelSolver, "iter_solve", counting_iter_solve)
-    monkeypatch.setattr(session_module, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
     return calls
 
 

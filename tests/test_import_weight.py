@@ -1,9 +1,10 @@
-"""The public entry points load neither numpy nor the table engine,
-and the service loads no asyncio.
+"""The public entry points load neither numpy, the table engine nor
+multiprocessing, and the service loads no asyncio.
 
 Each import runs in a fresh interpreter, so modules the rest of the
 suite has already imported cannot hide a module-level import of
-``repro.table`` (the stand-ins perfbench reads), of numpy or of asyncio.
+``repro.table`` (the stand-ins perfbench reads), of numpy, of
+multiprocessing or of asyncio.
 """
 
 import os
@@ -44,3 +45,13 @@ def test_service_import_loads_no_asyncio():
     # The HTTP boundary is the stdlib's threaded server.
     assert [name for name in imported_by("repro.service")
             if name.split(".")[0] == "asyncio"] == []
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.resynth",
+                                    "repro.service"])
+def test_import_loads_no_multiprocessing(module):
+    # Only solve_many(executor="process") needs a process pool, and it
+    # imports one when it starts it.
+    assert [name for name in imported_by(module)
+            if name.split(".")[0] == "multiprocessing"
+            or name == "concurrent.futures.process"] == []
