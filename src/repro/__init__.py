@@ -55,11 +55,22 @@ from .core import (BooleanRelation, BrelOptions, BrelResult, BrelSolver,
                    bdd_size_squared_cost, cube_count_cost, exact_solve,
                    literal_count_cost, partition_relation, quick_solve,
                    solve_exactly, solve_relation, weighted_cost)
-from .equations import BooleanEquation, BooleanSystem
 from .api import (Session, SolveReport, SolveRequest, register_cost,
                   register_minimizer, register_strategy, strategy_names)
 
 __version__ = "1.1.0"
+
+
+def __getattr__(name: str):
+    """``BooleanEquation`` and ``BooleanSystem``, loaded on first use:
+    ``import repro`` pays nothing for the equation front end until a
+    caller reads them."""
+    if name in ("BooleanEquation", "BooleanSystem"):
+        from . import equations
+        return getattr(equations, name)
+    raise AttributeError("module %r has no attribute %r"
+                         % (__name__, name))
+
 
 __all__ = [
     "BddManager",

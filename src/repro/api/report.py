@@ -7,6 +7,16 @@ captured error.  Being pure data it pickles across process boundaries
 (:meth:`Session.solve_many`) and serialises to JSON for the CLI's
 ``--json`` / ``batch`` output.
 
+A report is read off the relation the solve started from.  For a
+narrow spec that is the root packed straight from the spec
+(:func:`repro.api.request.root_of_spec`), and the report reads its
+table and the solution's: ``pairs`` is a popcount, compatibility is
+``χ_F ∧ ¬R = 0`` on the root's table, the sizes come from
+:func:`~repro.bdd.packed.table_size`, the covers from the packed ISOP
+kernel and the PLA export from :func:`~repro.core.relio.table_rows`, so
+no BDD node is built.  A sharded or node-level solution, and a relation
+on nodes, are read on nodes.
+
 When the solve ran in the calling process the live
 :class:`~repro.core.Solution` (BDD nodes and manager) is attached as
 ``report.solution``; it is excluded from comparison and serialisation.
@@ -25,13 +35,14 @@ import dataclasses
 import json
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..bdd.manager import BddManager
 from ..core.brel import BrelResult
 from ..core.memo import SolutionTemplate, instantiate_solution
+from ..core.packedrel import PackedRelation
 from ..core.relation import BooleanRelation
-from ..core.relio import write_relation
+from ..core.relio import table_rows, write_relation, write_rows
 from ..core.solution import Solution
 
 #: Bumped when the report schema changes shape.
@@ -54,6 +65,25 @@ from ..core.solution import Solution
 #: the echoed ``request`` dropped the racer executor (a solve always
 #: runs in its caller's process).
 REPORT_SCHEMA_VERSION = 9
+
+
+def _compatible(relation: Union[BooleanRelation, PackedRelation],
+                solution: Solution) -> bool:
+    """Is ``solution`` a solution of ``relation`` (Definition 5.3)?
+
+    Checked against the relation as the solve was given it, never the
+    subrelation the solver found it in.  A packed root and a solution
+    held as tables over its frame answer on the table: ``χ_F ∧ ¬R``
+    is empty, which is what the root's ``conflict_inputs`` tests.
+    Anything else — a sharded or node-level solution, a relation on
+    nodes — is checked on nodes.
+    """
+    if isinstance(relation, PackedRelation):
+        if solution.tables is not None \
+                and solution.frame == relation.frame:
+            return not relation.conflict_inputs(solution.tables)
+        relation = relation.unpacked()
+    return relation.is_compatible(solution.functions)
 
 
 @dataclass
@@ -112,13 +142,19 @@ class SolveReport:
 
     # -- constructors --------------------------------------------------
     @classmethod
-    def from_result(cls, relation: BooleanRelation, result: BrelResult,
+    def from_result(cls, relation: Union[BooleanRelation, PackedRelation],
+                    result: BrelResult,
                     request: Optional[Mapping[str, Any]] = None,
                     label: Optional[str] = None) -> "SolveReport":
         """Summarise a solver result against the relation it solved.
 
-        The PLA rendering enumerates every input vertex, so it is *not*
-        built here; :meth:`solution_pla` materialises it on demand (and
+        ``relation`` is the relation the solve started from, on nodes or
+        packed from its spec.  A packed root answers from its table
+        (:func:`_compatible`, a popcount for ``pairs``), and a solution
+        held as tables gives its sizes and covers from them, so a
+        narrow spec's report builds no BDD node.  The PLA rendering
+        enumerates every input vertex, so it is *not* built here;
+        :meth:`solution_pla` materialises it on demand (and
         serialisation does so automatically while the live solution is
         attached).
         """
@@ -131,7 +167,7 @@ class SolveReport:
             num_outputs=len(relation.outputs),
             pairs=relation.pair_count(),
             cost=solution.cost,
-            compatible=relation.is_compatible(solution.functions),
+            compatible=_compatible(relation, solution),
             bdd_sizes=solution.bdd_sizes(),
             cube_count=solution.cube_count(),
             literal_count=solution.literal_count(),
@@ -183,8 +219,19 @@ class SolveReport:
         Built on first use — the enumeration of every input vertex is
         paid only by callers who want it — from the live solution, or
         from the template when the report crossed a manager boundary.
+        A live solution held as truth tables is written straight from
+        them (:func:`~repro.core.relio.table_rows`); the text is the
+        one :func:`~repro.core.relio.write_relation` gives for its
+        nodes.
         """
         if self.pla is not None or self._inputs is None:
+            return self.pla
+        solution = self.solution
+        if (solution is not None and solution.tables is not None
+                and solution.frame == tuple(sorted(self._inputs))):
+            self.pla = write_rows(
+                len(self._inputs), len(self._outputs),
+                table_rows(solution.tables, solution.frame, self._inputs))
             return self.pla
         if self.solution is not None:
             mgr, inputs, outputs = (self.solution.mgr, self._inputs,

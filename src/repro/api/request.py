@@ -50,11 +50,13 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
 
 from ..core.brel import BrelOptions
 from ..core.explore import check_int, suggest
+from ..core.packedrel import PackedRelation, narrow, pack_nodes, pack_rows
 from ..core.portfolio import (RACER_DELTA_FIELDS, normalize_racers,
                               racers_cache_key)
 from ..core.relation import (BooleanRelation, check_output_sets,
                              check_truth_tables)
-from ..core.relio import RelationNodes, check_nodes, relation_from_nodes
+from ..core.relio import (RelationNodes, check_nodes, parse_rows,
+                          relation_from_nodes)
 from .registry import cost_registry, minimizer_registry
 
 #: What callers may pass as a relation source.
@@ -248,6 +250,31 @@ def build_relation(spec: RelationSpec) -> BooleanRelation:
     return relation_of_spec(normalize_relation_spec(spec))
 
 
+def _spec_rows(spec: Mapping[str, Any]) -> Tuple[Sequence[Any], int, int]:
+    """``(rows, num_inputs, num_outputs)`` of a normalised tabular,
+    ``bench``, ``pla`` or ``file`` spec: each source's one row
+    producer, in the tabular notation of
+    :meth:`~repro.core.relation.BooleanRelation.from_output_sets`."""
+    kind = spec["kind"]
+    if kind == "output_sets":
+        return spec["rows"], spec["num_inputs"], spec["num_outputs"]
+    if kind == "truth_tables":
+        tables = spec["tables"]
+        return (truth_tables_to_output_sets(tables, spec["num_inputs"]),
+                spec["num_inputs"], len(tables))
+    if kind == "bench":
+        from ..benchdata import instance_by_name
+        instance = instance_by_name(spec["name"])
+        return instance.rows(), instance.num_inputs, instance.num_outputs
+    if kind == "file":
+        with open(spec["path"], "r", encoding="ascii") as handle:
+            text = handle.read()
+    else:  # kind == "pla"
+        text = spec["text"]
+    num_inputs, num_outputs, rows = parse_rows(text)
+    return rows, num_inputs, num_outputs
+
+
 def relation_of_spec(spec: Mapping[str, Any]) -> BooleanRelation:
     """:func:`build_relation` of a *normalised* spec (no re-check)."""
     kind = spec["kind"]
@@ -255,35 +282,51 @@ def relation_of_spec(spec: Mapping[str, Any]) -> BooleanRelation:
         raise ValueError("relation %r is a session name; resolve it "
                          "through Session.solve()/solve_many()"
                          % spec["name"])
-    if kind == "file":
-        from ..core.relio import load_relation
-        return load_relation(spec["path"])
-    if kind == "pla":
-        from ..core.relio import parse_relation
-        return parse_relation(spec["text"])
     if kind == "nodes":
         return relation_from_nodes(nodes_of_spec(spec))
-    if kind == "bench":
-        from ..benchdata import instance_by_name
-        return instance_by_name(spec["name"]).build()
-    if kind == "output_sets":
-        return BooleanRelation.from_output_sets(
-            [set(row) for row in spec["rows"]],
-            spec["num_inputs"], spec["num_outputs"])
-    if kind == "truth_tables":
-        num_inputs = spec["num_inputs"]
-        tables = spec["tables"]
-        rows = truth_tables_to_output_sets(tables, num_inputs)
-        return BooleanRelation.from_output_sets(rows, num_inputs,
-                                                len(tables))
-    # kind == "equations"
-    from ..equations.system import BooleanSystem
-    system = BooleanSystem.parse(list(spec["equations"]),
-                                 list(spec["independents"]),
-                                 list(spec["dependents"]))
-    if not system.is_consistent():
-        raise ValueError("the Boolean system is inconsistent")
-    return system.to_relation()
+    if kind == "equations":
+        from ..equations.system import BooleanSystem
+        system = BooleanSystem.parse(list(spec["equations"]),
+                                     list(spec["independents"]),
+                                     list(spec["dependents"]))
+        if not system.is_consistent():
+            raise ValueError("the Boolean system is inconsistent")
+        return system.to_relation()
+    return BooleanRelation.from_output_sets(*_spec_rows(spec))
+
+
+def root_of_nodes(data: RelationNodes
+                  ) -> Union[BooleanRelation, PackedRelation]:
+    """The solve root of trusted node-list data: packed straight from
+    the list when its frame is :func:`~repro.core.packedrel.narrow`,
+    else :func:`~repro.core.relio.relation_from_nodes`."""
+    if narrow(len(data.inputs), len(data.outputs)):
+        return pack_nodes(data)
+    return relation_from_nodes(data)
+
+
+def root_of_spec(spec: Mapping[str, Any]
+                 ) -> Union[BooleanRelation, PackedRelation]:
+    """The relation a solve of a *normalised* spec starts from.
+
+    A narrow relation (:func:`~repro.core.packedrel.narrow`, the width
+    test of :func:`~repro.core.packedrel.pack_relation`) is packed
+    straight from the spec's rows or node list, and no BDD node is
+    built for it; its table equals
+    ``pack_relation(relation_of_spec(spec))``.  Wider relations get
+    the node builders of :func:`relation_of_spec` over the same rows,
+    and equation systems (and session names, which raise) go through
+    :func:`relation_of_spec` itself.
+    """
+    kind = spec["kind"]
+    if kind == "nodes":
+        return root_of_nodes(nodes_of_spec(spec))
+    if kind in ("name", "equations"):
+        return relation_of_spec(spec)
+    rows, num_inputs, num_outputs = _spec_rows(spec)
+    if narrow(num_inputs, num_outputs):
+        return pack_rows(rows, num_inputs, num_outputs)
+    return BooleanRelation.from_output_sets(rows, num_inputs, num_outputs)
 
 
 def merge_manifest_jobs(data: Any, base: str = "") -> List[Dict[str, Any]]:

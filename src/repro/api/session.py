@@ -41,6 +41,14 @@ only.  (Custom registry entries reach workers through the default
 ``fork`` start method on POSIX; under ``spawn`` they must be registered
 at import time of a module the workers import.)
 
+A solve of a self-contained spec starts from :func:`root_of_spec`: a
+narrow spec (16 variables or fewer) is packed straight into its root
+table, with no BDD node built, and its report reads that table; wider
+specs, equation systems and session names are built on nodes.  Serial
+batch jobs and node-list jobs (a node spec, or a pool worker's job)
+build their roots the same way; a process batch still flattens a
+non-node spec to the node list of its relation on nodes.
+
 Every solve explores its relation from scratch: the session caches
 whole reports, never subproblems.
 """
@@ -58,18 +66,23 @@ from ..core.brel import BrelResult, BrelSolver
 from ..core.explore import (CancelToken, Improvement, Observer,
                             check_executor)
 from ..core.memo import instantiate_solution
+from ..core.packedrel import PackedRelation
 from ..core.relation import BooleanRelation
 from ..core.relio import (RelationNodes, parse_relation, peek_shape,
-                          relation_from_nodes, relation_to_nodes)
+                          relation_to_nodes)
 from ..core.solution import Solution
 from .report import SolveReport
 from .request import (RelationSpec, SolveRequest, nodes_of_spec,
                       normalize_relation_spec, relation_of_spec,
-                      relation_spec_to_jsonable,
-                      truth_tables_to_output_sets)
+                      relation_spec_to_jsonable, root_of_nodes,
+                      root_of_spec, truth_tables_to_output_sets)
 
 #: What solve()/solve_many() accept as the thing to solve.
 RelationLike = Union[BooleanRelation, RelationSpec]
+
+#: What a solve starts from: a relation on nodes, or a narrow spec's
+#: root packed straight from the spec (:func:`root_of_spec`).
+Root = Union[BooleanRelation, PackedRelation]
 
 #: Node count past which a session garbage-collects a manager between
 #: solves (None disables auto-trimming).
@@ -98,8 +111,9 @@ def _run_job(job: Dict[str, Any],
         relation = job.get("relation")
         built = relation is None
         if built:
-            # A node-spec job, or a pool job: built only now.
-            relation = relation_from_nodes(job["nodes"])
+            # A node-spec job, or a pool job: built only now, packed
+            # straight from the list when it is narrow.
+            relation = root_of_nodes(job["nodes"])
         result = BrelSolver(request.to_options()).solve(relation,
                                                         cancel=cancel)
         report = SolveReport.from_result(relation, result,
@@ -430,8 +444,7 @@ class Session:
             return {"kind": "pla", "text": handle.read()}
 
     @staticmethod
-    def _portable_solution(report: SolveReport,
-                           relation: Optional[BooleanRelation]
+    def _portable_solution(report: SolveReport, relation: Optional[Root]
                            ) -> Optional[Solution]:
         """``report``'s solution, live in ``relation``'s manager.
 
@@ -459,7 +472,7 @@ class Session:
                         report.cost)
 
     def _hand_over(self, report: SolveReport,
-                   relation: Optional[BooleanRelation]) -> Dict[str, Any]:
+                   relation: Optional[Root]) -> Dict[str, Any]:
         """Copy changes giving a batch caller ``report`` on ``relation``.
 
         A job the batch built no relation for (``None``: a node spec, or
@@ -574,16 +587,17 @@ class Session:
                      spec: Optional[Dict[str, Any]],
                      key: Tuple[Any, ...], from_registry: bool,
                      request: SolveRequest
-                     ) -> Tuple[BooleanRelation, Tuple[Any, ...], bool]:
+                     ) -> Tuple[Root, Tuple[Any, ...], bool]:
         """Build (or trim around) the relation a solve will run on.
 
         Returns the relation, its key and whether it was built from the
-        spec here.
+        spec here.  A spec is built by :func:`root_of_spec`, so a
+        narrow one comes packed, with no BDD node.
         """
         if resolved is None:
             # Spec-built relations get a fresh manager per call; there is
             # nothing from earlier solves to reclaim in it.
-            return relation_of_spec(spec), key, True
+            return root_of_spec(spec), key, True
         if from_registry:
             # Auto-trim only fires for registry-resolved relations: the
             # session can remap those safely.  Trimming around a
@@ -595,7 +609,7 @@ class Session:
                 return trimmed, self._live_key(trimmed, request), False
         return resolved, key, False
 
-    def _finish(self, request: SolveRequest, resolved: BooleanRelation,
+    def _finish(self, request: SolveRequest, resolved: Root,
                 result: BrelResult, key: Tuple[Any, ...],
                 spec_built: bool) -> SolveReport:
         """Report a fresh run, cache it, and release a spec's manager."""
@@ -689,7 +703,7 @@ class Session:
         yield Improvement(hit.solution, hit.cost, 0.0, 0)
         return hit
 
-    def _solve_iter(self, request: SolveRequest, resolved: BooleanRelation,
+    def _solve_iter(self, request: SolveRequest, resolved: Root,
                     key: Tuple[Any, ...], spec_built: bool,
                     cancel: Optional[CancelToken],
                     observer: Optional[Observer]
@@ -748,7 +762,7 @@ class Session:
         reports: List[Optional[SolveReport]] = [None] * len(requests)
         pending: Dict[Tuple[Any, ...], List[int]] = {}
         jobs: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-        spec_built: List[BooleanRelation] = []
+        spec_built: List[Root] = []
 
         for index, request in enumerate(requests):
             label = request.label or "job-%d" % index
@@ -759,14 +773,17 @@ class Session:
                 if cached is None and key not in jobs:
                     # A node spec's own list (the request checked it)
                     # ships as it is, and a serial job builds it when it
-                    # is solved; any other spec is built here, and
-                    # flattened for the pool only.
+                    # is solved; any other spec is built here: its root
+                    # for a serial job, and for the pool the relation on
+                    # nodes, flattened.
                     nodes: Optional[RelationNodes] = None
                     if spec["kind"] == "nodes":
                         nodes = nodes_of_spec(spec)
                     else:
                         if not from_registry:
-                            resolved = relation_of_spec(spec)
+                            resolved = (relation_of_spec(spec)
+                                        if executor == "process"
+                                        else root_of_spec(spec))
                             spec_built.append(resolved)
                         if executor == "process":
                             nodes = relation_to_nodes(resolved)

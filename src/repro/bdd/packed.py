@@ -120,6 +120,42 @@ def spread(table: int, width: int, keep: int) -> int:
     return table
 
 
+def vertex_indices(positions: Sequence[int]) -> List[int]:
+    """The table index of every vertex of the inputs on ``positions``:
+    bit ``i`` of a vertex is the input on position ``positions[i]``."""
+    indices = [0]
+    for position in positions:
+        bit = 1 << position
+        indices += [index | bit for index in indices]
+    return indices
+
+
+def permute(table: int, width: int, sources: Sequence[int]) -> int:
+    """A table over ``width`` positions restated so that position
+    ``width-1-r`` holds the variable that was on position
+    ``sources[r]`` (``sources`` names every position once): one swap
+    of two positions per variable that moves."""
+    zeros, ones = frame_masks(width)
+    held = list(range(width))   # held[p]: the source position now on p
+    where = list(range(width))  # where[s]: where source position s is
+    for r, source in enumerate(sources):
+        target, p = width - 1 - r, where[source]
+        if p == target:
+            continue
+        low, high = (p, target) if p < target else (target, p)
+        # Entries with ``low`` set and ``high`` clear trade places with
+        # their mirror images, which lie ``shift`` indices above.
+        shift = (1 << high) - (1 << low)
+        up = table & ones[low] & zeros[high]
+        down = table & zeros[low] & ones[high]
+        table ^= up ^ down
+        table |= (up << shift) | (down >> shift)
+        other = held[target]
+        held[target], held[p] = source, other
+        where[source], where[other] = target, p
+    return table
+
+
 def pack(mgr: BddManager, nodes: Sequence[int],
          frame: Sequence[int]) -> List[int]:
     """Packed tables of BDD ``nodes`` over ``frame`` (sorted variables

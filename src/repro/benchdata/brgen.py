@@ -54,10 +54,11 @@ def random_output_set(rng: random.Random, num_outputs: int,
     return {rng.randrange(space)}
 
 
-def random_relation(num_inputs: int, num_outputs: int, seed: int,
-                    flexibility: float = 0.5,
-                    non_cube_fraction: float = 0.5) -> BooleanRelation:
-    """A seeded, well-defined random BR with controlled flexibility."""
+def random_rows(num_inputs: int, num_outputs: int, seed: int,
+                flexibility: float = 0.5,
+                non_cube_fraction: float = 0.5) -> List[Set[int]]:
+    """The output-set rows of :func:`random_relation`: one non-empty
+    set of permitted output vertices per input vertex."""
     rng = random.Random(seed)
     rows: List[Set[int]] = []
     for _ in range(1 << num_inputs):
@@ -66,7 +67,17 @@ def random_relation(num_inputs: int, num_outputs: int, seed: int,
             rows.append(random_output_set(rng, num_outputs, non_cube))
         else:
             rows.append({rng.randrange(1 << num_outputs)})
-    return BooleanRelation.from_output_sets(rows, num_inputs, num_outputs)
+    return rows
+
+
+def random_relation(num_inputs: int, num_outputs: int, seed: int,
+                    flexibility: float = 0.5,
+                    non_cube_fraction: float = 0.5) -> BooleanRelation:
+    """A seeded, well-defined random BR with controlled flexibility."""
+    return BooleanRelation.from_output_sets(
+        random_rows(num_inputs, num_outputs, seed, flexibility,
+                    non_cube_fraction),
+        num_inputs, num_outputs)
 
 
 def block_structured_relation(

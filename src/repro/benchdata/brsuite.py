@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.relation import BooleanRelation
-from .brgen import random_relation
+from .brgen import random_relation, random_rows
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,18 @@ class BrInstance:
     flexibility: float
     non_cube_fraction: float
 
+    def rows(self) -> List[Set[int]]:
+        """The instance's output-set rows (:func:`random_rows`)."""
+        return random_rows(self.num_inputs, self.num_outputs, self._seed(),
+                           self.flexibility, self.non_cube_fraction)
+
     def build(self) -> BooleanRelation:
-        seed = zlib.crc32(self.name.encode("ascii"))
-        return random_relation(self.num_inputs, self.num_outputs, seed,
-                               self.flexibility, self.non_cube_fraction)
+        return random_relation(self.num_inputs, self.num_outputs,
+                               self._seed(), self.flexibility,
+                               self.non_cube_fraction)
+
+    def _seed(self) -> int:
+        return zlib.crc32(self.name.encode("ascii"))
 
 
 #: The Table 2 instance list (name, PI, PO, flexibility, non-cube share).

@@ -41,10 +41,11 @@ and :meth:`BrelSolver.iter_solve` yields every strictly improving
 As in the paper, every explored subrelation is projected, minimised and
 split from scratch; nothing is looked up across subproblems or solves.
 A relation whose frame fits the packed MISF layer
-(:mod:`repro.core.packedrel`) is packed once, at the root of its solve,
-and runs on its truth table down to every leaf: the frontier holds
-packed subrelations, and nodes are built only for the incumbents a
-caller reads.  Wider relations run the same loop on nodes.
+(:mod:`repro.core.packedrel`) is packed once, at the root of its solve
+(a narrow spec's root arrives packed and is taken as it is), and runs
+on its truth table down to every leaf: the frontier holds packed
+subrelations, and nodes are built only for the incumbents a caller
+reads.  Wider relations run the same loop on nodes.
 A solve runs in its caller's process and thread: the blocks of a
 sharded solve run one after another, and portfolio racers take turns
 (:mod:`repro.core.portfolio`).  Parallelism lives one level up, in
@@ -63,7 +64,7 @@ from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
 from .minimize import IsfMinimizer, minimize_isop
 from .partition import (Partition, merge_block_stats, partition_relation,
-                        worst_stopped)
+                        support_components, worst_stopped)
 from .packedrel import PackedRelation, pack_relation
 from .quick import quick_solve
 from .relation import BooleanRelation
@@ -272,7 +273,7 @@ class BrelSolver:
         return observers
 
     # ------------------------------------------------------------------
-    def solve(self, relation: BooleanRelation,
+    def solve(self, relation: Union[BooleanRelation, PackedRelation],
               cancel: Optional[CancelToken] = None,
               observer: Optional[Observer] = None) -> BrelResult:
         """Solve a well-defined relation; raises if it is not left-total.
@@ -290,7 +291,7 @@ class BrelSolver:
             for fn in observers:
                 fn(event)
 
-    def iter_solve(self, relation: BooleanRelation,
+    def iter_solve(self, relation: Union[BooleanRelation, PackedRelation],
                    cancel: Optional[CancelToken] = None,
                    observer: Optional[Observer] = None
                    ) -> Generator[Improvement, None, BrelResult]:
@@ -317,7 +318,7 @@ class BrelSolver:
                                   event.elapsed_seconds, event.explored)
 
     # ------------------------------------------------------------------
-    def iter_events(self, relation: BooleanRelation,
+    def iter_events(self, relation: Union[BooleanRelation, PackedRelation],
                     cancel: Optional[CancelToken] = None
                     ) -> Generator[SolveEvent, None, BrelResult]:
         """The solver loop as a typed event stream.
@@ -347,25 +348,32 @@ class BrelSolver:
         finally:
             mgr.exit_solve()
 
-    def _iter_events_scoped(self, relation: BooleanRelation,
+    def _iter_events_scoped(self,
+                            relation: Union[BooleanRelation,
+                                            PackedRelation],
                             cancel: Optional[CancelToken]
                             ) -> Generator[SolveEvent, None, BrelResult]:
         """:meth:`iter_events` inside the manager's solve scope.
 
         A relation :func:`~repro.core.packedrel.pack_relation` takes is
-        packed here, once: the partition reads its output supports off
-        the table, and the search runs on it.
+        packed here, once (a root packed from its spec is taken as it
+        is), and the search runs on it.  The output supports come off
+        the table; the partition gets the relation on nodes only when
+        they form two or more components.
         """
         root = pack_relation(relation) or relation
         root.require_well_defined()
         options = self.options
-        if options.decompose is not False and len(relation.outputs) >= 2:
-            partition = partition_relation(relation,
-                                           root.output_supports())
-            if not partition.is_trivial:
-                result = yield from self._iter_events_sharded(
-                    partition, cancel)
-                return result
+        if options.decompose is not False and len(root.outputs) >= 2:
+            supports = root.output_supports()
+            if len(support_components(supports)) >= 2:
+                if isinstance(relation, PackedRelation):
+                    relation = relation.unpacked()
+                partition = partition_relation(relation, supports)
+                if not partition.is_trivial:
+                    result = yield from self._iter_events_sharded(
+                        partition, cancel)
+                    return result
         result = yield from self._iter_events_search(root, cancel)
         return result
 

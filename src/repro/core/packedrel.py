@@ -36,34 +36,47 @@ Minimisation takes each ISF compressed to its own support
 kernel.  :class:`PackedRelation` answers the calls the solver loop
 makes on a :class:`~repro.core.relation.BooleanRelation`, with input
 tables for nodes, so a solve packs its root once and the frontier holds
-packed subrelations.  Nodes are built for the incumbents a caller reads
-(:attr:`~repro.core.solution.Solution.functions`) and, under symmetry
-pruning, for relations near the root.
+packed subrelations.
 
-:func:`pack_relation` is the one selection test.  Wider relations, and
-relations whose characteristic function mentions a variable outside
-their frame, keep the node-level path of
-:class:`~repro.core.relation.BooleanRelation`, which also stays the
-reference the packed layer is tested against.
+A narrow spec never becomes nodes at all: :func:`pack_rows` packs
+output-set rows (the ``output_sets``, ``truth_tables``, ``bench``,
+``pla`` and ``file`` specs) and :func:`pack_nodes` a node list straight
+into the root's table, in the manager the node builders would have
+used, and the report reads that table too.  Nodes are built for the
+incumbents a caller reads
+(:attr:`~repro.core.solution.Solution.functions`), and the root's
+:attr:`~PackedRelation.node` — in the manager's level order — only when
+symmetry pruning or a root whose output supports form two or more
+components (the partition's input) reads it.
+
+:func:`narrow` is the one width test and :func:`pack_relation` the one
+selection test.  Wider relations, and relations whose characteristic
+function mentions a variable outside their frame, keep the node-level
+path of :class:`~repro.core.relation.BooleanRelation`, which also stays
+the reference the packed layer is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
-from ..bdd.manager import FALSE, TRUE
-from ..bdd.packed import (_FULLS, MAX_TABLE_WIDTH, _shannon, frame_masks,
-                          pack, pack_positions, packed_isop, spread,
-                          squeeze, table_size)
+from ..bdd.manager import BddManager
+from ..bdd.packed import (_FULLS, MAX_TABLE_WIDTH, frame_masks, pack,
+                          pack_positions, packed_isop, permute, spread,
+                          squeeze, table_size, unpack, vertex_indices)
 from .cost import (CostFunction, bdd_size_cost, bdd_size_squared_cost,
                    cube_count_cost, literal_count_cost,
                    shared_bdd_size_cost)
 from .isf import PackedIsf
 from .minimize import IsfMinimizer, minimize_packed, minimizer_memo_key
-from .relation import BooleanRelation, NotWellDefinedError
+from .relation import (BooleanRelation, NotWellDefinedError,
+                       check_output_sets)
+from .relio import RelationNodes, nodes_manager
 from .solution import Solution
 
-__all__ = ["PackedRelation", "pack_relation"]
+__all__ = ["PackedRelation", "narrow", "pack_nodes", "pack_relation",
+           "pack_rows"]
 
 #: (n, m) -> the multiplier that copies an n-position table into every
 #: slice of an (n+m)-position one.
@@ -79,28 +92,99 @@ def _replicator(n: int, m: int) -> int:
     return rep
 
 
-def pack_relation(relation: BooleanRelation) -> Optional["PackedRelation"]:
-    """The packed form of ``relation``, or ``None`` to keep it on nodes.
-
-    The one selection test: the relation's frame has at most
-    :data:`~repro.bdd.packed.MAX_TABLE_WIDTH` variables and its
-    characteristic function mentions no variable outside it.
-    """
-    inputs, outputs = relation.inputs, relation.outputs
-    n, m = len(inputs), len(outputs)
-    width = n + m
-    if width > MAX_TABLE_WIDTH:
-        return None
-    mgr = relation.mgr
-    frame = tuple(sorted(inputs))
+def _layout(frame: Sequence[int], outputs: Sequence[int]
+            ) -> Dict[int, int]:
+    """Each variable's table position: ``frame[i]`` on ``n-1-i``,
+    output ``j`` on ``n+j``."""
+    n = len(frame)
     position = {var: n - 1 - index for index, var in enumerate(frame)}
     for j, var in enumerate(outputs):
         position[var] = n + j
+    return position
+
+
+def narrow(num_inputs: int, num_outputs: int) -> bool:
+    """The one width test: a frame of ``num_inputs + num_outputs``
+    variables packs when it has at most
+    :data:`~repro.bdd.packed.MAX_TABLE_WIDTH` of them."""
+    return num_inputs + num_outputs <= MAX_TABLE_WIDTH
+
+
+def pack_relation(relation: Union[BooleanRelation, "PackedRelation"]
+                  ) -> Optional["PackedRelation"]:
+    """The packed form of ``relation``, or ``None`` to keep it on nodes.
+
+    The one selection test: the relation's frame is :func:`narrow` and
+    its characteristic function mentions no variable outside it.  A
+    relation already packed (a spec's root, :func:`pack_rows` and
+    :func:`pack_nodes`) comes back as it is.
+    """
+    if isinstance(relation, PackedRelation):
+        return relation
+    inputs, outputs = relation.inputs, relation.outputs
+    n, m = len(inputs), len(outputs)
+    if not narrow(n, m):
+        return None
+    mgr = relation.mgr
+    frame = tuple(sorted(inputs))
     try:
-        (table,) = pack_positions(mgr, (relation.node,), position, width)
+        (table,) = pack_positions(mgr, (relation.node,),
+                                  _layout(frame, outputs), n + m)
     except KeyError:
         return None
     return PackedRelation(mgr, inputs, outputs, frame, table, relation.node)
+
+
+def pack_rows(rows: Sequence[Iterable[int]], num_inputs: int,
+              num_outputs: int) -> "PackedRelation":
+    """The relation of output-set rows, packed with no node built.
+
+    ``rows`` is the tabular notation of
+    :meth:`~repro.core.relation.BooleanRelation.from_output_sets`,
+    checked as it checks it, and the relation lives in a fresh manager
+    holding ``x0..`` then ``y0..`` as that builder's does, so the table
+    equals :func:`pack_relation` of the node it builds.  The frame must
+    be :func:`narrow`.
+    """
+    check_output_sets(rows, num_inputs, num_outputs)
+    n, m = num_inputs, num_outputs
+    # Input i of a row's vertex sits on position n-1-i.
+    index = vertex_indices(range(n - 1, -1, -1))
+    bits = bytearray(((1 << (n + m)) + 7) >> 3)
+    for vertex, outputs in enumerate(rows):
+        base = index[vertex]
+        for value in outputs:
+            entry = base | (value << n)
+            bits[entry >> 3] |= 1 << (entry & 7)
+    mgr = BddManager(["x%d" % i for i in range(n)]
+                     + ["y%d" % j for j in range(m)])
+    inputs = tuple(range(n))
+    return PackedRelation(mgr, inputs, tuple(range(n, n + m)), inputs,
+                          int.from_bytes(bits, "little"))
+
+
+def pack_nodes(data: RelationNodes) -> "PackedRelation":
+    """The relation of a node list, packed with no node built.
+
+    ``data`` is trusted (:func:`~repro.core.relio.check_nodes` made
+    it), and the relation lives in the fresh manager
+    :func:`~repro.core.relio.relation_from_nodes` would build it in, so
+    the table equals :func:`pack_relation` of that relation.  Each
+    triple is one mask-and-merge of its children's tables.  The frame
+    must be :func:`narrow`.
+    """
+    inputs, outputs = data.inputs, data.outputs
+    width = len(inputs) + len(outputs)
+    frame = tuple(sorted(inputs))
+    position = _layout(frame, outputs)
+    zeros, ones = frame_masks(width)
+    tables = [0, _FULLS[width]]
+    append = tables.append
+    for rank, lo, hi in data.nodes:
+        p = position[rank]
+        append((tables[lo] & zeros[p]) | (tables[hi] & ones[p]))
+    return PackedRelation(nodes_manager(data), inputs, outputs, frame,
+                          tables[data.root])
 
 
 class PackedRelation:
@@ -150,18 +234,32 @@ class PackedRelation:
 
     @property
     def node(self) -> int:
-        """The characteristic function's node, built on first use (only
-        symmetry pruning reads it)."""
+        """The characteristic function's node, built on first use.
+
+        Only symmetry pruning and the partition of a relation with two
+        or more support components read it.  It is built as
+        :meth:`~repro.core.relation.BooleanRelation.from_output_sets`
+        builds a relation, in the manager's level order: the table is
+        restated with its variables in that order and unpacked, one
+        node per distinct cofactor.
+        """
         if self._node is None:
-            mgr, width, table = self.mgr, self.n + self.m, self.table
-            self._node = (FALSE if not table
-                          else TRUE if table == _FULLS[width]
-                          else _shannon(
-                              lambda var, low, high:
-                              mgr.ite(mgr.var(var), high, low),
-                              table, width, self.outputs[::-1] + self.frame,
-                              {}))
+            position = _layout(self.frame, self.outputs)
+            order = sorted(position)
+            self._node = unpack(
+                self.mgr, permute(self.table, self.n + self.m,
+                                  [position[var] for var in order]),
+                order)
         return self._node
+
+    def unpacked(self) -> BooleanRelation:
+        """The relation on nodes (builds :attr:`node`)."""
+        return BooleanRelation(self.mgr, self.inputs, self.outputs,
+                               self.node)
+
+    def pair_count(self) -> int:
+        """Number of ``(x, y)`` tuples: the table's population count."""
+        return bin(self.table).count("1")
 
     # ------------------------------------------------------------------
     # Well-definedness / functionality

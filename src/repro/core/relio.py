@@ -5,7 +5,12 @@ Two formats live here, with separate jobs:
 * **PLA text** is the user-facing import/export format (relation files,
   ``{"kind": "pla"}`` specs, :attr:`repro.api.SolveReport.pla`).  It
   enumerates every input vertex, so its size is exponential in the
-  number of inputs.
+  number of inputs.  :func:`parse_rows` is the one row parser: it reads
+  the text into output-set rows, which :func:`parse_relation` builds as
+  nodes and a narrow spec packs straight into a table
+  (:func:`repro.core.packedrel.pack_rows`).  :func:`write_rows` is the
+  one row formatter: :func:`write_relation` feeds it a relation's rows,
+  and a solution held as truth tables feeds it :func:`table_rows`.
 * **The node list** (:class:`RelationNodes`) is the internal transport:
   whenever the program moves a relation between managers or processes
   it ships the post-order ``(rank, lo, hi)`` triples of the
@@ -13,9 +18,12 @@ Two formats live here, with separate jobs:
   :func:`relation_from_nodes`).  Both directions are linear in the size
   of the BDD.  Ranks index the relation's variable frame compacted in
   the source manager's level order; refs ``0``/``1`` are the terminals
-  and ref ``k + 2`` is triple ``k``.  By ROBDD canonicity equal
-  relations over the same frame give equal tuples, so the data doubles
-  as an exact cache key.  It is also a relation spec kind
+  and ref ``k + 2`` is triple ``k``.  A narrow list is packed straight
+  into a table (:func:`repro.core.packedrel.pack_nodes`) in the manager
+  :func:`nodes_manager` gives, the one :func:`relation_from_nodes`
+  builds in.  By ROBDD canonicity equal relations over the same frame
+  give equal tuples, so the data doubles as an exact cache key.  It is
+  also a relation spec kind
   (``{"kind": "nodes", ...}`` in :mod:`repro.api.request`), validated
   by :func:`check_nodes` on ingest.
 
@@ -44,10 +52,11 @@ dialect:
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
 from ..bdd.manager import FALSE, TRUE, BddManager
+from ..bdd.packed import vertex_indices
 from ..sop.cube import Cube
 from .relation import BooleanRelation
 
@@ -256,28 +265,34 @@ def check_nodes(data: Any) -> RelationNodes:
     return RelationNodes(inputs, outputs, tuple(checked), root)
 
 
+def nodes_manager(data: RelationNodes) -> BddManager:
+    """A fresh manager for node-list data: frame rank ``r`` is variable
+    ``r``, named ``x<i>``/``y<j>`` by position exactly as
+    :func:`parse_relation` names them."""
+    names = [""] * (len(data.inputs) + len(data.outputs))
+    for position, rank in enumerate(data.inputs):
+        names[rank] = "x%d" % position
+    for position, rank in enumerate(data.outputs):
+        names[rank] = "y%d" % position
+    return BddManager(names)
+
+
 def relation_from_nodes(data: Any,
                         mgr: Optional[BddManager] = None
                         ) -> BooleanRelation:
     """Rebuild a relation from node-list data, linear in its size.
 
     ``data`` is a :class:`RelationNodes` (trusted) or anything
-    :func:`check_nodes` accepts (validated first).  Without ``mgr`` a
-    fresh :class:`BddManager` holds frame rank ``r`` as variable ``r``,
-    named ``x<i>``/``y<j>`` by position exactly as :func:`parse_relation`
-    names them.  A given ``mgr`` must already hold the frame: rank
-    ``r`` is its variable ``r``.
+    :func:`check_nodes` accepts (validated first).  Without ``mgr`` the
+    relation lives in :func:`nodes_manager`'s fresh manager.  A given
+    ``mgr`` must already hold the frame: rank ``r`` is its variable
+    ``r``.
     """
     if not isinstance(data, RelationNodes):
         data = check_nodes(data)
     width = len(data.inputs) + len(data.outputs)
     if mgr is None:
-        names = [""] * width
-        for position, rank in enumerate(data.inputs):
-            names[rank] = "x%d" % position
-        for position, rank in enumerate(data.outputs):
-            names[rank] = "y%d" % position
-        mgr = BddManager(names)
+        mgr = nodes_manager(data)
     elif mgr.num_vars < width:
         raise ValueError("manager lacks variables for this relation")
     built = build_nodes(mgr, data.nodes, range(width))
@@ -313,14 +328,14 @@ def peek_shape(text: str) -> Tuple[int, int]:
     raise RelationFormatError("missing .i / .o header")
 
 
-def parse_relation(text: str,
-                   mgr: Optional[BddManager] = None) -> BooleanRelation:
-    """Parse the PLA-dialect text into a :class:`BooleanRelation`.
+def parse_rows(text: str) -> Tuple[int, int, List[Set[int]]]:
+    """Parse PLA-dialect text into ``(num_inputs, num_outputs, rows)``.
 
-    When ``mgr`` is given the relation is built inside that manager
-    (which must already hold enough variables), enabling node sharing
-    across relations — e.g. a :class:`repro.api.Session` ingesting many
-    same-shape relations.
+    ``rows[v]`` is the set of output vertices the text permits at input
+    vertex ``v`` (bit ``i`` of ``v`` is input ``i``, bit ``j`` of an
+    output vertex is output ``j``), empty where no row mentions ``v``:
+    the tabular notation of
+    :meth:`~repro.core.relation.BooleanRelation.from_output_sets`.
     """
     num_inputs: Optional[int] = None
     num_outputs: Optional[int] = None
@@ -359,8 +374,55 @@ def parse_relation(text: str,
         for vertex in in_cube.minterms():
             for out_value in out_cube.minterms():
                 output_sets[vertex].add(out_value)
-    return BooleanRelation.from_output_sets(output_sets, num_inputs,
-                                            num_outputs, mgr=mgr)
+    return num_inputs, num_outputs, output_sets
+
+
+def parse_relation(text: str,
+                   mgr: Optional[BddManager] = None) -> BooleanRelation:
+    """Parse the PLA-dialect text into a :class:`BooleanRelation`.
+
+    The rows of :func:`parse_rows`, built as output sets.  When ``mgr``
+    is given the relation is built inside that manager (which must
+    already hold enough variables), enabling node sharing across
+    relations — e.g. a :class:`repro.api.Session` ingesting many
+    same-shape relations.
+    """
+    num_inputs, num_outputs, rows = parse_rows(text)
+    return BooleanRelation.from_output_sets(rows, num_inputs, num_outputs,
+                                            mgr=mgr)
+
+
+def write_rows(num_inputs: int, num_outputs: int,
+               rows: Iterable[Tuple[int, Iterable[int]]],
+               comment: Optional[str] = None) -> str:
+    """PLA-dialect text of ``(input vertex, permitted output vertices)``
+    rows, one line per pair, output vertices in ascending order.
+
+    The one row formatter: :func:`write_relation` feeds it a relation's
+    rows, and a solution held as truth tables feeds it
+    :func:`table_rows`.
+    """
+    lines = []
+    if comment:
+        for part in comment.splitlines():
+            lines.append("# %s" % part)
+    lines.append(".i %d" % num_inputs)
+    lines.append(".o %d" % num_outputs)
+    lines.append(".type fr")
+    # Bit i of a vertex is character i: the binary digits of
+    # ``vertex | 1 << width`` reversed, less the marker bit.
+    in_top, out_top = 1 << num_inputs, 1 << num_outputs
+    out_texts: Dict[int, str] = {}
+    for vertex, outputs in rows:
+        in_text = format(vertex | in_top, "b")[:0:-1]
+        for out_value in sorted(outputs):
+            out_text = out_texts.get(out_value)
+            if out_text is None:
+                out_text = out_texts[out_value] = \
+                    format(out_value | out_top, "b")[:0:-1]
+            lines.append("%s %s" % (in_text, out_text))
+    lines.append(".e")
+    return "\n".join(lines) + "\n"
 
 
 def write_relation(relation: BooleanRelation,
@@ -371,24 +433,34 @@ def write_relation(relation: BooleanRelation,
     compact cube-merging of output sets is possible but the explicit form
     round-trips exactly and keeps the writer simple.
     """
-    num_inputs = len(relation.inputs)
-    num_outputs = len(relation.outputs)
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append("# %s" % part)
-    lines.append(".i %d" % num_inputs)
-    lines.append(".o %d" % num_outputs)
-    lines.append(".type fr")
-    for vertex, outputs in relation.rows():
-        in_text = "".join("1" if (vertex >> i) & 1 else "0"
-                          for i in range(num_inputs))
-        for out_value in sorted(outputs):
-            out_text = "".join("1" if (out_value >> j) & 1 else "0"
-                               for j in range(num_outputs))
-            lines.append("%s %s" % (in_text, out_text))
-    lines.append(".e")
-    return "\n".join(lines) + "\n"
+    return write_rows(len(relation.inputs), len(relation.outputs),
+                      relation.rows(), comment)
+
+
+def table_rows(tables: Sequence[int], frame: Sequence[int],
+               inputs: Sequence[int]) -> Iterator[Tuple[int, Tuple[int]]]:
+    """The rows of a function vector held as truth tables, as
+    :meth:`~repro.core.relation.BooleanRelation.rows` gives them for
+    its functional relation: ``(vertex, (output vertex,))`` per input
+    vertex, bit ``i`` of a vertex being ``inputs[i]``.
+
+    ``tables[j]`` is output ``j`` over ``frame`` in the packed layout
+    (:mod:`repro.bdd.packed`: ``frame[k]`` on position
+    ``len(frame)-1-k``); ``inputs`` lists the frame's variables in
+    positional order.
+    """
+    top = len(frame) - 1
+    position = {var: top - k for k, var in enumerate(frame)}
+    index = vertex_indices([position[var] for var in inputs])
+    marker = 1 << len(index)
+    # Character i of each string is the table's bit i.
+    bits = [format(table | marker, "b")[:0:-1] for table in tables]
+    for vertex, entry in enumerate(index):
+        value = 0
+        for j, column in enumerate(bits):
+            if column[entry] == "1":
+                value |= 1 << j
+        yield vertex, (value,)
 
 
 def load_relation(path: str,

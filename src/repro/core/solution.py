@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.manager import BddManager
-from ..bdd.packed import packed_isop, unpack
+from ..bdd.packed import packed_isop, table_size, unpack
 from .memo import SolutionTemplate, rank_cover
 
 
@@ -51,7 +51,12 @@ class Solution:
         return self._functions
 
     def bdd_sizes(self) -> List[int]:
-        """Per-output BDD sizes."""
+        """Per-output BDD sizes; a packed solution counts them on its
+        tables (:func:`~repro.bdd.packed.table_size`), with no node
+        built."""
+        if self.tables is not None:
+            return [table_size((table,), len(self.frame))
+                    for table in self.tables]
         return [self.mgr.size(func) for func in self.functions]
 
     def _covers(self) -> List[List[Dict[int, bool]]]:

@@ -11,6 +11,11 @@ Grammar (from loosest to tightest binding)::
 Identifiers are alphanumeric-plus-underscore runs, so ``ab`` is a single
 variable named ``ab``; write ``a*b``, ``a&b`` or ``a b`` for conjunction.
 Both prefix (``~a``) and postfix (``a'``) complement are accepted.
+
+The parser recurses once per parenthesis and prefix complement, so it
+refuses text that nests deeper than :data:`MAX_NESTING` of them with a
+:class:`ParseError`; operator chains and postfix complements are loops
+and may be any length.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from typing import List, Optional, Tuple
 from .ast import And, Const, Expr, Not, Or, Var, Xor
 
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[01]|[()+|&*^~!'])")
+
+#: Most parentheses and prefix complements one expression may nest:
+#: each level costs the parser up to five frames, which keeps the
+#: deepest parse well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -48,6 +58,15 @@ class _Parser:
     def __init__(self, tokens: List[str]) -> None:
         self.tokens = tokens
         self.position = 0
+        self.depth = 0
+
+    def nest(self) -> None:
+        """Enter one more parenthesis or prefix complement."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nests deeper than %d "
+                             "parentheses and prefix complements"
+                             % MAX_NESTING)
 
     def peek(self) -> Optional[str]:
         if self.position < len(self.tokens):
@@ -99,7 +118,10 @@ class _Parser:
         token = self.peek()
         if token in ("~", "!"):
             self.take()
-            return Not(self.parse_factor())
+            self.nest()
+            operand = self.parse_factor()
+            self.depth -= 1
+            return Not(operand)
         node = self.parse_atom()
         while self.peek() == "'":
             self.take()
@@ -109,8 +131,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         token = self.take()
         if token == "(":
+            self.nest()
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if token == "0":
             return Const(False)

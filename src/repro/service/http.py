@@ -15,10 +15,14 @@ carries the whole wire protocol.  The boundary has two halves:
     ``Content-Length`` declares and writes back the JSON answer, or the
     SSE frames one at a time.  A length that is not a decimal integer
     is a 400, one past :data:`~repro.service.app.MAX_BODY_BYTES` a 413
-    and a ``Transfer-Encoding`` body a 411; then no body is read and
-    the connection is closed, so no unread bytes are parsed as the next
-    request.  A client that sent ``Expect: 100-continue`` gets that
-    refusal instead of ``100 Continue``, so it never sends the body.
+    and a ``Transfer-Encoding`` body a 411; then the body is never
+    parsed and the connection is closed, so no unread bytes are parsed
+    as the next request.  The close is gentle: the handler shuts its
+    write side and discards what the client still sends, within a
+    fixed time and byte count, so a client that sends the body anyway
+    finishes sending and reads the refusal instead of a reset.  A
+    client that sent ``Expect: 100-continue`` gets that refusal instead
+    of ``100 Continue``, so it never sends the body.
 
 Run it from the CLI (``repro serve --port 8080 --cache-dir CACHE``) or
 embed it::
@@ -33,6 +37,8 @@ embed it::
 from __future__ import annotations
 
 import json
+import socket
+import time
 from contextlib import closing
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -172,6 +178,11 @@ def _declared_length(value: str) -> Optional[int]:
 #: Sent with a 400, 411 or 413 that left the body unread.
 _CLOSE = {"Connection": "close"}
 
+#: After such a refusal, the most the handler reads and discards of a
+#: body the client sends anyway, and for how long, before it closes.
+_DRAIN_BYTES = 64 * 1024 * 1024
+_DRAIN_SECONDS = 5.0
+
 
 def _framing(headers: Message) -> Union[int, Response]:
     """The body length the headers declare, or the 400, 411 or 413
@@ -209,7 +220,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         sends the body."""
         framing = _framing(self.headers)
         if isinstance(framing, Response):
-            self._send(framing)
+            self._refuse(framing)
             return False
         return BaseHTTPRequestHandler.handle_expect_100(self)
 
@@ -217,7 +228,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """Read the declared body, then answer through :func:`respond`."""
         framing = _framing(self.headers)
         if isinstance(framing, Response):
-            self._send(framing)
+            self._refuse(framing)
             return
         service = self.server.service  # type: ignore[attr-defined]
         self._send(respond(service, self.command,
@@ -225,6 +236,35 @@ class ServiceHandler(BaseHTTPRequestHandler):
                            self.rfile.read(framing)))
 
     do_GET = do_POST
+
+    def _refuse(self, response: Response) -> None:
+        """Send a refusal that leaves the body unparsed, then close.
+
+        Closing a socket with unread bytes resets the connection, and a
+        client still sending its body would lose the answer with it.
+        So the write side is shut first (the client reads the answer to
+        its end), and what the client still sends is read and
+        discarded until it closes, :data:`_DRAIN_BYTES` have come or
+        :data:`_DRAIN_SECONDS` have passed.
+        """
+        self._send(response)
+        self.close_connection = True
+        sock = self.connection
+        deadline = time.monotonic() + _DRAIN_SECONDS
+        left = _DRAIN_BYTES
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while left > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                sock.settimeout(remaining)
+                chunk = sock.recv(min(left, 1 << 16))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:
+            pass  # the client is gone, or too slow: close now
 
     def _send(self, response: Response) -> None:
         try:

@@ -14,10 +14,11 @@ import pytest
 
 from repro.api import Session, SolveRequest
 from repro.api import session as session_module
+from repro.api.request import root_of_nodes
 from repro.bdd import BddManager
 from repro.benchdata.brgen import random_relation
 from repro.core.memo import solution_template
-from repro.core.relio import relation_from_nodes, relation_to_nodes
+from repro.core.relio import relation_to_nodes
 
 FIG1_ROWS = [{0b01}, {0b01}, {0b00, 0b11}, {0b10, 0b11}]
 
@@ -48,9 +49,9 @@ def count_builds(monkeypatch):
 
     def counting(data, *args, **kwargs):
         calls.append(data)
-        return relation_from_nodes(data, *args, **kwargs)
+        return root_of_nodes(data, *args, **kwargs)
 
-    monkeypatch.setattr(session_module, "relation_from_nodes", counting)
+    monkeypatch.setattr(session_module, "root_of_nodes", counting)
     return calls
 
 

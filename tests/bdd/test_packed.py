@@ -8,7 +8,8 @@ evaluation:
 
 * ``frame_masks`` are the packed tables of the frame's literals;
 * ``pack`` agrees with ``eval`` at every point, ``unpack`` inverts it,
-  and ``pack_positions`` honours any assignment of positions;
+  ``pack_positions`` honours any assignment of positions, and
+  ``permute`` moves a table from one such assignment to another;
 * ``squeeze`` is ``pack`` over the kept sub-frame, ``spread`` its inverse;
 * ``table_size`` is ``shared_size`` of the packed nodes;
 * ``cover_table`` is the OR of its cubes' nodes;
@@ -34,8 +35,8 @@ from repro.bdd.manager import FALSE, TRUE
 from repro.bdd.packed import (MAX_FRAME_WIDTH, MAX_TABLE_WIDTH,
                               cover_table, eliminate, frame_masks,
                               interval_isop, pack, pack_positions,
-                              packed_isop, spread, squeeze, table_nodes,
-                              table_size, unpack)
+                              packed_isop, permute, spread, squeeze,
+                              table_nodes, table_size, unpack)
 from repro.core.isf import Isf
 from repro.core.minimize import (_isop_pipeline,
                                  eliminate_nonessential_variables)
@@ -341,6 +342,23 @@ class TestPack:
         node = mgr.and_(mgr.var(0), mgr.var(2))
         with pytest.raises(KeyError):
             pack(mgr, [node], [0, 1])
+
+    @pytest.mark.parametrize("width", FRAME_WIDTHS)
+    def test_permute_is_pack_positions_in_the_new_order(self, width):
+        rng = random.Random(350 + width)
+        mgr, frame = gapped_frame(width, rng)
+        positions = list(range(width))
+        rng.shuffle(positions)
+        position = dict(zip(frame, positions))
+        order = list(frame)
+        rng.shuffle(order)
+        target = {var: width - 1 - r for r, var in enumerate(order)}
+        nodes = random_functions(mgr, frame, rng)
+        for node, table in zip(nodes, pack_positions(mgr, nodes, position,
+                                                     width)):
+            assert permute(table, width,
+                           [position[var] for var in order]) == \
+                pack_positions(mgr, [node], target, width)[0]
 
 
 class TestSqueezeSpread:

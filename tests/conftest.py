@@ -1,6 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test suite.
 
-The central testing idea (DESIGN.md Section 6): everything small is checked
+The central testing idea (README, "Tests"): everything small is checked
 against explicit truth-table semantics.  A Boolean function over ``n``
 variables is encoded as an integer bitmask with bit ``i`` holding the value
 of the function on the assignment encoded by ``i`` (bit ``j`` of ``i`` is

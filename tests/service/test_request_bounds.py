@@ -3,10 +3,11 @@
 * The stdlib server caps request bodies at
   ``repro.service.app.MAX_BODY_BYTES`` and answers 413 past it; a
   ``Content-Length`` that is not a decimal integer is a 400 and a
-  chunked body a 411.  In each case it reads no body, the service
-  never sees the request and the connection closes.  Every body within the limit is read before
-  routing, so a kept-alive connection never parses a leftover body as
-  the next request.  A client that sent ``Expect: 100-continue`` gets
+  chunked body a 411.  In each case it parses no body, the service
+  never sees the request and the connection closes; what a client
+  still sends is drained first, so it reads the refusal.  Every body
+  within the limit is read before routing, so a kept-alive connection
+  never parses a leftover body as the next request.  A client that sent ``Expect: 100-continue`` gets
   the refusal instead of ``100 Continue``.
 * ``num_inputs``/``num_outputs`` of tabular specs are checked — ints,
   not bools, within ``MAX_SPEC_INPUTS``/``MAX_SPEC_OUTPUTS`` — before
@@ -184,6 +185,29 @@ class TestKeepAlive:
                   b"Transfer-Encoding: chunked", chunked, closes=True)
         assert status == 411
         assert "Content-Length" in payload["error"]
+        assert service.seen == []
+
+
+class TestRefusedBodyStillAnswers:
+    def test_client_sending_the_body_reads_the_413(self, serve,
+                                                   monkeypatch):
+        # A client without "Expect: 100-continue" sends the whole body
+        # before it reads anything; the server drains what it refused,
+        # so the client gets the 413 rather than a reset connection.
+        monkeypatch.setattr(http_module, "MAX_BODY_BYTES", 4096)
+        service = RecordingService()
+        port = serve(service)
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=30)
+        try:
+            connection.request("POST", "/solve", body=b" " * (4 << 20))
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert "too large" in payload["error"]
+        assert response.headers["Connection"] == "close"
         assert service.seen == []
 
 

@@ -150,3 +150,36 @@ class TestBadSpecs:
         assert "error" in json.loads(response.body)
         assert service.request_counts[counter] == 1
         assert service.request_counts["errors"] == 1
+
+
+def equations(text, independents=("a", "b"), dependents=("y",)):
+    return {"relation": {"kind": "equations", "equations": [text],
+                         "independents": list(independents),
+                         "dependents": list(dependents)},
+            "max_explored": 4}
+
+
+class TestDeepEquations:
+    """Nesting past the parser's bound is the client's 400; chains of
+    any length are loops, and solve."""
+
+    @pytest.mark.parametrize("text", [
+        "y = " + "(" * 300 + "a" + ")" * 300,
+        "y = " + "~" * 1200 + "a",
+    ], ids=["parentheses", "prefix-complements"])
+    def test_nesting_is_400_naming_the_limit(self, text):
+        response = post(SolveService(), "/solve", equations(text))
+        assert response.status == 400
+        assert "nests deeper than 100" in json.loads(response.body)["error"]
+
+    @pytest.mark.parametrize("text,sop", [
+        ("y = " + " & ".join(["a", "b"] * 1500), "f0 = ab"),
+        ("y = " + " | ".join(["a", "b"] * 1500), "f0 = a + b"),
+        ("y = a" + "'" * 3000, "f0 = a"),
+    ], ids=["and-chain", "or-chain", "postfix-complements"])
+    def test_chains_solve(self, text, sop):
+        response = post(SolveService(), "/solve", equations(text))
+        assert response.status == 200
+        report = json.loads(response.body)
+        assert report["ok"] and report["compatible"]
+        assert report["sop"] == sop

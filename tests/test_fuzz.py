@@ -1,5 +1,5 @@
 """Seeded fuzzing of the input boundaries: BLIF text, resynthesis
-requests and solve requests.
+requests, solve requests and the equation systems they carry.
 
 Every mutant must either be accepted or fail with a ``ValueError`` (the
 one error class the service answers 400), within a time bound per
@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro import SolveRequest
+from repro import Session, SolveRequest
 from repro.benchdata.circuits import CIRCUITS
 from repro.network.blif import parse_blif, write_blif
 from repro.resynth import ResynthRequest
@@ -69,6 +69,16 @@ SOLVE_VALUES = [None, True, False, 0, 1, -1, 3, 2.5, float("nan"),
                  "num_inputs": 1},
                 {"kind": "equations", "equations": 5,
                  "independents": ["a"], "dependents": ["b"]}]
+#: Equation-system mutants: the base system, the tokens spliced into
+#: its text, and how deep a spliced nesting or chain may go (past the
+#: parser's nesting bound and the interpreter's recursion limit).
+EQUATION_MUTANTS = 3000
+EQUATION_BASE = (["y0 = a & b | ~c", "y1 <= a ^ y0'", "(a + b)' == y1 c"],
+                 ["a", "b", "c"], ["y0", "y1"])
+EQUATION_TOKENS = ["a", "b", "c", "y0", "y1", "d", "0", "1", "(", ")",
+                   "~", "!", "'", "&", "*", "|", "+", "^", "=", "==",
+                   "<=", " ", "$"]
+EQUATION_DEPTHS = [2, 50, 99, 101, 300, 1200, 3000]
 SOLVE_BASE = SolveRequest(relation={
     "kind": "output_sets", "rows": [[1], [1], [0, 3], [2, 3]],
     "num_inputs": 2, "num_outputs": 2}).to_dict()
@@ -138,6 +148,60 @@ def mutate_request(base, rng, fields=REQUEST_FIELDS,
         else:
             data[rng.choice(fields)] = rng.choice(values)
     return data
+
+
+def mutate_equations(rng):
+    """A seeded mutant of :data:`EQUATION_BASE`: spliced tokens, cut or
+    repeated text, deep nestings and long chains, and changed variable
+    lists."""
+    equations, independents, dependents = (list(part)
+                                           for part in EQUATION_BASE)
+    for _ in range(rng.randint(1, 3)):
+        move = rng.randrange(8)
+        index = rng.randrange(len(equations)) if equations else None
+        if index is None:
+            equations.append(rng.choice(EQUATION_BASE[0]))
+        elif move == 0:
+            text = equations[index]
+            at = rng.randrange(len(text) + 1)
+            equations[index] = (text[:at] + rng.choice(EQUATION_TOKENS)
+                                + text[at:])
+        elif move == 1:
+            text = equations[index]
+            start = rng.randrange(len(text) + 1)
+            stop = rng.randrange(start, len(text) + 1)
+            equations[index] = text[:start] + text[stop:] \
+                if rng.random() < 0.5 else text[:stop] + text[start:]
+        elif move == 2:
+            # Nest or chain one variable occurrence, deep or long.
+            depth = rng.choice(EQUATION_DEPTHS)
+            name = rng.choice(["a", "b", "c"])
+            shape = rng.randrange(4)
+            if shape == 0:
+                deep = "(" * depth + name + ")" * depth
+            elif shape == 1:
+                deep = "~" * depth + name
+            elif shape == 2:
+                deep = name + "'" * depth
+            else:
+                deep = rng.choice([" & ", " | ", " ^ ", " "]).join(
+                    [name] * depth)
+            equations[index] = equations[index].replace(name, deep, 1)
+        elif move == 3:
+            del equations[index]
+        elif move == 4:
+            names = rng.choice([independents, dependents])
+            if names and rng.random() < 0.5:
+                del names[rng.randrange(len(names))]
+            else:
+                names.append(rng.choice(["a", "b", "c", "y0", "y1", "d",
+                                         ""]))
+        elif move == 5:
+            independents, dependents = dependents, independents
+        else:
+            equations.append(rng.choice(EQUATION_BASE[0]))
+    return {"kind": "equations", "equations": equations,
+            "independents": independents, "dependents": dependents}
 
 
 class TestFuzz:
@@ -218,3 +282,20 @@ class TestFuzz:
                                                        str)
             assert SolveRequest.from_json(request.to_json()) == request
         assert outcomes["built"] and outcomes["rejected"]
+
+    def test_equation_system_mutants_solve_or_raise_value_error(self):
+        rng = random.Random("equations")
+        session = Session()
+        outcomes = {"solved": 0, "rejected": 0}
+        for _ in range(EQUATION_MUTANTS):
+            spec = mutate_equations(rng)
+            with time_bound(TIME_BOUND):
+                try:
+                    report = session.solve(SolveRequest(relation=spec,
+                                                        max_explored=2))
+                except ValueError:
+                    outcomes["rejected"] += 1
+                    continue
+            outcomes["solved"] += 1
+            assert report.ok and report.compatible, spec
+        assert outcomes["solved"] and outcomes["rejected"]

@@ -1,5 +1,6 @@
 """The public entry points load neither numpy, the table engine nor
-multiprocessing, and the service loads no asyncio.
+multiprocessing, the service loads no asyncio, and ``import repro``
+loads no equation front end.
 
 Each import runs in a fresh interpreter, so modules the rest of the
 suite has already imported cannot hide a module-level import of
@@ -55,3 +56,15 @@ def test_import_loads_no_multiprocessing(module):
     assert [name for name in imported_by(module)
             if name.split(".")[0] == "multiprocessing"
             or name == "concurrent.futures.process"] == []
+
+
+def test_import_repro_loads_no_equations():
+    # repro.BooleanSystem and repro.BooleanEquation load the module on
+    # first use; a solve of any other spec kind never does.
+    assert [name for name in imported_by("repro")
+            if name.startswith("repro.equations")] == []
+    from repro.equations import BooleanEquation, BooleanSystem
+    assert repro.BooleanSystem is BooleanSystem
+    assert repro.BooleanEquation is BooleanEquation
+    with pytest.raises(AttributeError):
+        repro.NoSuchName
