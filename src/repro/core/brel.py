@@ -64,7 +64,7 @@ from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
 from .minimize import IsfMinimizer, minimize_isop
 from .partition import (Partition, merge_block_stats, partition_relation,
-                        support_components, worst_stopped)
+                        worst_stopped)
 from .packedrel import PackedRelation, pack_relation
 from .quick import quick_solve
 from .relation import BooleanRelation
@@ -357,23 +357,18 @@ class BrelSolver:
 
         A relation :func:`~repro.core.packedrel.pack_relation` takes is
         packed here, once (a root packed from its spec is taken as it
-        is), and the search runs on it.  The output supports come off
-        the table; the partition gets the relation on nodes only when
-        they form two or more components.
+        is): the partition reads its output supports off the table, and
+        the search runs on it.
         """
         root = pack_relation(relation) or relation
         root.require_well_defined()
         options = self.options
         if options.decompose is not False and len(root.outputs) >= 2:
-            supports = root.output_supports()
-            if len(support_components(supports)) >= 2:
-                if isinstance(relation, PackedRelation):
-                    relation = relation.unpacked()
-                partition = partition_relation(relation, supports)
-                if not partition.is_trivial:
-                    result = yield from self._iter_events_sharded(
-                        partition, cancel)
-                    return result
+            partition = partition_relation(root, root.output_supports())
+            if not partition.is_trivial:
+                result = yield from self._iter_events_sharded(
+                    partition, cancel)
+                return result
         result = yield from self._iter_events_search(root, cancel)
         return result
 

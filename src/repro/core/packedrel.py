@@ -169,20 +169,33 @@ def pack_nodes(data: RelationNodes) -> "PackedRelation":
     ``data`` is trusted (:func:`~repro.core.relio.check_nodes` made
     it), and the relation lives in the fresh manager
     :func:`~repro.core.relio.relation_from_nodes` would build it in, so
-    the table equals :func:`pack_relation` of that relation.  Each
-    triple is one mask-and-merge of its children's tables.  The frame
-    must be :func:`narrow`.
+    the table equals :func:`pack_relation` of that relation.  Only the
+    triples the root reaches get a table (a list may carry any number
+    of others), each one mask-and-merge of its children's tables, so
+    at most one table per node of the root's reduced BDD is held, as
+    :func:`pack_relation` holds them.  The frame must be
+    :func:`narrow`.
     """
     inputs, outputs = data.inputs, data.outputs
     width = len(inputs) + len(outputs)
     frame = tuple(sorted(inputs))
     position = _layout(frame, outputs)
+    nodes = data.nodes
+    # Children come before their parents: one backward pass marks what
+    # the root reaches.
+    reached = bytearray(len(nodes) + 2)
+    reached[data.root] = 1
+    for ref, (_, lo, hi) in zip(range(len(nodes) + 1, 1, -1),
+                                reversed(nodes)):
+        if reached[ref]:
+            reached[lo] = reached[hi] = 1
     zeros, ones = frame_masks(width)
-    tables = [0, _FULLS[width]]
-    append = tables.append
-    for rank, lo, hi in data.nodes:
-        p = position[rank]
-        append((tables[lo] & zeros[p]) | (tables[hi] & ones[p]))
+    tables = [0] * (len(nodes) + 2)
+    tables[1] = _FULLS[width]
+    for ref, (rank, lo, hi) in enumerate(nodes, 2):
+        if reached[ref]:
+            p = position[rank]
+            tables[ref] = (tables[lo] & zeros[p]) | (tables[hi] & ones[p])
     return PackedRelation(nodes_manager(data), inputs, outputs, frame,
                           tables[data.root])
 

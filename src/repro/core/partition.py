@@ -221,7 +221,8 @@ def partition_relation(relation: BooleanRelation,
 
     Builds the output–input support graph (from ``supports``, the
     per-output input supports, when the caller has them: the solver
-    reads them off the packed root), takes its connected
+    reads them off the packed root, and ``relation.node`` is read only
+    once there are two or more components), takes its connected
     components as candidate blocks, and verifies separability exactly:
     the candidate partition is used only when the conjunction of the
     block projections reproduces ``R`` node for node.  When the global

@@ -11,6 +11,7 @@ reference:
   the node-built relation, at every width 1-16, node lists with
   permuted ranks included, and its node (built on demand, in level
   order) is that relation's node;
+* triples of a node list that the root does not reach get no table;
 * a narrow solve of every kind leaves its manager with no node beyond
   its variables until ``report.solution.functions`` is read, and its
   report (pairs, compatibility, sizes, PLA) matches the node-level
@@ -19,6 +20,7 @@ reference:
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,9 +36,11 @@ from repro.benchdata import SUITE
 from repro.benchdata.brgen import (block_structured_relation,
                                    random_relation)
 from repro.core.brel import BrelResult
-from repro.core.packedrel import PackedRelation, narrow, pack_relation
+from repro.core.packedrel import (PackedRelation, narrow, pack_nodes,
+                                  pack_relation)
 from repro.core.relation import BooleanRelation, NotWellDefinedError
-from repro.core.relio import (relation_to_nodes, table_rows,
+from repro.core.relio import (check_nodes, relation_from_nodes,
+                              relation_to_nodes, table_rows,
                               write_relation, write_rows)
 from repro.core.solution import Solution, SolverStats
 
@@ -162,6 +166,37 @@ class TestRootEqualsPackedNodes:
         path.write_text(write_relation(random_relation(5, 3, seed=2)),
                         encoding="ascii")
         assert_root_matches({"kind": "file", "path": str(path)})
+
+    def test_unreached_triples_get_no_table(self):
+        """A width-16 list carrying 3,000 triples its root never reaches
+        packs to the node builder's table, holding tables only for the
+        few it reaches (one full-width table is 8 KiB)."""
+        mgr = BddManager(["v%d" % var for var in range(16)])
+        inputs, outputs = list(range(8)), list(range(8, 16))
+        node = mgr.xnor_(mgr.var(8), mgr.and_(mgr.var(0), mgr.var(1)))
+        base = relation_to_nodes(BooleanRelation(mgr, inputs, outputs,
+                                                 node))
+        # Every pair of distinct refs below a rank, one rank at a time
+        # from the bottom up, until 3,000 triples were added.
+        nodes, total = list(base.nodes), len(base.nodes) + 3000
+        pool, rank = [0, 1], 16
+        while len(nodes) < total:
+            rank -= 1
+            fresh = [(rank, lo, hi) for lo in pool for hi in pool
+                     if lo != hi and (rank, lo, hi) not in base.nodes]
+            fresh = fresh[:total - len(nodes)]
+            pool += range(len(nodes) + 2, len(nodes) + 2 + len(fresh))
+            nodes += fresh
+        data = check_nodes((base.inputs, base.outputs, nodes, base.root))
+        assert pack_nodes(data).table == \
+            pack_relation(relation_from_nodes(data)).table
+        tracemalloc.start()
+        try:
+            pack_nodes(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_node_lists_in_solve_many(self):
         data = relation_to_nodes(random_relation(4, 3, seed=9))
