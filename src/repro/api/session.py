@@ -114,10 +114,18 @@ def _run_job(job: Dict[str, Any],
             # A node-spec job, or a pool job: built only now, packed
             # straight from the list when it is narrow.
             relation = root_of_nodes(job["nodes"])
-        result = BrelSolver(request.to_options()).solve(relation,
-                                                        cancel=cancel)
-        report = SolveReport.from_result(relation, result,
-                                         request=request_dict, label=label)
+        # As in Session.solve(): the report's covers are read inside the
+        # solve's ISOP scope.
+        mgr = relation.mgr
+        mgr.enter_solve()
+        try:
+            result = BrelSolver(request.to_options()).solve(relation,
+                                                            cancel=cancel)
+            report = SolveReport.from_result(relation, result,
+                                             request=request_dict,
+                                             label=label)
+        finally:
+            mgr.exit_solve()
         if in_worker:
             report.solution_template()
             report.solution = None
@@ -655,9 +663,17 @@ class Session:
             return hit
         resolved, key, spec_built = self._materialize(
             resolved, spec, key, from_registry, request)
-        result = BrelSolver(request.to_options()).solve(
-            resolved, cancel=cancel, observer=observer)
-        return self._finish(request, resolved, result, key, spec_built)
+        # The solve's ISOP scope (BddManager.enter_solve) stays open
+        # until the report is built, so the report's covers look up the
+        # sub-intervals the solve already expanded.
+        mgr = resolved.mgr
+        mgr.enter_solve()
+        try:
+            result = BrelSolver(request.to_options()).solve(
+                resolved, cancel=cancel, observer=observer)
+            return self._finish(request, resolved, result, key, spec_built)
+        finally:
+            mgr.exit_solve()
 
     def solve_iter(self, request: Optional[SolveRequest] = None,
                    relation: Optional[RelationLike] = None, *,
@@ -708,11 +724,17 @@ class Session:
                     cancel: Optional[CancelToken],
                     observer: Optional[Observer]
                     ) -> Generator[Improvement, None, SolveReport]:
-        """The lazy half of :meth:`solve_iter`: the search itself."""
+        """The lazy half of :meth:`solve_iter`: the search itself, and
+        its report inside the solve's ISOP scope, as in :meth:`solve`."""
         solver = BrelSolver(request.to_options())
-        result = yield from solver.iter_solve(resolved, cancel=cancel,
-                                              observer=observer)
-        return self._finish(request, resolved, result, key, spec_built)
+        mgr = resolved.mgr
+        mgr.enter_solve()
+        try:
+            result = yield from solver.iter_solve(resolved, cancel=cancel,
+                                                  observer=observer)
+            return self._finish(request, resolved, result, key, spec_built)
+        finally:
+            mgr.exit_solve()
 
     def solve_many(self, requests: Sequence[SolveRequest],
                    max_workers: Optional[int] = None,

@@ -27,13 +27,23 @@ keys its sub-intervals by handle pair.
 Tables cross the engine boundary in one place each way: :func:`pack`
 packs nodes over a frame and :func:`unpack` builds the node of a table.
 
+The expansion (:func:`expand_packed`), a recursion at most ``k`` calls
+deep, leaves a cover's cubes as a *cube tree*: ``None`` for no cube,
+``()`` for the one empty cube, and for a sub-interval the node ``(top,
+tree0, tree1, tree_dc)``: the cubes of ``tree0`` with the negative
+literal of position ``top``, those of ``tree1`` with the positive one,
+then those of ``tree_dc``.  :func:`tree_cubes` lists a tree only for a
+caller that reads cubes (:func:`interval_isop`, :func:`packed_isop`).
+
 :func:`interval_isop` is the node-level entry point, shared by
 ``BddManager.isop`` and the minimiser pipeline; it hands back the cubes
 over frame variables and the cover's node.  :func:`packed_isop` is its
-twin for callers that already hold the tables (the packed MISF layer,
-:mod:`repro.core.packedrel`, and a packed solution's covers): it hands
-back the cover's table and its cubes over positions, and builds no
-node.  Intervals wider than :data:`MAX_TABLE_WIDTH` run through the
+twin for callers that already hold the tables and read cubes (the cube
+and literal costs of :mod:`repro.core.packedrel`, and a packed
+solution's covers): it hands back the cubes over positions and the
+cover's table, and builds no node.  :func:`packed_cover` hands back the
+cover's table alone, with no cube listed, for the packed minimiser.
+Intervals wider than :data:`MAX_TABLE_WIDTH` run through the
 node-level :func:`~repro.bdd.isop.expand` instead.  Covers (cube order
 included) and nodes equal the node-level expansion's.
 """
@@ -60,14 +70,11 @@ MAX_FRAME_WIDTH = 18
 #: ``limit`` entries (a 9-variable entry costs one slot).
 _BITS_PER_ENTRY = 1 << 9
 
-# Phases of the explicit-stack expansion (as in repro.bdd.isop).
-_EXPAND, _MERGE, _COMBINE = 0, 1, 2
-
 #: ``_FULLS[w]``: the table of TRUE over ``w`` positions.
 _FULLS = [(1 << (1 << w)) - 1 for w in range(MAX_FRAME_WIDTH + 1)]
 
-_EMPTY = ((), 0)
-_TAUTOLOGY = ((),)
+#: A cover's cubes, unlisted: see the module docstring.
+CubeTree = Optional[tuple]
 
 #: k -> (zeros, ones): ``zeros[p]`` marks the table positions where
 #: position ``p`` is 0, ``ones[p]`` its complement.
@@ -316,18 +323,8 @@ def eliminate(k: int, lower: int, upper: int) -> Tuple[int, int]:
     return lower, upper
 
 
-def _widen(result: Tuple[Tuple, int], width: int, target: int
-           ) -> Tuple[Tuple, int]:
-    """A result over ``width`` positions restated over ``target``."""
-    cubes, cover = result
-    while width < target:
-        cover |= cover << (1 << width)
-        width += 1
-    return cubes, cover
-
-
 def expand_packed(k: int, lower: int, upper: int, table: IsopTable,
-                  limit: float) -> Tuple[Tuple[Tuple, int], int, int]:
+                  limit: float) -> Tuple[Tuple[CubeTree, int], int, int]:
     """The Minato-Morreale expansion of packed ``[lower, upper]`` over
     ``k`` positions, step for step as :func:`repro.bdd.isop.expand`.
 
@@ -336,94 +333,82 @@ def expand_packed(k: int, lower: int, upper: int, table: IsopTable,
     sub-interval is its two tables over ``width`` positions, its
     cofactors are the two halves, and it is keyed ``(width, lower,
     upper)`` — the same key wherever (and in whichever frame) the
-    interval recurs.  Returns ``((cubes, cover), hits, misses)`` with
-    cubes as tuples of ``(position, polarity)`` pairs, highest position
-    first, and ``cover`` their packed disjunction.  ``table`` is read
-    and extended, and flushed wholesale at ``limit`` entries or
-    ``limit * 512`` table bits.
+    interval recurs.  A sub-interval recurses on its three narrower
+    children, so the recursion is at most ``k`` calls deep.  Returns
+    ``((tree, cover), hits, misses)``: the cube tree and the cubes'
+    packed disjunction.  ``table`` gets one entry per miss.
     """
     fulls = _FULLS
-    budget = limit * _BITS_PER_ENTRY
-    hits = misses = 0
-    results: list = []
-    append = results.append
-    tasks: list = [upper, lower, k, _EXPAND]
-    pop = tasks.pop
-    extend = tasks.extend
     lookup = table.get
-    while tasks:
-        phase = pop()
-        if phase == _EXPAND:
-            target = pop()
-            low = pop()
-            upp = pop()
-            if not low:
-                append(_EMPTY)
-                continue
-            if upp == fulls[target]:
-                append((_TAUTOLOGY, upp))
-                continue
-            width = target
-            while True:
-                mask = fulls[width - 1]
-                half = 1 << (width - 1)
-                low0 = low & mask
-                low1 = low >> half
-                upp0 = upp & mask
-                upp1 = upp >> half
-                if low0 != low1 or upp0 != upp1:
-                    break
-                low, upp, width = low0, upp0, width - 1
-            key = (width, low, upp)
-            hit = lookup(key)
-            if hit is not None:
-                hits += 1
-                append(hit if width == target
-                       else _widen(hit, width, target))
-                continue
+    hits = misses = 0
+
+    def expand(low: int, upp: int, target: int) -> Tuple[CubeTree, int]:
+        nonlocal hits, misses
+        if not low:
+            return None, 0
+        if upp == fulls[target]:
+            return (), upp
+        width = target
+        while True:
+            mask = fulls[width - 1]
+            half = 1 << (width - 1)
+            low0 = low & mask
+            low1 = low >> half
+            upp0 = upp & mask
+            upp1 = upp >> half
+            if low0 != low1 or upp0 != upp1:
+                break
+            low, upp, width = low0, upp0, width - 1
+        key = (width, low, upp)
+        result = lookup(key)
+        if result is None:
             misses += 1
+            top = width - 1
             # Vertices of the 0-half that the 1-half cannot absorb must
             # be covered by cubes carrying the negative literal (and
-            # dually).
-            extend((upp1, upp0, low1, low0, target, width, key, _MERGE,
-                    upp1, low1 & (mask ^ upp0), width - 1, _EXPAND,
-                    upp0, low0 & (mask ^ upp1), width - 1, _EXPAND))
-        elif phase == _MERGE:
-            key = pop()
-            width = pop()
-            target = pop()
-            low0 = pop()
-            low1 = pop()
-            upp0 = pop()
-            upp1 = pop()
-            cubes1, f1 = results.pop()
-            cubes0, f0 = results.pop()
-            mask = fulls[width - 1]
-            # What is still uncovered may be captured by cubes without
-            # the top variable.
-            extend((target, width, key, _COMBINE, upp0 & upp1,
-                    (low0 & (mask ^ f0)) | (low1 & (mask ^ f1)),
-                    width - 1, _EXPAND))
-            append((cubes0, f0, cubes1, f1))
+            # dually); what is still uncovered may be captured by cubes
+            # without the top variable.
+            tree0, f0 = expand(low0 & (mask ^ upp1), upp0, top)
+            tree1, f1 = expand(low1 & (mask ^ upp0), upp1, top)
+            tree_dc, f_dc = expand((low0 & (mask ^ f0))
+                                   | (low1 & (mask ^ f1)),
+                                   upp0 & upp1, top)
+            result = ((top, tree0, tree1, tree_dc),
+                      (f0 | f_dc) | ((f1 | f_dc) << half))
+            _store(table, limit, key, result, 1 << width)
         else:
-            key = pop()
-            width = pop()
-            target = pop()
-            cubes_dc, f_dc = results.pop()
-            cubes0, f0, cubes1, f1 = results.pop()
-            top = width - 1
-            neg, pos = ((top, False),), ((top, True),)
-            result = (tuple([neg + cube for cube in cubes0]
-                            + [pos + cube for cube in cubes1]
-                            + list(cubes_dc)),
-                      (f0 | f_dc) | ((f1 | f_dc) << (1 << top)))
-            if len(table) >= limit or table.bits >= budget:
-                table.clear()
-            table[key] = result
-            table.bits += 1 << width
-            append(result if width == target
-                   else _widen(result, width, target))
-    return results[0], hits, misses
+            hits += 1
+        tree, cover = result
+        for width in range(width, target):
+            cover |= cover << (1 << width)
+        return tree, cover
+
+    return expand(lower, upper, k), hits, misses
+
+
+def tree_cubes(tree: CubeTree, names: Sequence = range(MAX_TABLE_WIDTH)
+               ) -> List[Tuple[Tuple[object, bool], ...]]:
+    """The cubes of a cube tree in the expansion's order, each a tuple
+    of ``(names[position], polarity)`` pairs, highest position first."""
+    cubes: list = []
+    append = cubes.append
+
+    def walk(tree: tuple, prefix: tuple) -> None:
+        if not tree:
+            append(prefix)
+            return
+        top, tree0, tree1, tree_dc = tree
+        name = names[top]
+        if tree0 is not None:
+            walk(tree0, prefix + ((name, False),))
+        if tree1 is not None:
+            walk(tree1, prefix + ((name, True),))
+        if tree_dc is not None:
+            walk(tree_dc, prefix)
+
+    if tree is not None:
+        walk(tree, ())
+    return cubes
 
 
 def interval_isop(mgr: BddManager, lower: int, upper: int,
@@ -463,11 +448,9 @@ def interval_isop(mgr: BddManager, lower: int, upper: int,
         low, upp = pack(mgr, (lower, upper), frame)
         if low & ~upp:
             raise ValueError("isop requires lower <= upper")
-        cubes, cover = _cover(mgr, table, limit, low, upp, len(frame),
-                              eliminate_first)
-        top = len(frame) - 1
-        hit = (tuple([tuple([(frame[top - p], value) for p, value in cube])
-                      for cube in cubes]), unpack(mgr, cover, frame))
+        tree, cover = _cover(mgr, table, limit, low, upp, len(frame),
+                             eliminate_first)
+        hit = (tree_cubes(tree, frame[::-1]), unpack(mgr, cover, frame))
         _store(table, limit, key, hit, 0)
     else:
         mgr._isop_hits += 1
@@ -476,37 +459,52 @@ def interval_isop(mgr: BddManager, lower: int, upper: int,
 
 def packed_isop(mgr, lower: int, upper: int, k: int,
                 eliminate_first: bool = False
-                ) -> Tuple[Tuple[Tuple[Tuple[int, bool], ...], ...], int]:
+                ) -> Tuple[List[Tuple[Tuple[int, bool], ...]], int]:
     """:func:`interval_isop` for a caller holding the packed bounds
     over ``k`` positions (at most :data:`MAX_TABLE_WIDTH`, ``lower <=
     upper``): returns ``(cubes, cover)``, each cube a tuple of
     ``(position, polarity)`` pairs, highest position first, and
     ``cover`` their packed disjunction.  No node is built.
-
-    The call is keyed by its width, tables and elimination flag, so a
-    repeat costs one lookup, as a repeat of :func:`interval_isop` does.
     """
+    table, key, (cubes, cover) = _keyed_cover(mgr, lower, upper, k,
+                                              eliminate_first)
+    if type(cubes) is not list:
+        # The entry holds the kernel's cube tree: list it once, in place.
+        cubes = tree_cubes(cubes)
+        table[key] = cubes, cover
+    return cubes, cover
+
+
+def packed_cover(mgr, lower: int, upper: int, k: int,
+                 eliminate_first: bool = False) -> int:
+    """The cover's table of :func:`packed_isop`, with no cube listed:
+    for the packed minimiser, which reads the cover alone."""
+    return _keyed_cover(mgr, lower, upper, k, eliminate_first)[2][1]
+
+
+def _keyed_cover(mgr, lower: int, upper: int, k: int,
+                 eliminate_first: bool) -> Tuple[IsopTable, tuple, tuple]:
+    """The ISOP table, key and entry of a packed call, keyed by its
+    width, tables and elimination flag, so a repeat costs one lookup.
+    The entry is ``(tree, cover)``, or ``(cubes, cover)`` once
+    :func:`packed_isop` has listed the tree."""
     table, limit = mgr._isop_scope()
     key = ((k, lower, upper), eliminate_first)
-    hit = table.get(key)
-    if hit is None:
-        hit = _cover(mgr, table, limit, lower, upper, k, eliminate_first)
-        _store(table, limit, key, hit, 2 << k)
+    entry = table.get(key)
+    if entry is None:
+        entry = _cover(mgr, table, limit, lower, upper, k, eliminate_first)
+        _store(table, limit, key, entry, 2 << k)
     else:
         mgr._isop_hits += 1
-    return hit
+    return table, key, entry
 
 
 def _cover(mgr, table: IsopTable, limit: float, low: int, upp: int,
-           k: int, eliminate_first: bool) -> Tuple[Tuple, int]:
-    """``(cubes, cover)`` of packed ``[low, upp]`` over ``k``
-    positions, as :func:`packed_isop` returns them."""
+           k: int, eliminate_first: bool) -> Tuple[CubeTree, int]:
+    """``(tree, cover)`` of packed ``[low, upp]`` over ``k``
+    positions, eliminated first when asked."""
     if eliminate_first:
         low, upp = eliminate(k, low, upp)
-    if not low:
-        return _EMPTY
-    if upp == _FULLS[k]:
-        return _TAUTOLOGY, upp
     result, hits, misses = expand_packed(k, low, upp, table, limit)
     mgr._isop_hits += hits
     mgr._isop_misses += misses

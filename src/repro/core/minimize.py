@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 from ..bdd.gencof import constrain, restrict
 from ..bdd.isop import eliminate_nonessential
 from ..bdd.manager import FALSE, TRUE
-from ..bdd.packed import interval_isop, pack, packed_isop
+from ..bdd.packed import interval_isop, pack, packed_cover
 from ..bdd.safemin import squeeze
 from .isf import Isf, PackedIsf
 
@@ -174,8 +174,8 @@ def minimize_packed(isf: PackedIsf, minimizer: IsfMinimizer,
     to nodes, and their result is packed back.
     """
     if minimizer_name == "isop" or minimizer_name == "isop-noelim":
-        return packed_isop(isf.mgr, isf.on, isf.on | isf.dc,
-                           len(isf.support), minimizer_name == "isop")[1]
+        return packed_cover(isf.mgr, isf.on, isf.on | isf.dc,
+                            len(isf.support), minimizer_name == "isop")
     (table,) = pack(isf.mgr, (minimizer(isf.unpack()),), isf.support)
     return table
 

@@ -29,11 +29,12 @@ each step is a few shifts and masks:
   node-level numbers: the relation answers the engine calls they make,
   ``size`` (each output's reduced-BDD nodes in frame level order,
   memoised per solve), ``shared_size`` (their union) and ``isop`` (the
-  packed kernel's).  A custom cost gets nodes.
+  packed kernel's cubes, listed for the cube and literal costs).  A
+  custom cost gets nodes.
 
 Minimisation takes each ISF compressed to its own support
 (:class:`~repro.core.isf.PackedIsf`) straight into the packed ISOP
-kernel.  :class:`PackedRelation` answers the calls the solver loop
+kernel, and reads back the cover's table alone: no cube is listed.  :class:`PackedRelation` answers the calls the solver loop
 makes on a :class:`~repro.core.relation.BooleanRelation`, with input
 tables for nodes, so a solve packs its root once and the frontier holds
 packed subrelations.

@@ -58,7 +58,8 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
 from ..bdd.manager import FALSE, TRUE, BddManager
 from ..bdd.packed import vertex_indices
 from ..sop.cube import Cube
-from .relation import BooleanRelation
+from .relation import (MAX_SPEC_INPUTS, MAX_SPEC_OUTPUTS, BooleanRelation,
+                       _check_count)
 
 #: One node of the structural format: ``(rank, lo ref, hi ref)``.
 NodeTriple = Tuple[int, int, int]
@@ -336,6 +337,9 @@ def parse_rows(text: str) -> Tuple[int, int, List[Set[int]]]:
     output vertex is output ``j``), empty where no row mentions ``v``:
     the tabular notation of
     :meth:`~repro.core.relation.BooleanRelation.from_output_sets`.
+    A header past :data:`~repro.core.relation.MAX_SPEC_INPUTS` inputs
+    or :data:`~repro.core.relation.MAX_SPEC_OUTPUTS` outputs raises
+    ``ValueError`` before any row is allocated.
     """
     num_inputs: Optional[int] = None
     num_outputs: Optional[int] = None
@@ -363,6 +367,10 @@ def parse_rows(text: str) -> Tuple[int, int, List[Set[int]]]:
             rows.append((parts[0], parts[1]))
     if num_inputs is None or num_outputs is None:
         raise RelationFormatError("missing .i / .o header")
+    # The header is bounded before one output set per input vertex is
+    # allocated.
+    _check_count("num_inputs", num_inputs, MAX_SPEC_INPUTS)
+    _check_count("num_outputs", num_outputs, MAX_SPEC_OUTPUTS)
 
     output_sets: List[Set[int]] = [set() for _ in range(1 << num_inputs)]
     for in_text, out_text in rows:

@@ -62,8 +62,9 @@ class Solution:
     def _covers(self) -> List[List[Dict[int, bool]]]:
         """The ISOP covers, shared by the read-only renderings below (a
         report asks for cubes, literals and the SOP text of one
-        solution).  A packed solution takes them from its tables, with
-        no node built; they equal ``mgr.isop(f, f)`` of its functions.
+        solution).  A packed solution lists them from the packed
+        kernel's cube trees of its tables, with no node built; they
+        equal ``mgr.isop(f, f)`` of its functions.
         """
         if self._cover_cache is None:
             if self.tables is None:

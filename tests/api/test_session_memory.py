@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session, SolveRequest
+from repro.api import Session, SolveReport, SolveRequest
 from repro.bdd.manager import BddManager
 from repro.benchdata.brgen import random_relation
 from repro.core.relation import BooleanRelation
@@ -265,6 +265,42 @@ class TestSpecManagersReleaseCaches:
         except StopIteration as stop:
             report = stop.value
         assert report.solution.mgr.stats()["cache_entries"] == 0
+
+    def test_report_reads_the_solve_isop_table(self, monkeypatch):
+        """Each path builds the report before the solve's ISOP scope
+        closes: a cube-cost solve priced every output's cover, so the
+        report's covers are lookups, and the scope is closed after."""
+        seen = []
+        from_result = SolveReport.from_result.__func__
+
+        def spy(cls, relation, result, **kwargs):
+            mgr = relation.mgr
+            before = mgr.stats()
+            report = from_result(cls, relation, result, **kwargs)
+            after = mgr.stats()
+            seen.append((mgr._isop_table is not None,
+                         after["isop_misses"] - before["isop_misses"],
+                         after["isop_hits"] - before["isop_hits"]))
+            return report
+
+        monkeypatch.setattr(SolveReport, "from_result", classmethod(spy))
+        session = Session()
+
+        def request(max_explored):
+            return SolveRequest(relation=self.spec(), cost="cubes",
+                                max_explored=max_explored)
+
+        reports = [session.solve(request(20)),
+                   session.solve_many([request(10)], executor="serial")[0]]
+        gen = session.solve_iter(request(11))
+        try:
+            while True:
+                next(gen)
+        except StopIteration as stop:
+            reports.append(stop.value)
+        assert seen == [(True, 0, 2)] * 3
+        for report in reports:
+            assert report.solution.mgr._isop_table is None
 
     def test_caller_owned_relation_keeps_its_tables(self):
         session = Session()

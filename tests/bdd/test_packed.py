@@ -16,6 +16,9 @@ evaluation:
 * ``eliminate`` is Brown's node-level elimination;
 * ``packed_isop`` gives ``interval_isop``'s cubes and cover, building no
   node;
+* the kernel's ISOP-table counters after a seeded solve are the ones the
+  explicit-stack kernel read, a size-cost solve lists no cube, and the
+  recursion fits a few dozen frames at the widest packed frame;
 * ``table_nodes`` is ``function_nodes`` of the unpacked node.
 
 :func:`repro.bdd.packed.interval_isop` must return exactly what Brown's
@@ -26,20 +29,27 @@ node-level fallback).  ``BooleanRelation.from_output_sets``
 builds bottom-up and must give the node of the minterm-OR definition.
 """
 import random
+import sys
 
 import pytest
 
 from repro.bdd import BddManager
+from repro.bdd import packed as packed_module
 from repro.bdd.isop import eliminate_nonessential, expand
 from repro.bdd.manager import FALSE, TRUE
 from repro.bdd.packed import (MAX_FRAME_WIDTH, MAX_TABLE_WIDTH,
                               cover_table, eliminate, frame_masks,
                               interval_isop, pack, pack_positions,
-                              packed_isop, permute, spread, squeeze,
-                              table_nodes, table_size, unpack)
+                              packed_cover, packed_isop, permute, spread,
+                              squeeze, table_nodes, table_size, tree_cubes,
+                              unpack)
+from repro.benchdata.brgen import random_relation
+from repro.core.brel import BrelOptions, BrelSolver
+from repro.core.cost import bdd_size_cost, cube_count_cost
 from repro.core.isf import Isf
 from repro.core.minimize import (_isop_pipeline,
                                  eliminate_nonessential_variables)
+from repro.core.packedrel import pack_relation
 from repro.core.relation import BooleanRelation
 from repro.core.relio import function_nodes
 
@@ -440,6 +450,146 @@ class TestPackedIsop:
                                         for p, value in cube]
                                        for cube in cubes]) == cover
             assert not low & ~cover and not cover & ~upp
+
+
+class TestIsopTableCounters:
+    """The recursive kernel expands the sub-intervals the explicit-stack
+    kernel expanded, in its order: one table entry per miss, the same
+    flushes, so the counters of a seeded solve (held open to read the
+    table) are the ones that kernel read."""
+
+    @pytest.mark.parametrize("cost,counters", [
+        (bdd_size_cost, (288.0, 4594, 1727, 2014, 156848)),
+        (cube_count_cost, (176.0, 8723, 2775, 3250, 264672)),
+    ])
+    def test_seeded_solve(self, cost, counters):
+        relation = random_relation(7, 7, seed=1)
+        mgr = relation.mgr
+        mgr.enter_solve()
+        try:
+            result = BrelSolver(BrelOptions(
+                max_explored=200, cost_function=cost)).solve(relation)
+            stats = mgr.stats()
+            assert (result.solution.cost, stats["isop_hits"],
+                    stats["isop_misses"], stats["isop_entries"],
+                    mgr._isop_table.bits) == counters
+        finally:
+            mgr.exit_solve()
+
+
+class TestCubesOnDemand:
+    """The kernel leaves a cover's cubes as a tree; only a caller that
+    reads cubes lists them (:func:`repro.bdd.packed.tree_cubes`)."""
+
+    @staticmethod
+    def refuse_listing(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cubes listed")
+        monkeypatch.setattr(packed_module, "tree_cubes", refuse)
+
+    def test_size_cost_solve_lists_no_cube(self, monkeypatch):
+        root = pack_relation(random_relation(7, 7, seed=1))
+        self.refuse_listing(monkeypatch)
+        result = BrelSolver(BrelOptions(max_explored=60)).solve(root)
+        assert root.mgr.stats()["isop_misses"]
+        monkeypatch.undo()
+        assert result.solution.tables is not None
+        assert result.solution.cube_count() > 0
+
+    def test_cube_cost_solve_lists_cubes(self, monkeypatch):
+        root = pack_relation(random_relation(7, 7, seed=1))
+        self.refuse_listing(monkeypatch)
+        options = BrelOptions(max_explored=60, cost_function=cube_count_cost)
+        with pytest.raises(AssertionError, match="cubes listed"):
+            BrelSolver(options).solve(root)
+
+    def test_a_call_is_listed_once(self, monkeypatch):
+        """A call first served by ``packed_cover`` is listed by the
+        first ``packed_isop`` on it; a repeat is one lookup, and the
+        listing adds no entry."""
+        listed = []
+
+        def counting(tree, *names):
+            listed.append(tree)
+            return tree_cubes(tree, *names)
+
+        monkeypatch.setattr(packed_module, "tree_cubes", counting)
+        rng = random.Random(17)
+        mgr = BddManager(["v%d" % i for i in range(10)])
+        mgr.enter_solve()
+        try:
+            for _ in range(10):
+                low = rng.getrandbits(1 << 10) & rng.getrandbits(1 << 10)
+                upp = low | rng.getrandbits(1 << 10)
+                cover = packed_cover(mgr, low, upp, 10, True)
+                stats = mgr.stats()
+                listed.clear()
+                cubes = packed_isop(mgr, low, upp, 10, True)
+                assert packed_isop(mgr, low, upp, 10, True) == cubes
+                assert len(listed) == 1 and cubes[1] == cover
+                assert cubes[0] == tree_cubes(listed[0])
+                after = mgr.stats()
+                assert after["isop_entries"] == stats["isop_entries"]
+                assert after["isop_misses"] == stats["isop_misses"]
+        finally:
+            mgr.exit_solve()
+        assert tree_cubes(None) == [] and tree_cubes(()) == [()]
+
+
+def frame_depth():
+    """The number of Python frames on the caller's stack."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def parity_table(width):
+    """The packed table of the parity of ``width`` positions."""
+    table = 0
+    for w in range(width):
+        table |= (((1 << (1 << w)) - 1) ^ table) << (1 << w)
+    return table
+
+
+class TestRecursionDepth:
+    """The expansion recurses once per stripped position and the cube
+    listing once per tree level, so both fit in a few dozen frames at
+    the widest packed frame."""
+
+    @staticmethod
+    def isop_with_headroom(mgr, lower, upper, eliminate_first):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 64)
+        try:
+            return packed_isop(mgr, lower, upper, MAX_TABLE_WIDTH,
+                               eliminate_first)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_parity(self):
+        width = MAX_TABLE_WIDTH
+        mgr = BddManager(["v%d" % i for i in range(width)])
+        parity = parity_table(width)
+        cubes, cover = self.isop_with_headroom(mgr, parity, parity, False)
+        assert cover == parity
+        assert len(cubes) == 1 << (width - 1)
+        assert all(len(cube) == width for cube in cubes)
+
+    def test_random_interval(self):
+        width = MAX_TABLE_WIDTH
+        mgr = BddManager(["v%d" % i for i in range(width)])
+        rng = random.Random(16)
+        bits = 1 << width
+        lower = rng.getrandbits(bits) & rng.getrandbits(bits) \
+            & rng.getrandbits(bits)
+        upper = lower | (rng.getrandbits(bits) & rng.getrandbits(bits))
+        cubes, cover = self.isop_with_headroom(mgr, lower, upper, True)
+        assert not lower & ~cover and not cover & ~upper
+        assert cover_table(width, [[(width - 1 - p, value)
+                                    for p, value in cube]
+                                   for cube in cubes]) == cover
 
 
 class TestTableNodes:

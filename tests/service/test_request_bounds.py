@@ -12,13 +12,16 @@
 * ``num_inputs``/``num_outputs`` of tabular specs are checked — ints,
   not bools, within ``MAX_SPEC_INPUTS``/``MAX_SPEC_OUTPUTS`` — before
   anything shifts by them, so an oversized value is a clear 400 at every
-  layer instead of an ``OverflowError`` or a stalled worker.
+  layer instead of an ``OverflowError`` or a stalled worker.  A ``pla``
+  spec's ``.i``/``.o`` header is checked against the same bounds before
+  the parser allocates a row per input vertex.
 """
 
 import http.client
 import json
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro import SolveRequest
 from repro.api.request import normalize_relation_spec
 from repro.core.relation import (MAX_SPEC_INPUTS, MAX_SPEC_OUTPUTS,
                                  BooleanRelation)
+from repro.core.relio import parse_rows
 from repro.service import ServiceError, SolveService, create_server
 from repro.service import http as http_module
 from repro.service.app import MAX_BODY_BYTES
@@ -340,3 +344,41 @@ class TestShapeBounds:
             {"kind": "truth_tables", "tables": [0b10],
              "num_inputs": MAX_SPEC_INPUTS})
         assert spec["num_inputs"] == MAX_SPEC_INPUTS
+
+
+def pla_text(num_inputs, num_outputs):
+    return ".i %d\n.o %d\n.e\n" % (num_inputs, num_outputs)
+
+
+class TestPlaHeaderBounds:
+    def test_wide_header_raises_before_allocating(self):
+        text = pla_text(24, 1)
+        assert len(text) < 32
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"num_inputs must be an "
+                                                 r"int in 0\.\.%d, got 24"
+                                                 % MAX_SPEC_INPUTS):
+                parse_rows(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_outputs_bounded(self):
+        with pytest.raises(ValueError, match="num_outputs"):
+            parse_rows(pla_text(1, MAX_SPEC_OUTPUTS + 1))
+
+    def test_route_answers_400(self):
+        body = json.dumps({"relation": {"kind": "pla",
+                                        "text": pla_text(24, 1)}})
+        response = respond(SolveService(), "POST", "/solve",
+                           body.encode("utf-8"))
+        assert response.status == 400
+        assert "num_inputs" in json.loads(response.body)["error"]
+
+    def test_bound_itself_parses(self):
+        num_inputs, num_outputs, rows = parse_rows(
+            pla_text(MAX_SPEC_INPUTS, 1))
+        assert (num_inputs, num_outputs) == (MAX_SPEC_INPUTS, 1)
+        assert len(rows) == 1 << MAX_SPEC_INPUTS
