@@ -50,7 +50,8 @@ from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
 
 from ..core.brel import BrelOptions
 from ..core.explore import check_int, suggest
-from ..core.packedrel import PackedRelation, narrow, pack_nodes, pack_rows
+from ..core.packedrel import (PackedRelation, narrow, pack_nodes,
+                              pack_rows, pack_table)
 from ..core.portfolio import (RACER_DELTA_FIELDS, normalize_racers,
                               racers_cache_key)
 from ..core.relation import (BooleanRelation, check_output_sets,
@@ -303,6 +304,23 @@ def root_of_nodes(data: RelationNodes
     if narrow(len(data.inputs), len(data.outputs)):
         return pack_nodes(data)
     return relation_from_nodes(data)
+
+
+def root_of_table(num_inputs: int, num_outputs: int, table: int
+                  ) -> Union[BooleanRelation, PackedRelation]:
+    """The solve root of a relation mined as a table in the root layout
+    (:func:`~repro.decompose.cutflex.cut_flexibility_table`).
+
+    A :func:`~repro.core.packedrel.narrow` frame is solved on the table
+    as it is (:func:`~repro.core.packedrel.pack_table`); a wider one on
+    that packed relation's node, the relation
+    :func:`~repro.core.relio.relation_from_nodes` builds from the
+    frame's node list.
+    """
+    root = pack_table(num_inputs, num_outputs, table)
+    if narrow(num_inputs, num_outputs):
+        return root
+    return root.unpacked()
 
 
 def root_of_spec(spec: Mapping[str, Any]

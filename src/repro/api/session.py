@@ -10,15 +10,17 @@ A :class:`Session` is the stateful front door of the package.  It
   systems, bundled benchmarks) and registers them under names a
   :class:`~repro.api.SolveRequest` can refer to;
 * runs single solves (:meth:`Session.solve`) and batches
-  (:meth:`Session.solve_many`) with a shared result cache, the latter
+  (:meth:`Session.solve_many`, and :meth:`Session.solve_tables` for
+  resynthesis's mined tables) with a shared result cache, the batches
   optionally process-parallel via :mod:`concurrent.futures`, with
   per-job failures captured as failed :class:`SolveReport`\\ s rather
   than raised.
 
 A single solve always runs in its caller's process: sharded blocks and
-portfolio racers run in turn inside the solver.  The batch pool of
-:meth:`Session.solve_many` is the package's one process pool; it runs
-many requests side by side, which is where parallelism pays.
+portfolio racers run in turn inside the solver.  The batch pool that
+:meth:`Session.solve_many` and :meth:`Session.solve_tables` share is
+the package's one process pool; it runs many requests side by side,
+which is where parallelism pays.
 
 Every path into the report cache — :meth:`Session.solve`,
 :meth:`Session.solve_iter`, :meth:`Session.solve_many` on either
@@ -27,7 +29,10 @@ executor, and the service hooks :meth:`Session.peek_cached` and
 name or a caller's relation object by identity, a node spec by its
 node list, any other self-contained spec by its content, each plus
 :meth:`SolveRequest.options_key`.  The request's spec is keyed as it
-was normalised when the request was built.
+was normalised when the request was built.  The one other key is the
+mined-table key of :meth:`Session.solve_tables`: ``("table", n, m,
+table)`` plus the options, which no spec shares, so a ``nodes`` spec
+and a mined table of the same relation are separate entries.
 
 Pool jobs are made *self-contained* before dispatch: the relation
 travels as its node list (:func:`repro.core.relio.relation_to_nodes`,
@@ -37,9 +42,10 @@ comes back as a rank template, which the session re-instantiates in the
 manager of the job's relation when the parent built one.  Node-spec
 jobs are node lists already: they ship as they are, and their reports
 keep the template; other relations are flattened for cache misses
-only.  (Custom registry entries reach workers through the default
-``fork`` start method on POSIX; under ``spawn`` they must be registered
-at import time of a module the workers import.)
+only.  A mined-table job ships its three ints instead.  (Custom
+registry entries reach workers through the default ``fork`` start
+method on POSIX; under ``spawn`` they must be registered at import time
+of a module the workers import.)
 
 A solve of a self-contained spec starts from :func:`root_of_spec`: a
 narrow spec (16 variables or fewer) is packed straight into its root
@@ -47,7 +53,9 @@ table, with no BDD node built, and its report reads that table; wider
 specs, equation systems and session names are built on nodes.  Serial
 batch jobs and node-list jobs (a node spec, or a pool worker's job)
 build their roots the same way; a process batch still flattens a
-non-node spec to the node list of its relation on nodes.
+non-node spec to the node list of its relation on nodes.  A mined
+table is its own root (:func:`root_of_table`): packed as it is when
+narrow, else its BDD node.
 
 Every solve explores its relation from scratch: the session caches
 whole reports, never subproblems.
@@ -75,7 +83,8 @@ from .report import SolveReport
 from .request import (RelationSpec, SolveRequest, nodes_of_spec,
                       normalize_relation_spec, relation_of_spec,
                       relation_spec_to_jsonable, root_of_nodes,
-                      root_of_spec, truth_tables_to_output_sets)
+                      root_of_spec, root_of_table,
+                      truth_tables_to_output_sets)
 
 #: What solve()/solve_many() accept as the thing to solve.
 RelationLike = Union[BooleanRelation, RelationSpec]
@@ -95,11 +104,12 @@ def _run_job(job: Dict[str, Any],
     Never raises: any failure — malformed request, unparsable relation,
     solver error — comes back as a failed report so one bad job cannot
     poison a batch.  In this process the job carries the live, validated
-    request and (unless it is a node-spec job) the live relation, whose
-    manager keeps the solution valid.  A worker gets only the request
-    dict, the node list and the label, and no cancel token; BDD handles
-    must not cross back over the process boundary, so it ships the
-    solved vector as a template.
+    request and (unless it is a node-spec or a mined-table job) the live
+    relation, whose manager keeps the solution valid.  A worker gets
+    only the request dict, the node list or the ``(n, m, table)``
+    triple, and the label, and no cancel token; BDD handles must not
+    cross back over the process boundary, so it ships the solved vector
+    as a template.
     """
     label = job["label"]
     request_dict = job["request"]
@@ -111,9 +121,11 @@ def _run_job(job: Dict[str, Any],
         relation = job.get("relation")
         built = relation is None
         if built:
-            # A node-spec job, or a pool job: built only now, packed
-            # straight from the list when it is narrow.
-            relation = root_of_nodes(job["nodes"])
+            # A node-spec job, a mined-table job or a pool job: built
+            # only now, packed straight from its data when it is narrow.
+            table = job.get("table")
+            relation = (root_of_nodes(job["nodes"]) if table is None
+                        else root_of_table(*table))
         # As in Session.solve(): the report's covers are read inside the
         # solve's ISOP scope.
         mgr = relation.mgr
@@ -859,6 +871,53 @@ class Session:
         # Every index was filled above: failure, cache hit, or fresh run.
         return [report for report in reports if report is not None]
 
+    def solve_tables(self, tables: Sequence[Tuple[int, int, int]],
+                     request: SolveRequest,
+                     max_workers: Optional[int] = None,
+                     executor: str = "process") -> List[SolveReport]:
+        """Solve relations mined as ``(n, m, table)`` triples under one
+        options-only request; one report per triple, in order.
+
+        The resynthesis pipeline's entry point.  Each table is in the
+        root layout of :func:`~repro.decompose.cutflex.cut_flexibility_table`
+        and is keyed as ``("table", n, m, table)`` plus
+        :meth:`SolveRequest.options_key`, an exact key that no spec
+        kind shares.  A miss is solved from a root built straight from
+        its table (:func:`root_of_table`), on either executor as
+        :meth:`solve_many` runs its jobs: a pool job ships the three
+        ints and the request dict.  Its report is stored as a pool
+        job's entry is stored, with its template and no live solution.
+        Every report handed back is the session's entry itself (a
+        failure, never stored, is its own report), for the caller to
+        read and never mutate: no copy, request dict or label is made
+        per table.  A triple listed twice is solved once and its copies
+        share the report; only a triple served from an entry stored
+        before the call counts as a cache hit.
+        """
+        check_executor("executor", executor)
+        options = request.options_key()
+        keys = [("table",) + tuple(mined) + options for mined in tables]
+        request_dict = request.to_dict()
+        jobs = {key: {"table": tuple(mined), "request": request_dict,
+                      "solve_request": request, "label": request.label,
+                      "relation": None, "registry_name": None}
+                for mined, key in zip(tables, keys)
+                if key not in self._cache}
+        fresh = (self._run_jobs(list(jobs), jobs, max_workers, executor)
+                 if jobs else {})
+        for key, report in fresh.items():
+            self._strip_solution(report)
+            if report.ok:
+                self._cache[key] = report
+        reports: List[SolveReport] = []
+        for key in keys:
+            report = fresh.get(key)
+            if report is None:
+                self.cache_hits += 1
+                report = self._cache[key]
+            reports.append(report)
+        return reports
+
     # ------------------------------------------------------------------
     @staticmethod
     def _cancelled_report(job: Dict[str, Any]) -> SolveReport:
@@ -919,8 +978,8 @@ class Session:
                     job = jobs[key]
                     # Workers get only the picklable part of a job.
                     futures[key] = pool.submit(_run_job, {
-                        "nodes": job["nodes"], "request": job["request"],
-                        "label": job["label"]})
+                        "nodes": job.get("nodes"), "table": job.get("table"),
+                        "request": job["request"], "label": job["label"]})
                 # A CancelToken cannot cross the process boundary, so
                 # cancellation here stops dispatch: queued futures are
                 # cancelled, running workers finish their current job.

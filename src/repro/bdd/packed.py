@@ -60,8 +60,8 @@ from .manager import FALSE, TRUE, BddManager, IsopTable, union_support
 #: work.
 MAX_TABLE_WIDTH = 16
 
-#: Widest frame the table helpers (:func:`frame_masks`, :func:`unpack`,
-#: :func:`table_nodes`) serve: a resynthesis window's 16 leaves plus a
+#: Widest frame the table helpers (:func:`frame_masks`, :func:`permute`,
+#: :func:`unpack`) serve: a resynthesis window's 16 leaves plus a
 #: two-node cut.  Only :data:`MAX_TABLE_WIDTH` gates the ISOP kernel.
 MAX_FRAME_WIDTH = 18
 
@@ -240,35 +240,6 @@ def _shannon(mk, table: int, width: int, frame: Sequence[int],
             else _shannon(mk, t1, width - 1, frame, memo))
     node = memo[key] = mk(frame[len(frame) - width], low, high)
     return node
-
-
-def table_nodes(table: int, width: int
-                ) -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
-    """The node list of a packed table over ``width`` positions, with
-    no manager: ``(nodes, root)`` as
-    :func:`repro.core.relio.function_nodes` gives them for the table's
-    BDD over frame ranks ``0..width-1`` (rank ``r`` on position
-    ``width-1-r``).  Triples come in post-order, low child first, one
-    per distinct cofactor; refs ``0``/``1`` are the terminals."""
-    if not table:
-        return (), FALSE
-    if table == _FULLS[width]:
-        return (), TRUE
-    nodes: List[Tuple[int, int, int]] = []
-    refs: Dict[Tuple[int, int, int], int] = {}
-
-    def mk(rank: int, low: int, high: int) -> int:
-        # A unique table: an equal cofactor reached again by another
-        # path maps to its first triple.
-        triple = (rank, low, high)
-        ref = refs.get(triple)
-        if ref is None:
-            ref = refs[triple] = len(nodes) + 2
-            nodes.append(triple)
-        return ref
-
-    root = _shannon(mk, table, width, range(width), {})
-    return tuple(nodes), root
 
 
 def table_size(tables: Sequence[int], width: int) -> int:

@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="serial",
                          help="how the relation stream is solved "
                               "(default serial; process pools ship "
-                              "each relation as its BDD node list)")
+                              "each mined relation as its truth table)")
     resynth.add_argument("--workers", type=int, default=None)
     resynth.add_argument("--verify",
                          choices=["auto", "exhaustive", "signature",

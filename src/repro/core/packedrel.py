@@ -43,8 +43,9 @@ A narrow spec never becomes nodes at all: :func:`pack_rows` packs
 output-set rows (the ``output_sets``, ``truth_tables``, ``bench``,
 ``pla`` and ``file`` specs) and :func:`pack_nodes` a node list straight
 into the root's table, in the manager the node builders would have
-used, and the report reads that table too.  Nodes are built for the
-incumbents a caller reads
+used, and the report reads that table too.  A resynthesis window's
+relation is mined in that layout already, and :func:`pack_table` takes
+its table as it is.  Nodes are built for the incumbents a caller reads
 (:attr:`~repro.core.solution.Solution.functions`), and the root's
 :attr:`~PackedRelation.node` — in the manager's level order — only when
 symmetry pruning or a root whose output supports form two or more
@@ -77,7 +78,7 @@ from .relio import RelationNodes, nodes_manager
 from .solution import Solution
 
 __all__ = ["PackedRelation", "narrow", "pack_nodes", "pack_relation",
-           "pack_rows"]
+           "pack_rows", "pack_table"]
 
 #: (n, m) -> the multiplier that copies an n-position table into every
 #: slice of an (n+m)-position one.
@@ -157,11 +158,27 @@ def pack_rows(rows: Sequence[Iterable[int]], num_inputs: int,
         for value in outputs:
             entry = base | (value << n)
             bits[entry >> 3] |= 1 << (entry & 7)
+    return pack_table(n, m, int.from_bytes(bits, "little"))
+
+
+def pack_table(num_inputs: int, num_outputs: int,
+               table: int) -> "PackedRelation":
+    """The relation of a table already in the root layout: input ``i``
+    on position ``n-1-i``, output ``j`` on ``n+j``.
+
+    It lives in a fresh manager holding ``x0..`` then ``y0..``: the
+    one :func:`~repro.core.relio.nodes_manager` makes for a node list
+    that ranks the inputs ``0..n-1`` and the outputs after them, as
+    :func:`pack_rows` does.  A frame wider than :func:`narrow` allows
+    is not solved packed: only its :attr:`~PackedRelation.node` is
+    read.
+    """
+    n, m = num_inputs, num_outputs
     mgr = BddManager(["x%d" % i for i in range(n)]
                      + ["y%d" % j for j in range(m)])
     inputs = tuple(range(n))
     return PackedRelation(mgr, inputs, tuple(range(n, n + m)), inputs,
-                          int.from_bytes(bits, "little"))
+                          table)
 
 
 def pack_nodes(data: RelationNodes) -> "PackedRelation":

@@ -25,7 +25,9 @@ Two formats live here, with separate jobs:
   give equal tuples, so the data doubles as an exact cache key.  It is
   also a relation spec kind
   (``{"kind": "nodes", ...}`` in :mod:`repro.api.request`), validated
-  by :func:`check_nodes` on ingest.
+  by :func:`check_nodes` on ingest.  Resynthesis is the one exception
+  to the transport: its windows' relations are mined as truth tables,
+  which travel as they are (:meth:`repro.api.Session.solve_tables`).
 
 The gyocro suite distributed BRs as espresso PLA files with one row per
 (input cube, permitted output pattern).  This module reads and writes that

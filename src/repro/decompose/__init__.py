@@ -1,7 +1,7 @@
 """The paper's application: BR-driven logic decomposition (Section 10)."""
 
-from .cutflex import (CutError, CutResynthesis, cut_flexibility_nodes,
-                      cut_flexibility_relation, realize_functions,
+from .cutflex import (CutError, CutResynthesis, cut_flexibility_relation,
+                      cut_flexibility_table, realize_functions,
                       realize_template, resynthesize_cut)
 from .flow import (ComparisonRow, FlowMetrics, compare_flows, run_baseline,
                    run_decomposed)
@@ -15,8 +15,8 @@ __all__ = [
     "ComparisonRow",
     "CutError",
     "CutResynthesis",
-    "cut_flexibility_nodes",
     "cut_flexibility_relation",
+    "cut_flexibility_table",
     "realize_functions",
     "realize_template",
     "resynthesize_cut",

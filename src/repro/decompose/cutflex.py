@@ -17,6 +17,14 @@ free variables ``Y``.  The relation is well defined by construction (the
 original node functions are a compatible assignment), usually *not* an
 MISF (joint flexibility!), and can be handed to BREL to resynthesise the
 cut under any cost function.
+
+Two builders give the same relation: :func:`cut_flexibility_relation`
+collapses the frame into BDDs (the whole-network API of
+:func:`resynthesize_cut`, and the reference), and
+:func:`cut_flexibility_table` mines it by bit-parallel simulation as
+one packed truth table, already in the layout a solve's packed root
+uses, which resynthesis hands to the solver as it is
+(:meth:`repro.api.Session.solve_tables`).
 """
 
 from __future__ import annotations
@@ -25,11 +33,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bdd.manager import FALSE, TRUE, BddManager
-from ..bdd.packed import MAX_FRAME_WIDTH, frame_masks, table_nodes
+from ..bdd.packed import MAX_FRAME_WIDTH, frame_masks
 from ..core.brel import BrelOptions, BrelResult, solve_relation
 from ..core.memo import SolutionTemplate, solution_template
 from ..core.relation import BooleanRelation
-from ..core.relio import RelationNodes
 from ..network.netlist import LogicNetwork
 from ..network.simulate import signal_masks
 from ..sop.cover import Cover
@@ -136,32 +143,36 @@ def cut_flexibility_relation(network: LogicNetwork, cut: Sequence[str]
     return relation, cut_vars
 
 
-def cut_flexibility_nodes(network: LogicNetwork, cut: Sequence[str]
-                          ) -> RelationNodes:
-    """:func:`cut_flexibility_relation`'s relation as its node list,
-    mined on packed truth tables with no BDD manager.
+def cut_flexibility_table(network: LogicNetwork, cut: Sequence[str]
+                          ) -> Tuple[int, int, int]:
+    """:func:`cut_flexibility_relation`'s relation as ``(n, m, table)``:
+    its characteristic function packed over the frame of its ``n``
+    leaves and ``m`` cut variables, mined with no BDD manager.
 
-    Equal to ``relation_to_nodes(cut_flexibility_relation(network,
-    cut)[0])``, with the same :class:`CutError` messages and the same
-    degenerate cases.  The frame is the leaves followed by one variable
-    per cut node; rank ``r`` sits on table position ``k-1-r``, the
-    layout of :mod:`repro.bdd.packed`.  The network is simulated twice by one
-    bit-parallel evaluator, as it is and with every cut member pinned
-    to its variable, and the relation is the AND of the XNORs of every
-    combinational output.  A frame wider than
+    The table is in the root layout of
+    :class:`~repro.core.packedrel.PackedRelation`: leaf ``i`` on
+    position ``n-1-i`` and cut variable ``j`` on position ``n+j``, so
+    it equals what :func:`~repro.bdd.packed.pack_positions` gives for
+    the relation's node in that layout, and it is the table a solve
+    starts from (:func:`repro.api.request.root_of_table`).  The triple
+    is an exact key: equal relations over the same frame give equal
+    triples.  The :class:`CutError` messages and the degenerate cases
+    are :func:`cut_flexibility_relation`'s.  The network is simulated
+    twice by one bit-parallel evaluator, as it is and with every cut
+    member pinned to its variable, and the relation is the AND of the
+    XNORs of every combinational output.  A frame wider than
     :data:`~repro.bdd.packed.MAX_FRAME_WIDTH` variables raises
     :class:`CutError`.
     """
     leaves = _frame_leaves(network, cut)
-    width = len(leaves) + len(cut)
+    n, m = len(leaves), len(cut)
+    width = n + m
     if width > MAX_FRAME_WIDTH:
         raise CutError("the cut's frame has %d variables; packed mining "
                        "stops at %d" % (width, MAX_FRAME_WIDTH))
     _, ones = frame_masks(width)
-    top = width - 1
-    leaf_masks = [ones[top - rank] for rank in range(len(leaves))]
-    cut_masks = {name: ones[top - len(leaves) - index]
-                 for index, name in enumerate(cut)}
+    leaf_masks = [ones[n - 1 - rank] for rank in range(n)]
+    cut_masks = {name: ones[n + index] for index, name in enumerate(cut)}
     count = 1 << width
     order = network.topological_order()
     original = signal_masks(network, leaf_masks, count, order=order)
@@ -173,9 +184,7 @@ def cut_flexibility_nodes(network: LogicNetwork, cut: Sequence[str]
     for name in cut:
         if name not in network.nodes:  # a leaf member: y == x
             table &= ~(cut_masks[name] ^ original[name])
-    nodes, root = table_nodes(table, width)
-    return RelationNodes(tuple(range(len(leaves))),
-                         tuple(range(len(leaves), width)), nodes, root)
+    return n, m, table
 
 
 @dataclass

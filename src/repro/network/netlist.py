@@ -153,32 +153,45 @@ class LogicNetwork:
     # Structure checks
     # ------------------------------------------------------------------
     def topological_order(self) -> List[str]:
-        """Node names sorted leaves-to-roots; raises on cycles."""
-        state: Dict[str, int] = {}
+        """Node names sorted leaves-to-roots; raises on cycles.
+
+        A depth-first walk from the outputs, then from every node (so
+        dangling ones are listed too), fanins in order.  It runs on an
+        explicit stack, so a netlist of any depth is sorted.
+        """
+        nodes = self.nodes
+        state: Dict[str, int] = {}  # 1: on the stack, 2: listed
         order: List[str] = []
         leaves = set(self.combinational_inputs())
 
-        def visit(name: str) -> None:
-            if name not in self.nodes:
+        def enter(name: str) -> bool:
+            """Whether ``name`` is a node still to be walked."""
+            if name not in nodes:
                 if name not in leaves:
                     raise ValueError("undefined signal %r" % name)
-                return
+                return False
             mark = state.get(name, 0)
             if mark == 1:
                 raise ValueError("combinational cycle through %r" % name)
             if mark == 2:
-                return
+                return False
             state[name] = 1
-            for fanin in self.nodes[name].fanins:
-                visit(fanin)
-            state[name] = 2
-            order.append(name)
+            return True
 
-        for name in self.combinational_outputs():
-            visit(name)
-        # Also visit nodes not reachable from outputs (dangling).
-        for name in list(self.nodes):
-            visit(name)
+        for start in self.combinational_outputs() + list(nodes):
+            if not enter(start):
+                continue
+            stack = [(start, iter(nodes[start].fanins))]
+            while stack:
+                name, fanins = stack[-1]
+                for fanin in fanins:
+                    if enter(fanin):
+                        stack.append((fanin, iter(nodes[fanin].fanins)))
+                        break
+                else:
+                    stack.pop()
+                    state[name] = 2
+                    order.append(name)
         return order
 
     def validate(self) -> None:

@@ -1,9 +1,9 @@
 """End-to-end don't-care resynthesis of real circuits (paper Table 3).
 
 The pipeline ingests a BLIF netlist, windows every candidate cut,
-extracts per-cut don't-care flexibility as Boolean relations
-(:mod:`repro.decompose.cutflex`), streams them through
-:meth:`repro.api.Session.solve_many` with a shared report cache, and
+mines per-cut don't-care flexibility as Boolean relations held in
+packed truth tables (:mod:`repro.decompose.cutflex`), hands them to
+:meth:`repro.api.Session.solve_tables` with a shared report cache, and
 rewrites the network with the strictly-improving minimized covers —
 verifying every rewrite on its window and the final network at the
 combinational outputs.

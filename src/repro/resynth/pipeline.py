@@ -2,16 +2,19 @@
 
 One pass over the network:
 
-    enumerate cuts  ->  carve windows  ->  mine flexibility relations
-        ->  stream them through Session.solve_many (shared cache)
+    enumerate cuts  ->  carve windows  ->  mine flexibility tables
+        ->  hand them to Session.solve_tables (shared cache)
         ->  realize the solutions' rank covers  ->  accept
             strictly-improving rewrites  ->  sweep
 
-Each window's flexibility relation is mined on packed truth tables
-and emitted as a node list (:func:`cut_flexibility_nodes`), with no BDD
-manager.  A solution comes back as its report's rank template (one ISOP
-cover per output over the relation's inputs), which becomes covers
-over the window's leaves by renaming alone (:func:`realize_template`).
+Each window's flexibility relation is mined as one packed truth table
+in the solver's root layout (:func:`cut_flexibility_table`), with no
+BDD manager.  A pass dedups its ``(n, m, table)`` triples and hands
+them, with one options-only :class:`~repro.api.SolveRequest`, to the
+session, which builds a relation only for a cache miss.  A solution
+comes back as its report's rank template (one ISOP cover per output
+over the relation's inputs), which becomes covers over the window's
+leaves by renaming alone (:func:`realize_template`).
 Every accepted rewrite is verified exhaustively on its window
 before it sticks, and the final network is checked against the
 original at the combinational outputs (exhaustively for narrow frames,
@@ -27,8 +30,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.session import Session
-from ..core.relio import RelationNodes
-from ..decompose.cutflex import cut_flexibility_nodes, realize_template
+from ..decompose.cutflex import cut_flexibility_table, realize_template
 from ..network.blif import write_blif
 from ..network.netlist import LogicNetwork
 from ..network.simulate import (exhaustive_outputs, output_masks,
@@ -38,16 +40,20 @@ from .request import ResynthRequest, load_circuit
 from .window import Window, enumerate_cuts, extract_window
 
 
+#: A mined relation: its leaf count, its cut size and its table.
+Mined = Tuple[int, int, int]
+
+
 class _Candidate:
     """One windowed cut awaiting its solved relation."""
 
-    __slots__ = ("cut", "window", "nodes", "old_literals")
+    __slots__ = ("cut", "window", "relation", "old_literals")
 
     def __init__(self, cut: Tuple[str, ...], window: Window,
-                 nodes: RelationNodes, old_literals: int) -> None:
+                 relation: Mined, old_literals: int) -> None:
         self.cut = cut
         self.window = window
-        self.nodes = nodes
+        self.relation = relation
         self.old_literals = old_literals
 
 
@@ -77,7 +83,7 @@ def _mine_candidates(network: LogicNetwork, request: ResynthRequest,
             continue
         candidates.append(_Candidate(
             cut=cut, window=window,
-            nodes=cut_flexibility_nodes(window.network, cut),
+            relation=cut_flexibility_table(window.network, cut),
             old_literals=sum(
                 network.nodes[name].cover.literal_count()
                 for name in cut)))
@@ -123,7 +129,7 @@ def _verify_window(window: Window, new_covers: Dict[str, Tuple[List[str],
 
 
 def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
-                reports_by_nodes: Dict[RelationNodes, Any],
+                reports_by_relation: Dict[Mined, Any],
                 counters: Dict[str, int]) -> int:
     """Realize solved relations and install the improving rewrites.
 
@@ -134,7 +140,7 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
     accepted = 0
     dirty: set = set()
     for candidate in candidates:
-        report = reports_by_nodes[candidate.nodes]
+        report = reports_by_relation[candidate.relation]
         if not report.ok:
             counters["solver_failures"] += 1
             continue
@@ -226,6 +232,7 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
         session = Session()
     original = network
     net = network.copy()
+    solve_request = request.solver_request(None)
     pass_records: List[Dict[str, Any]] = []
     total_mined = 0
     total_solved = 0
@@ -240,18 +247,15 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
             "rejected_cycle": 0, "rejected_verify": 0, "accepted": 0,
         }
         candidates = _mine_candidates(net, request, counters)
-        # The node list is an exact key: equal tuples, equal relations.
-        unique = list(dict.fromkeys(candidate.nodes
+        # The mined triple is an exact key: equal triples, equal
+        # relations.
+        unique = list(dict.fromkeys(candidate.relation
                                     for candidate in candidates))
         counters["unique_relations"] = len(unique)
-        requests = [request.solver_request(
-            nodes.spec(), label="resynth-p%d-%d" % (index, position))
-            for position, nodes in enumerate(unique)]
-        reports = session.solve_many(requests,
-                                     max_workers=request.workers,
-                                     executor=request.executor)
-        reports_by_nodes = dict(zip(unique, reports))
-        accepted = _apply_pass(net, candidates, reports_by_nodes,
+        reports = session.solve_tables(unique, solve_request,
+                                       max_workers=request.workers,
+                                       executor=request.executor)
+        accepted = _apply_pass(net, candidates, dict(zip(unique, reports)),
                                counters)
         swept = net.sweep_dangling()
         record = dict(counters)
@@ -267,6 +271,9 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
             break
 
     equivalent, method, vectors = _verify_final(original, net, request)
+    # Nothing rewrites the network after the last pass's sweep.
+    literals_before = original.literal_count()
+    literals_after = pass_records[-1]["literals_end"]
     report = ResynthReport(
         ok=True,
         label=request.label,
@@ -277,9 +284,9 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
         num_latches=len(original.latches),
         gates_before=original.node_count(),
         gates_after=net.node_count(),
-        literals_before=original.literal_count(),
-        literals_after=net.literal_count(),
-        literal_savings=original.literal_count() - net.literal_count(),
+        literals_before=literals_before,
+        literals_after=literals_after,
+        literal_savings=literals_before - literals_after,
         gate_savings=original.node_count() - net.node_count(),
         passes=pass_records,
         relations_mined=total_mined,

@@ -136,13 +136,15 @@ class ResynthRequest:
             raise ValueError("verify must be one of %s, got %r"
                              % (", ".join(VERIFY_MODES), self.verify))
         # Validate the solver knobs eagerly via a throwaway request.
-        self.solver_request({"kind": "pla", "text": ".i 1\n.o 1\n"
-                                                   "0 0\n1 1\n.e\n"})
+        self.solver_request(None)
 
     # -- conversion ----------------------------------------------------
     def solver_request(self, relation_spec: Any,
                        label: Optional[str] = None) -> SolveRequest:
-        """The per-cut :class:`SolveRequest` for one mined relation."""
+        """The :class:`SolveRequest` of the solver knobs, for
+        ``relation_spec``; the pipeline asks for one with no relation
+        and hands every mined table over with it
+        (:meth:`~repro.api.Session.solve_tables`)."""
         return SolveRequest(
             relation=relation_spec,
             cost=self.cost,

@@ -16,7 +16,11 @@ reference:
   its variables until ``report.solution.functions`` is read, and its
   report (pairs, compatibility, sizes, PLA) matches the node-level
   computations;
-* the PLA export written from tables is ``write_relation``'s text.
+* the PLA export written from tables is ``write_relation``'s text;
+* a table mined in the root layout
+  (:func:`~repro.api.request.root_of_table`) gives the root the node
+  list of its relation gives, at every width 1-18: packed up to 16
+  variables, on nodes beyond.
 """
 
 import random
@@ -28,10 +32,11 @@ from repro import SolveRequest
 from repro.api import Session
 from repro.api.report import SolveReport
 from repro.api.request import (normalize_relation_spec, relation_of_spec,
-                               root_of_nodes, root_of_spec)
+                               root_of_nodes, root_of_spec, root_of_table)
 from repro.bdd import BddManager
-from repro.bdd.manager import FALSE
-from repro.bdd.packed import MAX_TABLE_WIDTH, unpack
+from repro.bdd.manager import FALSE, TRUE
+from repro.bdd.packed import (MAX_FRAME_WIDTH, MAX_TABLE_WIDTH,
+                              pack_positions, unpack)
 from repro.benchdata import SUITE
 from repro.benchdata.brgen import (block_structured_relation,
                                    random_relation)
@@ -237,6 +242,49 @@ class TestRootEqualsPackedNodes:
             with pytest.raises(ValueError) as nodes:
                 BooleanRelation.from_output_sets(rows, 1, 1)
             assert str(packed.value) == str(nodes.value)
+
+
+class TestRootOfTable:
+    """A mined table's root is the root of its relation's node list."""
+
+    @pytest.mark.parametrize("width", range(1, MAX_FRAME_WIDTH + 1))
+    def test_matches_the_node_list_path(self, width):
+        rng = random.Random(300 + width)
+        m = 1 if width < 3 else 2
+        n = width - m
+        names = ["x%d" % i for i in range(n)] + ["y%d" % j for j in range(m)]
+        mgr = BddManager(names)
+        covers = [[], [[]]]  # FALSE, TRUE
+        for _ in range(4):  # sparse covers: wide tables, small BDDs
+            covers.append([
+                [(var, rng.random() < 0.5) for var in
+                 rng.sample(range(width), rng.randint(1, min(width, 6)))]
+                for _ in range(rng.randint(1, 8))])
+        # Input i on position n-1-i, output j on n+j.
+        position = {var: n - 1 - var if var < n else var
+                    for var in range(width)}
+        for cover in covers:
+            node = FALSE
+            for cube in cover:
+                term = TRUE
+                for var, polarity in cube:
+                    literal = mgr.var(var)
+                    term = mgr.and_(term, literal if polarity
+                                    else mgr.not_(literal))
+                node = mgr.or_(node, term)
+            data = relation_to_nodes(BooleanRelation(
+                mgr, range(n), range(n, width), node))
+            (table,) = pack_positions(mgr, [node], position, width)
+            root = root_of_table(n, m, table)
+            assert (root.inputs, root.outputs) == \
+                (tuple(range(n)), tuple(range(n, width)))
+            assert [root.mgr.var_name(var) for var in range(width)] == names
+            if narrow(n, m):
+                assert isinstance(root, PackedRelation)
+                assert root.table == table == root_of_nodes(data).table
+                root = root.unpacked()
+            assert isinstance(root, BooleanRelation)
+            assert relation_to_nodes(root) == data
 
 
 def narrow_specs(tmp_path):

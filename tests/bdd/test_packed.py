@@ -18,8 +18,7 @@ evaluation:
   node;
 * the kernel's ISOP-table counters after a seeded solve are the ones the
   explicit-stack kernel read, a size-cost solve lists no cube, and the
-  recursion fits a few dozen frames at the widest packed frame;
-* ``table_nodes`` is ``function_nodes`` of the unpacked node.
+  recursion fits a few dozen frames at the widest packed frame.
 
 :func:`repro.bdd.packed.interval_isop` must return exactly what Brown's
 elimination plus the Minato-Morreale expansion of :mod:`repro.bdd.isop`
@@ -41,8 +40,7 @@ from repro.bdd.packed import (MAX_FRAME_WIDTH, MAX_TABLE_WIDTH,
                               cover_table, eliminate, frame_masks,
                               interval_isop, pack, pack_positions,
                               packed_cover, packed_isop, permute, spread,
-                              squeeze, table_nodes, table_size, tree_cubes,
-                              unpack)
+                              squeeze, table_size, tree_cubes, unpack)
 from repro.benchdata.brgen import random_relation
 from repro.core.brel import BrelOptions, BrelSolver
 from repro.core.cost import bdd_size_cost, cube_count_cost
@@ -51,7 +49,6 @@ from repro.core.minimize import (_isop_pipeline,
                                  eliminate_nonessential_variables)
 from repro.core.packedrel import pack_relation
 from repro.core.relation import BooleanRelation
-from repro.core.relio import function_nodes
 
 
 #: Every width the table helpers serve, and every width the ISOP kernel
@@ -590,31 +587,6 @@ class TestRecursionDepth:
         assert cover_table(width, [[(width - 1 - p, value)
                                     for p, value in cube]
                                    for cube in cubes]) == cover
-
-
-class TestTableNodes:
-    """``table_nodes`` is ``function_nodes`` of the unpacked node, with
-    no manager, at every width the table helpers serve."""
-
-    @pytest.mark.parametrize("width", range(MAX_FRAME_WIDTH + 1))
-    def test_matches_function_nodes_of_unpack(self, width):
-        rng = random.Random(300 + width)
-        tables = [0, (1 << (1 << width)) - 1]
-        if width <= MAX_TABLE_WIDTH:  # dense: BDDs near 2**width/width
-            tables += [rng.getrandbits(1 << width) for _ in range(3)]
-        for _ in range(4):  # sparse covers: wide tables, small BDDs
-            tables.append(cover_table(width, [
-                [(rank, rng.random() < 0.5) for rank in
-                 rng.sample(range(width), rng.randint(1, min(width, 6)))]
-                for _ in range(rng.randint(1, 8))] if width else []))
-        frame = list(range(width))
-        mgr = BddManager(["v%d" % var for var in frame])
-        for table in tables:
-            node = unpack(mgr, table, frame)
-            assert pack(mgr, [node], frame) == [table]
-            nodes, (root,) = function_nodes(
-                mgr, (node,), {var: var for var in frame})
-            assert table_nodes(table, width) == (nodes, root)
 
 
 def minterm_or(rows, num_inputs, num_outputs):

@@ -1,18 +1,20 @@
 """Packed cut-flexibility mining against the BDD reference.
 
-:func:`repro.decompose.cut_flexibility_nodes` must return exactly
-``relation_to_nodes(cut_flexibility_relation(network, cut)[0])``: the
-same node list on every window the resynthesis pipeline can build, the
-same degenerate relations and the same :class:`CutError` messages.
+:func:`repro.decompose.cut_flexibility_table` must return ``(n, m,
+table)`` with ``table`` exactly what ``pack_positions`` gives for
+``cut_flexibility_relation(network, cut)``'s node in the solver's root
+layout (leaf ``i`` on position ``n-1-i``, cut variable ``j`` on
+``n+j``): on every window the resynthesis pipeline can build, 17- and
+18-variable frames included, with the same degenerate relations and
+the same :class:`CutError` messages.
 """
 
 import pytest
 
-from repro.bdd.packed import MAX_FRAME_WIDTH
+from repro.bdd.packed import MAX_FRAME_WIDTH, pack_positions
 from repro.benchdata.circuits import CIRCUITS
-from repro.core.relio import relation_to_nodes
-from repro.decompose import (CutError, cut_flexibility_nodes,
-                             cut_flexibility_relation)
+from repro.decompose import (CutError, cut_flexibility_relation,
+                             cut_flexibility_table)
 from repro.network import LogicNetwork, parse_blif
 from repro.resynth.window import CUT_POLICIES, enumerate_cuts, extract_window
 from repro.sop import Cover
@@ -21,7 +23,16 @@ from .test_cutflex import reconvergent_and_network
 
 
 def reference(network, cut):
-    return relation_to_nodes(cut_flexibility_relation(network, cut)[0])
+    """The BDD path's relation, packed in the root layout."""
+    relation, _ = cut_flexibility_relation(network, cut)
+    n, m = len(relation.inputs), len(relation.outputs)
+    position = {var: n - 1 - index
+                for index, var in enumerate(relation.inputs)}
+    position.update({var: n + index
+                     for index, var in enumerate(relation.outputs)})
+    (table,) = pack_positions(relation.mgr, [relation.node], position,
+                              n + m)
+    return n, m, table
 
 
 @pytest.mark.parametrize("window", [8, 16])
@@ -38,7 +49,7 @@ def test_every_window_matches_the_bdd_path(circuit, window):
                                      tfo_depth=depth)
                 if win is None:
                     continue
-                assert cut_flexibility_nodes(win.network, cut) == \
+                assert cut_flexibility_table(win.network, cut) == \
                     reference(win.network, cut), (policy, depth, cut)
 
 
@@ -62,22 +73,23 @@ def test_whole_networks_match_the_bdd_path():
                      ".names t b n\n1- 1\n-1 1\n"
                      ".names q t o\n1- 1\n-0 1\n.end\n")
     for cut in (["t"], ["n"], ["t", "n"], ["n", "t"], ["q"], ["q", "t"]):
-        assert cut_flexibility_nodes(net, cut) == reference(net, cut)
+        assert cut_flexibility_table(net, cut) == reference(net, cut)
 
 
 class TestDegenerateCuts:
-    """The cases of ``test_cutflex.TestDegenerateCuts``, node for node."""
+    """The cases of ``test_cutflex.TestDegenerateCuts``, table for
+    table."""
 
     def test_paper_and_gate(self):
         net = reconvergent_and_network()
         for cut in (["y1", "y2"], ["y2", "y1"], ["y1"], ["f"],
                     ["y1", "f"]):
-            assert cut_flexibility_nodes(net, cut) == reference(net, cut)
+            assert cut_flexibility_table(net, cut) == reference(net, cut)
 
     def test_leaf_member_is_pinned_to_the_identity(self):
         net = reconvergent_and_network()
         for cut in (["a"], ["a", "y1"], ["y2", "c"]):
-            assert cut_flexibility_nodes(net, cut) == reference(net, cut)
+            assert cut_flexibility_table(net, cut) == reference(net, cut)
 
     def test_constant_node_cut(self):
         net = LogicNetwork("const")
@@ -85,15 +97,15 @@ class TestDegenerateCuts:
         net.add_node("k", [], Cover(0, []))
         net.add_node("f", ["a", "k"], Cover.from_strings(2, ["1-"]))
         net.add_output("f")
-        assert cut_flexibility_nodes(net, ["k"]) == reference(net, ["k"])
+        assert cut_flexibility_table(net, ["k"]) == reference(net, ["k"])
 
     def test_all_constant_network(self):
         net = LogicNetwork("pure")
         net.add_node("one", [], Cover(0, [Cover.universe(0)[0]]))
         net.add_output("one")
-        nodes = cut_flexibility_nodes(net, ["one"])
-        assert nodes.inputs == ()
-        assert nodes == reference(net, ["one"])
+        mined = cut_flexibility_table(net, ["one"])
+        assert mined[:2] == (0, 1)
+        assert mined == reference(net, ["one"])
 
     def test_single_fanout_window(self):
         net = LogicNetwork("chain1")
@@ -102,7 +114,7 @@ class TestDegenerateCuts:
         net.add_node("g", ["a", "b"], Cover.from_strings(2, ["10"]))
         net.add_node("f", ["g"], Cover.from_strings(1, ["0"]))
         net.add_output("f")
-        assert cut_flexibility_nodes(net, ["g"]) == reference(net, ["g"])
+        assert cut_flexibility_table(net, ["g"]) == reference(net, ["g"])
 
     def test_dangling_node_is_unconstrained(self):
         net = LogicNetwork("dangle")
@@ -110,9 +122,9 @@ class TestDegenerateCuts:
         net.add_node("d", ["a"], Cover.from_strings(1, ["1"]))
         net.add_node("f", ["a"], Cover.from_strings(1, ["0"]))
         net.add_output("f")
-        nodes = cut_flexibility_nodes(net, ["d"])
-        assert nodes.root == 1  # the constant TRUE relation
-        assert nodes == reference(net, ["d"])
+        mined = cut_flexibility_table(net, ["d"])
+        assert mined == (1, 1, 0b1111)  # the constant TRUE relation
+        assert mined == reference(net, ["d"])
 
     def test_leaf_wired_to_an_output(self):
         net = LogicNetwork("wire")
@@ -121,7 +133,7 @@ class TestDegenerateCuts:
         net.add_output("a")
         net.add_node("f", ["a", "b"], Cover.from_strings(2, ["11"]))
         net.add_output("f")
-        assert cut_flexibility_nodes(net, ["a", "f"]) == \
+        assert cut_flexibility_table(net, ["a", "f"]) == \
             reference(net, ["a", "f"])
 
 
@@ -132,7 +144,7 @@ class TestCutErrors:
         with pytest.raises(CutError) as expected:
             cut_flexibility_relation(net, cut)
         with pytest.raises(CutError) as got:
-            cut_flexibility_nodes(net, cut)
+            cut_flexibility_table(net, cut)
         assert str(got.value) == str(expected.value)
 
     def test_frame_wider_than_the_table_helpers(self):
@@ -143,7 +155,7 @@ class TestCutErrors:
         net.add_node("f", leaves[:2], Cover.from_strings(2, ["11"]))
         net.add_output("f")
         with pytest.raises(CutError, match="stops at %d" % MAX_FRAME_WIDTH):
-            cut_flexibility_nodes(net, ["f"])
+            cut_flexibility_table(net, ["f"])
         # One variable narrower is mined.
         del net.inputs[-1]
-        assert cut_flexibility_nodes(net, ["f"]) == reference(net, ["f"])
+        assert cut_flexibility_table(net, ["f"]) == reference(net, ["f"])

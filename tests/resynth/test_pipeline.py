@@ -1,8 +1,15 @@
 """End-to-end tests for the resynthesis pipeline."""
 
+import sys
+
 import pytest
 
-from repro.api import Session
+from repro.api import Session, SolveRequest
+from repro.api import session as session_module
+from repro.benchdata.circuits import CIRCUITS
+from repro.core import packedrel, relio
+from repro.core.packedrel import narrow
+from repro.core.relation import BooleanRelation
 from repro.network import LogicNetwork
 from repro.network.blif import parse_blif
 from repro.network.simulate import exhaustive_signature
@@ -13,6 +20,17 @@ from repro.sop import Cover
 from repro.sop.cube import DASH, Cube
 
 from ..decompose.test_cutflex import reconvergent_and_network
+from ..test_pinned_answers import RESYNTH_DIGESTS, sha256
+
+#: Options that give some windows 16 leaves and a one-node cut: frames
+#: of 17 variables, solved on BDD nodes.
+WIDE_OPTIONS = {"s420": {"window": 16, "tfo_depth": 2}}
+
+#: A 22-circuit round at the workload options (serial, one session,
+#: circuits in sorted order): its session cache hits and solved
+#: relations, pinned like the BLIF digests of ``test_pinned_answers``.
+ROUND_CACHE_HITS = 1114
+ROUND_RELATIONS_SOLVED = 1487
 
 
 def run(circuit="s27", **kwargs):
@@ -77,12 +95,27 @@ class TestEndToEnd:
 
 
 class TestExecutorsAndPolicies:
-    @pytest.mark.parametrize("circuit", ("s27", "s298"))
-    def test_process_executor_matches_serial(self, circuit):
-        serial = run(circuit)
-        pooled = run(circuit, executor="process", workers=2)
+    @pytest.mark.parametrize("circuit", ("s27", "s298", "s420"))
+    def test_process_executor_matches_serial(self, circuit, monkeypatch):
+        options = WIDE_OPTIONS.get(circuit, {})
+        roots = []
+        build = session_module.root_of_table
+
+        def recording(*args):
+            roots.append(build(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(session_module, "root_of_table", recording)
+        serial = run(circuit, **options)
+        wide = [root for root in roots
+                if not narrow(len(root.inputs), len(root.outputs))]
+        assert [(len(root.inputs) + len(root.outputs),
+                 isinstance(root, BooleanRelation)) for root in wide] == \
+            ([(17, True)] if options else [])
+        pooled = run(circuit, executor="process", workers=2, **options)
         assert pooled.ok and pooled.equivalent is True
         assert pooled.literals_after == serial.literals_after
+        assert pooled.blif == serial.blif
 
     def test_reconvergent_policy_runs_clean(self):
         report = run("s298", cut_policy="reconvergent", passes=1)
@@ -204,6 +237,88 @@ class TestSharedSession:
         assert session.cache_hits > hits
         assert second.literals_after == first.literals_after
         assert second.blif == first.blif
+
+
+@pytest.fixture
+def no_node_lists(monkeypatch):
+    """``pack_nodes`` and ``check_nodes`` raise wherever they are bound."""
+    originals = {"pack_nodes": packedrel.pack_nodes,
+                 "check_nodes": relio.check_nodes}
+
+    def stub(*args, **kwargs):
+        raise AssertionError("a node list on the resynthesis path")
+
+    for module in list(sys.modules.values()):
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, stub)
+
+
+class TestTableHandover:
+    def test_a_round_keeps_its_answers_and_builds_no_request_per_table(
+            self, no_node_lists, monkeypatch):
+        built = []
+        post_init = SolveRequest.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SolveRequest, "__post_init__", counting)
+        session = Session()
+        solved = 0
+        for name in sorted(spec.name for spec in CIRCUITS):
+            request = ResynthRequest(circuit=name, passes=2, window=8,
+                                     max_explored=8)
+            del built[:]
+            report = resynthesize(request, session=session)
+            assert report.ok, report.error
+            assert sha256(report.blif) == RESYNTH_DIGESTS[name], name
+            assert len(built) <= len(report.passes), name
+            solved += report.relations_solved
+        assert session.cache_hits == ROUND_CACHE_HITS
+        assert solved == ROUND_RELATIONS_SOLVED
+
+    def test_every_report_is_the_cache_entry_itself(self):
+        session = Session()
+        request = SolveRequest(cost="literals", max_explored=8)
+        # a & b feeding an output: y0 must equal x0 & x1.
+        mined = (2, 1, 0b10000111)
+        first, again = session.solve_tables([mined, mined], request,
+                                            executor="serial")
+        assert first is again and first.ok and first.solution is None
+        assert first.solution_template() == ((((0, True), (1, True)),),)
+        assert session.cache_hits == 0
+        (hit,) = session.solve_tables([mined], request, executor="serial")
+        assert hit is first and session.cache_hits == 1
+        # Another request's options are another key.
+        (other,) = session.solve_tables([mined], request.replace(cost="size"),
+                                        executor="serial")
+        assert other is not first and session.cache_hits == 1
+
+
+def deep_chain(gates):
+    """``n{i} = n{i-1} & b`` for ``gates`` levels over ``n0 = a``."""
+    lines = [".model chain", ".inputs a b", ".outputs n%d" % gates,
+             ".names a n0", "1 1"]
+    for index in range(1, gates + 1):
+        lines += [".names n%d b n%d" % (index - 1, index), "11 1"]
+    return "\n".join(lines + [".end"]) + "\n"
+
+
+class TestDeepNetlists:
+    def test_a_3000_gate_chain_parses_and_resynthesizes(self):
+        text = deep_chain(3000)
+        network = parse_blif(text)
+        network.validate()
+        assert network.topological_order() == \
+            ["n%d" % index for index in range(3001)]
+        report = resynthesize(ResynthRequest(
+            circuit={"kind": "blif", "text": text}, passes=1))
+        assert report.ok, report.error
+        assert report.equivalent is True
+        assert report.literals_before == 6001
+        assert report.literals_after < report.literals_before
 
 
 class TestFailureCapture:

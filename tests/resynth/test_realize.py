@@ -167,7 +167,7 @@ class TestLocalAcyclicityCheck:
                   for name, node in network.nodes.items()}
         window = Window(cut=("y1",), nodes=("y1", "f"), leaves=("f",),
                         roots=("f",), network=network.copy())
-        candidate = _Candidate(cut=("y1",), window=window, nodes="key",
+        candidate = _Candidate(cut=("y1",), window=window, relation="key",
                                old_literals=2)
         report = SolveReport(ok=True, _template=((((0, True),),),))
         counters = dict.fromkeys(("solver_failures", "unrealized",
