@@ -11,16 +11,14 @@ A :class:`Session` is the stateful front door of the package.  It
   :class:`~repro.api.SolveRequest` can refer to;
 * runs single solves (:meth:`Session.solve`) and batches
   (:meth:`Session.solve_many`, and :meth:`Session.solve_tables` for
-  resynthesis's mined tables) with a shared result cache, the batches
-  optionally process-parallel via :mod:`concurrent.futures`, with
-  per-job failures captured as failed :class:`SolveReport`\\ s rather
-  than raised.
+  resynthesis's mined tables) with a shared result cache and per-job
+  failures captured as failed :class:`SolveReport`\\ s.
 
-A single solve always runs in its caller's process: sharded blocks and
-portfolio racers run in turn inside the solver.  The batch pool that
-:meth:`Session.solve_many` and :meth:`Session.solve_tables` share is
-the package's one process pool; it runs many requests side by side,
-which is where parallelism pays.
+A single solve runs in its caller's process (sharded blocks and
+portfolio racers run in turn inside the solver), and so does every
+mined table of :meth:`Session.solve_tables`.  The pool of
+:meth:`Session.solve_many`, at most one worker per CPU, is the
+package's one process pool: parallelism pays on heavy batches.
 
 Every path into the report cache — :meth:`Session.solve`,
 :meth:`Session.solve_iter`, :meth:`Session.solve_many` on either
@@ -34,28 +32,25 @@ mined-table key of :meth:`Session.solve_tables`: ``("table", n, m,
 table)`` plus the options, which no spec shares, so a ``nodes`` spec
 and a mined table of the same relation are separate entries.
 
-Pool jobs are made *self-contained* before dispatch: the relation
-travels as its node list (:func:`repro.core.relio.relation_to_nodes`,
-linear in BDD size) and the request as its dict form, so a job needs
-nothing from the parent process beyond importable code; the solution
-comes back as a rank template, which the session re-instantiates in the
-manager of the job's relation when the parent built one.  Node-spec
-jobs are node lists already: they ship as they are, and their reports
-keep the template; other relations are flattened for cache misses
-only.  A mined-table job ships its three ints instead.  (Custom
-registry entries reach workers through the default ``fork`` start
-method on POSIX; under ``spawn`` they must be registered at import time
-of a module the workers import.)
+Pool jobs are made *self-contained* before dispatch: a packed root
+travels as its ``(n, m, table)`` triple, any other as its node list
+(:func:`repro.core.relio.relation_to_nodes`, linear in BDD size), and
+the request as its dict form, so a job needs nothing from the parent
+process beyond importable code; the solution comes back as a rank
+template, which the session re-instantiates in the manager of the
+job's root when the parent built one.  A node spec ships its own list,
+and its reports keep the template.  (Custom registry entries reach
+workers through the default ``fork`` start method on POSIX; under
+``spawn`` they must be registered at import time of a module the
+workers import.)
 
 A solve of a self-contained spec starts from :func:`root_of_spec`: a
 narrow spec (16 variables or fewer) is packed straight into its root
 table, with no BDD node built, and its report reads that table; wider
-specs, equation systems and session names are built on nodes.  Serial
-batch jobs and node-list jobs (a node spec, or a pool worker's job)
-build their roots the same way; a process batch still flattens a
-non-node spec to the node list of its relation on nodes.  A mined
-table is its own root (:func:`root_of_table`): packed as it is when
-narrow, else its BDD node.
+specs, equation systems and session names are built on nodes.  Batch
+jobs on either executor and pool workers build their roots the same
+way.  A mined table is its own root (:func:`root_of_table`): packed as
+it is when narrow, else its BDD node.
 
 Every solve explores its relation from scratch: the session caches
 whole reports, never subproblems.
@@ -81,9 +76,8 @@ from ..core.relio import (RelationNodes, parse_relation, peek_shape,
 from ..core.solution import Solution
 from .report import SolveReport
 from .request import (RelationSpec, SolveRequest, nodes_of_spec,
-                      normalize_relation_spec, relation_of_spec,
-                      relation_spec_to_jsonable, root_of_nodes,
-                      root_of_spec, root_of_table,
+                      normalize_relation_spec, relation_spec_to_jsonable,
+                      root_of_nodes, root_of_spec, root_of_table,
                       truth_tables_to_output_sets)
 
 #: What solve()/solve_many() accept as the thing to solve.
@@ -105,7 +99,7 @@ def _run_job(job: Dict[str, Any],
     solver error — comes back as a failed report so one bad job cannot
     poison a batch.  In this process the job carries the live, validated
     request and (unless it is a node-spec or a mined-table job) the live
-    relation, whose manager keeps the solution valid.  A worker gets
+    root, whose manager keeps the solution valid.  A worker gets
     only the request dict, the node list or the ``(n, m, table)``
     triple, and the label, and no cancel token; BDD handles must not
     cross back over the process boundary, so it ships the solved vector
@@ -163,14 +157,13 @@ class Session:
     requested again.
     """
 
-    def __init__(self, max_workers: Optional[int] = None,
+    def __init__(self,
                  auto_trim_nodes: Optional[int] = DEFAULT_AUTO_TRIM_NODES
                  ) -> None:
         self._relations: Dict[str, BooleanRelation] = {}
         self._managers: Dict[Tuple[int, int], BddManager] = {}
         self._cache: Dict[Tuple[Any, ...], SolveReport] = {}
         self.cache_hits = 0
-        self.default_max_workers = max_workers
         self.auto_trim_nodes = auto_trim_nodes
         self.trims = 0
 
@@ -709,10 +702,10 @@ class Session:
         and returns the cached report immediately.
 
         Input validation is eager, matching :meth:`solve`: unknown
-        relation names, unreadable files and specs that do not build a
-        relation (a bad PLA cube, an unknown benchmark) raise *here*,
-        not at the first ``next()`` — only the search itself runs
-        lazily.
+        relation names, unreadable files, specs that do not build a
+        relation (a bad PLA cube, an unknown benchmark) and relations
+        that are not left-total raise *here*, not at the first
+        ``next()`` — only the search itself runs lazily.
         """
         request = request or SolveRequest()
         resolved, spec, key, from_registry = \
@@ -722,6 +715,7 @@ class Session:
             return self._yield_hit(hit)
         resolved, key, spec_built = self._materialize(
             resolved, spec, key, from_registry, request)
+        resolved.require_well_defined()
         return self._solve_iter(request, resolved, key, spec_built,
                                 cancel, observer)
 
@@ -771,13 +765,12 @@ class Session:
           shared report fanned back out (``cached=True`` on the
           copies); the session cache additionally persists across
           calls.
-        * ``executor`` selects ``"process"`` (default; true parallelism
-          across cores) or ``"serial"`` (in-process, on the live
-          relation).  Process jobs ship the relation as its node list
-          (:func:`~repro.core.relio.relation_to_nodes`), linear in BDD
-          size at any input width: a node spec's own list as it is,
-          any other relation flattened in this process, for cache
-          misses only.
+        * ``executor`` selects ``"process"`` (default; one worker per
+          job, at most ``max_workers`` and the CPU count) or
+          ``"serial"`` (in-process).  Both build a miss's root here as
+          :meth:`solve` does, a node spec's aside; a process job ships a
+          packed root as its ``(n, m, table)`` triple, any other as its
+          node list.
 
         Every successful report carries its solution template
         (:meth:`SolveReport.solution_template`).  A report on a named
@@ -807,26 +800,29 @@ class Session:
                 if cached is None and key not in jobs:
                     # A node spec's own list (the request checked it)
                     # ships as it is, and a serial job builds it when it
-                    # is solved; any other spec is built here: its root
-                    # for a serial job, and for the pool the relation on
-                    # nodes, flattened.
+                    # is solved; any other spec's root is built here.
                     nodes: Optional[RelationNodes] = None
+                    table: Optional[Tuple[int, int, int]] = None
                     if spec["kind"] == "nodes":
                         nodes = nodes_of_spec(spec)
                     else:
                         if not from_registry:
-                            resolved = (relation_of_spec(spec)
-                                        if executor == "process"
-                                        else root_of_spec(spec))
+                            resolved = root_of_spec(spec)
                             spec_built.append(resolved)
                         if executor == "process":
-                            nodes = relation_to_nodes(resolved)
+                            if isinstance(resolved, PackedRelation):
+                                table = (resolved.n, resolved.m,
+                                         resolved.table)
+                            else:
+                                nodes = relation_to_nodes(resolved)
                     # "relation" and "solve_request" are the live objects
                     # for in-process execution; workers get only the
-                    # node list and request dict.  The registry name
-                    # lets the serial path re-resolve and auto-trim.
+                    # node list or triple and the request dict.  The
+                    # registry name lets the serial path re-resolve and
+                    # auto-trim.
                     jobs[key] = {
-                        "nodes": nodes, "request": request.to_dict(),
+                        "nodes": nodes, "table": table,
+                        "request": request.to_dict(),
                         "solve_request": request, "label": label,
                         "relation": resolved,
                         "registry_name": spec["name"] if from_registry
@@ -872,9 +868,7 @@ class Session:
         return [report for report in reports if report is not None]
 
     def solve_tables(self, tables: Sequence[Tuple[int, int, int]],
-                     request: SolveRequest,
-                     max_workers: Optional[int] = None,
-                     executor: str = "process") -> List[SolveReport]:
+                     request: SolveRequest) -> List[SolveReport]:
         """Solve relations mined as ``(n, m, table)`` triples under one
         options-only request; one report per triple, in order.
 
@@ -882,11 +876,9 @@ class Session:
         root layout of :func:`~repro.decompose.cutflex.cut_flexibility_table`
         and is keyed as ``("table", n, m, table)`` plus
         :meth:`SolveRequest.options_key`, an exact key that no spec
-        kind shares.  A miss is solved from a root built straight from
-        its table (:func:`root_of_table`), on either executor as
-        :meth:`solve_many` runs its jobs: a pool job ships the three
-        ints and the request dict.  Its report is stored as a pool
-        job's entry is stored, with its template and no live solution.
+        kind shares.  A miss is solved in this process from a root
+        built straight from its table (:func:`root_of_table`), and its
+        report is stored with its template and no live solution.
         Every report handed back is the session's entry itself (a
         failure, never stored, is its own report), for the caller to
         read and never mutate: no copy, request dict or label is made
@@ -894,27 +886,25 @@ class Session:
         share the report; only a triple served from an entry stored
         before the call counts as a cache hit.
         """
-        check_executor("executor", executor)
         options = request.options_key()
-        keys = [("table",) + tuple(mined) + options for mined in tables]
         request_dict = request.to_dict()
-        jobs = {key: {"table": tuple(mined), "request": request_dict,
-                      "solve_request": request, "label": request.label,
-                      "relation": None, "registry_name": None}
-                for mined, key in zip(tables, keys)
-                if key not in self._cache}
-        fresh = (self._run_jobs(list(jobs), jobs, max_workers, executor)
-                 if jobs else {})
-        for key, report in fresh.items():
-            self._strip_solution(report)
-            if report.ok:
-                self._cache[key] = report
+        fresh: Dict[Tuple[Any, ...], SolveReport] = {}
         reports: List[SolveReport] = []
-        for key in keys:
+        for mined in tables:
+            key = ("table",) + tuple(mined) + options
             report = fresh.get(key)
             if report is None:
-                self.cache_hits += 1
-                report = self._cache[key]
+                report = self._cache.get(key)
+                if report is not None:
+                    self.cache_hits += 1
+                else:
+                    report = _run_job({
+                        "table": tuple(mined), "request": request_dict,
+                        "solve_request": request, "label": request.label})
+                    self._strip_solution(report)
+                    if report.ok:
+                        self._cache[key] = report
+                    fresh[key] = report
             reports.append(report)
         return reports
 
@@ -962,17 +952,16 @@ class Session:
                 results[key] = _run_job(job, cancel)
             return results
 
-        # One worker per job up to the CPU count, unless capped by the
-        # call or the session default.
-        if max_workers is None:
-            max_workers = self.default_max_workers
-        if max_workers is None:
-            max_workers = os.cpu_count() or 1
+        # One worker per job, capped by the call and by the CPU count:
+        # the engine is pure Python, so a process beyond the cores only
+        # takes turns with the others.
+        workers = min(len(keys), os.cpu_count() or 1)
+        if max_workers is not None:
+            workers = min(workers, max_workers)
         # Imported here so that ``import repro`` loads no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
         try:
-            with ProcessPoolExecutor(
-                    max_workers=max(1, min(max_workers, len(keys)))) as pool:
+            with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
                 futures = {}
                 for key in keys:
                     job = jobs[key]

@@ -13,7 +13,8 @@ Commands
 ``map``        technology-map a BLIF netlist and print the gate report.
 ``resynth``    run don't-care resynthesis on a BLIF netlist (or bundled
                circuit): mine windowed flexibility relations, solve
-               them, keep the strictly-improving rewrites.
+               them in this process, keep the strictly-improving
+               rewrites.
 ``bench-info`` list the bundled benchmark instances.
 ``serve``      run the solve service (HTTP + SSE, tiered cache) from
                :mod:`repro.service`.
@@ -281,8 +282,6 @@ def _cmd_resynth(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             max_explored=args.max_explored,
             decompose=args.decompose,
-            executor=args.executor,
-            workers=args.workers,
             verify=args.verify,
             verify_vectors=args.verify_vectors,
             seed=args.seed,
@@ -393,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("manifest", help="JSON manifest file (see module "
                                         "docstring for the format)")
     batch.add_argument("--workers", type=int, default=None,
-                       help="process-pool size (default: one per job, "
-                            "capped at the CPU count)")
+                       help="process-pool size (default: one per job; "
+                            "never more than the CPU count)")
     batch.add_argument("--executor", choices=EXECUTORS,
                        default="process")
     batch.add_argument("--output", default=None,
@@ -451,12 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                          action="store_true", default=None)
     resynth.add_argument("--no-decompose", dest="decompose",
                          action="store_false")
-    resynth.add_argument("--executor", choices=EXECUTORS,
-                         default="serial",
-                         help="how the relation stream is solved "
-                              "(default serial; process pools ship "
-                              "each mined relation as its truth table)")
-    resynth.add_argument("--workers", type=int, default=None)
     resynth.add_argument("--verify",
                          choices=["auto", "exhaustive", "signature",
                                   "none"],

@@ -25,9 +25,11 @@ Two formats live here, with separate jobs:
   give equal tuples, so the data doubles as an exact cache key.  It is
   also a relation spec kind
   (``{"kind": "nodes", ...}`` in :mod:`repro.api.request`), validated
-  by :func:`check_nodes` on ingest.  Resynthesis is the one exception
-  to the transport: its windows' relations are mined as truth tables,
-  which travel as they are (:meth:`repro.api.Session.solve_tables`).
+  by :func:`check_nodes` on ingest.  A packed root is the one
+  exception to the transport: a narrow spec's root and a resynthesis
+  window's mined relation are truth tables, which travel as their
+  ``(n, m, table)`` triples (:meth:`repro.api.Session.solve_many`,
+  :meth:`repro.api.Session.solve_tables`).
 
 The gyocro suite distributed BRs as espresso PLA files with one row per
 (input cube, permitted output pattern).  This module reads and writes that

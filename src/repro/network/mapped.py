@@ -76,26 +76,33 @@ def mapping_to_network(network: LogicNetwork,
 
     by_output = {gate.output: gate for gate in result.gates}
 
-    def emit(node: int) -> str:
-        if node in signal:
-            return signal[node]
-        kind = graph.kinds[node]
-        if kind == CONST0:
-            signal[node] = ensure_const(node, False)
-            return signal[node]
-        if kind == CONST1:
-            signal[node] = ensure_const(node, True)
-            return signal[node]
-        mapped_gate = by_output.get(node)
-        if mapped_gate is None:
-            raise ValueError("subject node %d has no mapped gate "
-                             "(was the result produced for this network?)"
-                             % node)
-        fanins = [emit(leaf) for leaf in mapped_gate.inputs]
-        name = "m%d" % node
-        mapped.add_node(name, fanins, gate_cover(mapped_gate.gate))
-        signal[node] = name
-        return name
+    def emit(root: int) -> str:
+        # Fanins before their gate, depth first and in order, on an
+        # explicit stack: a deep netlist maps one level per gate.
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node in signal:
+                continue
+            kind = graph.kinds[node]
+            if kind in (CONST0, CONST1):
+                signal[node] = ensure_const(node, kind == CONST1)
+                continue
+            mapped_gate = by_output.get(node)
+            if mapped_gate is None:
+                raise ValueError("subject node %d has no mapped gate "
+                                 "(was the result produced for this "
+                                 "network?)" % node)
+            if expanded:
+                signal[node] = "m%d" % node
+                mapped.add_node(signal[node],
+                                [signal[leaf] for leaf in mapped_gate.inputs],
+                                gate_cover(mapped_gate.gate))
+            else:
+                stack.append((node, True))
+                stack.extend((leaf, False)
+                             for leaf in reversed(mapped_gate.inputs))
+        return signal[root]
 
     # Interface: primary outputs keep their names through buffer nodes
     # when necessary; latch inputs are rewired to the mapped signals.

@@ -318,20 +318,19 @@ def map_network(network: LogicNetwork,
                         if leaf not in boundaries]
             best[node] = gate.area + sum(best[leaf] for leaf in internal)
 
-    # Emit gates: walk chosen covers from every boundary/root.
+    # Emit gates: walk chosen covers from every boundary/root, depth
+    # first in pre-order on an explicit stack (a deep netlist maps
+    # one level per gate).
     emitted: Dict[int, MappedGate] = {}
-
-    def emit(node: int) -> None:
+    stack = list(reversed(graph.roots.values()))
+    while stack:
+        node = stack.pop()
         if node in emitted or graph.kinds[node] in (LEAF, CONST0, CONST1):
-            return
+            continue
         gate, bindings = chosen[node]
         leaf_nodes = tuple(bindings[name] for name in gate.leaf_names())
         emitted[node] = MappedGate(gate, node, leaf_nodes)
-        for leaf in leaf_nodes:
-            emit(leaf)
-
-    for root in graph.roots.values():
-        emit(root)
+        stack.extend(reversed(leaf_nodes))
 
     total_area = sum(mapped.gate.area for mapped in emitted.values())
     total_delay = max([arrival[root] for root in graph.roots.values()]

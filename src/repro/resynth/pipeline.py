@@ -11,7 +11,9 @@ Each window's flexibility relation is mined as one packed truth table
 in the solver's root layout (:func:`cut_flexibility_table`), with no
 BDD manager.  A pass dedups its ``(n, m, table)`` triples and hands
 them, with one options-only :class:`~repro.api.SolveRequest`, to the
-session, which builds a relation only for a cache miss.  A solution
+session, which builds a relation only for a cache miss and solves it
+in this process: a round's relations take a fraction of a millisecond
+each, less than a process pool costs to start.  A solution
 comes back as its report's rank template (one ISOP cover per output
 over the relation's inputs), which becomes covers over the window's
 leaves by renaming alone (:func:`realize_template`).
@@ -252,9 +254,7 @@ def resynthesize_network(network: LogicNetwork, request: ResynthRequest,
         unique = list(dict.fromkeys(candidate.relation
                                     for candidate in candidates))
         counters["unique_relations"] = len(unique)
-        reports = session.solve_tables(unique, solve_request,
-                                       max_workers=request.workers,
-                                       executor=request.executor)
+        reports = session.solve_tables(unique, solve_request)
         accepted = _apply_pass(net, candidates, dict(zip(unique, reports)),
                                counters)
         swept = net.sweep_dangling()

@@ -10,7 +10,9 @@ from typing import Any, Dict, List, Mapping, Optional
 #: Bumped when the report schema changes shape.
 #: 2: dropped ``memo_hits``, ``memo_misses`` and ``memo_hit_rate`` (the
 #: subproblem memo was retired).
-RESYNTH_SCHEMA_VERSION = 2
+#: 3: the echoed ``request`` dropped ``workers`` (resynthesis solves in
+#: its caller's process).
+RESYNTH_SCHEMA_VERSION = 3
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 Mirrors the :class:`repro.api.SolveRequest` idiom: a frozen dataclass
 with eager validation, JSON round-trip, and a canonical options key the
-service layer folds into its cache fingerprint.
+service layer folds into its cache fingerprint.  A run solves its mined
+relations in its caller's process, so the request carries no pool
+knobs: ``executor`` accepts ``"serial"`` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..api.request import SolveRequest
 from ..benchdata.circuits import circuit_by_name
-from ..core.explore import check_executor, check_int, check_workers
+from ..core.explore import check_int
 from ..network.blif import parse_blif
 from ..network.netlist import LogicNetwork
 from .window import CUT_POLICIES, MAX_WINDOW_LEAVES
@@ -104,9 +106,9 @@ class ResynthRequest:
     strategy: Optional[str] = None
     max_explored: Optional[int] = 10
     decompose: Optional[bool] = None
-    # -- batch execution -----------------------------------------------
+    #: Where the mined relations are solved: ``"serial"``, the only
+    #: value, in the caller's process.
     executor: str = "serial"
-    workers: Optional[int] = None
     # -- verification ---------------------------------------------------
     #: ``auto`` = exhaustive when the frame has at most
     #: ``verify_exhaustive_limit`` leaves, random-vector signature
@@ -130,8 +132,10 @@ class ResynthRequest:
                        optional)
         if self.cut_policy not in CUT_POLICIES:
             raise ValueError("unknown cut policy %r" % self.cut_policy)
-        check_executor("executor", self.executor)
-        check_workers(self.workers)
+        if self.executor != "serial":
+            raise ValueError("executor must be 'serial': resynthesis "
+                             "solves in its caller's process, got %r"
+                             % (self.executor,))
         if self.verify not in VERIFY_MODES:
             raise ValueError("verify must be one of %s, got %r"
                              % (", ".join(VERIFY_MODES), self.verify))

@@ -508,7 +508,8 @@ class SolveService:
         ``{"defaults", "jobs"}``) with two optional extras on the
         object form: ``executor`` (``serial``/``process``, default
         serial — the service already parallelises across worker
-        processes) and ``workers``.  Each distinct job walks the RAM
+        processes) and ``workers``, an int >= 1 that the pool caps at
+        the host's CPU count.  Each distinct job walks the RAM
         and disk tiers of :meth:`solve` once; the misses go to one
         :meth:`Session.solve_many` call, which solves identical jobs
         once and hands the copies back ``cached`` (tier ``ram``).  Fresh

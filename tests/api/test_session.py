@@ -104,6 +104,13 @@ class TestSolve:
         with pytest.raises(TypeError):
             Session(**knob)
 
+    def test_retired_max_workers_rejected(self):
+        # A batch takes its pool size per call (solve_many's
+        # max_workers); the session-wide default is gone.
+        with pytest.raises(TypeError):
+            Session(max_workers=2)
+        assert not hasattr(Session(), "default_max_workers")
+
     def test_solve_explicit_relation(self, session):
         relation = BooleanRelation.from_output_sets(FIG1_ROWS, 2, 2)
         report = session.solve(SolveRequest(), relation=relation)

@@ -6,6 +6,7 @@ from repro.api import (CancelToken, Session, SolveRequest,
                        register_strategy, strategy_names,
                        strategy_registry)
 from repro.core import FifoStrategy, make_strategy
+from repro.core.relation import NotWellDefinedError
 
 
 def drive(gen):
@@ -104,6 +105,15 @@ class TestSolveIter:
         with pytest.raises(ValueError, match="bad cube character"):
             session.solve_iter(SolveRequest(relation={
                 "kind": "pla", "text": ".i 2\n.o 2\n.type fr\n0z 11\n.e\n"}))
+
+    def test_a_relation_that_is_not_left_total_raises_eagerly(self,
+                                                               session):
+        rows = [[1], []]
+        session.add_output_sets("partial", rows, 1, 1)
+        for relation in ({"kind": "output_sets", "rows": rows,
+                          "num_inputs": 1, "num_outputs": 1}, "partial"):
+            with pytest.raises(NotWellDefinedError, match="left-total"):
+                session.solve_iter(SolveRequest(relation=relation))
 
     def test_observer_sees_events(self, session):
         kinds = []

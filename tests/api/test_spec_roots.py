@@ -20,9 +20,14 @@ reference:
 * a table mined in the root layout
   (:func:`~repro.api.request.root_of_table`) gives the root the node
   list of its relation gives, at every width 1-18: packed up to 16
-  variables, on nodes beyond.
+  variables, on nodes beyond;
+* a pool batch builds each root as a serial batch does and ships a
+  packed one as its ``(n, m, table)`` triple, with no node builder run,
+  and a wide or ``equations`` root as its node list; either way the
+  reports are the serial batch's.
 """
 
+import concurrent.futures
 import random
 import tracemalloc
 
@@ -30,6 +35,8 @@ import pytest
 
 from repro import SolveRequest
 from repro.api import Session
+from repro.api import request as request_module
+from repro.api import session as session_module
 from repro.api.report import SolveReport
 from repro.api.request import (normalize_relation_spec, relation_of_spec,
                                root_of_nodes, root_of_spec, root_of_table)
@@ -41,6 +48,7 @@ from repro.benchdata import SUITE
 from repro.benchdata.brgen import (block_structured_relation,
                                    random_relation)
 from repro.core.brel import BrelResult
+from repro.core.memo import solution_template
 from repro.core.packedrel import (PackedRelation, narrow, pack_nodes,
                                   pack_relation)
 from repro.core.relation import BooleanRelation, NotWellDefinedError
@@ -355,6 +363,123 @@ class TestNarrowSolvesBuildNoNode:
         assert report.compatible
         assert (report.sop, report.cost, report.pairs, report.pla) == \
             (reference.sop, reference.cost, reference.pairs, reference.pla)
+
+
+#: A 17-variable spec (14 inputs, 3 outputs) that solves in
+#: milliseconds: a vertex's outputs copy its low input bits, with a
+#: second choice on half the vertices.
+WIDE_SPEC = {"kind": "output_sets", "num_inputs": 14, "num_outputs": 3,
+             "rows": [[vertex & 7] + ([vertex >> 3 & 7] if vertex & 64
+                                      else [])
+                      for vertex in range(1 << 14)]}
+
+#: Named as a worker names the variables of a node list, so the SOP
+#: text of a pool report reads as the serial one.
+EQUATIONS_SPEC = {"kind": "equations", "equations": ["y0 = x0 & x1 | x2"],
+                  "independents": ["x0", "x1", "x2"],
+                  "dependents": ["y0"]}
+
+
+@pytest.fixture
+def pool_jobs(monkeypatch):
+    """The jobs ``solve_many`` hands a pool, each run here as a worker
+    runs it: from the request dict and the shipped root alone."""
+    jobs = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, run, job):
+            jobs.append(job)
+            future = concurrent.futures.Future()
+            future.set_result(run(job))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    return jobs
+
+
+def batch_answers(reports):
+    return [(report.ok, report.sop, report.cost,
+             report.solution_template()) for report in reports]
+
+
+def assert_live(report):
+    """A live solution rides along, in agreement with the template."""
+    solution = report.solution
+    assert solution is not None
+    assert report.solution_template() == solution_template(
+        solution.mgr, solution.functions, report._inputs)
+
+
+class TestPoolBatchRoots:
+    def test_narrow_specs_ship_their_tables(self, tmp_path, pool_jobs,
+                                            monkeypatch):
+        assert not hasattr(session_module, "relation_of_spec")
+        specs = [spec for spec in narrow_specs(tmp_path).values()
+                 if spec["kind"] != "nodes"]
+        requests = [SolveRequest(relation=spec, max_explored=6)
+                    for spec in specs]
+        serial = Session().solve_many(requests, executor="serial")
+        roots = [root_of_spec(normalize_relation_spec(spec))
+                 for spec in specs]
+        built = []
+
+        def on_nodes(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("built on nodes")
+
+        monkeypatch.setattr(request_module, "relation_of_spec", on_nodes)
+        monkeypatch.setattr(BooleanRelation, "from_output_sets", on_nodes)
+        reports = Session().solve_many(requests, executor="process")
+        assert built == []
+        assert [job["nodes"] for job in pool_jobs] == [None] * len(specs)
+        assert [job["table"] for job in pool_jobs] == \
+            [(root.n, root.m, root.table) for root in roots]
+        assert batch_answers(reports) == batch_answers(serial)
+        for report in reports:
+            assert report.ok and report.compatible
+            assert_live(report)
+
+    def test_wide_and_equation_specs_ship_node_lists(self, pool_jobs):
+        specs = [WIDE_SPEC, EQUATIONS_SPEC]
+        requests = [SolveRequest(relation=spec, max_explored=4)
+                    for spec in specs]
+        reports = Session().solve_many(requests, executor="process")
+        assert [job["table"] for job in pool_jobs] == [None, None]
+        assert [job["nodes"] for job in pool_jobs] == [
+            relation_to_nodes(relation_of_spec(
+                normalize_relation_spec(spec))) for spec in specs]
+        serial = Session().solve_many(requests, executor="serial")
+        assert batch_answers(reports) == batch_answers(serial)
+        for report in reports:
+            assert report.ok and report.compatible
+            assert_live(report)
+
+    def test_a_pool_gives_the_serial_reports(self, tmp_path):
+        fig1 = [{0b01}, {0b01}, {0b00, 0b11}, {0b10, 0b11}]
+        specs = list(narrow_specs(tmp_path).values()) + [WIDE_SPEC,
+                                                         EQUATIONS_SPEC]
+        requests = [SolveRequest(relation=spec, max_explored=4)
+                    for spec in specs]
+        requests.append(SolveRequest(relation="fig1", max_explored=4))
+        answers = []
+        for executor in ("serial", "process"):
+            session = Session()
+            session.add_output_sets("fig1", fig1, 2, 2)
+            reports = session.solve_many(requests, executor=executor,
+                                         max_workers=2)
+            answers.append(batch_answers(reports))
+        assert answers[0] == answers[1]
+        assert all(ok for ok, _, _, _ in answers[1])
 
 
 class TestCompatibilityFromTheRootTable:

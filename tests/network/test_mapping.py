@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.network import (CollapsedNetwork, Gate, LogicNetwork,
                            build_subject_graph, critical_path,
                            default_library, gate_report, map_network,
-                           parse_blif)
+                           mapping_to_network, parse_blif)
 from repro.network.mapping import INV, LEAF, NAND, SubjectGraph
-from repro.network.simulate import exhaustive_signature
+from repro.network.simulate import exhaustive_outputs, exhaustive_signature
 from repro.sop import Cover
+
+from ..resynth.test_pipeline import deep_chain
 
 
 class TestSubjectGraph:
@@ -182,6 +185,26 @@ class TestMappedFunctionality:
         net = synthetic_circuit("map", 4, 2, 2, 10, seed=seed,
                                 max_cone_support=6)
         self._verify(net)
+
+
+class TestDeepNetlists:
+    """A netlist maps one subject-graph level per gate; the walks that
+    emit the mapped gates must not recurse per level."""
+
+    @pytest.mark.parametrize("mode", ["area", "delay"])
+    def test_a_3000_gate_chain_maps_and_simulates_equal(self, mode):
+        network = parse_blif(deep_chain(3000))
+        result = map_network(network, mode=mode)
+        mapped = mapping_to_network(network, result)
+        # Both inputs: all 4 vectors.
+        assert exhaustive_outputs(mapped) == exhaustive_outputs(network)
+        assert len(critical_path(result)) == result.gate_count()
+
+    def test_repro_map_exits_0_on_the_chain(self, tmp_path, capsys):
+        path = tmp_path / "chain.blif"
+        path.write_text(deep_chain(3000))
+        assert main(["map", str(path)]) == 0
+        assert "area" in capsys.readouterr().out
 
 
 class TestCollapse:

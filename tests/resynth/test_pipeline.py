@@ -94,9 +94,9 @@ class TestEndToEnd:
         assert report.passes[0]["candidates"] == 5
 
 
-class TestExecutorsAndPolicies:
+class TestFramesAndPolicies:
     @pytest.mark.parametrize("circuit", ("s27", "s298", "s420"))
-    def test_process_executor_matches_serial(self, circuit, monkeypatch):
+    def test_wide_frames_are_solved_on_nodes(self, circuit, monkeypatch):
         options = WIDE_OPTIONS.get(circuit, {})
         roots = []
         build = session_module.root_of_table
@@ -106,16 +106,13 @@ class TestExecutorsAndPolicies:
             return roots[-1]
 
         monkeypatch.setattr(session_module, "root_of_table", recording)
-        serial = run(circuit, **options)
+        report = run(circuit, **options)
+        assert report.ok and report.equivalent is True
         wide = [root for root in roots
                 if not narrow(len(root.inputs), len(root.outputs))]
         assert [(len(root.inputs) + len(root.outputs),
                  isinstance(root, BooleanRelation)) for root in wide] == \
             ([(17, True)] if options else [])
-        pooled = run(circuit, executor="process", workers=2, **options)
-        assert pooled.ok and pooled.equivalent is True
-        assert pooled.literals_after == serial.literals_after
-        assert pooled.blif == serial.blif
 
     def test_reconvergent_policy_runs_clean(self):
         report = run("s298", cut_policy="reconvergent", passes=1)
@@ -284,16 +281,15 @@ class TestTableHandover:
         request = SolveRequest(cost="literals", max_explored=8)
         # a & b feeding an output: y0 must equal x0 & x1.
         mined = (2, 1, 0b10000111)
-        first, again = session.solve_tables([mined, mined], request,
-                                            executor="serial")
+        first, again = session.solve_tables([mined, mined], request)
         assert first is again and first.ok and first.solution is None
         assert first.solution_template() == ((((0, True), (1, True)),),)
         assert session.cache_hits == 0
-        (hit,) = session.solve_tables([mined], request, executor="serial")
+        (hit,) = session.solve_tables([mined], request)
         assert hit is first and session.cache_hits == 1
         # Another request's options are another key.
-        (other,) = session.solve_tables([mined], request.replace(cost="size"),
-                                        executor="serial")
+        (other,) = session.solve_tables([mined],
+                                        request.replace(cost="size"))
         assert other is not first and session.cache_hits == 1
 
 

@@ -2,7 +2,7 @@
 
 ``parse_relation`` and ``write_relation`` are replaced with raising stubs
 everywhere they are bound; resynthesis and pooled batches must still
-work, because relations travel as node lists and solutions as
+work, because relations travel as tables or node lists and solutions as
 templates.  PLA stays an import/export format only.
 """
 
@@ -32,12 +32,10 @@ def no_pla(monkeypatch):
     assert relio.parse_relation is stub
 
 
-@pytest.mark.parametrize("executor", ("serial", "process"))
 @pytest.mark.parametrize("circuit", ("s298", "s386"))
-def test_resynthesis_never_touches_pla(no_pla, circuit, executor):
+def test_resynthesis_never_touches_pla(no_pla, circuit):
     report = resynthesize(ResynthRequest(
-        circuit=circuit, passes=2, max_explored=8, executor=executor,
-        workers=2))
+        circuit=circuit, passes=2, max_explored=8))
     assert report.ok, report.error
     assert report.equivalent is True
     assert report.rewrites_accepted > 0

@@ -96,18 +96,26 @@ class TestRequestValidation:
         for field, value in kwargs.items():
             assert getattr(request, field) == value
 
-    @pytest.mark.parametrize("value", ["x", 0, -2, True, 2.5])
-    def test_bad_workers_rejected(self, value):
-        with pytest.raises(ValueError) as excinfo:
-            ResynthRequest(circuit="s27", executor="process",
-                           workers=value)
-        message = str(excinfo.value)
-        assert "workers" in message and repr(value) in message
+    def test_serial_is_the_one_executor(self):
+        assert ResynthRequest(circuit="s27").executor == "serial"
+        assert ResynthRequest(circuit="s27",
+                              executor="serial").executor == "serial"
 
-    @pytest.mark.parametrize("value", [None, 1, 4])
-    def test_good_workers_accepted(self, value):
-        assert ResynthRequest(circuit="s27", workers=value).workers \
-            == value
+    @pytest.mark.parametrize("value", ["process", "thread", None])
+    def test_other_executors_rejected(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            ResynthRequest(circuit="s27", executor=value)
+        message = str(excinfo.value)
+        assert "resynthesis solves in its caller's process" in message
+        assert "executor" in message and repr(value) in message
+
+    @pytest.mark.parametrize("value", [None, 1, 2])
+    def test_workers_is_no_field(self, value):
+        with pytest.raises(TypeError):
+            ResynthRequest(circuit="s27", workers=value)
+        with pytest.raises(ValueError,
+                           match="unknown ResynthRequest fields: workers"):
+            ResynthRequest.from_dict({"circuit": "s27", "workers": value})
 
     def test_verify_vectors_bound_is_inclusive(self):
         assert MAX_VERIFY_VECTORS == 1 << 16
@@ -137,7 +145,7 @@ class TestRequestWire:
     def test_json_round_trip(self):
         request = ResynthRequest(circuit="s27", passes=3, window=6,
                                  cut_policy="reconvergent",
-                                 executor="process", label="rt")
+                                 executor="serial", label="rt")
         assert ResynthRequest.from_json(request.to_json()) == request
 
     def test_unknown_fields_rejected(self):
@@ -155,7 +163,7 @@ class TestRequestWire:
 class TestOptionsKey:
     #: Fields deliberately excluded from the cache key: the circuit is
     #: fingerprinted separately, and these cannot change the result.
-    NON_RESULT_FIELDS = {"circuit", "executor", "workers", "label"}
+    NON_RESULT_FIELDS = {"circuit", "executor", "label"}
 
     def test_schema_guard_every_field_is_accounted_for(self):
         """Adding a result-affecting field must extend options_key()."""
@@ -173,8 +181,7 @@ class TestOptionsKey:
     def test_non_result_fields_do_not_split_the_key(self):
         base = ResynthRequest(circuit="s27")
         assert base.options_key() == ResynthRequest(
-            circuit="s27", executor="process", workers=3,
-            label="other").options_key()
+            circuit="s27", executor="serial", label="other").options_key()
 
     def test_result_fields_split_the_key(self):
         base = ResynthRequest(circuit="s27")

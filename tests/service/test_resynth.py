@@ -119,16 +119,19 @@ class TestResynthValidation:
         assert service._resynth_cache == {}
         assert sum(service.tier_hits.values()) == 0
 
-    @pytest.mark.parametrize("value", ["x", 0, True])
-    def test_bad_workers_answer_at_once(self, value):
-        # Rejected while the request is parsed, before any mining.
+    @pytest.mark.parametrize("field,value", [
+        ("executor", "process"), ("workers", 2), ("workers", None)])
+    def test_pool_knobs_answer_400_at_once(self, field, value):
+        # Resynthesis solves in the service's process: a request for a
+        # pool is rejected while it is parsed, before any mining.
         service = SolveService()
-        with pytest.raises(ServiceError) as excinfo:
-            service.resynth(dict(S27, executor="process", workers=value))
-        assert excinfo.value.status == 400
-        assert str(excinfo.value).startswith("invalid request")
-        assert "workers" in str(excinfo.value)
+        response = respond(service, "POST", "/resynth",
+                           json.dumps(dict(S27, **{field: value})).encode())
+        assert response.status == 400
+        error = json.loads(response.body)["error"]
+        assert error.startswith("invalid request") and field in error
         assert service._resynth_cache == {}
+        assert sum(service.tier_hits.values()) == 0
 
     def test_failed_runs_are_errors_and_never_cached(self):
         service = SolveService()

@@ -13,6 +13,10 @@ VTX = {"relation": {"kind": "bench", "name": "vtx"}, "max_explored": 60}
 BAD_CUBE_PLA = {"kind": "pla", "text": ".i 2\n.o 2\n.type fr\n0z 11\n.e\n"}
 UNKNOWN_BENCH = {"kind": "bench", "name": "nope"}
 
+#: A relation with no output for input vertex 1: not left-total.
+NOT_LEFT_TOTAL = {"kind": "output_sets", "rows": [[1], []],
+                  "num_inputs": 1, "num_outputs": 1}
+
 
 def post(service, path, payload):
     return respond(service, "POST", path, json.dumps(payload).encode())
@@ -148,6 +152,25 @@ class TestBadSpecs:
         response = post(service, path, payload)
         assert response.status == 400
         assert "error" in json.loads(response.body)
+        assert service.request_counts[counter] == 1
+        assert service.request_counts["errors"] == 1
+
+
+class TestNotLeftTotal:
+    """A relation that is not left-total is the client's 400 on both
+    solving routes: the stream refuses it before its first frame."""
+
+    @pytest.mark.parametrize("path,counter", [("/solve", "solve"),
+                                              ("/solve/stream", "stream")])
+    def test_400_naming_the_defect(self, path, counter):
+        service = SolveService()
+        response = post(service, path, {"relation": NOT_LEFT_TOTAL})
+        assert response.status == 400
+        assert response.frames is None
+        assert response.headers["Content-Type"] == "application/json"
+        error = json.loads(response.body)["error"]
+        assert error.endswith(
+            "relation is not well defined (not left-total)")
         assert service.request_counts[counter] == 1
         assert service.request_counts["errors"] == 1
 

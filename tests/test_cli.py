@@ -454,16 +454,20 @@ class TestResynthCommand:
         assert main(["resynth", "s27", "--verify-vectors", "65537"]) == 2
         assert "verify_vectors" in capsys.readouterr().err
 
-    def test_executor_flag_round_trips(self, capsys):
-        assert main(["resynth", "s27", "--quick",
-                     "--executor", "process", "--workers", "2",
-                     "--json"]) == 0
+    def test_the_request_echo_is_serial(self, capsys):
+        assert main(["resynth", "s27", "--quick", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["request"]["executor"] == "process"
-        assert report["request"]["workers"] == 2
+        assert report["request"]["executor"] == "serial"
+        assert "workers" not in report["request"]
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_bad_workers_is_a_usage_error(self, capsys, workers):
-        assert main(["resynth", "s27", "--quick", "--executor",
-                     "process", "--workers", workers]) == 2
-        assert "workers" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [["--executor", "serial"],
+                                      ["--executor", "process"],
+                                      ["--workers", "2"]],
+                             ids=["executor-serial", "executor-process",
+                                  "workers"])
+    def test_pool_flags_are_gone(self, capsys, argv):
+        # Resynthesis solves in this process: the flags exit 2.
+        with pytest.raises(SystemExit) as info:
+            main(["resynth", "s27", "--quick"] + argv)
+        assert info.value.code == 2
+        assert argv[0] in capsys.readouterr().err
