@@ -58,7 +58,6 @@ whole reports, never subproblems.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import FIRST_COMPLETED, wait
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
@@ -76,9 +75,8 @@ from ..core.relio import (RelationNodes, parse_relation, peek_shape,
 from ..core.solution import Solution
 from .report import SolveReport
 from .request import (RelationSpec, SolveRequest, nodes_of_spec,
-                      normalize_relation_spec, relation_spec_to_jsonable,
-                      root_of_nodes, root_of_spec, root_of_table,
-                      truth_tables_to_output_sets)
+                      normalize_relation_spec, root_of_nodes, root_of_spec,
+                      root_of_table, truth_tables_to_output_sets)
 
 #: What solve()/solve_many() accept as the thing to solve.
 RelationLike = Union[BooleanRelation, RelationSpec]
@@ -434,18 +432,14 @@ class Session:
 
         The spec identifies the relation without building it, so
         repeated spec solves and batch jobs hit the cache instead of
-        minting a fresh manager per call.  Node specs key on their node
-        list, which is exact: by ROBDD canonicity equal relations over
-        the same frame give equal tuples, and unequal ones never
-        collide.  The rest key on their canonical JSON (file specs are
-        inlined first, see :meth:`_inline_file`).
+        minting a fresh manager per call.  A normalised spec holds only
+        tuples, strings and ints, so its items are the key: a node
+        spec's node list is exact (by ROBDD canonicity equal relations
+        over the same frame give equal tuples, and unequal ones never
+        collide), and a file spec is keyed on its inlined text (see
+        :meth:`_inline_file`).
         """
-        if spec["kind"] == "nodes":
-            head: Tuple[Any, ...] = (nodes_of_spec(spec),)
-        else:
-            head = ("spec", json.dumps(relation_spec_to_jsonable(spec),
-                                       sort_keys=True))
-        return head + request.options_key()
+        return tuple(spec.items()) + request.options_key()
 
     @staticmethod
     def _inline_file(spec: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -491,14 +485,20 @@ class Session:
         A job the batch built no relation for (``None``: a node spec, or
         a cache hit on a self-contained spec) gets its report as it is,
         with its template and whatever live solution it was solved with.
+        A solution instantiated here describes itself in ``relation``'s
+        variable names, so its ``sop`` is the text a serial solve gives
+        (a pool worker names a node list's variables ``x0..``).
         """
         if relation is None:
             return {}
         solution = self._portable_solution(report, relation)
         if solution is None:
             return {"solution": None}
-        return {"solution": solution, "_inputs": relation.inputs,
-                "_outputs": relation.outputs}
+        changes = {"solution": solution, "_inputs": relation.inputs,
+                   "_outputs": relation.outputs}
+        if solution is not report.solution:
+            changes["sop"] = solution.describe()
+        return changes
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -715,6 +715,7 @@ class Session:
             return self._yield_hit(hit)
         resolved, key, spec_built = self._materialize(
             resolved, spec, key, from_registry, request)
+        resolved.require_in_frame()
         resolved.require_well_defined()
         return self._solve_iter(request, resolved, key, spec_built,
                                 cancel, observer)

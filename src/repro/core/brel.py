@@ -36,7 +36,17 @@ The solver is *anytime*: it emits typed :class:`SolveEvent`\\ s to
 registered observers, honours a cooperative
 :class:`~repro.core.explore.CancelToken` plus the wall-clock deadline,
 and :meth:`BrelSolver.iter_solve` yields every strictly improving
-:class:`~repro.core.explore.Improvement` as it is found.
+:class:`~repro.core.explore.Improvement` as it is found.  The loop is
+driven three ways — alone, once per independent output block (the
+sharded solve) and as a portfolio race of strategies
+(:mod:`repro.core.portfolio`) — and each stream keeps its books in one
+:class:`RunRecorder`: the clock, the stop test, the trace, the
+incumbent and its improvements, and the closing counters.
+
+A solve starts by refusing a relation whose characteristic function
+mentions a variable outside its inputs and outputs (a ``ValueError``
+naming the stray variables, raised before the first event): every
+step of the search assigns inputs and outputs alone.
 
 As in the paper, every explored subrelation is projected, minimised and
 split from scratch; nothing is looked up across subproblems or solves.
@@ -57,8 +67,10 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, List, Optional, Union
+from typing import (Any, Dict, Generator, Iterable, Iterator, List,
+                    Optional, Union)
 
+from ..bdd.manager import BddManager
 from .cost import CostFunction, bdd_size_cost
 from .explore import (CancelToken, Improvement, Observer, SearchNode,
                       SolveEvent, get_strategy_factory, make_strategy)
@@ -236,6 +248,103 @@ class BrelResult:
     portfolio: Optional[Dict[str, Any]] = None
 
 
+class RunRecorder:
+    """The bookkeeping of one solve's event stream.
+
+    The monolithic loop, the sharded solve and the portfolio race each
+    run their stream through one recorder.  It owns the solve's clock
+    (``start`` and ``deadline``), the stop test (:meth:`halted`), the
+    optional trace, the improvement list and the incumbent (``best``),
+    and it stamps every event with the elapsed time, the explored count
+    its caller keeps in ``explored`` and the incumbent's cost.
+    :meth:`finish` closes the stream: it measures ``runtime_seconds``
+    and the ``bdd_*`` counters against the manager's stats at the start,
+    emits ``done`` and returns the :class:`BrelResult`.
+    """
+
+    __slots__ = ("start", "deadline", "budget", "cancel", "trace",
+                 "improvements", "best", "explored", "_mgr",
+                 "_engine_before")
+
+    def __init__(self, options: BrelOptions, mgr: BddManager,
+                 cancel: Optional[CancelToken],
+                 budget: Optional[int] = None) -> None:
+        self.start = time.perf_counter()
+        self.deadline = (self.start + options.time_limit_seconds
+                         if options.time_limit_seconds is not None
+                         else None)
+        self.budget = budget
+        self.cancel = cancel
+        self.trace: Optional[List[SolveEvent]] = \
+            [] if options.record_trace else None
+        self.improvements: List[Improvement] = []
+        self.best: Optional[Solution] = None
+        self.explored = 0
+        self._mgr = mgr
+        self._engine_before = mgr.stats()
+
+    def halted(self) -> Optional[str]:
+        """Why the stream must stop now — ``"cancelled"``,
+        ``"timeout"`` or ``"budget"`` (``explored`` reached the budget),
+        checked in that order — or ``None``.
+
+        A tripped token or deadline is reported once and then dropped:
+        a race asks again while its racers wind down, and hears of the
+        other one only if it trips too.
+        """
+        if self.cancel is not None and self.cancel.cancelled:
+            self.cancel = None
+            return "cancelled"
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            self.deadline = None
+            return "timeout"
+        if self.budget is not None and self.explored >= self.budget:
+            return "budget"
+        return None
+
+    def event(self, kind: str, **kw: Any) -> SolveEvent:
+        """A stamped event, kept on the trace when there is one."""
+        ev = SolveEvent(kind, explored=self.explored,
+                        best_cost=self.best.cost if self.best is not None
+                        else None,
+                        elapsed_seconds=time.perf_counter() - self.start,
+                        **kw)
+        if self.trace is not None:
+            self.trace.append(ev)
+        return ev
+
+    def improve(self, solution: Solution, depth: int,
+                detail: Optional[str] = None) -> SolveEvent:
+        """Make ``solution`` the incumbent; its ``new-best`` event."""
+        self.best = solution
+        self.improvements.append(Improvement(
+            solution, solution.cost, time.perf_counter() - self.start,
+            self.explored))
+        return self.event("new-best", cost=solution.cost,
+                          solution=solution, depth=depth, detail=detail)
+
+    def open(self, best: Solution) -> Iterator[SolveEvent]:
+        """The root incumbent's ``quick-solution``/``new-best`` pair."""
+        self.best = best
+        yield self.event("quick-solution", cost=best.cost, depth=0)
+        yield self.improve(best, 0)
+
+    def finish(self, stats: SolverStats, stopped: str, **summary: Any
+               ) -> Generator[SolveEvent, None, BrelResult]:
+        """Close the stream: the wall time and engine counters on
+        ``stats``, the ``done`` event, then the result (``summary``
+        carries the ``partition`` or ``portfolio`` summary)."""
+        stats.runtime_seconds = time.perf_counter() - self.start
+        before, after = self._engine_before, self._mgr.stats()
+        stats.bdd_nodes = after["nodes"]
+        stats.bdd_cache_hits = after["cache_hits"] - before["cache_hits"]
+        stats.bdd_cache_misses = (after["cache_misses"]
+                                  - before["cache_misses"])
+        yield self.event("done", cost=self.best.cost)
+        return BrelResult(self.best, stats, improvements=self.improvements,
+                          events=self.trace, stopped=stopped, **summary)
+
+
 class BrelSolver:
     """The strategy-driven BR solver.  See module docstring.
 
@@ -358,19 +467,19 @@ class BrelSolver:
         A relation :func:`~repro.core.packedrel.pack_relation` takes is
         packed here, once (a root packed from its spec is taken as it
         is): the partition reads its output supports off the table, and
-        the search runs on it.
+        the search runs on it.  The root is checked here, before the
+        first event: in frame, then left-total.
         """
         root = pack_relation(relation) or relation
+        root.require_in_frame()
         root.require_well_defined()
         options = self.options
         if options.decompose is not False and len(root.outputs) >= 2:
             partition = partition_relation(root, root.output_supports())
             if not partition.is_trivial:
-                result = yield from self._iter_events_sharded(
-                    partition, cancel)
-                return result
-        result = yield from self._iter_events_search(root, cancel)
-        return result
+                return (yield from self._iter_events_sharded(partition,
+                                                             cancel))
+        return (yield from self._iter_events_search(root, cancel))
 
     def _iter_events_search(
             self, root: Union[BooleanRelation, PackedRelation],
@@ -384,10 +493,8 @@ class BrelSolver:
             # repro.core.portfolio imports this module).  Decomposition
             # wins above — each block then races its own portfolio.
             from .portfolio import race_portfolio
-            result = yield from race_portfolio(self, root, cancel)
-            return result
-        result = yield from self._iter_events_monolithic(root, cancel)
-        return result
+            return (yield from race_portfolio(self, root, cancel))
+        return (yield from self._iter_events_monolithic(root, cancel))
 
     # ------------------------------------------------------------------
     def _block_options(self, time_limit: Optional[float]) -> BrelOptions:
@@ -414,29 +521,9 @@ class BrelSolver:
         recombined full-relation ``new-best`` events (with live
         solutions) whenever they strictly improve the total.
         """
-        relation = partition.relation
         options = self.options
-        start = time.perf_counter()
-        deadline = (start + options.time_limit_seconds
-                    if options.time_limit_seconds is not None else None)
-        engine_before = relation.mgr.stats()
-        trace: Optional[List[SolveEvent]] = \
-            [] if options.record_trace else None
-        improvements: List[Improvement] = []
-        explored_total = 0
-        best: Optional[Solution] = None
-
-        def event(kind: str, **kw: object) -> SolveEvent:
-            ev = SolveEvent(kind, explored=explored_total,
-                            best_cost=best.cost if best is not None
-                            else None,
-                            elapsed_seconds=time.perf_counter() - start,
-                            **kw)  # type: ignore[arg-type]
-            if trace is not None:
-                trace.append(ev)
-            return ev
-
-        yield event("partition", detail="%d blocks: %s" % (
+        run = RunRecorder(options, partition.relation.mgr, cancel)
+        yield run.event("partition", detail="%d blocks: %s" % (
             partition.num_blocks,
             " | ".join(",".join("y%d" % p for p in block.positions)
                        for block in partition.blocks)))
@@ -455,39 +542,30 @@ class BrelSolver:
         block_best: List[Solution] = [
             quick_solve(root, options.minimizer, options.cost_function)
             for root in roots]
-        best = partition.recombine_solutions(block_best,
-                                             options.cost_function)
-        yield event("quick-solution", cost=best.cost, depth=0)
-        improvements.append(Improvement(best, best.cost,
-                                        time.perf_counter() - start, 0))
-        yield event("new-best", cost=best.cost, solution=best, depth=0)
+        yield from run.open(partition.recombine_solutions(
+            block_best, options.cost_function))
 
         block_results: List[Optional[BrelResult]] = \
             [None] * partition.num_blocks
         stopped = "exhausted"
         for index, root in enumerate(roots):
-            if cancel is not None and cancel.cancelled:
-                stopped = "cancelled"
-                yield event("cancelled")
+            halt = run.halted()
+            if halt is not None:
+                stopped = halt
+                yield run.event(halt)
                 break
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    stopped = "timeout"
-                    yield event("timeout")
-                    break
-                remaining = max(remaining, 0.0)
-            sub = BrelSolver(self._block_options(remaining))
-            events = sub._iter_events_search(root, cancel)
-            base_explored = explored_total
+            remaining = (None if run.deadline is None else
+                         max(run.deadline - time.perf_counter(), 0.0))
+            events = BrelSolver(self._block_options(remaining)) \
+                ._iter_events_search(root, cancel)
+            base_explored = run.explored
             while True:
                 try:
                     ev = next(events)
                 except StopIteration as stop:
                     block_results[index] = stop.value
                     break
-                explored_total = base_explored + ev.explored
+                run.explored = base_explored + ev.explored
                 if ev.kind == "done":
                     continue  # one aggregate done closes the stream
                 if ev.kind == "new-best":
@@ -496,17 +574,11 @@ class BrelSolver:
                     block_best[index] = ev.solution
                     candidate = partition.recombine_solutions(
                         block_best, options.cost_function)
-                    if candidate.cost < best.cost:
-                        best = candidate
-                        improvements.append(Improvement(
-                            best, best.cost,
-                            time.perf_counter() - start,
-                            explored_total))
-                        yield event("new-best", cost=best.cost,
-                                    solution=best, depth=ev.depth)
+                    if candidate.cost < run.best.cost:
+                        yield run.improve(candidate, ev.depth)
                     continue
-                yield event(ev.kind, cost=ev.cost, depth=ev.depth,
-                            detail=ev.detail)
+                yield run.event(ev.kind, cost=ev.cost, depth=ev.depth,
+                                detail=ev.detail)
             result = block_results[index]
             block_best[index] = result.solution
             stopped = worst_stopped((stopped, result.stopped))
@@ -517,18 +589,9 @@ class BrelSolver:
                 break
 
         # For per-output-additive costs every block improvement improved
-        # the total, so `best` already holds the final recombination; a
-        # non-additive cost keeps whichever full vector priced lowest.
-        stats = merge_block_stats(
-            [result.stats for result in block_results
-             if result is not None])
-        stats.runtime_seconds = time.perf_counter() - start
-        engine_after = relation.mgr.stats()
-        stats.bdd_nodes = engine_after["nodes"]
-        stats.bdd_cache_hits = (engine_after["cache_hits"]
-                                - engine_before["cache_hits"])
-        stats.bdd_cache_misses = (engine_after["cache_misses"]
-                                  - engine_before["cache_misses"])
+        # the total, so the incumbent already is the final
+        # recombination; a non-additive cost keeps whichever full vector
+        # priced lowest.
         summary = partition.summary()
         for entry, result, solution in zip(summary["blocks"],
                                            block_results, block_best):
@@ -541,10 +604,10 @@ class BrelSolver:
                 # Blocks race their own portfolios under
                 # strategy="portfolio"; keep the per-block attribution.
                 entry["portfolio"] = result.portfolio
-        yield event("done", cost=best.cost)
-        return BrelResult(best, stats, improvements=improvements,
-                          events=trace, stopped=stopped,
-                          partition=summary)
+        stats = merge_block_stats(
+            [result.stats for result in block_results
+             if result is not None])
+        return (yield from run.finish(stats, stopped, partition=summary))
 
     # ------------------------------------------------------------------
     def _iter_events_monolithic(
@@ -556,16 +619,14 @@ class BrelSolver:
         ``relation`` is the packed root or, for a relation the packed
         layer turns down, the relation itself; its subrelations take
         the same form, and every step below is a call both answer.
+        The recorder counts the dequeued subrelations
+        (``run.explored``) and stops the loop on the caller's token,
+        the deadline or the ``max_explored`` budget.
         """
         options = self.options
-        start = time.perf_counter()
-        deadline = (start + options.time_limit_seconds
-                    if options.time_limit_seconds is not None else None)
+        run = RunRecorder(options, relation.mgr, cancel,
+                          budget=options.max_explored)
         stats = SolverStats()
-        engine_before = relation.mgr.stats()
-        trace: Optional[List[SolveEvent]] = \
-            [] if options.record_trace else None
-        improvements: List[Improvement] = []
 
         # Initial solution: QuickSolver guarantees one compatible function
         # exists before any pruning can truncate the search (§7.2).
@@ -573,27 +634,14 @@ class BrelSolver:
                            options.cost_function)
         stats.quick_solutions += 1
 
-        def event(kind: str, **kw: object) -> SolveEvent:
-            ev = SolveEvent(kind, explored=stats.relations_explored,
-                            best_cost=best.cost,
-                            elapsed_seconds=time.perf_counter() - start,
-                            **kw)  # type: ignore[arg-type]
-            if trace is not None:
-                trace.append(ev)
-            return ev
-
         def improved_events(solution: Solution, depth: int):
             """The event pair of a new incumbent: ``new-best``, then a
             ``bound`` prune when it makes queued nodes hopeless."""
-            improvements.append(Improvement(
-                solution, solution.cost, time.perf_counter() - start,
-                stats.relations_explored))
-            yield event("new-best", cost=solution.cost,
-                        solution=solution, depth=depth)
+            yield run.improve(solution, depth)
             pruned = strategy.prune(solution.cost)
             if pruned:
                 stats.frontier_prunes += pruned
-                yield event("prune", detail="bound", depth=depth)
+                yield run.event("prune", detail="bound", depth=depth)
 
         symmetry = (SymmetryCache(relation, options.symmetry_max_depth)
                     if options.symmetry_pruning else None)
@@ -603,29 +651,17 @@ class BrelSolver:
                                  is not None
                                  else strategy.quick_by_default)
 
-        yield event("quick-solution", cost=best.cost, depth=0)
-        improvements.append(Improvement(best, best.cost,
-                                        time.perf_counter() - start, 0))
-        yield event("new-best", cost=best.cost, solution=best, depth=0)
+        yield from run.open(best)
 
         seq = 0
         strategy.seed(SearchNode(relation, 0, float("-inf"), seq))
-        stopped = "exhausted"
+        stopped = None
         bound_channel = self.bound_channel
         external_bound = float("inf")
         while not strategy.done():
-            if cancel is not None and cancel.cancelled:
-                stopped = "cancelled"
-                yield event("cancelled")
-                break
-            if deadline is not None and time.perf_counter() > deadline:
-                stopped = "timeout"
-                yield event("timeout")
-                break
-            if (options.max_explored is not None
-                    and stats.relations_explored >= options.max_explored):
-                stopped = "budget"
-                yield event("budget")
+            stopped = run.halted()
+            if stopped is not None:
+                yield run.event(stopped)
                 break
             if bound_channel is not None:
                 # Cross-racer bound (repro.core.portfolio): when another
@@ -639,12 +675,12 @@ class BrelSolver:
                     pruned = strategy.prune(shared_cost)
                     if pruned:
                         stats.frontier_prunes += pruned
-                        yield event("prune", detail="shared-bound")
+                        yield run.event("prune", detail="shared-bound")
                     if strategy.done():
                         break
             node = strategy.pop()
             current, depth = node.relation, node.depth
-            stats.relations_explored += 1
+            run.explored += 1
 
             if current.is_function():
                 leaf = current.solution(current.function_vector(),
@@ -663,7 +699,8 @@ class BrelSolver:
                 quick = quick_solve(current, options.minimizer,
                                     options.cost_function)
                 stats.quick_solutions += 1
-                yield event("quick-solution", cost=quick.cost, depth=depth)
+                yield run.event("quick-solution", cost=quick.cost,
+                                depth=depth)
                 if quick.cost < best.cost:
                     best = quick
                     stats.compatible_found += 1
@@ -678,10 +715,10 @@ class BrelSolver:
             candidate = current.solution(functions, options.cost_function)
             if candidate.cost >= min(best.cost, external_bound):
                 stats.cost_prunes += 1
-                yield event("prune",
-                            detail="cost" if candidate.cost >= best.cost
-                            else "shared-bound",
-                            cost=candidate.cost, depth=depth)
+                yield run.event("prune",
+                                detail="cost" if candidate.cost >= best.cost
+                                else "shared-bound",
+                                cost=candidate.cost, depth=depth)
                 continue
             conflicts = current.conflict_inputs(functions)
             if not conflicts:
@@ -693,14 +730,14 @@ class BrelSolver:
             stats.splits += 1
             left, right = current.split(choice.vertex_dict(),
                                         choice.position)
-            yield event("branch", cost=candidate.cost, depth=depth)
+            yield run.event("branch", cost=candidate.cost, depth=depth)
             children: List[SearchNode] = []
             for child in (left, right):
                 if symmetry is not None and symmetry.should_prune(
                         child, depth + 1):
                     stats.symmetry_prunes += 1
-                    yield event("prune", detail="symmetry",
-                                depth=depth + 1)
+                    yield run.event("prune", detail="symmetry",
+                                    depth=depth + 1)
                     continue
                 seq += 1
                 children.append(SearchNode(child, depth + 1,
@@ -708,19 +745,11 @@ class BrelSolver:
             dropped = strategy.push_children(children)
             if dropped:
                 stats.frontier_overflow += dropped
-                yield event("prune", detail="frontier-overflow",
-                            depth=depth + 1)
+                yield run.event("prune", detail="frontier-overflow",
+                                depth=depth + 1)
 
-        stats.runtime_seconds = time.perf_counter() - start
-        engine_after = relation.mgr.stats()
-        stats.bdd_nodes = engine_after["nodes"]
-        stats.bdd_cache_hits = (engine_after["cache_hits"]
-                                - engine_before["cache_hits"])
-        stats.bdd_cache_misses = (engine_after["cache_misses"]
-                                  - engine_before["cache_misses"])
-        yield event("done", cost=best.cost)
-        return BrelResult(best, stats, improvements=improvements,
-                          events=trace, stopped=stopped)
+        stats.relations_explored = run.explored
+        return (yield from run.finish(stats, stopped or "exhausted"))
 
 
 def solve_relation(relation: BooleanRelation,

@@ -52,10 +52,12 @@ symmetry pruning or a root whose output supports form two or more
 components (the partition's input) reads it.
 
 :func:`narrow` is the one width test and :func:`pack_relation` the one
-selection test.  Wider relations, and relations whose characteristic
-function mentions a variable outside their frame, keep the node-level
-path of :class:`~repro.core.relation.BooleanRelation`, which also stays
-the reference the packed layer is tested against.
+selection test.  Wider relations keep the node-level path of
+:class:`~repro.core.relation.BooleanRelation`, which also stays the
+reference the packed layer is tested against.  A relation whose
+characteristic function mentions a variable outside its frame packs to
+nothing here, and a solve refuses it where it starts
+(:meth:`~repro.core.relation.BooleanRelation.require_in_frame`).
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ class PackedRelation:
     def is_well_defined(self) -> bool:
         """Left-totality: the OR over the output slices is full."""
         return self._exists_outputs(self.table) == _FULLS[self.n]
+
+    def require_in_frame(self) -> None:
+        """A table holds its frame alone: nothing to refuse."""
 
     def require_well_defined(self) -> None:
         """Raise :class:`NotWellDefinedError` unless left-total."""

@@ -83,8 +83,8 @@ class Partition:
     ``blocks`` are ordered by their smallest output position — the
     *fixed serial order* referenced throughout the decomposition
     contract: solving the blocks in this order (serially, with the same
-    options) is deterministic, and parallel dispatch recombines by
-    output position so completion order never matters.
+    options) is deterministic, and recombination goes by output
+    position.
 
     A *trivial* partition (one block, ``separable=False``) means the
     relation could not be sharded; its single block is the original
@@ -314,11 +314,13 @@ def worst_stopped(reasons: Sequence[str]) -> str:
 def merge_block_stats(block_stats: Sequence[SolverStats]) -> SolverStats:
     """Sum per-block solver counters into whole-solve stats.
 
-    Additive counters sum; ``bdd_nodes`` (a point-in-time gauge of the
-    shared manager) takes the maximum; ``runtime_seconds`` is left at
-    zero for the caller to overwrite with the wall clock of the whole
-    sharded solve (the sum of block runtimes would double-count wall
-    time under parallel dispatch).
+    The sharded solve merges its blocks' stats and the portfolio race
+    its racers'.  Additive counters sum; ``bdd_nodes`` (a point-in-time
+    gauge of the shared manager) takes the maximum; ``runtime_seconds``
+    stays zero.  The solve's run recorder
+    (:meth:`repro.core.brel.RunRecorder.finish`) then sets
+    ``runtime_seconds`` and the ``bdd_*`` counters from the whole
+    solve's wall clock and engine counters.
     """
     total = SolverStats()
     for stats in block_stats:

@@ -20,9 +20,13 @@ the same relation and keeps whichever finishes best:
   across racers), one ``racer-done`` per racer, and a closing ``done``
   — so ``iter_solve`` and SSE streaming work unchanged.
 
-The racers run on the caller's thread and manager: one race loop,
-:func:`_drive`, pumps their generators round-robin, one event per racer
-per round, so a race is deterministic and nothing is copied.
+The race is one generator, :func:`race_portfolio`: the racers run on
+the caller's thread and manager, and it pumps their generators
+round-robin, one event per racer per round, so a race is deterministic
+and nothing is copied.  Its clock, stop test, trace, improvements and
+closing counters are the solver's own
+:class:`~repro.core.brel.RunRecorder`, as in the monolithic loop and
+the sharded solve.
 
 A racer that errors is recorded on the summary and the race continues
 with the rest; only a race with *no* surviving racer raises.
@@ -33,11 +37,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterator, List,
-                    Mapping, Optional, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Mapping,
+                    Optional, Tuple, Union)
 
-from .explore import CancelToken, Improvement, SolveEvent, \
-    get_strategy_factory
+from .explore import CancelToken, SolveEvent, get_strategy_factory
 from .packedrel import PackedRelation
 from .partition import merge_block_stats
 from .quick import quick_solve
@@ -62,8 +65,8 @@ RACER_DELTA_FIELDS: Tuple[str, ...] = (
 class BoundChannel:
     """Strictly-improving incumbent costs shared across racers.
 
-    Racers (or the driver on their behalf) :meth:`publish` every local
-    improvement; only strictly better costs are accepted.  The solver
+    The race offers every racer's local improvement to :meth:`publish`
+    on its behalf; only strictly better costs are accepted.  The solver
     loop reads :attr:`cost` once per dequeued subrelation and prunes
     candidates and frontier nodes that cannot beat it — the cross-racer
     twin of the Fig. 6 line-6 bound.  Thread-safe; reads are lock-free
@@ -181,7 +184,7 @@ def build_racer_options(base: "BrelOptions", spec: Mapping[str, Any]
     """One racer's :class:`BrelOptions`: the base knobs plus its deltas.
 
     Racers never re-decompose (the portfolio already runs below the
-    sharding layer) and never record their own trace (the driver's
+    sharding layer) and never record their own trace (the race's
     merged trace is the record).
     """
     from .brel import BrelOptions
@@ -235,7 +238,7 @@ def racers_cache_key(racers: Any) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class _RacerOutcome:
-    """Driver-side record of one racer's leg of the race."""
+    """The race's record of one racer's leg."""
 
     name: str
     strategy: str
@@ -245,7 +248,6 @@ class _RacerOutcome:
     runtime_seconds: float = 0.0
     stopped: Optional[str] = None
     stats: Optional[SolverStats] = None
-    frontier_overflow: int = 0
     error: Optional[str] = None
     winner: bool = False
 
@@ -253,9 +255,10 @@ class _RacerOutcome:
     def proved_optimal(self) -> bool:
         """Exhausted without ever truncating the frontier: a sound
         branch-and-bound completion, so nothing can beat the shared
-        incumbent — cancelling the other racers loses no solutions."""
-        return (self.error is None and self.stopped == "exhausted"
-                and self.frontier_overflow == 0)
+        incumbent — cancelling the other racers loses no solutions.
+        (A racer that errored has no ``stopped`` reason.)"""
+        return (self.stopped == "exhausted"
+                and self.stats.frontier_overflow == 0)
 
     def summary_row(self) -> Dict[str, Any]:
         return {
@@ -273,7 +276,7 @@ class _RacerOutcome:
 
 
 # ----------------------------------------------------------------------
-# The race driver
+# The race
 # ----------------------------------------------------------------------
 def race_portfolio(solver: "BrelSolver",
                    root: Union[BooleanRelation, PackedRelation],
@@ -284,81 +287,99 @@ def race_portfolio(solver: "BrelSolver",
     The generator behind ``strategy="portfolio"`` solves (see module
     docstring for the stream shape).  ``root`` is the well-defined
     relation as the solver packed it (or left it on nodes); the root
-    quick solution and every racer's loop run on that one form.  The
-    returned :class:`~repro.core.BrelResult` carries the per-racer
-    attribution on ``result.portfolio``.
-    """
-    from .brel import BrelResult
-    options = solver.options
-    specs = list(normalize_racers(options.portfolio_racers))
+    quick solution and every racer's loop run on that one form, in the
+    caller's manager.
 
-    start = time.perf_counter()
-    deadline = (start + options.time_limit_seconds
-                if options.time_limit_seconds is not None else None)
-    engine_before = root.mgr.stats()
-    trace: Optional[List[SolveEvent]] = \
-        [] if options.record_trace else None
-    improvements: List[Improvement] = []
+    After the opening events the racers' generators are pumped
+    round-robin: each round checks the caller's token and the deadline
+    (each stop is streamed once and cancels every racer; the first is
+    the race's ``stopped``), then advances every pending racer by one
+    event, in line-up order.  Each racer's improvement is offered to
+    the :class:`BoundChannel`, and one it takes is the race's next
+    ``new-best``.  Each outcome's ``explored`` stays live, so event
+    stamps count the work in flight.  A racer that proves optimality
+    cancels the rest, and however the stream ends — finished,
+    cancelled, or abandoned by its consumer — every racer is closed
+    with it.  The returned
+    :class:`~repro.core.BrelResult` carries the per-racer attribution
+    on ``result.portfolio``.
+    """
+    from .brel import BrelSolver, RunRecorder
+    options = solver.options
+    specs = normalize_racers(options.portfolio_racers)
+    run = RunRecorder(options, root.mgr, cancel)
     outcomes = [_RacerOutcome(spec["name"], spec["strategy"])
                 for spec in specs]
 
     # Root incumbent before any racer starts: guarantees a compatible
     # solution exists however early the race is cancelled, and seeds
     # the bound channel so every racer prunes from the first dequeue.
-    best = quick_solve(root, options.minimizer, options.cost_function)
+    root_best = quick_solve(root, options.minimizer, options.cost_function)
+    run.best = root_best
+    yield run.event("portfolio", detail="%d racers: %s" % (
+        len(specs), " | ".join(o.name for o in outcomes)))
+    yield from run.open(root_best)
+
+    channel = BoundChannel(root_best.cost)
+    tokens = [CancelToken() for _ in specs]
+    racers = [BrelSolver(build_racer_options(options, spec),
+                         bound=channel)._iter_events_monolithic(root, token)
+              for spec, token in zip(specs, tokens)]
+    pending = list(range(len(racers)))
+    racer_start = time.perf_counter()
     best_racer: Optional[int] = None
-    channel = BoundChannel(best.cost)
-
-    def event(kind: str, **kw: object) -> SolveEvent:
-        ev = SolveEvent(kind,
-                        explored=sum(o.explored for o in outcomes),
-                        best_cost=best.cost,
-                        elapsed_seconds=time.perf_counter() - start,
-                        **kw)  # type: ignore[arg-type]
-        if trace is not None:
-            trace.append(ev)
-        return ev
-
-    stop_reason: List[Optional[str]] = [None]
-    racing = _drive(solver, root, specs, channel, outcomes, cancel,
-                    deadline, stop_reason)
+    stopped: Optional[str] = None
     try:
-        yield event("portfolio", detail="%d racers: %s" % (
-            len(specs), " | ".join(o.name for o in outcomes)))
-        yield event("quick-solution", cost=best.cost, depth=0)
-        improvements.append(Improvement(best, best.cost,
-                                        time.perf_counter() - start, 0))
-        yield event("new-best", cost=best.cost, solution=best, depth=0)
-
-        # Globally improving incumbents arrive as live caller-manager
-        # solutions and are re-stamped here with the cumulative counters.
-        for kind, payload in racing:
-            if kind == "new-best":
-                solution, racer_index, depth = payload
-                if solution.cost < best.cost:
-                    best = solution
-                    best_racer = racer_index
-                    improvements.append(Improvement(
-                        best, best.cost, time.perf_counter() - start,
-                        sum(o.explored for o in outcomes)))
-                    yield event("new-best", cost=best.cost,
-                                solution=best, depth=depth,
-                                detail=outcomes[racer_index].name)
-            elif kind == "racer-done":
-                outcome = payload
-                yield event("racer-done", cost=outcome.cost,
-                            detail="%s: %s%s" % (
-                                outcome.name,
-                                outcome.stopped if outcome.error is None
-                                else "error (%s)" % outcome.error,
-                                " (proved optimal)"
-                                if outcome.proved_optimal else ""))
-            else:  # stopped
-                yield event(payload)
+        while pending:
+            halt = run.halted()
+            while halt is not None:
+                stopped = stopped or halt
+                for index in pending:
+                    tokens[index].cancel()
+                yield run.event(halt)
+                halt = run.halted()
+            for index in list(pending):
+                outcome = outcomes[index]
+                try:
+                    ev = next(racers[index])
+                except StopIteration as stop:
+                    result = stop.value
+                    outcome.cost = result.solution.cost
+                    outcome.stopped = result.stopped
+                    outcome.stats = result.stats
+                    explored = result.stats.relations_explored
+                except Exception as exc:  # noqa: BLE001 — racer isolation
+                    outcome.error = "%s: %s" % (type(exc).__name__, exc)
+                    explored = outcome.explored
+                else:
+                    run.explored += ev.explored - outcome.explored
+                    outcome.explored = ev.explored
+                    # A published cost strictly beats every earlier
+                    # one, the root's included: a global improvement.
+                    if (ev.kind == "new-best" and ev.solution is not None
+                            and channel.publish(ev.solution.cost)):
+                        outcome.contributed += 1
+                        best_racer = index
+                        yield run.improve(ev.solution, ev.depth,
+                                          detail=outcome.name)
+                    continue
+                run.explored += explored - outcome.explored
+                outcome.explored = explored
+                outcome.runtime_seconds = time.perf_counter() - racer_start
+                pending.remove(index)
+                yield run.event("racer-done", cost=outcome.cost,
+                                detail="%s: %s%s" % (
+                                    outcome.name,
+                                    outcome.stopped if outcome.error is None
+                                    else "error (%s)" % outcome.error,
+                                    " (proved optimal)"
+                                    if outcome.proved_optimal else ""))
+                if stopped is None and outcome.proved_optimal:
+                    for other in pending:
+                        tokens[other].cancel()
     finally:
-        # However the stream ends — finished, cancelled, or abandoned
-        # by its consumer — no racer outlives the race.
-        racing.close()
+        for racer in racers:
+            racer.close()
 
     failures = [o for o in outcomes if o.error is not None]
     if len(failures) == len(outcomes):
@@ -381,103 +402,14 @@ def race_portfolio(solver: "BrelSolver",
     if winner is not None:
         outcomes[winner].winner = True
 
-    stopped = stop_reason[0]
     if stopped is None:
         stopped = (outcomes[winner].stopped or "exhausted"
                    if winner is not None else "exhausted")
-
     stats = merge_block_stats([o.stats for o in outcomes
                                if o.stats is not None])
     stats.quick_solutions += 1  # the root incumbent above
-    stats.runtime_seconds = time.perf_counter() - start
-    engine_after = root.mgr.stats()
-    stats.bdd_nodes = engine_after["nodes"]
-    stats.bdd_cache_hits = (engine_after["cache_hits"]
-                            - engine_before["cache_hits"])
-    stats.bdd_cache_misses = (engine_after["cache_misses"]
-                              - engine_before["cache_misses"])
-
     summary = {
         "winner": outcomes[winner].name if winner is not None else None,
         "racers": [o.summary_row() for o in outcomes],
     }
-    yield event("done", cost=best.cost)
-    return BrelResult(best, stats, improvements=improvements,
-                      events=trace, stopped=stopped,
-                      portfolio=summary)
-
-
-def _drive(solver: "BrelSolver",
-           root: Union[BooleanRelation, PackedRelation],
-           specs: List[Dict[str, Any]], channel: BoundChannel,
-           outcomes: List[_RacerOutcome], cancel: Optional[CancelToken],
-           deadline: Optional[float], stop_reason: List[Optional[str]]
-           ) -> Iterator[Tuple[str, Any]]:
-    """The race loop: racer generators pumped round-robin.
-
-    Each round advances every pending racer by one event, in line-up
-    order, checking the caller's token and the deadline between rounds.
-    Every racer runs its strategy loop on ``root``; racers share the
-    caller's manager and publish their improvements to ``channel``.
-    Each outcome's ``explored`` stays live, so event stamps count the
-    work in flight.  Yields ``("new-best", (solution, racer, depth))``
-    for every published improvement, ``("racer-done", outcome)`` and
-    ``("stopped", reason)``.  A racer that proves optimality cancels
-    the rest; closing the loop closes every racer.
-    """
-    from .brel import BrelSolver
-    tokens = [CancelToken() for _ in specs]
-    racers = [BrelSolver(build_racer_options(solver.options, spec),
-                         bound=channel)._iter_events_monolithic(root, token)
-              for spec, token in zip(specs, tokens)]
-    pending = set(range(len(outcomes)))
-    racer_start = time.perf_counter()
-
-    def cancel_pending() -> None:
-        for index in pending:
-            tokens[index].cancel()
-
-    def stop_all(reason: str) -> None:
-        if stop_reason[0] is None:
-            stop_reason[0] = reason
-        cancel_pending()
-
-    try:
-        while pending:
-            if cancel is not None and cancel.cancelled:
-                stop_all("cancelled")
-                yield ("stopped", "cancelled")
-                cancel = None  # emit the stop event once
-            if deadline is not None and time.perf_counter() > deadline:
-                stop_all("timeout")
-                yield ("stopped", "timeout")
-                deadline = None
-            for index in sorted(pending):
-                outcome = outcomes[index]
-                try:
-                    ev = next(racers[index])
-                except StopIteration as stop:
-                    result = stop.value
-                    outcome.cost = result.solution.cost
-                    outcome.explored = result.stats.relations_explored
-                    outcome.stopped = result.stopped
-                    outcome.stats = result.stats
-                    outcome.frontier_overflow = \
-                        result.stats.frontier_overflow
-                except Exception as exc:  # noqa: BLE001 — racer isolation
-                    outcome.error = "%s: %s" % (type(exc).__name__, exc)
-                else:
-                    outcome.explored = ev.explored
-                    if (ev.kind == "new-best" and ev.solution is not None
-                            and channel.publish(ev.solution.cost)):
-                        outcome.contributed += 1
-                        yield ("new-best", (ev.solution, index, ev.depth))
-                    continue
-                outcome.runtime_seconds = time.perf_counter() - racer_start
-                pending.discard(index)
-                yield ("racer-done", outcome)
-                if stop_reason[0] is None and outcome.proved_optimal:
-                    cancel_pending()
-    finally:
-        for racer in racers:
-            racer.close()
+    return (yield from run.finish(stats, stopped, portfolio=summary))

@@ -245,6 +245,21 @@ class BooleanRelation:
         """Left-totality: every input vertex has at least one output."""
         return self.mgr.exists(self.node, self.outputs) == TRUE
 
+    def require_in_frame(self) -> None:
+        """Raise ``ValueError`` naming the variables outside the inputs
+        and outputs that the characteristic function mentions.
+
+        No step of a solve assigns such a variable, so a solve refuses
+        the relation where it starts; its subrelations keep its frame.
+        """
+        stray = set(self.mgr.support(self.node)).difference(self.inputs,
+                                                            self.outputs)
+        if stray:
+            raise ValueError(
+                "relation mentions variables outside its inputs and "
+                "outputs: %s" % ", ".join(self.mgr.var_name(var)
+                                          for var in sorted(stray)))
+
     def require_well_defined(self) -> None:
         """Raise :class:`NotWellDefinedError` unless left-total."""
         if not self.is_well_defined():

@@ -1,6 +1,7 @@
 """Session: ingestion, cached solving, batch ordering and isolation."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -140,6 +141,17 @@ class TestSolve:
         path.write_text(write_relation(
             BooleanRelation.from_output_sets([{0, 1}] * 4, 2, 1)))
         assert not session.solve(SolveRequest(relation=file_spec)).cached
+
+    def test_dense_table_past_the_int_digit_limit(self, session):
+        # 2**14 bits print to about 4,900 decimal digits, past the
+        # digit limit Python 3.11 puts on int-to-str conversion; a spec
+        # is keyed on its items, so the table never becomes text.
+        rng = random.Random(7)
+        spec = {"kind": "truth_tables", "num_inputs": 14,
+                "tables": [rng.getrandbits(1 << 14)] * 2}
+        first = session.solve(SolveRequest(relation=spec))
+        assert first.ok and first.compatible and not first.cached
+        assert session.solve(SolveRequest(relation=spec)).cached
 
     def test_cache_hit_on_identical_request(self, session):
         first = session.solve(SolveRequest(relation="fig1"))

@@ -373,11 +373,10 @@ WIDE_SPEC = {"kind": "output_sets", "num_inputs": 14, "num_outputs": 3,
                                       else [])
                       for vertex in range(1 << 14)]}
 
-#: Named as a worker names the variables of a node list, so the SOP
-#: text of a pool report reads as the serial one.
-EQUATIONS_SPEC = {"kind": "equations", "equations": ["y0 = x0 & x1 | x2"],
-                  "independents": ["x0", "x1", "x2"],
-                  "dependents": ["y0"]}
+#: Named unlike a worker names the variables of a node list (``x0..``),
+#: so a pool report must take its SOP text from the parent's relation.
+EQUATIONS_SPEC = {"kind": "equations", "equations": ["y = a & b | c"],
+                  "independents": ["a", "b", "c"], "dependents": ["y"]}
 
 
 @pytest.fixture
@@ -470,16 +469,24 @@ class TestPoolBatchRoots:
                                                          EQUATIONS_SPEC]
         requests = [SolveRequest(relation=spec, max_explored=4)
                     for spec in specs]
-        requests.append(SolveRequest(relation="fig1", max_explored=4))
+        requests += [SolveRequest(relation=name, max_explored=4)
+                     for name in ("fig1", "system")]
         answers = []
         for executor in ("serial", "process"):
             session = Session()
             session.add_output_sets("fig1", fig1, 2, 2)
+            session.add_system("system", EQUATIONS_SPEC["equations"],
+                               independents=["a", "b", "c"],
+                               dependents=["y"])
             reports = session.solve_many(requests, executor=executor,
                                          max_workers=2)
             answers.append(batch_answers(reports))
         assert answers[0] == answers[1]
         assert all(ok for ok, _, _, _ in answers[1])
+        # The equation spec and the named system read in their own
+        # variable names on the pool too.
+        assert [sop for _, sop, _, _ in answers[1][-3::2]] \
+            == ["f0 = ab + c"] * 2
 
 
 class TestCompatibilityFromTheRootTable:

@@ -8,8 +8,9 @@ node-level operations, which stay the wide path and the reference:
 
 * seeded relations of every shape with ``n + m <= 16``, on contiguous,
   offset, gapped, interleaved and outputs-first frames;
-* relations the selection test turns down (out-of-frame variables, 17
-  variables) solve on nodes, as before;
+* a relation of 17 variables, which the selection test turns down,
+  solves on nodes, as before, and one whose function mentions a
+  variable outside its frame is refused;
 * ISFs packed over their own supports -- shifted, interleaved, up to 16
   variables wide, and shifted by whole 64-bit chunks of the table --
   unpack to the same intervals, and every built-in minimiser gives the
@@ -29,7 +30,7 @@ from repro.bdd.manager import FALSE
 from repro.bdd.packed import MAX_TABLE_WIDTH, pack, unpack
 from repro.benchdata import instance_by_name
 from repro.benchdata.brgen import random_relation
-from repro.core import BrelOptions, BrelSolver, quick_solve
+from repro.core import BrelOptions, BrelSolver
 from repro.core import brel as brel_module
 from repro.core import quick as quick_module
 from repro.core.isf import Isf, PackedIsf
@@ -324,17 +325,29 @@ def solve_row(result):
 
 class TestNodePath:
     def test_out_of_frame_variable(self):
+        """A relation whose function mentions a variable outside its
+        inputs and outputs is refused, naming it, before any event."""
         rng = random.Random(5)
         mgr = BddManager(["v%d" % i for i in range(8)])
         inputs, outputs = (0, 1, 2), (3, 4)
         low = cube_relation(mgr, inputs, outputs, rng)
         high = cube_relation(mgr, inputs, outputs, rng)
-        relation = low.with_node(mgr.ite(mgr.var(7), high.node, low.node))
-        assert relation.is_well_defined()
-        assert pack_relation(relation) is None
-        result = BrelSolver(BrelOptions(max_explored=15)).solve(relation)
-        assert relation.is_compatible(result.solution.functions)
-        assert quick_solve(relation).cost > 0
+        gapped = low.with_node(mgr.ite(mgr.var(7), high.node, low.node))
+        drawn = random_relation(6, 4, seed=1)
+        z = drawn.mgr.add_var("z")
+        y0, y1 = (drawn.mgr.var(var) for var in drawn.outputs[:2])
+        stray = drawn.with_node(drawn.mgr.or_(
+            drawn.node, drawn.mgr.and_(drawn.mgr.var(z),
+                                       drawn.mgr.and_(y0, y1))))
+        for relation, name in ((gapped, "v7"), (stray, "z")):
+            assert relation.is_well_defined()
+            assert pack_relation(relation) is None
+            events = []
+            with pytest.raises(ValueError, match="outside its inputs and "
+                               "outputs: %s$" % name):
+                BrelSolver(BrelOptions(max_explored=5)).solve(
+                    relation, observer=events.append)
+            assert events == []
 
     def test_seventeen_variables(self, monkeypatch):
         relation = random_relation(12, 5, seed=4)

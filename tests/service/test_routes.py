@@ -175,6 +175,43 @@ class TestNotLeftTotal:
         assert service.request_counts["errors"] == 1
 
 
+def out_of_frame_relation():
+    """``random_relation(6, 4, seed=1)`` or'ed with ``z ∧ y0 ∧ y1``,
+    where ``z`` is neither an input nor an output."""
+    from repro.benchdata.brgen import random_relation
+    relation = random_relation(6, 4, seed=1)
+    mgr = relation.mgr
+    z = mgr.add_var("z")
+    y0, y1 = (mgr.var(var) for var in relation.outputs[:2])
+    return relation.with_node(mgr.or_(
+        relation.node, mgr.and_(mgr.var(z), mgr.and_(y0, y1))))
+
+
+class TestOutOfFrame:
+    """A session relation whose function mentions a variable outside
+    its frame is the client's 400 on both solving routes, naming the
+    variable; the stream refuses it before its first frame."""
+
+    @pytest.mark.parametrize("path", ["/solve", "/solve/stream"])
+    def test_400_naming_the_stray_variable(self, path):
+        service = SolveService()
+        service.session.add_relation("stray", out_of_frame_relation())
+        response = post(service, path, {"relation": "stray",
+                                        "max_explored": 5})
+        assert response.status == 400
+        assert response.frames is None
+        error = json.loads(response.body)["error"]
+        assert error.endswith("outside its inputs and outputs: z")
+        assert service.request_counts["errors"] == 1
+
+    def test_solve_iter_refuses_eagerly(self):
+        from repro import SolveRequest
+        service = SolveService()
+        service.session.add_relation("stray", out_of_frame_relation())
+        with pytest.raises(ValueError, match="outputs: z$"):
+            service.session.solve_iter(SolveRequest(relation="stray"))
+
+
 def equations(text, independents=("a", "b"), dependents=("y",)):
     return {"relation": {"kind": "equations", "equations": [text],
                          "independents": list(independents),
