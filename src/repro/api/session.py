@@ -20,6 +20,14 @@ mined table of :meth:`Session.solve_tables`.  The pool of
 :meth:`Session.solve_many`, at most one worker per CPU, is the
 package's one process pool: parallelism pays on heavy batches.
 
+An in-process miss takes one path (:meth:`Session._solve_miss`) from
+:meth:`Session.solve`, a serial batch job or a pool that cannot start:
+a session name is resolved as it stands and keyed after the trim around
+it, its report is built inside the solve's ISOP scope
+(:func:`_solve_report`, shared with :meth:`Session.solve_tables` and the
+pool worker) and stored (:meth:`Session._store`, shared with
+:meth:`Session.solve_iter`).
+
 Every path into the report cache — :meth:`Session.solve`,
 :meth:`Session.solve_iter`, :meth:`Session.solve_many` on either
 executor, and the service hooks :meth:`Session.peek_cached` and
@@ -47,10 +55,10 @@ workers import.)
 A solve of a self-contained spec starts from :func:`root_of_spec`: a
 narrow spec (16 variables or fewer) is packed straight into its root
 table, with no BDD node built, and its report reads that table; wider
-specs, equation systems and session names are built on nodes.  Batch
-jobs on either executor and pool workers build their roots the same
-way.  A mined table is its own root (:func:`root_of_table`): packed as
-it is when narrow, else its BDD node.
+specs, equation systems and session names are built on nodes.  A pool
+job's root is built the same way, in the parent before dispatch or from
+its node list in the worker.  A mined table is its own root
+(:func:`root_of_table`): packed as it is when narrow, else its BDD node.
 
 Every solve explores its relation from scratch: the session caches
 whole reports, never subproblems.
@@ -64,7 +72,7 @@ from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
-from ..core.brel import BrelResult, BrelSolver
+from ..core.brel import BrelSolver
 from ..core.explore import (CancelToken, Improvement, Observer,
                             check_executor)
 from ..core.memo import instantiate_solution
@@ -89,52 +97,50 @@ Root = Union[BooleanRelation, PackedRelation]
 #: solves (None disables auto-trimming).
 DEFAULT_AUTO_TRIM_NODES = 500_000
 
-def _run_job(job: Dict[str, Any],
-             cancel: Optional[CancelToken] = None) -> SolveReport:
-    """Execute one unique batch job, in this process or a pool worker.
+#: Why a batch job that its token stopped before it started failed.
+_NOT_STARTED = RuntimeError("cancelled before start")
 
-    Never raises: any failure — malformed request, unparsable relation,
-    solver error — comes back as a failed report so one bad job cannot
-    poison a batch.  In this process the job carries the live, validated
-    request and (unless it is a node-spec or a mined-table job) the live
-    root, whose manager keeps the solution valid.  A worker gets
-    only the request dict, the node list or the ``(n, m, table)``
-    triple, and the label, and no cancel token; BDD handles must not
+
+def _solve_report(root: Root, request: SolveRequest,
+                  request_dict: Dict[str, Any], label: Optional[str],
+                  cancel: Optional[CancelToken] = None,
+                  observer: Optional[Observer] = None) -> SolveReport:
+    """Solve ``root`` and build its report inside the solve's ISOP scope.
+
+    The scope (:meth:`BddManager.enter_solve`) stays open until the
+    report is built, so the report's covers look up the sub-intervals
+    the solve already expanded.  The solve step of every in-process
+    miss, of :meth:`Session.solve_tables` and of the pool worker.
+    """
+    mgr = root.mgr
+    mgr.enter_solve()
+    try:
+        result = BrelSolver(request.to_options()).solve(
+            root, cancel=cancel, observer=observer)
+        return SolveReport.from_result(root, result, request=request_dict,
+                                       label=label)
+    finally:
+        mgr.exit_solve()
+
+
+def _run_job(job: Dict[str, Any]) -> SolveReport:
+    """A pool worker's entry point: solve one self-contained batch job.
+
+    The job is the request dict, the node list or the ``(n, m, table)``
+    triple, and the label.  Never raises: any failure — malformed
+    request, unparsable relation, solver error — comes back as a failed
+    report so one bad job cannot poison a batch.  BDD handles must not
     cross back over the process boundary, so it ships the solved vector
     as a template.
     """
-    label = job["label"]
-    request_dict = job["request"]
+    request_dict, label = job["request"], job["label"]
     try:
-        request = job.get("solve_request")
-        in_worker = request is None
-        if in_worker:
-            request = SolveRequest.from_dict(request_dict)
-        relation = job.get("relation")
-        built = relation is None
-        if built:
-            # A node-spec job, a mined-table job or a pool job: built
-            # only now, packed straight from its data when it is narrow.
-            table = job.get("table")
-            relation = (root_of_nodes(job["nodes"]) if table is None
-                        else root_of_table(*table))
-        # As in Session.solve(): the report's covers are read inside the
-        # solve's ISOP scope.
-        mgr = relation.mgr
-        mgr.enter_solve()
-        try:
-            result = BrelSolver(request.to_options()).solve(relation,
-                                                            cancel=cancel)
-            report = SolveReport.from_result(relation, result,
-                                             request=request_dict,
-                                             label=label)
-        finally:
-            mgr.exit_solve()
-        if in_worker:
-            report.solution_template()
-            report.solution = None
-        elif built:
-            relation.mgr.release_caches()  # as in Session.solve()
+        table = job["table"]
+        root = (root_of_nodes(job["nodes"]) if table is None
+                else root_of_table(*table))
+        report = _solve_report(root, SolveRequest.from_dict(request_dict),
+                               request_dict, label)
+        Session._strip_solution(report)
         return report
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
         return SolveReport.from_error(exc, request=request_dict,
@@ -152,7 +158,11 @@ class Session:
     :class:`~repro.core.Solution` handles returned by earlier solves
     (their data renderings — SOP, PLA, cost — are unaffected); cached
     reports keep serving data and re-solve lazily when a live handle is
-    requested again.
+    requested again.  A trim never leaves a cache key, a batch report or
+    an open stream stale: every miss is keyed after its own trim, a
+    batch hands its reports over after its last job, and a manager that
+    an open :meth:`solve_iter` stream reads is not trimmed until the
+    stream ends.
     """
 
     def __init__(self,
@@ -161,6 +171,8 @@ class Session:
         self._relations: Dict[str, BooleanRelation] = {}
         self._managers: Dict[Tuple[int, int], BddManager] = {}
         self._cache: Dict[Tuple[Any, ...], SolveReport] = {}
+        #: The manager of each open solve_iter stream, once per stream.
+        self._streaming: List[BddManager] = []
         self.cache_hits = 0
         self.auto_trim_nodes = auto_trim_nodes
         self.trims = 0
@@ -224,7 +236,9 @@ class Session:
         Registered relations survive (they are pinned and remapped);
         everything unreachable — solver scratch, deregistered relations —
         is collected.  Live solutions handed out by earlier solves become
-        invalid; their reports' data fields stay correct.  Returns
+        invalid; their reports' data fields stay correct.  A manager
+        that an open :meth:`solve_iter` stream reads is skipped; the
+        first trim after the stream ends collects it.  Returns
         :meth:`engine_stats` after the collection.
         """
         for mgr in self._session_managers():
@@ -243,60 +257,40 @@ class Session:
         report.solution = None
 
     def _trim_manager(self, mgr: BddManager,
-                      keep: Optional[BooleanRelation] = None,
-                      extra_reports: Iterable[SolveReport] = (),
-                      extra_jobs: Iterable[Dict[str, Any]] = ()
+                      keep: Optional[BooleanRelation] = None
                       ) -> Optional[BooleanRelation]:
         """GC one manager, remapping this session's state through it.
 
         ``keep`` is an extra relation to protect (the one about to be
-        solved); the remapped copy is returned.  Cached reports (and any
-        ``extra_reports``, e.g. a batch's finished jobs) lose their live
-        solutions (kept as templates), identity-keyed cache
-        entries of this manager are dropped — their key objects would
-        hold stale node ids — and relations referenced by
-        ``extra_jobs`` (a batch's pending jobs) are kept live and
-        remapped in place.
+        solved); the remapped copy is returned.  Every cached report
+        whose live solution the collection invalidates loses it (kept as
+        a template), the entries about to be dropped included, so a
+        report a batch still holds hands over from its template; then
+        identity-keyed cache entries of this manager are dropped — their
+        key objects would hold stale node ids.  A manager an open stream
+        reads is left as it is, and ``keep`` comes back unchanged.
         """
+        if mgr in self._streaming:
+            return keep
         stale_keys = []
         for key, report in self._cache.items():
-            if isinstance(key[0], BooleanRelation) and key[0].mgr is mgr:
-                # Doomed entry: no point keeping its template.
-                stale_keys.append(key)
-            elif (report.solution is not None
-                    and report.solution.mgr is mgr):
+            if report.solution is not None and report.solution.mgr is mgr:
                 self._strip_solution(report)
+            if isinstance(key[0], BooleanRelation) and key[0].mgr is mgr:
+                stale_keys.append(key)
         for key in stale_keys:
             del self._cache[key]
-        for report in extra_reports:
-            if (report.solution is not None
-                    and report.solution.mgr is mgr):
-                self._strip_solution(report)
-        job_relations = [
-            (job, job["relation"]) for job in extra_jobs
-            if isinstance(job.get("relation"), BooleanRelation)
-            and job["relation"].mgr is mgr]
         mgr.clear_caches()
-        extra = [keep.node] if keep is not None else []
-        extra.extend(relation.node for _, relation in job_relations)
-        mapping = mgr.collect(extra_roots=extra)
+        mapping = mgr.collect(
+            extra_roots=[keep.node] if keep is not None else [])
         for name, relation in list(self._relations.items()):
             if relation.mgr is mgr:
                 self._relations[name] = relation.with_node(
                     mapping[relation.node])
-        for job, relation in job_relations:
-            job["relation"] = relation.with_node(mapping[relation.node])
         self.trims += 1
         if keep is not None:
             return keep.with_node(mapping[keep.node])
         return None
-
-    def _maybe_trim(self, resolved: BooleanRelation) -> BooleanRelation:
-        """Auto-trim the solved relation's manager when it grew too big."""
-        limit = self.auto_trim_nodes
-        if limit is None or resolved.mgr.num_nodes <= limit:
-            return resolved
-        return self._trim_manager(resolved.mgr, keep=resolved)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -482,9 +476,10 @@ class Session:
                    relation: Optional[Root]) -> Dict[str, Any]:
         """Copy changes giving a batch caller ``report`` on ``relation``.
 
-        A job the batch built no relation for (``None``: a node spec, or
-        a cache hit on a self-contained spec) gets its report as it is,
-        with its template and whatever live solution it was solved with.
+        A self-contained spec the batch built no root for (``None``:
+        one solved in this process, a node spec of a pool job, or a
+        cache hit) gets its report as it is, with its template and
+        whatever live solution it was solved with.
         A solution instantiated here describes itself in ``relation``'s
         variable names, so its ``sop`` is the text a serial solve gives
         (a pool worker names a node list's variables ``x0..``).
@@ -605,43 +600,67 @@ class Session:
 
         Returns the relation, its key and whether it was built from the
         spec here.  A spec is built by :func:`root_of_spec`, so a
-        narrow one comes packed, with no BDD node.
+        narrow one comes packed, with no BDD node.  A session name's
+        manager is trimmed first once it holds more than
+        ``auto_trim_nodes`` nodes.
         """
         if resolved is None:
             # Spec-built relations get a fresh manager per call; there is
             # nothing from earlier solves to reclaim in it.
             return root_of_spec(spec), key, True
-        if from_registry:
-            # Auto-trim only fires for registry-resolved relations: the
-            # session can remap those safely.  Trimming around a
-            # caller-owned handle would leave the caller's object holding
-            # stale node ids and silently corrupt its next use.
-            trimmed = self._maybe_trim(resolved)
+        limit = self.auto_trim_nodes
+        # Auto-trim only fires for registry-resolved relations: the
+        # session can remap those safely.  Trimming around a
+        # caller-owned handle would leave the caller's object holding
+        # stale node ids and silently corrupt its next use.
+        if (from_registry and limit is not None
+                and resolved.mgr.num_nodes > limit):
+            trimmed = self._trim_manager(resolved.mgr, keep=resolved)
             if trimmed is not resolved:
                 # The trim remapped node ids; re-key on the fresh object.
                 return trimmed, self._live_key(trimmed, request), False
         return resolved, key, False
 
-    def _finish(self, request: SolveRequest, resolved: Root,
-                result: BrelResult, key: Tuple[Any, ...],
-                spec_built: bool) -> SolveReport:
-        """Report a fresh run, cache it, and release a spec's manager."""
-        report = SolveReport.from_result(resolved, result,
-                                         request=request.to_dict(),
-                                         label=request.label)
+    def _store(self, key: Tuple[Any, ...], report: SolveReport,
+               root: Root, spec_built: bool) -> SolveReport:
+        """Cache a fresh report, release a spec's manager, return it.
+
+        The report itself is the entry, so a trim strips the report a
+        batch holds; :meth:`solve` and :meth:`solve_iter` hand out a copy.
+        """
         # A cancelled solve is a partial result of *this call's* token,
         # which is not part of the cache key — caching it would serve
         # the truncated answer to future uncancelled calls.
         if report.stopped != "cancelled":
-            self._cache[key] = report.copy()
+            self._cache[key] = report
         if spec_built:
             # A manager built from a spec is private to this solve, but
             # the cached report's live solution keeps it alive: drop its
-            # derived tables (computed and ISOP tables, per-node sizes)
-            # now that the report exists.  Registry and
-            # caller-owned relations keep theirs.
-            resolved.mgr.release_caches()
+            # derived tables (computed table, per-node sizes) now that
+            # the report exists.  Registry and caller-owned relations
+            # keep theirs.
+            root.mgr.release_caches()
         return report
+
+    def _solve_miss(self, request: SolveRequest,
+                    resolved: Optional[BooleanRelation],
+                    spec: Optional[Dict[str, Any]], key: Tuple[Any, ...],
+                    from_registry: bool,
+                    cancel: Optional[CancelToken] = None,
+                    observer: Optional[Observer] = None) -> SolveReport:
+        """The one in-process miss path, after :meth:`solve`'s hit check.
+
+        The arguments after ``request`` are :meth:`_prepare_solve`'s
+        reading of it as the session stands now.  The relation is
+        trimmed around and keyed after the trim (:meth:`_materialize`),
+        solved and reported (:func:`_solve_report`), and stored
+        (:meth:`_store`).
+        """
+        root, key, spec_built = self._materialize(
+            resolved, spec, key, from_registry, request)
+        report = _solve_report(root, request, request.to_dict(),
+                               request.label, cancel, observer)
+        return self._store(key, report, root, spec_built)
 
     def solve(self, request: Optional[SolveRequest] = None,
               relation: Optional[RelationLike] = None, *,
@@ -666,19 +685,8 @@ class Session:
         hit = self._live_hit(key, request)
         if hit is not None:
             return hit
-        resolved, key, spec_built = self._materialize(
-            resolved, spec, key, from_registry, request)
-        # The solve's ISOP scope (BddManager.enter_solve) stays open
-        # until the report is built, so the report's covers look up the
-        # sub-intervals the solve already expanded.
-        mgr = resolved.mgr
-        mgr.enter_solve()
-        try:
-            result = BrelSolver(request.to_options()).solve(
-                resolved, cancel=cancel, observer=observer)
-            return self._finish(request, resolved, result, key, spec_built)
-        finally:
-            mgr.exit_solve()
+        return self._solve_miss(request, resolved, spec, key, from_registry,
+                                cancel, observer).copy()
 
     def solve_iter(self, request: Optional[SolveRequest] = None,
                    relation: Optional[RelationLike] = None, *,
@@ -705,7 +713,12 @@ class Session:
         relation names, unreadable files, specs that do not build a
         relation (a bad PLA cube, an unknown benchmark) and relations
         that are not left-total raise *here*, not at the first
-        ``next()`` — only the search itself runs lazily.
+        ``next()`` — only the search itself runs lazily.  The relation
+        is also trimmed around and keyed here, and until the stream
+        ends no trim — :meth:`trim` or an automatic one — collects the
+        manager it reads, so the relation and its key stay as they
+        were.  A stream closed or dropped before it ends releases that
+        hold.
         """
         request = request or SolveRequest()
         resolved, spec, key, from_registry = \
@@ -713,12 +726,14 @@ class Session:
         hit = self._live_hit(key, request)
         if hit is not None:
             return self._yield_hit(hit)
-        resolved, key, spec_built = self._materialize(
+        root, key, spec_built = self._materialize(
             resolved, spec, key, from_registry, request)
-        resolved.require_in_frame()
-        resolved.require_well_defined()
-        return self._solve_iter(request, resolved, key, spec_built,
-                                cancel, observer)
+        root.require_in_frame()
+        root.require_well_defined()
+        stream = self._solve_iter(request, root, key, spec_built, cancel,
+                                  observer)
+        next(stream)  # takes the hold: see _solve_iter
+        return stream
 
     @staticmethod
     def _yield_hit(hit: SolveReport
@@ -726,22 +741,35 @@ class Session:
         yield Improvement(hit.solution, hit.cost, 0.0, 0)
         return hit
 
-    def _solve_iter(self, request: SolveRequest, resolved: Root,
+    def _solve_iter(self, request: SolveRequest, root: Root,
                     key: Tuple[Any, ...], spec_built: bool,
                     cancel: Optional[CancelToken],
                     observer: Optional[Observer]
                     ) -> Generator[Improvement, None, SolveReport]:
         """The lazy half of :meth:`solve_iter`: the search itself, and
-        its report inside the solve's ISOP scope, as in :meth:`solve`."""
-        solver = BrelSolver(request.to_options())
-        mgr = resolved.mgr
-        mgr.enter_solve()
+        its report inside the solve's ISOP scope, as in :meth:`solve`.
+
+        :meth:`solve_iter` runs it to a first ``yield`` the caller never
+        sees, so the hold on the root's manager is taken at once and the
+        ``finally`` that drops it runs however the stream ends —
+        drained, closed, or dropped before its first improvement.
+        """
+        mgr = root.mgr
+        self._streaming.append(mgr)
         try:
-            result = yield from solver.iter_solve(resolved, cancel=cancel,
-                                                  observer=observer)
-            return self._finish(request, resolved, result, key, spec_built)
+            yield  # primed by solve_iter
+            mgr.enter_solve()
+            try:
+                result = yield from BrelSolver(request.to_options()) \
+                    .iter_solve(root, cancel=cancel, observer=observer)
+                report = SolveReport.from_result(
+                    root, result, request=request.to_dict(),
+                    label=request.label)
+            finally:
+                mgr.exit_solve()
+            return self._store(key, report, root, spec_built).copy()
         finally:
-            mgr.exit_solve()
+            self._streaming.remove(mgr)
 
     def solve_many(self, requests: Sequence[SolveRequest],
                    max_workers: Optional[int] = None,
@@ -755,10 +783,10 @@ class Session:
         * ``cancel`` propagates to workers as each executor allows:
           serial jobs share the token, so the in-flight search stops
           cooperatively and reports its best-so-far solution
-          (``stopped="cancelled"``); process workers cannot share a
-          token, so cancellation stops dispatch — queued jobs are
-          cancelled and come back as failed ``cancelled before start``
-          reports while already-running workers finish their job.
+          (``stopped="cancelled"``, never cached); process workers
+          cannot share a token, so cancellation stops dispatch.  Either
+          way jobs not yet started come back as failed ``cancelled
+          before start`` reports; running workers finish their job.
         * Every job is keyed as :meth:`solve` keys it, on both
           executors: a session name by the relation object, a node spec
           by its node list, any other spec by its content, plus the
@@ -768,103 +796,91 @@ class Session:
           calls.
         * ``executor`` selects ``"process"`` (default; one worker per
           job, at most ``max_workers`` and the CPU count) or
-          ``"serial"`` (in-process).  Both build a miss's root here as
-          :meth:`solve` does, a node spec's aside; a process job ships a
-          packed root as its ``(n, m, table)`` triple, any other as its
-          node list.
+          ``"serial"``, where each job takes :meth:`solve`'s miss path
+          when it runs (:meth:`_solve_miss`), and so does every job of
+          a pool that cannot start.  A process job's root is built here
+          as :meth:`solve` builds it, a node spec's aside, and ships as
+          its ``(n, m, table)`` triple when packed, else as its node list.
 
-        Every successful report carries its solution template
+        Every report is handed over after the last job, cache hits
+        included, and carries its solution template
         (:meth:`SolveReport.solution_template`).  A report on a named
         session relation also carries a live ``report.solution`` in
-        that relation's manager, and so does a fresh report on any
-        other spec the batch builds in this process (PLA text, output
-        sets, ...): pool results are re-instantiated there
-        (:meth:`_portable_solution`).  Nothing is built before the
-        cache lookup, so a hit on a self-contained spec builds no
-        relation and a node spec is never built here for a process
-        job; such a report carries a live solution only when this call
-        solved it in-process, or when the cached entry it was served
-        from has one (in the manager that entry was solved in).
+        that relation's manager as it stands then, and so does a fresh
+        report on any other spec, in the root it was solved on or, for a
+        pool report, the root built here (:meth:`_portable_solution`).
+        Nothing is built before the cache lookup, so a hit on a
+        self-contained spec builds no relation and a node spec is never
+        built here for a process job; such a report carries a live
+        solution only when this call solved it in-process, or when the
+        cached entry it was served from has one (in the manager that
+        entry was solved in).
         """
         check_executor("executor", executor)
         reports: List[Optional[SolveReport]] = [None] * len(requests)
-        pending: Dict[Tuple[Any, ...], List[int]] = {}
-        jobs: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-        spec_built: List[Root] = []
-
+        # The batch's unique jobs by the key each has when it is queued:
+        # the indices each answers, and its report — a hit's cache
+        # entry, held as it is until the hand-over, or a fresh one.
+        indices: Dict[Tuple[Any, ...], List[int]] = {}
+        results: Dict[Tuple[Any, ...], SolveReport] = {}
+        # Each miss's first request and its _prepare_solve reading.
+        misses: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         for index, request in enumerate(requests):
-            label = request.label or "job-%d" % index
             try:
                 resolved, spec, key, from_registry = \
                     self._prepare_solve(request, None)
-                cached = self._cache.get(key)
-                if cached is None and key not in jobs:
-                    # A node spec's own list (the request checked it)
-                    # ships as it is, and a serial job builds it when it
-                    # is solved; any other spec's root is built here.
-                    nodes: Optional[RelationNodes] = None
-                    table: Optional[Tuple[int, int, int]] = None
-                    if spec["kind"] == "nodes":
-                        nodes = nodes_of_spec(spec)
-                    else:
-                        if not from_registry:
-                            resolved = root_of_spec(spec)
-                            spec_built.append(resolved)
-                        if executor == "process":
-                            if isinstance(resolved, PackedRelation):
-                                table = (resolved.n, resolved.m,
-                                         resolved.table)
-                            else:
-                                nodes = relation_to_nodes(resolved)
-                    # "relation" and "solve_request" are the live objects
-                    # for in-process execution; workers get only the
-                    # node list or triple and the request dict.  The
-                    # registry name lets the serial path re-resolve and
-                    # auto-trim.
-                    jobs[key] = {
-                        "nodes": nodes, "table": table,
-                        "request": request.to_dict(),
-                        "solve_request": request, "label": label,
-                        "relation": resolved,
-                        "registry_name": spec["name"] if from_registry
-                        else None}
             except Exception as exc:  # noqa: BLE001 — capture per job
                 reports[index] = SolveReport.from_error(
-                    exc, request=request.to_dict(), label=label)
+                    exc, request=request.to_dict(),
+                    label=request.label or "job-%d" % index)
                 continue
-            if cached is not None:
-                self.cache_hits += 1
-                reports[index] = cached.copy(
-                    cached=True, label=label, request=request.to_dict(),
-                    **self._hand_over(cached, resolved))
-                continue
-            pending.setdefault(key, []).append(index)
+            if key not in indices:
+                cached = self._cache.get(key)
+                if cached is not None:
+                    results[key] = cached
+                else:
+                    misses[key] = (request, resolved, spec, from_registry)
+            indices.setdefault(key, []).append(index)
 
-        if pending:
-            fresh = self._run_jobs(list(pending), jobs, max_workers,
-                                   executor, cancel)
-            for key, report in fresh.items():
-                # Derived once here, the template rides along in every
-                # copy below, the cache entry's included.
-                report.solution_template()
-                # Cancelled in-flight jobs report ok with a best-so-far
-                # solution; like solve(), that partial answer must not
-                # be served to future uncancelled calls.
-                if report.ok and report.stopped != "cancelled":
-                    self._cache[key] = report.copy()
-                hand_over = self._hand_over(report, jobs[key]["relation"])
-                for position, index in enumerate(pending[key]):
-                    # Failures are never cached, so only successful
-                    # shared results count (and read) as cache hits.
-                    shared = position > 0 and report.ok
-                    if shared:
-                        self.cache_hits += 1
-                    reports[index] = report.copy(
-                        cached=shared,
-                        label=requests[index].label or "job-%d" % index,
-                        request=requests[index].to_dict(), **hand_over)
-        for relation in spec_built:
-            relation.mgr.release_caches()  # as in solve()
+        # The roots built here for pool jobs, to hand their reports over.
+        roots: Dict[Tuple[Any, ...], Root] = {}
+        if executor == "process" and misses:
+            self._run_pool(misses, results, roots, max_workers, cancel)
+        for key, (request, *_) in misses.items():
+            if key in results:
+                continue
+            if cancel is not None and cancel.cancelled:
+                # In-flight jobs stopped themselves (best-so-far); jobs
+                # not yet started are skipped outright.
+                results[key] = SolveReport.from_error(_NOT_STARTED)
+                continue
+            try:
+                results[key] = self._solve_miss(
+                    request, *self._prepare_solve(request, None),
+                    cancel=cancel)
+            except Exception as exc:  # noqa: BLE001 — capture per job
+                results[key] = SolveReport.from_error(exc)
+
+        for key, positions in indices.items():
+            report = results[key]
+            # Derived once here, the template rides along in every copy.
+            report.solution_template()
+            spec = requests[positions[0]].relation
+            relation = (self._relations.get(spec["name"])
+                        if spec["kind"] == "name" else roots.get(key))
+            hand_over = self._hand_over(report, relation)
+            if key in roots:
+                roots[key].mgr.release_caches()  # as in solve()
+            for position, index in enumerate(positions):
+                # Failures are never cached, so only successful shared
+                # results count (and read) as cache hits.
+                shared = (position > 0 or key not in misses) and report.ok
+                if shared:
+                    self.cache_hits += 1
+                reports[index] = report.copy(
+                    cached=shared,
+                    label=requests[index].label or "job-%d" % index,
+                    request=requests[index].to_dict(), **hand_over)
         # Every index was filled above: failure, cache hit, or fresh run.
         return [report for report in reports if report is not None]
 
@@ -899,9 +915,13 @@ class Session:
                 if report is not None:
                     self.cache_hits += 1
                 else:
-                    report = _run_job({
-                        "table": tuple(mined), "request": request_dict,
-                        "solve_request": request, "label": request.label})
+                    try:
+                        report = _solve_report(root_of_table(*mined),
+                                               request, request_dict,
+                                               request.label)
+                    except Exception as exc:  # noqa: BLE001 — per table
+                        report = SolveReport.from_error(
+                            exc, request=request_dict, label=request.label)
                     self._strip_solution(report)
                     if report.ok:
                         self._cache[key] = report
@@ -910,53 +930,24 @@ class Session:
         return reports
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _cancelled_report(job: Dict[str, Any]) -> SolveReport:
-        """The failed report of a job cancelled before it started."""
-        return SolveReport.from_error(
-            RuntimeError("cancelled before start"),
-            request=job["request"], label=job["label"])
-
-    def _run_jobs(self, keys: List[Tuple[Any, ...]],
-                  jobs: Dict[Tuple[Any, ...], Dict[str, Any]],
+    def _run_pool(self, misses: Dict[Tuple[Any, ...], Tuple[Any, ...]],
+                  results: Dict[Tuple[Any, ...], SolveReport],
+                  roots: Dict[Tuple[Any, ...], Root],
                   max_workers: Optional[int],
-                  executor: str,
-                  cancel: Optional[CancelToken] = None
-                  ) -> Dict[Tuple[Any, ...], SolveReport]:
-        """Execute the unique jobs, serially or on a process pool."""
-        results: Dict[Tuple[Any, ...], SolveReport] = {}
-        # Only an explicit "serial" runs in this process: process keeps
-        # its isolation contract (a private manager per job) even for a
-        # single job or max_workers=1.
-        if executor == "serial":
-            limit = self.auto_trim_nodes
-            for key in keys:
-                job = jobs[key]
-                if cancel is not None and cancel.cancelled:
-                    # In-flight jobs stopped themselves (best-so-far);
-                    # jobs not yet started are skipped outright.
-                    results[key] = self._cancelled_report(job)
-                    continue
-                name = job["registry_name"]
-                if name is not None and name in self._relations:
-                    # Re-resolve from the registry so earlier trims in
-                    # this batch cannot leave the job holding stale
-                    # node ids, then trim if the engine grew too big.
-                    relation = self._relations[name]
-                    job["relation"] = relation
-                    if (limit is not None
-                            and relation.mgr.num_nodes > limit):
-                        job["relation"] = self._trim_manager(
-                            relation.mgr, keep=relation,
-                            extra_reports=results.values(),
-                            extra_jobs=[jobs[k] for k in keys])
-                results[key] = _run_job(job, cancel)
-            return results
+                  cancel: Optional[CancelToken]) -> None:
+        """Solve a batch's misses on a process pool and store each
+        report under the key its job was queued with.
 
+        Only an explicit ``"process"`` gets here: it keeps its isolation
+        contract (a private manager per job) even for a single job or
+        ``max_workers=1``.  Jobs are made self-contained once the pool
+        has started, so a pool that cannot start builds nothing and
+        leaves its jobs to the caller's in-process loop.
+        """
         # One worker per job, capped by the call and by the CPU count:
         # the engine is pure Python, so a process beyond the cores only
         # takes turns with the others.
-        workers = min(len(keys), os.cpu_count() or 1)
+        workers = min(len(misses), os.cpu_count() or 1)
         if max_workers is not None:
             workers = min(workers, max_workers)
         # Imported here so that ``import repro`` loads no multiprocessing.
@@ -964,12 +955,28 @@ class Session:
         try:
             with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
                 futures = {}
-                for key in keys:
-                    job = jobs[key]
-                    # Workers get only the picklable part of a job.
+                for key, (request, resolved, spec, from_registry) \
+                        in misses.items():
+                    # A node spec ships its own list (the request checked
+                    # it); any other root is built here, and ships as its
+                    # triple when packed, else as its node list.
+                    nodes: Optional[RelationNodes] = None
+                    table: Optional[Tuple[int, int, int]] = None
+                    try:
+                        if spec["kind"] == "nodes":
+                            nodes = nodes_of_spec(spec)
+                        elif not from_registry:
+                            resolved = roots[key] = root_of_spec(spec)
+                        if isinstance(resolved, PackedRelation):
+                            table = (resolved.n, resolved.m, resolved.table)
+                        elif nodes is None:
+                            nodes = relation_to_nodes(resolved)
+                    except Exception as exc:  # noqa: BLE001 — per job
+                        results[key] = SolveReport.from_error(exc)
+                        continue
                     futures[key] = pool.submit(_run_job, {
-                        "nodes": job.get("nodes"), "table": job.get("table"),
-                        "request": job["request"], "label": job["label"]})
+                        "nodes": nodes, "table": table,
+                        "request": request.to_dict(), "label": request.label})
                 # A CancelToken cannot cross the process boundary, so
                 # cancellation here stops dispatch: queued futures are
                 # cancelled, running workers finish their current job.
@@ -985,25 +992,17 @@ class Session:
                             future.cancel()
                         break
                 for key, future in futures.items():
-                    job = jobs[key]
-                    if future.cancelled():
-                        results[key] = self._cancelled_report(job)
-                        continue
                     try:
-                        results[key] = future.result()
+                        report = (SolveReport.from_error(_NOT_STARTED)
+                                  if future.cancelled() else future.result())
                     except Exception as exc:  # noqa: BLE001 — pool breakage
                         # A dead worker or a pickling failure fails
                         # this job only.
-                        results[key] = SolveReport.from_error(
-                            exc, request=job["request"],
-                            label=job["label"])
+                        report = SolveReport.from_error(exc)
+                    if report.ok:
+                        self._cache[key] = report
+                    results[key] = report
         except OSError:
-            # Process pools need a working fork/semaphore layer; fall
-            # back to in-process execution in restricted sandboxes.
-            for key in keys:
-                if key not in results:
-                    if cancel is not None and cancel.cancelled:
-                        results[key] = self._cancelled_report(jobs[key])
-                    else:
-                        results[key] = _run_job(jobs[key], cancel)
-        return results
+            # Process pools need a working fork/semaphore layer; in
+            # restricted sandboxes the jobs run in this process.
+            pass

@@ -354,7 +354,12 @@ def expand_packed(k: int, lower: int, upper: int, table: IsopTable,
             cover |= cover << (1 << width)
         return tree, cover
 
-    return expand(lower, upper, k), hits, misses
+    result = expand(lower, upper, k)
+    # expand calls itself through its closure cell: empty the cell, or
+    # the closure (and the table it reads) outlives this call in a
+    # reference cycle that only the cyclic collector frees.
+    del expand
+    return result, hits, misses
 
 
 def tree_cubes(tree: CubeTree, names: Sequence = range(MAX_TABLE_WIDTH)
@@ -379,6 +384,7 @@ def tree_cubes(tree: CubeTree, names: Sequence = range(MAX_TABLE_WIDTH)
 
     if tree is not None:
         walk(tree, ())
+    del walk  # a self-referring closure: see expand_packed
     return cubes
 
 

@@ -416,6 +416,7 @@ class PackedRelation:
                 branch = length(width, high) < length(width, low)
                 cube[frame[n - 1 - width]] = branch
                 table = high if branch else low
+        del length  # a self-referring closure: see expand_packed
         return cube
 
     def _index(self, vertex: Mapping[int, bool]) -> int:

@@ -54,10 +54,6 @@ class CollapsedNetwork:
         """The global BDD of a signal."""
         return self.signal_nodes[name]
 
-    def output_nodes(self) -> Dict[str, int]:
-        return {name: self.signal_nodes[name]
-                for name in self.network.outputs}
-
     def next_state_nodes(self) -> Dict[str, int]:
         """Latch-input functions keyed by latch *output* (state) name."""
         return {latch.output: self.signal_nodes[latch.input]

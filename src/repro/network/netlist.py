@@ -34,9 +34,6 @@ class Node:
     def literal_count(self) -> int:
         return self.cover.literal_count()
 
-    def is_constant(self) -> bool:
-        return not self.fanins
-
     def is_buffer(self) -> bool:
         """True for ``f = a`` (single positive-literal cube)."""
         return (len(self.fanins) == 1 and self.cover.cube_count() == 1
@@ -218,12 +215,6 @@ class LogicNetwork:
 
     def remove_node(self, name: str) -> None:
         del self.nodes[name]
-
-    def replace_fanin(self, node_name: str, old: str, new: str) -> None:
-        """Re-wire one fanin of a node (cover columns are preserved)."""
-        node = self.nodes[node_name]
-        node.fanins = [new if fanin == old else fanin
-                       for fanin in node.fanins]
 
     def sweep_dangling(self) -> int:
         """Drop nodes not reachable from any output; returns removal count."""

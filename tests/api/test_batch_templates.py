@@ -13,6 +13,7 @@ import concurrent.futures
 import pytest
 
 from repro.api import Session, SolveRequest
+from repro.api import request as request_module
 from repro.api import session as session_module
 from repro.api.request import root_of_nodes
 from repro.bdd import BddManager
@@ -44,7 +45,12 @@ def answers(reports):
 
 @pytest.fixture
 def count_builds(monkeypatch):
-    """Count the relations ``solve_many`` builds in this process."""
+    """Count the relations ``solve_many`` builds in this process.
+
+    An in-process job builds its root through ``root_of_spec``, which
+    calls ``repro.api.request.root_of_nodes``; the pool worker's entry
+    point calls ``repro.api.session.root_of_nodes``.
+    """
     calls = []
 
     def counting(data, *args, **kwargs):
@@ -52,6 +58,7 @@ def count_builds(monkeypatch):
         return root_of_nodes(data, *args, **kwargs)
 
     monkeypatch.setattr(session_module, "root_of_nodes", counting)
+    monkeypatch.setattr(request_module, "root_of_nodes", counting)
     return calls
 
 
