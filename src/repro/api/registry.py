@@ -30,12 +30,12 @@ Users plug in custom objectives without touching ``repro.core``::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from ..core.cost import (CostFunction, bdd_size_cost, bdd_size_squared_cost,
                          cube_count_cost, literal_count_cost,
                          shared_bdd_size_cost)
-from ..core.explore import STRATEGIES, StrategyFactory, suggest
+from ..core.explore import STRATEGIES, StrategyFactory, lookup_name
 from ..core.minimize import MINIMIZERS, IsfMinimizer
 
 T = TypeVar("T")
@@ -60,14 +60,8 @@ class Registry:
     def get(self, name: str) -> T:
         """Resolve ``name``; unknown names raise a did-you-mean error
         listing the valid choices."""
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise KeyError("unknown %s %r%s (registered: %s)"
-                           % (self.kind, name,
-                              suggest(name, self._entries),
-                              ", ".join(sorted(self._entries)) or "none")
-                           ) from None
+        return lookup_name(self._entries, name,
+                           "unknown " + self.kind + " %r")
 
     def name_of(self, obj: T) -> Optional[str]:
         """Reverse lookup: the registered name of ``obj``, or ``None``."""

@@ -63,6 +63,12 @@ from .registry import cost_registry, minimizer_registry
 #: What callers may pass as a relation source.
 RelationSpec = Union[str, Mapping[str, Any]]
 
+#: A request's faults: every check of a request, relation, circuit or
+#: manifest raises ``ValueError`` (an unknown name too), and an
+#: ``OSError`` is a file the request names.  The service answers them
+#: 400 and the CLI exits 2; any other failure is the program's.
+REQUEST_ERRORS = (ValueError, OSError)
+
 #: The option fields of :class:`SolveRequest` as ``name: (kind, bound,
 #: optional)``, in the form of ``ResynthRequest``'s integer table.
 #: ``kind`` is ``"int"`` (an int, not a bool, at least ``bound``; see
@@ -360,8 +366,12 @@ def merge_manifest_jobs(data: Any, base: str = "") -> List[Dict[str, Any]]:
     if isinstance(data, dict):
         defaults = data.get("defaults", {})
         jobs = data.get("jobs")
-        if jobs is None:
-            raise ValueError("manifest object needs a 'jobs' list")
+        if not isinstance(defaults, dict):
+            raise ValueError("manifest 'defaults' must be a JSON object, "
+                             "got %r" % (defaults,))
+        if not isinstance(jobs, (list, tuple)):
+            raise ValueError("manifest 'jobs' must be a JSON list, got %r"
+                             % (jobs,))
     elif isinstance(data, list):
         defaults, jobs = {}, data
     else:
@@ -374,7 +384,8 @@ def merge_manifest_jobs(data: Any, base: str = "") -> List[Dict[str, Any]]:
         merged.update(job)
         relation = merged.get("relation")
         if (isinstance(relation, dict) and relation.get("kind") == "file"
-                and base and not os.path.isabs(relation.get("path", ""))):
+                and base and isinstance(relation.get("path"), str)
+                and not os.path.isabs(relation["path"])):
             relation = dict(relation)
             relation["path"] = os.path.join(base, relation["path"])
             merged["relation"] = relation
@@ -382,10 +393,19 @@ def merge_manifest_jobs(data: Any, base: str = "") -> List[Dict[str, Any]]:
     return merged_jobs
 
 
+def read_json(text: str) -> Any:
+    """``json.loads`` of a request or a manifest; nesting too deep to
+    decode is a ``ValueError``, not a ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def load_manifest(path: str) -> List["SolveRequest"]:
     """Parse a batch/prewarm manifest file into validated requests."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = read_json(handle.read())
     base = os.path.dirname(os.path.abspath(path))
     return [SolveRequest.from_dict(job)
             for job in merge_manifest_jobs(data, base)]

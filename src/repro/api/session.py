@@ -67,6 +67,7 @@ whole reports, never subproblems.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, wait
 from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
@@ -74,7 +75,7 @@ from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
 from ..bdd.manager import BddManager
 from ..core.brel import BrelSolver
 from ..core.explore import (CancelToken, Improvement, Observer,
-                            check_executor)
+                            check_executor, lookup_name)
 from ..core.memo import instantiate_solution
 from ..core.packedrel import PackedRelation
 from ..core.relation import BooleanRelation
@@ -162,7 +163,7 @@ class Session:
     an open stream stale: every miss is keyed after its own trim, a
     batch hands its reports over after its last job, and a manager that
     an open :meth:`solve_iter` stream reads is not trimmed until the
-    stream ends.
+    stream ends, nor one where another session pinned a relation.
     """
 
     def __init__(self,
@@ -238,8 +239,9 @@ class Session:
         is collected.  Live solutions handed out by earlier solves become
         invalid; their reports' data fields stay correct.  A manager
         that an open :meth:`solve_iter` stream reads is skipped; the
-        first trim after the stream ends collects it.  Returns
-        :meth:`engine_stats` after the collection.
+        first trim after the stream ends collects it.  So is a manager
+        holding a pin this session did not take, whose holder it could
+        not remap.  Returns :meth:`engine_stats` after the collection.
         """
         for mgr in self._session_managers():
             self._trim_manager(mgr)
@@ -268,9 +270,16 @@ class Session:
         report a batch still holds hands over from its template; then
         identity-keyed cache entries of this manager are dropped — their
         key objects would hold stale node ids.  A manager an open stream
-        reads is left as it is, and ``keep`` comes back unchanged.
+        reads, or one holding a pin that is not this session's
+        registration (whose holder it could not remap), is left as it
+        is, and ``keep`` comes back unchanged.
         """
-        if mgr in self._streaming:
+        mine = Counter(relation.node for relation in self._relations.values()
+                       if relation.mgr is mgr)
+        if (mgr in self._streaming
+                or mgr.stats()["pinned_nodes"] != len(mine)
+                or any(mgr.pin_count(node) != count
+                       for node, count in mine.items())):
             return keep
         stale_keys = []
         for key, report in self._cache.items():
@@ -314,9 +323,8 @@ class Session:
 
     def remove_relation(self, name: str) -> None:
         """Deregister ``name``; its nodes become collectable on trim."""
-        relation = self._relations.pop(name, None)
-        if relation is None:
-            raise KeyError("no relation named %r in this session" % name)
+        relation = self.relation(name)
+        del self._relations[name]
         relation.mgr.unpin(relation.node)
 
     def add_output_sets(self, name: str, rows: Sequence[Iterable[int]],
@@ -389,13 +397,8 @@ class Session:
     # ------------------------------------------------------------------
     def relation(self, name: str) -> BooleanRelation:
         """Look up a registered relation."""
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise KeyError("no relation named %r in this session "
-                           "(registered: %s)"
-                           % (name, ", ".join(sorted(self._relations))
-                              or "none")) from None
+        return lookup_name(self._relations, name,
+                           "no relation named %r in this session")
 
     def relation_names(self) -> List[str]:
         return sorted(self._relations)

@@ -14,6 +14,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+from ..core.explore import lookup_name
 from ..core.relation import BooleanRelation
 from .brgen import random_relation, random_rows
 
@@ -66,10 +67,8 @@ SUITE: List[BrInstance] = [
 
 
 def instance_by_name(name: str) -> BrInstance:
-    for instance in SUITE:
-        if instance.name == name:
-            return instance
-    raise KeyError("unknown BR benchmark %r" % name)
+    return lookup_name({instance.name: instance for instance in SUITE},
+                       name, "unknown BR benchmark %r")
 
 
 def build_suite(names: Tuple[str, ...] = ()) -> Dict[str, BooleanRelation]:

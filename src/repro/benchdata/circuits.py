@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
+from ..core.explore import lookup_name
 from ..network.blif import parse_blif
 from ..network.netlist import LogicNetwork
 from ..sop.cover import Cover
@@ -226,10 +227,8 @@ CIRCUITS: List[CircuitSpec] = [
 
 
 def circuit_by_name(name: str) -> CircuitSpec:
-    for spec in CIRCUITS:
-        if spec.name == name:
-            return spec
-    raise KeyError("unknown circuit %r" % name)
+    return lookup_name({spec.name: spec for spec in CIRCUITS}, name,
+                       "unknown circuit %r")
 
 
 def build_circuits(names: Sequence[str] = ()) -> Dict[str, LogicNetwork]:

@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional
 from .api.events import format_event
 from .api.registry import (COSTS, cost_names, minimizer_names,
                            strategy_names)
-from .api.request import SolveRequest, load_manifest
+from .api.request import REQUEST_ERRORS, SolveRequest, load_manifest
 from .api.session import Session
 from .core.explore import EXECUTORS
 
@@ -89,18 +89,10 @@ def _progress_printer(stream):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .core.relation import NotWellDefinedError
-    from .core.relio import RelationFormatError
-
     observer = _progress_printer(sys.stderr) if args.progress else None
-    try:
-        request = _request_from_args(
-            args, {"kind": "file", "path": args.relation})
-        report = Session().solve(request, observer=observer)
-    except (OSError, ValueError, KeyError, RelationFormatError,
-            NotWellDefinedError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    request = _request_from_args(args,
+                                 {"kind": "file", "path": args.relation})
+    report = Session().solve(request, observer=observer)
     if args.json:
         print(report.to_json(indent=2))
         return 0 if report.compatible else 1
@@ -143,14 +135,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        requests = load_manifest(args.manifest)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    session = Session()
-    reports = session.solve_many(requests, max_workers=args.workers,
-                                 executor=args.executor)
+    reports = Session().solve_many(load_manifest(args.manifest),
+                                   max_workers=args.workers,
+                                   executor=args.executor)
     payload = [report.to_dict() for report in reports]
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
@@ -239,15 +226,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_prewarm(args: argparse.Namespace) -> int:
-    from .service import ServiceError, prewarm
+    from .service import prewarm
 
-    try:
-        summary = prewarm(args.corpus, args.cache_dir,
-                          executor=args.executor, workers=args.workers)
-    except (ServiceError, ValueError, KeyError, TypeError,
-            OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    summary = prewarm(args.corpus, args.cache_dir,
+                      executor=args.executor, workers=args.workers)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if summary["ok"] else 1
 
@@ -269,26 +251,22 @@ def _cmd_resynth(args: argparse.Namespace) -> int:
         window = min(window, 6)
         if max_nodes is None:
             max_nodes = 64
-    try:
-        request = ResynthRequest(
-            circuit=circuit,
-            passes=passes,
-            window=window,
-            tfo_depth=args.tfo_depth,
-            cut_policy=args.cut_policy,
-            max_nodes=max_nodes,
-            cost=args.cost,
-            minimizer=args.minimizer,
-            strategy=args.strategy,
-            max_explored=args.max_explored,
-            decompose=args.decompose,
-            verify=args.verify,
-            verify_vectors=args.verify_vectors,
-            seed=args.seed,
-            label=args.circuit)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    request = ResynthRequest(
+        circuit=circuit,
+        passes=passes,
+        window=window,
+        tfo_depth=args.tfo_depth,
+        cut_policy=args.cut_policy,
+        max_nodes=max_nodes,
+        cost=args.cost,
+        minimizer=args.minimizer,
+        strategy=args.strategy,
+        max_explored=args.max_explored,
+        decompose=args.decompose,
+        verify=args.verify,
+        verify_vectors=args.verify_vectors,
+        seed=args.seed,
+        label=args.circuit)
     report = resynthesize(request)
     if args.output and report.ok and report.blif is not None:
         with open(args.output, "w", encoding="ascii") as handle:
@@ -514,9 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one verb.  A request's fault (a bad value, an unreadable or
+    malformed file, an unknown name: :data:`REQUEST_ERRORS`) prints
+    ``error: ...`` and exits 2; the program's keep their traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except REQUEST_ERRORS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

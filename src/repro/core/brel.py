@@ -179,12 +179,7 @@ class BrelOptions:
             raise ValueError("decompose must be True, False or None "
                              "(None = auto: shard when the partition "
                              "finds at least two blocks)")
-        try:
-            get_strategy_factory(self.exploration_strategy())
-        except KeyError as exc:
-            # Surface as ValueError: a bad name is an invalid option
-            # value.
-            raise ValueError(str(exc).strip('"')) from None
+        get_strategy_factory(self.exploration_strategy())
         if (self.time_limit_seconds is not None
                 and self.time_limit_seconds < 0):
             raise ValueError("time_limit_seconds must be non-negative")

@@ -32,7 +32,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
-                    Optional, Sequence, Tuple)
+                    Mapping, Optional, Sequence, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .relation import BooleanRelation
@@ -71,6 +71,27 @@ def suggest(name: str, choices: Sequence[str]) -> str:
     close = difflib.get_close_matches(str(name), list(choices), n=1,
                                       cutoff=0.5)
     return " — did you mean %r?" % close[0] if close else ""
+
+
+class UnknownNameError(KeyError, ValueError):
+    """A name no table holds: a ``KeyError`` to lookups, a ``ValueError``
+    to :data:`repro.api.request.REQUEST_ERRORS` (like numpy's
+    ``AxisError``); its ``str()`` is its message, not the message's repr.
+    """
+
+    __str__ = ValueError.__str__
+
+
+def lookup_name(table: Mapping[str, Any], name: str, what: str) -> Any:
+    """``table[name]``, or :class:`UnknownNameError` reading ``what %
+    name``, a did-you-mean hint and the registered names."""
+    try:
+        return table[name]
+    except KeyError:
+        raise UnknownNameError("%s%s (registered: %s)"
+                               % (what % (name,), suggest(name, table),
+                                  ", ".join(sorted(table)) or "none")
+                               ) from None
 
 
 def check_executor(field: str, value: Any) -> str:
@@ -503,13 +524,7 @@ def strategy_names() -> List[str]:
 
 def get_strategy_factory(name: str) -> StrategyFactory:
     """Resolve a strategy name; unknown names get a did-you-mean error."""
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        raise KeyError("unknown strategy %r%s (registered: %s)"
-                       % (name, suggest(name, STRATEGIES),
-                          ", ".join(sorted(STRATEGIES)) or "none")
-                       ) from None
+    return lookup_name(STRATEGIES, name, "unknown strategy %r")
 
 
 def make_strategy(name: str, options: Any) -> ExplorationStrategy:

@@ -25,6 +25,7 @@ from ..bdd.isop import eliminate_nonessential
 from ..bdd.manager import FALSE, TRUE
 from ..bdd.packed import interval_isop, pack, packed_cover
 from ..bdd.safemin import squeeze
+from .explore import lookup_name
 from .isf import Isf, PackedIsf
 
 #: Minimiser signature: ISF in, implementation node out.
@@ -131,11 +132,7 @@ MINIMIZERS: Dict[str, IsfMinimizer] = {
 
 def get_minimizer(name: str) -> IsfMinimizer:
     """Look up a minimiser by registry name."""
-    try:
-        return MINIMIZERS[name]
-    except KeyError:
-        raise ValueError("unknown ISF minimizer %r (available: %s)"
-                         % (name, ", ".join(sorted(MINIMIZERS)))) from None
+    return lookup_name(MINIMIZERS, name, "unknown ISF minimizer %r")
 
 
 #: The built-in minimisers.  All of them are *structural*: they compute

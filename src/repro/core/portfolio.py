@@ -150,10 +150,7 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
             raise ValueError("a portfolio cannot race itself: racer "
                              "strategies must name a concrete frontier "
                              "(bfs, dfs, best-first, beam, ...)")
-        try:
-            get_strategy_factory(strategy)
-        except KeyError as exc:
-            raise ValueError(str(exc).strip('"')) from None
+        get_strategy_factory(strategy)
         name = raw.pop("name", None)
         if name is not None and not isinstance(name, str):
             raise ValueError("racer %d (%s): 'name' must be a str, got "

@@ -53,16 +53,18 @@ import math
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import (Any, Deque, Dict, Generator, Iterator, List, Optional,
+                    Tuple)
 
 from ..api.events import event_to_jsonable
-from ..api.request import (SolveRequest, merge_manifest_jobs,
-                           relation_spec_to_jsonable)
+from ..api.request import (REQUEST_ERRORS, SolveRequest,
+                           merge_manifest_jobs, relation_spec_to_jsonable)
 from ..api.report import REPORT_SCHEMA_VERSION, SolveReport
 from ..api.session import Session
 from ..core.explore import CancelToken, check_executor, check_workers
 from ..resynth.report import RESYNTH_SCHEMA_VERSION, ResynthReport
-from ..resynth.request import ResynthRequest
+from ..resynth.request import ResynthRequest, load_circuit
 from .diskcache import DiskCache, fingerprint_payload
 
 __all__ = ["ServiceError", "SolveService", "MAX_BODY_BYTES"]
@@ -78,16 +80,26 @@ RECENT_REQUESTS = 50
 LATENCY_SAMPLES = 1024
 
 
-class ServiceError(Exception):
-    """A client-attributable failure (maps to an HTTP 4xx)."""
+class ServiceError(ValueError):
+    """A request's fault, answered with an HTTP 4xx; a ``ValueError``,
+    so one of :data:`~repro.api.request.REQUEST_ERRORS`."""
 
     def __init__(self, message: str, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
 
 
-#: Exceptions that mean "your request was bad", not "the service broke".
-_CLIENT_ERRORS = (ValueError, KeyError, TypeError, OSError)
+def _from_wire(stored: Optional[Dict[str, Any]], report_class: Any,
+               schema_version: int) -> Any:
+    """Rebuild a disk-tier report of ``report_class``; no file, another
+    schema version or a file that does not parse is a miss (``None``):
+    a stored file is not a request."""
+    if stored is None or stored.get("schema_version") != schema_version:
+        return None
+    try:
+        return report_class.from_dict(stored)
+    except (ValueError, TypeError):
+        return None
 
 
 def _percentiles(samples: Deque[float]) -> Dict[str, Any]:
@@ -183,13 +195,11 @@ class SolveService:
     # ------------------------------------------------------------------
     @staticmethod
     def parse_request(data: Any) -> SolveRequest:
-        """Validate one request dict, mapping failures to 400s."""
+        """Validate one request dict; a body that is not an object is a
+        :class:`ServiceError`, a bad field a ``ValueError``."""
         if not isinstance(data, dict):
             raise ServiceError("request body must be a JSON object")
-        try:
-            return SolveRequest.from_dict(data)
-        except _CLIENT_ERRORS as exc:
-            raise ServiceError("invalid solve request: %s" % exc) from exc
+        return SolveRequest.from_dict(data)
 
     def _admit(self, request: SolveRequest) -> SolveRequest:
         """Apply server-side admission policy to a parsed request.
@@ -206,6 +216,23 @@ class SolveService:
         if cap is not None and (limit is None or limit > cap):
             request = request.with_time_limit(cap)
         return request
+
+    @contextmanager
+    def _failures(self, prefix: str) -> Iterator[None]:
+        """The one failure rule of the routes.  A failed request is
+        counted once in ``request_counts["errors"]``.  A
+        :data:`~repro.api.request.REQUEST_ERRORS` failure is the
+        request's fault: a 400 read ``prefix: message`` (a
+        :class:`ServiceError` passes as it is).  Anything else is the
+        program's, a 500."""
+        try:
+            yield
+        except Exception as exc:
+            self.request_counts["errors"] += 1
+            if isinstance(exc, ServiceError) \
+                    or not isinstance(exc, REQUEST_ERRORS):
+                raise
+            raise ServiceError("%s: %s" % (prefix, exc)) from exc
 
     # ------------------------------------------------------------------
     # Operations
@@ -261,25 +288,20 @@ class SolveService:
 
         Returns ``(report_dict, tier)`` where ``tier`` is ``"ram"``,
         ``"disk"`` or ``"engine"``.  Raises :class:`ServiceError` for
-        client-attributable failures (bad request, unknown relation,
-        incompatible relation file); anything else propagates as a
-        genuine server error.
+        the request's faults (a bad field, an unknown relation, an
+        unreadable relation file); anything else propagates as the
+        program's (see :meth:`_failures`).
         """
         with self._lock:
             start = time.perf_counter()
             self.request_counts["solve"] += 1
-            try:
+            with self._failures("invalid solve request"):
                 request = self._admit(self.parse_request(data))
+            with self._failures("solve failed"):
                 report, tier, key = self._lookup(request)
                 if report is None:
                     report = self.session.solve(request)
                     self._write_back(key, report)
-            except ServiceError:
-                self.request_counts["errors"] += 1
-                raise
-            except _CLIENT_ERRORS as exc:
-                self.request_counts["errors"] += 1
-                raise ServiceError("solve failed: %s" % exc) from exc
             self._latencies[tier].append(time.perf_counter() - start)
             self.tier_hits[tier] += 1
             self._record(request, report, tier)
@@ -302,13 +324,14 @@ class SolveService:
         if self.disk is None:
             return None, "engine", None
         key = self.request_fingerprint(request)
-        stored = self.disk.get_report(key)
-        if stored is not None:
-            report = self._report_from_wire(stored, request)
-            if report is not None:
-                self.session.store_report(request, report)
-                return report, "disk", key
-        return None, "engine", key
+        report = _from_wire(self.disk.get_report(key), SolveReport,
+                            REPORT_SCHEMA_VERSION)
+        if report is None:
+            return None, "engine", key
+        report = report.copy(cached=True, label=request.label,
+                             request=request.to_dict())
+        self.session.store_report(request, report)
+        return report, "disk", key
 
     # ------------------------------------------------------------------
     # Resynthesis (repro.resynth through the same tiers)
@@ -334,88 +357,55 @@ class SolveService:
 
     @staticmethod
     def parse_resynth_request(data: Any) -> ResynthRequest:
-        """Validate a wire payload into a :class:`ResynthRequest`."""
+        """Validate a wire payload into a :class:`ResynthRequest`; a
+        body that is not an object is a :class:`ServiceError`, a bad
+        field a ``ValueError``."""
         if not isinstance(data, dict):
             raise ServiceError("request body must be a JSON object")
-        try:
-            return ResynthRequest.from_dict(data)
-        except (ValueError, TypeError) as exc:
-            raise ServiceError("invalid request: %s" % exc) from exc
+        return ResynthRequest.from_dict(data)
 
     def resynth(self, data: Any) -> Tuple[Dict[str, Any], str]:
         """Serve one resynthesis run through the tiers.
 
-        Returns ``(report_dict, tier)``.  Pipeline failures (unknown
-        circuits, unreadable files) are client-attributable and raise
-        :class:`ServiceError`; failed runs are never cached.
+        Returns ``(report_dict, tier)``.  Loading the circuit is the
+        request's step: an unknown name, an unreadable file or
+        malformed BLIF is a :class:`ServiceError`.  The pipeline run
+        after it is the program's: its failure is a 500 (see
+        :meth:`_failures`).  Failed runs are never cached.
         """
-        from ..resynth.pipeline import resynthesize
+        from ..resynth.pipeline import resynthesize_network
 
         with self._lock:
             self.request_counts["resynth"] += 1
-            try:
+            with self._failures("invalid request"):
                 request = self.parse_resynth_request(data)
+            with self._failures("resynth failed"):
                 key = self.resynth_fingerprint(request)
-            except ServiceError:
-                self.request_counts["errors"] += 1
-                raise
-            except _CLIENT_ERRORS as exc:
-                self.request_counts["errors"] += 1
-                raise ServiceError("resynth failed: %s" % exc) from exc
-            cached = self._resynth_cache.get(key)
-            if cached is not None:
-                tier = "ram"
-                report = cached.copy(cached=True, label=request.label)
-            else:
-                report = None
-                if self.disk is not None:
-                    stored = self.disk.get_report(key)
-                    if stored is not None:
-                        report = self._resynth_from_wire(stored)
-                if report is not None:
-                    tier = "disk"
-                    self._resynth_cache[key] = report.copy()
-                    report = report.copy(cached=True,
-                                         label=request.label)
+                cached = self._resynth_cache.get(key)
+                if cached is not None:
+                    tier = "ram"
+                    report = cached.copy(cached=True, label=request.label)
                 else:
-                    tier = "engine"
-                    report = resynthesize(request, session=self.session)
-                    if not report.ok:
-                        self.request_counts["errors"] += 1
-                        raise ServiceError("resynth failed: %s"
-                                           % report.error)
-                    self._resynth_cache[key] = report.copy()
+                    report = None
                     if self.disk is not None:
-                        self._disk_write(key, report.to_dict())
+                        report = _from_wire(self.disk.get_report(key),
+                                            ResynthReport,
+                                            RESYNTH_SCHEMA_VERSION)
+                    if report is not None and report.ok:
+                        tier = "disk"
+                        self._resynth_cache[key] = report.copy()
+                        report = report.copy(cached=True,
+                                             label=request.label)
+                    else:
+                        tier = "engine"
+                        network = load_circuit(request.circuit)
+                        _, report = resynthesize_network(
+                            network, request, session=self.session)
+                        self._resynth_cache[key] = report.copy()
+                        if self.disk is not None:
+                            self._disk_write(key, report.to_dict())
             self.tier_hits[tier] += 1
             return report.to_dict(), tier
-
-    @staticmethod
-    def _resynth_from_wire(stored: Dict[str, Any]
-                           ) -> Optional[ResynthReport]:
-        """Rebuild a disk-tier resynth report; a report written under
-        another schema version, or one that does not parse, is a miss."""
-        if stored.get("schema_version") != RESYNTH_SCHEMA_VERSION:
-            return None
-        try:
-            report = ResynthReport.from_dict(stored)
-        except (ValueError, TypeError):
-            return None
-        return report if report.ok else None
-
-    def _report_from_wire(self, stored: Dict[str, Any],
-                          request: SolveRequest
-                          ) -> Optional[SolveReport]:
-        """Rebuild a disk-tier report; a report written under another
-        schema version, or one that does not parse, is a miss."""
-        if stored.get("schema_version") != REPORT_SCHEMA_VERSION:
-            return None
-        try:
-            report = SolveReport.from_dict(stored)
-        except (ValueError, TypeError):
-            return None
-        return report.copy(cached=True, label=request.label,
-                           request=request.to_dict())
 
     def solve_stream(self, data: Any
                      ) -> Generator[Tuple[str, Dict[str, Any]], None, None]:
@@ -445,21 +435,13 @@ class SolveService:
         def observer(event: Any) -> None:
             buffered.append(event_to_jsonable(event))
 
-        with self._lock:
+        with self._lock, self._failures("invalid solve request"):
             self.request_counts["stream"] += 1
-            try:
-                request = self._admit(self.parse_request(data))
-                report, tier, key = self._lookup(request)
-                if report is None:
-                    gen = self.session.solve_iter(request, cancel=cancel,
-                                                  observer=observer)
-            except ServiceError:
-                self.request_counts["errors"] += 1
-                raise
-            except _CLIENT_ERRORS as exc:
-                self.request_counts["errors"] += 1
-                raise ServiceError("invalid solve request: %s"
-                                   % exc) from exc
+            request = self._admit(self.parse_request(data))
+            report, tier, key = self._lookup(request)
+            if report is None:
+                gen = self.session.solve_iter(request, cancel=cancel,
+                                              observer=observer)
             if report is not None:
                 yield "improvement", {"cost": report.cost,
                                       "elapsed_seconds": 0.0,
@@ -515,23 +497,16 @@ class SolveService:
         once and hands the copies back ``cached`` (tier ``ram``).  Fresh
         reports are written back to the disk tier.
         """
-        executor = "serial"
-        workers: Optional[int] = None
-        if isinstance(data, dict):
-            data = dict(data)
-            try:
+        with self._lock, self._failures("invalid batch manifest"):
+            executor = "serial"
+            workers: Optional[int] = None
+            if isinstance(data, dict):
+                data = dict(data)
                 executor = check_executor("executor",
                                           data.pop("executor", "serial"))
                 workers = check_workers(data.pop("workers", None))
-            except ValueError as exc:
-                raise ServiceError(str(exc)) from exc
-        try:
-            jobs = merge_manifest_jobs(data)
             requests = [self._admit(self.parse_request(job))
-                        for job in jobs]
-        except _CLIENT_ERRORS as exc:
-            raise ServiceError("invalid batch manifest: %s" % exc) from exc
-        with self._lock:
+                        for job in merge_manifest_jobs(data)]
             self.request_counts["batch"] += 1
             found: List[Tuple[Optional[SolveReport], str, Optional[str]]] = []
             # Each distinct job walks the tiers once: a copy of a miss
@@ -543,9 +518,10 @@ class SolveService:
                            and tuple(request.relation.items()),
                            request.options_key())
                     found.append(misses.get(job) or self._lookup(request))
-                except _CLIENT_ERRORS:
-                    # Bad per-job input: let solve_many capture it as a
-                    # failed report, honouring its no-raise contract.
+                except Exception:  # noqa: BLE001 — captured per job
+                    # A job whose lookup fails: let solve_many capture
+                    # it as a failed report, honouring its no-raise
+                    # contract.
                     found.append((None, "engine", None))
                     continue
                 if found[-1][0] is None:

@@ -6,10 +6,10 @@ carries the whole wire protocol.  The boundary has two halves:
 :func:`respond`
     Answers one request from its method, path and body bytes, with no
     socket.  It looks the route up in :data:`ROUTES` (404 when it is
-    not there), decodes a POST body as JSON (400 when the body is empty
-    or not JSON) and maps exceptions to statuses once: a
-    :class:`ServiceError` gives its own status, anything else a 500.
-    Errors are JSON too: ``{"error": ...}``.
+    not there), decodes a POST body as JSON (400 when the body is empty,
+    not JSON or nested too deeply) and maps exceptions to statuses
+    once: a :class:`ServiceError` (every request fault) gives its own
+    status, anything else a 500.  Errors are JSON too: ``{"error": ...}``.
 :class:`ServiceHandler`
     A byte adapter over :func:`respond`.  It reads the body that
     ``Content-Length`` declares and writes back the JSON answer, or the
@@ -45,6 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (Any, Callable, Dict, Iterator, NamedTuple, Optional,
                     Tuple, Union)
 
+from ..api.request import read_json
 from .app import MAX_BODY_BYTES, ServiceError, SolveService
 
 __all__ = ["ROUTES", "Response", "ServiceHandler", "create_server",
@@ -152,8 +153,8 @@ def _decode(body: bytes) -> Any:
     if not body:
         raise ServiceError("request body required")
     try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+        return read_json(body.decode("utf-8"))
+    except ValueError as exc:
         raise ServiceError("request body is not valid JSON: %s"
                            % exc) from exc
 

@@ -108,7 +108,7 @@ class TestResynthValidation:
         def never(*args, **kwargs):
             raise AssertionError("the pipeline must not start")
 
-        monkeypatch.setattr(pipeline, "resynthesize", never)
+        monkeypatch.setattr(pipeline, "resynthesize_network", never)
         service = SolveService()
         with pytest.raises(ServiceError) as excinfo:
             service.resynth(dict(S27, circuit="s298", **{field: value}))

@@ -471,3 +471,73 @@ class TestResynthCommand:
             main(["resynth", "s27", "--quick"] + argv)
         assert info.value.code == 2
         assert argv[0] in capsys.readouterr().err
+
+
+class TestRequestFaultsExitTwo:
+    """A request's fault exits 2 with one ``error:`` line on every verb;
+    only the program's own faults keep a traceback."""
+
+    @pytest.mark.parametrize("verb", ["map", "decompose", "solve",
+                                      "batch"])
+    def test_missing_file(self, tmp_path, capsys, verb):
+        missing = str(tmp_path / "missing")
+        assert main([verb, missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err
+
+    @pytest.mark.parametrize("verb", ["map", "decompose"])
+    def test_malformed_blif(self, tmp_path, capsys, verb):
+        path = tmp_path / "bad.blif"
+        path.write_text(".model m\n.names a\n1 1 1\n.end\n")
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: malformed .names row")
+
+    @pytest.mark.parametrize("argv", [["batch"],
+                                      ["prewarm", "cache-dir"]])
+    def test_deeply_nested_manifest(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        # Deeper than the JSON decoder recurses on any supported Python.
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [argv[0], str(path)] + [str(tmp_path / arg)
+                                       for arg in argv[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err \
+            == "error: JSON nested too deeply to decode\n"
+
+    @pytest.mark.parametrize("manifest,field", [
+        ({"defaults": 5, "jobs": [{}]}, "defaults"),
+        ({"jobs": 5}, "jobs")])
+    def test_manifest_shape_names_its_field(self, tmp_path, capsys,
+                                            manifest, field):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["batch", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: manifest %r must" % field)
+
+    def test_non_str_file_path_is_a_request_fault(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"relation": {"kind": "file",
+                                                  "path": 5}}]))
+        assert main(["batch", str(path)]) == 2
+        assert "path must be a str" in capsys.readouterr().err
+
+    def test_unknown_bench_name_reads_unescaped(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"relation": {"kind": "bench",
+                                                  "name": "nope"}}]))
+        assert main(["batch", str(path), "--executor", "serial",
+                     "--quiet"]) == 1
+        report, = json.loads(capsys.readouterr().out)
+        assert report["error"].startswith(
+            "UnknownNameError: unknown BR benchmark 'nope'")
+
+    def test_an_engine_fault_keeps_its_traceback(self, relation_file,
+                                                 monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("planted")
+
+        monkeypatch.setattr("repro.core.brel.quick_solve", broken)
+        with pytest.raises(TypeError, match="planted"):
+            main(["solve", relation_file])

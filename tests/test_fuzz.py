@@ -4,6 +4,8 @@ requests, solve requests and the equation systems they carry.
 Every mutant must either be accepted or fail with a ``ValueError`` (the
 one error class the service answers 400), within a time bound per
 input.  A hang trips the bound; any other exception fails the test.
+The last two passes send the mutants through :class:`SolveService`
+itself, where any other exception would be a 500.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from repro import Session, SolveRequest
 from repro.benchdata.circuits import CIRCUITS
 from repro.network.blif import parse_blif, write_blif
 from repro.resynth import ResynthRequest
+from repro.service import ServiceError, SolveService
 
 #: Seconds one input may take, parse or construction included.
 TIME_BOUND = 1.0
@@ -299,3 +302,48 @@ class TestFuzz:
             outcomes["solved"] += 1
             assert report.ok and report.compatible, spec
         assert outcomes["solved"] and outcomes["rejected"]
+
+    def test_solve_request_mutants_answer_or_400_through_the_service(self):
+        # Admitted requests run under a 0.5 s cap on their time limit.
+        rng = random.Random(0)
+        service = SolveService(max_time_limit=0.5)
+        outcomes = {"solved": 0, "rejected": 0}
+        for _ in range(REQUEST_MUTANTS):
+            mutant = mutate_request(SOLVE_BASE, rng, SOLVE_FIELDS,
+                                    SOLVE_VALUES)
+            with time_bound(TIME_BOUND):
+                try:
+                    report, _ = service.solve(mutant)
+                except ServiceError as exc:
+                    assert exc.status == 400, exc
+                    outcomes["rejected"] += 1
+                    continue
+            outcomes["solved"] += 1
+            assert report["ok"], mutant
+        assert outcomes["solved"] and outcomes["rejected"]
+        assert service.request_counts["errors"] == outcomes["rejected"]
+
+    def test_blif_mutants_resynthesise_or_400_through_the_service(self):
+        rng = random.Random(0)
+        service = SolveService()
+        outcomes = {"resynthesised": 0, "rejected": 0}
+        for spec in CIRCUITS:
+            text = write_blif(spec.build())
+            for _ in range(BLIF_MUTANTS_PER_CIRCUIT):
+                mutant = mutate_blif(text, rng)
+                try:
+                    parse_blif(mutant)
+                except ValueError:
+                    continue
+                request = {"circuit": {"kind": "blif", "text": mutant},
+                           "passes": 1, "max_nodes": 8}
+                with time_bound(TIME_BOUND):
+                    try:
+                        report, _ = service.resynth(request)
+                    except ServiceError as exc:
+                        assert exc.status == 400, exc
+                        outcomes["rejected"] += 1
+                        continue
+                outcomes["resynthesised"] += 1
+                assert report["ok"] and report["equivalent"], spec.name
+        assert outcomes["resynthesised"]
