@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
@@ -44,6 +43,7 @@ from ..core.packedrel import PackedRelation
 from ..core.relation import BooleanRelation
 from ..core.relio import table_rows, write_relation, write_rows
 from ..core.solution import Solution
+from .request import WireRecord
 
 #: Bumped when the report schema changes shape.
 #: 2: added ``improvements`` (anytime trajectory), ``trace`` (optional
@@ -87,7 +87,7 @@ def _compatible(relation: Union[BooleanRelation, PackedRelation],
 
 
 @dataclass
-class SolveReport:
+class SolveReport(WireRecord):
     """Outcome of one solve job (success or captured failure)."""
 
     ok: bool
@@ -261,22 +261,6 @@ class SolveReport:
                 continue
             out[f.name] = getattr(self, f.name)
         return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SolveReport":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError("unknown SolveReport fields: %s"
-                             % ", ".join(sorted(unknown)))
-        return cls(**dict(data))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolveReport":
-        return cls.from_dict(json.loads(text))
 
     # -- convenience ---------------------------------------------------
     def copy(self, **changes: Any) -> "SolveReport":

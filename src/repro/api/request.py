@@ -46,10 +46,10 @@ import os
 import sys
 from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+                    Type, TypeVar, Union)
 
 from ..core.brel import BrelOptions
-from ..core.explore import check_int, suggest
+from ..core.explore import check_int, suggest, value_repr
 from ..core.packedrel import (PackedRelation, narrow, pack_nodes,
                               pack_rows, pack_table)
 from ..core.portfolio import (RACER_DELTA_FIELDS, normalize_racers,
@@ -59,6 +59,14 @@ from ..core.relation import (BooleanRelation, check_output_sets,
 from ..core.relio import (RelationNodes, check_nodes, parse_rows,
                           relation_from_nodes)
 from .registry import cost_registry, minimizer_registry
+
+try:  # The interpreter's own SHA-256, as ``random`` imports it:
+    from _sha2 import sha256  # hashlib would load OpenSSL, 3.6 MB of RSS.
+except ImportError:  # Python before 3.12
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 #: What callers may pass as a relation source.
 RelationSpec = Union[str, Mapping[str, Any]]
@@ -129,9 +137,9 @@ def _check_field(name: str, value: Any, kind: str, bound: Any,
         wanted = "one of %s" % ", ".join(map(repr, bound))
         if isinstance(value, str):
             hint = suggest(value, list(bound))
-    raise ValueError("%s must be %s%s, got %r%s"
+    raise ValueError("%s must be %s%s, got %s%s"
                      % (name, "None or " if optional else "", wanted,
-                        value, hint))
+                        value_repr(value), hint))
 
 
 _SPEC_KEYS = {
@@ -160,11 +168,11 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
         spec = {"kind": "name", "name": spec}
     if not isinstance(spec, Mapping):
         raise ValueError("relation spec must be a string or a mapping, "
-                         "got %r" % (spec,))
+                         "got %s" % value_repr(spec))
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
-        raise ValueError("unknown relation kind %r (expected one of %s)"
-                         % (kind, ", ".join(sorted(_SPEC_KEYS))))
+        raise ValueError("unknown relation kind %s (expected one of %s)"
+                         % (value_repr(kind), ", ".join(sorted(_SPEC_KEYS))))
     expected = _SPEC_KEYS[kind]
     extra = set(spec) - set(expected) - {"kind"}
     missing = set(expected) - set(spec)
@@ -172,7 +180,7 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
         raise ValueError("malformed %r relation spec (missing: %s, "
                          "unexpected: %s)"
                          % (kind, sorted(missing) or "-",
-                            sorted(extra) or "-"))
+                            sorted(extra, key=str) or "-"))
     if kind == "nodes":
         return check_nodes(spec).spec()
     out: Dict[str, Any] = {"kind": kind}
@@ -185,21 +193,22 @@ def normalize_relation_spec(spec: RelationSpec) -> Dict[str, Any]:
                 value = tuple(tuple(sorted(set(row))) for row in value)
             except TypeError:
                 raise ValueError("'output_sets' relation spec: rows must "
-                                 "be a list of lists of ints, got %r"
-                                 % (value,)) from None
+                                 "be a list of lists of ints, got %s"
+                                 % value_repr(value)) from None
         elif key in ("tables", "equations", "independents", "dependents"):
             if not isinstance(value, (list, tuple)):
                 raise ValueError("%r relation spec: %s must be a list, "
-                                 "got %r" % (kind, key, value))
+                                 "got %s" % (kind, key, value_repr(value)))
             value = tuple(value)
             if key != "tables" and not all(isinstance(item, str)
                                            for item in value):
                 raise ValueError("%r relation spec: %s must be a list of "
-                                 "str, got %r" % (kind, key, value))
+                                 "str, got %s"
+                                 % (kind, key, value_repr(value)))
         elif key in ("name", "path", "text") \
                 and not isinstance(value, str):
-            raise ValueError("%r relation spec: %s must be a str, got %r"
-                             % (kind, key, value))
+            raise ValueError("%r relation spec: %s must be a str, got %s"
+                             % (kind, key, value_repr(value)))
         out[key] = value
     if kind == "output_sets":
         check_output_sets(out["rows"], out["num_inputs"],
@@ -219,6 +228,14 @@ def relation_spec_to_jsonable(spec: Mapping[str, Any]) -> Dict[str, Any]:
             value = list(value)
         out[key] = value
     return out
+
+
+def fingerprint_payload(payload: Any) -> str:
+    """The SHA-256 of a payload's canonical JSON (sorted keys, no
+    whitespace, tuples as arrays): equal payloads fingerprint equally
+    in every process on every platform, as a shared disk tier needs."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def nodes_of_spec(spec: Mapping[str, Any]) -> RelationNodes:
@@ -368,10 +385,10 @@ def merge_manifest_jobs(data: Any, base: str = "") -> List[Dict[str, Any]]:
         jobs = data.get("jobs")
         if not isinstance(defaults, dict):
             raise ValueError("manifest 'defaults' must be a JSON object, "
-                             "got %r" % (defaults,))
+                             "got %s" % value_repr(defaults))
         if not isinstance(jobs, (list, tuple)):
-            raise ValueError("manifest 'jobs' must be a JSON list, got %r"
-                             % (jobs,))
+            raise ValueError("manifest 'jobs' must be a JSON list, got %s"
+                             % value_repr(jobs))
     elif isinstance(data, list):
         defaults, jobs = {}, data
     else:
@@ -402,6 +419,36 @@ def read_json(text: str) -> Any:
         raise ValueError("JSON nested too deeply to decode") from None
 
 
+Record = TypeVar("Record", bound="WireRecord")
+
+
+class WireRecord:
+    """The JSON round trip of a request or report dataclass:
+    :meth:`to_dict` is its JSON form and :meth:`from_dict` inverts it."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The fields as a plain dict (a shallow copy)."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls: Type[Record], data: Mapping[str, Any]) -> Record:
+        """Build one from a dict; a key that is no field is a
+        ``ValueError`` naming every such key."""
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError("unknown %s fields: %s" % (
+                cls.__name__, ", ".join(sorted(map(str, unknown)))))
+        return cls(**data)
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls: Type[Record], text: str) -> Record:
+        return cls.from_dict(json.loads(text))
+
+
 def load_manifest(path: str) -> List["SolveRequest"]:
     """Parse a batch/prewarm manifest file into validated requests."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -412,7 +459,7 @@ def load_manifest(path: str) -> List["SolveRequest"]:
 
 
 @dataclass(frozen=True)
-class SolveRequest:
+class SolveRequest(WireRecord):
     """One solve, described declaratively.
 
     All solver knobs mirror :class:`repro.core.BrelOptions` but name the
@@ -485,8 +532,8 @@ class SolveRequest:
     def options_key(self) -> Tuple[Any, ...]:
         """Every result-affecting option value, as a JSON-safe tuple.
 
-        The session's report cache and the service's disk fingerprint
-        key on this tuple plus the relation, so every field that can
+        Every cache key is this tuple plus the relation (see
+        :meth:`fingerprint`), so every field that can
         change a report's content MUST join it: the schema guard in the
         test suite (``TestCacheKeySchemaGuard``) enumerates the dataclass
         fields to catch omissions.  ``record_trace`` is keyed because it
@@ -497,17 +544,55 @@ class SolveRequest:
         shares ``True``'s (both shard identically, while ``False``
         reports lack the partition breakdown), and the racer line-up
         keys by its resolved canonical JSON, so ``None`` and the
-        spelled-out default line-up share a slot.
+        spelled-out default line-up share a slot.  The time limit keys
+        as a float, so 3 and 3.0 share one.
         """
         if self.exploration_strategy() == "portfolio":
             racers = racers_cache_key(self.portfolio_racers)
         else:
             racers = None
+        limit = self.time_limit_seconds
         return (self.cost, self.minimizer, self.exploration_strategy(),
                 self.max_explored, self.fifo_capacity,
                 self.quick_on_subrelations, self.symmetry_pruning,
-                self.symmetry_max_depth, self.time_limit_seconds,
+                self.symmetry_max_depth,
+                None if limit is None else float(limit),
                 self.record_trace, self.decompose is not False, racers)
+
+    def keyed_spec(self, spec: Mapping[str, Any]
+                   ) -> Tuple[Mapping[str, Any], str]:
+        """``(spec, fingerprint)`` of a normalised ``spec`` under these
+        options.  A ``file`` spec comes back as the ``pla`` spec of the
+        text its key was read from, so the key and the relation built
+        share one reading; the request's own spec is keyed once per
+        request object, unless it names a file."""
+        own = spec is self.relation and spec["kind"] != "file"
+        if own and "_fingerprint" in self.__dict__:
+            return spec, self.__dict__["_fingerprint"]
+        keyed = spec
+        if spec["kind"] == "file":
+            with open(spec["path"], "r", encoding="ascii") as handle:
+                spec = keyed = {"kind": "pla", "text": handle.read()}
+        elif spec["kind"] == "truth_tables":
+            # Hex: decimal text meets the int-to-str digit limit.
+            keyed = dict(spec, tables=["%x" % table
+                                       for table in spec["tables"]])
+        key = fingerprint_payload({"relation": keyed,
+                                   "options": self.options_key()})
+        if own:
+            object.__setattr__(self, "_fingerprint", key)
+        return spec, key
+
+    def fingerprint(self) -> str:
+        """The request's identity in every process: the
+        :func:`fingerprint_payload` of ``{"relation": spec, "options":
+        options_key()}``, a ``file`` spec read as the text it holds now
+        and ``truth_tables`` in hex.  It keys the session's RAM tier
+        for every spec but a session name, names the service's disk
+        file (``reports/<fingerprint>.json``) and dedups ``/batch``."""
+        if self.relation is None:
+            raise ValueError("request has no relation source")
+        return self.keyed_spec(self.relation)[1]
 
     def to_options(self) -> BrelOptions:
         """Resolve the registry names into live :class:`BrelOptions`."""
@@ -567,31 +652,13 @@ class SolveRequest:
         immutable, and ``dataclasses.asdict`` would deep-copy a node
         spec's triples one by one.
         """
-        out: Dict[str, Any] = {f.name: getattr(self, f.name)
-                               for f in dataclasses.fields(self)}
+        out = super().to_dict()
         if self.relation is not None:
             out["relation"] = relation_spec_to_jsonable(self.relation)
         if self.portfolio_racers is not None:
             out["portfolio_racers"] = [dict(spec)
                                        for spec in self.portfolio_racers]
         return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SolveRequest":
-        """Build a request from a dict, rejecting unknown keys."""
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError("unknown SolveRequest fields: %s"
-                             % ", ".join(sorted(unknown)))
-        return cls(**data)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolveRequest":
-        return cls.from_dict(json.loads(text))
 
     # -- convenience ---------------------------------------------------
     def replace(self, **changes: Any) -> "SolveRequest":
@@ -601,9 +668,11 @@ class SolveRequest:
     def with_time_limit(self, seconds: Optional[float]) -> "SolveRequest":
         """A copy with another time limit, checked against its
         :data:`_FIELDS` row; unlike :meth:`replace`, the relation is
-        not normalised again."""
+        not normalised again, and the copy has a fingerprint of its
+        own."""
         _check_field("time_limit_seconds", seconds,
                      *_FIELDS["time_limit_seconds"])
         clamped = copy.copy(self)
         object.__setattr__(clamped, "time_limit_seconds", seconds)
+        clamped.__dict__.pop("_fingerprint", None)
         return clamped

@@ -32,12 +32,12 @@ Every path into the report cache — :meth:`Session.solve`,
 :meth:`Session.solve_iter`, :meth:`Session.solve_many` on either
 executor, and the service hooks :meth:`Session.peek_cached` and
 :meth:`Session.store_report` — keys a request the same way: a session
-name or a caller's relation object by identity, a node spec by its
-node list, any other self-contained spec by its content, each plus
-:meth:`SolveRequest.options_key`.  The request's spec is keyed as it
-was normalised when the request was built.  The one other key is the
-mined-table key of :meth:`Session.solve_tables`: ``("table", n, m,
-table)`` plus the options, which no spec shares, so a ``nodes`` spec
+name or a caller's relation object by identity plus
+:meth:`SolveRequest.options_key`, any other spec by
+:meth:`SolveRequest.fingerprint` (which also names its disk-tier file),
+as it was normalised when the request was built.  The one other key
+is the mined-table key of :meth:`Session.solve_tables`: ``("table", n,
+m, table)`` plus the options, which no spec shares, so a ``nodes`` spec
 and a mined table of the same relation are separate entries.
 
 Pool jobs are made *self-contained* before dispatch: a packed root
@@ -69,7 +69,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, wait
-from typing import (Any, Dict, Generator, Iterable, List, Mapping, Optional,
+from typing import (Any, Dict, Generator, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
@@ -93,6 +93,10 @@ RelationLike = Union[BooleanRelation, RelationSpec]
 #: What a solve starts from: a relation on nodes, or a narrow spec's
 #: root packed straight from the spec (:func:`root_of_spec`).
 Root = Union[BooleanRelation, PackedRelation]
+
+#: A report-cache key: a spec's :meth:`SolveRequest.fingerprint`, an
+#: identity tuple (the relation first) or a mined table's tuple.
+Key = Union[str, Tuple[Any, ...]]
 
 #: Node count past which a session garbage-collects a manager between
 #: solves (None disables auto-trimming).
@@ -171,7 +175,7 @@ class Session:
                  ) -> None:
         self._relations: Dict[str, BooleanRelation] = {}
         self._managers: Dict[Tuple[int, int], BddManager] = {}
-        self._cache: Dict[Tuple[Any, ...], SolveReport] = {}
+        self._cache: Dict[Key, SolveReport] = {}
         #: The manager of each open solve_iter stream, once per stream.
         self._streaming: List[BddManager] = []
         self.cache_hits = 0
@@ -423,31 +427,6 @@ class Session:
         return (relation,) + request.options_key()
 
     @staticmethod
-    def _spec_key(spec: Mapping[str, Any],
-                  request: SolveRequest) -> Tuple[Any, ...]:
-        """Content-based key for self-contained (normalised) specs.
-
-        The spec identifies the relation without building it, so
-        repeated spec solves and batch jobs hit the cache instead of
-        minting a fresh manager per call.  A normalised spec holds only
-        tuples, strings and ints, so its items are the key: a node
-        spec's node list is exact (by ROBDD canonicity equal relations
-        over the same frame give equal tuples, and unequal ones never
-        collide), and a file spec is keyed on its inlined text (see
-        :meth:`_inline_file`).
-        """
-        return tuple(spec.items()) + request.options_key()
-
-    @staticmethod
-    def _inline_file(spec: Mapping[str, Any]) -> Mapping[str, Any]:
-        """A ``file`` spec as inline PLA text, so on-disk edits
-        invalidate its cache key; other specs pass through."""
-        if spec["kind"] != "file":
-            return spec
-        with open(spec["path"], "r", encoding="ascii") as handle:
-            return {"kind": "pla", "text": handle.read()}
-
-    @staticmethod
     def _portable_solution(report: SolveReport, relation: Optional[Root]
                            ) -> Optional[Solution]:
         """``report``'s solution, live in ``relation``'s manager.
@@ -551,7 +530,7 @@ class Session:
                        relation: Optional[RelationLike]
                        ) -> Tuple[Optional[BooleanRelation],
                                   Optional[Dict[str, Any]],
-                                  Tuple[Any, ...], bool]:
+                                  Key, bool]:
         """Resolve the relation source into ``(resolved, spec, key,
         from_registry)`` without materialising spec-built relations.
 
@@ -560,8 +539,9 @@ class Session:
         it was built); only an explicit ``relation=`` spec is
         normalised here.  The key is picked *before* materialising
         anything: session names and caller objects key by identity
-        (:meth:`_live_key`); self-contained specs key by content
-        (:meth:`_spec_key`), which lets repeated spec solves hit the
+        (:meth:`_live_key`); a self-contained spec by its fingerprint
+        (:meth:`SolveRequest.keyed_spec`, which reads a ``file`` spec
+        once, into a ``pla`` spec), so repeated spec solves hit the
         cache instead of minting a fresh manager per call.
         """
         if relation is None:
@@ -576,10 +556,10 @@ class Session:
         if spec["kind"] == "name":
             resolved = self.relation(spec["name"])
             return resolved, spec, self._live_key(resolved, request), True
-        spec = self._inline_file(spec)
-        return None, spec, self._spec_key(spec, request), False
+        spec, key = request.keyed_spec(spec)
+        return None, spec, key, False
 
-    def _live_hit(self, key: Tuple[Any, ...], request: SolveRequest
+    def _live_hit(self, key: Key, request: SolveRequest
                   ) -> Optional[SolveReport]:
         """The cache entry for ``key`` as a hit, if it has a live solution.
 
@@ -596,9 +576,9 @@ class Session:
 
     def _materialize(self, resolved: Optional[BooleanRelation],
                      spec: Optional[Dict[str, Any]],
-                     key: Tuple[Any, ...], from_registry: bool,
+                     key: Key, from_registry: bool,
                      request: SolveRequest
-                     ) -> Tuple[Root, Tuple[Any, ...], bool]:
+                     ) -> Tuple[Root, Key, bool]:
         """Build (or trim around) the relation a solve will run on.
 
         Returns the relation, its key and whether it was built from the
@@ -624,7 +604,7 @@ class Session:
                 return trimmed, self._live_key(trimmed, request), False
         return resolved, key, False
 
-    def _store(self, key: Tuple[Any, ...], report: SolveReport,
+    def _store(self, key: Key, report: SolveReport,
                root: Root, spec_built: bool) -> SolveReport:
         """Cache a fresh report, release a spec's manager, return it.
 
@@ -647,7 +627,7 @@ class Session:
 
     def _solve_miss(self, request: SolveRequest,
                     resolved: Optional[BooleanRelation],
-                    spec: Optional[Dict[str, Any]], key: Tuple[Any, ...],
+                    spec: Optional[Dict[str, Any]], key: Key,
                     from_registry: bool,
                     cancel: Optional[CancelToken] = None,
                     observer: Optional[Observer] = None) -> SolveReport:
@@ -745,7 +725,7 @@ class Session:
         return hit
 
     def _solve_iter(self, request: SolveRequest, root: Root,
-                    key: Tuple[Any, ...], spec_built: bool,
+                    key: Key, spec_built: bool,
                     cancel: Optional[CancelToken],
                     observer: Optional[Observer]
                     ) -> Generator[Improvement, None, SolveReport]:
@@ -791,12 +771,11 @@ class Session:
           way jobs not yet started come back as failed ``cancelled
           before start`` reports; running workers finish their job.
         * Every job is keyed as :meth:`solve` keys it, on both
-          executors: a session name by the relation object, a node spec
-          by its node list, any other spec by its content, plus the
-          options.  Identical jobs are solved once *per batch* and the
-          shared report fanned back out (``cached=True`` on the
-          copies); the session cache additionally persists across
-          calls.
+          executors: a session name by the relation object plus the
+          options, any other spec by its request's fingerprint.
+          Identical jobs are solved once *per batch* and the shared
+          report fanned back out (``cached=True`` on the copies); the
+          session cache additionally persists across calls.
         * ``executor`` selects ``"process"`` (default; one worker per
           job, at most ``max_workers`` and the CPU count) or
           ``"serial"``, where each job takes :meth:`solve`'s miss path
@@ -824,10 +803,10 @@ class Session:
         # The batch's unique jobs by the key each has when it is queued:
         # the indices each answers, and its report — a hit's cache
         # entry, held as it is until the hand-over, or a fresh one.
-        indices: Dict[Tuple[Any, ...], List[int]] = {}
-        results: Dict[Tuple[Any, ...], SolveReport] = {}
+        indices: Dict[Key, List[int]] = {}
+        results: Dict[Key, SolveReport] = {}
         # Each miss's first request and its _prepare_solve reading.
-        misses: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        misses: Dict[Key, Tuple[Any, ...]] = {}
         for index, request in enumerate(requests):
             try:
                 resolved, spec, key, from_registry = \
@@ -846,7 +825,7 @@ class Session:
             indices.setdefault(key, []).append(index)
 
         # The roots built here for pool jobs, to hand their reports over.
-        roots: Dict[Tuple[Any, ...], Root] = {}
+        roots: Dict[Key, Root] = {}
         if executor == "process" and misses:
             self._run_pool(misses, results, roots, max_workers, cancel)
         for key, (request, *_) in misses.items():
@@ -933,9 +912,9 @@ class Session:
         return reports
 
     # ------------------------------------------------------------------
-    def _run_pool(self, misses: Dict[Tuple[Any, ...], Tuple[Any, ...]],
-                  results: Dict[Tuple[Any, ...], SolveReport],
-                  roots: Dict[Tuple[Any, ...], Root],
+    def _run_pool(self, misses: Dict[Key, Tuple[Any, ...]],
+                  results: Dict[Key, SolveReport],
+                  roots: Dict[Key, Root],
                   max_workers: Optional[int],
                   cancel: Optional[CancelToken]) -> None:
         """Solve a batch's misses on a process pool and store each

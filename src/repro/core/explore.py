@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import difflib
 import heapq
+import reprlib
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,6 +75,29 @@ def suggest(name: str, choices: Sequence[str]) -> str:
     return " — did you mean %r?" % close[0] if close else ""
 
 
+class _ValueRepr(reprlib.Repr):
+    """``repr`` cut at nesting depth ``maxlevel`` (6), never in length;
+    dicts keep their order, where ``reprlib`` sorts them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        for name in list(vars(self)):
+            if name.startswith("max") and name != "maxlevel":
+                setattr(self, name, sys.maxsize)
+
+    def repr_dict(self, x: Dict[Any, Any], level: int) -> str:
+        if not x or level <= 0:
+            return "{...}" if x else "{}"
+        return "{%s}" % ", ".join("%s: %s" % (self.repr1(key, level - 1),
+                                              self.repr1(value, level - 1))
+                                  for key, value in x.items())
+
+
+#: The ``%r`` of a value a check refuses: as ``repr`` down to six
+#: levels, and ``[...]`` below, however deep the value nests.
+value_repr = _ValueRepr().repr
+
+
 class UnknownNameError(KeyError, ValueError):
     """A name no table holds: a ``KeyError`` to lookups, a ``ValueError``
     to :data:`repro.api.request.REQUEST_ERRORS` (like numpy's
@@ -98,8 +123,9 @@ def check_executor(field: str, value: Any) -> str:
     """``value`` if it is one of :data:`EXECUTORS`, else ``ValueError``
     naming the field, the value and the valid values."""
     if value not in EXECUTORS:
-        raise ValueError("%s must be one of %s, got %r"
-                         % (field, ", ".join(map(repr, EXECUTORS)), value))
+        raise ValueError("%s must be one of %s, got %s"
+                         % (field, ", ".join(map(repr, EXECUTORS)),
+                            value_repr(value)))
     return value
 
 
@@ -119,19 +145,9 @@ def check_int(name: str, value: Any, least: Optional[int],
             wanted = "an int >= %d" % least
         else:
             wanted = "an int in %d..%d" % (least, greatest)
-        raise ValueError("%s must be %s%s, got %r"
+        raise ValueError("%s must be %s%s, got %s"
                          % (name, "None or " if optional else "", wanted,
-                            value))
-
-
-def check_workers(value: Any) -> Optional[int]:
-    """``value`` if it is ``None`` or an int >= 1 (not a bool), else
-    ``ValueError`` naming the field and the value."""
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, int) or value < 1):
-        raise ValueError("workers must be None or an int >= 1, got %r"
-                         % (value,))
-    return value
+                            value_repr(value)))
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Mapping,
                     Optional, Tuple, Union)
 
-from .explore import CancelToken, SolveEvent, get_strategy_factory
+from .explore import (CancelToken, SolveEvent, get_strategy_factory,
+                      value_repr)
 from .packedrel import PackedRelation
 from .partition import merge_block_stats
 from .quick import quick_solve
@@ -126,7 +127,7 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
     else:
         raise ValueError("portfolio_racers must be None, a "
                          "comma-separated string, or a list of racer "
-                         "specs, got %r" % (racers,))
+                         "specs, got %s" % value_repr(racers))
     if not entries:
         raise ValueError("a portfolio needs at least one racer "
                          "(portfolio_racers=None races the default "
@@ -145,7 +146,7 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
         strategy = raw.pop("strategy", None)
         if not isinstance(strategy, str) or not strategy:
             raise ValueError("racer %d: 'strategy' must be a non-empty "
-                             "str, got %r" % (position, strategy))
+                             "str, got %s" % (position, value_repr(strategy)))
         if strategy == "portfolio":
             raise ValueError("a portfolio cannot race itself: racer "
                              "strategies must name a concrete frontier "
@@ -154,7 +155,7 @@ def normalize_racers(racers: Any) -> Tuple[Dict[str, Any], ...]:
         name = raw.pop("name", None)
         if name is not None and not isinstance(name, str):
             raise ValueError("racer %d (%s): 'name' must be a str, got "
-                             "%r" % (position, strategy, name))
+                             "%s" % (position, strategy, value_repr(name)))
         name = name or strategy
         unknown = set(raw) - set(RACER_DELTA_FIELDS)
         if unknown:

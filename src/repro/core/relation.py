@@ -27,6 +27,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
 from ..bdd.manager import FALSE, TRUE, BddManager
 from ..bdd.traversal import shortest_path_cube
 from .cost import CostFunction
+from .explore import value_repr
 from .isf import Isf, Misf
 from .solution import Solution
 
@@ -52,7 +53,7 @@ def _check_count(field: str, value: object, bound: int) -> None:
             or not 0 <= value <= bound:
         shown = ("an int of %d bits" % value.bit_length()
                  if isinstance(value, int) and value.bit_length() > 64
-                 else repr(value))
+                 else value_repr(value))
         raise ValueError("%s must be an int in 0..%d, got %s"
                          % (field, bound, shown))
 
@@ -72,8 +73,9 @@ def check_output_sets(rows: Sequence[Iterable[int]], num_inputs: int,
     for index, row in enumerate(rows):
         for value in row:
             if type(value) is not int or not 0 <= value < top:
-                raise ValueError("row %d: output vertex %r is outside "
-                                 "0..%d" % (index, value, top - 1))
+                raise ValueError("row %d: output vertex %s is outside "
+                                 "0..%d" % (index, value_repr(value),
+                                            top - 1))
 
 
 def check_truth_tables(tables: Sequence[int], num_inputs: int) -> None:
@@ -90,7 +92,7 @@ def check_truth_tables(tables: Sequence[int], num_inputs: int) -> None:
             # only the size of a wide table.
             shown = ("an int of %d bits" % table.bit_length()
                      if type(table) is int and table.bit_length() > 64
-                     else repr(table))
+                     else value_repr(table))
             raise ValueError("table %d: %s is outside 0..2**%d-1"
                              % (index, shown, 1 << num_inputs))
 

@@ -62,6 +62,7 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
 from ..bdd.manager import FALSE, TRUE, BddManager
 from ..bdd.packed import vertex_indices
 from ..sop.cube import Cube
+from .explore import value_repr
 from .relation import (MAX_SPEC_INPUTS, MAX_SPEC_OUTPUTS, BooleanRelation,
                        _check_count)
 
@@ -188,8 +189,8 @@ def _int_tuple(values: Any, what: str) -> Tuple[int, ...]:
         raise ValueError("%s must be a list of ints" % what) from None
     for value in out:
         if type(value) is not int:
-            raise ValueError("%s must be a list of ints, got %r"
-                             % (what, value))
+            raise ValueError("%s must be a list of ints, got %s"
+                             % (what, value_repr(value)))
     return out
 
 
@@ -241,8 +242,8 @@ def check_nodes(data: Any) -> RelationNodes:
                              % index) from None
         if type(rank) is not int or type(lo) is not int \
                 or type(hi) is not int:
-            raise ValueError("node %d has non-int fields %r"
-                             % (index, row))
+            raise ValueError("node %d has non-int fields %s"
+                             % (index, value_repr(row)))
         if not 0 <= rank < width:
             raise ValueError("node %d has rank %d outside the frame "
                              "0..%d" % (index, rank, width - 1))
@@ -266,7 +267,7 @@ def check_nodes(data: Any) -> RelationNodes:
         ranks.append(rank)
         checked.append(triple)
     if type(root) is not int or not 0 <= root < len(checked) + 2:
-        raise ValueError("root ref %r does not exist" % (root,))
+        raise ValueError("root ref %s does not exist" % value_repr(root))
     return RelationNodes(inputs, outputs, tuple(checked), root)
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
+
+from ..api.request import WireRecord
 
 #: Bumped when the report schema changes shape.
 #: 2: dropped ``memo_hits``, ``memo_misses`` and ``memo_hit_rate`` (the
@@ -16,7 +17,7 @@ RESYNTH_SCHEMA_VERSION = 3
 
 
 @dataclass
-class ResynthReport:
+class ResynthReport(WireRecord):
     """Outcome of one resynthesis run (success or captured failure)."""
 
     ok: bool
@@ -57,27 +58,6 @@ class ResynthReport:
     #: them; remove both once it stops.
     memo_hits = 0
     memo_misses = 0
-
-    # -- serialisation -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ResynthReport":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError("unknown ResynthReport fields: %s"
-                             % ", ".join(sorted(unknown)))
-        return cls(**dict(data))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResynthReport":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_error(cls, exc: BaseException,

@@ -1,22 +1,20 @@
 """Declarative description of one resynthesis run.
 
 Mirrors the :class:`repro.api.SolveRequest` idiom: a frozen dataclass
-with eager validation, JSON round-trip, and a canonical options key the
-service layer folds into its cache fingerprint.  A run solves its mined
+with eager validation, JSON round-trip, and a canonical options key
+that :meth:`ResynthRequest.fingerprint` hashes.  A run solves its mined
 relations in its caller's process, so the request carries no pool
 knobs: ``executor`` accepts ``"serial"`` alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..api.request import SolveRequest
+from ..api.request import SolveRequest, WireRecord, fingerprint_payload
 from ..benchdata.circuits import circuit_by_name
-from ..core.explore import check_int
+from ..core.explore import check_int, value_repr
 from ..network.blif import parse_blif
 from ..network.netlist import LogicNetwork
 from .window import CUT_POLICIES, MAX_WINDOW_LEAVES
@@ -67,7 +65,7 @@ def normalize_circuit_spec(spec: Any) -> Dict[str, Any]:
             if not isinstance(spec.get("path"), str):
                 raise ValueError("file circuit spec needs a 'path'")
             return {"kind": "file", "path": spec["path"]}
-        raise ValueError("unknown circuit spec kind %r" % kind)
+        raise ValueError("unknown circuit spec kind %s" % value_repr(kind))
     raise ValueError("circuit spec must be a name or a tagged dict, "
                      "got %r" % type(spec).__name__)
 
@@ -84,7 +82,7 @@ def load_circuit(spec: Any) -> LogicNetwork:
 
 
 @dataclass(frozen=True)
-class ResynthRequest:
+class ResynthRequest(WireRecord):
     """One end-to-end resynthesis run, described declaratively."""
 
     circuit: Any = None
@@ -131,14 +129,16 @@ class ResynthRequest:
             check_int(name, getattr(self, name), least, greatest,
                        optional)
         if self.cut_policy not in CUT_POLICIES:
-            raise ValueError("unknown cut policy %r" % self.cut_policy)
+            raise ValueError("unknown cut policy %s"
+                             % value_repr(self.cut_policy))
         if self.executor != "serial":
             raise ValueError("executor must be 'serial': resynthesis "
-                             "solves in its caller's process, got %r"
-                             % (self.executor,))
+                             "solves in its caller's process, got %s"
+                             % value_repr(self.executor))
         if self.verify not in VERIFY_MODES:
-            raise ValueError("verify must be one of %s, got %r"
-                             % (", ".join(VERIFY_MODES), self.verify))
+            raise ValueError("verify must be one of %s, got %s"
+                             % (", ".join(VERIFY_MODES),
+                                value_repr(self.verify)))
         # Validate the solver knobs eagerly via a throwaway request.
         self.solver_request(None)
 
@@ -161,7 +161,7 @@ class ResynthRequest:
     def options_key(self) -> Tuple[Any, ...]:
         """Canonical tuple of every result-affecting knob.
 
-        The service folds this into the cache fingerprint, so — like
+        :meth:`fingerprint` hashes this into the cache key, so — like
         :meth:`SolveRequest.options_key` — every field that can change the
         rewritten network or the report MUST appear here.  The schema
         guard test enumerates the dataclass fields against this tuple.
@@ -184,23 +184,18 @@ class ResynthRequest:
             self.seed,
         )
 
-    # -- serialisation -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
+    def fingerprint(self) -> str:
+        """The run's identity on both service tiers: the
+        :func:`~repro.api.request.fingerprint_payload` of ``{"resynth":
+        circuit, "options": options_key()}``, a ``file`` circuit read as
+        the BLIF it holds now (a ``bench`` name is a deterministic
+        build)."""
+        spec = self.circuit
+        if spec is None:
+            raise ValueError("request has no circuit source")
+        if spec["kind"] == "file":  # read as load_circuit reads it
+            with open(spec["path"], "r", encoding="utf-8") as handle:
+                spec = {"kind": "blif", "text": handle.read()}
+        return fingerprint_payload({"resynth": spec,
+                                    "options": self.options_key()})
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ResynthRequest":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError("unknown ResynthRequest fields: %s"
-                             % ", ".join(sorted(unknown)))
-        return cls(**dict(data))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResynthRequest":
-        return cls.from_dict(json.loads(text))

@@ -8,7 +8,8 @@ The package splits cleanly into four pieces:
     ``batch``, ``resynth`` and ``healthz``/``stats``.
 :mod:`~repro.service.diskcache`
     :class:`DiskCache` — the process-spanning tier: atomic JSON report
-    files keyed by canonical request fingerprints.
+    files keyed by request fingerprints (``fingerprint_payload``, the
+    digest of :meth:`repro.api.SolveRequest.fingerprint`).
 :mod:`~repro.service.http`
     The HTTP/SSE boundary (no dependencies): one route table answered
     by ``respond``, carried by the stdlib ``ThreadingHTTPServer`` that
@@ -27,8 +28,9 @@ Sixty-second tour::
     # the second identical POST returns X-Cache-Tier: ram.
 """
 
+from ..api.request import fingerprint_payload
 from .app import ServiceError, SolveService
-from .diskcache import DiskCache, fingerprint_payload
+from .diskcache import DiskCache
 from .http import create_server, encode_sse
 from .prewarm import prewarm
 

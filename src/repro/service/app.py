@@ -10,8 +10,8 @@ operations its callers (the route table and stdlib HTTP server in
 ``batch``          many requests through the same tiers, the misses
                    through one :meth:`Session.solve_many` call;
 ``resynth``        one network resynthesis run (:mod:`repro.resynth`)
-                   through the same tiers, keyed by the
-                   network+options fingerprint;
+                   through the same tiers, keyed by
+                   :meth:`ResynthRequest.fingerprint`;
 ``healthz``        liveness;
 ``stats``          engine, report-cache, disk-tier and per-tier
                    request counters, per-tier ``solve`` latency
@@ -25,13 +25,20 @@ Every route that solves (``solve``, ``solve_stream`` and each job of
 
 1. **RAM** — the session's own report cache
    (:meth:`Session.peek_cached`); a hit costs a dict copy.
-2. **Disk** — the shared :class:`~repro.service.DiskCache`, keyed by
-   the canonical request fingerprint (:meth:`request_fingerprint`); a
-   hit is promoted into the RAM tier (:meth:`Session.store_report`) so
-   the next identical request never reaches the disk.
+2. **Disk** — the shared :class:`~repro.service.DiskCache`; a hit is
+   promoted into the RAM tier (:meth:`Session.store_report`) so the
+   next identical request never reaches the disk.
 3. **Engine** — a real solve; the fresh report is written back to the
    disk tier for every other worker (and every future worker) to find.
-   The engine solves every relation from scratch.
+   The engine solves every relation from scratch.  A write the disk
+   refuses (``OSError``) or JSON cannot encode (``ValueError``) is
+   counted in ``stats()["disk"]["write_errors"]``, and the report is
+   still served and kept in RAM.
+
+A request has one identity, :meth:`SolveRequest.fingerprint` (computed
+once per request object, a ``file`` spec's on each use): it names the
+disk file (``reports/<fingerprint>.json``), dedups ``/batch`` and keys
+the RAM tier for every spec but a session name (keyed by its relation).
 
 A streamed RAM or disk hit sends one ``improvement`` frame built from
 the stored report, then the ``report`` frame.  A batch sends its misses
@@ -58,14 +65,13 @@ from typing import (Any, Deque, Dict, Generator, Iterator, List, Optional,
                     Tuple)
 
 from ..api.events import event_to_jsonable
-from ..api.request import (REQUEST_ERRORS, SolveRequest,
-                           merge_manifest_jobs, relation_spec_to_jsonable)
+from ..api.request import REQUEST_ERRORS, SolveRequest, merge_manifest_jobs
 from ..api.report import REPORT_SCHEMA_VERSION, SolveReport
 from ..api.session import Session
-from ..core.explore import CancelToken, check_executor, check_workers
+from ..core.explore import CancelToken, check_executor, check_int
 from ..resynth.report import RESYNTH_SCHEMA_VERSION, ResynthReport
 from ..resynth.request import ResynthRequest, load_circuit
-from .diskcache import DiskCache, fingerprint_payload
+from .diskcache import DiskCache
 
 __all__ = ["ServiceError", "SolveService", "MAX_BODY_BYTES"]
 
@@ -158,7 +164,7 @@ class SolveService:
         #: only understands SolveRequests), keyed by the same
         #: fingerprint the disk tier uses.
         self._resynth_cache: Dict[str, ResynthReport] = {}
-        #: Disk-tier writes that raised ``OSError`` (see _disk_write).
+        #: Disk-tier writes that failed (see _disk_write).
         self.disk_write_errors = 0
         self._recent: Deque[Dict[str, Any]] = deque(maxlen=RECENT_REQUESTS)
         #: Portfolio attribution across served requests: races run and
@@ -171,24 +177,9 @@ class SolveService:
     # Canonical request identity (the disk tier's key)
     # ------------------------------------------------------------------
     def request_fingerprint(self, request: SolveRequest) -> str:
-        """The cross-process-stable cache key of one request.
-
-        Combines the canonical relation rendering (``file`` specs are
-        inlined by :meth:`Session._inline_file`, so on-disk edits
-        invalidate, exactly like the RAM tier) with
-        :meth:`SolveRequest.options_key` — every result-shaping option,
-        tri-states resolved to their effective decision.  The label is
-        deliberately absent: it names the job, not the problem.
-        """
-        spec = request.relation
-        if spec is None:
-            raise ServiceError("request has no relation source")
-        payload = {
-            "relation": relation_spec_to_jsonable(
-                Session._inline_file(spec)),
-            "options": list(request.options_key()),
-        }
-        return fingerprint_payload(payload)
+        """:meth:`SolveRequest.fingerprint`, the disk tier's key (a
+        method of its own because perfbench's tracer wraps it)."""
+        return request.fingerprint()
 
     # ------------------------------------------------------------------
     # Request parsing
@@ -337,23 +328,9 @@ class SolveService:
     # Resynthesis (repro.resynth through the same tiers)
     # ------------------------------------------------------------------
     def resynth_fingerprint(self, request: ResynthRequest) -> str:
-        """Cross-process cache key: circuit content + options.
-
-        ``file`` circuit specs are inlined (like relation files) so an
-        on-disk edit invalidates the entry; bundled ``bench`` circuits
-        are deterministic builds, so the name suffices.
-        """
-        spec = request.circuit
-        if spec is None:
-            raise ServiceError("request has no circuit source")
-        if spec["kind"] == "file":
-            with open(spec["path"], "r", encoding="ascii") as handle:
-                spec = {"kind": "blif", "text": handle.read()}
-        payload = {
-            "resynth": dict(spec),
-            "options": list(request.options_key()),
-        }
-        return fingerprint_payload(payload)
+        """:meth:`ResynthRequest.fingerprint`, the key of both tiers
+        (wrapped by perfbench's tracer, as :meth:`request_fingerprint`)."""
+        return request.fingerprint()
 
     @staticmethod
     def parse_resynth_request(data: Any) -> ResynthRequest:
@@ -504,19 +481,18 @@ class SolveService:
                 data = dict(data)
                 executor = check_executor("executor",
                                           data.pop("executor", "serial"))
-                workers = check_workers(data.pop("workers", None))
+                workers = data.pop("workers", None)
+                check_int("workers", workers, 1, None, True)
             requests = [self._admit(self.parse_request(job))
                         for job in merge_manifest_jobs(data)]
             self.request_counts["batch"] += 1
             found: List[Tuple[Optional[SolveReport], str, Optional[str]]] = []
             # Each distinct job walks the tiers once: a copy of a miss
             # reuses the miss, and a copy of a hit finds it in RAM.
-            misses: Dict[Any, Tuple[None, str, Optional[str]]] = {}
+            misses: Dict[str, Tuple[None, str, Optional[str]]] = {}
             for request in requests:
                 try:
-                    job = (request.relation
-                           and tuple(request.relation.items()),
-                           request.options_key())
+                    job = request.fingerprint()
                     found.append(misses.get(job) or self._lookup(request))
                 except Exception:  # noqa: BLE001 — captured per job
                     # A job whose lookup fails: let solve_many capture
@@ -565,12 +541,15 @@ class SolveService:
         a request.
 
         The caller already holds the engine's answer, so an ``OSError``
-        (a full disk, a read-only mount) is counted in
-        ``stats()["disk"]["write_errors"]`` and the write is dropped.
+        (a full disk, a read-only mount) or a ``ValueError`` (a report
+        JSON cannot encode, such as a table past the interpreter's
+        int-to-str digit limit) is counted in
+        ``stats()["disk"]["write_errors"]`` and the write is dropped;
+        the report is still served and kept in the RAM tier.
         """
         try:
             self.disk.put_report(key, payload)
-        except OSError:
+        except (OSError, ValueError):
             self.disk_write_errors += 1
 
     # ------------------------------------------------------------------

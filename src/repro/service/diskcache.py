@@ -2,7 +2,8 @@
 
 A :class:`DiskCache` is a plain directory shared by every worker of a
 deployment (and by consecutive process lifetimes).  It holds one JSON
-file per canonical request fingerprint under ``reports/``, written
+file per request fingerprint (:meth:`SolveRequest.fingerprint`,
+:meth:`ResynthRequest.fingerprint`) under ``reports/``, written
 atomically and read back as :meth:`SolveReport.from_dict` payloads.
 Serving a report from here costs one small file read; the engine is
 never touched.  Reports are the only state kept: every relation the
@@ -24,26 +25,13 @@ Crash and concurrency guarantees:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 import time
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-__all__ = ["DiskCache", "fingerprint_payload"]
-
-
-def fingerprint_payload(payload: Any) -> str:
-    """A stable hex digest of a JSON-able payload (the slot name).
-
-    Canonical JSON (sorted keys, no whitespace variance) hashed with
-    SHA-256: equal payloads fingerprint equally in every process on
-    every platform, which is the whole point of a disk tier shared by
-    a worker fleet.
-    """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+__all__ = ["DiskCache"]
 
 
 class DiskCache:

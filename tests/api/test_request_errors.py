@@ -6,17 +6,20 @@ import json
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, SolveReport, SolveRequest
 from repro.api.registry import get_cost, get_minimizer, get_strategy
 from repro.api.request import (REQUEST_ERRORS, load_manifest,
                                merge_manifest_jobs, read_json)
 from repro.benchdata import instance_by_name
 from repro.benchdata.circuits import circuit_by_name
 from repro.core import BrelOptions
-from repro.core.explore import (UnknownNameError, get_strategy_factory,
-                                lookup_name)
+from repro.core.explore import (UnknownNameError, check_executor, check_int,
+                                get_strategy_factory, lookup_name,
+                                value_repr)
 from repro.core.minimize import get_minimizer as core_get_minimizer
 from repro.core.portfolio import normalize_racers
+from repro.resynth import ResynthReport, ResynthRequest
+from repro.service import SolveService
 
 
 #: Deeper than the JSON decoder recurses on any supported Python
@@ -106,3 +109,81 @@ class TestManifests:
     def test_shallow_json_reads_as_json_loads(self):
         text = json.dumps({"jobs": [[[1]]], "a": "[[["})
         assert read_json(text) == json.loads(text)
+
+
+class TestNonStrKeys:
+    @pytest.mark.parametrize("cls", [SolveRequest, ResynthRequest,
+                                     SolveReport, ResynthReport])
+    def test_from_dict_names_them(self, cls):
+        with pytest.raises(ValueError) as excinfo:
+            cls.from_dict({1: 2})
+        assert str(excinfo.value) == "unknown %s fields: 1" % cls.__name__
+        with pytest.raises(ValueError) as excinfo:
+            cls.from_dict({2: 0, "zz": 1, 10: 3})
+        assert str(excinfo.value).endswith("fields: 10, 2, zz")
+
+
+def nested(depth, leaf=0, wrap=list):
+    value = leaf
+    for _ in range(depth):
+        value = wrap([value])
+    return value
+
+
+#: One request value of every JSON type, nested six levels.
+SHALLOW = [{"b": [1, -2.5, None], "a": {"y": "it's", "x": True}},
+           [[[[["é", 10 ** 40, (3,), ()]]]]], "", {}, [], 0.1]
+
+
+class TestDeepValues:
+    """A refused value reads as ``repr`` reads it down to six levels,
+    and a deeper one never recurses past the interpreter's limit."""
+
+    @pytest.mark.parametrize("value", SHALLOW)
+    def test_shallow_values_read_as_repr(self, value):
+        assert value_repr(value) == repr(value)
+
+    def test_deeper_values_are_cut(self):
+        assert value_repr(nested(7)) == "[[[[[[[...]]]]]]]"
+        assert value_repr(nested(7, wrap=lambda v: {"k": v[0]})) \
+            == "{'k': {'k': {'k': {'k': {'k': {'k': {...}}}}}}}"
+        assert value_repr(nested(100_000)) == value_repr(nested(7))
+
+    @pytest.mark.parametrize("build", [
+        lambda deep: check_int("max_explored", deep, 0, None, True),
+        lambda deep: check_executor("executor", deep),
+        lambda deep: SolveService().batch({"jobs": [], "workers": deep}),
+        lambda deep: SolveRequest(max_explored=deep),
+        lambda deep: SolveRequest(relation=deep),
+        lambda deep: SolveRequest(relation={"kind": deep}),
+        lambda deep: SolveRequest(cost=deep),
+        lambda deep: SolveRequest(label=deep),
+        lambda deep: SolveRequest(time_limit_seconds=deep),
+        lambda deep: SolveRequest(relation={
+            "kind": "output_sets", "rows": deep, "num_inputs": 1,
+            "num_outputs": 1}),
+        lambda deep: SolveRequest(relation={
+            "kind": "output_sets", "rows": [[0], [0]], "num_inputs": deep,
+            "num_outputs": 1}),
+        lambda deep: SolveRequest(relation={
+            "kind": "truth_tables", "tables": [deep], "num_inputs": 1}),
+        lambda deep: SolveRequest(relation={
+            "kind": "pla", "text": deep}),
+        lambda deep: SolveRequest(relation={
+            "kind": "nodes", "inputs": [0], "outputs": [1],
+            "nodes": [[0, 0, 1]], "root": deep}),
+        lambda deep: SolveRequest(relation={
+            "kind": "nodes", "inputs": [0], "outputs": [1],
+            "nodes": [[0, 0, deep]], "root": 2}),
+        lambda deep: normalize_racers([{"strategy": deep}]),
+        lambda deep: normalize_racers([{"strategy": "bfs", "name": deep}]),
+        lambda deep: merge_manifest_jobs({"defaults": deep, "jobs": []}),
+        lambda deep: merge_manifest_jobs({"jobs": {"k": deep}}),
+        lambda deep: ResynthRequest(circuit={"kind": deep}),
+        lambda deep: ResynthRequest(cut_policy=deep),
+        lambda deep: ResynthRequest(verify=deep),
+    ])
+    def test_checks_refuse_a_deep_value(self, build):
+        with pytest.raises(ValueError) as excinfo:
+            build(nested(100_000))
+        assert "[[[[[[...]]]]]]" in str(excinfo.value)

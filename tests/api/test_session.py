@@ -144,8 +144,8 @@ class TestSolve:
 
     def test_dense_table_past_the_int_digit_limit(self, session):
         # 2**14 bits print to about 4,900 decimal digits, past the
-        # digit limit Python 3.11 puts on int-to-str conversion; a spec
-        # is keyed on its items, so the table never becomes text.
+        # digit limit Python 3.11 puts on int-to-str conversion; the
+        # request's fingerprint writes the table in hex, never decimal.
         rng = random.Random(7)
         spec = {"kind": "truth_tables", "num_inputs": 14,
                 "tables": [rng.getrandbits(1 << 14)] * 2}

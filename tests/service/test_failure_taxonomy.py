@@ -154,6 +154,19 @@ class TestRequestFaultsAre400:
         # Refused before it reached the service.
         assert service.request_counts["errors"] == 0
 
+    @pytest.mark.parametrize("field", ["max_explored", "relation", "cost",
+                                       "label"])
+    def test_values_nested_near_the_decoder_limit_are_400(self, field):
+        # Around the depth where the decoder stops, a value decodes and
+        # the check refusing it renders it at a bounded depth; past it,
+        # the decoder refuses the body.
+        service = SolveService()
+        for depth in list(range(900, 1001)) + [1400]:
+            body = b'{"%s": %s0%s}' % (field.encode(), b"[" * depth,
+                                       b"]" * depth)
+            status, error = post(service, "/solve", body=body)
+            assert status == 400, (depth, error)
+
 
 class TestBatchJobs:
     def test_unknown_name_job_is_a_failed_report(self):

@@ -8,6 +8,9 @@ import urllib.request
 
 import pytest
 
+from repro.benchdata.circuits import circuit_by_name
+from repro.network.blif import write_blif
+from repro.resynth import ResynthRequest
 from repro.service import DiskCache, ServiceError, SolveService, create_server
 from repro.service.http import respond
 
@@ -146,6 +149,32 @@ class TestResynthValidation:
         request = a.parse_resynth_request(dict(S27))
         assert a.resynth_fingerprint(request) == \
             b.resynth_fingerprint(request)
+
+    def test_digests_are_unchanged(self, tmp_path):
+        # Read before the fingerprint moved onto the request.
+        path = tmp_path / "s27.blif"
+        path.write_text(write_blif(circuit_by_name("s27").build()))
+        for data, digest in [
+                ({"circuit": "s27"}, "04a05e9e37e8d57bfc6877360a8d9f41"
+                                     "0203943ce34fa36157ddd4d9096fe4da"),
+                ({"circuit": {"kind": "file", "path": str(path)},
+                  "max_nodes": 8}, "59b5aaf9ba451547f040a9ee169e40f5"
+                                   "f29330632826989519c8d45c62bd1883")]:
+            request = ResynthRequest.from_dict(data)
+            assert request.fingerprint() == digest
+            assert SolveService().resynth_fingerprint(request) == digest
+
+    def test_a_utf8_blif_file_is_served(self, tmp_path):
+        # The key reads the file as the run loads it, as UTF-8.
+        path = tmp_path / "s27.blif"
+        path.write_text("# netlist by Zo\u00eb\n"
+                        + write_blif(circuit_by_name("s27").build()),
+                        encoding="utf-8")
+        request = dict(S27, circuit={"kind": "file", "path": str(path)})
+        service = SolveService()
+        report, tier = service.resynth(dict(request))
+        assert (report["ok"], tier) == (True, "engine")
+        assert service.resynth(dict(request))[1] == "ram"
 
 
 class TestHttpRoute:

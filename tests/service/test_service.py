@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import random
 import threading
 
 import pytest
@@ -281,6 +282,23 @@ class TestDiskWriteFailures:
                                         "max_explored": 8})
         assert (report["ok"], tier) == (True, "engine")
         assert service.stats()["disk"]["write_errors"] == 1
+
+    def test_a_report_json_cannot_encode(self, cache_dir):
+        # 2**14 bits print to about 4,900 decimal digits, past the digit
+        # limit Python 3.11 puts on int-to-str conversion: the request
+        # is keyed (its tables in hex) and solved, and only the disk
+        # write of the report echoing it fails.  HTTP cannot carry such
+        # an int, so this is an in-process caller's request.
+        rng = random.Random(7)
+        request = {"relation": {"kind": "truth_tables", "num_inputs": 14,
+                                "tables": [rng.getrandbits(1 << 14)] * 2}}
+        service = SolveService(disk=DiskCache(cache_dir))
+        report, tier = service.solve(request)
+        assert (report["ok"], tier) == (True, "engine")
+        stats = service.stats()["disk"]
+        assert stats["write_errors"] == 1 and stats["reports"] == 0
+        report, tier = service.solve(request)
+        assert (report["ok"], report["cached"], tier) == (True, True, "ram")
 
 
 class TestStatsAndHealth:

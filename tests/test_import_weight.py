@@ -1,6 +1,6 @@
-"""The public entry points load neither numpy, the table engine nor
-multiprocessing, the service loads no asyncio, and ``import repro``
-loads no equation front end.
+"""The public entry points load neither numpy, the table engine,
+multiprocessing nor OpenSSL, the service loads no asyncio, and
+``import repro`` loads no equation front end.
 
 Each import runs in a fresh interpreter, so modules the rest of the
 suite has already imported cannot hide a module-level import of
@@ -8,6 +8,7 @@ suite has already imported cannot hide a module-level import of
 multiprocessing or of asyncio.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,6 +41,19 @@ def test_import_loads_no_table_engine(module):
     assert [name for name in imported_by(module)
             if name.split(".")[0] == "numpy"
             or name.startswith("repro.table")] == []
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.resynth",
+                                    "repro.service"])
+def test_import_loads_no_openssl(module):
+    # Fingerprints hash with the interpreter's own SHA-256, as ``random``
+    # does: hashlib would map OpenSSL, about 3.6 MB of RSS.
+    builtin = [name for name in ("_sha2", "_sha256")
+               if importlib.util.find_spec(name) is not None]
+    if not builtin:
+        pytest.skip("this interpreter has no SHA-256 of its own")
+    assert [name for name in imported_by(module)
+            if name in ("hashlib", "_hashlib")] == []
 
 
 def test_service_import_loads_no_asyncio():
