@@ -665,6 +665,20 @@ class SolveRequest(WireRecord):
         """A copy with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
 
+    def with_file_text(self) -> "SolveRequest":
+        """A copy whose ``file`` spec is read, once, into the ``pla``
+        spec of the text the file holds now; any other request comes
+        back as it is.  The copy keys as the file spec did (a file is
+        keyed as its text), and keying, solving and storing it never
+        read the file again."""
+        if self.relation is None or self.relation["kind"] != "file":
+            return self
+        spec, key = self.keyed_spec(self.relation)
+        read = copy.copy(self)
+        object.__setattr__(read, "relation", spec)
+        object.__setattr__(read, "_fingerprint", key)
+        return read
+
     def with_time_limit(self, seconds: Optional[float]) -> "SolveRequest":
         """A copy with another time limit, checked against its
         :data:`_FIELDS` row; unlike :meth:`replace`, the relation is

@@ -30,7 +30,7 @@ uses, which resynthesis hands to the solver as it is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.manager import FALSE, TRUE, BddManager
 from ..bdd.packed import MAX_FRAME_WIDTH, frame_masks
@@ -41,6 +41,9 @@ from ..network.netlist import LogicNetwork
 from ..network.simulate import signal_masks
 from ..sop.cover import Cover
 from ..sop.cube import DASH, Cube
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..resynth.window import Window
 
 
 class CutError(ValueError):
@@ -143,43 +146,44 @@ def cut_flexibility_relation(network: LogicNetwork, cut: Sequence[str]
     return relation, cut_vars
 
 
-def cut_flexibility_table(network: LogicNetwork, cut: Sequence[str]
+def cut_flexibility_table(network: LogicNetwork, cut: Sequence[str],
+                          window: Optional["Window"] = None
                           ) -> Tuple[int, int, int]:
     """:func:`cut_flexibility_relation`'s relation as ``(n, m, table)``:
     its characteristic function packed over the frame of its ``n``
     leaves and ``m`` cut variables, mined with no BDD manager.
 
-    The table is in the root layout of
-    :class:`~repro.core.packedrel.PackedRelation`: leaf ``i`` on
-    position ``n-1-i`` and cut variable ``j`` on position ``n+j``, so
-    it equals what :func:`~repro.bdd.packed.pack_positions` gives for
-    the relation's node in that layout, and it is the table a solve
-    starts from (:func:`repro.api.request.root_of_table`).  The triple
-    is an exact key: equal relations over the same frame give equal
-    triples.  The :class:`CutError` messages and the degenerate cases
-    are :func:`cut_flexibility_relation`'s.  The network is simulated
-    twice by one bit-parallel evaluator, as it is and with every cut
-    member pinned to its variable, and the relation is the AND of the
-    XNORs of every combinational output.  A frame wider than
-    :data:`~repro.bdd.packed.MAX_FRAME_WIDTH` variables raises
-    :class:`CutError`.
+    The frame is the whole combinational network or, given the
+    :class:`~repro.resynth.window.Window` around ``cut``, the window's
+    leaves, nodes and roots, mined in place on ``network``.  The table
+    is a solve's packed root (:func:`repro.api.request.root_of_table`):
+    leaf ``i`` on position ``n-1-i`` and cut variable ``j`` on ``n+j``,
+    as :func:`~repro.bdd.packed.pack_positions` lays out the relation's
+    node.  Equal relations over one frame give equal triples; the
+    :class:`CutError` messages and degenerate cases are
+    :func:`cut_flexibility_relation`'s.  One bit-parallel evaluator
+    simulates the frame with its leaves pinned to their variables, then
+    with the cut pinned to its own too, and ANDs the roots' XNORs.  A
+    frame wider than :data:`~repro.bdd.packed.MAX_FRAME_WIDTH`
+    variables raises :class:`CutError`.
     """
-    leaves = _frame_leaves(network, cut)
+    leaves = window.leaves if window else _frame_leaves(network, cut)
+    order = window.nodes if window else network.topological_order()
+    roots = window.roots if window else network.combinational_outputs()
     n, m = len(leaves), len(cut)
     width = n + m
     if width > MAX_FRAME_WIDTH:
         raise CutError("the cut's frame has %d variables; packed mining "
                        "stops at %d" % (width, MAX_FRAME_WIDTH))
     _, ones = frame_masks(width)
-    leaf_masks = [ones[n - 1 - rank] for rank in range(n)]
+    pins = {leaf: ones[n - 1 - rank] for rank, leaf in enumerate(leaves)}
     cut_masks = {name: ones[n + index] for index, name in enumerate(cut)}
     count = 1 << width
-    order = network.topological_order()
-    original = signal_masks(network, leaf_masks, count, order=order)
-    freed = signal_masks(network, leaf_masks, count, pinned=cut_masks,
-                         order=order)
+    original = signal_masks(network, (), count, pinned=pins, order=order)
+    freed = signal_masks(network, (), count,
+                         pinned={**pins, **cut_masks}, order=order)
     table = (1 << count) - 1
-    for name in network.combinational_outputs():
+    for name in roots:
         table &= ~(freed[name] ^ original[name])
     for name in cut:
         if name not in network.nodes:  # a leaf member: y == x

@@ -72,6 +72,10 @@ class LogicNetwork:
         self.outputs: List[str] = []
         self.nodes: Dict[str, Node] = {}
         self.latches: List[Latch] = []
+        #: The frame's leaf names (inputs and latch outputs), kept by
+        #: :meth:`add_input`, :meth:`add_latch` and :meth:`copy` so
+        #: that naming checks take constant time.
+        self._leaves: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -79,6 +83,7 @@ class LogicNetwork:
     def add_input(self, name: str) -> None:
         self._check_fresh(name)
         self.inputs.append(name)
+        self._leaves.add(name)
 
     def add_output(self, name: str) -> None:
         if name in self.outputs:
@@ -98,11 +103,11 @@ class LogicNetwork:
         self._check_fresh(output_name)
         latch = Latch(input_name, output_name, init, trigger, clock)
         self.latches.append(latch)
+        self._leaves.add(output_name)
         return latch
 
     def _check_fresh(self, name: str) -> None:
-        if name in self.nodes or name in self.inputs or any(
-                latch.output == name for latch in self.latches):
+        if name in self.nodes or name in self._leaves:
             raise ValueError("signal %r already defined" % name)
 
     def fresh_name(self, prefix: str = "n") -> str:
@@ -128,8 +133,7 @@ class LogicNetwork:
         return list(self.outputs) + [latch.input for latch in self.latches]
 
     def is_leaf(self, name: str) -> bool:
-        return name in self.inputs or any(latch.output == name
-                                          for latch in self.latches)
+        return name in self._leaves
 
     def fanouts(self) -> Dict[str, List[str]]:
         """Map each signal to the node names that read it."""
@@ -208,6 +212,7 @@ class LogicNetwork:
         clone.latches = [Latch(l.input, l.output, l.init, l.trigger,
                                l.clock)
                          for l in self.latches]
+        clone._leaves = set(self._leaves)
         for node in self.nodes.values():
             clone.nodes[node.name] = Node(node.name, list(node.fanins),
                                           node.cover.copy())

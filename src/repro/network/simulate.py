@@ -62,12 +62,15 @@ def signal_masks(network: LogicNetwork, leaf_masks: Sequence[int],
     cube is the AND of its fanin masks or their complements and a cover
     the OR of its cubes, so one pass in topological order evaluates the
     whole batch.  ``pinned`` maps signals (leaves or nodes) to masks
-    that stand in for their own values; ``order`` is a topological
-    order of ``network``, computed when not given.  Returns the mask of
-    every signal, leaves included.
+    that stand in for their own values.  ``order`` lists the nodes to
+    evaluate, each after its fanins unless they are leaves or pinned: a
+    topological order of ``network`` (computed when not given) or of a
+    part of it, such as a resynthesis window.  Returns the mask of every
+    signal it set, leaves included.
     """
     full = (1 << count) - 1
-    values = dict(zip(network.combinational_inputs(), leaf_masks))
+    values = dict(zip(network.combinational_inputs(), leaf_masks)) \
+        if leaf_masks else {}
     if pinned:
         values.update(pinned)
     if order is None:

@@ -2,7 +2,7 @@
 
 One pass over the network:
 
-    enumerate cuts  ->  carve windows  ->  mine flexibility tables
+    enumerate cuts  ->  window them  ->  mine flexibility tables
         ->  hand them to Session.solve_tables (shared cache)
         ->  realize the solutions' rank covers  ->  accept
             strictly-improving rewrites  ->  sweep
@@ -17,8 +17,8 @@ each, less than a process pool costs to start.  A solution
 comes back as its report's rank template (one ISOP cover per output
 over the relation's inputs), which becomes covers over the window's
 leaves by renaming alone (:func:`realize_template`).
-Every accepted rewrite is verified exhaustively on its window
-before it sticks, and the final network is checked against the
+Every accepted rewrite is verified exhaustively on its window, in
+place, before it sticks, and the final network is checked against the
 original at the combinational outputs (exhaustively for narrow frames,
 on seeded random vectors for wide ones).  Both checks simulate the
 vectors bit-parallel and compare output masks.  Rejected or
@@ -32,11 +32,12 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.session import Session
+from ..bdd.packed import frame_masks
 from ..decompose.cutflex import cut_flexibility_table, realize_template
 from ..network.blif import write_blif
 from ..network.netlist import LogicNetwork
 from ..network.simulate import (exhaustive_outputs, output_masks,
-                                random_leaf_masks)
+                                random_leaf_masks, signal_masks)
 from .report import ResynthReport
 from .request import ResynthRequest, load_circuit
 from .window import Window, enumerate_cuts, extract_window
@@ -44,6 +45,8 @@ from .window import Window, enumerate_cuts, extract_window
 
 #: A mined relation: its leaf count, its cut size and its table.
 Mined = Tuple[int, int, int]
+#: Nodes' ``(fanins, cover)`` pairs, by node name.
+Covers = Dict[str, Tuple[List[str], Any]]
 
 
 class _Candidate:
@@ -63,9 +66,9 @@ def _mine_candidates(network: LogicNetwork, request: ResynthRequest,
                      counters: Dict[str, int]) -> List[_Candidate]:
     """Window every candidate cut and extract its flexibility relation.
 
-    The network does not change while a pass mines (windows copy the
-    nodes they use), so its fanouts, topological order and outputs are
-    computed once for every window.
+    The network does not change while a pass mines, so its fanouts,
+    topological order and outputs are computed once for every window,
+    and each window is mined in place on it.
     """
     fanouts = network.fanouts()
     order = network.topological_order()
@@ -85,7 +88,7 @@ def _mine_candidates(network: LogicNetwork, request: ResynthRequest,
             continue
         candidates.append(_Candidate(
             cut=cut, window=window,
-            relation=cut_flexibility_table(window.network, cut),
+            relation=cut_flexibility_table(network, cut, window),
             old_literals=sum(
                 network.nodes[name].cover.literal_count()
                 for name in cut)))
@@ -117,17 +120,29 @@ def _closes_cycle(network: LogicNetwork, cut: Tuple[str, ...]) -> bool:
     return False
 
 
-def _verify_window(window: Window, new_covers: Dict[str, Tuple[List[str],
-                                                               Any]]
-                   ) -> bool:
-    """Exhaustively compare window roots before/after the rewrite."""
-    rewritten = window.network.copy()
-    for name, (fanins, cover) in new_covers.items():
-        node = rewritten.nodes[name]
+def _install(network: LogicNetwork, covers: Covers) -> None:
+    """Give each named node of ``network`` its ``(fanins, cover)``."""
+    for name, (fanins, cover) in covers.items():
+        node = network.nodes[name]
         node.fanins = list(fanins)
         node.cover = cover
-    return exhaustive_outputs(rewritten) == \
-        exhaustive_outputs(window.network)
+
+
+def _verify_window(network: LogicNetwork, window: Window, before: Covers,
+                   after: Covers) -> bool:
+    """Whether the cut's ``after`` covers keep the window roots that
+    ``before`` gives, each installed and simulated exhaustively in place
+    on the host, which keeps ``after``."""
+    _, ones = frame_masks(len(window.leaves))
+    pins = dict(zip(window.leaves, ones))
+
+    def roots(covers: Covers) -> List[int]:
+        _install(network, covers)
+        values = signal_masks(network, (), 1 << len(window.leaves),
+                              pinned=pins, order=window.nodes)
+        return [values[root] for root in window.roots]
+
+    return roots(before) == roots(after)
 
 
 def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
@@ -162,30 +177,22 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
             # the mined flexibility is stale; retry next pass.
             counters["skipped_conflict"] += 1
             continue
-        new_covers = {name: realized[position]
-                      for position, name in enumerate(candidate.cut)}
+        new_covers = dict(zip(candidate.cut, realized))
         saved = {name: (network.nodes[name].fanins,
                         network.nodes[name].cover)
                  for name in candidate.cut}
-        for name, (fanins, cover) in new_covers.items():
-            node = network.nodes[name]
-            node.fanins = list(fanins)
-            node.cover = cover
+        _install(network, new_covers)
         if _closes_cycle(network, candidate.cut):
             # The new support reconverges through the cut: a cycle.
-            for name, (fanins, cover) in saved.items():
-                network.nodes[name].fanins = fanins
-                network.nodes[name].cover = cover
+            _install(network, saved)
             counters["rejected_cycle"] += 1
             continue
-        if not _verify_window(candidate.window, new_covers):
-            for name, (fanins, cover) in saved.items():
-                network.nodes[name].fanins = fanins
-                network.nodes[name].cover = cover
+        if not _verify_window(network, candidate.window, saved,
+                              new_covers):
+            _install(network, saved)
             counters["rejected_verify"] += 1
             continue
-        dirty.update(candidate.window.nodes)
-        dirty.update(candidate.cut)
+        dirty.update(candidate.window.nodes)  # the cut among them
         accepted += 1
     counters["accepted"] = accepted
     return accepted

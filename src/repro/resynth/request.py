@@ -9,7 +9,7 @@ knobs: ``executor`` accepts ``"serial"`` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..api.request import SolveRequest, WireRecord, fingerprint_payload
@@ -184,18 +184,27 @@ class ResynthRequest(WireRecord):
             self.seed,
         )
 
+    def with_file_text(self) -> "ResynthRequest":
+        """A copy whose ``file`` circuit is read, once, into the
+        ``blif`` spec of the text the file holds now (read as
+        :func:`load_circuit` reads it); any other run comes back as it
+        is.  The copy keys as the file did, and keying and loading it
+        never read the file again."""
+        spec = self.circuit
+        if spec is None or spec["kind"] != "file":
+            return self
+        with open(spec["path"], "r", encoding="utf-8") as handle:
+            return replace(self, circuit={"kind": "blif",
+                                          "text": handle.read()})
+
     def fingerprint(self) -> str:
         """The run's identity on both service tiers: the
         :func:`~repro.api.request.fingerprint_payload` of ``{"resynth":
         circuit, "options": options_key()}``, a ``file`` circuit read as
         the BLIF it holds now (a ``bench`` name is a deterministic
         build)."""
-        spec = self.circuit
-        if spec is None:
+        if self.circuit is None:
             raise ValueError("request has no circuit source")
-        if spec["kind"] == "file":  # read as load_circuit reads it
-            with open(spec["path"], "r", encoding="utf-8") as handle:
-                spec = {"kind": "blif", "text": handle.read()}
-        return fingerprint_payload({"resynth": spec,
+        return fingerprint_payload({"resynth": self.with_file_text().circuit,
                                     "options": self.options_key()})
 

@@ -4,9 +4,9 @@ The full-network flexibility relation of :mod:`repro.decompose.cutflex`
 collapses the whole combinational frame — exact, but its BDDs grow with
 the whole network and every cut pays for collapsing all of it.  This
 module builds the *windowed* variant used
-by SIS-style don't-care optimisation: around each candidate cut, carve
-out a small sub-network whose boundary inputs become free variables and
-whose boundary outputs must be preserved.
+by SIS-style don't-care optimisation: around each candidate cut, a view
+of a small part of the host network (nothing is copied) whose boundary
+inputs become free variables and whose boundary outputs are preserved.
 
 Soundness: the window's roots are every window node that is observable
 outside the window (a primary output, a latch input, or a signal read by
@@ -37,20 +37,18 @@ CUT_POLICIES = ("nodes", "reconvergent")
 
 @dataclass
 class Window:
-    """A standalone combinational sub-network around one cut."""
+    """A view of its host network around one cut."""
 
     #: The cut being resynthesised (internal nodes of the host network).
     cut: Tuple[str, ...]
-    #: Window node set: the cut plus its in-window transitive fanout.
+    #: The cut plus its in-window transitive fanout, in host order.
     nodes: Tuple[str, ...]
     #: Boundary input signals, in deterministic first-seen order; these
-    #: are the window network's primary inputs (= relation inputs).
+    #: are the window's free variables (= relation inputs).
     leaves: Tuple[str, ...]
-    #: Window nodes observable outside the window; these are the window
-    #: network's primary outputs, whose functions a rewrite preserves.
+    #: Window nodes observable outside the window, whose functions of
+    #: the leaves a rewrite preserves.
     roots: Tuple[str, ...]
-    #: The carved-out sub-network (inputs = leaves, outputs = roots).
-    network: LogicNetwork
 
 
 def _grow_tfo(network: LogicNetwork, seeds: Sequence[str], depth: int,
@@ -79,7 +77,7 @@ def extract_window(network: LogicNetwork, cut: Sequence[str],
                    position: Optional[Mapping[str, int]] = None,
                    outputs: Optional[AbstractSet[str]] = None
                    ) -> Optional[Window]:
-    """Carve the window around ``cut``, or ``None`` if none fits.
+    """The window around ``cut``, or ``None`` if none fits.
 
     The window is the cut plus its transitive fanout up to ``tfo_depth``
     levels; when the resulting boundary has more than ``max_leaves``
@@ -120,17 +118,8 @@ def extract_window(network: LogicNetwork, cut: Sequence[str],
                  if name in outputs
                  or any(reader not in member
                         for reader in fanouts.get(name, ()))]
-        sub = LogicNetwork("win_%s" % cut[0])
-        for leaf in leaves:
-            sub.add_input(leaf)
-        for name in member_order:
-            node = network.nodes[name]
-            sub.add_node(name, list(node.fanins), node.cover.copy())
-        for root in roots:
-            sub.add_output(root)
         return Window(cut=tuple(cut), nodes=tuple(member_order),
-                      leaves=tuple(leaves), roots=tuple(roots),
-                      network=sub)
+                      leaves=tuple(leaves), roots=tuple(roots))
     return None
 
 

@@ -36,9 +36,13 @@ Every route that solves (``solve``, ``solve_stream`` and each job of
    still served and kept in RAM.
 
 A request has one identity, :meth:`SolveRequest.fingerprint` (computed
-once per request object, a ``file`` spec's on each use): it names the
-disk file (``reports/<fingerprint>.json``), dedups ``/batch`` and keys
-the RAM tier for every spec but a session name (keyed by its relation).
+once per request object): it names the disk file
+(``reports/<fingerprint>.json``), dedups ``/batch`` and keys the RAM
+tier for every spec but a session name (keyed by its relation).  A
+route reads a ``file`` spec or circuit once, as it admits the request
+(:meth:`SolveRequest.with_file_text`), and keys, solves and stores
+that one text, so an edit between those steps cannot file one text's
+report under another's key.
 
 A streamed RAM or disk hit sends one ``improvement`` frame built from
 the stored report, then the ``report`` frame.  A batch sends its misses
@@ -289,6 +293,7 @@ class SolveService:
             with self._failures("invalid solve request"):
                 request = self._admit(self.parse_request(data))
             with self._failures("solve failed"):
+                request = request.with_file_text()
                 report, tier, key = self._lookup(request)
                 if report is None:
                     report = self.session.solve(request)
@@ -357,6 +362,7 @@ class SolveService:
             with self._failures("invalid request"):
                 request = self.parse_resynth_request(data)
             with self._failures("resynth failed"):
+                request = request.with_file_text()
                 key = self.resynth_fingerprint(request)
                 cached = self._resynth_cache.get(key)
                 if cached is not None:
@@ -414,7 +420,7 @@ class SolveService:
 
         with self._lock, self._failures("invalid solve request"):
             self.request_counts["stream"] += 1
-            request = self._admit(self.parse_request(data))
+            request = self._admit(self.parse_request(data)).with_file_text()
             report, tier, key = self._lookup(request)
             if report is None:
                 gen = self.session.solve_iter(request, cancel=cancel,
@@ -490,8 +496,9 @@ class SolveService:
             # Each distinct job walks the tiers once: a copy of a miss
             # reuses the miss, and a copy of a hit finds it in RAM.
             misses: Dict[str, Tuple[None, str, Optional[str]]] = {}
-            for request in requests:
+            for index, request in enumerate(requests):
                 try:
+                    request = requests[index] = request.with_file_text()
                     job = request.fingerprint()
                     found.append(misses.get(job) or self._lookup(request))
                 except Exception:  # noqa: BLE001 — captured per job

@@ -1,5 +1,7 @@
 """Tests for the network data structure and BLIF I/O."""
 
+import time
+
 import pytest
 
 from repro.network import (BlifError, Latch, LogicNetwork, parse_blif,
@@ -83,6 +85,22 @@ class TestNetworkBasics:
         net.add_node("dead", ["a"], Cover.from_strings(1, ["1"]))
         assert net.sweep_dangling() == 1
         assert "dead" not in net.nodes
+
+    def test_latch_outputs_and_copies_keep_names_unique(self):
+        net = tiny_network()
+        net.add_latch("f", "q")
+        for add in (lambda n: n.add_input("q"),
+                    lambda n: n.add_latch("f", "a"),
+                    lambda n: n.add_node("q", [], Cover(0, []))):
+            with pytest.raises(ValueError, match="already defined"):
+                add(net)
+            with pytest.raises(ValueError, match="already defined"):
+                add(net.copy())
+        clone = net.copy()
+        clone.add_input("c")
+        assert clone.is_leaf("c") and not net.is_leaf("c")
+        net.add_input("x1")  # fresh_name's first candidate
+        assert net.fresh_name("x") == "x2"
 
     def test_node_classifiers(self):
         net = LogicNetwork()
@@ -277,3 +295,29 @@ class TestBlifRoundTripGaps:
         again = parse_blif(write_blif(net))
         assert again.outputs == ["z", "y", "x"]
         assert exhaustive_signature(net) == exhaustive_signature(again)
+
+
+def wide_netlist(width):
+    """``width`` inputs, ``width // 4`` latches, each fed by a buffer of
+    one input, and one output."""
+    lines = [".model wide",
+             ".inputs " + " ".join("i%d" % k for k in range(width)),
+             ".outputs b0"]
+    lines += [".latch b%d q%d 0" % (k, k) for k in range(width // 4)]
+    lines += [".names i%d b%d\n1 1" % (k, k) for k in range(width // 4)]
+    return "\n".join(lines + [".end"]) + "\n"
+
+
+def test_a_wide_netlist_parses_in_linear_time():
+    """Each new signal's name is checked against a set of the frame's
+    leaves, not a scan of the inputs and latches: this 560 KB netlist
+    parsed in about 0.2 s that way and in 27 s with the scans (2-core
+    VM, Python 3.11)."""
+    text = wide_netlist(32000)
+    started = time.perf_counter()
+    net = parse_blif(text)
+    elapsed = time.perf_counter() - started
+    assert (len(net.inputs), len(net.latches), len(net.nodes)) == \
+        (32000, 8000, 8000)
+    assert net.is_leaf("q7999") and not net.is_leaf("b7999")
+    assert elapsed < 2.0, elapsed

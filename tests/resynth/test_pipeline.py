@@ -174,21 +174,28 @@ def wide_buffer_network(leaves=20):
 class TestCorruptedRewrites:
     """The mask comparisons reject a rewrite that changes an output."""
 
+    @staticmethod
+    def covers(net, name, flip=False):
+        node = net.nodes[name]
+        cover = flip_first_literal(node.cover) if flip else node.cover
+        return {name: (node.fanins, cover)}
+
     def test_window_check_rejects_a_flipped_literal(self):
         net = reconvergent_and_network()
         window = extract_window(net, ["y1"], max_leaves=8, tfo_depth=0)
-        node = window.network.nodes["y1"]
-        assert _verify_window(window, {"y1": (node.fanins, node.cover)})
-        assert not _verify_window(
-            window, {"y1": (node.fanins, flip_first_literal(node.cover))})
+        saved = self.covers(net, "y1")
+        assert _verify_window(net, window, saved, saved)
+        flipped = self.covers(net, "y1", flip=True)
+        assert not _verify_window(net, window, saved, flipped)
+        # Checked in place: the host holds the rewrite on return.
+        assert net.nodes["y1"].cover is flipped["y1"][1]
 
     def test_window_check_sees_through_the_tfo(self):
         net = reconvergent_and_network()
         window = extract_window(net, ["y1"], max_leaves=8, tfo_depth=1)
         assert window.roots == ("f",)
-        node = window.network.nodes["y1"]
-        assert not _verify_window(
-            window, {"y1": (node.fanins, flip_first_literal(node.cover))})
+        assert not _verify_window(net, window, self.covers(net, "y1"),
+                                  self.covers(net, "y1", flip=True))
 
     @pytest.mark.parametrize("verify", ["exhaustive", "auto"])
     def test_final_exhaustive_check_rejects_a_flipped_literal(self,

@@ -166,7 +166,7 @@ class TestLocalAcyclicityCheck:
         before = {name: (list(node.fanins), node.cover)
                   for name, node in network.nodes.items()}
         window = Window(cut=("y1",), nodes=("y1", "f"), leaves=("f",),
-                        roots=("f",), network=network.copy())
+                        roots=("f",))
         candidate = _Candidate(cut=("y1",), window=window, relation="key",
                                old_literals=2)
         report = SolveReport(ok=True, _template=((((0, True),),),))

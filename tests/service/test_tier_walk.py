@@ -6,16 +6,24 @@ answers every route from the disk, and a batch's duplicates are solved
 once by ``Session.solve_many`` on either executor.
 """
 
+import builtins
 import concurrent.futures
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.api import Session, SolveRequest
 from repro.api import report as report_module
+from repro.benchdata.circuits import circuit_by_name
 from repro.core.brel import BrelSolver
 from repro.core.explore import EXECUTORS
+from repro.network.blif import write_blif
+from repro.resynth import ResynthRequest
 from repro.service import DiskCache, SolveService
+from repro.service import app as app_module
+
+from ..api.test_request_key import EDITED, PLA
 
 
 def engine_solves(monkeypatch):
@@ -188,3 +196,110 @@ class TestPlaExportRenderedOnce:
         session.solve(request)
         assert session.solve(request).cached
         assert renders == []
+
+
+class TestOneReadingOfAFile:
+    """A route reads a ``file`` spec or circuit once, as it admits the
+    request, and keys, solves and stores that one text."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every path handed to ``open``, wherever it is called."""
+        paths = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            paths.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return paths
+
+    @staticmethod
+    def stored(cache_dir):
+        """The disk tier's reports by key."""
+        disk = DiskCache(cache_dir)
+        return {name[:-len(".json")]: disk.get_report(name[:-len(".json")])
+                for name in os.listdir(os.path.join(cache_dir, "reports"))}
+
+    @pytest.mark.parametrize("route", ["solve", "stream", "batch"])
+    def test_an_engine_miss_opens_the_file_once(self, route, opened,
+                                                tmp_path):
+        path = tmp_path / "r.pla"
+        path.write_text(PLA)
+        data = {"relation": {"kind": "file", "path": str(path)}}
+        service = SolveService(disk=DiskCache(str(tmp_path / "cache")))
+        if route == "solve":
+            assert service.solve(data)[1] == "engine"
+        elif route == "stream":
+            assert list(service.solve_stream(data))[-1][0] == "report"
+        else:
+            assert service.batch({"jobs": [data]})["tiers"] == ["engine"]
+        assert opened.count(str(path)) == 1
+        assert service.tier_hits["engine"] == 1
+
+    def test_a_resynth_run_opens_its_circuit_once(self, opened, tmp_path):
+        path = tmp_path / "s27.blif"
+        path.write_text(write_blif(circuit_by_name("s27").build()))
+        service = SolveService(disk=DiskCache(str(tmp_path / "cache")))
+        report, tier = service.resynth({"circuit": {"kind": "file",
+                                                    "path": str(path)}})
+        assert (report["ok"], tier) == (True, "engine")
+        assert opened.count(str(path)) == 1
+
+    @pytest.mark.parametrize("route, engine", [
+        ("solve", "solve"), ("stream", "solve_iter"),
+        ("batch", "solve_many")])
+    def test_an_edit_before_the_engine_keeps_key_and_report_together(
+            self, route, engine, monkeypatch, tmp_path):
+        path = tmp_path / "r.pla"
+        path.write_text(PLA)
+        expected = {}
+        for text in (PLA, EDITED):
+            request = SolveRequest(relation={"kind": "pla", "text": text})
+            expected[request.fingerprint()] = Session().solve(request).sop
+        assert len(set(expected.values())) == 2
+        run_engine = getattr(Session, engine)
+
+        def edit_then_run(session, *args, **kwargs):
+            path.write_text(EDITED)  # after the RAM and disk lookups
+            return run_engine(session, *args, **kwargs)
+
+        monkeypatch.setattr(Session, engine, edit_then_run)
+        cache_dir = str(tmp_path / "cache")
+        service = SolveService(disk=DiskCache(cache_dir))
+        data = {"relation": {"kind": "file", "path": str(path)}}
+        if route == "solve":
+            served = service.solve(data)[0]
+        elif route == "stream":
+            served = list(service.solve_stream(data))[-1][1]
+        else:
+            served = service.batch({"jobs": [data]})["reports"][0]
+        stored = self.stored(cache_dir)
+        assert len(stored) == 1
+        for key, report in stored.items():
+            assert report["sop"] == expected[key]
+        assert served["sop"] == expected[SolveRequest(
+            relation={"kind": "pla", "text": PLA}).fingerprint()]
+
+    def test_an_edited_circuit_keeps_key_and_report_together(
+            self, monkeypatch, tmp_path):
+        path = tmp_path / "c.blif"
+        texts = [write_blif(circuit_by_name(name).build())
+                 for name in ("s27", "s208")]
+        path.write_text(texts[0])
+        load = app_module.load_circuit
+
+        def edit_then_load(spec):
+            path.write_text(texts[1])  # after the tier walk
+            return load(spec)
+
+        monkeypatch.setattr(app_module, "load_circuit", edit_then_load)
+        cache_dir = str(tmp_path / "cache")
+        service = SolveService(disk=DiskCache(cache_dir))
+        service.resynth({"circuit": {"kind": "file", "path": str(path)}})
+        key = ResynthRequest(circuit={"kind": "blif",
+                                      "text": texts[0]}).fingerprint()
+        stored = self.stored(cache_dir)
+        assert list(stored) == [key]
+        assert stored[key]["circuit"] == "s27"

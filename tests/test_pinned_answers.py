@@ -20,7 +20,9 @@ against this file without a second copy of the code.
   Each digest is of ``(name, SOP, cost, relations_explored, splits,
   block count)``.
 - Resynthesis: the rewritten BLIF of each of the 22 bundled circuits at
-  ``passes=2 window=8 max_explored=8``.
+  ``passes=2 window=8 max_explored=8``, and again at
+  ``passes=2 window=16 tfo_depth=2 max_explored=8`` and at
+  ``passes=2 window=8 max_explored=8 cut_policy="reconvergent"``.
 """
 
 import hashlib
@@ -321,6 +323,111 @@ RESYNTH_DIGESTS = {
         "f8c8cb78bd714c6f2095d0afa66a4172fc56f0afea40f6e1b6c1d975663ee3d8",
 }
 
+#: The same rewritten BLIF at two more option sets: 16-leaf windows two
+#: fanout levels deep, whose 17- and 18-variable frames are solved on
+#: BDD nodes, and reconvergent joint cuts, where one member can feed
+#: the other.
+RESYNTH_OPTIONS = {
+    "window=16 tfo_depth=2": {"passes": 2, "window": 16, "tfo_depth": 2,
+                              "max_explored": 8},
+    "reconvergent": {"passes": 2, "window": 8, "max_explored": 8,
+                     "cut_policy": "reconvergent"},
+}
+RESYNTH_OPTION_DIGESTS = {
+    "window=16 tfo_depth=2": {
+        "s27":
+            "89583164deb334fd822ccc9c697346471b9b2ff4820337ee6533f8475c999aaa",
+        "s208":
+            "f5c8ddcdf7e0d608ea41c6846f7e62a84ffb0135342427eda0691822efa85a34",
+        "s298":
+            "3739c361d86ff969133d0f65c5a880a3e718e0beb5dacec2b52fe146cb7db98c",
+        "s344":
+            "83767083a7c089cad0c0b5a05f29faff9c2adb0ab9ee9829e5b0dd333da5fc85",
+        "s349":
+            "0c785948ca7de71f1417318dbba774821035b061f5040eb9adc4093a561d9628",
+        "s382":
+            "56739c8c45a308d85ba1d5fa223a42eb854ad4bb65482bd9e6b7ec71d901ecba",
+        "s386":
+            "1ae3bf43d09ea3a44086eeedd108a34c7ae9ba2ae26e4b7464b2c35c3d5e1b7c",
+        "s400":
+            "4f9dba3d37b8c6f7ed421604f91c4dfcbe2197f0b2052c4d05d8952c54296176",
+        "s420":
+            "cc274dc56808dd61f67151ddb0af861a05d290c16fe018deaa23a87008b457f7",
+        "s444":
+            "93dfc44b4feefbb4c27aea17f2f37d3d8b20ad3d80aca18f462070419a8c5707",
+        "s510":
+            "e317c9eff84b93fa6fa9d206efb0eaaaf2492844e93dbd7bd3bac4c10e82a2f7",
+        "s526":
+            "f242aa611ec0ba6269926495547d7c82ecdf3cde976c6ee5be839387a36dc798",
+        "s641":
+            "b6625de90f8d78849df528080cef5305827f9c7d92cb03719c580d0caefb2985",
+        "s713":
+            "b43584f08ca22d20fbb3fafebdc99872a1a58ba974963f6337eac35a3491868e",
+        "s820":
+            "8800d87e5f5ea511df7ed04daf0b817a89cf4d319087340b4553958d39389ef9",
+        "s832":
+            "63922501d9099572bbe6affe445fc416d5f59c1ce65e5be3bb8dcc2636b46ffa",
+        "s953":
+            "af0d32a682123c4ab174ada4b74a5ac13823fd54ecb3f9f699bb82d99e1c83fc",
+        "s1196":
+            "2711e4540b3beea727fcef2a86271bf746e41077e9a8dc3e713e0dc57555e99a",
+        "s1238":
+            "de90bcaa4a454cf5ad735ab7551df7d19dce38c626ad89719e47fed5a4905e92",
+        "s1488":
+            "fd4fcd722ab0393a7a4db62c7bacdd04b7ee5a40fa350c092f2a2b2fe9f56b2c",
+        "s1494":
+            "46f674b656e91a185ff33f8f662c4a62b3e8453b5d565d2f2c8d7beffcd17885",
+        "sbc":
+            "f8c8cb78bd714c6f2095d0afa66a4172fc56f0afea40f6e1b6c1d975663ee3d8",
+    },
+    "reconvergent": {
+        "s27":
+            "520e5c91cb60a20dc12e25ebf6af14ef8e92824f6ac613c61e6d6eb442ac99d0",
+        "s208":
+            "d1312401c518af3e688da52735917835dfc9a4c5426eb1dae18db21b756613f8",
+        "s298":
+            "f3a8a59d0fdb8ba0c1fdc23c215830e3665a019d241638e250e6b0f2662df627",
+        "s344":
+            "2b0e57151102765bbdda7f0188e6f1c890757d29e0193c83bfd2693797a6c7ec",
+        "s349":
+            "0c785948ca7de71f1417318dbba774821035b061f5040eb9adc4093a561d9628",
+        "s382":
+            "56739c8c45a308d85ba1d5fa223a42eb854ad4bb65482bd9e6b7ec71d901ecba",
+        "s386":
+            "1b0f30ea64206223338c8b7e7fd91548cccf6c99b3468bdc27ac47dbc503b1d7",
+        "s400":
+            "7bb781c46785a79d4a5971abe1f52e6b89478d50dd61fa0367910f60329ca1ed",
+        "s420":
+            "7bfcb71e76b97b1ecfafc0224f318219d7bb362d6b4d21b863e507126f3d20c4",
+        "s444":
+            "5d11043dd8b5618b8f5f19d14ae505116b2bb97da23fecafd5bede3229c45c6c",
+        "s510":
+            "d75254f82f8d1cd80f5df65b417b12c0d3e40c5d718f4baa0e9674bc36f3e171",
+        "s526":
+            "ed89c63315704aa60e77f82197031d2816ce26997401735dde59b2d35f956c8a",
+        "s641":
+            "d750337f385e54c8307190351591da7a8c12013b8a6f1e3d75fd21174a3a0a7c",
+        "s713":
+            "cfcada4142979724e7b98c6b682eeb9044cea6182b43e7a2ee2c30d13fa8a9d0",
+        "s820":
+            "32740a5e0e7b51e3585c841a680977eee64dbadcf475e3b7313fd682eb85dcdc",
+        "s832":
+            "3e4a86a5e788bb1aa98eabf28740353677f3b334368b55d9d69a4dff51901387",
+        "s953":
+            "445cf8776fda0b3335c2be8cd7204a279d39923f3928d964580db99321784351",
+        "s1196":
+            "e0cf4aa91ec03d179ed32132037adebcffdc5064b94dbc17dab6bf5fd211bb73",
+        "s1238":
+            "7364d2eca03a676583758597233f995f8eb69658015fbd329a0b6508e6889cff",
+        "s1488":
+            "038e67549571ffc4870c27d1bed6a94c4d50981649d298d1f7c6c0be224b3f49",
+        "s1494":
+            "9e341a085f08b20a94f39f901a424d2238b093d2986c13f3024bcd20a53aae2d",
+        "sbc":
+            "869321aaa9b358a576c800acaa64a685e7dc998c609f0ba1bc4258ed59945b0a",
+    },
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -335,6 +442,9 @@ def test_every_instance_and_circuit_is_pinned():
     circuits = [spec.name for spec in CIRCUITS]
     assert len(circuits) == 22
     assert list(RESYNTH_DIGESTS) == circuits
+    assert list(RESYNTH_OPTION_DIGESTS) == list(RESYNTH_OPTIONS)
+    for pinned in RESYNTH_OPTION_DIGESTS.values():
+        assert list(pinned) == circuits
 
 
 @pytest.mark.parametrize(
@@ -383,3 +493,15 @@ def test_resynthesis_blif(name):
                           session=Session())
     assert report.ok, report.error
     assert sha256(report.blif) == RESYNTH_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "options, name",
+    [(options, name) for options, pinned in RESYNTH_OPTION_DIGESTS.items()
+     for name in pinned])
+def test_resynthesis_blif_at_more_options(options, name):
+    report = resynthesize(ResynthRequest(circuit=name,
+                                         **RESYNTH_OPTIONS[options]),
+                          session=Session())
+    assert report.ok, report.error
+    assert sha256(report.blif) == RESYNTH_OPTION_DIGESTS[options][name]
