@@ -24,9 +24,10 @@ An in-process miss takes one path (:meth:`Session._solve_miss`) from
 :meth:`Session.solve`, a serial batch job or a pool that cannot start:
 a session name is resolved as it stands and keyed after the trim around
 it, its report is built inside the solve's ISOP scope
-(:func:`_solve_report`, shared with :meth:`Session.solve_tables` and the
-pool worker) and stored (:meth:`Session._store`, shared with
-:meth:`Session.solve_iter`).
+(:func:`_solve_report`, shared with the pool worker) and stored
+(:meth:`Session._store`, shared with :meth:`Session.solve_iter`).  A
+mined table's miss stores only what resynthesis reads of it
+(:func:`_table_entry`).
 
 Every path into the report cache — :meth:`Session.solve`,
 :meth:`Session.solve_iter`, :meth:`Session.solve_many` on either
@@ -73,7 +74,7 @@ from typing import (Any, Dict, Generator, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from ..bdd.manager import BddManager
-from ..core.brel import BrelSolver
+from ..core.brel import BrelOptions, BrelSolver
 from ..core.explore import (CancelToken, Improvement, Observer,
                             check_executor, lookup_name)
 from ..core.memo import instantiate_solution
@@ -115,7 +116,7 @@ def _solve_report(root: Root, request: SolveRequest,
     The scope (:meth:`BddManager.enter_solve`) stays open until the
     report is built, so the report's covers look up the sub-intervals
     the solve already expanded.  The solve step of every in-process
-    miss, of :meth:`Session.solve_tables` and of the pool worker.
+    miss and of the pool worker.
     """
     mgr = root.mgr
     mgr.enter_solve()
@@ -124,6 +125,31 @@ def _solve_report(root: Root, request: SolveRequest,
             root, cancel=cancel, observer=observer)
         return SolveReport.from_result(root, result, request=request_dict,
                                        label=label)
+    finally:
+        mgr.exit_solve()
+
+
+def _table_entry(root: Root, options: BrelOptions) -> SolveReport:
+    """Solve a mined table's root into the entry resynthesis reads.
+
+    The entry holds ``ok``, the cost, why the search stopped, the
+    frame and the solution's rank template, taken inside the solve's
+    ISOP scope as :func:`_solve_report` takes its covers; nothing else
+    of :meth:`SolveReport.from_result` (pairs, compatibility, sizes,
+    cube and literal counts, SOP text, stats, improvements) is built.
+    The template and cost are those of the full report.
+    """
+    mgr = root.mgr
+    mgr.enter_solve()
+    try:
+        result = BrelSolver(options).solve(root)
+        solution = result.solution
+        return SolveReport(
+            ok=True, num_inputs=len(root.inputs),
+            num_outputs=len(root.outputs), cost=solution.cost,
+            stopped=result.stopped, _inputs=tuple(root.inputs),
+            _outputs=tuple(root.outputs),
+            _template=solution.template(root.inputs))
     finally:
         mgr.exit_solve()
 
@@ -875,9 +901,13 @@ class Session:
         root layout of :func:`~repro.decompose.cutflex.cut_flexibility_table`
         and is keyed as ``("table", n, m, table)`` plus
         :meth:`SolveRequest.options_key`, an exact key that no spec
-        kind shares.  A miss is solved in this process from a root
-        built straight from its table (:func:`root_of_table`), and its
-        report is stored with its template and no live solution.
+        kind shares, so only this method reaches such an entry.  The
+        request's solver options are resolved once per call.  A miss is
+        solved in this process from a root built straight from its
+        table (:func:`root_of_table`), and its entry holds only what
+        the pipeline reads (:func:`_table_entry`): ``ok``, the cost,
+        ``stopped``, the frame and the rank template, with no live
+        solution and none of a full report's summary.
         Every report handed back is the session's entry itself (a
         failure, never stored, is its own report), for the caller to
         read and never mutate: no copy, request dict or label is made
@@ -886,7 +916,7 @@ class Session:
         before the call counts as a cache hit.
         """
         options = request.options_key()
-        request_dict = request.to_dict()
+        brel_options = request.to_options()
         fresh: Dict[Tuple[Any, ...], SolveReport] = {}
         reports: List[SolveReport] = []
         for mined in tables:
@@ -898,13 +928,12 @@ class Session:
                     self.cache_hits += 1
                 else:
                     try:
-                        report = _solve_report(root_of_table(*mined),
-                                               request, request_dict,
-                                               request.label)
+                        report = _table_entry(root_of_table(*mined),
+                                              brel_options)
                     except Exception as exc:  # noqa: BLE001 — per table
                         report = SolveReport.from_error(
-                            exc, request=request_dict, label=request.label)
-                    self._strip_solution(report)
+                            exc, request=request.to_dict(),
+                            label=request.label)
                     if report.ok:
                         self._cache[key] = report
                     fresh[key] = report

@@ -150,6 +150,7 @@ def evaluation_frame(decomposed: MuxLatchResult) -> LogicNetwork:
         latch.input = a_name
         frame.outputs.append(b_name)
         frame.outputs.append(c_name)
+        frame._output_set.update((b_name, c_name))
     frame.sweep_dangling()
     frame.validate()
     return frame

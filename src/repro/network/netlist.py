@@ -76,6 +76,10 @@ class LogicNetwork:
         #: :meth:`add_input`, :meth:`add_latch` and :meth:`copy` so
         #: that naming checks take constant time.
         self._leaves: Set[str] = set()
+        #: The names in :attr:`outputs`, kept by :meth:`add_output`,
+        #: :meth:`copy` and every other writer of :attr:`outputs`, so
+        #: that the duplicate check takes constant time.
+        self._output_set: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -86,9 +90,10 @@ class LogicNetwork:
         self._leaves.add(name)
 
     def add_output(self, name: str) -> None:
-        if name in self.outputs:
+        if name in self._output_set:
             raise ValueError("duplicate output %r" % name)
         self.outputs.append(name)
+        self._output_set.add(name)
 
     def add_node(self, name: str, fanins: Sequence[str],
                  cover: Cover) -> Node:
@@ -213,6 +218,7 @@ class LogicNetwork:
                                l.clock)
                          for l in self.latches]
         clone._leaves = set(self._leaves)
+        clone._output_set = set(self._output_set)
         for node in self.nodes.values():
             clone.nodes[node.name] = Node(node.name, list(node.fanins),
                                           node.cover.copy())

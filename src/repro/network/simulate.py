@@ -103,21 +103,46 @@ def output_masks(network: LogicNetwork, leaf_masks: Sequence[int],
     return [values[name] for name in network.combinational_outputs()]
 
 
+#: Draws :func:`random_leaf_masks` takes from the generator at once;
+#: a chunk's temporaries take about 10 bytes per draw.
+DRAWS_PER_CHUNK = 1 << 18
+
+#: Byte ``b`` -> ASCII ``1`` when its top bit is set, else ``0``.
+_TOP_BIT = bytes(0x30 + (byte >> 7) for byte in range(256))
+
+
 def random_leaf_masks(rng: random.Random, width: int,
                       count: int) -> List[int]:
     """``count`` seeded random vectors over ``width`` leaves as leaf
     masks.  Vector ``v`` draws one ``rng.getrandbits(1)`` per leaf, in
     leaf order, into bit ``v`` of that leaf's mask: the draws of
     ``[{leaf: bool(rng.getrandbits(1)) for leaf in leaves} for _ in
-    range(count)]``."""
-    masks = [0] * width
-    draw = rng.getrandbits
-    for index in range(count):
-        bit = 1 << index
-        for position in range(width):
-            if draw(1):
-                masks[position] |= bit
-    return masks
+    range(count)]``, and the generator ends in the state they leave.
+
+    The draws are taken in bulk, with the same bits.
+    ``getrandbits(1)`` is bit 31 of one 32-bit Mersenne Twister output,
+    and ``getrandbits(32 * k)`` is ``k`` such outputs in the order ``k``
+    single calls take them, least significant word first.  So the top
+    bit of every fourth byte of its little-endian bytes is one draw.
+    Vectors are drawn in order, in chunks of whole bytes of every mask
+    and at most :data:`DRAWS_PER_CHUNK` draws (or 8 vectors, when 8
+    take more), so the temporaries stay bounded however many vectors
+    are asked for, and each chunk only appends to the masks' bytes.
+    """
+    columns = [bytearray() for _ in range(width)]
+    per_chunk = max(8, DRAWS_PER_CHUNK // max(width, 1) // 8 * 8)
+    for start in range(0, count, per_chunk):
+        vectors = min(per_chunk, count - start)
+        draws = vectors * width
+        # One ASCII digit per draw, the last draw first: for leaf
+        # ``position`` every ``width``-th digit, last vector first,
+        # which is that leaf's chunk of mask bits read as binary.
+        digits = rng.getrandbits(32 * draws).to_bytes(
+            4 * draws, "little")[3::4].translate(_TOP_BIT)[::-1]
+        for position, column in enumerate(columns):
+            column += int(digits[width - 1 - position::width], 2) \
+                .to_bytes((vectors + 7) // 8, "little")
+    return [int.from_bytes(column, "little") for column in columns]
 
 
 def _signature_rows(masks: Sequence[int],

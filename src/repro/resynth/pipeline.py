@@ -4,7 +4,7 @@ One pass over the network:
 
     enumerate cuts  ->  window them  ->  mine flexibility tables
         ->  hand them to Session.solve_tables (shared cache)
-        ->  realize the solutions' rank covers  ->  accept
+        ->  price the solutions' rank covers  ->  realize and accept
             strictly-improving rewrites  ->  sweep
 
 Each window's flexibility relation is mined as one packed truth table
@@ -14,9 +14,10 @@ them, with one options-only :class:`~repro.api.SolveRequest`, to the
 session, which builds a relation only for a cache miss and solves it
 in this process: a round's relations take a fraction of a millisecond
 each, less than a process pool costs to start.  A solution
-comes back as its report's rank template (one ISOP cover per output
-over the relation's inputs), which becomes covers over the window's
-leaves by renaming alone (:func:`realize_template`).
+comes back as its entry's rank template (one ISOP cover per output
+over the relation's inputs).  Its literal count is the rewrite's cost,
+and only a rewrite that costs less than the cut becomes covers over
+the window's leaves, by renaming alone (:func:`realize_template`).
 Every accepted rewrite is verified exhaustively on its window, in
 place, before it sticks, and the final network is checked against the
 original at the combinational outputs (exhaustively for narrow frames,
@@ -153,6 +154,12 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
     Returns the number of accepted rewrites.  ``network`` is mutated in
     place; every mutation is rolled back unless it passes the
     structural (acyclicity) and window-equivalence checks.
+
+    A candidate is priced on its template before it is realised: the
+    template's literal count is its realised covers' count, because
+    realising renames rank ``i`` to leaf ``i`` and both the ranks of a
+    cube and the leaves of a window are distinct.  So only a candidate
+    that passes the cost and conflict tests is realised.
     """
     accepted = 0
     dirty: set = set()
@@ -165,10 +172,7 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
         if template is None:
             counters["unrealized"] += 1
             continue
-        # Rank i of the template is input i of the window's relation,
-        # i.e. the window's i-th leaf.
-        realized = realize_template(template, candidate.window.leaves)
-        new_literals = sum(cover.literal_count() for _, cover in realized)
+        new_literals = sum(len(cube) for cover in template for cube in cover)
         if new_literals >= candidate.old_literals:
             counters["rejected_cost"] += 1
             continue
@@ -177,6 +181,9 @@ def _apply_pass(network: LogicNetwork, candidates: List[_Candidate],
             # the mined flexibility is stale; retry next pass.
             counters["skipped_conflict"] += 1
             continue
+        # Rank i of the template is input i of the window's relation,
+        # i.e. the window's i-th leaf.
+        realized = realize_template(template, candidate.window.leaves)
         new_covers = dict(zip(candidate.cut, realized))
         saved = {name: (network.nodes[name].fanins,
                         network.nodes[name].cover)

@@ -91,7 +91,7 @@ class Cube:
     # -- literal queries -----------------------------------------------
     def literal_count(self) -> int:
         """Number of positions that are not don't care."""
-        return sum(1 for value in self.values if value != DASH)
+        return len(self.values) - self.values.count(DASH)
 
     def literals(self) -> Dict[int, bool]:
         """The cube as a var-index -> polarity mapping."""

@@ -65,6 +65,10 @@ class TestMuxLatchDecomposition:
             assert mux not in frame.nodes
         # B and C cones became frame outputs: 1 PO + 2 extra per latch.
         assert len(frame.outputs) == 1 + 2 * 3
+        # ... and the frame knows them as outputs.
+        for name in frame.outputs:
+            with pytest.raises(ValueError, match="duplicate output"):
+                frame.add_output(name)
 
 
 class TestFlows:

@@ -1,11 +1,13 @@
 """Bit-parallel signature simulation against per-vector evaluation."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.network.netlist import LogicNetwork
-from repro.network.simulate import (combinational_signature, evaluate,
+from repro.network.simulate import (DRAWS_PER_CHUNK,
+                                    combinational_signature, evaluate,
                                     exhaustive_outputs,
                                     exhaustive_signature, output_masks,
                                     random_leaf_masks, signal_masks)
@@ -115,6 +117,67 @@ def test_drawn_masks_are_the_dict_vectors(seed):
             for vector in range(count)] == vectors
     assert rows(output_masks(net, masks, count), count) == \
         combinational_signature(net, vectors)
+
+
+def per_bit_masks(rng, width, count):
+    """The draw ``random_leaf_masks`` replaced: one ``getrandbits(1)``
+    per leaf per vector."""
+    masks = [0] * width
+    for index in range(count):
+        for position in range(width):
+            if rng.getrandbits(1):
+                masks[position] |= 1 << index
+    return masks
+
+
+def assert_drawn_as_per_bit(seed, width, count):
+    """The bulk draw gives the per-bit masks and leaves the generator
+    where the per-bit loop leaves it."""
+    bulk, loop = random.Random(seed), random.Random(seed)
+    assert random_leaf_masks(bulk, width, count) == \
+        per_bit_masks(loop, width, count)
+    assert bulk.getrandbits(64) == loop.getrandbits(64)
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 65536])
+@pytest.mark.parametrize("width", [0, 1, 2, 29, 40])
+def test_bulk_draw_is_the_per_bit_draw(width, count):
+    assert_drawn_as_per_bit(width * 65537 + count, width, count)
+
+
+@pytest.mark.parametrize("width, count", [
+    (3, DRAWS_PER_CHUNK // 3 + 9),   # one chunk and 9 vectors
+    (DRAWS_PER_CHUNK // 8 + 5, 19),  # 8-vector chunks of wide vectors
+])
+def test_bulk_draw_crosses_chunks_as_the_per_bit_draw(width, count):
+    assert width * count > DRAWS_PER_CHUNK
+    assert_drawn_as_per_bit(17, width, count)
+
+
+#: SHA-256 of ``random_leaf_masks(random.Random(seed), width, count)``,
+#: the masks as comma-joined hex, as the per-bit draw gave them.  A
+#: Python whose ``getrandbits`` fills its words in another order fails
+#: here by name.
+PINNED_MASKS = {
+    (0, 29, 256):
+        "87f94a00fa242eee6bcc0435242bd113bed7ceda2066e2dae0b147f182cf9e45",
+    (3, 40, 1000):
+        "f08b875aae646dcafd316eee06b980a5ca297db50f69592f9bce9889417a89c8",
+    (7, 5, 65536):
+        "3e0c1ff405d70179cb2b308ffee5ce116412907aa8098f813a44fd59b435fa4b",
+    (11, 300, 700):
+        "ab06e6c883122aec5224ef974711eeb8ff4db2f61b8801d9bba6c929f1213f48",
+    (2024, 1, 3):
+        "4b227777d4dd1fc61c6f884f48641d02b4d121d3fd328cb08b5531fcacdabf8a",
+}
+
+
+@pytest.mark.parametrize("seed, width, count", sorted(PINNED_MASKS))
+def test_drawn_masks_are_pinned(seed, width, count):
+    masks = random_leaf_masks(random.Random(seed), width, count)
+    digest = hashlib.sha256(
+        ",".join("%x" % mask for mask in masks).encode()).hexdigest()
+    assert digest == PINNED_MASKS[seed, width, count]
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Session, SolveRequest
 from repro.api import session as session_module
+from repro.api.request import root_of_table
 from repro.benchdata.circuits import CIRCUITS
 from repro.core import packedrel, relio
 from repro.core.packedrel import narrow
@@ -298,6 +299,46 @@ class TestTableHandover:
         (other,) = session.solve_tables([mined],
                                         request.replace(cost="size"))
         assert other is not first and session.cache_hits == 1
+
+
+class TestLeanTableEntries:
+    def test_every_entry_of_a_round_is_the_full_reports_answer(
+            self, monkeypatch):
+        """A table miss stores only ``ok``, the cost, ``stopped``, the
+        frame and the template; over every table a round hands the
+        session, they are the answers of the full report of the same
+        root under the same request."""
+        handed = []
+        solve_tables = Session.solve_tables
+
+        def recording(self, tables, request):
+            reports = solve_tables(self, tables, request)
+            handed.extend((mined, entry, request)
+                          for mined, entry in zip(tables, reports))
+            return reports
+
+        monkeypatch.setattr(Session, "solve_tables", recording)
+        session = Session()
+        for name in sorted(spec.name for spec in CIRCUITS):
+            report = resynthesize(ResynthRequest(
+                circuit=name, passes=2, window=8, max_explored=8),
+                session=session)
+            assert report.ok, report.error
+        assert len(handed) == ROUND_RELATIONS_SOLVED
+        for mined, entry, request in handed:
+            key = ("table",) + mined + request.options_key()
+            assert session._cache[key] is entry
+            full = session_module._solve_report(
+                root_of_table(*mined), request, request.to_dict(), None)
+            assert entry.ok and full.ok
+            assert entry.solution is None
+            assert entry.solution_template() == full.solution_template()
+            assert entry.cost == full.cost
+            assert entry.stopped == full.stopped
+            assert (entry.num_inputs, entry.num_outputs) == \
+                (full.num_inputs, full.num_outputs) == mined[:2]
+            # The summary a full report carries is not built.
+            assert (entry.pairs, entry.sop, entry.stats) == (None, None, {})
 
 
 def deep_chain(gates):

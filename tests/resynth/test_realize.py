@@ -1,11 +1,13 @@
 """Realising solved windows: rank templates -> (fanins, Cover) pairs.
 
-The pipeline realises each candidate by renaming its report's rank
-template to the window's leaves (``realize_template``).  These tests
-hold that renaming to the node-level realisation it replaced (a
-``repro.bdd.isop.isop`` per solved function, fanins sorted by name) on
-every window the bundled circuits solve, and hold the pipeline's local
-acyclicity check to ``LogicNetwork.topological_order``.
+The pipeline prices each candidate on its report's rank template and
+realises the ones it keeps by renaming the template to the window's
+leaves (``realize_template``).  These tests hold that renaming to the
+node-level realisation it replaced (a ``repro.bdd.isop.isop`` per
+solved function, fanins sorted by name), and the template's literal
+count to the realised one, on every candidate the bundled circuits
+price, and hold the pipeline's local acyclicity check to
+``LogicNetwork.topological_order``.
 """
 
 import random
@@ -55,16 +57,26 @@ def exact(realized):
 
 @pytest.fixture(scope="module")
 def bundled_runs():
-    """Every (template, leaves) the pipeline realised and every cycle
-    verdict it took, over the bundled circuits at windows 8 and 16."""
-    realized, verdicts = [], []
-    original_realize = pipeline.realize_template
+    """Every (template, leaves, realisation) of a candidate the
+    pipeline's cost test priced, and every cycle verdict it took, over
+    the bundled circuits at windows 8 and 16.
+
+    The pipeline realises only the candidates that pass its cost test,
+    so each priced template is realised here, as the pipeline would.
+    """
+    priced, verdicts = [], []
+    original_apply = pipeline._apply_pass
     original_check = pipeline._closes_cycle
 
-    def recording_realize(template, leaves):
-        result = original_realize(template, leaves)
-        realized.append((template, tuple(leaves), result))
-        return result
+    def recording_apply(network, candidates, reports_by_relation,
+                        counters):
+        for candidate in candidates:
+            report = reports_by_relation[candidate.relation]
+            template = report.solution_template() if report.ok else None
+            if template is not None:
+                priced.append((template, candidate.window.leaves))
+        return original_apply(network, candidates, reports_by_relation,
+                              counters)
 
     def recording_check(network, cut):
         verdict = original_check(network, cut)
@@ -76,7 +88,7 @@ def bundled_runs():
         verdicts.append((verdict, reference))
         return verdict
 
-    pipeline.realize_template = recording_realize
+    pipeline._apply_pass = recording_apply
     pipeline._closes_cycle = recording_check
     try:
         for window in (8, 16):
@@ -87,8 +99,10 @@ def bundled_runs():
                     max_explored=8), session=session)
                 assert report.ok and report.equivalent, spec.name
     finally:
-        pipeline.realize_template = original_realize
+        pipeline._apply_pass = original_apply
         pipeline._closes_cycle = original_check
+    realized = [(template, leaves, realize_template(template, leaves))
+                for template, leaves in priced]
     return realized, verdicts
 
 
@@ -107,6 +121,15 @@ class TestTemplateRealisation:
             # The public realiser takes the same route from live nodes.
             assert exact(realize_functions(mgr, functions,
                                            var_to_leaf)) == expected
+
+    def test_the_template_prices_its_realisation(self, bundled_runs):
+        """The cost test reads the template's literal count: renaming
+        distinct ranks to distinct leaves keeps every literal."""
+        realized, _ = bundled_runs
+        for template, leaves, got in realized:
+            assert sum(len(cube) for cover in template
+                       for cube in cover) == \
+                sum(cover.literal_count() for _, cover in got)
 
     def test_renaming_keeps_rank_order_and_sorts_fanins(self):
         template = ((((0, True), (2, False)), ((1, True),)), (), ((),))
