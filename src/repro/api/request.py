@@ -274,11 +274,13 @@ def build_relation(spec: RelationSpec) -> BooleanRelation:
     return relation_of_spec(normalize_relation_spec(spec))
 
 
-def _spec_rows(spec: Mapping[str, Any]) -> Tuple[Sequence[Any], int, int]:
+def rows_of_spec(spec: Mapping[str, Any]) -> Tuple[Sequence[Any], int, int]:
     """``(rows, num_inputs, num_outputs)`` of a normalised tabular,
     ``bench``, ``pla`` or ``file`` spec: each source's one row
     producer, in the tabular notation of
-    :meth:`~repro.core.relation.BooleanRelation.from_output_sets`."""
+    :meth:`~repro.core.relation.BooleanRelation.from_output_sets`.
+    PLA text is read by :func:`~repro.core.relio.parse_rows`, which
+    bounds its header before it allocates a row."""
     kind = spec["kind"]
     if kind == "output_sets":
         return spec["rows"], spec["num_inputs"], spec["num_outputs"]
@@ -316,7 +318,7 @@ def relation_of_spec(spec: Mapping[str, Any]) -> BooleanRelation:
         if not system.is_consistent():
             raise ValueError("the Boolean system is inconsistent")
         return system.to_relation()
-    return BooleanRelation.from_output_sets(*_spec_rows(spec))
+    return BooleanRelation.from_output_sets(*rows_of_spec(spec))
 
 
 def root_of_nodes(data: RelationNodes
@@ -364,7 +366,7 @@ def root_of_spec(spec: Mapping[str, Any]
         return root_of_nodes(nodes_of_spec(spec))
     if kind in ("name", "equations"):
         return relation_of_spec(spec)
-    rows, num_inputs, num_outputs = _spec_rows(spec)
+    rows, num_inputs, num_outputs = rows_of_spec(spec)
     if narrow(num_inputs, num_outputs):
         return pack_rows(rows, num_inputs, num_outputs)
     return BooleanRelation.from_output_sets(rows, num_inputs, num_outputs)

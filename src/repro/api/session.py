@@ -8,7 +8,9 @@ A :class:`Session` is the stateful front door of the package.  It
 * accepts relations from every ingestion path the package has (output
   sets, PLA-dialect files/strings, truth tables, Boolean equation
   systems, bundled benchmarks) and registers them under names a
-  :class:`~repro.api.SolveRequest` can refer to;
+  :class:`~repro.api.SolveRequest` can refer to; a source that a
+  relation spec can carry is registered as that spec builds it, after
+  the spec's checks, so one that fails them builds nothing;
 * runs single solves (:meth:`Session.solve`) and batches
   (:meth:`Session.solve_many`, and :meth:`Session.solve_tables` for
   resynthesis's mined tables) with a shared result cache and per-job
@@ -80,13 +82,12 @@ from ..core.explore import (CancelToken, Improvement, Observer,
 from ..core.memo import instantiate_solution
 from ..core.packedrel import PackedRelation
 from ..core.relation import BooleanRelation
-from ..core.relio import (RelationNodes, parse_relation, peek_shape,
-                          relation_to_nodes)
+from ..core.relio import RelationNodes, relation_to_nodes
 from ..core.solution import Solution
 from .report import SolveReport
-from .request import (RelationSpec, SolveRequest, nodes_of_spec,
-                      normalize_relation_spec, root_of_nodes, root_of_spec,
-                      root_of_table, truth_tables_to_output_sets)
+from .request import (RelationSpec, SolveRequest, build_relation,
+                      nodes_of_spec, normalize_relation_spec, root_of_nodes,
+                      root_of_spec, root_of_table, rows_of_spec)
 
 #: What solve()/solve_many() accept as the thing to solve.
 RelationLike = Union[BooleanRelation, RelationSpec]
@@ -357,40 +358,54 @@ class Session:
         del self._relations[name]
         relation.mgr.unpin(relation.node)
 
-    def add_output_sets(self, name: str, rows: Sequence[Iterable[int]],
-                        num_inputs: int, num_outputs: int,
-                        **kwargs: Any) -> BooleanRelation:
-        """Ingest the paper's tabular notation (Example 4.2 style)."""
+    def _add_rows(self, name: str, spec: Dict[str, Any],
+                  **kwargs: Any) -> BooleanRelation:
+        """Register what a tabular, ``pla`` or ``file`` spec builds.
+
+        The spec is checked (:func:`normalize_relation_spec`) and read
+        (:func:`rows_of_spec`) before the shape's shared manager is
+        asked for, so a source that fails its checks builds nothing.
+        """
+        rows, num_inputs, num_outputs = rows_of_spec(
+            normalize_relation_spec(spec))
         relation = BooleanRelation.from_output_sets(
             rows, num_inputs, num_outputs,
             mgr=self.manager_for(num_inputs, num_outputs))
         return self.add_relation(name, relation, **kwargs)
 
+    def add_output_sets(self, name: str, rows: Sequence[Iterable[int]],
+                        num_inputs: int, num_outputs: int,
+                        **kwargs: Any) -> BooleanRelation:
+        """Ingest the paper's tabular notation (Example 4.2 style): an
+        ``output_sets`` spec."""
+        return self._add_rows(name, {
+            "kind": "output_sets", "rows": rows, "num_inputs": num_inputs,
+            "num_outputs": num_outputs}, **kwargs)
+
     def add_truth_tables(self, name: str, tables: Sequence[int],
                          num_inputs: int, **kwargs: Any) -> BooleanRelation:
-        """Ingest one truth-table bitmask per completely specified output.
+        """Ingest one truth-table bitmask per completely specified
+        output: a ``truth_tables`` spec.
 
         See :func:`~repro.api.request.truth_tables_to_output_sets` for
         the encoding.  The result is a functional relation (no
         flexibility); useful as a degenerate case and for decomposition
         targets.
         """
-        rows = truth_tables_to_output_sets(tables, num_inputs)
-        return self.add_output_sets(name, rows, num_inputs, len(tables),
-                                    **kwargs)
+        return self._add_rows(name, {
+            "kind": "truth_tables", "tables": list(tables),
+            "num_inputs": num_inputs}, **kwargs)
 
     def add_pla(self, name: str, text: str, **kwargs: Any) -> BooleanRelation:
-        """Ingest a PLA-dialect relation string (:mod:`repro.core.relio`)."""
-        num_inputs, num_outputs = peek_shape(text)
-        mgr = self.manager_for(num_inputs, num_outputs)
-        return self.add_relation(name, parse_relation(text, mgr=mgr),
-                                 **kwargs)
+        """Ingest a PLA-dialect relation string (:mod:`repro.core.relio`):
+        a ``pla`` spec."""
+        return self._add_rows(name, {"kind": "pla", "text": text}, **kwargs)
 
-    def add_pla_file(self, name: str, path: str,
+    def add_pla_file(self, name: str, path: Union[str, os.PathLike],
                      **kwargs: Any) -> BooleanRelation:
-        """Ingest a PLA-dialect relation file."""
-        with open(path, "r", encoding="ascii") as handle:
-            return self.add_pla(name, handle.read(), **kwargs)
+        """Ingest a PLA-dialect relation file: a ``file`` spec."""
+        return self._add_rows(name, {"kind": "file",
+                                     "path": os.fspath(path)}, **kwargs)
 
     def add_system(self, name: str, system: Any,
                    independents: Optional[Sequence[str]] = None,
@@ -400,16 +415,16 @@ class Session:
 
         ``system`` is either a :class:`repro.equations.BooleanSystem` or a
         sequence of equation strings (then ``independents`` and
-        ``dependents`` are required).  The system's own manager is kept —
+        ``dependents`` are required), built as an ``equations`` spec
+        (:func:`build_relation`).  The system's own manager is kept —
         its variables carry the user's names.
         """
         from ..equations.system import BooleanSystem
         if not isinstance(system, BooleanSystem):
-            if independents is None or dependents is None:
-                raise ValueError("equation strings need independents= "
-                                 "and dependents=")
-            system = BooleanSystem.parse(list(system), list(independents),
-                                         list(dependents))
+            return self.add_relation(name, build_relation({
+                "kind": "equations", "equations": list(system),
+                "independents": independents, "dependents": dependents}),
+                **kwargs)
         if not system.is_consistent():
             raise ValueError("the Boolean system is inconsistent")
         return self.add_relation(name, system.to_relation(), **kwargs)

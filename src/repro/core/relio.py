@@ -309,31 +309,6 @@ def relation_from_nodes(data: Any,
 # ----------------------------------------------------------------------
 # PLA text (import/export)
 # ----------------------------------------------------------------------
-def peek_shape(text: str) -> Tuple[int, int]:
-    """Scan just the ``.i`` / ``.o`` header of PLA-dialect text.
-
-    Lets callers learn ``(num_inputs, num_outputs)`` — e.g. to pick a
-    shared manager — without building the relation.
-    """
-    num_inputs: Optional[int] = None
-    num_outputs: Optional[int] = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith(".i ") or line.startswith(".o "):
-            try:
-                value = int(line.split()[1])
-            except ValueError:
-                raise RelationFormatError("malformed header %r"
-                                          % line) from None
-            if line.startswith(".i "):
-                num_inputs = value
-            else:
-                num_outputs = value
-        if num_inputs is not None and num_outputs is not None:
-            return num_inputs, num_outputs
-    raise RelationFormatError("missing .i / .o header")
-
-
 def parse_rows(text: str) -> Tuple[int, int, List[Set[int]]]:
     """Parse PLA-dialect text into ``(num_inputs, num_outputs, rows)``.
 
@@ -342,9 +317,11 @@ def parse_rows(text: str) -> Tuple[int, int, List[Set[int]]]:
     output vertex is output ``j``), empty where no row mentions ``v``:
     the tabular notation of
     :meth:`~repro.core.relation.BooleanRelation.from_output_sets`.
-    A header past :data:`~repro.core.relation.MAX_SPEC_INPUTS` inputs
-    or :data:`~repro.core.relation.MAX_SPEC_OUTPUTS` outputs raises
-    ``ValueError`` before any row is allocated.
+    A ``.i``/``.o`` value that is not an int raises
+    :class:`RelationFormatError` naming the line, and a header past
+    :data:`~repro.core.relation.MAX_SPEC_INPUTS` inputs or
+    :data:`~repro.core.relation.MAX_SPEC_OUTPUTS` outputs raises
+    ``ValueError``, both before any row is allocated.
     """
     num_inputs: Optional[int] = None
     num_outputs: Optional[int] = None
@@ -353,10 +330,16 @@ def parse_rows(text: str) -> Tuple[int, int, List[Set[int]]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith(".i "):
-            num_inputs = int(line.split()[1])
-        elif line.startswith(".o "):
-            num_outputs = int(line.split()[1])
+        if line.startswith((".i ", ".o ")):
+            try:
+                value = int(line.split()[1])
+            except ValueError:
+                raise RelationFormatError("malformed header %r"
+                                          % line) from None
+            if line[1] == "i":
+                num_inputs = value
+            else:
+                num_outputs = value
         elif line.startswith(".type"):
             kind = line.split()[1] if len(line.split()) > 1 else ""
             if kind not in ("fr", "f", "relation", ""):

@@ -1,8 +1,8 @@
 """The paper's application: BR-driven logic decomposition (Section 10)."""
 
 from .cutflex import (CutError, CutResynthesis, cut_flexibility_relation,
-                      cut_flexibility_table, realize_functions,
-                      realize_template, resynthesize_cut)
+                      cut_flexibility_table, realize_template,
+                      resynthesize_cut)
 from .flow import (ComparisonRow, FlowMetrics, compare_flows, run_baseline,
                    run_decomposed)
 from .gatedec import (DecompositionResult, and_function,
@@ -17,7 +17,6 @@ __all__ = [
     "CutResynthesis",
     "cut_flexibility_relation",
     "cut_flexibility_table",
-    "realize_functions",
     "realize_template",
     "resynthesize_cut",
     "DecompositionResult",

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..bdd.manager import FALSE, TRUE, BddManager
 from ..bdd.packed import MAX_FRAME_WIDTH, frame_masks
 from ..core.brel import BrelOptions, BrelResult, solve_relation
-from ..core.memo import SolutionTemplate, solution_template
+from ..core.memo import SolutionTemplate
 from ..core.relation import BooleanRelation
 from ..network.netlist import LogicNetwork
 from ..network.simulate import signal_masks
@@ -230,21 +230,6 @@ def realize_template(template: SolutionTemplate, leaves: Sequence[str]
     return realized
 
 
-def realize_functions(mgr: BddManager, functions: Sequence[int],
-                      var_to_leaf: Dict[int, str]
-                      ) -> List[Tuple[List[str], Cover]]:
-    """Materialise solved functions as ISOP covers over named leaves.
-
-    Returns one ``(fanins, cover)`` pair per function; support may be
-    any subset of ``var_to_leaf``'s keys.  The covers are the
-    functions' rank template over ``var_to_leaf``'s variables, renamed
-    by :func:`realize_template`.
-    """
-    support = sorted(var_to_leaf)
-    return realize_template(solution_template(mgr, functions, support),
-                            [var_to_leaf[var] for var in support])
-
-
 def resynthesize_cut(network: LogicNetwork, cut: Sequence[str],
                      options: Optional[BrelOptions] = None,
                      accept: str = "improved") -> CutResynthesis:
@@ -268,15 +253,12 @@ def resynthesize_cut(network: LogicNetwork, cut: Sequence[str],
     """
     if accept not in ("improved", "always"):
         raise ValueError("accept must be 'improved' or 'always'")
-    relation, cut_vars = cut_flexibility_relation(network, cut)
+    relation, _ = cut_flexibility_relation(network, cut)
     result = solve_relation(relation, options)
-    mgr = relation.mgr
-    leaves = network.combinational_inputs()
-    var_to_leaf = {index: name for index, name in enumerate(leaves)}
-
+    # The relation's input i is the frame's leaf i.
+    realized = realize_template(result.solution.template(relation.inputs),
+                                network.combinational_inputs())
     rewritten = network.copy()
-    realized = realize_functions(mgr, result.solution.functions,
-                                 var_to_leaf)
     for position, name in enumerate(cut):
         if name not in rewritten.nodes:
             continue  # leaf member: identity-pinned, nothing to rewrite

@@ -17,17 +17,16 @@ decomposed circuit ends at A, B and C.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List
 
-from ..bdd.isop import isop
 from ..core.brel import BrelOptions, BrelSolver
 from ..core.cost import bdd_size_cost, bdd_size_squared_cost
 from ..core.relation import BooleanRelation
 from ..network.collapse import CollapsedNetwork
 from ..network.netlist import LogicNetwork
 from ..sop.cover import Cover
-from ..sop.cube import DASH, Cube
+from .cutflex import realize_template
 from .gatedec import mux_function
 
 
@@ -49,21 +48,6 @@ class MuxLatchResult:
     network: LogicNetwork
     mux_nodes: List[str]
     stats: MuxLatchStats
-
-
-def _bdd_to_node_cover(mgr, node: int, support_names: Dict[int, str]
-                       ) -> Tuple[List[str], Cover]:
-    """Convert a BDD into (fanins, positional SOP cover) for a netlist."""
-    cover, _ = isop(mgr, node, node)
-    names = sorted({support_names[var] for cube in cover for var in cube})
-    position = {name: index for index, name in enumerate(names)}
-    cubes = []
-    for cube in cover:
-        values = [DASH] * len(names)
-        for var, polarity in cube.items():
-            values[position[support_names[var]]] = 1 if polarity else 0
-        cubes.append(Cube(values))
-    return names, Cover(len(names), cubes)
 
 
 def decompose_mux_latches(network: LogicNetwork, cost: str = "delay",
@@ -109,13 +93,15 @@ def decompose_mux_latches(network: LogicNetwork, cost: str = "delay",
                               symmetry_pruning=symmetry_pruning)
         solved = BrelSolver(options).solve(relation)
         stats.relations_explored += solved.stats.relations_explored
-        functions = solved.solution.functions
-
-        # Materialise A, B, C as SOP nodes and re-point the latch through
-        # a mux node (excluded from cost by the evaluation frame).
+        # Materialise A, B, C as SOP nodes over the support's leaves
+        # (rank i of the template is relation.inputs[i]) and re-point
+        # the latch through a mux node (excluded from cost by the
+        # evaluation frame).
+        realized = realize_template(
+            solved.solution.template(relation.inputs),
+            [var_to_name[var] for var in relation.inputs])
         names = []
-        for tag, func in zip("abc", functions):
-            fanins, cover = _bdd_to_node_cover(mgr, func, var_to_name)
+        for tag, (fanins, cover) in zip("abc", realized):
             name = result.fresh_name("%s_%s" % (tag, latch.output))
             result.add_node(name, fanins, cover)
             names.append(name)

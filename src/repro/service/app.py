@@ -353,7 +353,9 @@ class SolveService:
         request's step: an unknown name, an unreadable file or
         malformed BLIF is a :class:`ServiceError`.  The pipeline run
         after it is the program's: its failure is a 500 (see
-        :meth:`_failures`).  Failed runs are never cached.
+        :meth:`_failures`).  Failed runs are never cached.  A RAM or
+        disk hit carries the caller's label and request, as
+        :meth:`_lookup` stamps a solve's.
         """
         from ..resynth.pipeline import resynthesize_network
 
@@ -367,7 +369,8 @@ class SolveService:
                 cached = self._resynth_cache.get(key)
                 if cached is not None:
                     tier = "ram"
-                    report = cached.copy(cached=True, label=request.label)
+                    report = cached.copy(cached=True, label=request.label,
+                                         request=request.to_dict())
                 else:
                     report = None
                     if self.disk is not None:
@@ -378,7 +381,8 @@ class SolveService:
                         tier = "disk"
                         self._resynth_cache[key] = report.copy()
                         report = report.copy(cached=True,
-                                             label=request.label)
+                                             label=request.label,
+                                             request=request.to_dict())
                     else:
                         tier = "engine"
                         network = load_circuit(request.circuit)

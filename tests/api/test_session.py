@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.api import Session, SolveRequest
+from repro.api.request import build_relation
 from repro.benchdata.brgen import random_relation
 from repro.core import BooleanRelation
 from repro.core.relio import relation_to_nodes, write_relation
@@ -81,6 +82,61 @@ class TestIngestion:
         with pytest.raises(ValueError, match="table 0: 99"):
             session.add_truth_tables("bad", [99], 2)
         assert "bad" not in session.relation_names()
+
+    @pytest.mark.parametrize("header, message", [
+        (".i 200000", "num_inputs must be an int in 0..18, got 200000"),
+        (".i -1", "num_inputs must be an int in 0..18, got -1"),
+        (".i 19", "num_inputs must be an int in 0..18, got 19"),
+        (".i x", "malformed header '.i x'"),
+    ])
+    def test_bad_pla_headers_build_nothing(self, header, message):
+        """A registration is checked as its spec is, before the
+        session asks for the shape's manager."""
+        session = Session()
+        with pytest.raises(ValueError, match=message):
+            session.add_pla("bad", header + "\n.o 2\n.e\n")
+        assert session.engine_stats() == {}
+        assert "bad" not in session
+
+    def test_oversized_output_sets_build_nothing(self):
+        session = Session()
+        with pytest.raises(ValueError, match="num_inputs must be an int"):
+            session.add_output_sets("bad", [], 200000, 2)
+        assert session.engine_stats() == {}
+
+    def test_registrations_build_what_their_specs_build(self, tmp_path):
+        session = Session()
+        text = write_relation(BooleanRelation.from_output_sets(
+            FIG1_ROWS, 2, 2))
+        path = tmp_path / "fig1.pla"
+        path.write_text(text)
+        specs = {
+            "sets": {"kind": "output_sets", "rows": FIG1_ROWS,
+                     "num_inputs": 2, "num_outputs": 2},
+            "pla": {"kind": "pla", "text": text},
+            "file": {"kind": "file", "path": str(path)},
+        }
+        session.add_output_sets("sets", FIG1_ROWS, 2, 2)
+        session.add_pla("pla", text)
+        session.add_pla_file("file", path)  # a path object, as open() takes
+        for name, spec in specs.items():
+            assert list(session.relation(name).rows()) \
+                == list(build_relation(spec).rows())
+        # Same-shape registrations share one manager.
+        assert list(session.engine_stats()) == ["shape:2x2"]
+        session.add_truth_tables("xor", [0b0110], 2)
+        assert list(session.relation("xor").rows()) == list(build_relation(
+            {"kind": "truth_tables", "tables": [0b0110],
+             "num_inputs": 2}).rows())
+
+    def test_equation_strings_take_the_spec_checks(self):
+        session = Session()
+        with pytest.raises(ValueError, match="independents must be a list"):
+            session.add_system("sys", ["x = a"], dependents=["x"])
+        with pytest.raises(ValueError, match="inconsistent"):
+            session.add_system("sys", ["x = a", "x = ~a"],
+                               independents=["a"], dependents=["x"])
+        assert session.relation_names() == []
 
     def test_duplicate_name_rejected(self, session):
         with pytest.raises(ValueError, match="already registered"):

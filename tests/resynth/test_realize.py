@@ -20,7 +20,7 @@ from repro.bdd import BddManager
 from repro.bdd.isop import isop
 from repro.benchdata.circuits import CIRCUITS
 from repro.core.memo import instantiate_solution
-from repro.decompose import realize_functions, realize_template
+from repro.decompose import realize_template
 from repro.resynth import ResynthRequest, resynthesize
 from repro.resynth import pipeline
 from repro.resynth.pipeline import _apply_pass, _Candidate, _closes_cycle
@@ -118,9 +118,6 @@ class TestTemplateRealisation:
             expected = exact(node_level_realize(mgr, functions,
                                                 var_to_leaf))
             assert exact(got) == expected
-            # The public realiser takes the same route from live nodes.
-            assert exact(realize_functions(mgr, functions,
-                                           var_to_leaf)) == expected
 
     def test_the_template_prices_its_realisation(self, bundled_runs):
         """The cost test reads the template's literal count: renaming
@@ -139,14 +136,6 @@ class TestTemplateRealisation:
             ([], []),
             ([], [()]),
         ]
-
-    def test_realize_functions_over_a_sparse_frame(self):
-        mgr = BddManager(["p", "q", "r", "s"])
-        functions = [mgr.and_(mgr.var(3), mgr.nvar(1)),
-                     mgr.or_(mgr.var(1), mgr.var(3))]
-        var_to_leaf = {1: "q_leaf", 3: "s_leaf"}
-        assert exact(realize_functions(mgr, functions, var_to_leaf)) == \
-            exact(node_level_realize(mgr, functions, var_to_leaf))
 
 
 class TestLocalAcyclicityCheck:

@@ -14,7 +14,8 @@
   anything shifts by them, so an oversized value is a clear 400 at every
   layer instead of an ``OverflowError`` or a stalled worker.  A ``pla``
   spec's ``.i``/``.o`` header is checked against the same bounds before
-  the parser allocates a row per input vertex.
+  the parser allocates a row per input vertex, and a header value that
+  is no int is a 400 naming the line.
 """
 
 import http.client
@@ -29,7 +30,7 @@ from repro import SolveRequest
 from repro.api.request import normalize_relation_spec
 from repro.core.relation import (MAX_SPEC_INPUTS, MAX_SPEC_OUTPUTS,
                                  BooleanRelation)
-from repro.core.relio import parse_rows
+from repro.core.relio import RelationFormatError, parse_rows
 from repro.service import ServiceError, SolveService, create_server
 from repro.service import http as http_module
 from repro.service.app import MAX_BODY_BYTES
@@ -376,6 +377,19 @@ class TestPlaHeaderBounds:
                            body.encode("utf-8"))
         assert response.status == 400
         assert "num_inputs" in json.loads(response.body)["error"]
+
+    @pytest.mark.parametrize("header", [".i x", ".o 2.5"])
+    def test_a_header_that_is_no_int_is_named(self, header):
+        text = ".i 2\n.o 1\n%s\n.e\n" % header
+        with pytest.raises(RelationFormatError,
+                           match="malformed header %r" % header):
+            parse_rows(text)
+        body = json.dumps({"relation": {"kind": "pla", "text": text}})
+        response = respond(SolveService(), "POST", "/solve",
+                           body.encode("utf-8"))
+        assert response.status == 400
+        assert json.loads(response.body)["error"].endswith(
+            "malformed header %r" % header)
 
     def test_bound_itself_parses(self):
         num_inputs, num_outputs, rows = parse_rows(

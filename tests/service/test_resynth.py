@@ -48,6 +48,21 @@ class TestResynthTiers:
         assert tier == "ram"
         assert report["label"] == "beta"
 
+    def test_hits_echo_the_callers_request(self, cache_dir):
+        """A RAM or disk hit reports the request that asked for it, not
+        the one that filled the tier."""
+        first = SolveService(disk=DiskCache(cache_dir))
+        engine, _ = first.resynth(dict(S27, label="first"))
+        assert engine["request"]["label"] == "first"
+        ram, tier = first.resynth(dict(S27, label="second"))
+        assert tier == "ram"
+        assert ram["label"] == ram["request"]["label"] == "second"
+        cold = SolveService(disk=DiskCache(cache_dir))
+        disk, tier = cold.resynth(dict(S27, label="third"))
+        assert tier == "disk"
+        assert disk["label"] == disk["request"]["label"] == "third"
+        assert disk["request"] == dict(engine["request"], label="third")
+
     def test_options_split_the_cache(self):
         service = SolveService()
         service.resynth(dict(S27))

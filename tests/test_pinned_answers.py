@@ -23,17 +23,34 @@ against this file without a second copy of the code.
   ``passes=2 window=8 max_explored=8``, and again at
   ``passes=2 window=16 tfo_depth=2 max_explored=8`` and at
   ``passes=2 window=8 max_explored=8 cut_policy="reconvergent"``.
+- Mux-latch decomposition (Table 3): the BLIF of
+  ``decompose_mux_latches(circuit, cost, max_explored=20).network`` for
+  each of the 22 bundled circuits under ``delay`` and ``area``.
+- Cut resynthesis: ``resynthesize_cut``'s rewritten BLIF for the cut
+  ``{y1, y2}`` of ``examples/cut_flexibility.py`` under that script's
+  request, and with ``accept="always"`` at ``max_explored=20`` for a
+  seeded sample of cuts of the bundled circuits: on each circuit, cuts
+  of 1, 2 and 3 nodes drawn in turn by
+  ``random.Random("cut:" + name).sample(sorted(network.nodes), size)``,
+  listed below as drawn.
 """
 
 import hashlib
+import importlib.util
+import os
 
 import pytest
 
 from repro import Session, SolveRequest
 from repro.benchdata.brgen import block_structured_relation
 from repro.benchdata.brsuite import SUITE
-from repro.benchdata.circuits import CIRCUITS
+from repro.benchdata.circuits import CIRCUITS, circuit_by_name
+from repro.decompose import decompose_mux_latches, resynthesize_cut
+from repro.network.blif import write_blif
 from repro.resynth import ResynthRequest, resynthesize
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "examples")
 
 TABLE2_DIGESTS = {
     ("bfs", "size", 10): {
@@ -428,6 +445,239 @@ RESYNTH_OPTION_DIGESTS = {
     },
 }
 
+MUXLATCH_DIGESTS = {
+    "delay": {
+        "s27":
+            "db648e439e76d9d85b51942d4157a9b444446cb0703d9c1f9227c4fef59c5cda",
+        "s208":
+            "dcaa56e8885fd153d550e9708cfbbd5139ef622ea58dfb7b4fce68aa764d6de0",
+        "s298":
+            "975b4093880ce1bd2d8d9e13df5c3c1d83d1749737d693ca74946e5b4e96ec64",
+        "s344":
+            "fc19af43f4a68a8c1310ce0a973d444f5a14158a91a0f87b061ffb3780b9638d",
+        "s349":
+            "f2f19f30c2206379926959285abd194859a0b8dbaec8fea5580c0c60833d0ca9",
+        "s382":
+            "420e3c42d7976092cb1e84e7a2630d428cf20c02f8dd76f2cfa75a04115a3319",
+        "s386":
+            "586bc82ead749afd6a2614832cbe085731a2b361358a319ed4ed93936dd5d658",
+        "s400":
+            "1aa7558968e852eabc95964a46dbab2a20f37950b5b260ba4a00f9c47d996197",
+        "s420":
+            "d40b4c375dae388740a23cb39cba6036333d627fe61d921c817d0107bb80a313",
+        "s444":
+            "f865fa6171bcb63975a844b3dd3bb48955f6504053741e3fef6b65f6b9a20aca",
+        "s510":
+            "291c5aa33b276c618b797904206a63ac3d979810587edc6f78f24f4514e57377",
+        "s526":
+            "efcde2146bf03235ac96bcc93ae9f753b56b05ac378d4b58ddbcdfeed8420497",
+        "s641":
+            "9bf6235f7601d03973321fb411fec73d0f1f3c4349d855f55d0a800016054c07",
+        "s713":
+            "026d9de707fc50968066fc76cfcda85129f62e1a2ab6b399fb8870ae10b06af1",
+        "s820":
+            "87d868e36ac4a19c29097ebc4f96d5eb1073bc9c9672feece7fdaa4f5412b9cb",
+        "s832":
+            "dfa2c50f8945807c60d1842fc76da5d9119bef53aa35b1ea99a6d84695c6bdde",
+        "s953":
+            "edf99ae0f0687d6e7e7313ac8741b06a112a142a4eefd5d30b883fa971e476da",
+        "s1196":
+            "58b1f5c3443c9ead2dee52cb0c19e75d7831fb692e94ddc8d63772696125f493",
+        "s1238":
+            "75b7e7a567119e5387409a6fffcc75fa323ea8b05e738ba7a5bbe87762ccaa93",
+        "s1488":
+            "0df4fd806da3159d66a4aef35e56b6ab29b353f12831f5b86302734341edede5",
+        "s1494":
+            "1a511af779ea5f897c5aa39e3413ef6641ac46491c6f9b21ecf673d9e1f85803",
+        "sbc":
+            "6359516f60fa37b558e1f746fce5c7f5225bc59ff38974e4125480a78d238271",
+    },
+    "area": {
+        "s27":
+            "b515b9d4bc6908dce0c84c867c5447fae3dd13da34a8ae2c4e946e33784b5c3d",
+        "s208":
+            "51985a0ee19a820a793eaadf355d833be2d70a63c4728efa413d10aa3419faac",
+        "s298":
+            "808ff04e316668c27d883f184387fe8d5ef1fea5e712f0efc3751f373718edf6",
+        "s344":
+            "c33cd1df4f52658fa75d50706032cbfc9f7a9ef9ce3794422043058a05c1735b",
+        "s349":
+            "ac8b6f45e7edcf0611540615f7aef61a5448e3f3a35799b7c624f9bbc65b76fc",
+        "s382":
+            "bcee0ae78907cad6b974afe0c576d15731f69588f08688d8a6c7fd98c0263dfb",
+        "s386":
+            "544211eed2ed26882b58b9aef5badc136aad36f17f6e843e697c2602fda0413d",
+        "s400":
+            "0a2f0ee6bb3f14f1744913384a5cd64f3b71ed7f33ecc95d8aa2658f3daaab3e",
+        "s420":
+            "00007456a8c7796893e5ada80d29ac2ecec02c55281cbe1bbc23f538f7af9b91",
+        "s444":
+            "67d2c40b0544564a028155f3abb6b524d759795c6e5b4a841730b4a935ca4dc1",
+        "s510":
+            "0f7028d28bf86e8a583495a2d7cd15ea6e2d1c7187df3db9b9d73bd830905957",
+        "s526":
+            "bb5677ca0e10d5caa455323782b9e8c9b0e9e5e80651f7bbe0a824bfb75b4250",
+        "s641":
+            "87da6fecdd31165120a8d76f82169aacf9b7b611ea0f36c5117ddb212b5d294f",
+        "s713":
+            "4e9026bae2dfaf8b595ddcaabc51a8876ee5fafc9aa0cdcd85002faa3a9967b2",
+        "s820":
+            "65f639164bc3c5fbc93b7c5e95aeaf9e8877198b8760821d85a89208c1246ca7",
+        "s832":
+            "18d9492884409705e8252386400bb6adf44af3cec0b24ec263ddb27b448b6203",
+        "s953":
+            "c14695133f28a8fe6f7f9b6fb306c36b0a9ff8fc6affc5c829bf09ead1945a65",
+        "s1196":
+            "8f49c19880c1565849678e36ac75bf95a20992dfc97537e467ee024aaa3f0dbf",
+        "s1238":
+            "fa0db75e63f40e0df5c18d8a652de0870d6d89961aed3f258f1a5c12f7e0178d",
+        "s1488":
+            "817d7f3a69e7b4ba495594fb26d1fea1a99384e7418e6a7109348dac65d5182c",
+        "s1494":
+            "9c7fa07c53f77dadf5f0d977dd0e2fb0787a476f403dd9513533d3547926177e",
+        "sbc":
+            "8905a0b1352145f53e8dd73b05f9289d7ba92862c352d4eb2053544f848fba24",
+    },
+}
+
+CUT_EXAMPLE_DIGEST = \
+    "1d5cb91425037bd9d22722c37d195c70e4f9df31a5122db45abef274e8e1a60c"
+
+CUT_DIGESTS = {
+    ('s27', ('G8',)):
+        "5f55f421c359140a45e1992c1e23525123ee6faa70e8991de3eb048b447c3c24",
+    ('s27', ('G15', 'G12')):
+        "d8616ea8376fe16c836226ab9bc06d8250d9cbe4e15d052119271516c1308f6e",
+    ('s27', ('G8', 'G12', 'G14')):
+        "5f55f421c359140a45e1992c1e23525123ee6faa70e8991de3eb048b447c3c24",
+    ('s208', ('g5',)):
+        "cba73d3d236c9632628f314a608bb632680cc0f85c2cb8fcc09e6fda0f988f46",
+    ('s208', ('g18', 'g3')):
+        "6e7a6b611ca00a834607f598b8f565b37b54a5e7f2b48094e7e549eddb2ce395",
+    ('s208', ('g1', 'g13', 'g12')):
+        "a2d86fe7f095db7ca0683c14e4a9069c827c626e37f5dab39827a68072b7da45",
+    ('s298', ('g25',)):
+        "3a6738c20690cceeecfef9561f7316f280d2536cfc3fb8f5a2f4108ea2cd9767",
+    ('s298', ('g26', 'g25')):
+        "16f5e4b4c10e6d2aaf3887fd874084b4aa7602fef29f793432d3a06b864273e8",
+    ('s298', ('g34', 'g2', 'g27')):
+        "69eab27d5b944a0a4112c1ce1580677e796c787a9f46d4eb2b87b1218c591804",
+    ('s344', ('g1',)):
+        "2fd68eca73adf72914a33fbe317b38991f21df10e73726734540a05c7b978521",
+    ('s344', ('g31', 'g6')):
+        "1d99f8ffccd2b1255cb77cdac89b94f7d0380987f7fcf247d68041e62779ee2c",
+    ('s344', ('g45', 'g34', 'g16')):
+        "0b6060dcd8f6331b47df7b024d35639a70e54643df5cc26a5233b7db847e7c40",
+    ('s349', ('g45',)):
+        "b33819e4938dba287cad72ea50d385c9a2dff32132a7a8e44bbef7d7e2a16ca5",
+    ('s349', ('g12', 'g15')):
+        "0adbca5d85642141068a610e6beaf7ee5b9fa9f29f9a074df2547e6aef532a5c",
+    ('s349', ('g12', 'g25', 'g34')):
+        "f55241100a4980d8520c817880e88726122f64b8510e2e5f32e18917f6454214",
+    ('s382', ('g14',)):
+        "c5c1925d6d0c26b9c2de77f2e987380f286b91fc1dd6a7295c957ff216a86cd6",
+    ('s382', ('g17', 'g8')):
+        "e4e634654ff89736adf569f5fb072c6fbf40e71d2904e4e875f178a0f6ca0d2b",
+    ('s382', ('g7', 'g37', 'ns17')):
+        "18ba942541090ce6103f7184ca3e09494909182a520ffb96fa20a161256ba42e",
+    ('s386', ('g14',)):
+        "e035968e950df32a92f1d53fa7d652c8845ab0154596e2800ba7004bca9c5106",
+    ('s386', ('g29', 'g1')):
+        "0bcae9b3a75d4a60fc3a42acf1b90b3a6115a946339e44f00b788a748dcaf515",
+    ('s386', ('g18', 'g34', 'g40')):
+        "fed90ff74addf7ea0b9c3813a1c55974252055265fe279ee83a433d16b0a26aa",
+    ('s400', ('g10',)):
+        "da108746b29c48d66eb22829ec04c17abfef360e217336d140a387bcb8967794",
+    ('s400', ('g18', 'g34')):
+        "d03bd67f092ef48d6edee36e9e23ad3b0ef93e3f02bddcdb8f769ba12688b39b",
+    ('s400', ('g20', 'g40', 'g34')):
+        "3f0c22406e40b96f4eae10122de51d788eba932c3c7ecfda6b58a76adef6b9c5",
+    ('s420', ('g18',)):
+        "d9000f0681cfc14e6ef70bccfe5a8f952e3c46abae77e4eada1469ba7405a57b",
+    ('s420', ('g14', 'g24')):
+        "1c7fafee9abf948b4b29117ea2ecdd845d7067b14ceb9b4a400feb861d2eb0c9",
+    ('s420', ('g8', 'g5', 'g10')):
+        "fb8eb5ad50f09fc9bdde0c3f0da9fee0159774f395cd8078f6cb584237cee441",
+    ('s444', ('g11',)):
+        "c7d613c387ec38e12547fb2222707fecb657c6cf058618dbdec533ff866825ce",
+    ('s444', ('g17', 'g10')):
+        "4efb0c2fe17b00e27e378d83dcc4e4e05abf7f203f88894b7856134203183a55",
+    ('s444', ('g4', 'g34', 'g11')):
+        "01b7b340f72fe0e473bc050542601f9a8a5048887a3d3efb135f026819358670",
+    ('s510', ('g5',)):
+        "1af74bdc9a662493fb8e9534b3e34993724161731d2e193a6a40a42e902b881c",
+    ('s510', ('g4', 'g10')):
+        "9e4492c63e720fa40f9f15b24b1d9641df39d248781075d89ff6a4a3b868cf8b",
+    ('s510', ('g51', 'g45', 'g40')):
+        "b1e92c5b5c84cb7b8d32afe2e76b378a03316a416379c8d2d1c65d3efde946e4",
+    ('s526', ('g15',)):
+        "b6f3125dbc3ad02a5fc15f4c57a7f785b37313ed2ebb2d3fdc1a6f4fdd40e784",
+    ('s526', ('g16', 'g32')):
+        "56536bc62ef8d863d4809508888574f74f8b7cf1851059f9b1ebe3c8e7a289ba",
+    ('s526', ('g16', 'g8', 'g30')):
+        "a34d79ced142dd16a3aa1683fa65c747b652f911eecac480d2fea2d51604ea1c",
+    ('s641', ('ns1',)):
+        "0116a99ced7a56b3ca7865abcffc476fd4df6b12f558969ff058869c28fab2fe",
+    ('s641', ('g8', 'g58')):
+        "8856d34d9d895dba928692e7f65105ffa260ae5fc7d482c77f066a11b7ef1506",
+    ('s641', ('g37', 'g26', 'g30')):
+        "c69daa630078ac8283a3bba61f2c3e6573500386f45b40a37924480acbf651c0",
+    ('s713', ('ns1',)):
+        "9e9075cbcb1698aa0b3e3cee63aadc9aa57998a58e6df8e25d2ca5f6a3d474e4",
+    ('s713', ('g3', 'g48')):
+        "583f68a8bb682a31eb30c5634cd830d8f52fec873b51cc10a1352acad09d6b0a",
+    ('s713', ('g15', 'g7', 'g23')):
+        "ab84f7832497d9accd65544792da5ded4c7cf1ff2365effb1d497637afe6e3f1",
+    ('s820', ('g5',)):
+        "040ac92f8f3e4d935d0d821e8a9e86f841577d302610465077c6e315ab545f83",
+    ('s820', ('g49', 'g32')):
+        "c09f744f0ca9818bc987a85f195474e7fa3a723be514ee300d2e6286cbfeef13",
+    ('s820', ('g0', 'g15', 'g16')):
+        "c3e2aa7c7589a154e06a47d0aeb833b77d33f3a750c9ced58fe54fbe7020ded7",
+    ('s832', ('g35',)):
+        "91dab751f480f2e8a89e6a0542944309b0bca33b732feff842f22ae1e103daf3",
+    ('s832', ('g31', 'g14')):
+        "6c9051f89828a3af234c56ad58ead11c23924084f38a7698cfd3521d36f7ae3c",
+    ('s832', ('g45', 'g4', 'g48')):
+        "5b2328e8ee0c79cd6d9211e8de158dcc01376dfd62e39ebdb5518480f4a67c28",
+    ('s953', ('g50',)):
+        "4452a4867ec3f2faca99acdfebd35f6ae50af3aba1aaaac62be56177639c15d1",
+    ('s953', ('g32', 'g55')):
+        "a594eb471ad9605a6a9f1f33a956263dedbbbe5348b5f7599c90a585222e9f9c",
+    ('s953', ('g14', 'ns22', 'g8')):
+        "3cdb8a8eec5f1af9f5811208243e90dd93f78321e480cbb4f55f44b6c9ecd939",
+    ('s1196', ('g44',)):
+        "af5234646e050c114eafeecb238a0e7f4e4225ce299a4bba5a762dab67e86d3b",
+    ('s1196', ('g57', 'g26')):
+        "3dc576f798a5f86c6f7bc6b819c48c831219b6d633e7c4ee26c9dbb6f20ae51c",
+    ('s1196', ('ns10', 'g12', 'g29')):
+        "957255b5aff8203cf57013d72f2666ffa2876b877cf16b71eeb79e6c427558c2",
+    ('s1238', ('g64',)):
+        "2e6f675fd1a38814efd6ca4429f85d6ea53405c61e4d850da26f5c4b875f5863",
+    ('s1238', ('g40', 'g46')):
+        "ce0aea640d81a8e76e18911b7c0dc4dee6781a517774f288e41c65b06eaba2b4",
+    ('s1238', ('g40', 'g43', 'g11')):
+        "a7163b239b3e9c2ac495c82d639beeed0e8a69883f4f34f6acb438accdce0e8a",
+    ('s1488', ('g69',)):
+        "038e67549571ffc4870c27d1bed6a94c4d50981649d298d1f7c6c0be224b3f49",
+    ('s1488', ('g35', 'g40')):
+        "a0330be5333d36ab7302c1d0df8c4d47d3e6e0f1fa217273cc22a6128638e7e4",
+    ('s1488', ('g11', 'g47', 'g15')):
+        "e2b36baaa7c0985eb69006a86a85714c52015bbd903b5955e54486476736ac64",
+    ('s1494', ('g26',)):
+        "38040d986288129fd7c36e0d74c74c6c09e117f7521ef79f01de50acddc67ddb",
+    ('s1494', ('g6', 'g64')):
+        "9c1162848f8014757b520a3ebddc8e9d00442ffa99da40336d4f5ab0dc13ec07",
+    ('s1494', ('g51', 'g40', 'g30')):
+        "f0648ff6f67f8688d50ffaf30590d356de97dd1e0a4d28394080c29b0b5d3d4c",
+    ('sbc', ('g72',)):
+        "3ca7bae3c4bac7738e6aba14154cf6b41720a6886df43b7ca229add37200a9b7",
+    ('sbc', ('g16', 'g63')):
+        "7f6c46285195d084a6e41443b84f63fc6ca291cd5f94e6aa22e7f2787a33632c",
+    ('sbc', ('g19', 'g64', 'g53')):
+        "5a0b2c0917a0efacd76e509cf1d5503ef3854ecb1d69aeef99c4e1227dd1d098",
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -445,6 +695,11 @@ def test_every_instance_and_circuit_is_pinned():
     assert list(RESYNTH_OPTION_DIGESTS) == list(RESYNTH_OPTIONS)
     for pinned in RESYNTH_OPTION_DIGESTS.values():
         assert list(pinned) == circuits
+    assert list(MUXLATCH_DIGESTS) == ["delay", "area"]
+    for pinned in MUXLATCH_DIGESTS.values():
+        assert list(pinned) == circuits
+    assert [name for name, _ in CUT_DIGESTS] == \
+        [name for name in circuits for _ in range(3)]
 
 
 @pytest.mark.parametrize(
@@ -505,3 +760,38 @@ def test_resynthesis_blif_at_more_options(options, name):
                           session=Session())
     assert report.ok, report.error
     assert sha256(report.blif) == RESYNTH_OPTION_DIGESTS[options][name]
+
+
+@pytest.mark.parametrize(
+    "cost, name",
+    [(cost, name) for cost, pinned in MUXLATCH_DIGESTS.items()
+     for name in pinned])
+def test_mux_latch_decomposition_blif(cost, name):
+    result = decompose_mux_latches(circuit_by_name(name).build(), cost,
+                                   max_explored=20)
+    assert sha256(write_blif(result.network)) \
+        == MUXLATCH_DIGESTS[cost][name]
+
+
+def test_cut_resynthesis_of_the_example():
+    location = os.path.join(EXAMPLES, "cut_flexibility.py")
+    spec = importlib.util.spec_from_file_location("cut_flexibility",
+                                                  location)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    request = SolveRequest(cost="size", max_explored=50)
+    result = resynthesize_cut(example.build_network(), ["y1", "y2"],
+                              request.to_options())
+    assert result.accepted
+    assert sha256(write_blif(result.network)) == CUT_EXAMPLE_DIGEST
+
+
+@pytest.mark.parametrize("name, cut", list(CUT_DIGESTS),
+                         ids=["%s-%s" % (name, "+".join(cut))
+                              for name, cut in CUT_DIGESTS])
+def test_cut_resynthesis_blif(name, cut):
+    network = circuit_by_name(name).build()
+    result = resynthesize_cut(network, list(cut),
+                              SolveRequest(max_explored=20).to_options(),
+                              accept="always")
+    assert sha256(write_blif(result.network)) == CUT_DIGESTS[name, cut]
